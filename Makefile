@@ -30,15 +30,15 @@ race:
 # ratchet holds arc scans per granted task on the pinned warm-cold trace
 # within 10% of the recorded baseline (the counters are deterministic,
 # so the threshold is absolute), and the parity test pins the counting
-# convention itself. The -gategang -gatemulti smoke run holds the gang
-# and typed-multicommodity workloads' invariants: zero partial grants,
-# intact accounting identities, bounded multicommodity gaps.
+# convention itself. The rsinbench smoke run evaluates its whole gate
+# table (warm-start, tier, ops, gang, multi): among the rest, zero partial
+# grants, intact accounting identities, bounded multicommodity gaps.
 ratchet:
 	$(GO) test -run 'TestWarmSimplexPivotRatchet|TestMinCostIncremental' ./internal/core
 	$(GO) test -run 'TestQuickCrossSolver|TestNegativeCostRegressions' ./internal/netsimplex
 	$(GO) test -run 'TestOpsCounterParity' ./internal/maxflow
 	$(GO) test -run 'TestOpsGateRatchet' ./cmd/rsinbench
-	$(GO) run ./cmd/rsinbench -sched -smoke -gategang -gatemulti
+	$(GO) run ./cmd/rsinbench -sched -smoke
 
 # The instrumentation hot path must not allocate (disabled or enabled);
 # CI runs the same guard.
@@ -46,10 +46,11 @@ allocguard:
 	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree' ./internal/sched ./internal/obs
 
 # Machine-readable scheduling-service benchmark (see EXPERIMENTS.md for
-# the BENCH_sched.json format), with the warm-start, tier-0 QoS,
-# solver-cost, open-loop overload-shedding and gang all-or-nothing gates.
+# the BENCH_sched.json format; the file is an artifact, not committed).
+# Every gate in rsinbench's table runs; -openloop adds the overload sweep
+# and its shed gate.
 schedbench:
-	$(GO) run ./cmd/rsinbench -sched -openloop -gatewarm -gatetier -gateops -gateshed -gategang -gatemulti -json BENCH_sched.json
+	$(GO) run ./cmd/rsinbench -sched -openloop -json BENCH_sched.json
 
 # lint/vuln need staticcheck / govulncheck on PATH (CI installs them);
 # they are not part of `all` so an offline checkout still builds.

@@ -19,7 +19,7 @@ import (
 // training fleet would: concurrent ring-allreduce collectives (each phase
 // one gang, barriers between phases) and explicit gangs, over a
 // banker's-mode fabric with fail→heal link chaos running the whole time.
-// The gate (-gategang) checks invariants, not thresholds, so it is stable
+// The gang gate checks invariants, not thresholds, so it is stable
 // under chaos timing: zero partial grants ever observed on a client, the
 // member-wise terminal accounting identity intact, severed gangs charged
 // within budget, and real gang throughput (both collectives and explicit
@@ -174,12 +174,7 @@ func runGangBench(seed int64, smoke bool) (gangBenchReport, error) {
 		defer close(chaosDone)
 		rng := rand.New(rand.NewSource(seed ^ 0x9e3779b9))
 		for f := 0; f < cfg.Faults; f++ {
-			link := rng.Intn(len(net.Links))
-			if err := s.FailLink(0, link); err != nil {
-				continue
-			}
-			time.Sleep(500 * time.Microsecond)
-			_ = s.RepairLink(0, link)
+			flapLink(s, 0, rng.Intn(len(net.Links)), 500*time.Microsecond)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -209,19 +204,19 @@ func runGangBench(seed int64, smoke bool) (gangBenchReport, error) {
 // accounting identity, and real throughput from both workload families.
 func gateGangCheck(rep gangBenchReport) error {
 	if rep.PartialGrants != 0 {
-		return fmt.Errorf("gang gate: %d partial grants observed — the all-or-nothing contract is broken", rep.PartialGrants)
+		return fmt.Errorf("%d partial grants observed — the all-or-nothing contract is broken", rep.PartialGrants)
 	}
 	if !rep.IdentityHolds {
-		return fmt.Errorf("gang gate: terminal accounting identity broken: %+v", rep.Sched)
+		return fmt.Errorf("terminal accounting identity broken: %+v", rep.Sched)
 	}
 	if rep.CollectivesOK == 0 {
-		return fmt.Errorf("gang gate: no collective completed (%d failed)", rep.CollectivesFailed)
+		return fmt.Errorf("no collective completed (%d failed)", rep.CollectivesFailed)
 	}
 	if rep.GangsOK == 0 {
-		return fmt.Errorf("gang gate: no explicit gang serviced (%d failed)", rep.GangsFailed)
+		return fmt.Errorf("no explicit gang serviced (%d failed)", rep.GangsFailed)
 	}
 	if rep.Sched.GangsServiced == 0 || rep.Sched.GangsActivated < rep.Sched.GangsServiced {
-		return fmt.Errorf("gang gate: gang counters inconsistent: activated=%d serviced=%d",
+		return fmt.Errorf("gang counters inconsistent: activated=%d serviced=%d",
 			rep.Sched.GangsActivated, rep.Sched.GangsServiced)
 	}
 	return nil

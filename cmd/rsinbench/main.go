@@ -22,21 +22,15 @@ func main() {
 		seed     = flag.Int64("seed", 1, "RNG seed")
 		trials   = flag.Int("trials", 2000, "trials per ensemble point")
 		format   = flag.String("format", "table", "output format: table | csv")
-		schedRun = flag.Bool("sched", false, "run the scheduling-service benchmark instead of the paper tables")
+		schedRun = flag.Bool("sched", false, "run the scheduling-service benchmark and its gate table instead of the paper tables")
 		smoke    = flag.Bool("smoke", false, "with -sched: shrink the run for CI smoke testing")
 		jsonOut  = flag.String("json", "", "with -sched: write the machine-readable report (BENCH_sched.json) here")
-		gateWarm = flag.Bool("gatewarm", false, "with -sched: fail unless the warm-start solver does no more work than the cold solver")
-		gateTier = flag.Bool("gatetier", false, "with -sched: fail unless tier-0 p99 beats the untiered baseline p99 on the contended comparison load")
-		gateOps  = flag.Bool("gateops", false, "with -sched: fail if arc scans per granted task on the pinned ops-gate trace regress >10% over the recorded baseline")
-		openLoop = flag.Bool("openloop", false, "with -sched: run the open-loop overload sweep through the HTTP front door (Poisson arrivals over a rate grid past the knee)")
-		gateShed = flag.Bool("gateshed", false, "with -sched: fail unless the open-loop sweep sheds correctly under 2x overload (implies -openloop; see gateShedCheck)")
-		gateGang = flag.Bool("gategang", false, "with -sched: fail unless the gang workload shows zero partial grants, an intact accounting identity, and serviced gangs from both families (see gateGangCheck)")
-		gateMult = flag.Bool("gatemulti", false, "with -sched: fail unless the typed multicommodity workload shows exact typed grants, a bounded greedy gap on the restricted fabric, and probe gaps that bound the exact oracle (see gateMultiCheck)")
+		openLoop = flag.Bool("openloop", false, "with -sched: also run the open-loop overload sweep through the HTTP front door (Poisson arrivals over a rate grid past the knee) and its shed gate")
 	)
 	flag.Parse()
 
 	if *schedRun {
-		if err := runSchedBench(*seed, *smoke, *gateWarm, *gateTier, *gateOps, *openLoop, *gateShed, *gateGang, *gateMult, *jsonOut); err != nil {
+		if err := runSchedBench(*seed, *smoke, *openLoop, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

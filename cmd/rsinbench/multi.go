@@ -73,7 +73,7 @@ type multiBenchReport struct {
 	// Multicommodity epoch census over the chaos run (from sched.Stats):
 	// certified LP fast paths, greedy decompositions, orderings retried,
 	// and gap units recorded. Certified epochs carry zero gap by
-	// construction; -gatemulti bounds the rest.
+	// construction; the multi gate bounds the rest.
 	FastPathEpochs int64 `json:"fast_path_epochs"`
 	GreedyEpochs   int64 `json:"greedy_epochs"`
 	GreedyRetries  int64 `json:"greedy_retries"`
@@ -196,12 +196,7 @@ func runMultiBench(seed int64, smoke bool) (multiBenchReport, error) {
 				_ = s.RepairResource(0, r)
 				_ = s.RepairResource(0, r+1)
 			} else {
-				link := rng.Intn(len(net.Links))
-				if err := s.FailLink(0, link); err != nil {
-					continue
-				}
-				time.Sleep(500 * time.Microsecond)
-				_ = s.RepairLink(0, link)
+				flapLink(s, 0, rng.Intn(len(net.Links)), 500*time.Microsecond)
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -307,32 +302,32 @@ func runMultiProbe(smoke bool) (multiProbeReport, error) {
 // gaps bound the oracle on every instance.
 func gateMultiCheck(rep multiBenchReport) error {
 	if rep.PartialTypedGrants != 0 {
-		return fmt.Errorf("multi gate: %d partial typed grants observed — the typed all-or-nothing contract is broken", rep.PartialTypedGrants)
+		return fmt.Errorf("%d partial typed grants observed — the typed all-or-nothing contract is broken", rep.PartialTypedGrants)
 	}
 	if !rep.IdentityHolds {
-		return fmt.Errorf("multi gate: terminal accounting identity broken: %+v", rep.Sched)
+		return fmt.Errorf("terminal accounting identity broken: %+v", rep.Sched)
 	}
 	if rep.TasksOK == 0 {
-		return fmt.Errorf("multi gate: no typed task serviced (%d failed)", rep.TasksFailed)
+		return fmt.Errorf("no typed task serviced (%d failed)", rep.TasksFailed)
 	}
 	if rep.FastPathEpochs == 0 {
-		return fmt.Errorf("multi gate: no certified multicommodity epoch on the chaos run: %+v", rep.Sched)
+		return fmt.Errorf("no certified multicommodity epoch on the chaos run: %+v", rep.Sched)
 	}
 	// Certified epochs carry zero gap by construction; the rare greedy
 	// epoch (an LP vertex that failed certification under chaos) must stay
 	// within one unit of its LP bound on the banyan-class fabric.
 	if rep.GapUnits > rep.GreedyEpochs {
-		return fmt.Errorf("multi gate: %d gap units over %d greedy epochs on the restricted chaos fabric; the greedy decomposition must stay within one unit of the LP bound per epoch",
+		return fmt.Errorf("%d gap units over %d greedy epochs on the restricted chaos fabric; the greedy decomposition must stay within one unit of the LP bound per epoch",
 			rep.GapUnits, rep.GreedyEpochs)
 	}
 	if rep.Probe.BoundViolations != 0 {
-		return fmt.Errorf("multi gate: %d probe instances where alloc + recorded gap failed to bound the oracle", rep.Probe.BoundViolations)
+		return fmt.Errorf("%d probe instances where alloc + recorded gap failed to bound the oracle", rep.Probe.BoundViolations)
 	}
 	if rep.Probe.ZeroGapMismatches != 0 {
-		return fmt.Errorf("multi gate: %d probe instances claimed zero gap yet under-allocated vs the oracle", rep.Probe.ZeroGapMismatches)
+		return fmt.Errorf("%d probe instances claimed zero gap yet under-allocated vs the oracle", rep.Probe.ZeroGapMismatches)
 	}
 	if rep.Probe.Trials == 0 || rep.Probe.FastPath == 0 {
-		return fmt.Errorf("multi gate: probe ran %d trials with %d certified fast paths", rep.Probe.Trials, rep.Probe.FastPath)
+		return fmt.Errorf("probe ran %d trials with %d certified fast paths", rep.Probe.Trials, rep.Probe.FastPath)
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package main
 
 import "testing"
 
-// TestMultiProbeDeterministic pins the gap probe that -gatemulti enforces
+// TestMultiProbeDeterministic pins the gap probe that the multi gate enforces
 // in CI. The ensemble is pure computation on a seeded RNG, so the counters
 // are bit-identical on every machine: every instance either certifies
 // integral (zero gap by construction) or records a gap that bounds its
@@ -25,7 +25,7 @@ func TestMultiProbeDeterministic(t *testing.T) {
 		t.Errorf("aggregate alloc %d + gap %d below oracle %d", rep.Allocated, rep.GapUnits, rep.OracleAllocated)
 	}
 	// Two identical replays must agree exactly — the probe is the
-	// deterministic half of the -gatemulti gate.
+	// deterministic half of the multi gate.
 	again, err := runMultiProbe(true)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ import (
 // The sweep first measures the knee (the closed-loop capacity of the
 // same server), then offers multiples of it from well under to 2x past,
 // recording goodput, latency, shed rate and timeout curves per point.
-// The -gateshed CI check enforces the robustness claims on the curve:
+// The shed gate (run with -openloop) enforces the robustness claims on the curve:
 // past the knee the server sheds instead of building an unbounded queue,
 // every shed carries Retry-After, tier 0 keeps >= 90% of its knee
 // goodput at 2x overload, and the process stays responsive (/healthz
@@ -408,52 +408,52 @@ func openLoopFind(rep openLoopReport, mult float64) *openLoopPoint {
 }
 
 // gateShedCheck enforces the overload-robustness claims on the sweep
-// (the -gateshed CI check); see the package comment at the top of this
+// (the shed gate of the table in sched.go); see the package comment at the top of this
 // file for the list.
 func gateShedCheck(rep openLoopReport) error {
 	knee := openLoopFind(rep, 1.0)
 	over := openLoopFind(rep, 2.0)
 	if knee == nil || over == nil {
-		return fmt.Errorf("shed gate: the sweep is missing the 1.0x or 2.0x point")
+		return fmt.Errorf("the sweep is missing the 1.0x or 2.0x point")
 	}
 	for _, p := range rep.Points {
 		if p.ShedMissingRetryAfter > 0 {
-			return fmt.Errorf("shed gate: %d shed responses at %.2fx carried no Retry-After header",
+			return fmt.Errorf("%d shed responses at %.2fx carried no Retry-After header",
 				p.ShedMissingRetryAfter, p.Multiplier)
 		}
 		if p.PeakQueued > rep.Config.MaxQueue {
-			return fmt.Errorf("shed gate: peak queue depth %d exceeded the %d cap at %.2fx — the queue is not bounded",
+			return fmt.Errorf("peak queue depth %d exceeded the %d cap at %.2fx — the queue is not bounded",
 				p.PeakQueued, rep.Config.MaxQueue, p.Multiplier)
 		}
 		// An arrival the harness dropped at its own outstanding cap never
 		// reached the server; a point that sheds mostly client-side did
 		// not measure the server at the nominal rate.
 		if p.Overflow*4 > p.Offered {
-			return fmt.Errorf("shed gate: the harness dropped %d of %d arrivals at %.2fx (outstanding cap %d) — the offered rate was not delivered",
+			return fmt.Errorf("the harness dropped %d of %d arrivals at %.2fx (outstanding cap %d) — the offered rate was not delivered",
 				p.Overflow, p.Offered, p.Multiplier, rep.Config.OutstandingCap)
 		}
 	}
 	if over.Shed == 0 {
-		return fmt.Errorf("shed gate: no request shed at 2.0x the knee (%.0f/s offered) — the admission controller never engaged",
+		return fmt.Errorf("no request shed at 2.0x the knee (%.0f/s offered) — the admission controller never engaged",
 			over.OfferedRate)
 	}
 	if knee.Tier0Serviced == 0 {
-		return fmt.Errorf("shed gate: tier 0 serviced nothing at the knee — no baseline to retain")
+		return fmt.Errorf("tier 0 serviced nothing at the knee — no baseline to retain")
 	}
 	if over.Tier0GoodputPerS < 0.9*knee.Tier0GoodputPerS {
-		return fmt.Errorf("shed gate: tier-0 goodput at 2.0x (%.0f/s) fell below 90%% of its knee value (%.0f/s) — the proportional-fair shedder is not protecting tier 0",
+		return fmt.Errorf("tier-0 goodput at 2.0x (%.0f/s) fell below 90%% of its knee value (%.0f/s) — the proportional-fair shedder is not protecting tier 0",
 			over.Tier0GoodputPerS, knee.Tier0GoodputPerS)
 	}
 	if over.Tier0P99MS == nil {
-		return fmt.Errorf("shed gate: no admitted tier-0 latency samples at 2.0x — an empty bin must fail the gate, not pass it")
+		return fmt.Errorf("no admitted tier-0 latency samples at 2.0x — an empty bin must fail the gate, not pass it")
 	}
 	bound := 2 * float64(rep.Config.DeadlineMS)
 	if *over.Tier0P99MS > bound {
-		return fmt.Errorf("shed gate: admitted tier-0 p99 %.1fms at 2.0x exceeds the %.0fms bound — queueing is blowing up past the knee",
+		return fmt.Errorf("admitted tier-0 p99 %.1fms at 2.0x exceeds the %.0fms bound — queueing is blowing up past the knee",
 			*over.Tier0P99MS, bound)
 	}
 	if over.HealthP99MS == nil || *over.HealthP99MS > 100 {
-		return fmt.Errorf("shed gate: /healthz p99 %s at 2.0x — the process is not responsive under overload",
+		return fmt.Errorf("/healthz p99 %s at 2.0x — the process is not responsive under overload",
 			ms(over.HealthP99MS))
 	}
 	return nil

@@ -25,18 +25,18 @@ import (
 // v4 fixed the measured window (warmup barrier, chaos off the timing
 // goroutine), made empty tiered percentiles null instead of zero, and
 // added ops_per_task plus the deterministic ops_gate section that the
-// -gateops ratchet enforces. v5 added the optional openloop section —
+// ops gate enforces. v5 added the optional openloop section —
 // the Poisson offered-load sweep through the internal/server front door
 // (knee rate, per-multiplier goodput/latency/shed/timeout curves) that
-// the -gateshed overload check enforces. v6 added the gang section —
+// the shed gate enforces. v6 added the gang section —
 // concurrent ring-allreduce collectives and explicit all-or-nothing
 // gangs under link chaos (partial-grant census, gang sever counters,
-// gang queue latency) that the -gategang invariant check enforces — and
+// gang queue latency) that the gang gate enforces — and
 // the Gangs* / GangSevers counters inside sched_stats. v7 added the multi
 // section — the heterogeneous multicommodity workload (typed-vector
 // clients over a pooled multi-type fabric under chaos, plus the
 // deterministic gap probe against the exact branch-and-bound oracle) that
-// the -gatemulti invariant check enforces — and the Multi* counters
+// the multi gate enforces — and the Multi* counters
 // inside sched_stats.
 const schedBenchSchema = "rsin-bench-sched/v7"
 
@@ -47,7 +47,7 @@ const schedBenchSchema = "rsin-bench-sched/v7"
 // (10339 arc scans / 1034 grants); the pre-optimization solver measured
 // 35.56 arc scans per grant on the identical trace (32602/917 — the
 // grant count differs because assignment choice shifts the evolution),
-// so the baseline itself is the 3.6x win. -gateops fails a run more
+// so the baseline itself is the 3.6x win. The ops gate fails a run more
 // than 10% over baseline, or one that stopped using the fast path.
 const (
 	opsGateSeed  = 1
@@ -100,7 +100,7 @@ type schedBenchReport struct {
 	WarmCold warmColdReport `json:"warm_cold"`
 	// OpsGate is the pinned ratchet trace (always seed=1, omega(16),
 	// 600 steps, in smoke and full runs alike) whose arc_scans_per_grant
-	// the -gateops flag checks against the recorded baseline.
+	// the ops gate checks against the recorded baseline.
 	OpsGate warmColdReport `json:"ops_gate"`
 	// Tiered is the SLO-tier comparison: one contended workload driven
 	// untiered (baseline) and tiered (min-cost + preemption), per-tier
@@ -110,12 +110,12 @@ type schedBenchReport struct {
 	// door (cmd/rsinbench/openloop.go); present only on -openloop runs.
 	OpenLoop *openLoopReport `json:"openloop,omitempty"`
 	// Gang is the all-or-nothing gang + collective workload under link
-	// chaos (cmd/rsinbench/gang.go) whose invariants -gategang enforces.
+	// chaos (cmd/rsinbench/gang.go) whose invariants the gang gate enforces.
 	Gang gangBenchReport `json:"gang"`
 	// Multi is the heterogeneous multicommodity workload — typed-vector
 	// clients pooling several resource types on one fabric under chaos,
 	// plus the deterministic gap probe against the exact oracle
-	// (cmd/rsinbench/multi.go) — whose invariants -gatemulti enforces.
+	// (cmd/rsinbench/multi.go) — whose invariants the multi gate enforces.
 	Multi multiBenchReport `json:"multi"`
 	Obs   obs.Snapshot     `json:"obs"`
 }
@@ -123,31 +123,10 @@ type schedBenchReport struct {
 // runSchedBench drives the batched scheduling service at load — including
 // a deterministic fail→heal hardware chaos pass inside the measured
 // window — runs the cold-vs-warm solver trace and the pinned ops-gate
-// trace, and writes the machine-readable report to jsonPath ("" = stdout
-// only prints the summary lines). smoke shrinks the run for CI.
-//
-// The gates turn sections of the report into regression checks:
-//   - gateWarm: the warm path's solve work (arc scans + node visits)
-//     must be no worse than the cold path's on the steady-state trace.
-//   - gateTier: tier 0's p99 in the tiered comparison must not exceed
-//     the untiered baseline's p99 on the identical load; missing
-//     percentile data (an empty bin) fails the gate rather than
-//     passing it vacuously.
-//   - gateOps: arc scans per granted task on the pinned ops-gate trace
-//     must stay within 10% of the recorded baseline, with the routing
-//     fast path still carrying grants.
-//   - gateShed (implies openLoop): the overload sweep must shed past the
-//     knee with Retry-After on every shed, keep tier-0 goodput at 2x
-//     within 90% of its knee value, bound the admitted tier-0 p99 and
-//     the queue depth, and keep /healthz responsive (gateShedCheck).
-//   - gateGang: the gang workload must show zero partial grants, an
-//     intact member-wise accounting identity, and serviced gangs from
-//     both the collective and explicit families (gateGangCheck).
-//   - gateMulti: the typed multicommodity workload must show exact typed
-//     grants only, a bounded greedy gap on the restricted chaos fabric,
-//     and a gap probe whose recorded gaps bound the exact oracle on
-//     every instance (gateMultiCheck).
-func runSchedBench(seed int64, smoke, gateWarm, gateTier, gateOps, openLoop, gateShed, gateGang, gateMulti bool, jsonPath string) error {
+// trace, writes the machine-readable report to jsonPath ("" = stdout only
+// prints the summary lines) and evaluates the gate table (gates, below)
+// over it. smoke shrinks the run for CI.
+func runSchedBench(seed int64, smoke, openLoop bool, jsonPath string) error {
 	cfg := schedBenchConfig{
 		Topology: "omega", N: 64, Shards: 2,
 		Clients: 64, Tasks: 200, Warmup: 20, Need: 1, Faults: 16,
@@ -226,12 +205,7 @@ func runSchedBench(seed int64, smoke, gateWarm, gateTier, gateOps, openLoop, gat
 		rng := rand.New(rand.NewSource(seed))
 		nLinks := len(scfg.Shards[0].Net.Links)
 		for f := 0; f < cfg.Faults; f++ {
-			shard, link := rng.Intn(cfg.Shards), rng.Intn(nLinks)
-			if err := s.FailLink(shard, link); err != nil {
-				continue
-			}
-			time.Sleep(time.Millisecond)
-			_ = s.RepairLink(shard, link)
+			flapLink(s, rng.Intn(cfg.Shards), rng.Intn(nLinks), time.Millisecond)
 		}
 	}()
 	wg.Wait()
@@ -256,7 +230,7 @@ func runSchedBench(seed int64, smoke, gateWarm, gateTier, gateOps, openLoop, gat
 		return fmt.Errorf("tiered comparison: %w", err)
 	}
 	var openLoopRep *openLoopReport
-	if openLoop || gateShed {
+	if openLoop {
 		olr, err := runOpenLoop(seed, smoke)
 		if err != nil {
 			return fmt.Errorf("open-loop sweep: %w", err)
@@ -342,47 +316,89 @@ func runSchedBench(seed int64, smoke, gateWarm, gateTier, gateOps, openLoop, gat
 			return err
 		}
 	}
-	if gateWarm && wc.WarmWork > wc.ColdWork {
-		return fmt.Errorf("warm-start gate: warm solve work %d exceeds cold %d (ratio %.3f) on the steady-state trace",
-			wc.WarmWork, wc.ColdWork, wc.WorkRatio)
-	}
-	if gateTier {
-		if len(tiered.PerTier) == 0 || tiered.PerTier[0].P99 == nil || tiered.BaselineP99 == nil {
-			return fmt.Errorf("tier gate: percentile data missing (tier-0 p99 %s, untiered baseline p99 %s) — an empty bin must fail the gate, not pass it",
-				ms(tiered.PerTier[0].P99), ms(tiered.BaselineP99))
-		}
-		if *tiered.PerTier[0].P99 > *tiered.BaselineP99 {
-			return fmt.Errorf("tier gate: tier-0 p99 %.3fms exceeds the untiered baseline p99 %.3fms on the contended comparison load",
-				*tiered.PerTier[0].P99, *tiered.BaselineP99)
-		}
-	}
-	if gateOps {
-		limit := opsGateBaselineArcScansPerGrant * opsGateSlack
-		if og.Granted == 0 {
-			return fmt.Errorf("ops gate: the pinned trace granted nothing (solved %d steps)", og.SolvedSteps)
-		}
-		if og.ArcScansPerGrant > limit {
-			return fmt.Errorf("ops gate: %.2f arc scans/grant exceeds %.2f (baseline %.2f +10%%) on the pinned trace",
-				og.ArcScansPerGrant, limit, opsGateBaselineArcScansPerGrant)
-		}
-		if og.FastPaths == 0 {
-			return fmt.Errorf("ops gate: the routing fast path carried no grants on the pinned trace (%d granted)", og.Granted)
-		}
-	}
-	if gateShed {
-		if err := gateShedCheck(*openLoopRep); err != nil {
-			return err
-		}
-	}
-	if gateGang {
-		if err := gateGangCheck(gang); err != nil {
-			return err
-		}
-	}
-	if gateMulti {
-		if err := gateMultiCheck(multi); err != nil {
-			return err
+	for _, g := range gates {
+		if err := g.check(&rep); err != nil {
+			return fmt.Errorf("%s gate: %w", g.name, err)
 		}
 	}
 	return nil
+}
+
+// flapLink fails one link, lets the fabric schedule degraded for down, and
+// heals it — the chaos step every workload here shares.
+func flapLink(s *sched.Scheduler, shard, link int, down time.Duration) {
+	if s.FailLink(shard, link) == nil {
+		time.Sleep(down)
+		_ = s.RepairLink(shard, link)
+	}
+}
+
+// gates is the one table of regression checks over the report. Every
+// -sched run evaluates every gate whose section it produced — smoke and
+// full runs, CI and `make schedbench` alike; the only section a caller
+// chooses is the slow open-loop sweep (-openloop), and the shed gate rides
+// on it.
+var gates = []struct {
+	name  string
+	check func(*schedBenchReport) error
+}{
+	// The warm path's solve work (arc scans + node visits) must be no
+	// worse than the cold path's on the steady-state trace.
+	{"warm-start", func(rep *schedBenchReport) error {
+		if wc := rep.WarmCold; wc.WarmWork > wc.ColdWork {
+			return fmt.Errorf("warm solve work %d exceeds cold %d (ratio %.3f) on the steady-state trace",
+				wc.WarmWork, wc.ColdWork, wc.WorkRatio)
+		}
+		return nil
+	}},
+	// Tier 0's p99 in the tiered comparison must not exceed the untiered
+	// baseline's p99 on the identical load; missing percentile data (an
+	// empty bin) fails the gate rather than passing it vacuously.
+	{"tier", func(rep *schedBenchReport) error {
+		tiered := rep.Tiered
+		if len(tiered.PerTier) == 0 || tiered.PerTier[0].P99 == nil || tiered.BaselineP99 == nil {
+			return fmt.Errorf("percentile data missing (tier-0 p99 %s, untiered baseline p99 %s) — an empty bin must fail the gate, not pass it",
+				ms(tiered.PerTier[0].P99), ms(tiered.BaselineP99))
+		}
+		if *tiered.PerTier[0].P99 > *tiered.BaselineP99 {
+			return fmt.Errorf("tier-0 p99 %.3fms exceeds the untiered baseline p99 %.3fms on the contended comparison load",
+				*tiered.PerTier[0].P99, *tiered.BaselineP99)
+		}
+		return nil
+	}},
+	// Arc scans per granted task on the pinned ops-gate trace must stay
+	// within 10% of the recorded baseline, with the routing fast path
+	// still carrying grants.
+	{"ops", func(rep *schedBenchReport) error {
+		og := rep.OpsGate
+		limit := opsGateBaselineArcScansPerGrant * opsGateSlack
+		if og.Granted == 0 {
+			return fmt.Errorf("the pinned trace granted nothing (solved %d steps)", og.SolvedSteps)
+		}
+		if og.ArcScansPerGrant > limit {
+			return fmt.Errorf("%.2f arc scans/grant exceeds %.2f (baseline %.2f +10%%) on the pinned trace",
+				og.ArcScansPerGrant, limit, opsGateBaselineArcScansPerGrant)
+		}
+		if og.FastPaths == 0 {
+			return fmt.Errorf("the routing fast path carried no grants on the pinned trace (%d granted)", og.Granted)
+		}
+		return nil
+	}},
+	// With -openloop: the overload sweep must shed past the knee with
+	// Retry-After on every shed, keep tier-0 goodput at 2x within 90% of
+	// its knee value, bound the admitted tier-0 p99 and the queue depth,
+	// and keep /healthz responsive.
+	{"shed", func(rep *schedBenchReport) error {
+		if rep.OpenLoop == nil {
+			return nil
+		}
+		return gateShedCheck(*rep.OpenLoop)
+	}},
+	// Zero partial grants, an intact member-wise accounting identity, and
+	// serviced gangs from both the collective and explicit families.
+	{"gang", func(rep *schedBenchReport) error { return gateGangCheck(rep.Gang) }},
+	// Exact typed grants only, a bounded greedy gap on the restricted
+	// chaos fabric, and a gap probe whose recorded gaps bound the exact
+	// oracle on every instance.
+	{"multi", func(rep *schedBenchReport) error { return gateMultiCheck(rep.Multi) }},
 }

@@ -27,7 +27,7 @@ type tierLatency struct {
 // the same contended workload driven twice — once untiered under the
 // max-flow discipline (the baseline) and once with the clients spread
 // across every priority class under min-cost + preemption — with the
-// per-tier percentiles side by side. The QoS claim the -gatetier CI
+// per-tier percentiles side by side. The QoS claim the tier gate in CI
 // smoke enforces: tier 0's p99 must not exceed the untiered baseline's
 // p99 on the identical load. Missing percentiles (empty bins) fail the
 // gate instead of passing it vacuously.

@@ -11,7 +11,7 @@ import (
 // TestTierBinsEmptyBin: a priority class with no samples must report
 // null percentiles, not the zero stats.Percentiles fabricates for empty
 // input. Before the fix, an empty tier bin serialized as p99_ms: 0 —
-// indistinguishable from genuinely sub-millisecond latency, so -gatetier
+// indistinguishable from genuinely sub-millisecond latency, so the tier gate
 // would pass vacuously on a run where tier 0 never completed a task.
 func TestTierBinsEmptyBin(t *testing.T) {
 	// 2 clients across 4 tiers: tier 0's client has samples, tier 1's

@@ -33,7 +33,7 @@ type warmColdReport struct {
 	ColdWork     int              `json:"cold_work"`
 	WorkRatio    float64          `json:"warm_over_cold"`
 	// ArcScansPerGrant is the warm path's arc scans divided by its
-	// granted tasks: the per-task solver cost the -gateops ratchet
+	// granted tasks: the per-task solver cost the ops gate ratchet
 	// tracks (EXPERIMENTS.md, schema v4).
 	ArcScansPerGrant float64 `json:"arc_scans_per_grant"`
 }

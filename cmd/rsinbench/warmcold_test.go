@@ -2,7 +2,7 @@ package main
 
 import "testing"
 
-// TestOpsGateRatchet pins the solver-cost ratchet that -gateops enforces
+// TestOpsGateRatchet pins the solver-cost ratchet that the ops gate enforces
 // in CI. The trace is pure computation on a seeded RNG, so the counters
 // are bit-identical on every machine and the thresholds can be absolute.
 //

@@ -47,6 +47,7 @@ func TestDisabledObsAllocFree(t *testing.T) {
 	}
 	disabled := testing.AllocsPerRun(200, round(mk(nil)))
 	enabled := testing.AllocsPerRun(200, round(mk(obs.NewRegistry())))
+	t.Logf("allocs per Submit->grant->EndService round: %v disabled, %v enabled", disabled, enabled)
 	if disabled > enabled {
 		t.Fatalf("disabled-obs round allocates %v, enabled %v — the disabled path must not allocate more", disabled, enabled)
 	}

@@ -1,0 +1,451 @@
+package sched
+
+import (
+	"errors"
+	"fmt"
+
+	"rsin/internal/maxflow"
+	"rsin/internal/system"
+)
+
+// flush is one scheduling epoch: apply the buffered ops in order, cycle
+// the discipline while it makes progress, then publish the jobs that
+// finished acquiring. Buffer order guarantees a job's submit precedes its
+// cancel, and resources freed by an op are available to this very epoch's
+// solve. The worker-pool semaphore is held for the whole epoch (the
+// solver-bound phase dominates it).
+func (s *Scheduler) flush(sh *shard, buf []op) []op {
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+
+	epoch := Stats{Epochs: 1}
+	for i := range buf {
+		switch o := &buf[i]; o.kind {
+		case opEnd:
+			s.applyEnd(sh, o, &epoch)
+		case opSubmit:
+			s.applySubmit(sh, o, &epoch)
+		case opCancel:
+			s.applyCancel(sh, o, &epoch)
+		case opFault:
+			s.applyFault(sh, o, &epoch)
+		}
+	}
+	s.runCycles(sh, &epoch)
+	// A HardwareHook may have failed or repaired components mid-epoch;
+	// republish the degraded-capacity census if the fault epoch moved.
+	if sh.dead == nil {
+		s.refreshCapacity(sh, &epoch)
+	}
+	// Make the epoch's grants and cycle counters visible before any
+	// handle's Done fires.
+	s.publish(sh, &epoch)
+	s.publishGrants(sh)
+	return buf[:0]
+}
+
+// applyEnd releases a provisioned job. The publish precedes the reply, so
+// the caller observes its own completion in Stats the moment EndService
+// returns.
+func (s *Scheduler) applyEnd(sh *shard, o *op, epoch *Stats) {
+	j := o.j
+	var err error
+	lost := ""
+	switch {
+	case sh.dead != nil:
+		err, lost = sh.dead, resDead
+	case j.gen != sh.gen:
+		// The grants were made by a System discarded in a restart; applying
+		// the release to the rebuilt one would free resources it never
+		// granted.
+		err, lost = fmt.Errorf("sched: shard %d: grants lost to restart: %w", sh.idx, ErrShardDown), resRestartLost
+	default:
+		if err = j.endIn(sh.sys); err == nil {
+			j.finished = true
+			j.count(epoch, serviced)
+			if s.o.enabled && j.grantNano != 0 {
+				s.o.grantReleaseMS.Observe(float64(nowNano()-j.grantNano) / 1e6)
+			}
+			s.jobEvent(sh, j, kService, j.units(), "")
+		}
+	}
+	if lost != "" && !j.finished {
+		// The grants died with the shard or its generation: terminal for
+		// the job, counted once however often the release is retried.
+		j.finished = true
+		j.count(epoch, failed)
+		s.jobEvent(sh, j, kFailed, 0, lost)
+	}
+	s.publish(sh, epoch)
+	o.reply <- err
+}
+
+// applySubmit admits a job to the shard's System and starts tracking it.
+func (s *Scheduler) applySubmit(sh *shard, o *op, epoch *Stats) {
+	j := o.j
+	err := sh.dead
+	if err == nil {
+		if err = j.submitTo(sh.sys, o); err != nil {
+			// Admission raced a capacity drop; the job never entered the
+			// system, so it counts as rejected, not failed.
+			s.o.rejected.Inc()
+		}
+	}
+	if err != nil {
+		j.err = err
+		close(j.done)
+		return
+	}
+	j.gen = sh.gen
+	sh.track(j)
+	j.count(epoch, submitted)
+	s.jobEvent(sh, j, kSubmit, j.units(), "")
+}
+
+// applyCancel withdraws a job whose context ended, unless it was
+// provisioned or failed (a restart included) before the cancel drained.
+func (s *Scheduler) applyCancel(sh *shard, o *op, epoch *Stats) {
+	if sh.tracks(o.j) {
+		cause := fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrTaskCanceled, o.cause)
+		s.withdraw(sh, o.j, epoch, canceled, cause, 0, "")
+	}
+}
+
+// applyFault applies one correlated hardware event. Severed counts every
+// unit lost, but the retry budget is charged once per job: a task that
+// lost several units to the one event, or a gang that lost several
+// members' units, pays one retry.
+func (s *Scheduler) applyFault(sh *shard, o *op, epoch *Stats) {
+	if sh.dead != nil {
+		o.reply <- sh.dead
+		return
+	}
+	var all []system.TaskID
+	var err error
+	for _, f := range o.faults {
+		var affected []system.TaskID
+		if affected, err = sh.sys.ApplyFault(f); err != nil {
+			break
+		}
+		epoch.Severed += int64(len(affected))
+		all = append(all, affected...)
+		if f.Repair {
+			epoch.Repairs++
+			s.event(sh, evRepair, 0, int64(f.Index), "")
+		} else {
+			epoch.LinkFaults++
+			s.event(sh, evFault, 0, int64(f.Index), "")
+		}
+	}
+	charged := map[*job]bool{}
+	for _, id := range all {
+		// A nil job is a multi-unit holder published in an earlier epoch.
+		if j := sh.tracked[id]; j != nil && !charged[j] {
+			charged[j] = true
+			if !s.chargeSever(sh, j, epoch) {
+				break
+			}
+		}
+	}
+	if sh.dead == nil {
+		s.refreshCapacity(sh, epoch)
+	}
+	s.publish(sh, epoch)
+	o.reply <- err
+}
+
+// addCycle folds one scheduling cycle's result into the epoch counters.
+func (st *Stats) addCycle(r *system.CycleResult) {
+	st.Cycles++
+	st.Granted += int64(r.Granted)
+	st.Deferred += int64(r.Deferred)
+	st.GangsActivated += int64(r.GangsActivated)
+	st.Ops.Add(maxflow.Counters{
+		Augmentations: r.Mapping.Ops.Augmentations,
+		Phases:        r.Mapping.Ops.Phases,
+		ArcScans:      r.Mapping.Ops.ArcScans,
+		NodeVisits:    r.Mapping.Ops.NodeVisits,
+	})
+	sv := &r.Mapping.Solve
+	switch {
+	case sv.Warm:
+		st.WarmSolves++
+	case sv.Cold:
+		st.ColdSolves++
+	}
+	st.ArcsTouched += int64(sv.ArcsTouched)
+	st.Retractions += int64(sv.Retractions)
+	st.FastPaths += int64(sv.FastPaths)
+	if sv.MultiFastPath {
+		st.MultiFastPath++
+	}
+	if sv.MultiGreedy {
+		st.MultiGreedy++
+	}
+	st.MultiRetries += int64(sv.MultiRetries)
+	st.MultiGapUnits += int64(sv.MultiGap)
+}
+
+// runCycles is the epoch's scheduling phase: one Cycle solves the whole
+// batch; repeat only while grants keep landing (multi-resource tasks and
+// freshly unblocked queue heads acquire on the follow-up cycles).
+// Transmission completes within the granting cycle.
+func (s *Scheduler) runCycles(sh *shard, epoch *Stats) {
+	var solveStart int64
+	if s.o.enabled {
+		solveStart = nowNano()
+	}
+	cycles := 0
+	// Preemption-round bound: every round strictly increases the total
+	// tier weight held (the beneficiary's unit outweighs the victim's), so
+	// at most one round per tracked task can make progress; the explicit
+	// cap also keeps a deferred beneficiary (deadlock avoidance) from
+	// churning a victim's sever budget within one epoch.
+	rounds := len(sh.tracked)
+	for {
+	cycling:
+		for sh.dead == nil && len(sh.tracked) > 0 {
+			r, err := sh.sys.Cycle()
+			if err != nil {
+				s.failShard(sh, err, epoch)
+				break
+			}
+			cycles++
+			sh.cycleCount++
+			epoch.addCycle(r)
+			if r.Granted == 0 {
+				break
+			}
+			for _, a := range r.Mapping.Assigned {
+				err := sh.sys.EndTransmission(a.Req.Proc)
+				if errors.Is(err, system.ErrCircuitSevered) {
+					// Retryable: the System already revoked and re-queued
+					// the unit; a follow-up cycle reacquires it.
+					epoch.Severed++
+				} else if err != nil {
+					s.failShard(sh, err, epoch)
+					break cycling
+				}
+			}
+		}
+		// Quiescent: no further grants are possible on the current holding
+		// pattern. With Preempt set, try one tier exchange and re-enter the
+		// cycle loop so the beneficiary can claim the freed unit.
+		if sh.dead != nil || !s.cfg.Preempt || rounds <= 0 || !s.preemptOnce(sh, epoch) {
+			break
+		}
+		rounds--
+	}
+	if s.o.enabled && cycles > 0 {
+		s.o.epochSolveMS.Observe(float64(nowNano()-solveStart) / 1e6)
+	}
+}
+
+// publishGrants hands over the jobs whose grant completed: every member
+// fully provisioned, resources recorded per member before Done fires — a
+// client can never observe a partially granted gang through its handle.
+// Provisioned jobs leave the tracking map; the system layer keeps them
+// immune to severs and resets.
+func (s *Scheduler) publishGrants(sh *shard) {
+	for id, j := range sh.tracked {
+		if id != j.ids[0] || !j.provisionedIn(sh.sys) {
+			continue
+		}
+		j.res = j.res1[:0]
+		if n := len(j.ids); n > 1 {
+			j.res = make([][]int, 0, n)
+		}
+		for _, m := range j.ids {
+			j.res = append(j.res, sh.sys.Holding(m))
+		}
+		if s.o.enabled {
+			s.o.observeGrant(j)
+		}
+		s.jobEvent(sh, j, kGrant, j.units(), "")
+		sh.untrack(j)
+		close(j.done)
+	}
+}
+
+// finish resolves a tracked job terminally, exactly once: stop tracking
+// it, record the error and the outcome, and make both visible in Stats
+// before Done fires. Every path that ends a job before its grant — cancel,
+// sever budget, capacity drop, restart, shutdown — ends here.
+func (s *Scheduler) finish(sh *shard, j *job, epoch *Stats, o outcome, err error, val int64, result string) {
+	sh.untrack(j)
+	j.err = err
+	j.finished = true
+	j.count(epoch, o)
+	k := kFailed
+	if o == canceled {
+		k = kCancel
+	}
+	s.jobEvent(sh, j, k, val, result)
+	s.publish(sh, epoch)
+	close(j.done)
+}
+
+// withdraw pulls a tracked job out of the System and finishes it. A
+// tracked job the System cannot withdraw means the shard state is
+// suspect: the supervisor rebuilds it, and withdraw reports false (every
+// tracked job is gone — a caller walking sh.tracked must stop).
+func (s *Scheduler) withdraw(sh *shard, j *job, epoch *Stats, o outcome, cause error, val int64, result string) bool {
+	if err := j.withdrawFrom(sh.sys); err != nil {
+		s.failShard(sh, fmt.Errorf("withdrawing task %d: %w", j.ids[0], err), epoch)
+		return false
+	}
+	s.finish(sh, j, epoch, o, cause, val, result)
+	return true
+}
+
+// chargeSever charges one sever event — a hardware fault or a preemption,
+// however many units or members it cost — against a tracked job's retry
+// budget. Below the budget nothing else is needed: the System already
+// re-queued the lost units (and reset a gang whole). Past it the job is
+// withdrawn with an ErrCircuitSevered failure — work churned by a flapping
+// component or repeated preemption should fail crisply rather than retry
+// forever. Reports false when the withdrawal escalated to a shard restart.
+func (s *Scheduler) chargeSever(sh *shard, j *job, epoch *Stats) bool {
+	j.severs++
+	if j.gang != 0 {
+		epoch.GangSevers++
+		s.event(sh, evGangSever, int64(j.gang), int64(j.severs), "")
+	}
+	if j.severs <= s.cfg.SeverRetries {
+		return true
+	}
+	cause := fmt.Errorf("sched: shard %d: units severed %d times: %w", sh.idx, j.severs, system.ErrCircuitSevered)
+	return s.withdraw(sh, j, epoch, failed, cause, int64(j.severs), resSeverBudget)
+}
+
+// preemptOnce is the tier-preemption policy: pick the most urgent
+// queue-head task still acquiring (the beneficiary), then the least
+// urgent still-acquiring holder of a strictly lower tier whose unit the
+// beneficiary can reach, and revoke that one unit. The strict-tier
+// requirement is the starvation guard — TierWeight is strictly monotone
+// in tier, so the exchange strictly increases total held tier weight and
+// equal-tier tasks can never preempt each other. Gangs sit the exchange
+// out on both sides: revoking one member's unit would break the atomic
+// grant (System.Preempt refuses). Reports whether a unit was revoked (the
+// caller then re-runs the cycle loop, where the MinCost solve routes the
+// freed unit to the highest effective priority).
+func (s *Scheduler) preemptOnce(sh *shard, epoch *Stats) bool {
+	acquiring := func(id system.TaskID) *job {
+		if j := sh.tracked[id]; j != nil && j.gang == 0 && sh.sys.Remaining(id) > 0 {
+			return j
+		}
+		return nil
+	}
+	var benef *job
+	for p := 0; p < sh.procs; p++ {
+		j := acquiring(sh.sys.QueueHead(p))
+		if j != nil && (benef == nil || j.tier < benef.tier || (j.tier == benef.tier && j.ids[0] < benef.ids[0])) {
+			benef = j
+		}
+	}
+	if benef == nil {
+		return false
+	}
+	// Cheapest viable victim: highest tier number first, lowest task ID to
+	// stay deterministic. Fully-provisioned holders are immune (they are
+	// computing on a complete resource set; revoking would waste finished
+	// work for a unit the System cannot even take back).
+	var victim *job
+	res := -1
+	for id := range sh.tracked {
+		j := acquiring(id)
+		if j == nil || j.tier <= benef.tier {
+			continue
+		}
+		r := -1
+		for _, held := range sh.sys.Holding(id) {
+			if sh.sys.CanRoute(benef.proc, held) {
+				r = held
+				break
+			}
+		}
+		if r >= 0 && (victim == nil || j.tier > victim.tier || (j.tier == victim.tier && id < victim.ids[0])) {
+			victim, res = j, r
+		}
+	}
+	if victim == nil {
+		return false
+	}
+	if err := sh.sys.Preempt(victim.ids[0], res); err != nil {
+		// Preempt's preconditions were just checked on this goroutine;
+		// failure means the shard state is inconsistent.
+		s.failShard(sh, fmt.Errorf("preempting resource %d from task %d: %w", res, victim.ids[0], err), epoch)
+		return false
+	}
+	epoch.Preempts++
+	s.event(sh, evPreempt, int64(victim.ids[0]), int64(res), "")
+	s.chargeSever(sh, victim, epoch)
+	return sh.dead == nil
+}
+
+// refreshCapacity republishes the shard's degraded-capacity census when
+// the fabric's fault epoch has moved, and withdraws tracked jobs whose
+// demand no longer fits the surviving capacity: they would otherwise wait
+// forever on resources the fabric has lost (a gang at the activation
+// gate, or churning resets against capacity it can never reassemble).
+func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
+	ep := sh.sys.FaultEpoch()
+	if sh.capOK && ep == sh.capEpoch {
+		return
+	}
+	usable := sh.sys.UsableResources()
+	total := 0
+	for _, c := range usable {
+		total += c
+	}
+	sh.mu.Lock()
+	sh.usable = usable
+	sh.stats.Usable = total
+	sh.mu.Unlock()
+	if s.o.enabled {
+		s.o.usable.Add(int64(total - sh.lastUsable))
+		sh.lastUsable = total
+	}
+	sh.capEpoch, sh.capOK = ep, true
+	for id, j := range sh.tracked {
+		if id != j.ids[0] {
+			continue
+		}
+		if err := j.demand.Shortfall(usable); err != nil {
+			cause := fmt.Errorf("sched: shard %d: surviving capacity: %w", sh.idx, err)
+			if !s.withdraw(sh, j, epoch, failed, cause, j.units(), resUnsat) {
+				return
+			}
+		}
+	}
+}
+
+// failShard is the shard supervisor. The System reported an internal
+// fault, so its state is no longer trustworthy: contain it by failing
+// every tracked job with an ErrShardDown error, then rebuild the System
+// from a fresh state under a new generation and resume accepting work.
+// Releases of grants made by the lost generation are rejected by the gen
+// check in applyEnd rather than applied to the rebuilt state.
+func (s *Scheduler) failShard(sh *shard, cause error, epoch *Stats) {
+	down := fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrShardDown, cause)
+	for id, j := range sh.tracked {
+		if id == j.ids[0] {
+			s.finish(sh, j, epoch, failed, down, 0, resShardDown)
+		}
+	}
+	sys, err := system.New(sh.sysCfg)
+	if err != nil {
+		// The config built a System at New; if it no longer does,
+		// recovery is impossible and the shard stays down for good.
+		sh.dead = fmt.Errorf("sched: shard %d: rebuilding after fault: %w (fault: %w)", sh.idx, err, cause)
+		return
+	}
+	sh.sys = sys
+	sh.gen++
+	epoch.Restarts++
+	s.event(sh, evRestart, 0, int64(sh.gen), "")
+	// The rebuilt System starts from the pristine template: force the
+	// degraded-capacity census to recompute (its fault epoch restarted).
+	sh.capOK = false
+	s.refreshCapacity(sh, epoch)
+}

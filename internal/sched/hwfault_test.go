@@ -201,99 +201,62 @@ func TestSeverRetryBudget(t *testing.T) {
 // costs a multi-unit task several units used to charge the budget once
 // per lost unit, so a single switchbox or power-domain failure burned a
 // task's whole retry allowance in one blow. The charge is per sever
-// *event* per task: with SeverRetries=1, a victim losing both held units
-// to one two-op batch must survive, re-acquire on the healed fabric and
-// complete. (Losing units to two separate events still charges twice —
+// *event* per job: with SeverRetries=1, a task — or a gang — losing two
+// held units to one two-op batch must survive, re-acquire on the healed
+// fabric and complete. (Losing units to two separate events still charges twice —
 // TestSeverRetryBudget pins that half.)
 func TestCorrelatedFaultChargesOnce(t *testing.T) {
-	net := topology.Omega(8)
-	s := newScheduler(t, Config{
-		Shards:       []system.Config{{Net: net}},
-		FlushEvery:   200 * time.Microsecond,
-		SeverRetries: 1,
-	})
-	// Six blockers pin six resources; the Need=3 victim acquires the other
-	// two and stalls, so we know exactly which units it holds. Failing only
-	// those two keeps usable capacity (6) above the victim's demand — the
-	// capacity watchdog must not be the thing that kills it.
-	var blockers []*Handle
-	taken := map[int]bool{}
-	for p := 1; p < 7; p++ {
-		b, err := s.Submit(0, system.Task{Proc: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-b.Done()
-		if b.Err() != nil {
-			t.Fatal(b.Err())
-		}
-		taken[b.Resources()[0]] = true
-		blockers = append(blockers, b)
-	}
-	var held []int
-	for r := 0; r < net.Ress; r++ {
-		if !taken[r] {
-			held = append(held, r)
-		}
-	}
-	victim, err := s.Submit(0, system.Task{Proc: 0, Need: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The pool drains to zero once the victim holds both free units.
-	deadline := time.After(10 * time.Second)
-	for s.Stats().Free != 0 {
-		select {
-		case <-deadline:
-			t.Fatal("victim never acquired the two free units")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	// One correlated event takes both held units at once...
-	if err := s.ApplyFaults(0, []system.FaultOp{
-		{Target: system.FaultTargetResource, Index: held[0]},
-		{Target: system.FaultTargetResource, Index: held[1]},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// ...and one batch heals them.
-	if err := s.ApplyFaults(0, []system.FaultOp{
-		{Target: system.FaultTargetResource, Index: held[0], Repair: true},
-		{Target: system.FaultTargetResource, Index: held[1], Repair: true},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Releasing a blocker frees the third unit the victim needs. A victim
-	// over-charged per unit (2 > SeverRetries) would already be dead with
-	// ErrCircuitSevered here.
-	if err := s.EndService(blockers[0]); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-victim.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("victim never completed after the correlated sever")
-	}
-	if err := victim.Err(); err != nil {
-		t.Fatalf("victim charged more than once for one fault event: %v", err)
-	}
-	if got := len(victim.Resources()); got != 3 {
-		t.Fatalf("victim granted %d resources, want 3", got)
-	}
-	st := s.Stats()
-	if st.Severed != 2 {
-		t.Fatalf("Severed = %d, want 2 (both units lost, once)", st.Severed)
-	}
-	if err := s.EndService(victim); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range blockers[1:] {
-		if err := s.EndService(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.Free != net.Ress {
-		t.Fatalf("drained pool has %d free of %d", st.Free, net.Ress)
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			// Five blockers pin five resources; the job (demand 4) acquires
+			// the other three and stalls, so we know exactly which units it
+			// holds. Failing only two of those keeps usable capacity (6)
+			// above its demand — the capacity watchdog must not be the thing
+			// that kills it.
+			s, blockers, held, j := blockedJob(t, Config{SeverRetries: 1, FlushEvery: 200 * time.Microsecond}, k)
+			// One correlated event takes two held units at once...
+			if err := s.ApplyFaults(0, faultBatch(held[:2], false)); err != nil {
+				t.Fatal(err)
+			}
+			// ...and one batch heals them.
+			if err := s.ApplyFaults(0, faultBatch(held[:2], true)); err != nil {
+				t.Fatal(err)
+			}
+			// Releasing a blocker frees the fourth unit the job needs. A job
+			// over-charged per unit (2 > SeverRetries) would already be dead
+			// with ErrCircuitSevered here.
+			if err := s.EndService(blockers[0]); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-j.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatal("job never completed after the correlated sever")
+			}
+			if err := j.Err(); err != nil {
+				t.Fatalf("job charged more than once for one fault event: %v", err)
+			}
+			st := s.Stats()
+			if k.gangs == 0 && st.Severed != 2 {
+				t.Fatalf("Severed = %d, want 2 (both units lost, once)", st.Severed)
+			}
+			if st.GangSevers != k.gangs {
+				t.Fatalf("GangSevers = %d, want %d (one charge per event per gang)", st.GangSevers, k.gangs)
+			}
+			if err := endJob(s, j); err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range blockers[1:] {
+				if err := s.EndService(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st = s.Stats()
+			if st.Free != 8 {
+				t.Fatalf("drained pool has %d free of 8", st.Free)
+			}
+			assertTerminalIdentity(t, st)
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Trace event kinds and terminal-result labels recorded by the service
 // layer. Constants, so recording stays allocation-free.
 const (
-	evSubmit  = "submit"  // task accepted into a shard system
+	evSubmit  = "submit"  // task accepted into a shard system; Val = units demanded
 	evGrant   = "grant"   // task fully provisioned; Val = units held
 	evService = "service" // EndService released the task's resources
 	evCancel  = "cancel"  // SubmitCtx withdrew the task
@@ -22,8 +22,8 @@ const (
 	evReject  = "reject"  // Submit rejected the task before admission
 	evPreempt = "preempt" // unit revoked from a lower tier; Task = victim, Val = resource
 
-	evGangSubmit  = "gangsubmit"  // gang accepted into a shard system; Task = gang ID
-	evGangGrant   = "ganggrant"   // every member provisioned; Task = gang ID, Val = members
+	evGangSubmit  = "gangsubmit"  // gang accepted into a shard system; Task = gang ID, Val = units demanded
+	evGangGrant   = "ganggrant"   // every member provisioned; Task = gang ID, Val = units held
 	evGangService = "gangservice" // EndGang released the gang's resources; Task = gang ID
 	evGangCancel  = "gangcancel"  // SubmitGangCtx withdrew the gang; Task = gang ID
 	evGangFailed  = "gangfailed"  // gang terminated with an error; Result labels why
@@ -159,6 +159,58 @@ func newSchedObs(reg *obs.Registry) schedObs {
 		o.submitGrantTierMS[t] = reg.Histogram(fmt.Sprintf("rsin_sched_submit_to_grant_tier%d_ms", t), latencyBuckets())
 	}
 	return o
+}
+
+// observeGrant records a completed grant: the gang instruments for a gang,
+// the task and per-tier ones for a singleton.
+func (o *schedObs) observeGrant(j *job) {
+	j.grantNano = nowNano()
+	ms := float64(j.grantNano-j.submitNano) / 1e6
+	if j.gang != 0 {
+		o.gangsGranted.Inc()
+		o.gangSubmitGrantMS.Observe(ms)
+		return
+	}
+	o.grantedTier[j.tier].Inc()
+	o.submitGrantMS.Observe(ms)
+	o.submitGrantTierMS[j.tier].Observe(ms)
+}
+
+// mirror adds an epoch's counter deltas to the instruments. The list is
+// its own — instrument names differ from the Stats field names.
+func (o *schedObs) mirror(epoch *Stats) {
+	o.submitted.Add(epoch.Submitted)
+	o.granted.Add(epoch.Granted)
+	o.serviced.Add(epoch.Serviced)
+	o.epochs.Add(epoch.Epochs)
+	o.cycles.Add(epoch.Cycles)
+	o.deferred.Add(epoch.Deferred)
+	o.canceled.Add(epoch.Canceled)
+	o.failed.Add(epoch.Failed)
+	o.restarts.Add(epoch.Restarts)
+	o.faultOps.Add(epoch.LinkFaults)
+	o.repairOps.Add(epoch.Repairs)
+	o.severed.Add(epoch.Severed)
+	o.preempts.Add(epoch.Preempts)
+	o.gangsSubmitted.Add(epoch.GangsSubmitted)
+	o.gangsActivated.Add(epoch.GangsActivated)
+	o.gangsServiced.Add(epoch.GangsServiced)
+	o.gangsCanceled.Add(epoch.GangsCanceled)
+	o.gangsFailed.Add(epoch.GangsFailed)
+	o.gangSevers.Add(epoch.GangSevers)
+	o.augmentations.Add(int64(epoch.Ops.Augmentations))
+	o.phases.Add(int64(epoch.Ops.Phases))
+	o.arcScans.Add(int64(epoch.Ops.ArcScans))
+	o.nodeVisits.Add(int64(epoch.Ops.NodeVisits))
+	o.warmSolves.Add(epoch.WarmSolves)
+	o.coldSolves.Add(epoch.ColdSolves)
+	o.warmArcs.Add(epoch.ArcsTouched)
+	o.retractions.Add(epoch.Retractions)
+	o.fastPaths.Add(epoch.FastPaths)
+	o.multiFastPath.Add(epoch.MultiFastPath)
+	o.multiGreedy.Add(epoch.MultiGreedy)
+	o.multiRetries.Add(epoch.MultiRetries)
+	o.multiGap.Add(epoch.MultiGapUnits)
 }
 
 // event records a trace event stamped with the shard's coordinates. Runs

@@ -15,7 +15,7 @@ import (
 
 // waitDone waits for a handle to resolve without Close, failing the test
 // on a hang — the contract every fault path must keep.
-func waitDone(t *testing.T, h *Handle, what string) {
+func waitDone(t *testing.T, h interface{ Done() <-chan struct{} }, what string) {
 	t.Helper()
 	select {
 	case <-h.Done():

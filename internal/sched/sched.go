@@ -198,89 +198,57 @@ type Stats struct {
 	Ops maxflow.Counters
 }
 
-// Handle tracks one submitted task. Wait on Done(), then check Err() and
-// read Resources(); pass the handle to EndService when the task finishes
-// computing.
-type Handle struct {
-	shard  int
-	id     system.TaskID
-	gen    int // shard restart generation the task was admitted under
-	need   int         // declared total resource demand (for degraded-capacity rechecks)
-	typ    int         // declared resource type (scalar tasks)
-	needs  map[int]int // declared typed demand vector; nil for scalar tasks
-	tier   int // declared priority class, for the preemption policy
-	proc   int // submitting processor, for preemption route probes
-	severs int // units lost to faults or preemption; bounded by Config.SeverRetries
-	done   chan struct{}
-	res    []int // resources held; written by the shard goroutine before done closes
-	err    error // terminal submission error; written before done closes
-
-	// Observability bookkeeping, touched only when Config.Obs is set.
-	submitNano int64 // Submit wall-clock, for the submit-to-grant histogram
-	grantNano  int64 // provisioning wall-clock, for grant-to-release
-	// finished marks the handle's terminal counter as recorded, so
-	// repeated EndService calls against lost grants (shard restart, dead
-	// shard) cannot double-count Failed. Written only by the shard
-	// goroutine.
-	finished bool
-}
-
-// Done is closed once the task is fully provisioned (or has failed —
-// check Err).
-func (h *Handle) Done() <-chan struct{} { return h.done }
-
-// Err reports the task's terminal error. Valid after Done is closed.
-func (h *Handle) Err() error { return h.err }
-
-// Resources lists the resources granted to the task. Valid after Done is
-// closed and until EndService.
-func (h *Handle) Resources() []int { return append([]int(nil), h.res...) }
-
-// Shard reports the shard the task was routed to.
-func (h *Handle) Shard() int { return h.shard }
-
-type opKind int
-
-const (
-	opSubmit opKind = iota
-	opEnd
-	opCancel
-	opFault
-	opSubmitGang
-	opEndGang
-	opCancelGang
-)
-
-type op struct {
-	kind    opKind
-	task    system.Task
-	h       *Handle
-	reply   chan error       // opEnd/opEndGang/opFault: the outcome of the System call
-	cause   error            // opCancel/opCancelGang: the context's Err at cancellation
-	faults  []system.FaultOp // opFault: one correlated hardware event (one sever charge)
-	gang    *GangHandle      // gang ops
-	members []system.Task    // opSubmitGang: the validated member tasks
+// add folds another snapshot's counters into st. Free and Usable are
+// gauges, not counters: the callers place them.
+func (st *Stats) add(o *Stats) {
+	st.Submitted += o.Submitted
+	st.Granted += o.Granted
+	st.Serviced += o.Serviced
+	st.Epochs += o.Epochs
+	st.Cycles += o.Cycles
+	st.Deferred += o.Deferred
+	st.Canceled += o.Canceled
+	st.Failed += o.Failed
+	st.Restarts += o.Restarts
+	st.LinkFaults += o.LinkFaults
+	st.Severed += o.Severed
+	st.Repairs += o.Repairs
+	st.Preempts += o.Preempts
+	st.GangsSubmitted += o.GangsSubmitted
+	st.GangsActivated += o.GangsActivated
+	st.GangsServiced += o.GangsServiced
+	st.GangsCanceled += o.GangsCanceled
+	st.GangsFailed += o.GangsFailed
+	st.GangSevers += o.GangSevers
+	st.WarmSolves += o.WarmSolves
+	st.ColdSolves += o.ColdSolves
+	st.ArcsTouched += o.ArcsTouched
+	st.Retractions += o.Retractions
+	st.FastPaths += o.FastPaths
+	st.MultiFastPath += o.MultiFastPath
+	st.MultiGreedy += o.MultiGreedy
+	st.MultiRetries += o.MultiRetries
+	st.MultiGapUnits += o.MultiGapUnits
+	st.Ops.Add(o.Ops)
 }
 
 // shard owns one System. Only the shard's goroutine touches sys, tracked
-// and dead; stats is the one structure shared with Stats() readers.
+// and dead; stats and usable are shared with Stats() and Submit callers.
 type shard struct {
-	idx       int
-	sys       *system.System
-	sysCfg    system.Config // prepared config (obs threaded); supervisor rebuilds from it
-	procs     int
-	ress      int
-	typeCount map[int]int // resources per configured type; nil without Types
-	ops       chan op
-	tracked   map[system.TaskID]*Handle // provisioning not yet complete
-	// Gang tracking: gangs by ID until their atomic grant completes, and
-	// the member-task index the fault path uses to charge a gang's sever
-	// budget once per event. Members never appear in tracked.
-	gangs     map[system.GangID]*GangHandle
-	gangTasks map[system.TaskID]*GangHandle
-	gen       int    // bumped by every supervisor restart
-	capEpoch  uint64 // fault epoch the usable census was computed at
-	capOK     bool   // false forces a recompute (restart, first flush)
+	idx    int
+	sys    *system.System
+	sysCfg system.Config // prepared config (obs threaded); supervisor rebuilds from it
+	procs  int
+	ress   int
+	ops    chan op
+	// tracked indexes every job whose grant is not yet complete by each of
+	// its member task IDs, so the fault path resolves a severed member to
+	// its job in one lookup. A walk therefore meets a gang once per
+	// member; walks act on a job at its first member (id == j.ids[0]).
+	tracked  map[system.TaskID]*job
+	gen      int    // bumped by every supervisor restart
+	capEpoch uint64 // fault epoch the usable census was computed at
+	capOK    bool   // false forces a recompute (restart, first flush)
 
 	// Observability bookkeeping, shard-goroutine only.
 	cycleCount int64 // cumulative cycles, stamps trace events
@@ -289,16 +257,41 @@ type shard struct {
 
 	mu    sync.Mutex
 	stats Stats
-
-	// Degraded-capacity census, recomputed by the shard goroutine on
-	// each fault epoch and read by Submit's admission check (under mu).
-	usableByType map[int]int
-	usableTotal  int
+	// usable is the degraded-capacity census per resource type ({0: n}
+	// without configured types), recomputed by the shard goroutine on each
+	// fault epoch and read by the admission check (under mu).
+	usable map[int]int
 
 	// dead is the last resort: it is set only when a supervisor restart
 	// itself fails (the shard config no longer builds a System); the
 	// shard then rejects all work.
 	dead error
+}
+
+func (sh *shard) track(j *job) {
+	for _, id := range j.ids {
+		sh.tracked[id] = j
+	}
+}
+
+func (sh *shard) untrack(j *job) {
+	for _, id := range j.ids {
+		delete(sh.tracked, id)
+	}
+}
+
+// tracks reports whether the job is still awaiting its grant on this
+// shard (false once provisioned, finished, or lost to a restart).
+func (sh *shard) tracks(j *job) bool { return len(j.ids) > 0 && sh.tracked[j.ids[0]] == j }
+
+// validate is the per-task admission check that runs before shard
+// dispatch, so a malformed task never consumes a batch slot (the System
+// would reject it again, but only on the shard goroutine).
+func (sh *shard) validate(t system.Task) error {
+	if t.Proc < 0 || t.Proc >= sh.procs {
+		return fmt.Errorf("processor %d out of range [0,%d)", t.Proc, sh.procs)
+	}
+	return system.ValidateTask(t, sh.ress)
 }
 
 // Scheduler is the concurrent batched scheduling service. All methods are
@@ -357,32 +350,23 @@ func New(cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("sched: shard %d: %w", i, err)
 		}
 		sh := &shard{
-			idx:       i,
-			sys:       sys,
-			sysCfg:    sc,
-			procs:     sc.Net.Procs,
-			ress:      sc.Net.Ress,
-			ops:       make(chan op, 2*cfg.BatchSize),
-			tracked:   make(map[system.TaskID]*Handle),
-			gangs:     make(map[system.GangID]*GangHandle),
-			gangTasks: make(map[system.TaskID]*GangHandle),
-		}
-		if sc.Types != nil {
-			sh.typeCount = make(map[int]int)
-			for _, ty := range sc.Types {
-				sh.typeCount[ty]++
-			}
+			idx:     i,
+			sys:     sys,
+			sysCfg:  sc,
+			procs:   sc.Net.Procs,
+			ress:    sc.Net.Ress,
+			ops:     make(chan op, 2*cfg.BatchSize), // a full batch buffered while one flushes
+			tracked: make(map[system.TaskID]*job),
 		}
 		sh.stats.Free = sc.Net.Ress
-		sh.usableByType = sh.sys.UsableResources()
-		for _, c := range sh.usableByType {
-			sh.usableTotal += c
+		sh.usable = sh.sys.UsableResources()
+		for _, c := range sh.usable {
+			sh.stats.Usable += c
 		}
-		sh.stats.Usable = sh.usableTotal
 		sh.capEpoch = sh.sys.FaultEpoch()
 		sh.capOK = true
 		sh.lastFree = sh.stats.Free
-		sh.lastUsable = sh.usableTotal
+		sh.lastUsable = sh.stats.Usable
 		s.o.free.Add(int64(sh.lastFree))
 		s.o.usable.Add(int64(sh.lastUsable))
 		s.shards = append(s.shards, sh)
@@ -401,89 +385,80 @@ func (s *Scheduler) NumShards() int { return len(s.shards) }
 // task joins the next scheduling epoch; wait on Handle.Done for its
 // resources.
 func (s *Scheduler) Submit(shard int, t system.Task) (*Handle, error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return nil, fmt.Errorf("sched: shard %d out of range [0,%d)", shard, len(s.shards))
-	}
-	sh := s.shards[shard]
-	if t.Proc < 0 || t.Proc >= sh.procs {
-		return nil, fmt.Errorf("sched: shard %d: processor %d out of range [0,%d)", shard, t.Proc, sh.procs)
-	}
-	// Tier and preference-vector validation runs here, before shard
-	// dispatch, so a malformed task never consumes a batch slot (the
-	// System would reject it again, but only on the shard goroutine).
-	if err := system.ValidateTask(t, sh.ress); err != nil {
-		s.o.rejected.Inc()
-		return nil, fmt.Errorf("sched: shard %d: %w", shard, err)
-	}
-	need := t.Need
-	if t.Needs != nil {
-		need = 0
-		for _, n := range t.Needs {
-			need += n
-		}
-	} else if need <= 0 {
-		need = 1
-	}
-	if need > sh.ress {
-		s.o.rejected.Inc()
-		return nil, fmt.Errorf("sched: shard %d: task needs %d resources, shard has %d: %w",
-			shard, need, sh.ress, system.ErrUnsatisfiable)
-	}
-	if t.Needs == nil && sh.typeCount != nil && need > sh.typeCount[t.Type] {
-		s.o.rejected.Inc()
-		return nil, fmt.Errorf("sched: shard %d: task needs %d resources of type %d, shard has %d: %w",
-			shard, need, t.Type, sh.typeCount[t.Type], system.ErrUnsatisfiable)
-	}
-	// Degraded admission: the demand must also fit the shard's surviving
-	// capacity (resources lost to hardware faults, or stranded behind
-	// failed switchboxes, cannot complete an acquisition until repaired).
-	// Typed vectors check component-wise: every (type, count) entry must
-	// fit that type's surviving stock, which also rejects types the fabric
-	// never stocked (their census entry is zero).
-	if t.Needs != nil {
-		sh.mu.Lock()
-		for ty, n := range t.Needs {
-			if limit := sh.usableByType[ty]; n > limit {
-				sh.mu.Unlock()
-				s.o.rejected.Inc()
-				if s.o.trace != nil {
-					s.o.trace.Record(obs.Event{Kind: evReject, Shard: shard, Val: int64(n), Result: resUnsat})
-				}
-				return nil, fmt.Errorf("sched: shard %d: task needs %d resources of type %d, surviving fabric has %d usable: %w",
-					shard, n, ty, limit, system.ErrUnsatisfiable)
-			}
-		}
-		sh.mu.Unlock()
-	} else {
-		sh.mu.Lock()
-		limit := sh.usableTotal
-		if sh.typeCount != nil {
-			limit = sh.usableByType[t.Type]
-		}
-		sh.mu.Unlock()
-		if need > limit {
-			s.o.rejected.Inc()
-			if s.o.trace != nil {
-				s.o.trace.Record(obs.Event{Kind: evReject, Shard: shard, Val: int64(need), Result: resUnsat})
-			}
-			return nil, fmt.Errorf("sched: shard %d: task needs %d resources, surviving fabric has %d usable: %w",
-				shard, need, limit, system.ErrUnsatisfiable)
-		}
-	}
-	h := &Handle{shard: shard, need: need, typ: t.Type, tier: t.Tier, proc: t.Proc, done: make(chan struct{})}
-	if t.Needs != nil {
-		h.needs = make(map[int]int, len(t.Needs))
-		for ty, n := range t.Needs {
-			h.needs[ty] = n
-		}
-	}
-	if s.o.enabled {
-		h.submitNano = nowNano()
-	}
-	if err := s.send(sh, op{kind: opSubmit, task: t, h: h}); err != nil {
+	h := &Handle{}
+	if err := s.admit(shard, &h.job, t, nil); err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// admit is the shared front of Submit and SubmitGang (members nil means
+// the singleton t). Validation — shard and processor range, task checks,
+// a gang's member count and distinct processors — and the degraded
+// admission test run here, before the job consumes a batch slot: the
+// summed demand must fit the shard's surviving capacity (resources lost
+// to hardware faults, or stranded behind failed switchboxes, cannot
+// complete an acquisition until repaired), every type against its own
+// stock, which also refuses a type the fabric never stocked.
+func (s *Scheduler) admit(shard int, j *job, t system.Task, members []system.Task) error {
+	if shard < 0 || shard >= len(s.shards) {
+		return fmt.Errorf("sched: shard %d out of range [0,%d)", shard, len(s.shards))
+	}
+	sh := s.shards[shard]
+	o := op{kind: opSubmit, j: j, task: t}
+	var err error
+	if members == nil {
+		err = sh.validate(t)
+	} else {
+		o.members, err = sh.validateGang(members)
+	}
+	if err != nil {
+		s.o.rejected.Inc()
+		return fmt.Errorf("sched: shard %d: %w", shard, err)
+	}
+	j.describe(t, o.members)
+	sh.mu.Lock()
+	err = j.demand.Shortfall(sh.usable)
+	sh.mu.Unlock()
+	if err != nil {
+		s.o.rejected.Inc()
+		if s.o.trace != nil {
+			s.o.trace.Record(obs.Event{Kind: evReject, Shard: shard, Val: j.units(), Result: resUnsat})
+		}
+		return fmt.Errorf("sched: shard %d: %w", shard, err)
+	}
+	j.shard, j.done = shard, make(chan struct{})
+	if s.o.enabled {
+		j.submitNano = nowNano()
+	}
+	return s.send(sh, o)
+}
+
+// ctxLive refuses a submission whose context has already ended: it must
+// consume no queue slot and never count as Submitted.
+func ctxLive(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("sched: %w: %w", ErrTaskCanceled, err)
+	}
+	return nil
+}
+
+// watchCtx gives an admitted job its cancellation contract: if ctx ends
+// before the job is fully provisioned it is withdrawn whole from its
+// shard. The shard decides the race — the cancel op is a no-op if the job
+// completed (or was failed) before it drains — and a closed scheduler
+// already fails the job in shutdown.
+func (s *Scheduler) watchCtx(ctx context.Context, j *job) {
+	if ctx.Done() == nil {
+		return
+	}
+	go func() {
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			_ = s.send(s.shards[j.shard], op{kind: opCancel, j: j, cause: ctx.Err()})
+		}
+	}()
 }
 
 // SubmitCtx is Submit with a cancellation contract: if ctx ends before
@@ -493,24 +468,14 @@ func (s *Scheduler) Submit(shard int, t system.Task) (*Handle, error) {
 // is best-effort against a racing grant: if Done closes with a nil Err,
 // the client owns the resources and must still call EndService.
 func (s *Scheduler) SubmitCtx(ctx context.Context, shard int, t system.Task) (*Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sched: %w: %w", ErrTaskCanceled, err)
+	if err := ctxLive(ctx); err != nil {
+		return nil, err
 	}
 	h, err := s.Submit(shard, t)
-	if err != nil || ctx.Done() == nil {
-		return h, err
+	if err == nil {
+		s.watchCtx(ctx, &h.job)
 	}
-	go func() {
-		select {
-		case <-h.done:
-		case <-ctx.Done():
-			// The shard decides the race: the cancel op is a no-op if the
-			// task completed (or was failed) before it drains. A closed
-			// scheduler already fails the handle in shutdown.
-			_ = s.send(s.shards[shard], op{kind: opCancel, h: h, cause: ctx.Err()})
-		}
-	}()
-	return h, nil
+	return h, err
 }
 
 // EndService releases every resource a finished task holds. It may only
@@ -520,16 +485,21 @@ func (s *Scheduler) EndService(h *Handle) error {
 	if h == nil {
 		return fmt.Errorf("sched: nil handle")
 	}
+	return s.end(&h.job)
+}
+
+// end is the shared body of EndService and EndGang.
+func (s *Scheduler) end(j *job) error {
 	select {
-	case <-h.done:
+	case <-j.done:
 	default:
-		return fmt.Errorf("sched: task on shard %d is not fully provisioned", h.shard)
+		return fmt.Errorf("sched: work on shard %d is not fully provisioned", j.shard)
 	}
-	if h.err != nil {
-		return fmt.Errorf("sched: task failed and holds nothing: %w", h.err)
+	if j.err != nil {
+		return fmt.Errorf("sched: submission failed and holds nothing: %w", j.err)
 	}
 	reply := make(chan error, 1)
-	if err := s.send(s.shards[h.shard], op{kind: opEnd, h: h, reply: reply}); err != nil {
+	if err := s.send(s.shards[j.shard], op{kind: opEnd, j: j, reply: reply}); err != nil {
 		return err
 	}
 	return <-reply
@@ -633,37 +603,9 @@ func (s *Scheduler) Stats() Stats {
 		sh.mu.Lock()
 		st := sh.stats
 		sh.mu.Unlock()
-		tot.Submitted += st.Submitted
-		tot.Granted += st.Granted
-		tot.Serviced += st.Serviced
-		tot.Epochs += st.Epochs
-		tot.Cycles += st.Cycles
-		tot.Deferred += st.Deferred
-		tot.Canceled += st.Canceled
-		tot.Failed += st.Failed
-		tot.Restarts += st.Restarts
-		tot.LinkFaults += st.LinkFaults
-		tot.Severed += st.Severed
-		tot.Repairs += st.Repairs
-		tot.Preempts += st.Preempts
-		tot.GangsSubmitted += st.GangsSubmitted
-		tot.GangsActivated += st.GangsActivated
-		tot.GangsServiced += st.GangsServiced
-		tot.GangsCanceled += st.GangsCanceled
-		tot.GangsFailed += st.GangsFailed
-		tot.GangSevers += st.GangSevers
-		tot.WarmSolves += st.WarmSolves
-		tot.ColdSolves += st.ColdSolves
-		tot.ArcsTouched += st.ArcsTouched
-		tot.Retractions += st.Retractions
-		tot.FastPaths += st.FastPaths
-		tot.MultiFastPath += st.MultiFastPath
-		tot.MultiGreedy += st.MultiGreedy
-		tot.MultiRetries += st.MultiRetries
-		tot.MultiGapUnits += st.MultiGapUnits
+		tot.add(&st)
 		tot.Free += st.Free
 		tot.Usable += st.Usable
-		tot.Ops.Add(st.Ops)
 	}
 	return tot
 }
@@ -735,38 +677,23 @@ func (s *Scheduler) run(sh *shard) {
 }
 
 // shutdown runs the final epoch for whatever is buffered, then fails any
-// handle the service could not provision. Abandoned tasks are terminal:
-// each counts once in Stats.Failed.
+// job the service could not provision. Abandoned work is terminal: each
+// member counts once in Stats.Failed.
 func (s *Scheduler) shutdown(sh *shard, buf []op) {
-	if len(buf) > 0 || len(sh.tracked) > 0 || len(sh.gangs) > 0 {
+	if len(buf) > 0 || len(sh.tracked) > 0 {
 		s.flush(sh, buf)
 	}
 	var closed Stats
-	for id, h := range sh.tracked {
-		h.err = ErrClosed
-		h.finished = true
-		close(h.done)
-		delete(sh.tracked, id)
-		closed.Failed++
-		s.event(sh, evFailed, int64(id), 0, resClosed)
-	}
-	for gid, gh := range sh.gangs {
-		gh.err = ErrClosed
-		gh.finished = true
-		close(gh.done)
-		s.dropGang(sh, gh)
-		closed.Failed += int64(len(gh.memberIDs))
-		closed.GangsFailed++
-		s.event(sh, evGangFailed, int64(gid), 0, resClosed)
-	}
-	if closed.Failed > 0 {
-		s.publish(sh, &closed)
+	for id, j := range sh.tracked {
+		if id == j.ids[0] {
+			s.finish(sh, j, &closed, failed, ErrClosed, 0, resClosed)
+		}
 	}
 }
 
 // publish folds the epoch-local counter deltas into the shard's published
 // stats as one locked batch and mirrors them into the obs instruments,
-// then zeroes the deltas. flush calls it before every client-visible
+// then zeroes the deltas. The epoch calls it before every client-visible
 // completion — a reply-channel send, a handle close, the end of the epoch
 // — which is what makes Stats read-your-writes coherent: by the time
 // EndService or FailLink has returned, or Handle.Done has fired, the
@@ -775,676 +702,13 @@ func (s *Scheduler) shutdown(sh *shard, buf []op) {
 func (s *Scheduler) publish(sh *shard, epoch *Stats) {
 	free := sh.sys.FreeResources()
 	sh.mu.Lock()
-	sh.stats.Submitted += epoch.Submitted
-	sh.stats.Granted += epoch.Granted
-	sh.stats.Serviced += epoch.Serviced
-	sh.stats.Epochs += epoch.Epochs
-	sh.stats.Cycles += epoch.Cycles
-	sh.stats.Deferred += epoch.Deferred
-	sh.stats.Canceled += epoch.Canceled
-	sh.stats.Failed += epoch.Failed
-	sh.stats.Restarts += epoch.Restarts
-	sh.stats.LinkFaults += epoch.LinkFaults
-	sh.stats.Severed += epoch.Severed
-	sh.stats.Repairs += epoch.Repairs
-	sh.stats.Preempts += epoch.Preempts
-	sh.stats.GangsSubmitted += epoch.GangsSubmitted
-	sh.stats.GangsActivated += epoch.GangsActivated
-	sh.stats.GangsServiced += epoch.GangsServiced
-	sh.stats.GangsCanceled += epoch.GangsCanceled
-	sh.stats.GangsFailed += epoch.GangsFailed
-	sh.stats.GangSevers += epoch.GangSevers
-	sh.stats.WarmSolves += epoch.WarmSolves
-	sh.stats.ColdSolves += epoch.ColdSolves
-	sh.stats.ArcsTouched += epoch.ArcsTouched
-	sh.stats.Retractions += epoch.Retractions
-	sh.stats.FastPaths += epoch.FastPaths
-	sh.stats.MultiFastPath += epoch.MultiFastPath
-	sh.stats.MultiGreedy += epoch.MultiGreedy
-	sh.stats.MultiRetries += epoch.MultiRetries
-	sh.stats.MultiGapUnits += epoch.MultiGapUnits
+	sh.stats.add(epoch)
 	sh.stats.Free = free
-	sh.stats.Ops.Add(epoch.Ops)
 	sh.mu.Unlock()
 	if s.o.enabled {
-		s.o.submitted.Add(epoch.Submitted)
-		s.o.granted.Add(epoch.Granted)
-		s.o.serviced.Add(epoch.Serviced)
-		s.o.epochs.Add(epoch.Epochs)
-		s.o.cycles.Add(epoch.Cycles)
-		s.o.deferred.Add(epoch.Deferred)
-		s.o.canceled.Add(epoch.Canceled)
-		s.o.failed.Add(epoch.Failed)
-		s.o.restarts.Add(epoch.Restarts)
-		s.o.faultOps.Add(epoch.LinkFaults)
-		s.o.repairOps.Add(epoch.Repairs)
-		s.o.severed.Add(epoch.Severed)
-		s.o.preempts.Add(epoch.Preempts)
-		s.o.gangsSubmitted.Add(epoch.GangsSubmitted)
-		s.o.gangsActivated.Add(epoch.GangsActivated)
-		s.o.gangsServiced.Add(epoch.GangsServiced)
-		s.o.gangsCanceled.Add(epoch.GangsCanceled)
-		s.o.gangsFailed.Add(epoch.GangsFailed)
-		s.o.gangSevers.Add(epoch.GangSevers)
-		s.o.augmentations.Add(int64(epoch.Ops.Augmentations))
-		s.o.phases.Add(int64(epoch.Ops.Phases))
-		s.o.arcScans.Add(int64(epoch.Ops.ArcScans))
-		s.o.nodeVisits.Add(int64(epoch.Ops.NodeVisits))
-		s.o.warmSolves.Add(epoch.WarmSolves)
-		s.o.coldSolves.Add(epoch.ColdSolves)
-		s.o.warmArcs.Add(epoch.ArcsTouched)
-		s.o.retractions.Add(epoch.Retractions)
-		s.o.fastPaths.Add(epoch.FastPaths)
-		s.o.multiFastPath.Add(epoch.MultiFastPath)
-		s.o.multiGreedy.Add(epoch.MultiGreedy)
-		s.o.multiRetries.Add(epoch.MultiRetries)
-		s.o.multiGap.Add(epoch.MultiGapUnits)
+		s.o.mirror(epoch)
 		s.o.free.Add(int64(free - sh.lastFree))
 		sh.lastFree = free
 	}
 	*epoch = Stats{}
-}
-
-// flush is one scheduling epoch: apply releases and submissions, cycle the
-// discipline while it makes progress, then publish completed handles. The
-// worker-pool semaphore is held for the whole epoch (the solver-bound
-// phase dominates it).
-func (s *Scheduler) flush(sh *shard, buf []op) []op {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-
-	epoch := Stats{Epochs: 1}
-	// Releases and withdrawals first: resources freed by finished or
-	// canceled tasks are available to this very epoch's solve. Buffer
-	// order guarantees a task's submit precedes its cancel. Every reply
-	// send and handle close below is preceded by a publish, so the caller
-	// observes its own completion in Stats the moment the call returns.
-	for _, o := range buf {
-		switch o.kind {
-		case opEnd:
-			var err error
-			switch {
-			case sh.dead != nil:
-				err = sh.dead
-				if !o.h.finished {
-					// The grants died with the shard; terminal for the task.
-					o.h.finished = true
-					epoch.Failed++
-					s.event(sh, evFailed, int64(o.h.id), 0, resDead)
-				}
-			case o.h.gen != sh.gen:
-				// The grants were made by a System discarded in a restart;
-				// applying the release to the rebuilt one would free
-				// resources it never granted.
-				err = fmt.Errorf("sched: shard %d: grants lost to restart: %w", sh.idx, ErrShardDown)
-				if !o.h.finished {
-					o.h.finished = true
-					epoch.Failed++
-					s.event(sh, evFailed, int64(o.h.id), 0, resRestartLost)
-				}
-			default:
-				err = sh.sys.EndService(o.h.id)
-				if err == nil {
-					o.h.finished = true
-					epoch.Serviced++
-					if s.o.enabled && o.h.grantNano != 0 {
-						s.o.grantReleaseMS.Observe(float64(nowNano()-o.h.grantNano) / 1e6)
-					}
-					s.event(sh, evService, int64(o.h.id), int64(o.h.need), "")
-				}
-			}
-			s.publish(sh, &epoch)
-			o.reply <- err
-		case opSubmit:
-			if sh.dead != nil {
-				o.h.err = sh.dead
-				close(o.h.done)
-				continue
-			}
-			id, err := sh.sys.Submit(o.task)
-			if err != nil {
-				// Admission raced a capacity drop; the task never entered
-				// the system, so it counts as rejected, not failed.
-				s.o.rejected.Inc()
-				o.h.err = err
-				close(o.h.done)
-				continue
-			}
-			o.h.id = id
-			o.h.gen = sh.gen
-			sh.tracked[id] = o.h
-			epoch.Submitted++
-			s.event(sh, evSubmit, int64(id), int64(o.h.need), "")
-		case opCancel:
-			h := o.h
-			if h.gen != sh.gen {
-				continue // already failed by the restart that bumped gen
-			}
-			if _, ok := sh.tracked[h.id]; !ok {
-				continue // provisioned or failed before the cancel drained
-			}
-			if err := sh.sys.Cancel(h.id); err != nil {
-				// A tracked task the System cannot withdraw means the
-				// shard state is suspect; let the supervisor rebuild it.
-				s.failShard(sh, fmt.Errorf("canceling task %d: %w", h.id, err), &epoch)
-				continue
-			}
-			delete(sh.tracked, h.id)
-			h.err = fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrTaskCanceled, o.cause)
-			h.finished = true
-			epoch.Canceled++
-			s.event(sh, evCancel, int64(h.id), 0, "")
-			s.publish(sh, &epoch)
-			close(h.done)
-		case opFault:
-			if sh.dead != nil {
-				o.reply <- sh.dead
-				continue
-			}
-			// The batch is one correlated hardware event. Severed counts
-			// every unit lost, but the retry budget is charged on the
-			// deduplicated task set: a task that lost several units to the
-			// one event pays one retry — not one per unit, the over-charge
-			// this path used to have. Gangs likewise: the member index maps
-			// any number of severed members to one charge against their
-			// gang.
-			var all []system.TaskID
-			var err error
-			applied := 0
-			for _, f := range o.faults {
-				affected, ferr := sh.sys.ApplyFault(f)
-				if ferr != nil {
-					err = ferr
-					break
-				}
-				applied++
-				epoch.Severed += int64(len(affected))
-				all = append(all, affected...)
-				if f.Repair {
-					epoch.Repairs++
-					s.event(sh, evRepair, 0, int64(f.Index), "")
-				} else {
-					epoch.LinkFaults++
-					s.event(sh, evFault, 0, int64(f.Index), "")
-				}
-			}
-			if applied > 0 {
-				var chargedGangs map[*GangHandle]bool
-				for _, id := range system.DedupeTasks(all) {
-					if gh := sh.gangTasks[id]; gh != nil {
-						if chargedGangs[gh] {
-							continue // exactly-once: the gang already paid for this event
-						}
-						if chargedGangs == nil {
-							chargedGangs = map[*GangHandle]bool{}
-						}
-						chargedGangs[gh] = true
-						if !s.chargeGangSever(sh, gh, &epoch) {
-							break
-						}
-						continue
-					}
-					h := sh.tracked[id]
-					if h == nil {
-						continue // a multi-unit holder published in an earlier epoch
-					}
-					if !s.chargeSever(sh, id, h, &epoch) {
-						break
-					}
-				}
-				if sh.dead == nil {
-					s.refreshCapacity(sh, &epoch)
-				}
-			}
-			s.publish(sh, &epoch)
-			o.reply <- err
-		case opSubmitGang:
-			gh := o.gang
-			if sh.dead != nil {
-				gh.err = sh.dead
-				close(gh.done)
-				continue
-			}
-			gid, ids, err := sh.sys.SubmitGang(o.members)
-			if err != nil {
-				// Admission raced a capacity drop; the gang never entered
-				// the system, so it counts as rejected, not failed.
-				s.o.rejected.Inc()
-				gh.err = err
-				close(gh.done)
-				continue
-			}
-			gh.gid = gid
-			gh.gen = sh.gen
-			gh.memberIDs = ids
-			sh.gangs[gid] = gh
-			for _, id := range ids {
-				sh.gangTasks[id] = gh
-			}
-			epoch.Submitted += int64(len(ids))
-			epoch.GangsSubmitted++
-			s.event(sh, evGangSubmit, int64(gid), int64(len(ids)), "")
-		case opEndGang:
-			gh := o.gang
-			var err error
-			switch {
-			case sh.dead != nil:
-				err = sh.dead
-				if !gh.finished {
-					gh.finished = true
-					epoch.Failed += int64(len(gh.memberIDs))
-					epoch.GangsFailed++
-					s.event(sh, evGangFailed, int64(gh.gid), 0, resDead)
-				}
-			case gh.gen != sh.gen:
-				err = fmt.Errorf("sched: shard %d: gang grants lost to restart: %w", sh.idx, ErrShardDown)
-				if !gh.finished {
-					gh.finished = true
-					epoch.Failed += int64(len(gh.memberIDs))
-					epoch.GangsFailed++
-					s.event(sh, evGangFailed, int64(gh.gid), 0, resRestartLost)
-				}
-			default:
-				err = sh.sys.EndGangService(gh.gid)
-				if err == nil {
-					gh.finished = true
-					epoch.Serviced += int64(len(gh.memberIDs))
-					epoch.GangsServiced++
-					if s.o.enabled && gh.grantNano != 0 {
-						s.o.grantReleaseMS.Observe(float64(nowNano()-gh.grantNano) / 1e6)
-					}
-					s.event(sh, evGangService, int64(gh.gid), int64(len(gh.memberIDs)), "")
-				}
-			}
-			s.publish(sh, &epoch)
-			o.reply <- err
-		case opCancelGang:
-			gh := o.gang
-			if gh.gen != sh.gen {
-				continue // already failed by the restart that bumped gen
-			}
-			if _, ok := sh.gangs[gh.gid]; !ok {
-				continue // provisioned or failed before the cancel drained
-			}
-			if err := sh.sys.CancelGang(gh.gid); err != nil {
-				s.failShard(sh, fmt.Errorf("canceling gang %d: %w", gh.gid, err), &epoch)
-				continue
-			}
-			s.dropGang(sh, gh)
-			gh.err = fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrTaskCanceled, o.cause)
-			gh.finished = true
-			epoch.Canceled += int64(len(gh.memberIDs))
-			epoch.GangsCanceled++
-			s.event(sh, evGangCancel, int64(gh.gid), 0, "")
-			s.publish(sh, &epoch)
-			close(gh.done)
-		}
-	}
-
-	// Scheduling: one Cycle solves the whole batch; repeat only while
-	// grants keep landing (multi-resource tasks and freshly unblocked
-	// queue heads acquire on the follow-up cycles).
-	var solveStart int64
-	if s.o.enabled {
-		solveStart = nowNano()
-	}
-	cycles := 0
-	// Preemption-round bound: every round strictly increases the total
-	// tier weight held (the beneficiary's unit outweighs the victim's), so
-	// at most one round per tracked task can make progress; the explicit
-	// cap also keeps a deferred beneficiary (deadlock avoidance) from
-	// churning a victim's sever budget within one epoch.
-	rounds := len(sh.tracked)
-	for {
-		for sh.dead == nil && (len(sh.tracked) > 0 || len(sh.gangs) > 0) {
-			r, err := sh.sys.Cycle()
-			if err != nil {
-				s.failShard(sh, err, &epoch)
-				break
-			}
-			cycles++
-			sh.cycleCount++
-			epoch.Cycles++
-			epoch.Granted += int64(r.Granted)
-			epoch.Deferred += int64(r.Deferred)
-			epoch.GangsActivated += int64(r.GangsActivated)
-			epoch.Ops.Add(maxflow.Counters{
-				Augmentations: r.Mapping.Ops.Augmentations,
-				Phases:        r.Mapping.Ops.Phases,
-				ArcScans:      r.Mapping.Ops.ArcScans,
-				NodeVisits:    r.Mapping.Ops.NodeVisits,
-			})
-			switch {
-			case r.Mapping.Solve.Warm:
-				epoch.WarmSolves++
-			case r.Mapping.Solve.Cold:
-				epoch.ColdSolves++
-			}
-			epoch.ArcsTouched += int64(r.Mapping.Solve.ArcsTouched)
-			epoch.Retractions += int64(r.Mapping.Solve.Retractions)
-			epoch.FastPaths += int64(r.Mapping.Solve.FastPaths)
-			if r.Mapping.Solve.MultiFastPath {
-				epoch.MultiFastPath++
-			}
-			if r.Mapping.Solve.MultiGreedy {
-				epoch.MultiGreedy++
-			}
-			epoch.MultiRetries += int64(r.Mapping.Solve.MultiRetries)
-			epoch.MultiGapUnits += int64(r.Mapping.Solve.MultiGap)
-			if r.Granted == 0 {
-				break
-			}
-			faulted := false
-			for _, a := range r.Mapping.Assigned {
-				if err := sh.sys.EndTransmission(a.Req.Proc); err != nil {
-					if errors.Is(err, system.ErrCircuitSevered) {
-						// Retryable: the System already revoked and re-queued
-						// the unit; a follow-up cycle reacquires it.
-						epoch.Severed++
-						continue
-					}
-					s.failShard(sh, err, &epoch)
-					faulted = true
-					break
-				}
-			}
-			if faulted {
-				break
-			}
-		}
-		// Quiescent: no further grants are possible on the current holding
-		// pattern. With Preempt set, try one tier exchange and re-enter the
-		// cycle loop so the beneficiary can claim the freed unit.
-		if sh.dead != nil || !s.cfg.Preempt || rounds <= 0 || !s.preemptOnce(sh, &epoch) {
-			break
-		}
-		rounds--
-	}
-	if s.o.enabled && cycles > 0 {
-		s.o.epochSolveMS.Observe(float64(nowNano()-solveStart) / 1e6)
-	}
-	// A HardwareHook may have failed or repaired components mid-epoch;
-	// republish the degraded-capacity census if the fault epoch moved.
-	if sh.dead == nil {
-		s.refreshCapacity(sh, &epoch)
-	}
-	// Make the epoch's grants and cycle counters visible before any
-	// handle's Done fires below.
-	s.publish(sh, &epoch)
-
-	// Publish gangs whose atomic grant completed: every member fully
-	// provisioned, resources recorded per member before Done fires — a
-	// client can never observe a partially granted gang through the
-	// handle. Provisioned gangs leave the tracking maps (like granted
-	// singletons); the system layer keeps them immune to resets.
-	for gid, gh := range sh.gangs {
-		if !sh.sys.GangProvisioned(gid) {
-			continue
-		}
-		res := make([][]int, len(gh.memberIDs))
-		for i, id := range gh.memberIDs {
-			res[i] = sh.sys.Holding(id)
-		}
-		gh.res = res
-		if s.o.enabled {
-			gh.grantNano = nowNano()
-			s.o.gangsGranted.Inc()
-			if gh.submitNano != 0 {
-				s.o.gangSubmitGrantMS.Observe(float64(gh.grantNano-gh.submitNano) / 1e6)
-			}
-		}
-		s.event(sh, evGangGrant, int64(gid), int64(len(gh.memberIDs)), "")
-		close(gh.done)
-		s.dropGang(sh, gh)
-	}
-
-	// Publish tasks that finished acquiring.
-	for id, h := range sh.tracked {
-		if sh.sys.Remaining(id) == 0 {
-			h.res = sh.sys.Holding(id)
-			if s.o.enabled {
-				h.grantNano = nowNano()
-				s.o.grantedTier[h.tier].Inc()
-				if h.submitNano != 0 {
-					ms := float64(h.grantNano-h.submitNano) / 1e6
-					s.o.submitGrantMS.Observe(ms)
-					s.o.submitGrantTierMS[h.tier].Observe(ms)
-				}
-			}
-			s.event(sh, evGrant, int64(id), int64(len(h.res)), "")
-			close(h.done)
-			delete(sh.tracked, id)
-		}
-	}
-	return buf[:0]
-}
-
-// chargeSever charges one lost unit (hardware sever or preemption)
-// against a tracked handle's retry budget, withdrawing the task with an
-// ErrCircuitSevered failure when the budget is exhausted — a task churned
-// by a flapping component or repeated preemption should fail crisply
-// rather than retry forever. Reports false when withdrawal escalated to a
-// shard restart (the caller's tracked iteration is invalid). Runs on the
-// shard goroutine.
-func (s *Scheduler) chargeSever(sh *shard, id system.TaskID, h *Handle, epoch *Stats) bool {
-	h.severs++
-	if h.severs <= s.cfg.SeverRetries {
-		return true
-	}
-	if cerr := sh.sys.Cancel(id); cerr != nil {
-		// Same containment as opCancel: a tracked task the System cannot
-		// withdraw means the state is suspect.
-		s.failShard(sh, fmt.Errorf("withdrawing sever-exhausted task %d: %w", id, cerr), epoch)
-		return false
-	}
-	delete(sh.tracked, id)
-	h.err = fmt.Errorf("sched: shard %d: units severed %d times: %w",
-		sh.idx, h.severs, system.ErrCircuitSevered)
-	h.finished = true
-	epoch.Failed++
-	s.event(sh, evFailed, int64(id), int64(h.severs), resSeverBudget)
-	close(h.done)
-	return true
-}
-
-// preemptOnce is the tier-preemption policy: pick the most urgent
-// queue-head task still acquiring (the beneficiary), then the least
-// urgent still-acquiring holder of a strictly lower tier whose unit the
-// beneficiary can reach, and revoke that one unit. The strict-tier
-// requirement is the starvation guard — TierWeight is strictly monotone
-// in tier, so the exchange strictly increases total held tier weight and
-// equal-tier tasks can never preempt each other. Reports whether a unit
-// was revoked (the caller then re-runs the cycle loop, where the MinCost
-// solve routes the freed unit to the highest effective priority). Runs on
-// the shard goroutine.
-func (s *Scheduler) preemptOnce(sh *shard, epoch *Stats) bool {
-	var benef *Handle
-	for p := 0; p < sh.procs; p++ {
-		id := sh.sys.QueueHead(p)
-		if id < 0 {
-			continue
-		}
-		h := sh.tracked[id]
-		if h == nil || sh.sys.Remaining(id) == 0 {
-			continue
-		}
-		if benef == nil || h.tier < benef.tier || (h.tier == benef.tier && id < benef.id) {
-			benef = h
-		}
-	}
-	if benef == nil {
-		return false
-	}
-	// Cheapest viable victim: highest tier number first, lowest task ID to
-	// stay deterministic. Fully-provisioned holders are immune (they are
-	// computing on a complete resource set; revoking would waste finished
-	// work for a unit the System cannot even take back).
-	var victim *Handle
-	res := -1
-	for id, h := range sh.tracked {
-		if h.tier <= benef.tier || id == benef.id || sh.sys.Remaining(id) == 0 {
-			continue
-		}
-		r := -1
-		for _, held := range sh.sys.Holding(id) {
-			if sh.sys.CanRoute(benef.proc, held) {
-				r = held
-				break
-			}
-		}
-		if r < 0 {
-			continue
-		}
-		if victim == nil || h.tier > victim.tier || (h.tier == victim.tier && id < victim.id) {
-			victim, res = h, r
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	if err := sh.sys.Preempt(victim.id, res); err != nil {
-		// Preempt's preconditions were just checked on this goroutine;
-		// failure means the shard state is inconsistent.
-		s.failShard(sh, fmt.Errorf("preempting resource %d from task %d: %w", res, victim.id, err), epoch)
-		return false
-	}
-	epoch.Preempts++
-	s.event(sh, evPreempt, int64(victim.id), int64(res), "")
-	s.chargeSever(sh, victim.id, victim, epoch)
-	return sh.dead == nil
-}
-
-// refreshCapacity republishes the shard's degraded-capacity census when
-// the fabric's fault epoch has moved, and withdraws tracked tasks whose
-// demand no longer fits the surviving capacity: they would otherwise
-// wait forever on resources the fabric has lost. Runs on the shard
-// goroutine.
-func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
-	ep := sh.sys.FaultEpoch()
-	if sh.capOK && ep == sh.capEpoch {
-		return
-	}
-	usable := sh.sys.UsableResources()
-	total := 0
-	for _, c := range usable {
-		total += c
-	}
-	sh.mu.Lock()
-	sh.usableByType = usable
-	sh.usableTotal = total
-	sh.stats.Usable = total
-	sh.mu.Unlock()
-	if s.o.enabled {
-		s.o.usable.Add(int64(total - sh.lastUsable))
-		sh.lastUsable = total
-	}
-	sh.capEpoch, sh.capOK = ep, true
-	for id, h := range sh.tracked {
-		var cause error
-		if h.needs != nil {
-			// Typed demand: every component must still fit its type's
-			// surviving stock — a single lost resource can strand one
-			// commodity while the others remain satisfiable.
-			for ty, n := range h.needs {
-				if n > usable[ty] {
-					cause = fmt.Errorf("sched: shard %d: task needs %d resources of type %d, surviving fabric has %d usable: %w",
-						sh.idx, n, ty, usable[ty], system.ErrUnsatisfiable)
-					break
-				}
-			}
-		} else {
-			limit := total
-			if sh.typeCount != nil {
-				limit = usable[h.typ]
-			}
-			if h.need > limit {
-				cause = fmt.Errorf("sched: shard %d: task needs %d resources, surviving fabric has %d usable: %w",
-					sh.idx, h.need, limit, system.ErrUnsatisfiable)
-			}
-		}
-		if cause == nil {
-			continue
-		}
-		_ = sh.sys.Cancel(id)
-		delete(sh.tracked, id)
-		h.err = cause
-		h.finished = true
-		epoch.Failed++
-		s.event(sh, evFailed, int64(id), int64(h.need), resUnsat)
-		close(h.done)
-	}
-	// Gangs hold their units together, so the whole combined demand must
-	// still fit — a gang that no longer does would wait forever at the
-	// activation gate (or worse, churn resets against capacity it can
-	// never reassemble).
-	for gid, gh := range sh.gangs {
-		exceeds := false
-		if sh.typeCount != nil {
-			for ty, n := range gh.needByType {
-				if n > usable[ty] {
-					exceeds = true
-					break
-				}
-			}
-		} else if gh.needTotal > total {
-			exceeds = true
-		}
-		if !exceeds {
-			continue
-		}
-		if err := sh.sys.CancelGang(gid); err != nil {
-			s.failShard(sh, fmt.Errorf("withdrawing unsatisfiable gang %d: %w", gid, err), epoch)
-			return
-		}
-		s.dropGang(sh, gh)
-		gh.err = fmt.Errorf("sched: shard %d: gang needs %d resources together, surviving fabric has %d usable: %w",
-			sh.idx, gh.needTotal, total, system.ErrUnsatisfiable)
-		gh.finished = true
-		epoch.Failed += int64(len(gh.memberIDs))
-		epoch.GangsFailed++
-		s.event(sh, evGangFailed, int64(gid), int64(gh.needTotal), resUnsat)
-		close(gh.done)
-	}
-}
-
-// failShard is the shard supervisor. The System reported an internal
-// fault, so its state is no longer trustworthy: contain it by failing
-// every in-flight handle with an ErrShardDown error, then rebuild the
-// System from a fresh state under a new generation and resume accepting
-// work. Releases of grants made by the lost generation are rejected by
-// the gen check in flush rather than applied to the rebuilt state.
-func (s *Scheduler) failShard(sh *shard, cause error, epoch *Stats) {
-	down := fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrShardDown, cause)
-	for id, h := range sh.tracked {
-		h.err = down
-		h.finished = true
-		epoch.Failed++
-		s.event(sh, evFailed, int64(id), 0, resShardDown)
-		close(h.done)
-		delete(sh.tracked, id)
-	}
-	for gid, gh := range sh.gangs {
-		gh.err = down
-		gh.finished = true
-		epoch.Failed += int64(len(gh.memberIDs))
-		epoch.GangsFailed++
-		s.event(sh, evGangFailed, int64(gid), 0, resShardDown)
-		close(gh.done)
-		s.dropGang(sh, gh)
-	}
-	sys, err := system.New(sh.sysCfg)
-	if err != nil {
-		// The config built a System at New; if it no longer does,
-		// recovery is impossible and the shard stays down for good.
-		sh.dead = fmt.Errorf("sched: shard %d: rebuilding after fault: %w (fault: %w)", sh.idx, err, cause)
-		return
-	}
-	sh.sys = sys
-	sh.gen++
-	epoch.Restarts++
-	s.event(sh, evRestart, 0, int64(sh.gen), "")
-	// The rebuilt System starts from the pristine template: force the
-	// degraded-capacity census to recompute (its fault epoch restarted).
-	sh.capOK = false
-	s.refreshCapacity(sh, epoch)
 }

@@ -216,40 +216,103 @@ func TestStatsMonotonicUnderLoad(t *testing.T) {
 	}
 }
 
-// blockedPair returns a scheduler where filler tasks hold all but one
-// resource of an Omega(4) shard and task b holds the last one, blocked
-// waiting for a second unit. fillers[i].Resources() identifies held
-// resources deterministically.
-func blockedPair(t *testing.T, cfg Config) (*Scheduler, []*Handle, *Handle) {
+// jobKind runs a terminal-path scenario once per kind of job: with a
+// singleton and with a 3-member gang in the seat under test. Gangs count
+// member-wise in the task counters and once in the Gangs* counters.
+type jobKind struct {
+	name    string
+	members int64 // tasks one job counts as
+	gangs   int64 // gangs one job counts as
+}
+
+var jobKinds = []jobKind{{"singleton", 1, 0}, {"gang", 3, 1}}
+
+// waiter is the part of Handle and GangHandle the scenarios share.
+type waiter interface {
+	Done() <-chan struct{}
+	Err() error
+}
+
+// submit queues one job of the kind demanding units resources in total,
+// on procs[0] (a gang spreads over all three).
+func (k jobKind) submit(s *Scheduler, procs [3]int, units int) (waiter, error) {
+	if k.gangs == 0 {
+		return s.Submit(0, system.Task{Proc: procs[0], Need: units})
+	}
+	return s.SubmitGang(0, GangSpec{Members: []system.Task{
+		{Proc: procs[0], Need: units - 2}, {Proc: procs[1]}, {Proc: procs[2]},
+	}})
+}
+
+func endJob(s *Scheduler, w waiter) error {
+	if h, ok := w.(*Handle); ok {
+		return s.EndService(h)
+	}
+	return s.EndGang(w.(*GangHandle))
+}
+
+// assertFailedOnce checks that n jobs of the kind — and nothing else —
+// were counted failed, member-wise and gang-wise.
+func assertFailedOnce(t *testing.T, st Stats, k jobKind, n int64) {
 	t.Helper()
-	s := newScheduler(t, cfg)
-	var fillers []*Handle
-	for p := 0; p < 3; p++ {
-		h, err := s.Submit(0, system.Task{Proc: p, Need: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-h.Done()
-		if h.Err() != nil {
-			t.Fatal(h.Err())
-		}
+	if st.Failed != n*k.members || st.GangsFailed != n*k.gangs {
+		t.Fatalf("Failed = %d, GangsFailed = %d, want exactly %d, %d (stats %+v)",
+			st.Failed, st.GangsFailed, n*k.members, n*k.gangs, st)
+	}
+}
+
+// assertTerminalIdentity checks the quiescent accounting identities,
+// member-wise and gang-wise.
+func assertTerminalIdentity(t *testing.T, st Stats) {
+	t.Helper()
+	if st.Submitted != st.Serviced+st.Canceled+st.Failed {
+		t.Fatalf("terminal identity broken: %+v", st)
+	}
+	if st.GangsSubmitted != st.GangsServiced+st.GangsCanceled+st.GangsFailed {
+		t.Fatalf("gang terminal identity broken: %+v", st)
+	}
+}
+
+// blockedJob returns a one-shard Omega(8) scheduler where five filler
+// tasks (procs 0-4) each hold one resource and a job of the given kind
+// (procs 5-7) demands four: it acquires the three free units and blocks
+// on a fourth — permanently mid-acquisition, the state every terminal
+// path but release starts from. held lists the units the job holds. With
+// a gang aboard the shard runs banker's grants; activation is safe because
+// the fillers' eventual releases cover the gang.
+func blockedJob(t *testing.T, cfg Config, k jobKind) (s *Scheduler, fillers []*Handle, held []int, j waiter) {
+	t.Helper()
+	net := topology.Omega(8)
+	cfg.Shards = []system.Config{{Net: net, Avoidance: system.AvoidanceNone}}
+	s = newScheduler(t, cfg)
+	taken := map[int]bool{}
+	for p := 0; p < 5; p++ {
+		h := provision(t, s, 0, system.Task{Proc: p})
+		taken[h.Resources()[0]] = true
 		fillers = append(fillers, h)
 	}
-	b, err := s.Submit(0, system.Task{Proc: 3, Need: 2})
+	for r := 0; r < net.Ress; r++ {
+		if !taken[r] {
+			held = append(held, r)
+		}
+	}
+	j, err := k.submit(s, [3]int{5, 6, 7}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, fillers, b
+	if st := waitStats(t, s, func(st Stats) bool { return st.Free == 0 }); st.Free != 0 {
+		t.Fatalf("blocked %s never acquired the three free units: %+v", k.name, st)
+	}
+	return s, fillers, held, j
 }
 
-func omega4Cfg(severRetries int) Config {
-	return Config{
-		SeverRetries: severRetries,
-		Shards: []system.Config{{
-			Net:       topology.Omega(4),
-			Avoidance: system.AvoidanceNone,
-		}},
+// faultBatch is one correlated hardware event over a set of resources.
+func faultBatch(res []int, repair bool) []system.FaultOp {
+	fops := make([]system.FaultOp, len(res))
+	for i, r := range res {
+		fops[i] = system.FaultOp{Target: system.FaultTargetResource, Index: r, Repair: repair}
 	}
+	return fops
 }
 
 // waitStats polls until cond holds (the shard goroutine publishes
@@ -266,162 +329,172 @@ func waitStats(t *testing.T, s *Scheduler, cond func(Stats) bool) Stats {
 	}
 }
 
-// TestTerminalAccountingSeverBudget: a task whose units are severed past
+// TestTerminalAccountingSeverBudget: a job whose units are severed past
 // the retry budget fails terminal exactly once.
 func TestTerminalAccountingSeverBudget(t *testing.T) {
-	s, _, b := blockedPair(t, omega4Cfg(1))
-	// b holds exactly one resource; each FailResource of that resource
-	// revokes it (b is still acquiring). Sweeping all four resources
-	// twice guarantees two severs — the second one exceeds the budget.
-	// Fillers are fully provisioned, so their resources survive failure
-	// unsevered, and capacity never drops below b's need of 2.
-	for pass := 0; pass < 2; pass++ {
-		for r := 0; r < 4; r++ {
-			if err := s.FailResource(0, r); err != nil {
-				t.Fatal(err)
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s, fillers, held, j := blockedJob(t, Config{SeverRetries: 1, FlushEvery: 200 * time.Microsecond}, k)
+			// Each fail->heal of the three units the job holds is one sever
+			// event (the fillers are provisioned and keep theirs; usable
+			// capacity never drops below the demand of 4). The second event
+			// that finds it holding anything exceeds the budget.
+			deadline := time.After(10 * time.Second)
+			for done := false; !done; {
+				if err := s.ApplyFaults(0, faultBatch(held, false)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.ApplyFaults(0, faultBatch(held, true)); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-j.Done():
+					done = true
+				case <-deadline:
+					t.Fatal("sever-exhausted job never failed")
+				case <-time.After(2 * time.Millisecond):
+				}
 			}
-			if err := s.RepairResource(0, r); err != nil {
-				t.Fatal(err)
+			if !errors.Is(j.Err(), system.ErrCircuitSevered) {
+				t.Fatalf("err = %v, want ErrCircuitSevered", j.Err())
 			}
-		}
-		// Give the re-grant cycle a beat between passes.
-		time.Sleep(10 * time.Millisecond)
-	}
-	select {
-	case <-b.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("sever-exhausted task never failed")
-	}
-	if !errors.Is(b.Err(), system.ErrCircuitSevered) {
-		t.Fatalf("err = %v, want ErrCircuitSevered", b.Err())
-	}
-	st := waitStats(t, s, func(st Stats) bool { return st.Failed == 1 })
-	if st.Failed != 1 {
-		t.Fatalf("Failed = %d, want exactly 1 (stats %+v)", st.Failed, st)
-	}
-	if st.Severed < 2 {
-		t.Fatalf("Severed = %d, want >= 2", st.Severed)
+			st := waitStats(t, s, func(st Stats) bool { return st.Failed == k.members })
+			assertFailedOnce(t, st, k, 1)
+			if st.Severed < 2 {
+				t.Fatalf("Severed = %d, want >= 2", st.Severed)
+			}
+			for _, f := range fillers {
+				if err := s.EndService(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertTerminalIdentity(t, s.Stats())
+		})
 	}
 }
 
-// TestTerminalAccountingCapacityDrop: a task withdrawn because surviving
+// TestTerminalAccountingCapacityDrop: a job withdrawn because surviving
 // capacity no longer covers its demand fails terminal exactly once.
 func TestTerminalAccountingCapacityDrop(t *testing.T) {
-	cfg := Config{Shards: []system.Config{{
-		Net:       topology.Omega(4),
-		Avoidance: system.AvoidanceNone,
-	}}}
-	s := newScheduler(t, cfg)
-	a, err := s.Submit(0, system.Task{Proc: 0, Need: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-a.Done()
-	if a.Err() != nil {
-		t.Fatal(a.Err())
-	}
-	// c wants the whole fabric: it acquires the three free resources and
-	// blocks on the one a holds.
-	c, err := s.Submit(0, system.Task{Proc: 1, Need: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Failing a's resource cannot sever (a is fully provisioned and keeps
-	// its unit) but drops usable capacity to 3 < 4: c must be withdrawn.
-	if err := s.FailResource(0, a.Resources()[0]); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-c.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("unsatisfiable task never withdrawn")
-	}
-	if !errors.Is(c.Err(), system.ErrUnsatisfiable) {
-		t.Fatalf("err = %v, want ErrUnsatisfiable", c.Err())
-	}
-	st := waitStats(t, s, func(st Stats) bool { return st.Failed == 1 })
-	if st.Failed != 1 || st.Severed != 0 {
-		t.Fatalf("Failed = %d, Severed = %d, want 1, 0 (stats %+v)", st.Failed, st.Severed, st)
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s, fillers, _, j := blockedJob(t, Config{}, k)
+			// Failing the fillers' resources cannot sever (they are fully
+			// provisioned and keep their units) but drops usable capacity to
+			// 3 < 4: the job must be withdrawn.
+			var theirs []int
+			for _, f := range fillers {
+				theirs = append(theirs, f.Resources()[0])
+			}
+			if err := s.ApplyFaults(0, faultBatch(theirs, false)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-j.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("unsatisfiable job never withdrawn")
+			}
+			if !errors.Is(j.Err(), system.ErrUnsatisfiable) {
+				t.Fatalf("err = %v, want ErrUnsatisfiable", j.Err())
+			}
+			st := waitStats(t, s, func(st Stats) bool { return st.Failed == k.members })
+			assertFailedOnce(t, st, k, 1)
+			if st.Severed != 0 {
+				t.Fatalf("Severed = %d, want 0 (stats %+v)", st.Severed, st)
+			}
+			for _, f := range fillers {
+				if err := s.EndService(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertTerminalIdentity(t, s.Stats())
+		})
 	}
 }
 
 // TestTerminalAccountingRestart: a supervisor restart fails every tracked
-// task once, and a pre-restart grant surfacing later through EndService is
+// job once, and a pre-restart grant surfacing later through its release is
 // counted terminal exactly once no matter how many times the release is
 // retried.
 func TestTerminalAccountingRestart(t *testing.T) {
-	var trip atomic.Bool
-	cfg := Config{Shards: []system.Config{{
-		Net: topology.Omega(4),
-		FaultHook: func(point string) error {
-			if point == system.FaultCycle && trip.Load() {
-				trip.Store(false)
-				return errors.New("injected solver fault")
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			var trip atomic.Bool
+			cfg := Config{Shards: []system.Config{{
+				Net: topology.Omega(8),
+				FaultHook: func(point string) error {
+					if point == system.FaultCycle && trip.Load() {
+						trip.Store(false)
+						return errors.New("injected solver fault")
+					}
+					return nil
+				},
+			}}}
+			s := newScheduler(t, cfg)
+			a, err := k.submit(s, [3]int{0, 1, 2}, 3)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		},
-	}}}
-	s := newScheduler(t, cfg)
-	a, err := s.Submit(0, system.Task{Proc: 0, Need: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-a.Done()
-	if a.Err() != nil {
-		t.Fatal(a.Err())
-	}
-	trip.Store(true)
-	d, err := s.Submit(0, system.Task{Proc: 1, Need: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-d.Done()
-	if !errors.Is(d.Err(), ErrShardDown) {
-		t.Fatalf("err = %v, want ErrShardDown", d.Err())
-	}
-	st := waitStats(t, s, func(st Stats) bool { return st.Restarts == 1 && st.Failed == 1 })
-	if st.Restarts != 1 || st.Failed != 1 {
-		t.Fatalf("Restarts = %d, Failed = %d, want 1, 1", st.Restarts, st.Failed)
-	}
-	// a's grants died with the old generation; the first release counts it
-	// terminal, the retry must not count it again.
-	if err := s.EndService(a); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("stale EndService err = %v, want ErrShardDown", err)
-	}
-	if err := s.EndService(a); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("retried stale EndService err = %v, want ErrShardDown", err)
-	}
-	st = s.Stats()
-	if st.Failed != 2 {
-		t.Fatalf("Failed = %d after two releases of one lost grant, want exactly 2", st.Failed)
-	}
-	if st.Serviced+st.Canceled+st.Failed != st.Submitted {
-		t.Fatalf("terminal identity broken: %+v", st)
+			waitDone(t, a, "pre-restart job")
+			if a.Err() != nil {
+				t.Fatal(a.Err())
+			}
+			trip.Store(true)
+			d, err := k.submit(s, [3]int{3, 4, 5}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, d, "job in flight at the restart")
+			if !errors.Is(d.Err(), ErrShardDown) {
+				t.Fatalf("err = %v, want ErrShardDown", d.Err())
+			}
+			st := waitStats(t, s, func(st Stats) bool { return st.Restarts == 1 && st.Failed == k.members })
+			if st.Restarts != 1 {
+				t.Fatalf("Restarts = %d, want 1", st.Restarts)
+			}
+			assertFailedOnce(t, st, k, 1)
+			// a's grants died with the old generation; the first release
+			// counts it terminal, the retry must not count it again.
+			if err := endJob(s, a); !errors.Is(err, ErrShardDown) {
+				t.Fatalf("stale release err = %v, want ErrShardDown", err)
+			}
+			if err := endJob(s, a); !errors.Is(err, ErrShardDown) {
+				t.Fatalf("retried stale release err = %v, want ErrShardDown", err)
+			}
+			st = s.Stats()
+			assertFailedOnce(t, st, k, 2)
+			assertTerminalIdentity(t, st)
+		})
 	}
 }
 
-// TestTerminalAccountingShutdown: tasks still unprovisioned when the
+// TestTerminalAccountingShutdown: jobs still unprovisioned when the
 // scheduler closes fail terminal with ErrClosed, counted once.
 func TestTerminalAccountingShutdown(t *testing.T) {
-	s, fillers, b := blockedPair(t, omega4Cfg(0))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-b.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("abandoned task never failed")
-	}
-	if !errors.Is(b.Err(), ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", b.Err())
-	}
-	st := s.Stats()
-	if st.Failed != 1 {
-		t.Fatalf("Failed = %d, want 1", st.Failed)
-	}
-	// The fillers hold grants that were never released: they are the only
-	// admitted tasks not accounted terminal.
-	if got := st.Submitted - (st.Serviced + st.Canceled + st.Failed); got != int64(len(fillers)) {
-		t.Fatalf("%d tasks unaccounted, want %d (stats %+v)", got, len(fillers), st)
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s, fillers, _, j := blockedJob(t, Config{}, k)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-j.Done():
+			case <-time.After(5 * time.Second):
+				t.Fatal("abandoned job never failed")
+			}
+			if !errors.Is(j.Err(), ErrClosed) {
+				t.Fatalf("err = %v, want ErrClosed", j.Err())
+			}
+			st := s.Stats()
+			assertFailedOnce(t, st, k, 1)
+			// The fillers hold grants that were never released: they are the
+			// only admitted tasks not accounted terminal.
+			if got := st.Submitted - (st.Serviced + st.Canceled + st.Failed); got != int64(len(fillers)) {
+				t.Fatalf("%d tasks unaccounted, want %d (stats %+v)", got, len(fillers), st)
+			}
+			if st.GangsSubmitted != st.GangsServiced+st.GangsCanceled+st.GangsFailed {
+				t.Fatalf("gang terminal identity broken: %+v", st)
+			}
+		})
 	}
 }

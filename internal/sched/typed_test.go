@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,6 +81,16 @@ func TestTypedSubmitAdmission(t *testing.T) {
 	if _, err := s.Submit(0, system.Task{Proc: 0, Needs: map[int]int{1: 5}}); !errors.Is(err, system.ErrUnsatisfiable) {
 		t.Fatalf("over census: %v, want ErrUnsatisfiable", err)
 	}
+	// A gang short on one type is refused naming that type, what it needs
+	// of it and what the census holds (it used to print demand and census
+	// totals, 5 of 8 here, which explain nothing).
+	_, err := s.SubmitGang(0, GangSpec{Members: []system.Task{
+		{Proc: 0, Needs: map[int]int{1: 3}}, {Proc: 1, Needs: map[int]int{1: 2}},
+	}})
+	if !errors.Is(err, system.ErrUnsatisfiable) || !strings.Contains(err.Error(), "5 resources of type 1") ||
+		!strings.Contains(err.Error(), "has 4 usable") {
+		t.Fatalf("gang over one type's census: %v, want ErrUnsatisfiable naming type 1, need 5, have 4", err)
+	}
 	// Degrade type 1 to three usable units: a {1:4} vector must now be
 	// rejected while {1:3} is still admitted.
 	if err := s.FailResource(0, 2); err != nil {
@@ -106,6 +117,50 @@ func TestTypedSubmitAdmission(t *testing.T) {
 		t.Fatal(h.Err())
 	}
 	if err := s.EndService(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScalarTypeOnUntypedShard is the wedge regression at the service
+// layer: on a shard without configured types the scalar {Type: 5} is the
+// vector {5: 1} and must be refused the same way, for tasks and gang
+// members. It used to be admitted; with a gang live (which switches an
+// AvoidanceNone shard to banker's grants) it was then deferred on every
+// cycle forever, and the task queued behind it never ran.
+func TestScalarTypeOnUntypedShard(t *testing.T) {
+	s := newScheduler(t, Config{Shards: []system.Config{{
+		Net: topology.Omega(8), Avoidance: system.AvoidanceNone,
+	}}})
+	live, err := s.SubmitGang(0, GangSpec{Members: []system.Task{{Proc: 6}, {Proc: 7}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, live, "the live gang")
+	if live.Err() != nil {
+		t.Fatal(live.Err())
+	}
+	if _, err := s.Submit(0, system.Task{Proc: 0, Type: 5}); !errors.Is(err, system.ErrUnsatisfiable) {
+		t.Fatalf("scalar type 5 on an untyped shard: %v, want ErrUnsatisfiable", err)
+	}
+	spec := GangSpec{Members: []system.Task{{Proc: 1, Type: 5}, {Proc: 2}}}
+	if _, err := s.SubmitGang(0, spec); !errors.Is(err, system.ErrUnsatisfiable) {
+		t.Fatalf("gang with a scalar type-5 member: %v, want ErrUnsatisfiable", err)
+	}
+	if _, err := s.Submit(0, system.Task{Proc: 0, Type: -1}); !errors.Is(err, system.ErrBadTask) {
+		t.Fatalf("negative scalar type: %v, want ErrBadTask", err)
+	}
+	h, err := s.Submit(0, system.Task{Proc: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, h, "the task queued behind the refused one")
+	if h.Err() != nil {
+		t.Fatal(h.Err())
+	}
+	if err := s.EndService(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EndGang(live); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -55,16 +52,14 @@ type GangRequest struct {
 
 // GangEvent is the body of a /v1/gangs response.
 type GangEvent struct {
-	Event        string  `json:"event"` // serviced | failed
-	Members      int     `json:"members,omitempty"`
-	Phases       int     `json:"phases,omitempty"` // collective only
-	Severs       int     `json:"severs,omitempty"` // atomic gang sever events absorbed
-	Resources    [][]int `json:"resources,omitempty"`
-	QueueMS      float64 `json:"queue_ms,omitempty"`
-	ServiceMS    float64 `json:"service_ms,omitempty"`
-	Cause        string  `json:"cause,omitempty"`
-	Error        string  `json:"error,omitempty"`
-	RetryAfterMS int64   `json:"retry_after_ms,omitempty"`
+	Event     string  `json:"event"` // serviced | failed
+	Members   int     `json:"members,omitempty"`
+	Phases    int     `json:"phases,omitempty"` // collective only
+	Severs    int     `json:"severs,omitempty"` // atomic gang sever events absorbed
+	Resources [][]int `json:"resources,omitempty"`
+	QueueMS   float64 `json:"queue_ms,omitempty"`
+	ServiceMS float64 `json:"service_ms,omitempty"`
+	Failure
 }
 
 // collectivePattern maps the wire names onto core's patterns.
@@ -141,219 +136,79 @@ func gangTier(req GangRequest) int {
 	return tier
 }
 
-// handleGangs is POST /v1/gangs: decode, admit once at the gang's most
-// urgent tier, run the gang (or the collective's phase chain) under the
-// request context + deadline header, and answer with the gang outcome.
+// handleGangs is POST /v1/gangs: the prelude, admitting once at the gang's
+// most urgent tier, then the gang (or the collective's phase chain) under
+// the request context, answered with the gang outcome.
 func (sv *Server) handleGangs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
+	var req GangRequest
+	var rq request
+	if !sv.begin(&rq, w, r, func(body []byte) (int, int64, error) {
+		var err error
+		req, err = decodeGang(body)
+		return gangTier(req), req.HoldUS, err
+	}) {
 		return
 	}
-	t0 := time.Now()
-	sv.o.requests.Inc()
-	defer func() { sv.o.requestMS.Observe(time.Since(t0).Seconds() * 1e3) }()
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			sv.o.badRequests.Inc()
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
-			return
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	req, err := decodeGang(body)
-	if err != nil {
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	deadline, err := parseDeadline(r.Header.Get(DeadlineHeader), t0)
-	if err != nil {
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	hold := time.Duration(req.HoldUS) * time.Microsecond
-	if hold > sv.cfg.MaxHold {
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("hold_us %d exceeds the %v cap", req.HoldUS, sv.cfg.MaxHold))
-		return
-	}
-
-	if sv.draining() {
-		writeShed(w, gangTier(req), ShedDraining, sv.adm.RetryAfter())
-		return
-	}
-	ticket, err := sv.adm.Admit(gangTier(req))
-	if err != nil {
-		var oe *OverloadError
-		if errors.As(err, &oe) {
-			writeShed(w, oe.Tier, oe.Reason, oe.RetryAfter)
-			return
-		}
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer ticket.Finish()
-
-	ctx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-
+	defer rq.end()
 	if req.Collective != "" {
-		sv.runCollectiveGang(w, ctx, t0, req, hold, ticket)
+		sv.runCollectiveGang(&rq, req)
 		return
 	}
-	sv.runExplicitGang(w, ctx, t0, req, hold, ticket)
+	sv.runExplicitGang(&rq, req)
 }
 
 // runExplicitGang runs a member-list gang: one all-or-nothing grant, one
 // hold, one atomic release.
-func (sv *Server) runExplicitGang(w http.ResponseWriter, ctx context.Context, t0 time.Time, req GangRequest, hold time.Duration, ticket *Ticket) {
+func (sv *Server) runExplicitGang(rq *request, req GangRequest) {
 	spec := sched.GangSpec{Members: make([]system.Task, len(req.Members)), Label: req.Label}
 	for i, m := range req.Members {
 		spec.Members[i] = system.Task{Proc: m.Proc, Need: m.Need, Type: m.Type, Tier: m.Tier}
 		spec.Members[i].Needs, _ = typedNeeds(m.Needs) // validated by decodeGang
 	}
-	gh, err := sv.s.SubmitGangCtx(ctx, req.Shard, spec)
+	gh, err := sv.s.SubmitGangCtx(rq.ctx, req.Shard, spec)
+	badCause := "bad-gang"
+	if err == nil {
+		<-gh.Done()
+		err, badCause = gh.Err(), ""
+	}
 	if err != nil {
-		sv.respondGangSubmitError(w, ctx, err)
+		rq.fail(err, badCause, 0, 0)
 		return
 	}
-	<-gh.Done()
-	if err := gh.Err(); err != nil {
-		sv.respondGangError(w, ctx, err)
-		return
-	}
-	ticket.Grant()
+	rq.ticket.Grant()
 	granted := time.Now()
-	queueMS := granted.Sub(t0).Seconds() * 1e3
 	res := gh.Resources()
-	if hold > 0 {
-		tm := time.NewTimer(hold)
-		select {
-		case <-ctx.Done():
-			tm.Stop()
-		case <-tm.C:
-		}
-	}
-	serviceMS := time.Since(granted).Seconds() * 1e3
+	ev := GangEvent{Event: "serviced", Members: len(res), Resources: res, QueueMS: granted.Sub(rq.t0).Seconds() * 1e3}
+	rq.holdGranted()
+	ev.ServiceMS = time.Since(granted).Seconds() * 1e3
 	if err := sv.s.EndGang(gh); err != nil {
-		sv.o.failed.Inc()
-		writeJSONStatus(w, http.StatusServiceUnavailable,
-			GangEvent{Event: "failed", Cause: "shard-down", Error: err.Error()})
+		rq.fail(err, "", 0, 0)
 		return
 	}
 	sv.o.serviced.Inc()
-	writeJSONStatus(w, http.StatusOK, GangEvent{
-		Event: "serviced", Members: len(res), Resources: res,
-		QueueMS: queueMS, ServiceMS: serviceMS,
-	})
+	rq.answer(http.StatusOK, ev)
 }
 
 // runCollectiveGang lowers and runs a collective's phase chain; the
 // response reports the phases completed and the severs absorbed.
-func (sv *Server) runCollectiveGang(w http.ResponseWriter, ctx context.Context, t0 time.Time, req GangRequest, hold time.Duration, ticket *Ticket) {
-	pattern, err := collectivePattern(req.Collective) // validated in decodeGang
-	if err != nil {
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func (sv *Server) runCollectiveGang(rq *request, req GangRequest) {
+	pattern, _ := collectivePattern(req.Collective) // validated by decodeGang
 	// The admission slot covers the whole phase chain; the ticket counts
 	// as granted once the first phase is (approximated here as Grant on
 	// success or failure after submit — RunCollective owns the handles).
-	ticket.Grant()
-	res, err := sv.s.RunCollective(ctx, req.Shard, sched.CollectiveSpec{
+	rq.ticket.Grant()
+	res, err := sv.s.RunCollective(rq.ctx, req.Shard, sched.CollectiveSpec{
 		Pattern: pattern, Procs: req.Procs,
 		Type: req.Type, Need: req.Need, Tier: req.Tier,
-		Label: req.Label, PhaseHold: hold,
+		Label: req.Label, PhaseHold: rq.hold,
 	})
-	elapsed := time.Since(t0).Seconds() * 1e3
 	if err != nil {
-		ev := sv.gangFailEvent(ctx, err)
-		ev.Phases = res.Phases
-		ev.Severs = res.Severs
-		_, code := failCauseGang(ctx, err)
-		if code == http.StatusServiceUnavailable || code == http.StatusGatewayTimeout {
-			ev.RetryAfterMS = sv.adm.RetryAfter().Milliseconds()
-		}
-		writeJSONStatus(w, code, ev)
+		rq.fail(err, "", res.Phases, res.Severs)
 		return
 	}
 	sv.o.serviced.Inc()
-	writeJSONStatus(w, http.StatusOK, GangEvent{
-		Event: "serviced", Members: len(req.Procs),
-		Phases: res.Phases, Severs: res.Severs, ServiceMS: elapsed,
+	rq.answer(http.StatusOK, GangEvent{
+		Event: "serviced", Members: len(req.Procs), Phases: res.Phases, Severs: res.Severs,
+		ServiceMS: time.Since(rq.t0).Seconds() * 1e3,
 	})
-}
-
-// failCauseGang maps a terminal gang error to its cause label and HTTP
-// status, distinguishing context deaths the way respondCanceled does.
-func failCauseGang(ctx context.Context, err error) (string, int) {
-	if errors.Is(err, sched.ErrTaskCanceled) {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return "timeout", http.StatusGatewayTimeout
-		}
-		return "disconnect", http.StatusServiceUnavailable
-	}
-	return failCause(err)
-}
-
-func (sv *Server) gangFailEvent(ctx context.Context, err error) GangEvent {
-	cause, _ := failCauseGang(ctx, err)
-	switch cause {
-	case "timeout":
-		sv.o.timeouts.Inc()
-	case "disconnect":
-		sv.o.disconnects.Inc()
-	default:
-		sv.o.failed.Inc()
-	}
-	return GangEvent{Event: "failed", Cause: cause, Error: err.Error()}
-}
-
-// respondGangSubmitError answers a SubmitGang that failed synchronously:
-// validation and capacity errors are the request's fault, the rest the
-// fabric's.
-func (sv *Server) respondGangSubmitError(w http.ResponseWriter, ctx context.Context, err error) {
-	switch {
-	case errors.Is(err, sched.ErrTaskCanceled),
-		errors.Is(err, system.ErrUnsatisfiable),
-		errors.Is(err, sched.ErrClosed),
-		errors.Is(err, sched.ErrShardDown):
-		sv.respondGangError(w, ctx, err)
-	default:
-		sv.o.badRequests.Inc()
-		writeJSONStatus(w, http.StatusBadRequest, GangEvent{Event: "failed", Cause: "bad-gang", Error: err.Error()})
-	}
-}
-
-// respondGangError answers a gang that died after submission (or on a
-// capacity/lifecycle error) with the mapped status and a retry hint on
-// the retryable ones.
-func (sv *Server) respondGangError(w http.ResponseWriter, ctx context.Context, err error) {
-	ev := sv.gangFailEvent(ctx, err)
-	_, code := failCauseGang(ctx, err)
-	if code == http.StatusServiceUnavailable || code == http.StatusGatewayTimeout {
-		ev.RetryAfterMS = sv.adm.RetryAfter().Milliseconds()
-		secs := (ev.RetryAfterMS + 999) / 1000
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	}
-	writeJSONStatus(w, code, ev)
 }

@@ -98,6 +98,26 @@ func TestGangEndpointCollective(t *testing.T) {
 	if st.GangsServiced != 6 {
 		t.Fatalf("GangsServiced = %d, want 6 (one per phase)", st.GangsServiced)
 	}
+
+	// A deadline that expires mid-phase-chain is retryable like any other
+	// 504: the retry hint must be in the header too, not only the body (the
+	// collective path used to set retry_after_ms alone).
+	w = postGang(t, sv.Handler(),
+		`{"collective": "allreduce", "procs": [0, 1, 2, 3], "hold_us": 20000}`,
+		map[string]string{DeadlineHeader: "30ms"})
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body)
+	}
+	ev = GangEvent{}
+	if err := json.Unmarshal(w.Body.Bytes(), &ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Event != "failed" || ev.Cause != "timeout" || ev.Phases < 1 || ev.Phases >= 6 || ev.RetryAfterMS <= 0 {
+		t.Fatalf("event %+v, want failed/timeout part-way through the 6 phases with a retry hint", ev)
+	}
+	if w.Header().Get("Retry-After") == "" {
+		t.Fatal("504 from a collective without a Retry-After header")
+	}
 }
 
 // TestGangEndpointBadRequests pins the 400 surface of the gang decoder.

@@ -156,13 +156,19 @@ func parseDeadline(h string, now time.Time) (time.Duration, error) {
 // (the client went away), "severed" (the task exhausted its sever-retry
 // budget under hardware faults), "shard-down", "unsat", "closed".
 type TaskEvent struct {
-	Event        string  `json:"event"` // admitted | granted | serviced | failed
-	Resources    []int   `json:"resources,omitempty"`
-	QueueMS      float64 `json:"queue_ms,omitempty"`   // admitted -> granted
-	ServiceMS    float64 `json:"service_ms,omitempty"` // granted -> released
-	Cause        string  `json:"cause,omitempty"`
-	Error        string  `json:"error,omitempty"`
-	RetryAfterMS int64   `json:"retry_after_ms,omitempty"`
+	Event     string  `json:"event"` // admitted | granted | serviced | failed
+	Resources []int   `json:"resources,omitempty"`
+	QueueMS   float64 `json:"queue_ms,omitempty"`   // admitted -> granted
+	ServiceMS float64 `json:"service_ms,omitempty"` // granted -> released
+	Failure
+}
+
+// Failure is the tail of every "failed" event, on /v1/tasks and /v1/gangs
+// alike (its fields sit inline in the event's JSON object).
+type Failure struct {
+	Cause        string `json:"cause,omitempty"`
+	Error        string `json:"error,omitempty"`
+	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 }
 
 // Config parameterizes a Server.
@@ -301,18 +307,17 @@ func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(state)
 }
 
-// writeShed answers a shed request: 503, Retry-After in whole seconds
-// (rounded up — the header's unit), and a JSON body carrying the exact
-// hint in milliseconds plus the policy that shed.
+// retryAfterSecs is a retry hint in the Retry-After header's unit: whole
+// seconds, rounded up, at least one.
+func retryAfterSecs(retry time.Duration) string {
+	return strconv.FormatInt(max(1, int64((retry+time.Second-1)/time.Second)), 10)
+}
+
+// writeShed answers a shed request: 503, Retry-After, and a JSON body
+// carrying the exact hint in milliseconds plus the policy that shed.
 func writeShed(w http.ResponseWriter, tier int, reason string, retry time.Duration) {
-	secs := int64((retry + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(struct {
+	w.Header().Set("Retry-After", retryAfterSecs(retry))
+	writeJSONStatus(w, http.StatusServiceUnavailable, struct {
 		Error        string `json:"error"`
 		Reason       string `json:"reason"`
 		Tier         int    `json:"tier"`
@@ -321,233 +326,9 @@ func writeShed(w http.ResponseWriter, tier int, reason string, retry time.Durati
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(struct {
+	writeJSONStatus(w, code, struct {
 		Error string `json:"error"`
 	}{err.Error()})
-}
-
-// failCause maps a terminal scheduler error to the API's cause label and
-// HTTP status. Retryable conditions (overloadish: shard restart, sever
-// budget, shutdown) get 503 so clients back off and resubmit; permanent
-// ones (unsatisfiable demand) get 422.
-func failCause(err error) (string, int) {
-	switch {
-	case errors.Is(err, system.ErrCircuitSevered):
-		return "severed", http.StatusServiceUnavailable
-	case errors.Is(err, sched.ErrShardDown):
-		return "shard-down", http.StatusServiceUnavailable
-	case errors.Is(err, sched.ErrClosed):
-		return "closed", http.StatusServiceUnavailable
-	case errors.Is(err, system.ErrUnsatisfiable):
-		return "unsat", http.StatusUnprocessableEntity
-	default:
-		return "error", http.StatusInternalServerError
-	}
-}
-
-// handleTasks is POST /v1/tasks: decode, admit, submit with the request
-// context (disconnect + deadline header), stream or report the outcome,
-// and always release what was acquired — the admission slot via the
-// ticket, the granted resources via EndService.
-func (sv *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	t0 := time.Now()
-	sv.o.requests.Inc()
-	defer func() { sv.o.requestMS.Observe(time.Since(t0).Seconds() * 1e3) }()
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			sv.o.badRequests.Inc()
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
-			return
-		}
-		// A client that vanished mid-body was never admitted; anything
-		// else is a malformed request.
-		if r.Context().Err() != nil {
-			return
-		}
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	req, err := decodeSubmit(body)
-	if err != nil {
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	deadline, err := parseDeadline(r.Header.Get(DeadlineHeader), t0)
-	if err != nil {
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	hold := time.Duration(req.HoldUS) * time.Microsecond
-	if hold > sv.cfg.MaxHold {
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("hold_us %d exceeds the %v cap", req.HoldUS, sv.cfg.MaxHold))
-		return
-	}
-	stream := req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-
-	// Admission: the drain gate first (a draining server sheds uniformly),
-	// then the controller's threshold + proportional-fair policies.
-	if sv.draining() {
-		writeShed(w, req.Tier, ShedDraining, sv.adm.RetryAfter())
-		return
-	}
-	ticket, err := sv.adm.Admit(req.Tier)
-	if err != nil {
-		var oe *OverloadError
-		if errors.As(err, &oe) {
-			writeShed(w, oe.Tier, oe.Reason, oe.RetryAfter)
-			return
-		}
-		sv.o.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer ticket.Finish()
-
-	// The request context carries the client disconnect; the deadline
-	// header tightens it. Either one expiring withdraws the task from
-	// its shard, releasing the queue slot (sched.SubmitCtx semantics).
-	ctx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	task := system.Task{
-		Proc: req.Proc, Need: req.Need, Tier: req.Tier,
-		Priority: req.Priority, Prefs: req.Prefs, Type: req.Type,
-	}
-	task.Needs, _ = typedNeeds(req.Needs) // validated by decodeSubmit
-
-	var es *eventStream
-	if stream {
-		es = newEventStream(w)
-		es.send(TaskEvent{Event: "admitted"})
-	}
-
-	h, err := sv.s.SubmitCtx(ctx, req.Shard, task)
-	if err != nil {
-		sv.respondSubmitError(w, es, ctx, err)
-		return
-	}
-	<-h.Done()
-	if err := h.Err(); err != nil {
-		sv.respondTaskError(w, r, es, ctx, err)
-		return
-	}
-	ticket.Grant()
-	granted := time.Now()
-	queueMS := granted.Sub(t0).Seconds() * 1e3
-	res := h.Resources()
-	if es != nil {
-		es.send(TaskEvent{Event: "granted", Resources: res, QueueMS: queueMS})
-	}
-	if hold > 0 {
-		// Hold through the simulated service time. A dying context does
-		// not skip EndService: once granted, the resources are held and
-		// must be released on every path.
-		t := time.NewTimer(hold)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-		case <-t.C:
-		}
-	}
-	serviceMS := time.Since(granted).Seconds() * 1e3
-	if err := sv.s.EndService(h); err != nil {
-		// The grants were lost (shard restart between grant and release):
-		// the task is terminal either way, but tell the client the truth.
-		sv.o.failed.Inc()
-		ev := TaskEvent{Event: "failed", Cause: "shard-down", Error: err.Error()}
-		if es != nil {
-			es.send(ev)
-			return
-		}
-		writeJSONStatus(w, http.StatusServiceUnavailable, ev)
-		return
-	}
-	sv.o.serviced.Inc()
-	ev := TaskEvent{Event: "serviced", Resources: res, QueueMS: queueMS, ServiceMS: serviceMS}
-	if es != nil {
-		es.send(ev)
-		return
-	}
-	writeJSONStatus(w, http.StatusOK, ev)
-}
-
-// respondSubmitError answers a Submit that failed before the task was
-// accepted (validation, capacity, closed).
-func (sv *Server) respondSubmitError(w http.ResponseWriter, es *eventStream, ctx context.Context, err error) {
-	switch {
-	case errors.Is(err, sched.ErrTaskCanceled):
-		sv.respondCanceled(w, es, ctx, err)
-	case errors.Is(err, system.ErrUnsatisfiable),
-		errors.Is(err, sched.ErrClosed),
-		errors.Is(err, sched.ErrShardDown):
-		cause, code := failCause(err)
-		sv.o.failed.Inc()
-		sv.fail(w, es, cause, code, err)
-	default:
-		// Everything else Submit reports synchronously is validation — a
-		// malformed tier or preference vector (ErrBadTask), a shard or
-		// processor index off the fabric. The request, not the server.
-		sv.o.badRequests.Inc()
-		sv.fail(w, es, "bad-task", http.StatusBadRequest, err)
-	}
-}
-
-// respondTaskError answers a handle that closed with an error after the
-// task was admitted to a shard.
-func (sv *Server) respondTaskError(w http.ResponseWriter, r *http.Request, es *eventStream, ctx context.Context, err error) {
-	if errors.Is(err, sched.ErrTaskCanceled) {
-		sv.respondCanceled(w, es, ctx, err)
-		return
-	}
-	cause, code := failCause(err)
-	sv.o.failed.Inc()
-	sv.fail(w, es, cause, code, err)
-}
-
-// respondCanceled distinguishes the two ways a task context dies: the
-// deadline header expired (504, the client is still listening) or the
-// client disconnected (the response is moot, but the counters are not).
-func (sv *Server) respondCanceled(w http.ResponseWriter, es *eventStream, ctx context.Context, err error) {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		sv.o.timeouts.Inc()
-		sv.fail(w, es, "timeout", http.StatusGatewayTimeout, err)
-		return
-	}
-	sv.o.disconnects.Inc()
-	sv.fail(w, es, "disconnect", http.StatusServiceUnavailable, err)
-}
-
-func (sv *Server) fail(w http.ResponseWriter, es *eventStream, cause string, code int, err error) {
-	ev := TaskEvent{Event: "failed", Cause: cause, Error: err.Error()}
-	if code == http.StatusServiceUnavailable || code == http.StatusGatewayTimeout {
-		ev.RetryAfterMS = sv.adm.RetryAfter().Milliseconds()
-	}
-	if es != nil {
-		es.send(ev)
-		return
-	}
-	if ev.RetryAfterMS > 0 {
-		secs := (ev.RetryAfterMS + 999) / 1000
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	writeJSONStatus(w, code, ev)
 }
 
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
@@ -556,11 +337,239 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// request is one /v1/tasks or /v1/gangs request past the shared prelude:
+// decoded, admitted, with its context and hold. The route owns it and must
+// call end.
+type request struct {
+	sv     *Server
+	w      http.ResponseWriter
+	ctx    context.Context // client disconnect, tightened by the deadline header
+	cancel context.CancelFunc
+	t0     time.Time
+	hold   time.Duration
+	ticket *Ticket
+	es     *eventStream // set by a route that streams its events
+}
+
+// begin is the one request prelude: method check → bounded read → strict
+// decode → Rsin-Deadline → hold cap → drain gate → Admit → context. decode
+// parses the body into the route's own request type and reports the
+// admission tier and the hold it asks for. begin fills in rq (the route's
+// own, so it costs no allocation) and reports true, or answers the refusal
+// itself and reports false.
+func (sv *Server) begin(rq *request, w http.ResponseWriter, r *http.Request, decode func(body []byte) (tier int, holdUS int64, err error)) (ok bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
+		return false
+	}
+	t0 := time.Now()
+	sv.o.requests.Inc()
+	defer func() {
+		if !ok {
+			sv.o.requestMS.Observe(time.Since(t0).Seconds() * 1e3)
+		}
+	}()
+	bad := func(code int, err error) bool {
+		sv.o.badRequests.Inc()
+		writeError(w, code, err)
+		return false
+	}
+
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return bad(http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes))
+		}
+		// A client that vanished mid-body was never admitted; anything
+		// else is a malformed request.
+		if r.Context().Err() != nil {
+			return false
+		}
+		return bad(http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+	}
+	tier, holdUS, err := decode(body)
+	if err != nil {
+		return bad(http.StatusBadRequest, err)
+	}
+	deadline, err := parseDeadline(r.Header.Get(DeadlineHeader), t0)
+	if err != nil {
+		return bad(http.StatusBadRequest, err)
+	}
+	hold := time.Duration(holdUS) * time.Microsecond
+	if hold > sv.cfg.MaxHold {
+		return bad(http.StatusBadRequest, fmt.Errorf("hold_us %d exceeds the %v cap", holdUS, sv.cfg.MaxHold))
+	}
+
+	// Admission: the drain gate first (a draining server sheds uniformly),
+	// then the controller's threshold + proportional-fair policies.
+	if sv.draining() {
+		writeShed(w, tier, ShedDraining, sv.adm.RetryAfter())
+		return false
+	}
+	ticket, err := sv.adm.Admit(tier)
+	if err != nil {
+		var oe *OverloadError
+		if errors.As(err, &oe) {
+			writeShed(w, oe.Tier, oe.Reason, oe.RetryAfter)
+			return false
+		}
+		return bad(http.StatusBadRequest, err)
+	}
+
+	// The request context carries the client disconnect; the deadline
+	// header tightens it. Either one expiring withdraws the work from its
+	// shard, releasing the queue slot (sched.SubmitCtx semantics).
+	*rq = request{sv: sv, w: w, ctx: r.Context(), t0: t0, hold: hold, ticket: ticket}
+	if deadline > 0 {
+		rq.ctx, rq.cancel = context.WithTimeout(rq.ctx, deadline)
+	}
+	return true
+}
+
+// end releases what the prelude acquired: the admission slot and the
+// deadline timer.
+func (rq *request) end() {
+	if rq.cancel != nil {
+		rq.cancel()
+	}
+	rq.ticket.Finish()
+	rq.sv.o.requestMS.Observe(time.Since(rq.t0).Seconds() * 1e3)
+}
+
+// holdGranted holds granted resources through the simulated service time.
+// A dying context cuts the hold short but never skips the release: once
+// granted, the resources are held and must be released on every path.
+func (rq *request) holdGranted() {
+	if rq.hold > 0 {
+		t := time.NewTimer(rq.hold)
+		select {
+		case <-rq.ctx.Done():
+			t.Stop()
+		case <-t.C:
+		}
+	}
+}
+
+// answer writes the request's terminal event: the last line of an ndjson
+// stream, else a JSON document under the status.
+func (rq *request) answer(code int, ev any) {
+	if rq.es != nil {
+		rq.es.send(ev)
+		return
+	}
+	writeJSONStatus(rq.w, code, ev)
+}
+
+// failure is the one mapping from a scheduler error to the API's terminal
+// failure — cause label, HTTP status, retry hint — for every route, and it
+// bumps the matching outcome counter. A context death is the deadline
+// header expiring (504, the client is still listening) or the client
+// disconnecting (the response is moot, but the counters are not).
+// Retryable conditions (shard restart, sever budget, shutdown) get 503 so
+// clients back off and resubmit; permanent ones (unsatisfiable demand)
+// 422; both retryable statuses carry retry_after_ms and, on a document
+// response, the Retry-After header. badCause labels what else a Submit
+// reports synchronously — validation: a malformed tier or vector
+// (ErrBadTask), a shard or processor off the fabric; the request's fault,
+// 400 — and is empty for the error of an admitted handle, where anything
+// unrecognised is the server's (500).
+func (rq *request) failure(err error, badCause string) (Failure, int) {
+	o := &rq.sv.o
+	f, code, counter := Failure{Cause: "error", Error: err.Error()}, http.StatusInternalServerError, o.failed
+	switch {
+	case errors.Is(err, sched.ErrTaskCanceled) && errors.Is(rq.ctx.Err(), context.DeadlineExceeded):
+		f.Cause, code, counter = "timeout", http.StatusGatewayTimeout, o.timeouts
+	case errors.Is(err, sched.ErrTaskCanceled):
+		f.Cause, code, counter = "disconnect", http.StatusServiceUnavailable, o.disconnects
+	case errors.Is(err, system.ErrCircuitSevered):
+		f.Cause, code = "severed", http.StatusServiceUnavailable
+	case errors.Is(err, sched.ErrShardDown):
+		f.Cause, code = "shard-down", http.StatusServiceUnavailable
+	case errors.Is(err, sched.ErrClosed):
+		f.Cause, code = "closed", http.StatusServiceUnavailable
+	case errors.Is(err, system.ErrUnsatisfiable):
+		f.Cause, code = "unsat", http.StatusUnprocessableEntity
+	case badCause != "":
+		f.Cause, code, counter = badCause, http.StatusBadRequest, o.badRequests
+	}
+	counter.Inc()
+	if code == http.StatusServiceUnavailable || code == http.StatusGatewayTimeout {
+		retry := rq.sv.adm.RetryAfter()
+		f.RetryAfterMS = retry.Milliseconds()
+		if rq.es == nil {
+			rq.w.Header().Set("Retry-After", retryAfterSecs(retry))
+		}
+	}
+	return f, code
+}
+
+// fail answers the request with its terminal "failed" event. That event
+// has one wire form on both routes — TaskEvent and GangEvent reduce to it,
+// only a collective reporting the phases and severs it got through.
+func (rq *request) fail(err error, badCause string, phases, severs int) {
+	f, code := rq.failure(err, badCause)
+	rq.answer(code, GangEvent{Event: "failed", Phases: phases, Severs: severs, Failure: f})
+}
+
+// handleTasks is POST /v1/tasks: the prelude, then submit with the request
+// context, stream or report the outcome, and always release what was
+// acquired — the admission slot via end, the granted resources via
+// EndService.
+func (sv *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	var rq request
+	if !sv.begin(&rq, w, r, func(body []byte) (int, int64, error) {
+		var err error
+		req, err = decodeSubmit(body)
+		return req.Tier, req.HoldUS, err
+	}) {
+		return
+	}
+	defer rq.end()
+	task := system.Task{
+		Proc: req.Proc, Need: req.Need, Tier: req.Tier,
+		Priority: req.Priority, Prefs: req.Prefs, Type: req.Type,
+	}
+	task.Needs, _ = typedNeeds(req.Needs) // validated by decodeSubmit
+	if req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
+		rq.es = newEventStream(w)
+		rq.es.send(TaskEvent{Event: "admitted"})
+	}
+
+	h, err := sv.s.SubmitCtx(rq.ctx, req.Shard, task)
+	badCause := "bad-task"
+	if err == nil {
+		<-h.Done()
+		err, badCause = h.Err(), ""
+	}
+	if err != nil {
+		rq.fail(err, badCause, 0, 0)
+		return
+	}
+	rq.ticket.Grant()
+	granted := time.Now()
+	ev := TaskEvent{Event: "granted", Resources: h.Resources(), QueueMS: granted.Sub(rq.t0).Seconds() * 1e3}
+	if rq.es != nil {
+		rq.es.send(ev)
+	}
+	rq.holdGranted()
+	ev.Event, ev.ServiceMS = "serviced", time.Since(granted).Seconds()*1e3
+	if err := sv.s.EndService(h); err != nil {
+		// The grants were lost (shard restart between grant and release):
+		// the task is terminal either way, but tell the client the truth.
+		rq.fail(err, "", 0, 0)
+		return
+	}
+	sv.o.serviced.Inc()
+	rq.answer(http.StatusOK, ev)
+}
+
 // eventStream writes ndjson task events, flushing each line so the
 // client sees progress while the task is still queued (h2c multiplexes
 // many such streams over one connection).
 type eventStream struct {
-	w     http.ResponseWriter
 	flush http.Flusher
 	enc   *json.Encoder
 }
@@ -568,14 +577,12 @@ type eventStream struct {
 func newEventStream(w http.ResponseWriter) *eventStream {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	es := &eventStream{w: w, enc: json.NewEncoder(w)}
-	if f, ok := w.(http.Flusher); ok {
-		es.flush = f
-	}
+	es := &eventStream{enc: json.NewEncoder(w)}
+	es.flush, _ = w.(http.Flusher)
 	return es
 }
 
-func (es *eventStream) send(ev TaskEvent) {
+func (es *eventStream) send(ev any) {
 	if err := es.enc.Encode(ev); err != nil {
 		return // client gone; the context cancellation does the cleanup
 	}

@@ -195,12 +195,14 @@ func TestBadRequests(t *testing.T) {
 		{"proc off the fabric", `{"proc": 99}`, nil, http.StatusBadRequest},
 		{"shard off the fabric", `{"shard": 7}`, nil, http.StatusBadRequest},
 		{"bad tier", `{"tier": 99}`, nil, http.StatusBadRequest},
+		{"negative type", `{"type": -1}`, nil, http.StatusBadRequest},
 		{"hold over cap", `{"hold_us": 60000000}`, nil, http.StatusBadRequest},
 		{"bad deadline", `{}`, map[string]string{DeadlineHeader: "soon"}, http.StatusBadRequest},
 		{"negative deadline", `{}`, map[string]string{DeadlineHeader: "-1s"}, http.StatusBadRequest},
 		{"expired absolute deadline", `{}`, map[string]string{DeadlineHeader: "1999-01-01T00:00:00Z"}, http.StatusBadRequest},
 		{"garbled absolute deadline", `{}`, map[string]string{DeadlineHeader: "2026-13-45T99:00:00Z"}, http.StatusBadRequest},
 		{"need over capacity", `{"need": 999}`, nil, http.StatusUnprocessableEntity},
+		{"type the fabric does not stock", `{"type": 5}`, nil, http.StatusUnprocessableEntity},
 		{"body too large", `{"prefs": [` + strings.Repeat("1,", 40000) + `1]}`, nil, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

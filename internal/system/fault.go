@@ -238,16 +238,33 @@ func (s *System) severBroken() []TaskID {
 func (s *System) revokeUnit(t *taskState, r int) {
 	for i, held := range t.held {
 		if held == r {
+			// The unit's charge leaves with it, so the re-request goes
+			// against the right commodity.
+			t.have[s.chargedEntry(t, r)]--
 			t.held = append(t.held[:i], t.held[i+1:]...)
-			if t.heldTyp != nil {
-				// Lockstep: the unit's type charge leaves with it, so the
-				// re-request goes against the right commodity.
-				t.heldTyp = append(t.heldTyp[:i], t.heldTyp[i+1:]...)
-			}
 			break
 		}
 	}
 	if s.resHolder[r] == t.id {
 		s.resHolder[r] = -1
 	}
+}
+
+// chargedEntry names the demand entry a held unit of resource r is charged
+// to: the entry of r's configured type (the Hetero discipline grants a type
+// only to a request for it), else the last entry holding anything — the
+// only entry of a one-type task, and the fallback under a type-blind
+// discipline on a typed fabric.
+func (s *System) chargedEntry(t *taskState, r int) int {
+	ty, last := s.resType(r), 0
+	for i, d := range t.demand {
+		if t.have[i] == 0 {
+			continue
+		}
+		if d.Type == ty {
+			return i
+		}
+		last = i
+	}
+	return last
 }

@@ -37,6 +37,7 @@ type GangID int
 type gangState struct {
 	id      GangID
 	members []TaskID
+	demand  Demand // summed over members; what a gated gang still needs in full
 	active  bool
 }
 
@@ -44,18 +45,15 @@ type gangState struct {
 // requests a resource until the whole gang is activated by the banker's
 // admission gate. Members must use distinct processors (each holds its
 // port for the gang's duration) and each must pass the ordinary task
-// validation; the gang's combined demand must fit the usable-capacity
-// census (per type when Config.Types is set) or SubmitGang fails with an
-// error wrapping ErrUnsatisfiable. Returns the gang ID and the member
+// validation; the gang's summed demand must fit the usable-capacity
+// census (Demand.Fits) or SubmitGang fails with an error wrapping
+// ErrUnsatisfiable. Returns the gang ID and the member
 // task IDs, in member order.
 func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	if len(members) < 2 {
 		return 0, nil, fmt.Errorf("system: a gang needs at least 2 members, got %d", len(members))
 	}
 	seenProc := make(map[int]bool, len(members))
-	needByType := map[int]int{}
-	norm := make([]Task, len(members))
-	anyTyped := false
 	for i, t := range members {
 		if t.Proc < 0 || t.Proc >= s.net.Procs {
 			return 0, nil, fmt.Errorf("system: gang member %d: processor %d out of range", i, t.Proc)
@@ -63,60 +61,23 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 		if err := ValidateTask(t, s.net.Ress); err != nil {
 			return 0, nil, fmt.Errorf("system: gang member %d: %w", i, err)
 		}
-		t = s.normalizeTask(t)
-		if t.Needs != nil {
-			anyTyped = true
-		}
 		if seenProc[t.Proc] {
 			return 0, nil, fmt.Errorf("system: gang members must use distinct processors (processor %d repeated)", t.Proc)
 		}
 		seenProc[t.Proc] = true
-		for ty, n := range t.NeedByType() {
-			needByType[ty] += n
-		}
-		norm[i] = t
 	}
-	// Gang admission: the combined demand must fit the usable census —
-	// members hold their units together, so the whole sum must be
-	// simultaneously satisfiable on the surviving fabric. A gang with any
-	// typed member is checked per type even on an untyped fabric (where the
-	// census stocks only type 0): a typed demand the deployment cannot
-	// stock must fail loudly, not pend forever.
-	usable := s.usableResources()
-	if s.typeCount == nil && !anyTyped {
-		tot, need := 0, 0
-		for _, c := range usable {
-			tot += c
-		}
-		for _, n := range needByType {
-			need += n
-		}
-		if need > tot {
-			s.o.unsat.Inc()
-			s.event(evUnsat, 0, int64(need), "")
-			return 0, nil, fmt.Errorf("system: gang needs %d resources together, fabric has %d usable: %w",
-				need, tot, ErrUnsatisfiable)
-		}
-	} else {
-		for ty, need := range needByType {
-			if need > usable[ty] {
-				s.o.unsat.Inc()
-				s.event(evUnsat, 0, int64(need), "")
-				return 0, nil, fmt.Errorf("system: gang needs %d resources of type %d together, fabric has %d usable: %w",
-					need, ty, usable[ty], ErrUnsatisfiable)
-			}
-		}
+	// Gang admission: members hold their units together, so the summed
+	// demand must be simultaneously satisfiable on the surviving fabric.
+	demand := GangDemand(members)
+	if err := s.admissible(demand, "gang"); err != nil {
+		return 0, nil, err
 	}
 	s.nextGang++
 	gid := s.nextGang
-	g := &gangState{id: gid, members: make([]TaskID, len(norm))}
-	for i, t := range norm {
-		s.nextID++
-		id := s.nextID
-		s.tasks[id] = &taskState{id: id, task: t}
-		s.queues[t.Proc] = append(s.queues[t.Proc], id)
-		s.gangOf[id] = gid
-		g.members[i] = id
+	g := &gangState{id: gid, members: make([]TaskID, len(members)), demand: demand}
+	for i, t := range members {
+		g.members[i] = s.enqueue(newTaskState(t))
+		s.gangOf[g.members[i]] = gid
 	}
 	s.gangs[gid] = g
 	s.gangPending = append(s.gangPending, gid)
@@ -149,16 +110,18 @@ func (s *System) activateGangs() int {
 			s.gangPending = append(s.gangPending[:i], s.gangPending[i+1:]...) // canceled while pending
 			continue
 		}
+		// A gated gang holds nothing, so what it still needs is its whole
+		// demand — the admission predicate again, at this fault epoch.
+		if _, _, ok := g.demand.Fits(usable); !ok {
+			i++ // unsatisfiable at this fault epoch: skip, don't block
+			continue
+		}
 		// The candidate joins the hypothetical world as one composite
 		// entity: its members' demand must be finishable together, since
 		// none of them releases a unit until the whole gang completes.
 		cand := newHypoEntity()
 		for _, id := range g.members {
 			s.tasks[id].entityAdd(cand)
-		}
-		if !fitsFree(cand.rem, usable) {
-			i++ // unsatisfiable at this fault epoch: skip, don't block
-			continue
 		}
 		hypo := s.hypothetical()
 		hypo.entities = append(hypo.entities, cand)
@@ -273,7 +236,7 @@ func (s *System) resetGang(g *gangState) []TaskID {
 			}
 		}
 		t.held = t.held[:0]
-		t.heldTyp = t.heldTyp[:0]
+		clear(t.have)
 		// Re-enqueue members that left their queue when they provisioned.
 		// Queue membership is the test — not remaining()==0 — because the
 		// fault path revokes units before the reset runs: a provisioned

@@ -26,9 +26,11 @@ import (
 	"rsin/internal/topology"
 )
 
-// ErrUnsatisfiable is wrapped by Submit when a task's declared demand can
-// never be met by the fabric — its Need exceeds the total resource count,
-// or (with Config.Types set) the count of resources of its own type.
+// ErrUnsatisfiable is wrapped by Submit and SubmitGang when a declared
+// demand can never be met by the fabric — some entry of its Demand exceeds
+// the usable count of resources of that type (Demand.Fits), which includes
+// any type the deployment does not stock: with Config.Types nil every
+// resource is type 0, so a task naming another Type is refused.
 // Admitting such a task would wedge the system instead: the banker's
 // policy defers it forever, and AvoidanceNone lets it hold units it can
 // never complete with (the §II hold-and-wait deadlock, made permanent).
@@ -156,7 +158,8 @@ type TaskID int
 
 // Task is one unit of work requiring Need resources (all of type Type),
 // acquired sequentially — or, with Needs set, a typed demand vector spanning
-// several resource types at once.
+// several resource types at once. Both forms are read once, through
+// Demand(); nothing below Submit sees the difference.
 type Task struct {
 	Proc int
 	// Tier is the task's priority class, 0 (most urgent) through MaxTier.
@@ -184,46 +187,31 @@ type Task struct {
 	Needs map[int]int
 }
 
-// NeedByType reports the task's demand per resource type: a copy of Needs
-// when set, otherwise the scalar form normalized to {Type: max(Need, 1)}.
-func (t Task) NeedByType() map[int]int {
-	if t.Needs != nil {
-		out := make(map[int]int, len(t.Needs))
-		for ty, n := range t.Needs {
-			out[ty] = n
-		}
-		return out
-	}
-	n := t.Need
-	if n <= 0 {
-		n = 1
-	}
-	return map[int]int{t.Type: n}
-}
-
-// TotalNeed reports the task's total unit demand across all types.
-func (t Task) TotalNeed() int {
-	if t.Needs != nil {
-		total := 0
-		for _, n := range t.Needs {
-			total += n
-		}
-		return total
-	}
-	if t.Need <= 0 {
-		return 1
-	}
-	return t.Need
-}
-
+// taskState is one admitted task: its normalised demand (the scalar and
+// vector forms are indistinguishable from here down) and what it holds.
 type taskState struct {
-	id   TaskID
-	task Task
-	held []int // resources acquired so far
-	// heldTyp[i] is the declared type held[i] was charged to. Nil for
-	// scalar tasks (every unit is task.Type); kept in lockstep with held
-	// for typed tasks by the grant, revoke and reset paths.
-	heldTyp []int
+	id     TaskID
+	task   Task   // Proc, Tier, Priority and Prefs; the demand fields are not read below Submit
+	demand Demand // normalised once, at Submit
+	have   []int  // have[i] units held against demand[i]
+	need   int    // demand.Total()
+	held   []int  // resources acquired so far
+
+	// Inline backing for the one-type case, so admitting it costs the one
+	// allocation of the taskState itself.
+	demand1 [1]DemandEntry
+	have1   [1]int
+}
+
+func newTaskState(t Task) *taskState {
+	ts := &taskState{task: t}
+	ts.demand = t.AppendDemand(ts.demand1[:0])
+	ts.have = ts.have1[:]
+	if len(ts.demand) > 1 {
+		ts.have = make([]int, len(ts.demand))
+	}
+	ts.need = ts.demand.Total()
+	return ts
 }
 
 // CycleResult reports one scheduling cycle.
@@ -256,7 +244,6 @@ type System struct {
 	resHolder    []TaskID // per resource: holding task, or -1
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
 	circuits     map[TaskID][]topology.Circuit
-	typeCount    map[int]int // resources per configured type; nil when Types is nil
 
 	// Hardware fault bookkeeping: severedProc[p] marks a transmission
 	// torn down by a fault and not yet acknowledged via EndTransmission;
@@ -313,12 +300,6 @@ func New(cfg Config) (*System, error) {
 	for i := range s.transmitting {
 		s.transmitting[i] = -1
 	}
-	if cfg.Types != nil {
-		s.typeCount = make(map[int]int)
-		for _, ty := range cfg.Types {
-			s.typeCount[ty]++
-		}
-	}
 	s.o = newSysObs(cfg.Obs, cfg.ObsShard)
 	if cfg.Obs != nil {
 		s.tokenOpts = &token.Options{Obs: cfg.Obs}
@@ -334,88 +315,39 @@ func (s *System) Submit(t Task) (TaskID, error) {
 	if err := ValidateTask(t, s.net.Ress); err != nil {
 		return 0, err
 	}
-	t = s.normalizeTask(t)
-	if t.Needs != nil {
-		// Typed admission goes per type against the usable census (equal to
-		// the configured census on a healthy fabric): a demand no surviving
-		// resource set can cover — including a type this deployment simply
-		// does not stock — must be rejected now, or the banker defers the
-		// task forever and it wedges its queue.
-		usable := s.usableResources()
-		for ty, n := range t.Needs {
-			if n > usable[ty] {
-				s.rejectUnsat(t)
-				return 0, fmt.Errorf("system: task needs %d resources of type %d, fabric has %d usable: %w",
-					n, ty, usable[ty], ErrUnsatisfiable)
-			}
-		}
-	} else {
-		if t.Need > s.net.Ress {
-			s.rejectUnsat(t)
-			return 0, fmt.Errorf("system: task needs %d resources, system has %d: %w", t.Need, s.net.Ress, ErrUnsatisfiable)
-		}
-		if s.typeCount != nil && t.Need > s.typeCount[t.Type] {
-			s.rejectUnsat(t)
-			return 0, fmt.Errorf("system: task needs %d resources of type %d, system has %d: %w",
-				t.Need, t.Type, s.typeCount[t.Type], ErrUnsatisfiable)
-		}
-		if s.net.HasFaults() {
-			// Degraded admission: demand must also fit the surviving fabric.
-			// A resource lost to a fault (or stranded behind a failed
-			// switchbox) cannot complete anyone's acquisition until repaired,
-			// and admitting a task it can never finish wedges the queue.
-			usable := s.usableResources()
-			if s.typeCount == nil {
-				tot := 0
-				for _, c := range usable {
-					tot += c
-				}
-				if t.Need > tot {
-					s.rejectUnsat(t)
-					return 0, fmt.Errorf("system: task needs %d resources, surviving fabric has %d usable: %w",
-						t.Need, tot, ErrUnsatisfiable)
-				}
-			} else if t.Need > usable[t.Type] {
-				s.rejectUnsat(t)
-				return 0, fmt.Errorf("system: task needs %d resources of type %d, surviving fabric has %d usable: %w",
-					t.Need, t.Type, usable[t.Type], ErrUnsatisfiable)
-			}
-		}
+	ts := newTaskState(t)
+	if err := s.admissible(ts.demand, "task"); err != nil {
+		return 0, err
 	}
+	return s.enqueue(ts), nil
+}
+
+// enqueue gives an admitted task its ID and the tail of its processor's
+// queue.
+func (s *System) enqueue(ts *taskState) TaskID {
 	s.nextID++
-	id := s.nextID
-	s.tasks[id] = &taskState{id: id, task: t}
-	s.queues[t.Proc] = append(s.queues[t.Proc], id)
-	return id, nil
+	ts.id = s.nextID
+	s.tasks[ts.id] = ts
+	s.queues[ts.task.Proc] = append(s.queues[ts.task.Proc], ts.id)
+	return ts.id
 }
 
-// normalizeTask canonicalizes a validated task for internal bookkeeping: a
-// typed task gets a defensive copy of its Needs vector (the caller keeps its
-// map) and Need set to the vector total so remaining() counts all types; a
-// scalar task gets the 0-means-1 default.
-func (s *System) normalizeTask(t Task) Task {
-	if t.Needs != nil {
-		needs := make(map[int]int, len(t.Needs))
-		total := 0
-		for ty, n := range t.Needs {
-			needs[ty] = n
-			total += n
-		}
-		t.Needs = needs
-		t.Need = total
-		return t
+// admissible is the one admission gate, for tasks and gangs alike: the
+// demand must fit the usable census (equal to the configured census on a
+// healthy fabric; resources lost to a fault or stranded behind a failed
+// switchbox cannot complete anyone's acquisition until repaired). A demand
+// no surviving resource set can cover — including a type this deployment
+// simply does not stock, such as any type but 0 on a fabric without Types —
+// must be refused now, or the banker defers the task forever and it wedges
+// its queue. The refusal is recorded in the observability layer.
+func (s *System) admissible(d Demand, who string) error {
+	err := d.Shortfall(s.usableResources())
+	if err == nil {
+		return nil
 	}
-	if t.Need <= 0 {
-		t.Need = 1
-	}
-	return t
-}
-
-// rejectUnsat records an admission rejection (an ErrUnsatisfiable return
-// from Submit) in the observability layer.
-func (s *System) rejectUnsat(t Task) {
 	s.o.unsat.Inc()
-	s.event(evUnsat, 0, int64(t.Need), "")
+	s.event(evUnsat, 0, int64(d.Total()), "")
+	return fmt.Errorf("system: %s: %w", who, err)
 }
 
 // resType reports the configured type of a resource.
@@ -434,70 +366,31 @@ func (s *System) headTask(p int) *taskState {
 	return s.tasks[s.queues[p][0]]
 }
 
-// remaining reports how many more resources a task needs across all types
-// (admission normalized Need to the vector total for typed tasks).
-func (t *taskState) remaining() int { return t.task.Need - len(t.held) }
+// remaining reports how many more resources a task needs across all types.
+func (t *taskState) remaining() int { return t.need - len(t.held) }
 
-// heldOf counts the units the task holds charged to one type.
-func (t *taskState) heldOf(ty int) int {
-	if t.task.Needs == nil {
-		if ty == t.task.Type {
-			return len(t.held)
-		}
-		return 0
-	}
-	n := 0
-	for _, h := range t.heldTyp {
-		if h == ty {
-			n++
+// next picks the demand entry the task's next unit is requested against:
+// the lowest-numbered type with outstanding demand, so an acquisition is
+// deterministic across cycles.
+func (t *taskState) next() int {
+	for i, d := range t.demand {
+		if t.have[i] < d.Count {
+			return i
 		}
 	}
-	return n
+	return 0
 }
 
-// remainingOf reports the task's outstanding demand for one type.
-func (t *taskState) remainingOf(ty int) int {
-	if t.task.Needs == nil {
-		if ty == t.task.Type {
-			return t.remaining()
-		}
-		return 0
-	}
-	return t.task.Needs[ty] - t.heldOf(ty)
-}
-
-// reqType picks the type of the next unit the task requests: the
-// lowest-numbered type with outstanding demand, so a typed acquisition is
-// deterministic across cycles. Scalar tasks always request their Type.
-func (t *taskState) reqType() int {
-	if t.task.Needs == nil {
-		return t.task.Type
-	}
-	best, found := 0, false
-	for ty := range t.task.Needs {
-		if t.remainingOf(ty) <= 0 {
-			continue
-		}
-		if !found || ty < best {
-			best, found = ty, true
-		}
-	}
-	return best
-}
+// reqType is the type of the next unit the task requests.
+func (t *taskState) reqType() int { return t.demand[t.next()].Type }
 
 // entityAdd accumulates the task's per-type remaining demand and holdings
 // into a banker's entity (the shared body of the hypothetical snapshot and
 // the gang composite candidate).
 func (t *taskState) entityAdd(e *hypoEntity) {
-	if t.task.Needs == nil {
-		e.rem[t.task.Type] += t.remaining()
-		e.held[t.task.Type] += len(t.held)
-		return
-	}
-	for ty, n := range t.task.Needs {
-		h := t.heldOf(ty)
-		e.rem[ty] += n - h
-		e.held[ty] += h
+	for i, d := range t.demand {
+		e.rem[d.Type] += d.Count - t.have[i]
+		e.held[d.Type] += t.have[i]
 	}
 }
 
@@ -867,12 +760,7 @@ func (s *System) cycle() (*CycleResult, error) {
 		if t == nil {
 			return nil, fmt.Errorf("system: allocation for idle processor %d", a.Req.Proc)
 		}
-		if t.task.Needs != nil {
-			// Charge the unit to the type the task requested this cycle
-			// (computed before held grows — reqType reads the lockstep
-			// slices).
-			t.heldTyp = append(t.heldTyp, t.reqType())
-		}
+		t.have[t.next()]++ // charged to the entry the task requested this cycle
 		t.held = append(t.held, a.Res)
 		s.resHolder[a.Res] = t.id
 		s.transmitting[a.Req.Proc] = t.id
@@ -1073,10 +961,9 @@ func (s *System) Deadlocked() bool {
 		if head != t {
 			continue
 		}
-		// A typed task makes progress if ANY type it still needs has a free
-		// unit; scalar tasks reduce to their single type.
-		for ty, n := range freeByType {
-			if n > 0 && t.remainingOf(ty) > 0 {
+		// A task makes progress if ANY type it still needs has a free unit.
+		for i, d := range t.demand {
+			if t.have[i] < d.Count && freeByType[d.Type] > 0 {
 				return false // a cycle could grant it (ignoring link blockage)
 			}
 		}

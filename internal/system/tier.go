@@ -26,8 +26,8 @@ const (
 // vector or typed-needs vector is malformed: tier out of [0, MaxTier],
 // fine-grain priority out of [0, 2^20), a preference vector whose length
 // does not match the resource count, a preference weight out of [0, 2^20),
-// a Needs vector that is empty, carries a negative type or non-positive
-// count, or is combined with the scalar Need/Type pair. The check runs
+// a negative scalar Type, a Needs vector that is empty, carries a negative
+// type or non-positive count, or is combined with the scalar Need/Type pair. The check runs
 // before any queue or shard dispatch, so a malformed task never consumes an
 // ID or reaches a scheduler.
 var ErrBadTask = errors.New("system: malformed task")
@@ -39,6 +39,9 @@ var ErrBadTask = errors.New("system: malformed task")
 func ValidateTask(t Task, ress int) error {
 	if t.Tier < 0 || t.Tier > MaxTier {
 		return fmt.Errorf("%w: tier %d out of range [0, %d]", ErrBadTask, t.Tier, MaxTier)
+	}
+	if t.Type < 0 {
+		return fmt.Errorf("%w: negative resource type %d", ErrBadTask, t.Type)
 	}
 	if t.Needs != nil {
 		if t.Need != 0 || t.Type != 0 {

@@ -33,6 +33,7 @@ func TestValidateTaskTable(t *testing.T) {
 		{"prefs weight negative", Task{Prefs: []int64{0, -1, 0, 0}}, true},
 		{"prefs weight at cap", Task{Prefs: []int64{0, 0, maxFinePriority, 0}}, true},
 		{"prefs weight max legal", Task{Prefs: []int64{0, 0, maxFinePriority - 1, 0}}, false},
+		{"scalar type negative", Task{Type: -1}, true},
 	}
 	sys, err := New(Config{Net: topology.Crossbar(2, ress), Discipline: MinCost})
 	if err != nil {

@@ -73,9 +73,48 @@ func TestTypedNeedsUnsatisfiable(t *testing.T) {
 	}
 }
 
+// TestScalarTypeOnUntypedFabric is the wedge regression: the scalar form
+// {Type: 5} is the one-entry vector {5: 1}, so an untyped fabric (every
+// resource type 0) must refuse it exactly as it refuses the vector. It
+// used to be admitted, and under banker's grants was deferred on every
+// cycle forever — the task queued behind it on the same processor never
+// ran.
+func TestScalarTypeOnUntypedFabric(t *testing.T) {
+	s, err := New(Config{Net: topology.Omega(8), Avoidance: AvoidanceBankers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Task{Proc: 0, Type: 5}); !errors.Is(err, ErrUnsatisfiable) {
+		t.Fatalf("scalar type 5 on untyped fabric: err = %v, want ErrUnsatisfiable", err)
+	}
+	gangOf := []Task{{Proc: 1, Type: 5}, {Proc: 2}}
+	if _, _, err := s.SubmitGang(gangOf); !errors.Is(err, ErrUnsatisfiable) {
+		t.Fatalf("gang with a scalar type-5 member: err = %v, want ErrUnsatisfiable", err)
+	}
+	id := mustSubmit(t, s, Task{Proc: 0})
+	for i := 0; i < 3 && s.Remaining(id) != 0; i++ {
+		if r := cycle(t, s); r.Deferred != 0 {
+			t.Fatalf("cycle %d deferred %d requests on an otherwise empty fabric", i, r.Deferred)
+		}
+	}
+	if s.Remaining(id) != 0 {
+		t.Fatal("task queued behind the refused one never ran")
+	}
+}
+
+// remainingOf reads a task's outstanding demand for one type off its ledger.
+func remainingOf(st *taskState, ty int) int {
+	for i, d := range st.demand {
+		if d.Type == ty {
+			return d.Count - st.have[i]
+		}
+	}
+	return 0
+}
+
 // TestTypedSequentialAcquisition: a {0:1, 1:2} task acquires one unit per
 // cycle, lowest type first, each grant landing on a resource of the
-// requested type, with the heldTyp charge ledger in lockstep.
+// requested type, with the per-entry charge ledger in step.
 func TestTypedSequentialAcquisition(t *testing.T) {
 	types := []int{0, 0, 1, 1, 0, 0, 1, 1}
 	s, err := New(Config{Net: topology.Omega(8), Discipline: Hetero, Types: types})
@@ -101,12 +140,12 @@ func TestTypedSequentialAcquisition(t *testing.T) {
 		}
 	}
 	st := s.tasks[id]
-	if len(st.heldTyp) != 3 || st.heldTyp[0] != 0 || st.heldTyp[1] != 1 || st.heldTyp[2] != 1 {
-		t.Fatalf("heldTyp ledger %v, want [0 1 1]", st.heldTyp)
+	if len(st.have) != 2 || st.have[0] != 1 || st.have[1] != 2 {
+		t.Fatalf("charge ledger %v against %v, want [1 2]", st.have, st.demand)
 	}
-	if st.remaining() != 0 || st.remainingOf(0) != 0 || st.remainingOf(1) != 0 {
+	if st.remaining() != 0 || remainingOf(st, 0) != 0 || remainingOf(st, 1) != 0 {
 		t.Fatalf("remaining %d / per-type %d,%d after full acquisition",
-			st.remaining(), st.remainingOf(0), st.remainingOf(1))
+			st.remaining(), remainingOf(st, 0), remainingOf(st, 1))
 	}
 	if err := s.EndService(id); err != nil {
 		t.Fatal(err)
@@ -159,7 +198,7 @@ func TestTypedCircularDeadlock(t *testing.T) {
 		}
 		for _, st := range naive.tasks {
 			for ty, n := range free {
-				if n > 0 && st.remainingOf(ty) > 0 && naive.headTask(st.task.Proc) == st {
+				if n > 0 && remainingOf(st, ty) > 0 && naive.headTask(st.task.Proc) == st {
 					t.Fatalf("Deadlocked() true while head task %d could take free type %d", st.id, ty)
 				}
 			}
@@ -218,11 +257,11 @@ func TestTypedRevokeLockstep(t *testing.T) {
 	if len(affected) != 1 || affected[0] != id {
 		t.Fatalf("affected %v, want [%d]", affected, id)
 	}
-	if len(st.held) != 0 || len(st.heldTyp) != 0 {
-		t.Fatalf("held/heldTyp not in lockstep after revoke: %v / %v", st.held, st.heldTyp)
+	if len(st.held) != 0 || st.have[0] != 0 || st.have[1] != 0 {
+		t.Fatalf("held and charge ledger out of step after revoke: %v / %v", st.held, st.have)
 	}
-	if st.remainingOf(0) != 1 || st.remainingOf(1) != 1 {
-		t.Fatalf("per-type remaining %d,%d after revoke, want 1,1", st.remainingOf(0), st.remainingOf(1))
+	if remainingOf(st, 0) != 1 || remainingOf(st, 1) != 1 {
+		t.Fatalf("per-type remaining %d,%d after revoke, want 1,1", remainingOf(st, 0), remainingOf(st, 1))
 	}
 	// Reacquire both units on the surviving fabric.
 	for i := 0; i < 2; i++ {
