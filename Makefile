@@ -32,7 +32,8 @@ race:
 # so the threshold is absolute), and the parity test pins the counting
 # convention itself. The rsinbench smoke run evaluates its whole gate
 # table (warm-start, tier, ops, gang, multi): among the rest, zero partial
-# grants, intact accounting identities, bounded multicommodity gaps.
+# grants, intact accounting identities, bounded multicommodity gaps on a
+# probe that reached both the bound-certified path and the LP behind it.
 ratchet:
 	$(GO) test -run 'TestWarmSimplexPivotRatchet|TestMinCostIncremental' ./internal/core
 	$(GO) test -run 'TestQuickCrossSolver|TestNegativeCostRegressions' ./internal/netsimplex
@@ -40,10 +41,12 @@ ratchet:
 	$(GO) test -run 'TestOpsGateRatchet' ./cmd/rsinbench
 	$(GO) run ./cmd/rsinbench -sched -smoke
 
-# The instrumentation hot path must not allocate (disabled or enabled);
-# CI runs the same guard.
+# The instrumentation hot path must not allocate (disabled or enabled),
+# and a bound-certified typed epoch on a warm planner allocates only the
+# Mapping it returns; CI runs the same guards.
 allocguard:
 	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree' ./internal/sched ./internal/obs
+	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
 
 # Machine-readable scheduling-service benchmark (see EXPERIMENTS.md for
 # the BENCH_sched.json format; the file is an artifact, not committed).
@@ -63,10 +66,12 @@ vuln:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Short smoke-fuzz of the life-cycle, parser and front-door fuzzers.
+# Short smoke-fuzz of the life-cycle, typed-solver, parser and front-door
+# fuzzers.
 fuzz:
 	$(GO) test -fuzz FuzzSubmitCycle -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzGangSubmit -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzTypedSubmit -fuzztime 30s ./internal/system
+	$(GO) test -fuzz FuzzHeteroBound -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dimacs
 	$(GO) test -fuzz FuzzHTTPSubmitDecode -fuzztime 30s ./internal/server

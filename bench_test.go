@@ -707,3 +707,91 @@ func BenchmarkWarmVsColdEpochSolve(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { run(b, false) })
 	b.Run("warm", func(b *testing.B) { run(b, true) })
 }
+
+// typedEpochStream is a seeded stream of typed epochs on one Omega-16 with
+// three striped resource types, the shape of the bench's typed_pool
+// workload: each epoch a set of standing circuits occupying part of the
+// fabric, typed requests from the idle processors and the free resources.
+type typedEpoch struct {
+	held  []topology.Circuit
+	reqs  []core.Request
+	avail []core.Avail
+}
+
+func typedEpochStream(net *topology.Network, n int) []typedEpoch {
+	rng := rand.New(rand.NewSource(1986))
+	out := make([]typedEpoch, n)
+	for i := range out {
+		e := &out[i]
+		e.held = workload.OccupyRandom(rng, net, 0.3*rng.Float64())
+		busyProc, busyRes := map[int]bool{}, map[int]bool{}
+		for _, c := range e.held {
+			busyProc[c.Proc], busyRes[c.Res] = true, true
+		}
+		for p := 0; p < net.Procs; p++ {
+			if !busyProc[p] && rng.Float64() < 0.6 {
+				e.reqs = append(e.reqs, core.Request{Proc: p, Type: rng.Intn(3)})
+			}
+		}
+		for r := 0; r < net.Ress; r++ {
+			if !busyRes[r] {
+				e.avail = append(e.avail, core.Avail{Res: r, Type: r % 3})
+			}
+		}
+		for _, c := range e.held {
+			net.ForceRelease(c)
+		}
+	}
+	return out
+}
+
+// BenchmarkTypedEpochSolve is the per-layer benchmark of the typed solve:
+// one epoch of the stream per iteration, bound-first on a warm planner
+// (what system.cycle runs) against the forced LP — building the labelled
+// multicommodity network and solving the dense relaxation, the first two
+// steps of the chain every epoch took before and a bound miss still takes.
+// bound-first also reports lp_share, the share of epochs that missed the
+// bound and went on to the LP.
+func BenchmarkTypedEpochSolve(b *testing.B) {
+	run := func(b *testing.B, solve func(*topology.Network, *typedEpoch) bool) {
+		net := topology.Omega(16)
+		stream := typedEpochStream(net, 256)
+		lp := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := &stream[i%len(stream)]
+			for _, c := range e.held {
+				if err := net.Establish(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if solve(net, e) {
+				lp++
+			}
+			for _, c := range e.held {
+				net.ForceRelease(c)
+			}
+		}
+		b.ReportMetric(float64(lp)/float64(b.N), "lp_share")
+	}
+	b.Run("bound-first", func(b *testing.B) {
+		var p core.Planner
+		run(b, func(net *topology.Network, e *typedEpoch) bool {
+			m, err := p.ScheduleHetero(net, e.reqs, e.avail, nil)
+			if err != nil || !m.Solve.MultiFastPath && !m.Solve.MultiGreedy {
+				b.Fatalf("epoch undecided: %+v, err %v", m, err)
+			}
+			return m.Solve.MultiLP
+		})
+	})
+	b.Run("forced-LP", func(b *testing.B) {
+		run(b, func(net *topology.Network, e *typedEpoch) bool {
+			g, comms := core.BuildMulticommodity(net, e.reqs, e.avail)
+			if _, err := multiflow.MaxFlow(g, comms, nil); err != nil {
+				b.Fatal(err)
+			}
+			return true
+		})
+	})
+}

@@ -2,30 +2,37 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rsin/internal/core"
+	"rsin/internal/multiflow"
 	"rsin/internal/sched"
 	"rsin/internal/stats"
 	"rsin/internal/system"
 	"rsin/internal/topology"
+	"rsin/internal/workload"
 )
 
 // The multi section drives the heterogeneous multicommodity scheduler two
 // ways. The chaos workload pools three resource types on one banyan-class
 // (omega) fabric and hammers it with concurrent typed-vector clients under
 // fail→heal hardware chaos; on a restricted topology nearly every
-// multicommodity epoch comes back certified (the rounded LP decomposition
-// proven legal and optimal, zero gap by construction), so the gate demands
-// zero partial typed grants and bounds the rare greedy epoch's recorded
-// gap at one unit. The deterministic probe then replays a seeded
-// ensemble of typed instances across omega/benes/clos fabrics under fault
-// churn against the exact branch-and-bound oracle, so the greedy
-// fallback's recorded gap is audited — alloc + gap must bound the oracle
-// on every instance — and bounded in aggregate.
+// multicommodity epoch comes back certified optimal (sequential per-type
+// max-flow meeting the combinatorial bound, or on a bound miss the rounded
+// LP decomposition proven legal and optimal — zero gap by construction
+// either way), so the gate demands zero partial typed grants and bounds
+// the rare greedy epoch's recorded gap at one unit. The deterministic
+// probe then replays a seeded ensemble of typed instances across
+// omega/benes/clos fabrics under fault churn, plus the adversarial
+// instances of workload.AdversarialTyped, against the exact
+// branch-and-bound oracle on the raw multicommodity network, so every
+// path's claim is audited — alloc + gap must bound the oracle on every
+// instance — and the gate refuses a probe that never missed the bound or
+// never met it.
 
 type multiBenchConfig struct {
 	N       int   `json:"n"`
@@ -39,12 +46,18 @@ type multiBenchConfig struct {
 
 // multiProbeReport is the deterministic gap probe inside the v7 "multi"
 // section: ScheduleHetero's default path versus the exact oracle on a
-// seeded instance ensemble.
+// seeded instance ensemble plus the adversarial instances.
 type multiProbeReport struct {
 	Trials   int `json:"trials"`
 	FastPath int `json:"fast_path_solves"`
 	Greedy   int `json:"greedy_solves"`
 	Retries  int `json:"greedy_retries"`
+	// BoundCertified counts instances decided on the arena: sequential
+	// per-type max-flow met the combinatorial bound, no LP ran.
+	// BoundMisses counts the instances that missed it and solved the LP.
+	// The gate needs both nonzero, or the probe did not exercise a path.
+	BoundCertified int `json:"bound_certified"`
+	BoundMisses    int `json:"bound_misses"`
 	// GapUnits sums Solve.MultiGap over the ensemble: units the default
 	// path may have left on the table versus its LP bound.
 	GapUnits int `json:"gap_units"`
@@ -71,7 +84,7 @@ type multiBenchReport struct {
 	// match its declared vector exactly. Must be zero, always.
 	PartialTypedGrants int64 `json:"partial_typed_grants"`
 	// Multicommodity epoch census over the chaos run (from sched.Stats):
-	// certified LP fast paths, greedy decompositions, orderings retried,
+	// certified-optimal epochs, greedy decompositions, orderings retried,
 	// and gap units recorded. Certified epochs carry zero gap by
 	// construction; the multi gate bounds the rest.
 	FastPathEpochs int64 `json:"fast_path_epochs"`
@@ -230,8 +243,9 @@ func runMultiBench(seed int64, smoke bool) (multiBenchReport, error) {
 
 // runMultiProbe replays the seeded typed-instance ensemble — the
 // restricted topologies under fault churn, random typed demand and supply
-// — through ScheduleHetero's default path and the exact branch-and-bound
-// oracle. Pure seeded computation: the same numbers on every machine.
+// — and then the adversarial instances through ScheduleHetero's default
+// path and the exact branch-and-bound oracle. Pure seeded computation: the
+// same numbers on every machine.
 func runMultiProbe(smoke bool) (multiProbeReport, error) {
 	rng := rand.New(rand.NewSource(1986))
 	builders := []func() *topology.Network{
@@ -267,33 +281,58 @@ func runMultiProbe(smoke bool) (multiProbeReport, error) {
 		if len(reqs) == 0 || len(avail) == 0 {
 			continue
 		}
-		def, err := core.ScheduleHetero(net, reqs, avail, nil)
-		if err != nil {
-			return rep, fmt.Errorf("trial %d (%s): default: %w", trial, net.Name, err)
+		if err := rep.probe(fmt.Sprintf("trial %d (%s)", trial, net.Name), net, reqs, avail); err != nil {
+			return rep, err
 		}
-		oracle, err := core.ScheduleHetero(net, reqs, avail, &core.HeteroOptions{Exact: true})
-		if err != nil {
-			return rep, fmt.Errorf("trial %d (%s): oracle: %w", trial, net.Name, err)
-		}
-		rep.Trials++
-		if def.Solve.MultiFastPath {
-			rep.FastPath++
-		}
-		if def.Solve.MultiGreedy {
-			rep.Greedy++
-		}
-		rep.Retries += def.Solve.MultiRetries
-		rep.GapUnits += def.Solve.MultiGap
-		rep.Allocated += def.Allocated()
-		rep.OracleAllocated += oracle.Allocated()
-		if def.Allocated()+def.Solve.MultiGap < oracle.Allocated() {
-			rep.BoundViolations++
-		}
-		if def.Solve.MultiGap == 0 && def.Allocated() != oracle.Allocated() {
-			rep.ZeroGapMismatches++
+	}
+	for _, in := range workload.AdversarialTyped() {
+		if err := rep.probe(in.Name, in.Net, in.Reqs, in.Avail); err != nil {
+			return rep, err
 		}
 	}
 	return rep, nil
+}
+
+// probe solves one instance on the default path and tallies it against
+// the oracle: LP branch-and-bound on the raw multicommodity network, which
+// shares no code with the bound-first solver.
+func (rep *multiProbeReport) probe(name string, net *topology.Network, reqs []core.Request, avail []core.Avail) error {
+	def, err := core.ScheduleHetero(net, reqs, avail, nil)
+	if err != nil {
+		return fmt.Errorf("%s: default: %w", name, err)
+	}
+	g, comms := core.BuildMulticommodity(net, reqs, avail)
+	bb, err := multiflow.BranchAndBound(g, comms, nil, 0)
+	if err != nil {
+		return fmt.Errorf("%s: oracle: %w", name, err)
+	}
+	if bb.Truncated {
+		return fmt.Errorf("%s: oracle ran out of branch-and-bound nodes", name)
+	}
+	oracle := int(math.Round(bb.Total))
+	rep.Trials++
+	if def.Solve.MultiFastPath {
+		rep.FastPath++
+	}
+	if def.Solve.MultiGreedy {
+		rep.Greedy++
+	}
+	if def.Solve.MultiLP {
+		rep.BoundMisses++
+	} else if def.Solve.MultiFastPath {
+		rep.BoundCertified++
+	}
+	rep.Retries += def.Solve.MultiRetries
+	rep.GapUnits += def.Solve.MultiGap
+	rep.Allocated += def.Allocated()
+	rep.OracleAllocated += oracle
+	if def.Allocated()+def.Solve.MultiGap < oracle {
+		rep.BoundViolations++
+	}
+	if def.Solve.MultiGap == 0 && def.Allocated() != oracle {
+		rep.ZeroGapMismatches++
+	}
+	return nil
 }
 
 // gateMultiCheck enforces the multi section's invariants: exact typed
@@ -314,8 +353,8 @@ func gateMultiCheck(rep multiBenchReport) error {
 		return fmt.Errorf("no certified multicommodity epoch on the chaos run: %+v", rep.Sched)
 	}
 	// Certified epochs carry zero gap by construction; the rare greedy
-	// epoch (an LP vertex that failed certification under chaos) must stay
-	// within one unit of its LP bound on the banyan-class fabric.
+	// epoch (a bound miss whose LP vertex then failed certification) must
+	// stay within one unit of its LP bound on the banyan-class fabric.
 	if rep.GapUnits > rep.GreedyEpochs {
 		return fmt.Errorf("%d gap units over %d greedy epochs on the restricted chaos fabric; the greedy decomposition must stay within one unit of the LP bound per epoch",
 			rep.GapUnits, rep.GreedyEpochs)
@@ -328,6 +367,10 @@ func gateMultiCheck(rep multiBenchReport) error {
 	}
 	if rep.Probe.Trials == 0 || rep.Probe.FastPath == 0 {
 		return fmt.Errorf("probe ran %d trials with %d certified fast paths", rep.Probe.Trials, rep.Probe.FastPath)
+	}
+	if rep.Probe.BoundMisses == 0 || rep.Probe.BoundCertified == 0 {
+		return fmt.Errorf("did not exercise: the probe saw %d bound-certified instances and %d bound misses that went to the LP; the oracle comparison needs both",
+			rep.Probe.BoundCertified, rep.Probe.BoundMisses)
 	}
 	return nil
 }

@@ -4,9 +4,10 @@ import "testing"
 
 // TestMultiProbeDeterministic pins the gap probe that the multi gate enforces
 // in CI. The ensemble is pure computation on a seeded RNG, so the counters
-// are bit-identical on every machine: every instance either certifies
-// integral (zero gap by construction) or records a gap that bounds its
-// distance to the exact branch-and-bound oracle.
+// are bit-identical on every machine: every instance is either certified
+// optimal (zero gap by construction) or records a gap that bounds its
+// distance to the exact branch-and-bound oracle, and the ensemble reaches
+// both the bound-certified path and the LP behind a missed bound.
 func TestMultiProbeDeterministic(t *testing.T) {
 	rep, err := runMultiProbe(true)
 	if err != nil {
@@ -14,6 +15,9 @@ func TestMultiProbeDeterministic(t *testing.T) {
 	}
 	if rep.Trials == 0 || rep.FastPath == 0 {
 		t.Fatalf("probe ran %d trials with %d certified fast paths", rep.Trials, rep.FastPath)
+	}
+	if rep.BoundCertified == 0 || rep.BoundMisses == 0 {
+		t.Fatalf("probe did not exercise both paths: %d bound-certified, %d bound misses", rep.BoundCertified, rep.BoundMisses)
 	}
 	if rep.BoundViolations != 0 {
 		t.Errorf("%d instances where alloc + recorded gap failed to bound the oracle", rep.BoundViolations)

@@ -293,12 +293,12 @@ func runSchedBench(seed int64, smoke, openLoop bool, jsonPath string) error {
 		gang.Config.N, gang.Config.Collectives, gang.Config.Rounds, gang.Config.Explicit,
 		gang.CollectivesOK, gang.PhasesServiced, gang.GangsOK, gang.GangsFailed,
 		gang.Severs, gang.PartialGrants, gang.GangQueueMS["p99"])
-	fmt.Printf("multicommod.  omega(%d) x %d types, %d typed clients: ok=%d failed=%d partial=%d, epochs fast-path=%d greedy=%d gap-units=%d, probe %d/%d certified (greedy gap %d vs oracle, violations=%d), typed p99=%.3fms\n",
+	fmt.Printf("multicommod.  omega(%d) x %d types, %d typed clients: ok=%d failed=%d partial=%d, epochs fast-path=%d greedy=%d gap-units=%d, probe %d/%d certified (%d on the bound, %d bound misses to the LP; greedy gap %d vs oracle, violations=%d), typed p99=%.3fms\n",
 		multi.Config.N, multi.Config.Types, multi.Config.Clients,
 		multi.TasksOK, multi.TasksFailed, multi.PartialTypedGrants,
 		multi.FastPathEpochs, multi.GreedyEpochs, multi.GapUnits,
-		multi.Probe.FastPath, multi.Probe.Trials, multi.Probe.GapUnits,
-		multi.Probe.BoundViolations, multi.TypedQueueMS["p99"])
+		multi.Probe.FastPath, multi.Probe.Trials, multi.Probe.BoundCertified, multi.Probe.BoundMisses,
+		multi.Probe.GapUnits, multi.Probe.BoundViolations, multi.TypedQueueMS["p99"])
 	if openLoopRep != nil {
 		fmt.Printf("open loop     omega(%d) front door: knee %.0f req/s\n", openLoopRep.Config.N, openLoopRep.KneePerS)
 		for _, p := range openLoopRep.Points {

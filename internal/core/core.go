@@ -16,7 +16,10 @@
 //     minimum-cost flow of value F0 = #requests yields the optimal
 //     prioritized mapping (Theorem 3).
 //   - ScheduleHetero — multiple resource types: the multicommodity
-//     formulations of §III-D, solved by LP (with integral fallbacks).
+//     formulations of §III-D. Maximum flow goes bound first, LP last:
+//     sequential per-type max-flow certified against a combinatorial
+//     upper bound, the dense LP (with integral fallbacks) only when the
+//     bound is missed.
 //
 // The schedulers never touch established circuits: links occupied by
 // earlier allocations are simply absent from the flow network, exactly as
@@ -370,12 +373,15 @@ func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Map
 // internal/sched). ScheduleMaxFlow recycles the residual arena of the
 // cold solver between cycles; ScheduleIncremental goes further and keeps
 // the previous epoch's residual/flow state itself, applying per-epoch
-// deltas instead of rebuilding. The zero value is ready to use. A Planner
+// deltas instead of rebuilding; ScheduleHetero reuses one whole-fabric
+// arena's memory (never its flow) for every typed epoch. The zero value is
+// ready to use. A Planner
 // is not safe for concurrent use; give each scheduling shard its own.
 type Planner struct {
 	buf maxflow.Buffers
-	inc *incState // warm-start arena; nil until the first incremental solve
-	mc  *mcState  // min-cost warm-basis arena; nil until the first prioritized solve
+	inc *incState   // warm-start arena; nil until the first incremental solve
+	mc  *mcState    // min-cost warm-basis arena; nil until the first prioritized solve
+	ty  *typedState // typed-epoch arena; nil until the first heterogeneous solve
 }
 
 // ScheduleMaxFlow is the package-level ScheduleMaxFlow computed with the

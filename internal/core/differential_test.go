@@ -158,67 +158,3 @@ func TestDifferentialMinCostEngines(t *testing.T) {
 		}
 	}
 }
-
-// TestDifferentialMulticommodityVsOracle cross-checks the multicommodity
-// epoch solver across the restricted topologies under fault churn: the
-// default path (certified LP fast path, or the conflict-retrying greedy
-// decomposition) against the exact branch-and-bound oracle. Whenever the
-// default path reports a zero gap — which includes every certified fast
-// path — its allocation count must equal the oracle's; when it reports a
-// positive gap, the oracle may beat it by at most that gap.
-func TestDifferentialMulticommodityVsOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	builders := []func() *topology.Network{
-		func() *topology.Network { return topology.Omega(8) },
-		func() *topology.Network { return topology.Benes(8) },
-		func() *topology.Network { return topology.Clos(2, 2, 3) },
-	}
-	trials := 36
-	if testing.Short() {
-		trials = 12
-	}
-	for trial := 0; trial < trials; trial++ {
-		net := builders[trial%len(builders)]()
-		// Fault churn: fail a couple of links (and sometimes a box) so the
-		// surviving fabric varies per trial.
-		for f := 0; f < rng.Intn(3); f++ {
-			net.FailLink(rng.Intn(len(net.Links)))
-		}
-		if len(net.Boxes) > 0 && rng.Float64() < 0.25 {
-			net.FailBox(rng.Intn(len(net.Boxes)))
-		}
-		var reqs []Request
-		for p := 0; p < net.Procs; p++ {
-			if rng.Float64() < 0.6 {
-				reqs = append(reqs, Request{Proc: p, Type: rng.Intn(3)})
-			}
-		}
-		var avail []Avail
-		for r := 0; r < net.Ress; r++ {
-			if rng.Float64() < 0.6 {
-				avail = append(avail, Avail{Res: r, Type: rng.Intn(3)})
-			}
-		}
-		if len(reqs) == 0 || len(avail) == 0 {
-			continue
-		}
-		def, err := ScheduleHetero(net, reqs, avail, nil)
-		if err != nil {
-			t.Fatalf("trial %d (%s): default: %v", trial, net.Name, err)
-		}
-		oracle, err := ScheduleHetero(net, reqs, avail, &HeteroOptions{Exact: true})
-		if err != nil {
-			t.Fatalf("trial %d (%s): oracle: %v", trial, net.Name, err)
-		}
-		if def.Solve.MultiGap == 0 && def.Allocated() != oracle.Allocated() {
-			t.Fatalf("trial %d (%s): zero-gap path allocated %d, oracle %d (solve %+v)",
-				trial, net.Name, def.Allocated(), oracle.Allocated(), def.Solve)
-		}
-		if def.Allocated()+def.Solve.MultiGap < oracle.Allocated() {
-			t.Fatalf("trial %d (%s): greedy %d + gap %d below oracle %d",
-				trial, net.Name, def.Allocated(), def.Solve.MultiGap, oracle.Allocated())
-		}
-		checkMapping(t, net, def)
-		checkMapping(t, net, oracle)
-	}
-}

@@ -37,8 +37,10 @@ type heteroTransform struct {
 }
 
 // buildHetero constructs the superposed multicommodity flow network of
-// §III-D from the MRSIN state.
-func buildHetero(net *topology.Network, reqs []Request, avail []Avail, priced bool) *heteroTransform {
+// §III-D from the MRSIN state. Node names and arc labels are formatted
+// only when labels is set: the epoch path never reads them, the offline
+// readers of BuildMulticommodity (E13, placement, DOT) do.
+func buildHetero(net *topology.Network, reqs []Request, avail []Avail, priced, labels bool) *heteroTransform {
 	// Distinct types that occur in requests, in sorted order.
 	typeSet := map[int]bool{}
 	for _, r := range reqs {
@@ -84,29 +86,49 @@ func buildHetero(net *topology.Network, reqs []Request, avail []Avail, priced bo
 	}
 
 	g := graph.New(n, 0, 1) // source/sink fields unused by multiflow
+	name := func(v int, format string, i int) {
+		if labels {
+			g.SetName(v, fmt.Sprintf(format, i))
+		}
+	}
 	for b := 0; b < nBoxes; b++ {
-		g.SetName(boxNode(b), fmt.Sprintf("x%d", b))
+		name(boxNode(b), "x%d", b)
 	}
 	for p, v := range procNode {
-		g.SetName(v, fmt.Sprintf("p%d", p))
+		name(v, "p%d", p)
 	}
 	for r, v := range resNode {
-		g.SetName(v, fmt.Sprintf("r%d", r))
+		name(v, "r%d", r)
 	}
 	for _, t := range types {
-		g.SetName(srcNode[t], fmt.Sprintf("s%d", t))
-		g.SetName(sinkNode[t], fmt.Sprintf("t%d", t))
+		name(srcNode[t], "s%d", t)
+		name(sinkNode[t], "t%d", t)
 		if priced {
-			g.SetName(bypassNode[t], fmt.Sprintf("u%d", t))
+			name(bypassNode[t], "u%d", t)
 		}
 	}
 
+	nArcs := len(reqs) + len(avail) + len(net.Links)
+	if priced {
+		nArcs += len(reqs) + len(types)
+	}
 	tr := &heteroTransform{
-		G:      g,
-		reqOf:  make(map[int]Request),
-		resOf:  make(map[int]int),
-		byType: make(map[int][]Request),
-		bypass: make(map[int]int),
+		G:       g,
+		arcLink: make([]int, 0, nArcs),
+		reqOf:   make(map[int]Request),
+		resOf:   make(map[int]int),
+		byType:  make(map[int][]Request),
+		bypass:  make(map[int]int),
+	}
+	// addArc adds one arc with its arcLink entry (link: the topology link
+	// it stands for, -1 for request, resource and bypass arcs).
+	addArc := func(from, to int, capacity, cost int64, link int, format string, i int) int {
+		id := g.AddArc(from, to, capacity, cost)
+		if labels {
+			g.Arcs[id].Label = fmt.Sprintf(format, i)
+		}
+		tr.arcLink = append(tr.arcLink, link)
+		return id
 	}
 
 	var yMax, qMax int64
@@ -133,7 +155,7 @@ func buildHetero(net *topology.Network, reqs []Request, avail []Avail, priced bo
 		if priced {
 			cost = yMax - r.Priority
 		}
-		id := g.AddLabeledArc(srcNode[r.Type], procNode[r.Proc], 1, cost, fmt.Sprintf("req p%d", r.Proc))
+		id := addArc(srcNode[r.Type], procNode[r.Proc], 1, cost, -1, "req p%d", r.Proc)
 		tr.reqOf[id] = r
 	}
 	for _, a := range avail {
@@ -144,7 +166,7 @@ func buildHetero(net *topology.Network, reqs []Request, avail []Avail, priced bo
 		if priced {
 			cost = qMax - a.Preference
 		}
-		id := g.AddLabeledArc(resNode[a.Res], sinkNode[a.Type], 1, cost, fmt.Sprintf("res r%d", a.Res))
+		id := addArc(resNode[a.Res], sinkNode[a.Type], 1, cost, -1, "res r%d", a.Res)
 		tr.resOf[id] = a.Res
 	}
 	nodeOf := func(e topology.Endpoint) (int, bool) {
@@ -159,10 +181,6 @@ func buildHetero(net *topology.Network, reqs []Request, avail []Avail, priced bo
 			return boxNode(e.Index), true
 		}
 	}
-	tr.arcLink = make([]int, len(g.Arcs))
-	for i := range tr.arcLink {
-		tr.arcLink[i] = -1
-	}
 	for _, l := range net.Links {
 		if l.State != topology.LinkFree || !net.LinkUsable(l.ID) {
 			continue
@@ -172,22 +190,15 @@ func buildHetero(net *topology.Network, reqs []Request, avail []Avail, priced bo
 		if !ok1 || !ok2 {
 			continue
 		}
-		id := g.AddLabeledArc(from, to, 1, 0, fmt.Sprintf("link%d", l.ID))
-		for len(tr.arcLink) < len(g.Arcs) {
-			tr.arcLink = append(tr.arcLink, -1)
-		}
-		tr.arcLink[id] = l.ID
+		addArc(from, to, 1, 0, l.ID, "link%d", l.ID)
 	}
 	if priced {
 		for _, r := range reqs {
-			g.AddLabeledArc(procNode[r.Proc], bypassNode[r.Type], 1, bypassCost, fmt.Sprintf("bypass p%d", r.Proc))
+			addArc(procNode[r.Proc], bypassNode[r.Type], 1, bypassCost, -1, "bypass p%d", r.Proc)
 		}
 		for _, t := range types {
-			g.AddLabeledArc(bypassNode[t], sinkNode[t], demand[t], 0, fmt.Sprintf("bypass sink %d", t))
+			addArc(bypassNode[t], sinkNode[t], demand[t], 0, -1, "bypass sink %d", t)
 		}
-	}
-	for len(tr.arcLink) < len(g.Arcs) {
-		tr.arcLink = append(tr.arcLink, -1)
 	}
 
 	for i, t := range types {
@@ -295,7 +306,7 @@ func (tr *heteroTransform) decode(res multiflow.Result) (*Mapping, error) {
 // analysis — experiment E13 measures LP integrality on it. The returned
 // commodities are ordered by resource type.
 func BuildMulticommodity(net *topology.Network, reqs []Request, avail []Avail) (*graph.Network, []multiflow.Commodity) {
-	tr := buildHetero(net, reqs, avail, false)
+	tr := buildHetero(net, reqs, avail, false, true)
 	return tr.G, tr.comms
 }
 
@@ -353,27 +364,62 @@ func certifyIntegral(g *graph.Network, comms []multiflow.Commodity, res multiflo
 // MRSIN (§III-D). Without priorities it maximizes the total number of
 // allocations across all resource types (multicommodity maximum flow); with
 // priorities it additionally minimizes the total allocation cost
-// (multicommodity minimum cost flow).
-//
-// The LP relaxation is the fast path, but only after certification
-// (certifyIntegral): rounded flows must re-verify as a legal schedule
-// whose total matches the LP objective. On the restricted topologies of
-// [14] the relaxation is integral and every epoch takes this path with
-// Solve.MultiFastPath set and MultiGap zero. When certification fails an
-// integral fallback runs: exact branch-and-bound when opts.Exact (a
-// node-budget-exhausted run is accepted as a legal lower bound, flagged
-// by a nonzero MultiGap), otherwise the conflict-retrying sequential
-// per-commodity decomposition (multiflow.SequentialBest), with the gap
-// to the LP bound recorded in Solve.MultiGap.
+// (multicommodity minimum cost flow). It is Planner.ScheduleHetero on a
+// fresh planner; the mapping is the same, a long-lived planner only reuses
+// its arena's memory.
 func ScheduleHetero(net *topology.Network, reqs []Request, avail []Avail, opts *HeteroOptions) (*Mapping, error) {
+	var p Planner
+	return p.ScheduleHetero(net, reqs, avail, opts)
+}
+
+// ScheduleHetero solves one typed epoch. The maximum-flow discipline goes
+// bound first, LP last: sequential per-type max-flow on the planner's
+// arena, committed when it meets a combinatorial upper bound that also
+// bounds the LP relaxation (typedState) — Solve.MultiFastPath set,
+// MultiLPBound the bound, MultiGap zero. On the restricted topologies of
+// [14] nearly every epoch ends there. Only a missed bound (and the priced
+// discipline, always) reaches the dense LP: scheduleHeteroLP, which sets
+// Solve.MultiLP.
+func (p *Planner) ScheduleHetero(net *topology.Network, reqs []Request, avail []Avail, opts *HeteroOptions) (*Mapping, error) {
 	if opts == nil {
 		opts = &HeteroOptions{}
 	}
 	if len(reqs) == 0 {
 		return &Mapping{}, nil
 	}
+	if !opts.UsePriorities {
+		if !p.ty.matches(net) {
+			p.ty = newTypedState(net)
+		}
+		m, ok, err := p.ty.solve(net, reqs, avail)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return m, nil
+		}
+	}
+	m, err := scheduleHeteroLP(net, reqs, avail, opts)
+	if err != nil {
+		return nil, err
+	}
+	m.Solve.MultiLP = true
+	return m, nil
+}
+
+// scheduleHeteroLP is the LP chain behind ScheduleHetero: solve the
+// relaxation and commit it only after certification (certifyIntegral):
+// rounded flows must re-verify as a legal schedule whose total matches the
+// LP objective — Solve.MultiFastPath set, MultiGap zero. When
+// certification fails an integral fallback runs: exact branch-and-bound
+// when opts.Exact (a node-budget-exhausted run is accepted as a legal
+// lower bound, flagged by a nonzero MultiGap), otherwise the
+// conflict-retrying sequential per-commodity decomposition
+// (multiflow.SequentialBest), with the gap to the LP bound recorded in
+// Solve.MultiGap.
+func scheduleHeteroLP(net *topology.Network, reqs []Request, avail []Avail, opts *HeteroOptions) (*Mapping, error) {
 	const tol = 1e-6
-	tr := buildHetero(net, reqs, avail, opts.UsePriorities)
+	tr := buildHetero(net, reqs, avail, opts.UsePriorities, false)
 
 	if opts.UsePriorities {
 		res, err := multiflow.MinCostFlow(tr.G, tr.comms, nil)

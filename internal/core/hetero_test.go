@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rsin/internal/graph"
@@ -211,7 +212,7 @@ func TestHeteroSequentialPricedFallback(t *testing.T) {
 		{Res: 2, Type: 1, Preference: 4},
 		{Res: 3, Type: 1, Preference: 4},
 	}
-	tr := buildHetero(net, reqs, avail, true)
+	tr := buildHetero(net, reqs, avail, true, false)
 	m, err := heteroSequentialPriced(net, tr, reqs, avail)
 	if err != nil {
 		t.Fatal(err)
@@ -235,10 +236,13 @@ func TestHeteroSequentialPricedFallback(t *testing.T) {
 	}
 }
 
-// TestHeteroFastPathCertified: on the restricted MRSIN topologies the LP
-// relaxation is integral, so every epoch must take the *certified* fast
-// path — MultiFastPath set, zero gap, the LP bound matching the integral
-// allocation count — across random typed scenarios and fault churn.
+// TestHeteroFastPathCertified: on the restricted MRSIN topologies every
+// epoch must be *certified* optimal — MultiFastPath set, zero gap — across
+// random typed scenarios and fault churn: nearly always because the
+// sequential per-type max-flow met the combinatorial bound (then
+// MultiLPBound is that bound and equals the allocation count exactly),
+// otherwise because the LP relaxation certified integral (then it is the
+// LP objective, equal up to rounding).
 func TestHeteroFastPathCertified(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	builders := []func() *topology.Network{
@@ -246,6 +250,7 @@ func TestHeteroFastPathCertified(t *testing.T) {
 		func() *topology.Network { return topology.Benes(8) },
 		func() *topology.Network { return topology.Clos(3, 3, 3) },
 	}
+	boundMet := 0
 	for trial := 0; trial < 45; trial++ {
 		net := builders[trial%len(builders)]()
 		if trial%5 == 4 {
@@ -279,7 +284,16 @@ func TestHeteroFastPathCertified(t *testing.T) {
 		if got, want := int(m.Solve.MultiLPBound+0.5), m.Allocated(); got != want {
 			t.Fatalf("trial %d (%s): LP bound %v vs allocated %d", trial, net.Name, m.Solve.MultiLPBound, want)
 		}
+		if !m.Solve.MultiLP {
+			boundMet++
+			if m.Solve.MultiLPBound != float64(m.Allocated()) {
+				t.Fatalf("trial %d (%s): combinatorial bound %v vs allocated %d", trial, net.Name, m.Solve.MultiLPBound, m.Allocated())
+			}
+		}
 		checkMapping(t, net, m)
+	}
+	if boundMet == 0 {
+		t.Fatal("no epoch was certified against the combinatorial bound")
 	}
 }
 
@@ -342,4 +356,42 @@ func TestHeteroOnOmegaWithContention(t *testing.T) {
 		t.Fatalf("allocated %d, optimum %d", m.Allocated(), want)
 	}
 	checkMapping(t, net, m)
+}
+
+// TestTypedOrderSequence pins the commodity orders the typed solver
+// retries under: every permutation, lexicographically, up to three
+// commodities; beyond that reverse, the starved commodities first, then
+// the rotations — each exactly once, then no more.
+func TestTypedOrderSequence(t *testing.T) {
+	orders := func(st *typedState) [][]int {
+		out := [][]int{append([]int(nil), st.order...)}
+		for attempt := 1; st.nextOrder(attempt); attempt++ {
+			out = append(out, append([]int(nil), st.order...))
+		}
+		return out
+	}
+	three := &typedState{order: []int{0, 1, 2}}
+	want := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	if got := orders(three); !reflect.DeepEqual(got, want) {
+		t.Fatalf("three commodities: %v, want %v", got, want)
+	}
+	// Five commodities (0, 2, 3, 5, 6 of seven: 1 and 4 have no request or
+	// no resource); the latest sweep shipped 3 and 6 below their F_c.
+	five := &typedState{
+		order:   []int{0, 2, 3, 5, 6},
+		shipped: []int{2, 0, 1, 0, 0, 4, 1},
+		alone:   []int{2, 0, 1, 1, 0, 4, 2},
+	}
+	want = [][]int{
+		{0, 2, 3, 5, 6},
+		{6, 5, 3, 2, 0},
+		{3, 6, 0, 2, 5},
+		{2, 3, 5, 6, 0},
+		{3, 5, 6, 0, 2},
+		{5, 6, 0, 2, 3},
+		{6, 0, 2, 3, 5},
+	}
+	if got := orders(five); !reflect.DeepEqual(got, want) {
+		t.Fatalf("five commodities: %v, want %v", got, want)
+	}
 }

@@ -36,21 +36,26 @@ type SolveStats struct {
 	FastPaths int `json:"fast_paths,omitempty"`
 
 	// Multicommodity epoch accounting (ScheduleHetero only). MultiFastPath
-	// marks an epoch whose LP relaxation was *certified* integral — flows
-	// rounded, re-verified legal, objective matched — and committed as the
-	// provably optimal schedule. MultiGreedy marks the fallback: the
-	// relaxation came out fractional and the epoch was served by the
-	// sequential per-commodity decomposition, with MultiRetries counting
-	// the extra commodity orderings tried beyond the first. MultiLPBound
-	// is the relaxation objective (an upper bound on integral
-	// allocations) and MultiGap the integral units left on the table
-	// versus floor(MultiLPBound) — zero whenever optimality was certified
-	// (fast path or a closed branch-and-bound run).
+	// marks an epoch committed as *certified optimal*: either the
+	// sequential per-type max-flow met the combinatorial upper bound
+	// (typedState — no LP ran), or the LP relaxation was certified
+	// integral (flows rounded, re-verified legal, objective matched).
+	// MultiGreedy marks the fallback: the bound was missed, the relaxation
+	// came out fractional, and the epoch was served by the sequential
+	// per-commodity decomposition. MultiRetries counts the commodity
+	// orderings tried beyond the first, on either path. MultiLPBound is the
+	// tightest upper bound on integral allocations the epoch computed — the
+	// combinatorial bound when it was met, else the relaxation objective —
+	// and MultiGap the integral units left on the table versus
+	// floor(MultiLPBound): zero whenever optimality was certified (fast
+	// path or a closed branch-and-bound run). MultiLP marks an epoch that
+	// solved the dense LP at all: a bound miss, or the priced discipline.
 	MultiFastPath bool    `json:"multi_fast_path,omitempty"`
 	MultiGreedy   bool    `json:"multi_greedy,omitempty"`
 	MultiRetries  int     `json:"multi_retries,omitempty"`
 	MultiLPBound  float64 `json:"multi_lp_bound,omitempty"`
 	MultiGap      int     `json:"multi_gap,omitempty"`
+	MultiLP       bool    `json:"multi_lp,omitempty"`
 }
 
 // standingCircuit is a circuit granted by an earlier incremental solve
@@ -136,7 +141,6 @@ func (st *incState) resOfSnk(a int) int { return a - st.links - st.procs }
 // per-epoch sync then toggles membership; the structure itself is never
 // rebuilt while the topology identity holds.
 func newIncState(net *topology.Network) *incState {
-	nBoxes := len(net.Boxes)
 	st := &incState{
 		net:       net,
 		procs:     net.Procs,
@@ -150,28 +154,7 @@ func newIncState(net *topology.Network) *incState {
 		reqMark:   make([]bool, net.Procs),
 		availMark: make([]bool, net.Ress),
 	}
-	procNode := func(p int) int { return 2 + nBoxes + p }
-	resNode := func(r int) int { return 2 + nBoxes + st.procs + r }
-	nodeOf := func(e topology.Endpoint) int {
-		switch e.Kind {
-		case topology.KindProcessor:
-			return procNode(e.Index)
-		case topology.KindResource:
-			return resNode(e.Index)
-		default:
-			return 2 + e.Index
-		}
-	}
-	st.w = maxflow.NewWarm(2+nBoxes+st.procs+st.ress, 0, 1)
-	for _, l := range net.Links {
-		st.w.AddArc(nodeOf(l.From), nodeOf(l.To))
-	}
-	for p := 0; p < st.procs; p++ {
-		st.w.AddArc(0, procNode(p))
-	}
-	for r := 0; r < st.ress; r++ {
-		st.w.AddArc(resNode(r), 1)
-	}
+	st.w = newFabricArena(net)
 	st.want = make(bitset.Bits, st.w.ArcWords())
 	st.wordGen = make([]uint32, st.w.ArcWords())
 	st.wordVal = make([]uint64, st.w.ArcWords())
@@ -186,6 +169,37 @@ func newIncState(net *topology.Network) *incState {
 		}
 	}
 	return st
+}
+
+// newFabricArena builds the unit-capacity arena over a whole fabric in the
+// numbering incState documents (link arcs first, then one source arc per
+// processor and one sink arc per resource), every arc disabled. The warm
+// max-flow planner and the typed epoch solver both solve on this shape.
+func newFabricArena(net *topology.Network) *maxflow.Warm {
+	nBoxes := len(net.Boxes)
+	procNode := func(p int) int { return 2 + nBoxes + p }
+	resNode := func(r int) int { return 2 + nBoxes + net.Procs + r }
+	nodeOf := func(e topology.Endpoint) int {
+		switch e.Kind {
+		case topology.KindProcessor:
+			return procNode(e.Index)
+		case topology.KindResource:
+			return resNode(e.Index)
+		default:
+			return 2 + e.Index
+		}
+	}
+	w := maxflow.NewWarm(2+nBoxes+net.Procs+net.Ress, 0, 1)
+	for _, l := range net.Links {
+		w.AddArc(nodeOf(l.From), nodeOf(l.To))
+	}
+	for p := 0; p < net.Procs; p++ {
+		w.AddArc(0, procNode(p))
+	}
+	for r := 0; r < net.Ress; r++ {
+		w.AddArc(resNode(r), 1)
+	}
+	return w
 }
 
 // appendPathBit ORs arc a into the path word run words[start:],

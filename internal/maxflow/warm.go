@@ -24,6 +24,10 @@ import (
 //   - ClearPath retracts the unit carried by a previously decomposed
 //     path (an EndService/Cancel release or a fault severing a standing
 //     circuit), returning its capacity to the residual.
+//   - ClearFlow and EnableIdle serve the stateless use: a sequential
+//     multicommodity sweep that reuses the arena's memory every epoch but
+//     none of its flow, freezing each commodity's units before the next
+//     commodity augments.
 //
 // Every arc has unit capacity — exactly the networks Transformation 1
 // produces — so per-arc enabled and flow state are single bits, packed
@@ -235,6 +239,24 @@ func (w *Warm) SyncEnabledWord(wi int, want, mask uint64) (changed int, ok bool)
 	}
 	w.enabled[wi] = cur ^ diff
 	return bits.OnesCount64(diff), true
+}
+
+// ClearFlow drops every unit in the arena, loaded or frozen, leaving
+// membership alone. It starts a solve that must be a pure function of its
+// instance: the arena's memory is reused, its flow is not.
+func (w *Warm) ClearFlow() { w.flow.Reset() }
+
+// EnableIdle sets the instance membership to the arcs of want that carry
+// no flow: one commodity step of a sequential multicommodity sweep. Units
+// already in the arena — the circuits of earlier commodities — land on
+// disabled arcs and are thereby frozen (see the type comment): the next
+// Augment calls can neither reuse their capacity nor cancel them through a
+// reverse residual arc, which across commodities would splice one type's
+// request onto another type's resource. want must hold ArcWords() words.
+func (w *Warm) EnableIdle(want bitset.Bits) {
+	for i := range w.enabled {
+		w.enabled[i] = want[i] &^ w.flow[i]
+	}
 }
 
 // residual reports whether residual arc id has capacity: forward when the
@@ -533,13 +555,21 @@ func (w *Warm) dfs(v int, sweepSeen, solve uint32, c *Counters) bool {
 // (disabled) flow from earlier epochs is invisible here. Returns false
 // on a conservation violation, which indicates arena corruption.
 func (w *Warm) DecomposeFrom(src int) ([]int, bool) {
+	return w.AppendPathFrom(nil, src)
+}
+
+// AppendPathFrom is DecomposeFrom appending the path to dst, for callers
+// that decompose into a reused buffer. On failure dst is returned
+// unextended.
+func (w *Warm) AppendPathFrom(dst []int, src int) ([]int, bool) {
 	w.ensureCSR()
 	solve := w.solve
 	if !w.enabled.Get(src) || !w.flow.Get(src) || w.usedAt[src] == solve {
-		return nil, false
+		return dst, false
 	}
 	w.usedAt[src] = solve
-	path := []int{src}
+	base := len(dst)
+	dst = append(dst, src)
 	v := w.Head(src)
 	for v != w.sink {
 		found := false
@@ -552,16 +582,16 @@ func (w *Warm) DecomposeFrom(src int) ([]int, bool) {
 				continue
 			}
 			w.usedAt[a] = solve
-			path = append(path, a)
+			dst = append(dst, a)
 			v = w.Head(a)
 			found = true
 			break
 		}
-		if !found || len(path) > w.nArcs {
-			return nil, false
+		if !found || len(dst)-base > w.nArcs {
+			return dst[:base], false
 		}
 	}
-	return path, true
+	return dst, true
 }
 
 // ClearPath retracts the unit carried by a previously decomposed path:

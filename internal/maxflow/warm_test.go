@@ -227,3 +227,79 @@ func TestWarmDeadMarkingStillFindsAllUnits(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCommoditySweep drives the sequential-commodity primitives on the
+// instance where freezing matters: commodity A (a -> x -> ra) and
+// commodity B (b -> x -> rb) share node x. Every step of the sweep sets
+// its own source and sink arcs, and EnableIdle drops A's loaded arcs from
+// B's instance with their flow kept, so B can neither end at A's resource
+// nor cancel A's unit.
+func TestWarmCommoditySweep(t *testing.T) {
+	const (
+		s, tt   = 0, 1
+		a, b    = 2, 3
+		x       = 4
+		ra, rb  = 5, 6
+		nodes   = 7
+		wordLen = 1
+	)
+	w := NewWarm(nodes, s, tt)
+	srcA := w.AddArc(s, a)
+	srcB := w.AddArc(s, b)
+	ax := w.AddArc(a, x)
+	bx := w.AddArc(b, x)
+	xra := w.AddArc(x, ra)
+	xrb := w.AddArc(x, rb)
+	snkA := w.AddArc(ra, tt)
+	snkB := w.AddArc(rb, tt)
+	if w.ArcWords() != wordLen {
+		t.Fatalf("fixture grew past one state word: %d", w.ArcWords())
+	}
+	bit := func(arcs ...int) uint64 {
+		var m uint64
+		for _, id := range arcs {
+			m |= 1 << uint(id)
+		}
+		return m
+	}
+	links := bit(ax, bx, xra, xrb)
+	var c Counters
+
+	// Commodity A: its own source and sink arcs over every link.
+	w.ClearFlow()
+	w.EnableIdle([]uint64{links | bit(srcA, snkA)})
+	w.BeginSolve()
+	if !w.Augment(srcA, &c) {
+		t.Fatal("commodity A should ship its unit")
+	}
+	path, ok := w.AppendPathFrom([]int{-1}, srcA)
+	if !ok || len(path) != 5 || path[0] != -1 || path[1] != srcA || path[4] != snkA {
+		t.Fatalf("AppendPathFrom = %v, %v", path, ok)
+	}
+
+	// Commodity B: A's arcs drop out of the instance with their flow kept.
+	w.EnableIdle([]uint64{links | bit(srcB, snkB)})
+	for _, id := range []int{srcA, ax, xra, snkA} {
+		if w.Enabled(id) || !w.Flow(id) {
+			t.Fatalf("arc %d of commodity A should be frozen: enabled=%v flow=%v", id, w.Enabled(id), w.Flow(id))
+		}
+	}
+	w.BeginSolve()
+	if !w.Augment(srcB, &c) {
+		t.Fatal("commodity B should ship over the links A left")
+	}
+	if pb, ok := w.AppendPathFrom(nil, srcB); !ok || pb[len(pb)-1] != snkB {
+		t.Fatalf("commodity B's unit ended at arc %v, want its own sink arc %d", pb, snkB)
+	}
+	if _, ok := w.AppendPathFrom(nil, srcA); ok {
+		t.Fatal("decomposition walked commodity A's frozen unit")
+	}
+
+	// A new solve reuses the memory, not the flow.
+	w.ClearFlow()
+	for id := 0; id < w.NumArcs(); id++ {
+		if w.Flow(id) {
+			t.Fatalf("arc %d still loaded after ClearFlow", id)
+		}
+	}
+}

@@ -70,10 +70,10 @@ type schedObs struct {
 	retractions *obs.Counter // standing-circuit units walked back
 	fastPaths   *obs.Counter // grants via the combinatorial routing fast path
 
-	multiFastPath *obs.Counter // multicommodity cycles: certified-integral LP commits
+	multiFastPath *obs.Counter // multicommodity cycles committed certified optimal (bound met, or LP certified integral)
 	multiGreedy   *obs.Counter // multicommodity cycles: greedy decomposition fallback
-	multiRetries  *obs.Counter // extra commodity orderings tried by the greedy
-	multiGap      *obs.Counter // integral units left vs the LP bound, summed
+	multiRetries  *obs.Counter // extra commodity orderings tried, on either path
+	multiGap      *obs.Counter // integral units left vs the tightest bound computed, summed
 
 	gangsSubmitted *obs.Counter // gangs accepted into shard systems
 	gangsActivated *obs.Counter // gangs admitted by the banker's gate

@@ -180,12 +180,15 @@ type Stats struct {
 	FastPaths   int64 // grants resolved by the combinatorial routing fast path
 
 	// Multicommodity epoch counters (Hetero discipline only; zero for the
-	// others). MultiFastPath counts cycles whose LP relaxation was
-	// certified integral and committed as provably optimal; MultiGreedy
-	// counts cycles served by the sequential greedy decomposition, with
-	// MultiRetries the extra commodity orderings it tried and
-	// MultiGapUnits the integral allocations left versus the LP bound,
-	// summed over those cycles (zero on every certified cycle).
+	// others). MultiFastPath counts cycles committed as certified optimal:
+	// sequential per-type max-flow met the combinatorial upper bound (the
+	// common case, no LP solved), or on a bound miss the LP relaxation was
+	// certified integral. MultiGreedy counts cycles served by the
+	// sequential greedy decomposition after both failed. MultiRetries is
+	// the extra commodity orderings tried, on either path, and
+	// MultiGapUnits the integral allocations left versus the tightest
+	// bound computed, summed over the cycles (zero on every certified
+	// cycle).
 	MultiFastPath int64
 	MultiGreedy   int64
 	MultiRetries  int64

@@ -391,10 +391,19 @@ func TestClientDisconnectReleasesSlot(t *testing.T) {
 			break
 		}
 	}
+	// "admitted" is written before the handler submits, and a context
+	// that ends first never reaches the scheduler at all: wait for the
+	// ninth submission so it is the queued task the disconnect withdraws.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Submitted < int64(len(holders))+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the admitted task never reached the scheduler: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	conn.Close()
 
 	// The disconnect propagates: the admission census must drain to zero.
-	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := sv.Admission().State()
 		if st.Inflight == 0 && st.Queued == 0 {
@@ -405,9 +414,13 @@ func TestClientDisconnectReleasesSlot(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	stats := s.Stats()
-	if stats.Canceled == 0 {
-		t.Errorf("scheduler recorded no cancellation after the disconnect: %+v", stats)
+	// The handler returns (and the census drains) when its context ends;
+	// the shard applies the withdrawal it triggered in a later epoch.
+	for s.Stats().Canceled == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("scheduler recorded no cancellation after the disconnect: %+v", s.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	for _, h := range holders {
 		if err := s.EndService(h); err != nil {

@@ -263,7 +263,7 @@ type System struct {
 	usableCacheEpoch uint64
 	usableCacheOK    bool
 
-	planner core.Planner // recycled solver arenas (MaxFlow residuals, MinCost warm basis)
+	planner core.Planner // recycled solver arenas (MaxFlow residuals, MinCost warm basis, typed-epoch arena)
 
 	// Observability (zero value = disabled, allocation-free).
 	o          sysObs
@@ -726,7 +726,9 @@ func (s *System) cycle() (*CycleResult, error) {
 			m, err = s.planner.ScheduleMinCostIncremental(s.net, reqs, avail)
 		}
 	case Hetero:
-		m, err = core.ScheduleHetero(s.net, reqs, avail, s.cfg.Hetero)
+		// Bound first, LP last, on the planner's typed arena; a mapping is
+		// a pure function of this cycle's inputs (core.Planner.ScheduleHetero).
+		m, err = s.planner.ScheduleHetero(s.net, reqs, avail, s.cfg.Hetero)
 	case TokenArch:
 		requesting := make([]bool, s.net.Procs)
 		free := make([]bool, s.net.Ress)
