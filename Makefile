@@ -2,7 +2,7 @@
 # packages. `make` (or `make all`) is what CI runs.
 GO ?= go
 
-.PHONY: all vet build test race allocguard ratchet schedbench bench fuzz lint vuln
+.PHONY: all vet build test race allocguard ratchet schedbench sparsebench bench fuzz lint vuln
 
 all: vet build test race ratchet
 
@@ -54,6 +54,15 @@ allocguard:
 # and its shed gate.
 schedbench:
 	$(GO) run ./cmd/rsinbench -sched -openloop -json BENCH_sched.json
+
+# Flush-policy smoke: 8 closed-loop clients keep far less than one batch
+# in flight, so their median latency is the flush policy's. It must stay
+# under 0.5 ms — 20x what flushing on an idle queue measures, half of
+# what any 500 us flush timer would read (one tick for the grant, one for
+# the release) — and the run must pass the harness's own checks. Needs jq.
+sparsebench:
+	bash bench/run.sh --workload untyped_sparse --seed 1 --seconds 2 --trace 0 | tee /dev/stderr | \
+		jq -e '.correct == true and .metrics.lat_p50_ms.value < 0.5'
 
 # lint/vuln need staticcheck / govulncheck on PATH (CI installs them);
 # they are not part of `all` so an offline checkout still builds.

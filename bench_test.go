@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rsin/internal/core"
 	"rsin/internal/experiments"
@@ -458,34 +457,13 @@ func BenchmarkMicroFlowAlgorithms(b *testing.B) {
 // The acceptance bar for the service is >= 2x the naive throughput.
 func BenchmarkSchedBatchedVsMutex(b *testing.B) {
 	const clients = 64
-	runClients := func(b *testing.B, serve func(client, proc int) bool) {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(b.N) {
-						return
-					}
-					if !serve(c, int(i)%64) {
-						next.Store(int64(b.N)) // stop the other clients
-						return
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-	}
 	b.Run("mutex", func(b *testing.B) {
 		sys, err := system.New(system.Config{Net: topology.Omega(64)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		var mu sync.Mutex
-		runClients(b, func(c, proc int) bool {
+		runClients(b, clients, func(c, proc int) bool {
 			mu.Lock()
 			defer mu.Unlock()
 			id, err := sys.Submit(system.Task{Proc: proc})
@@ -515,32 +493,79 @@ func BenchmarkSchedBatchedVsMutex(b *testing.B) {
 	})
 	b.Run("batched", func(b *testing.B) {
 		s, err := sched.New(sched.Config{
-			Shards:     []system.Config{{Net: topology.Omega(64)}},
-			BatchSize:  clients,
-			FlushEvery: 200 * time.Microsecond,
+			Shards:    []system.Config{{Net: topology.Omega(64)}},
+			BatchSize: clients,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer s.Close()
-		runClients(b, func(c, proc int) bool {
-			h, err := s.Submit(0, system.Task{Proc: proc})
-			if err != nil {
-				b.Error(err)
-				return false
-			}
-			<-h.Done()
-			if h.Err() != nil {
-				b.Error(h.Err())
-				return false
-			}
-			if err := s.EndService(h); err != nil {
-				b.Error(err)
-				return false
-			}
-			return true
-		})
+		runClients(b, clients, func(c, proc int) bool { return schedRoundTrip(b, s, 0, proc) })
 	})
+}
+
+// BenchmarkSchedSparseRoundTrip is the sparse shape of the scheduling
+// service: 8 closed-loop clients on 2×Omega(64), far fewer operations in
+// flight than one batch, so ns/op is the flush policy's latency (an op is
+// served when the shard's queue runs dry, not when a batch fills) plus the
+// per-cycle cost a small epoch pays for one to three tasks.
+func BenchmarkSchedSparseRoundTrip(b *testing.B) {
+	const clients, shards = 8, 2
+	s, err := sched.New(sched.Config{
+		Shards: []system.Config{{Net: topology.Omega(64)}, {Net: topology.Omega(64)}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	runClients(b, clients, func(c, proc int) bool { return schedRoundTrip(b, s, c%shards, proc) })
+}
+
+// runClients shares b.N round trips among closed-loop client goroutines;
+// serve gets the client's index and a processor in [0,64), and returns
+// false to stop the run.
+func runClients(b *testing.B, clients int, serve func(client, proc int) bool) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) {
+					return
+				}
+				if !serve(c, int(i)%64) {
+					next.Store(int64(b.N)) // stop the other clients
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// schedRoundTrip is one task through the service: Submit, wait for the
+// grant, EndService.
+func schedRoundTrip(b *testing.B, s *sched.Scheduler, shard, proc int) bool {
+	h, err := s.Submit(shard, system.Task{Proc: proc})
+	if err != nil {
+		b.Error(err)
+		return false
+	}
+	<-h.Done()
+	if h.Err() != nil {
+		b.Error(h.Err())
+		return false
+	}
+	if err := s.EndService(h); err != nil {
+		b.Error(err)
+		return false
+	}
+	return true
 }
 
 func BenchmarkMicroMinCost(b *testing.B) {

@@ -75,7 +75,6 @@ func runGangBench(seed int64, smoke bool) (gangBenchReport, error) {
 	net := topology.Omega(cfg.N)
 	s, err := sched.New(sched.Config{
 		Shards:       []system.Config{{Net: net, Avoidance: system.AvoidanceBankers}},
-		FlushEvery:   200 * time.Microsecond,
 		SeverRetries: 8,
 	})
 	if err != nil {

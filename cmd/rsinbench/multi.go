@@ -123,7 +123,6 @@ func runMultiBench(seed int64, smoke bool) (multiBenchReport, error) {
 			Types:      types,
 			Avoidance:  system.AvoidanceBankers,
 		}},
-		FlushEvery:   200 * time.Microsecond,
 		SeverRetries: 8,
 	})
 	if err != nil {

@@ -126,7 +126,7 @@ func runTieredComparison(smoke bool) (tieredReport, error) {
 // tiered, in priority class c mod tiers.
 func driveTieredClients(rep tieredReport, tiered bool) ([][]float64, sched.Stats, error) {
 	sc := system.Config{Net: topology.Crossbar(rep.Procs, rep.Ress)}
-	scfg := sched.Config{Shards: []system.Config{sc}, FlushEvery: 100 * time.Microsecond}
+	scfg := sched.Config{Shards: []system.Config{sc}}
 	if tiered {
 		scfg.Shards[0].Discipline = system.MinCost
 		scfg.Preempt = rep.Preempt

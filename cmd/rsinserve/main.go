@@ -1,8 +1,8 @@
 // rsinserve drives the concurrent batched scheduling service
 // (internal/sched) at load and reports throughput, latency percentiles
 // and solver-cost counters. It is the sizing harness for the production
-// tier: sweep -clients, -batch, -flush and -shards to find the epoch
-// geometry for a target fabric.
+// tier: sweep -clients, -batch and -shards to find the epoch geometry for
+// a target fabric.
 //
 //	go run ./cmd/rsinserve                             # 64 clients on one Omega(64)
 //	go run ./cmd/rsinserve -shards 4 -topo benes -n 16 # four Benes(16) planes
@@ -229,7 +229,6 @@ func main() {
 		tasks     = flag.Int("tasks", 500, "tasks per client")
 		need      = flag.Int("need", 1, "resources per task")
 		batch     = flag.Int("batch", 0, "epoch batch size (0 = library default)")
-		flush     = flag.Duration("flush", 0, "epoch flush period (0 = library default)")
 		naive     = flag.Bool("no-avoidance", false, "disable banker's deadlock avoidance for need > 1 (can wedge, §II)")
 		tiers     = flag.Int("tiers", 0, "spread clients across this many priority tiers (1..8); switches shards to the min-cost discipline and reports per-tier latency")
 		types     = flag.Int("types", 0, "pool this many heterogeneous resource types per shard (0 = homogeneous); switches shards to the multicommodity Hetero discipline and clients to typed demand vectors")
@@ -321,7 +320,7 @@ func main() {
 		defer srv.Close()
 	}
 
-	cfg := sched.Config{BatchSize: *batch, FlushEvery: *flush, Workers: *workers, Obs: reg, Preempt: *preempt}
+	cfg := sched.Config{BatchSize: *batch, Workers: *workers, Obs: reg, Preempt: *preempt}
 	for i := 0; i < *shards; i++ {
 		sc := system.Config{Net: build(*n), Avoidance: avoidance}
 		// Tiered traffic needs the priority-honoring discipline; untiered
@@ -517,8 +516,8 @@ func main() {
 	fmt.Printf("solver ops    augmentations=%d phases=%d arc-scans=%d node-visits=%d\n",
 		st.Ops.Augmentations, st.Ops.Phases, st.Ops.ArcScans, st.Ops.NodeVisits)
 	if *types > 0 {
-		fmt.Printf("multicommod.  fast-path=%d greedy=%d retries=%d gap-units=%d\n",
-			st.MultiFastPath, st.MultiGreedy, st.MultiRetries, st.MultiGapUnits)
+		fmt.Printf("multicommod.  fast-path=%d lp=%d greedy=%d retries=%d gap-units=%d\n",
+			st.MultiFastPath, st.MultiLP, st.MultiGreedy, st.MultiRetries, st.MultiGapUnits)
 	}
 	// Shard-down losses and deadline cancellations are the expected cost
 	// of -inject / -deadline runs; anything else is a real failure.

@@ -7,7 +7,6 @@ package sched
 
 import (
 	"testing"
-	"time"
 
 	"rsin/internal/obs"
 	"rsin/internal/system"
@@ -39,10 +38,9 @@ func TestDisabledObsAllocFree(t *testing.T) {
 	}
 	mk := func(reg *obs.Registry) *Scheduler {
 		return newScheduler(t, Config{
-			BatchSize:  1,
-			FlushEvery: time.Hour, // no timer flushes perturbing the count
-			Obs:        reg,
-			Shards:     []system.Config{{Net: topology.Omega(8)}},
+			BatchSize: 1,
+			Obs:       reg,
+			Shards:    []system.Config{{Net: topology.Omega(8)}},
 		})
 	}
 	disabled := testing.AllocsPerRun(200, round(mk(nil)))

@@ -28,8 +28,7 @@ func TestRunCollective(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newScheduler(t, Config{
-				Shards:     []system.Config{{Net: tc.net, Avoidance: system.AvoidanceBankers}},
-				FlushEvery: 200 * time.Microsecond,
+				Shards: []system.Config{{Net: tc.net, Avoidance: system.AvoidanceBankers}},
 			})
 			procs := make([]int, tc.ranks)
 			for i := range procs {
@@ -65,8 +64,7 @@ func TestRunCollective(t *testing.T) {
 func TestRunCollectiveConcurrent(t *testing.T) {
 	net := topology.Omega(8)
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: net, Avoidance: system.AvoidanceBankers}},
-		FlushEvery: 200 * time.Microsecond,
+		Shards: []system.Config{{Net: net, Avoidance: system.AvoidanceBankers}},
 	})
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
@@ -129,8 +127,7 @@ func TestRunCollectiveConcurrent(t *testing.T) {
 // stops the phase chain with nothing held.
 func TestRunCollectiveErrors(t *testing.T) {
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: topology.Omega(4)}},
-		FlushEvery: 200 * time.Microsecond,
+		Shards: []system.Config{{Net: topology.Omega(4)}},
 	})
 	if _, err := s.RunCollective(context.Background(), 0, CollectiveSpec{
 		Pattern: core.RingAllReduce, Procs: []int{0},

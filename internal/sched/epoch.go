@@ -179,6 +179,9 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 	if sv.MultiFastPath {
 		st.MultiFastPath++
 	}
+	if sv.MultiLP {
+		st.MultiLP++
+	}
 	if sv.MultiGreedy {
 		st.MultiGreedy++
 	}

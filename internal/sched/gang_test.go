@@ -167,13 +167,23 @@ func TestGangCtxCancel(t *testing.T) {
 func TestGangActivationGate(t *testing.T) {
 	net := topology.Omega(4)
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: net}},
-		FlushEvery: 200 * time.Microsecond,
+		Shards: []system.Config{{Net: net}},
 	})
 	// Two Need=3 singletons under the default greedy policy split the 4
 	// units 2/2 and wedge in hold-and-wait: each holds 2, needs 1 more,
 	// free is 0 and neither can ever finish. This is the canonical unsafe
-	// state the banker must refuse to promise a completion order in.
+	// state the banker must refuse to promise a completion order in. The
+	// split needs both to be acquiring when the units come free (alone, the
+	// first would take 3), so a four-member gang holds every unit while
+	// they queue up and hands all four back in one EndGang.
+	filler, err := s.SubmitGang(0, GangSpec{Members: []system.Task{{Proc: 0}, {Proc: 1}, {Proc: 2}, {Proc: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, filler, "filler gang")
+	if filler.Err() != nil {
+		t.Fatal(filler.Err())
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	x, err := s.SubmitCtx(ctx, 0, system.Task{Proc: 0, Need: 3})
 	if err != nil {
@@ -183,14 +193,14 @@ func TestGangActivationGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(10 * time.Second)
-	for s.Stats().Free != 0 {
-		select {
-		case <-deadline:
-			t.Fatal("singletons never wedged")
-		case <-time.After(time.Millisecond):
-		}
+	waitStats(t, s, func(st Stats) bool { return st.Submitted == 6 })
+	if err := s.EndGang(filler); err != nil {
+		t.Fatal(err)
 	}
+	if st := waitStats(t, s, func(st Stats) bool { return st.Free == 0 }); st.Free != 0 {
+		t.Fatalf("singletons never wedged: %+v", st)
+	}
+	activated := s.Stats().GangsActivated // the filler's
 	gh, err := s.SubmitGang(0, GangSpec{Members: []system.Task{{Proc: 2}, {Proc: 3}}})
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +212,8 @@ func TestGangActivationGate(t *testing.T) {
 		t.Fatalf("gang completed inside an unsafe allocation: %v", gh.Err())
 	case <-time.After(50 * time.Millisecond):
 	}
-	if st := s.Stats(); st.GangsActivated != 0 {
-		t.Fatalf("GangsActivated = %d inside the wedge, want 0", st.GangsActivated)
+	if st := s.Stats(); st.GangsActivated != activated {
+		t.Fatalf("GangsActivated rose by %d inside the wedge, want 0", st.GangsActivated-activated)
 	}
 	// Withdrawing one wedged holder returns its units; the other finishes,
 	// the allocation is safe again and the gated gang proceeds.
@@ -231,8 +241,8 @@ func TestGangActivationGate(t *testing.T) {
 	if gh.Err() != nil {
 		t.Fatal(gh.Err())
 	}
-	if st := s.Stats(); st.GangsActivated != 1 {
-		t.Fatalf("GangsActivated = %d, want 1", st.GangsActivated)
+	if st := s.Stats(); st.GangsActivated != activated+1 {
+		t.Fatalf("GangsActivated rose by %d, want 1", st.GangsActivated-activated)
 	}
 	if err := s.EndGang(gh); err != nil {
 		t.Fatal(err)
@@ -251,7 +261,6 @@ func TestGangSeverExactlyOnce(t *testing.T) {
 	net := topology.Omega(8)
 	s := newScheduler(t, Config{
 		Shards:       []system.Config{{Net: net}},
-		FlushEvery:   200 * time.Microsecond,
 		SeverRetries: 1,
 	})
 	// Five blockers pin five units, leaving three free. The gang needs
@@ -352,9 +361,8 @@ func TestGangChaosStress(t *testing.T) {
 	}
 	net := topology.Benes(16)
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: net, Avoidance: system.AvoidanceBankers}},
-		BatchSize:  48,
-		FlushEvery: 200 * time.Microsecond,
+		Shards:    []system.Config{{Net: net, Avoidance: system.AvoidanceBankers}},
+		BatchSize: 48,
 	})
 
 	stop := make(chan struct{})

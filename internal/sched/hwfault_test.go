@@ -88,8 +88,7 @@ func TestDegradedCapacityGauge(t *testing.T) {
 // ErrUnsatisfiable when a fault shrinks capacity below its demand.
 func TestQueuedTaskFailsWhenCapacityDrops(t *testing.T) {
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: topology.Omega(4)}},
-		FlushEvery: 200 * time.Microsecond,
+		Shards: []system.Config{{Net: topology.Omega(4)}},
 	})
 	// A blocker holds one unit so the Need=4 task can never finish
 	// acquiring and stays queued.
@@ -134,7 +133,6 @@ func TestSeverRetryBudget(t *testing.T) {
 	net := topology.Omega(4)
 	s := newScheduler(t, Config{
 		Shards:       []system.Config{{Net: net}},
-		FlushEvery:   200 * time.Microsecond,
 		SeverRetries: 1,
 	})
 	// Three blockers pin three resources; the Need=2 victim acquires the
@@ -213,7 +211,7 @@ func TestCorrelatedFaultChargesOnce(t *testing.T) {
 			// holds. Failing only two of those keeps usable capacity (6)
 			// above its demand — the capacity watchdog must not be the thing
 			// that kills it.
-			s, blockers, held, j := blockedJob(t, Config{SeverRetries: 1, FlushEvery: 200 * time.Microsecond}, k)
+			s, blockers, held, j := blockedJob(t, Config{SeverRetries: 1}, k)
 			// One correlated event takes two held units at once...
 			if err := s.ApplyFaults(0, faultBatch(held[:2], false)); err != nil {
 				t.Fatal(err)
@@ -279,9 +277,8 @@ func TestFailHealStress(t *testing.T) {
 	// multi-cycle acquisitions hold units across flushes — the window where
 	// chaos actually severs in-flight work instead of leaving latent faults.
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: net, Avoidance: system.AvoidanceBankers}},
-		BatchSize:  48,
-		FlushEvery: 200 * time.Microsecond,
+		Shards:    []system.Config{{Net: net, Avoidance: system.AvoidanceBankers}},
+		BatchSize: 48,
 	})
 
 	stop := make(chan struct{})

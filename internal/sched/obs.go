@@ -71,6 +71,7 @@ type schedObs struct {
 	fastPaths   *obs.Counter // grants via the combinatorial routing fast path
 
 	multiFastPath *obs.Counter // multicommodity cycles committed certified optimal (bound met, or LP certified integral)
+	multiLP       *obs.Counter // multicommodity cycles: bound missed, dense LP solved
 	multiGreedy   *obs.Counter // multicommodity cycles: greedy decomposition fallback
 	multiRetries  *obs.Counter // extra commodity orderings tried, on either path
 	multiGap      *obs.Counter // integral units left vs the tightest bound computed, summed
@@ -136,6 +137,7 @@ func newSchedObs(reg *obs.Registry) schedObs {
 		retractions:       reg.Counter("rsin_solver_warm_retractions_total"),
 		fastPaths:         reg.Counter("rsin_solver_fast_paths_total"),
 		multiFastPath:     reg.Counter("rsin_solver_multi_fast_path_total"),
+		multiLP:           reg.Counter("rsin_solver_multi_lp_total"),
 		multiGreedy:       reg.Counter("rsin_solver_multi_greedy_total"),
 		multiRetries:      reg.Counter("rsin_solver_multi_retries_total"),
 		multiGap:          reg.Counter("rsin_solver_multi_gap_units_total"),
@@ -208,6 +210,7 @@ func (o *schedObs) mirror(epoch *Stats) {
 	o.retractions.Add(epoch.Retractions)
 	o.fastPaths.Add(epoch.FastPaths)
 	o.multiFastPath.Add(epoch.MultiFastPath)
+	o.multiLP.Add(epoch.MultiLP)
 	o.multiGreedy.Add(epoch.MultiGreedy)
 	o.multiRetries.Add(epoch.MultiRetries)
 	o.multiGap.Add(epoch.MultiGapUnits)

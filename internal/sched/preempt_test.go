@@ -22,7 +22,6 @@ func preemptRig(t *testing.T, severRetries int) (s *Scheduler, h, v *Handle) {
 	s = newScheduler(t, Config{
 		Shards:       []system.Config{{Net: topology.Crossbar(3, 2), Discipline: system.MinCost}},
 		BatchSize:    1,
-		FlushEvery:   200 * time.Microsecond,
 		SeverRetries: severRetries,
 		Preempt:      true,
 	})
@@ -219,9 +218,8 @@ func TestPreemptChaosStress(t *testing.T) {
 		Shards: []system.Config{{
 			Net: net, Discipline: system.MinCost, Avoidance: system.AvoidanceBankers,
 		}},
-		BatchSize:  48,
-		FlushEvery: 200 * time.Microsecond,
-		Preempt:    true,
+		BatchSize: 48,
+		Preempt:   true,
 	})
 
 	stop := make(chan struct{})

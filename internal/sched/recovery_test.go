@@ -46,8 +46,7 @@ func provision(t *testing.T, s *Scheduler, shard int, task system.Task) *Handle 
 func TestShardRecoversFromCycleFault(t *testing.T) {
 	in := faultinject.New()
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: topology.Omega(8), FaultHook: in.Hook}},
-		FlushEvery: 200 * time.Microsecond,
+		Shards: []system.Config{{Net: topology.Omega(8), FaultHook: in.Hook}},
 	})
 
 	// A healthy task that will be holding grants when the fault hits.
@@ -93,8 +92,7 @@ func TestShardRecoversFromCycleFault(t *testing.T) {
 func TestEndTransmissionFaultFailsHandles(t *testing.T) {
 	in := faultinject.New().FailAt(system.FaultEndTransmission, 1)
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: topology.Omega(8), FaultHook: in.Hook}},
-		FlushEvery: 200 * time.Microsecond,
+		Shards: []system.Config{{Net: topology.Omega(8), FaultHook: in.Hook}},
 	})
 	var handles []*Handle
 	for p := 0; p < 4; p++ {
@@ -128,13 +126,13 @@ func TestEndTransmissionFaultFailsHandles(t *testing.T) {
 	}
 }
 
-// TestNoHotLoopWhileBlocked is the regression test for the timer-flush
-// polling loop: a blocked tracked task must not cost a flow solve every
-// FlushEvery period while nothing about the shard state changes.
+// TestNoHotLoopWhileBlocked is the regression test for polling: a blocked
+// tracked task on an idle shard must cost no flow solve and no epoch while
+// nothing about the shard state changes — the shard sleeps in its op
+// receive until an op arrives.
 func TestNoHotLoopWhileBlocked(t *testing.T) {
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: topology.Omega(4)}},
-		FlushEvery: time.Millisecond,
+		Shards: []system.Config{{Net: topology.Omega(4)}},
 	})
 	var holders []*Handle
 	for p := 0; p < 4; p++ {
@@ -144,13 +142,16 @@ func TestNoHotLoopWhileBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the submission epoch (and any straggler ticks) settle, then
-	// measure across many FlushEvery periods: the cycle count must hold.
-	time.Sleep(20 * time.Millisecond)
-	before := s.Stats().Cycles
+	// The blocked task's own epoch publishes its admission together with
+	// the epoch and its cycles; from then on both counts must hold.
+	before := waitStats(t, s, func(st Stats) bool { return st.Submitted == 5 })
 	time.Sleep(50 * time.Millisecond)
-	if after := s.Stats().Cycles; after != before {
-		t.Fatalf("blocked shard kept solving: %d cycles grew to %d with no state change", before, after)
+	after := s.Stats()
+	if after.Cycles != before.Cycles {
+		t.Fatalf("blocked shard kept solving: %d cycles grew to %d with no state change", before.Cycles, after.Cycles)
+	}
+	if after.Epochs != before.Epochs {
+		t.Fatalf("blocked shard kept flushing: %d epochs grew to %d with no op sent", before.Epochs, after.Epochs)
 	}
 	// The shard is idle, not stuck: a release wakes it and the blocked
 	// task completes.
@@ -195,8 +196,7 @@ func TestUnsatisfiableRejectedAtSubmit(t *testing.T) {
 // queued behind it completes with the freed capacity.
 func TestSubmitCtxCancelFreesQueueHead(t *testing.T) {
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: topology.Omega(4)}},
-		FlushEvery: 200 * time.Microsecond,
+		Shards: []system.Config{{Net: topology.Omega(4)}},
 	})
 	// Three holders leave exactly one free resource.
 	var holders []*Handle
@@ -317,8 +317,7 @@ func TestErrorPaths(t *testing.T) {
 		{"EndService on recovering shard", func(t *testing.T) {
 			in := faultinject.New()
 			s := newScheduler(t, Config{
-				Shards:     []system.Config{{Net: topology.Omega(4), FaultHook: in.Hook}},
-				FlushEvery: 200 * time.Microsecond,
+				Shards: []system.Config{{Net: topology.Omega(4), FaultHook: in.Hook}},
 			})
 			pre := provision(t, s, 0, system.Task{Proc: 0})
 			in.FailAt(system.FaultCycle, in.Calls(system.FaultCycle)+1)
@@ -368,8 +367,7 @@ func TestErrorPaths(t *testing.T) {
 		}},
 		{"abandoned context handle", func(t *testing.T) {
 			s := newScheduler(t, Config{
-				Shards:     []system.Config{{Net: topology.Omega(4)}},
-				FlushEvery: 200 * time.Microsecond,
+				Shards: []system.Config{{Net: topology.Omega(4)}},
 			})
 			// Hold everything so the abandoned task can never provision.
 			var holders []*Handle

@@ -6,12 +6,15 @@
 //
 // The service removes both costs:
 //
-//   - Batched epochs. Client operations (Submit, EndService) are buffered
-//     per shard and flushed as one scheduling epoch when either BatchSize
-//     operations have accumulated or the FlushEvery timer ticks. One epoch
-//     runs the underlying System's Cycle — one flow solve covering every
-//     request in the batch — repeating only while grants are still being
-//     made (multi-resource tasks acquire one unit per cycle, §II).
+//   - Batched epochs. Client operations (Submit, EndService) queue per
+//     shard, and the shard flushes everything that was ready as one
+//     scheduling epoch as soon as its queue runs dry — there is no timer:
+//     like the §IV scheduler, a cycle starts when work is pending and the
+//     previous one is over. Under load operations pile up behind the
+//     running epoch, so batches fill by themselves. One epoch runs the
+//     underlying System's Cycle — one flow solve covering every request in
+//     the batch — repeating only while grants are still being made
+//     (multi-resource tasks acquire one unit per cycle, §II).
 //   - Sharding. The fabric is partitioned into disjoint sub-networks (one
 //     Clos plane, one resource type, one tenant...), each owned by its own
 //     shard goroutine with its own System, so independent shards schedule
@@ -58,8 +61,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
-	"time"
 
 	"rsin/internal/maxflow"
 	"rsin/internal/obs"
@@ -87,12 +90,11 @@ type Config struct {
 	// Shard i is addressed by the shard argument of Submit. At least one
 	// shard is required.
 	Shards []system.Config
-	// BatchSize flushes a shard's epoch once this many operations are
-	// buffered. Default 32.
+	// BatchSize sizes a shard's op queue, and with it the largest epoch:
+	// 2×BatchSize operations may wait while an epoch runs (beyond that,
+	// callers block in Submit/EndService), and the next epoch takes all of
+	// them. Default 32.
 	BatchSize int
-	// FlushEvery bounds the latency of a partially-filled batch: a timer
-	// flush fires at this period whenever work is pending. Default 500µs.
-	FlushEvery time.Duration
 	// Workers caps how many shards may run their solver concurrently
 	// (the solver worker pool). Default: one worker per shard.
 	Workers int
@@ -183,13 +185,16 @@ type Stats struct {
 	// others). MultiFastPath counts cycles committed as certified optimal:
 	// sequential per-type max-flow met the combinatorial upper bound (the
 	// common case, no LP solved), or on a bound miss the LP relaxation was
-	// certified integral. MultiGreedy counts cycles served by the
-	// sequential greedy decomposition after both failed. MultiRetries is
-	// the extra commodity orderings tried, on either path, and
-	// MultiGapUnits the integral allocations left versus the tightest
-	// bound computed, summed over the cycles (zero on every certified
-	// cycle).
+	// certified integral. MultiLP counts the bound misses — cycles that
+	// went on to the dense LP, whatever it then certified — so the typed
+	// tail is the MultiLP share of cycles times the LP's cost. MultiGreedy
+	// counts cycles served by the sequential greedy decomposition after
+	// both failed. MultiRetries is the extra commodity orderings tried, on
+	// either path, and MultiGapUnits the integral allocations left versus
+	// the tightest bound computed, summed over the cycles (zero on every
+	// certified cycle).
 	MultiFastPath int64
+	MultiLP       int64
 	MultiGreedy   int64
 	MultiRetries  int64
 	MultiGapUnits int64
@@ -229,6 +234,7 @@ func (st *Stats) add(o *Stats) {
 	st.Retractions += o.Retractions
 	st.FastPaths += o.FastPaths
 	st.MultiFastPath += o.MultiFastPath
+	st.MultiLP += o.MultiLP
 	st.MultiGreedy += o.MultiGreedy
 	st.MultiRetries += o.MultiRetries
 	st.MultiGapUnits += o.MultiGapUnits
@@ -319,9 +325,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = 500 * time.Microsecond
-	}
 	if cfg.Workers <= 0 || cfg.Workers > len(cfg.Shards) {
 		cfg.Workers = len(cfg.Shards)
 	}
@@ -358,7 +361,7 @@ func New(cfg Config) (*Scheduler, error) {
 			sysCfg:  sc,
 			procs:   sc.Net.Procs,
 			ress:    sc.Net.Ress,
-			ops:     make(chan op, 2*cfg.BatchSize), // a full batch buffered while one flushes
+			ops:     make(chan op, 2*cfg.BatchSize), // a full batch queues while another flushes
 			tracked: make(map[system.TaskID]*job),
 		}
 		sh.stats.Free = sc.Net.Ress
@@ -613,9 +616,10 @@ func (s *Scheduler) Stats() Stats {
 	return tot
 }
 
-// Close stops accepting work, runs a final epoch per shard and waits for
-// the shard goroutines to exit. Tasks still unprovisioned after the final
-// epoch have their handles closed with ErrClosed. Close is idempotent.
+// Close stops accepting work, lets each shard finish the epochs of the ops
+// already queued and waits for the shard goroutines to exit. Tasks still
+// unprovisioned after that have their handles closed with ErrClosed. Close
+// is idempotent.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -631,61 +635,43 @@ func (s *Scheduler) Close() error {
 	return nil
 }
 
-// run is the shard goroutine: buffer ops, flush epochs on batch size or
-// timer tick, and keep re-scheduling while unprovisioned tasks remain.
+// run is the shard goroutine. An epoch is everything that was ready:
+// block for the first op, take all that is already queued, yield the
+// processor once so clients runnable right now can enqueue too, and flush
+// as soon as a yield brings nothing new. Nothing waits on a clock — a lone
+// op is served at once, and when the shard is the bottleneck ops pile up
+// behind the running flush and the next epoch takes them all, which keeps
+// the per-epoch work (cycles, preemption rounds) amortized over a full
+// queue. The yield is what lets a batch form at all on a saturated
+// scheduler: without it the shard outruns its clients and solves one op
+// per epoch. An idle shard blocks in the receive: blocked tracked work
+// alone never re-solves, because the System evolves only through ops and
+// every epoch already cycles to quiescence.
 func (s *Scheduler) run(sh *shard) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.FlushEvery)
-	defer ticker.Stop()
-	buf := make([]op, 0, s.cfg.BatchSize)
-	for {
-		select {
-		case o, ok := <-sh.ops:
-			if !ok {
-				s.shutdown(sh, buf)
-				return
-			}
-			buf = append(buf, o)
-			// Drain whatever else is already queued, up to the batch size.
-		drain:
-			for len(buf) < s.cfg.BatchSize {
-				select {
-				case o, ok := <-sh.ops:
-					if !ok {
-						s.shutdown(sh, buf)
-						return
-					}
-					buf = append(buf, o)
-				default:
-					break drain
+	buf := make([]op, 0, cap(sh.ops))
+	for o := range sh.ops {
+		buf = append(buf, o)
+		for yielded := false; len(buf) < cap(buf); {
+			select {
+			case o, ok := <-sh.ops:
+				if ok {
+					buf, yielded = append(buf, o), false
+					continue
 				}
+			default:
 			}
-			if len(buf) >= s.cfg.BatchSize {
-				buf = s.flush(sh, buf)
-				// The batch flush just ran an epoch; a timer flush due any
-				// moment would re-solve an unchanged state.
-				ticker.Reset(s.cfg.FlushEvery)
+			if yielded {
+				break
 			}
-		case <-ticker.C:
-			// Flush only when buffered ops can change the shard state. A
-			// blocked tracked task alone is no reason to re-solve: every
-			// epoch already cycles to quiescence, and the System evolves
-			// only through ops — re-running the solver on an unchanged
-			// state is a hot polling loop that grants nothing.
-			if len(buf) > 0 {
-				buf = s.flush(sh, buf)
-			}
+			runtime.Gosched()
+			yielded = true
 		}
+		buf = s.flush(sh, buf)
 	}
-}
-
-// shutdown runs the final epoch for whatever is buffered, then fails any
-// job the service could not provision. Abandoned work is terminal: each
-// member counts once in Stats.Failed.
-func (s *Scheduler) shutdown(sh *shard, buf []op) {
-	if len(buf) > 0 || len(sh.tracked) > 0 {
-		s.flush(sh, buf)
-	}
+	// Closed and drained: every queued op has had its epoch. Work the
+	// service could not provision is terminal — each member counts once
+	// in Stats.Failed.
 	var closed Stats
 	for id, j := range sh.tracked {
 		if id == j.ids[0] {

@@ -204,9 +204,8 @@ func TestStressBenes(t *testing.T) {
 	}
 	net := topology.Benes(16)
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{{Net: net}},
-		BatchSize:  48,
-		FlushEvery: 200 * time.Microsecond,
+		Shards:    []system.Config{{Net: net}},
+		BatchSize: 48,
 	})
 
 	var holders [16]atomic.Int32 // live grants per resource
@@ -286,7 +285,7 @@ func TestStressBenes(t *testing.T) {
 // Workers < shards).
 func TestShardsRunIndependently(t *testing.T) {
 	const shards = 4
-	cfg := Config{Workers: 2, FlushEvery: 200 * time.Microsecond}
+	cfg := Config{Workers: 2}
 	for i := 0; i < shards; i++ {
 		cfg.Shards = append(cfg.Shards, system.Config{Net: topology.Omega(8)})
 	}

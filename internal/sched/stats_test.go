@@ -21,30 +21,18 @@ import (
 // already visible; before the publish-before-reply fix this read 0
 // deterministically.
 func TestStatsCoherentAfterBlockingReply(t *testing.T) {
-	var gate atomic.Bool
-	release := make(chan struct{})
-	hook := func(point string) error {
-		if point == system.FaultCycle && gate.Load() {
-			<-release
-		}
-		return nil
-	}
-	// BatchSize 1 flushes per op and the huge FlushEvery keeps the timer
-	// from racing a flush in ahead of the gated EndService.
+	// One op in flight at a time, so each is an epoch of its own and
+	// nothing flushes ahead of the gated EndService.
+	g := newCycleGate()
 	s := newScheduler(t, Config{
-		BatchSize:  1,
-		FlushEvery: time.Hour,
+		BatchSize: 1,
 		Shards: []system.Config{{
 			Net:       topology.Crossbar(2, 2),
 			Avoidance: system.AvoidanceNone,
-			FaultHook: hook,
+			FaultHook: g.hook,
 		}},
 	})
-	var releaseOnce sync.Once
-	unpark := func() { releaseOnce.Do(func() { close(release) }) }
-	// Registered after newScheduler, so it runs before the Close cleanup —
-	// a parked shard goroutine would deadlock Close otherwise.
-	t.Cleanup(unpark)
+	t.Cleanup(g.unpark)
 
 	a, err := s.Submit(0, system.Task{Proc: 0, Need: 1})
 	if err != nil {
@@ -66,17 +54,17 @@ func TestStatsCoherentAfterBlockingReply(t *testing.T) {
 	// EndService one.
 	waitStats(t, s, func(st Stats) bool { return st.Submitted == 2 })
 
-	gate.Store(true)
+	g.armed.Store(true)
 	if err := s.EndService(a); err != nil {
 		t.Fatal(err)
 	}
-	// The shard goroutine is now parked in the gated hook, mid-flush. The
-	// release we just completed must nevertheless be visible.
+	// The shard goroutine parks in the gated hook, mid-flush. The release
+	// we just completed must nevertheless be visible.
+	g.waitParked(t)
 	if st := s.Stats(); st.Serviced != 1 {
 		t.Fatalf("Serviced = %d after EndService returned, want 1 (stats published only at flush end?)", st.Serviced)
 	}
-	gate.Store(false)
-	unpark()
+	g.release <- struct{}{}
 	<-b.Done()
 	if b.Err() != nil {
 		t.Fatal(b.Err())
@@ -334,7 +322,7 @@ func waitStats(t *testing.T, s *Scheduler, cond func(Stats) bool) Stats {
 func TestTerminalAccountingSeverBudget(t *testing.T) {
 	for _, k := range jobKinds {
 		t.Run(k.name, func(t *testing.T) {
-			s, fillers, held, j := blockedJob(t, Config{SeverRetries: 1, FlushEvery: 200 * time.Microsecond}, k)
+			s, fillers, held, j := blockedJob(t, Config{SeverRetries: 1}, k)
 			// Each fail->heal of the three units the job holds is one sever
 			// event (the fillers are provisioned and keep theirs; usable
 			// capacity never drops below the demand of 4). The second event

@@ -173,8 +173,7 @@ func TestTypedQueuedTaskFailsWhenCapacityDrops(t *testing.T) {
 	net := topology.Omega(4)
 	types := []int{0, 0, 0, 1} // one unit of type 1 total
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{typedShard(net, types)},
-		FlushEvery: 200 * time.Microsecond,
+		Shards: []system.Config{typedShard(net, types)},
 	})
 	// A blocker holds the only type-1 unit so the typed task stays queued.
 	blocker, err := s.Submit(0, system.Task{Proc: 1, Needs: map[int]int{1: 1}})
@@ -226,9 +225,8 @@ func TestTypedChaosStress(t *testing.T) {
 		types[r] = r % 3
 	}
 	s := newScheduler(t, Config{
-		Shards:     []system.Config{typedShard(net, types)},
-		BatchSize:  48,
-		FlushEvery: 200 * time.Microsecond,
+		Shards:    []system.Config{typedShard(net, types)},
+		BatchSize: 48,
 	})
 
 	stop := make(chan struct{})

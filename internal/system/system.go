@@ -265,6 +265,12 @@ type System struct {
 
 	planner core.Planner // recycled solver arenas (MaxFlow residuals, MinCost warm basis, typed-epoch arena)
 
+	// Cycle input scratch, reused across cycles.
+	reqs   []core.Request
+	avail  []core.Avail
+	taskOf []*taskState // per processor: the task requesting this cycle, or nil
+	prefs  []*taskState // requesting tasks that carry Task.Prefs
+
 	// Observability (zero value = disabled, allocation-free).
 	o          sysObs
 	cycleCount int64          // completed Cycle calls, stamps trace events
@@ -291,6 +297,7 @@ func New(cfg Config) (*System, error) {
 		transmitting: make([]TaskID, cfg.Net.Procs),
 		circuits:     make(map[TaskID][]topology.Circuit),
 		severedProc:  make([]bool, cfg.Net.Procs),
+		taskOf:       make([]*taskState, cfg.Net.Procs),
 		gangs:        make(map[GangID]*gangState),
 		gangOf:       make(map[TaskID]GangID),
 	}
@@ -664,8 +671,12 @@ func (s *System) cycle() (*CycleResult, error) {
 	// Gate check after the hardware hooks: faults applied above may have
 	// reset gangs, and newly safe pending gangs join this very cycle.
 	res.GangsActivated = s.activateGangs()
-	var reqs []core.Request
-	taskOf := map[int]*taskState{}
+	// Per-cycle inputs are assembled in scratch kept on the System (no
+	// solver retains reqs or avail past its call): requests in ascending
+	// processor order, free resources in ascending resource order.
+	reqs, avail, prefs := s.reqs[:0], s.avail[:0], s.prefs[:0]
+	taskOf := s.taskOf
+	clear(taskOf)
 	var hypo *hypoState
 	// Gangs upgrade the shard to banker's grants for as long as any exist:
 	// activation promised each active gang a completion order, and a greedy
@@ -682,8 +693,10 @@ func (s *System) cycle() (*CycleResult, error) {
 		}
 		reqs = append(reqs, core.Request{Proc: p, Priority: effectivePriority(t.task), Type: t.reqType()})
 		taskOf[p] = t
+		if t.task.Prefs != nil {
+			prefs = append(prefs, t)
+		}
 	}
-	var avail []core.Avail
 	for r := 0; r < s.net.Ress; r++ {
 		if s.resHolder[r] != -1 || s.net.ResourceFaulted(r) {
 			continue
@@ -695,13 +708,12 @@ func (s *System) cycle() (*CycleResult, error) {
 		// Per-task preference weights aggregate onto the cycle's global
 		// resource preference (Transformation 2 prices each resource once
 		// per cycle; see Task.Prefs).
-		for _, t := range taskOf {
-			if t.task.Prefs != nil {
-				pref += t.task.Prefs[r]
-			}
+		for _, t := range prefs {
+			pref += t.task.Prefs[r]
 		}
 		avail = append(avail, core.Avail{Res: r, Preference: pref, Type: s.resType(r)})
 	}
+	s.reqs, s.avail, s.prefs = reqs, avail, prefs
 	if len(reqs) == 0 || len(avail) == 0 {
 		res.Mapping = &core.Mapping{}
 		return res, nil

@@ -72,7 +72,7 @@ type (
 	// solve, and disjoint shards schedule in parallel.
 	Scheduler = sched.Scheduler
 	// SchedulerConfig parameterizes a Scheduler (shards, batch size,
-	// flush period, solver worker pool).
+	// solver worker pool).
 	SchedulerConfig = sched.Config
 	// SchedulerStats is a snapshot of service counters.
 	SchedulerStats = sched.Stats
