@@ -10,8 +10,8 @@ import (
 
 // SolveStats describes how the planner obtained a mapping: via the
 // incremental warm-start path, a full cold build, or neither (the
-// non-flow disciplines). It feeds the warm-vs-cold counters of
-// internal/system, internal/sched and the observability layer.
+// non-flow disciplines). SolveCounts folds it into the warm-vs-cold and
+// multicommodity counters of internal/system and internal/sched.
 type SolveStats struct {
 	// Warm marks a solve served by the persistent warm-start arena:
 	// only the epoch's deltas were applied before augmenting.
@@ -56,6 +56,28 @@ type SolveStats struct {
 	MultiLPBound  float64 `json:"multi_lp_bound,omitempty"`
 	MultiGap      int     `json:"multi_gap,omitempty"`
 	MultiLP       bool    `json:"multi_lp,omitempty"`
+}
+
+// SolveCounts is a run of SolveStats folded into additive counters — the
+// one decode of a solve's flags, behind internal/system's instruments and
+// sched.Stats alike (which documents the fields).
+type SolveCounts struct {
+	WarmSolves, ColdSolves, ArcsTouched, Retractions, FastPaths      int64
+	MultiFastPath, MultiLP, MultiGreedy, MultiRetries, MultiGapUnits int64
+}
+
+// Add counts one solve.
+func (c *SolveCounts) Add(sv *SolveStats) {
+	c.WarmSolves += int64(btoi(sv.Warm))
+	c.ColdSolves += int64(btoi(sv.Cold && !sv.Warm))
+	c.ArcsTouched += int64(sv.ArcsTouched)
+	c.Retractions += int64(sv.Retractions)
+	c.FastPaths += int64(sv.FastPaths)
+	c.MultiFastPath += int64(btoi(sv.MultiFastPath))
+	c.MultiLP += int64(btoi(sv.MultiLP))
+	c.MultiGreedy += int64(btoi(sv.MultiGreedy))
+	c.MultiRetries += int64(sv.MultiRetries)
+	c.MultiGapUnits += int64(sv.MultiGap)
 }
 
 // standingCircuit is a circuit granted by an earlier incremental solve

@@ -18,7 +18,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot copies every instrument. A nil registry yields empty maps.
+// Snapshot copies every instrument and adds what the registered collectors
+// emit (see Collect). A nil registry yields empty maps.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
@@ -41,6 +42,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, h := range r.hists {
 		hists[n] = h
 	}
+	collectors := r.collectors // append-only: the captured length stays valid unlocked
 	r.mu.Unlock()
 	for n, c := range counters {
 		s.Counters[n] = c.Value()
@@ -50,6 +52,15 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for n, h := range hists {
 		s.Histograms[n] = h.Snapshot()
+	}
+	for _, collect := range collectors {
+		collect(func(name string, gauge bool, v int64) {
+			if gauge {
+				s.Gauges[name] += v
+			} else {
+				s.Counters[name] += v
+			}
+		})
 	}
 	return s
 }

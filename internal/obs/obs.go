@@ -171,6 +171,8 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	trace    *Trace
+	// collectors run at every Snapshot; see Collect.
+	collectors []func(emit func(name string, gauge bool, v int64))
 }
 
 // defaultTraceCap bounds the trace ring of NewRegistry; at production
@@ -242,6 +244,22 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// Collect registers a scrape-time source: fn runs at every Snapshot (and so
+// every WritePrometheus) and emits counter or gauge values computed on the
+// spot, for an owner that already keeps the numbers and would otherwise
+// push a second copy of each. Values emitted under one name add up, across
+// collectors and onto a stored instrument of that name. fn runs outside the
+// registry lock and must be safe to call from any goroutine. No-op on a nil
+// registry.
+func (r *Registry) Collect(fn func(emit func(name string, gauge bool, v int64))) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.collectors = append(r.collectors, fn)
+	r.mu.Unlock()
 }
 
 // Trace returns the registry's event ring (nil on a nil registry or when

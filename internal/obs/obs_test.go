@@ -270,3 +270,49 @@ func TestNewRegistryTraceDisabled(t *testing.T) {
 	}
 	r.Trace().Record(Event{}) // must be a safe no-op
 }
+
+// TestCollect pins the scrape-time hook: nothing to register on a nil
+// registry; values emitted under one name add up, across collectors and
+// onto a stored instrument of that name (schedulers sharing a registry
+// export their sum), counters and gauges apart; and a collector runs
+// outside the registry lock, so it may resolve instruments itself.
+func TestCollect(t *testing.T) {
+	var none *Registry
+	none.Collect(func(emit func(string, bool, int64)) { t.Error("collector ran on a nil registry") })
+	if s := none.Snapshot(); len(s.Counters)+len(s.Gauges) != 0 {
+		t.Fatalf("nil registry snapshot not empty: %+v", s)
+	}
+
+	r := NewRegistry()
+	r.Counter("jobs_total").Add(1)
+	runs := 0
+	for _, n := range []int64{10, 200} {
+		r.Collect(func(emit func(string, bool, int64)) {
+			runs++
+			emit("jobs_total", false, n)
+			emit("free", true, n)
+			emit("idle_total", false, 0)
+			r.Gauge("resolved_inside").Set(1) // deadlocks if Snapshot held r.mu here
+		})
+	}
+	s := r.Snapshot()
+	if s.Counters["jobs_total"] != 211 || s.Gauges["free"] != 210 {
+		t.Errorf("jobs_total = %d, free = %d, want 211 and 210", s.Counters["jobs_total"], s.Gauges["free"])
+	}
+	if _, ok := s.Counters["idle_total"]; !ok {
+		t.Error("a zero emitted value dropped its series from the snapshot")
+	}
+	if _, gauge := s.Gauges["jobs_total"]; gauge {
+		t.Error("an emitted counter also appears as a gauge")
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if text := buf.String(); !strings.Contains(text, "jobs_total 211\n") || !strings.Contains(text, "# TYPE free gauge\nfree 210\n") {
+		t.Errorf("exposition misses the collected series:\n%s", text)
+	}
+	if runs != 4 {
+		t.Errorf("collectors ran %d times over two scrapes, want 4", runs)
+	}
+}

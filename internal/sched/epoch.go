@@ -18,28 +18,28 @@ func (s *Scheduler) flush(sh *shard, buf []op) []op {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 
-	epoch := Stats{Epochs: 1}
+	sh.tot.Epochs++
 	for i := range buf {
 		switch o := &buf[i]; o.kind {
 		case opEnd:
-			s.applyEnd(sh, o, &epoch)
+			s.applyEnd(sh, o)
 		case opSubmit:
-			s.applySubmit(sh, o, &epoch)
+			s.applySubmit(sh, o)
 		case opCancel:
-			s.applyCancel(sh, o, &epoch)
+			s.applyCancel(sh, o)
 		case opFault:
-			s.applyFault(sh, o, &epoch)
+			s.applyFault(sh, o)
 		}
 	}
-	s.runCycles(sh, &epoch)
+	s.runCycles(sh)
 	// A HardwareHook may have failed or repaired components mid-epoch;
 	// republish the degraded-capacity census if the fault epoch moved.
 	if sh.dead == nil {
-		s.refreshCapacity(sh, &epoch)
+		s.refreshCapacity(sh)
 	}
 	// Make the epoch's grants and cycle counters visible before any
 	// handle's Done fires.
-	s.publish(sh, &epoch)
+	s.publish(sh)
 	s.publishGrants(sh)
 	return buf[:0]
 }
@@ -47,7 +47,7 @@ func (s *Scheduler) flush(sh *shard, buf []op) []op {
 // applyEnd releases a provisioned job. The publish precedes the reply, so
 // the caller observes its own completion in Stats the moment EndService
 // returns.
-func (s *Scheduler) applyEnd(sh *shard, o *op, epoch *Stats) {
+func (s *Scheduler) applyEnd(sh *shard, o *op) {
 	j := o.j
 	var err error
 	lost := ""
@@ -62,7 +62,7 @@ func (s *Scheduler) applyEnd(sh *shard, o *op, epoch *Stats) {
 	default:
 		if err = j.endIn(sh.sys); err == nil {
 			j.finished = true
-			j.count(epoch, serviced)
+			j.count(&sh.tot, serviced)
 			if s.o.enabled && j.grantNano != 0 {
 				s.o.grantReleaseMS.Observe(float64(nowNano()-j.grantNano) / 1e6)
 			}
@@ -73,15 +73,15 @@ func (s *Scheduler) applyEnd(sh *shard, o *op, epoch *Stats) {
 		// The grants died with the shard or its generation: terminal for
 		// the job, counted once however often the release is retried.
 		j.finished = true
-		j.count(epoch, failed)
+		j.count(&sh.tot, failed)
 		s.jobEvent(sh, j, kFailed, 0, lost)
 	}
-	s.publish(sh, epoch)
+	s.publish(sh)
 	o.reply <- err
 }
 
 // applySubmit admits a job to the shard's System and starts tracking it.
-func (s *Scheduler) applySubmit(sh *shard, o *op, epoch *Stats) {
+func (s *Scheduler) applySubmit(sh *shard, o *op) {
 	j := o.j
 	err := sh.dead
 	if err == nil {
@@ -98,16 +98,16 @@ func (s *Scheduler) applySubmit(sh *shard, o *op, epoch *Stats) {
 	}
 	j.gen = sh.gen
 	sh.track(j)
-	j.count(epoch, submitted)
+	j.count(&sh.tot, submitted)
 	s.jobEvent(sh, j, kSubmit, j.units(), "")
 }
 
 // applyCancel withdraws a job whose context ended, unless it was
 // provisioned or failed (a restart included) before the cancel drained.
-func (s *Scheduler) applyCancel(sh *shard, o *op, epoch *Stats) {
+func (s *Scheduler) applyCancel(sh *shard, o *op) {
 	if sh.tracks(o.j) {
 		cause := fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrTaskCanceled, o.cause)
-		s.withdraw(sh, o.j, epoch, canceled, cause, 0, "")
+		s.withdraw(sh, o.j, canceled, cause, 0, "")
 	}
 }
 
@@ -115,7 +115,7 @@ func (s *Scheduler) applyCancel(sh *shard, o *op, epoch *Stats) {
 // unit lost, but the retry budget is charged once per job: a task that
 // lost several units to the one event, or a gang that lost several
 // members' units, pays one retry.
-func (s *Scheduler) applyFault(sh *shard, o *op, epoch *Stats) {
+func (s *Scheduler) applyFault(sh *shard, o *op) {
 	if sh.dead != nil {
 		o.reply <- sh.dead
 		return
@@ -127,13 +127,13 @@ func (s *Scheduler) applyFault(sh *shard, o *op, epoch *Stats) {
 		if affected, err = sh.sys.ApplyFault(f); err != nil {
 			break
 		}
-		epoch.Severed += int64(len(affected))
+		sh.tot.Severed += int64(len(affected))
 		all = append(all, affected...)
 		if f.Repair {
-			epoch.Repairs++
+			sh.tot.Repairs++
 			s.event(sh, evRepair, 0, int64(f.Index), "")
 		} else {
-			epoch.LinkFaults++
+			sh.tot.LinkFaults++
 			s.event(sh, evFault, 0, int64(f.Index), "")
 		}
 	}
@@ -142,19 +142,19 @@ func (s *Scheduler) applyFault(sh *shard, o *op, epoch *Stats) {
 		// A nil job is a multi-unit holder published in an earlier epoch.
 		if j := sh.tracked[id]; j != nil && !charged[j] {
 			charged[j] = true
-			if !s.chargeSever(sh, j, epoch) {
+			if !s.chargeSever(sh, j) {
 				break
 			}
 		}
 	}
 	if sh.dead == nil {
-		s.refreshCapacity(sh, epoch)
+		s.refreshCapacity(sh)
 	}
-	s.publish(sh, epoch)
+	s.publish(sh)
 	o.reply <- err
 }
 
-// addCycle folds one scheduling cycle's result into the epoch counters.
+// addCycle folds one scheduling cycle's result into the counters.
 func (st *Stats) addCycle(r *system.CycleResult) {
 	st.Cycles++
 	st.Granted += int64(r.Granted)
@@ -166,34 +166,14 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 		ArcScans:      r.Mapping.Ops.ArcScans,
 		NodeVisits:    r.Mapping.Ops.NodeVisits,
 	})
-	sv := &r.Mapping.Solve
-	switch {
-	case sv.Warm:
-		st.WarmSolves++
-	case sv.Cold:
-		st.ColdSolves++
-	}
-	st.ArcsTouched += int64(sv.ArcsTouched)
-	st.Retractions += int64(sv.Retractions)
-	st.FastPaths += int64(sv.FastPaths)
-	if sv.MultiFastPath {
-		st.MultiFastPath++
-	}
-	if sv.MultiLP {
-		st.MultiLP++
-	}
-	if sv.MultiGreedy {
-		st.MultiGreedy++
-	}
-	st.MultiRetries += int64(sv.MultiRetries)
-	st.MultiGapUnits += int64(sv.MultiGap)
+	st.SolveCounts.Add(&r.Mapping.Solve)
 }
 
 // runCycles is the epoch's scheduling phase: one Cycle solves the whole
 // batch; repeat only while grants keep landing (multi-resource tasks and
 // freshly unblocked queue heads acquire on the follow-up cycles).
 // Transmission completes within the granting cycle.
-func (s *Scheduler) runCycles(sh *shard, epoch *Stats) {
+func (s *Scheduler) runCycles(sh *shard) {
 	var solveStart int64
 	if s.o.enabled {
 		solveStart = nowNano()
@@ -210,12 +190,12 @@ func (s *Scheduler) runCycles(sh *shard, epoch *Stats) {
 		for sh.dead == nil && len(sh.tracked) > 0 {
 			r, err := sh.sys.Cycle()
 			if err != nil {
-				s.failShard(sh, err, epoch)
+				s.failShard(sh, err)
 				break
 			}
 			cycles++
 			sh.cycleCount++
-			epoch.addCycle(r)
+			sh.tot.addCycle(r)
 			if r.Granted == 0 {
 				break
 			}
@@ -224,9 +204,9 @@ func (s *Scheduler) runCycles(sh *shard, epoch *Stats) {
 				if errors.Is(err, system.ErrCircuitSevered) {
 					// Retryable: the System already revoked and re-queued
 					// the unit; a follow-up cycle reacquires it.
-					epoch.Severed++
+					sh.tot.Severed++
 				} else if err != nil {
-					s.failShard(sh, err, epoch)
+					s.failShard(sh, err)
 					break cycling
 				}
 			}
@@ -234,7 +214,7 @@ func (s *Scheduler) runCycles(sh *shard, epoch *Stats) {
 		// Quiescent: no further grants are possible on the current holding
 		// pattern. With Preempt set, try one tier exchange and re-enter the
 		// cycle loop so the beneficiary can claim the freed unit.
-		if sh.dead != nil || !s.cfg.Preempt || rounds <= 0 || !s.preemptOnce(sh, epoch) {
+		if sh.dead != nil || !s.cfg.Preempt || rounds <= 0 || !s.preemptOnce(sh) {
 			break
 		}
 		rounds--
@@ -274,17 +254,17 @@ func (s *Scheduler) publishGrants(sh *shard) {
 // it, record the error and the outcome, and make both visible in Stats
 // before Done fires. Every path that ends a job before its grant — cancel,
 // sever budget, capacity drop, restart, shutdown — ends here.
-func (s *Scheduler) finish(sh *shard, j *job, epoch *Stats, o outcome, err error, val int64, result string) {
+func (s *Scheduler) finish(sh *shard, j *job, o outcome, err error, val int64, result string) {
 	sh.untrack(j)
 	j.err = err
 	j.finished = true
-	j.count(epoch, o)
+	j.count(&sh.tot, o)
 	k := kFailed
 	if o == canceled {
 		k = kCancel
 	}
 	s.jobEvent(sh, j, k, val, result)
-	s.publish(sh, epoch)
+	s.publish(sh)
 	close(j.done)
 }
 
@@ -292,12 +272,12 @@ func (s *Scheduler) finish(sh *shard, j *job, epoch *Stats, o outcome, err error
 // tracked job the System cannot withdraw means the shard state is
 // suspect: the supervisor rebuilds it, and withdraw reports false (every
 // tracked job is gone — a caller walking sh.tracked must stop).
-func (s *Scheduler) withdraw(sh *shard, j *job, epoch *Stats, o outcome, cause error, val int64, result string) bool {
+func (s *Scheduler) withdraw(sh *shard, j *job, o outcome, cause error, val int64, result string) bool {
 	if err := j.withdrawFrom(sh.sys); err != nil {
-		s.failShard(sh, fmt.Errorf("withdrawing task %d: %w", j.ids[0], err), epoch)
+		s.failShard(sh, fmt.Errorf("withdrawing task %d: %w", j.ids[0], err))
 		return false
 	}
-	s.finish(sh, j, epoch, o, cause, val, result)
+	s.finish(sh, j, o, cause, val, result)
 	return true
 }
 
@@ -308,17 +288,17 @@ func (s *Scheduler) withdraw(sh *shard, j *job, epoch *Stats, o outcome, cause e
 // withdrawn with an ErrCircuitSevered failure — work churned by a flapping
 // component or repeated preemption should fail crisply rather than retry
 // forever. Reports false when the withdrawal escalated to a shard restart.
-func (s *Scheduler) chargeSever(sh *shard, j *job, epoch *Stats) bool {
+func (s *Scheduler) chargeSever(sh *shard, j *job) bool {
 	j.severs++
 	if j.gang != 0 {
-		epoch.GangSevers++
+		sh.tot.GangSevers++
 		s.event(sh, evGangSever, int64(j.gang), int64(j.severs), "")
 	}
 	if j.severs <= s.cfg.SeverRetries {
 		return true
 	}
 	cause := fmt.Errorf("sched: shard %d: units severed %d times: %w", sh.idx, j.severs, system.ErrCircuitSevered)
-	return s.withdraw(sh, j, epoch, failed, cause, int64(j.severs), resSeverBudget)
+	return s.withdraw(sh, j, failed, cause, int64(j.severs), resSeverBudget)
 }
 
 // preemptOnce is the tier-preemption policy: pick the most urgent
@@ -332,7 +312,7 @@ func (s *Scheduler) chargeSever(sh *shard, j *job, epoch *Stats) bool {
 // grant (System.Preempt refuses). Reports whether a unit was revoked (the
 // caller then re-runs the cycle loop, where the MinCost solve routes the
 // freed unit to the highest effective priority).
-func (s *Scheduler) preemptOnce(sh *shard, epoch *Stats) bool {
+func (s *Scheduler) preemptOnce(sh *shard) bool {
 	acquiring := func(id system.TaskID) *job {
 		if j := sh.tracked[id]; j != nil && j.gang == 0 && sh.sys.Remaining(id) > 0 {
 			return j
@@ -377,12 +357,12 @@ func (s *Scheduler) preemptOnce(sh *shard, epoch *Stats) bool {
 	if err := sh.sys.Preempt(victim.ids[0], res); err != nil {
 		// Preempt's preconditions were just checked on this goroutine;
 		// failure means the shard state is inconsistent.
-		s.failShard(sh, fmt.Errorf("preempting resource %d from task %d: %w", res, victim.ids[0], err), epoch)
+		s.failShard(sh, fmt.Errorf("preempting resource %d from task %d: %w", res, victim.ids[0], err))
 		return false
 	}
-	epoch.Preempts++
+	sh.tot.Preempts++
 	s.event(sh, evPreempt, int64(victim.ids[0]), int64(res), "")
-	s.chargeSever(sh, victim, epoch)
+	s.chargeSever(sh, victim)
 	return sh.dead == nil
 }
 
@@ -391,7 +371,7 @@ func (s *Scheduler) preemptOnce(sh *shard, epoch *Stats) bool {
 // demand no longer fits the surviving capacity: they would otherwise wait
 // forever on resources the fabric has lost (a gang at the activation
 // gate, or churning resets against capacity it can never reassemble).
-func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
+func (s *Scheduler) refreshCapacity(sh *shard) {
 	ep := sh.sys.FaultEpoch()
 	if sh.capOK && ep == sh.capEpoch {
 		return
@@ -401,14 +381,11 @@ func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
 	for _, c := range usable {
 		total += c
 	}
+	sh.tot.Usable = total
 	sh.mu.Lock()
 	sh.usable = usable
 	sh.stats.Usable = total
 	sh.mu.Unlock()
-	if s.o.enabled {
-		s.o.usable.Add(int64(total - sh.lastUsable))
-		sh.lastUsable = total
-	}
 	sh.capEpoch, sh.capOK = ep, true
 	for id, j := range sh.tracked {
 		if id != j.ids[0] {
@@ -416,7 +393,7 @@ func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
 		}
 		if err := j.demand.Shortfall(usable); err != nil {
 			cause := fmt.Errorf("sched: shard %d: surviving capacity: %w", sh.idx, err)
-			if !s.withdraw(sh, j, epoch, failed, cause, j.units(), resUnsat) {
+			if !s.withdraw(sh, j, failed, cause, j.units(), resUnsat) {
 				return
 			}
 		}
@@ -429,11 +406,11 @@ func (s *Scheduler) refreshCapacity(sh *shard, epoch *Stats) {
 // from a fresh state under a new generation and resume accepting work.
 // Releases of grants made by the lost generation are rejected by the gen
 // check in applyEnd rather than applied to the rebuilt state.
-func (s *Scheduler) failShard(sh *shard, cause error, epoch *Stats) {
+func (s *Scheduler) failShard(sh *shard, cause error) {
 	down := fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrShardDown, cause)
 	for id, j := range sh.tracked {
 		if id == j.ids[0] {
-			s.finish(sh, j, epoch, failed, down, 0, resShardDown)
+			s.finish(sh, j, failed, down, 0, resShardDown)
 		}
 	}
 	sys, err := system.New(sh.sysCfg)
@@ -445,10 +422,10 @@ func (s *Scheduler) failShard(sh *shard, cause error, epoch *Stats) {
 	}
 	sh.sys = sys
 	sh.gen++
-	epoch.Restarts++
+	sh.tot.Restarts++
 	s.event(sh, evRestart, 0, int64(sh.gen), "")
 	// The rebuilt System starts from the pristine template: force the
 	// degraded-capacity census to recompute (its fault epoch restarted).
 	sh.capOK = false
-	s.refreshCapacity(sh, epoch)
+	s.refreshCapacity(sh)
 }

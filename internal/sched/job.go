@@ -129,19 +129,19 @@ const (
 	failed
 )
 
-// count charges an outcome to the epoch counters: member-wise in the task
+// count charges an outcome to the shard's running totals: member-wise in the task
 // counters — a gang of k contributes k to Submitted and k to exactly one
 // of Serviced/Canceled/Failed, so the terminal identity holds with gangs
 // in the mix — plus one in the matching Gangs* counter.
-func (j *job) count(epoch *Stats, o outcome) {
-	tasks, gangs := &epoch.Submitted, &epoch.GangsSubmitted
+func (j *job) count(tot *Stats, o outcome) {
+	tasks, gangs := &tot.Submitted, &tot.GangsSubmitted
 	switch o {
 	case serviced:
-		tasks, gangs = &epoch.Serviced, &epoch.GangsServiced
+		tasks, gangs = &tot.Serviced, &tot.GangsServiced
 	case canceled:
-		tasks, gangs = &epoch.Canceled, &epoch.GangsCanceled
+		tasks, gangs = &tot.Canceled, &tot.GangsCanceled
 	case failed:
-		tasks, gangs = &epoch.Failed, &epoch.GangsFailed
+		tasks, gangs = &tot.Failed, &tot.GangsFailed
 	}
 	*tasks += int64(len(j.ids))
 	if j.gang != 0 {

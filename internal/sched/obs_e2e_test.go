@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,10 +52,123 @@ func promValue(t *testing.T, text, name string) int64 {
 	return 0
 }
 
+// goldenMetricNames is every instrument name an instrumented MaxFlow
+// scheduler exported before the Stats counters became a scrape-time
+// projection (captured from that commit): dashboards key on these, so a
+// rename or a dropped series must fail here, not in production.
+var goldenMetricNames = []string{
+	"rsin_sched_canceled_total",
+	"rsin_sched_cycles_total",
+	"rsin_sched_deferred_total",
+	"rsin_sched_epoch_solve_ms",
+	"rsin_sched_epochs_total",
+	"rsin_sched_failed_total",
+	"rsin_sched_fault_ops_total",
+	"rsin_sched_free_resources",
+	"rsin_sched_gang_severs_total",
+	"rsin_sched_gang_submit_to_grant_ms",
+	"rsin_sched_gangs_activated_total",
+	"rsin_sched_gangs_canceled_total",
+	"rsin_sched_gangs_failed_total",
+	"rsin_sched_gangs_granted_total",
+	"rsin_sched_gangs_serviced_total",
+	"rsin_sched_gangs_submitted_total",
+	"rsin_sched_grant_to_release_ms",
+	"rsin_sched_granted_tier0_total",
+	"rsin_sched_granted_tier1_total",
+	"rsin_sched_granted_tier2_total",
+	"rsin_sched_granted_tier3_total",
+	"rsin_sched_granted_tier4_total",
+	"rsin_sched_granted_tier5_total",
+	"rsin_sched_granted_tier6_total",
+	"rsin_sched_granted_tier7_total",
+	"rsin_sched_granted_total",
+	"rsin_sched_preempts_total",
+	"rsin_sched_rejected_total",
+	"rsin_sched_repair_ops_total",
+	"rsin_sched_restarts_total",
+	"rsin_sched_serviced_total",
+	"rsin_sched_severed_total",
+	"rsin_sched_submit_to_grant_ms",
+	"rsin_sched_submit_to_grant_tier0_ms",
+	"rsin_sched_submit_to_grant_tier1_ms",
+	"rsin_sched_submit_to_grant_tier2_ms",
+	"rsin_sched_submit_to_grant_tier3_ms",
+	"rsin_sched_submit_to_grant_tier4_ms",
+	"rsin_sched_submit_to_grant_tier5_ms",
+	"rsin_sched_submit_to_grant_tier6_ms",
+	"rsin_sched_submit_to_grant_tier7_ms",
+	"rsin_sched_submitted_total",
+	"rsin_sched_usable_resources",
+	"rsin_solver_arc_scans_total",
+	"rsin_solver_augmentations_total",
+	"rsin_solver_cold_solves_total",
+	"rsin_solver_fast_paths_total",
+	"rsin_solver_multi_fast_path_total",
+	"rsin_solver_multi_gap_units_total",
+	"rsin_solver_multi_greedy_total",
+	"rsin_solver_multi_lp_total",
+	"rsin_solver_multi_retries_total",
+	"rsin_solver_node_visits_total",
+	"rsin_solver_phases_total",
+	"rsin_solver_warm_arcs_touched_total",
+	"rsin_solver_warm_retractions_total",
+	"rsin_solver_warm_solves_total",
+	"rsin_system_cold_solves_total",
+	"rsin_system_cycle_ms",
+	"rsin_system_cycles_total",
+	"rsin_system_deferred_total",
+	"rsin_system_fast_paths_total",
+	"rsin_system_fault_ops_total",
+	"rsin_system_gang_resets_total",
+	"rsin_system_gangs_activated_total",
+	"rsin_system_gangs_submitted_total",
+	"rsin_system_granted_total",
+	"rsin_system_preempts_total",
+	"rsin_system_repair_ops_total",
+	"rsin_system_sever_acks_total",
+	"rsin_system_severed_total",
+	"rsin_system_unsat_total",
+	"rsin_system_warm_arcs_touched_total",
+	"rsin_system_warm_retractions_total",
+	"rsin_system_warm_solves_total",
+}
+
+// promNames lists the instruments of a Prometheus exposition, from its
+// TYPE lines.
+func promNames(text string) []string {
+	var names []string
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			names = append(names, strings.Fields(rest)[0])
+		}
+	}
+	return names
+}
+
+// checkGoldenNames fails with the names an endpoint dropped or invented.
+func checkGoldenNames(t *testing.T, endpoint string, got []string) {
+	t.Helper()
+	have := map[string]bool{}
+	for _, n := range got {
+		have[n] = true
+	}
+	for _, n := range goldenMetricNames {
+		if !have[n] {
+			t.Errorf("%s no longer exports %s", endpoint, n)
+		}
+		delete(have, n)
+	}
+	for n := range have {
+		t.Errorf("%s exports %s, which is not in the golden list", endpoint, n)
+	}
+}
+
 // TestObsEndToEnd runs the instrumented scheduler under load with
 // fail->heal hardware chaos while scraping the HTTP ops endpoints, then
-// validates at quiescence that every exported counter agrees exactly with
-// Scheduler.Stats().
+// validates at quiescence that every statsTable row, on both endpoints,
+// agrees exactly with Scheduler.Stats(), and that the exported name set is
+// the golden one.
 func TestObsEndToEnd(t *testing.T) {
 	const (
 		clients = 16
@@ -109,28 +223,13 @@ func TestObsEndToEnd(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") {
 		t.Errorf("/metrics content type %q", ctype)
 	}
-	for name, want := range map[string]int64{
-		"rsin_sched_submitted_total":      st.Submitted,
-		"rsin_sched_granted_total":        st.Granted,
-		"rsin_sched_serviced_total":       st.Serviced,
-		"rsin_sched_canceled_total":       st.Canceled,
-		"rsin_sched_failed_total":         st.Failed,
-		"rsin_sched_epochs_total":         st.Epochs,
-		"rsin_sched_cycles_total":         st.Cycles,
-		"rsin_sched_fault_ops_total":      st.LinkFaults,
-		"rsin_sched_repair_ops_total":     st.Repairs,
-		"rsin_sched_severed_total":        st.Severed,
-		"rsin_sched_restarts_total":       st.Restarts,
-		"rsin_sched_free_resources":       int64(st.Free),
-		"rsin_sched_usable_resources":     int64(st.Usable),
-		"rsin_solver_augmentations_total": int64(st.Ops.Augmentations),
-		"rsin_solver_arc_scans_total":     int64(st.Ops.ArcScans),
-		"rsin_solver_fast_paths_total":    st.FastPaths,
-	} {
-		if got := promValue(t, text, name); got != want {
-			t.Errorf("/metrics %s = %d, Stats says %d", name, got, want)
+	for _, row := range statsTable {
+		want := reflect.ValueOf(row.field(&st)).Elem().Int()
+		if got := promValue(t, text, row.name); got != want {
+			t.Errorf("/metrics %s = %d, Stats says %d", row.name, got, want)
 		}
 	}
+	checkGoldenNames(t, "/metrics", promNames(text))
 	// The latency histogram must have one submit-to-grant sample per grant
 	// of a single-unit task (every admitted task here needs one unit).
 	if got := promValue(t, text, "rsin_sched_submit_to_grant_ms_count"); got != st.Submitted-st.Failed-st.Canceled {
@@ -145,8 +244,24 @@ func TestObsEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(jsonBody), &snap); err != nil {
 		t.Fatalf("/metrics.json: %v", err)
 	}
-	if snap.Counters["rsin_sched_serviced_total"] != st.Serviced {
-		t.Errorf("json serviced = %d, want %d", snap.Counters["rsin_sched_serviced_total"], st.Serviced)
+	var jsonNames []string
+	for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for name := range m {
+			jsonNames = append(jsonNames, name)
+		}
+	}
+	for name := range snap.Histograms {
+		jsonNames = append(jsonNames, name)
+	}
+	checkGoldenNames(t, "/metrics.json", jsonNames)
+	for _, row := range statsTable {
+		got, ok := snap.Counters[row.name]
+		if row.gauge {
+			got, ok = snap.Gauges[row.name]
+		}
+		if want := reflect.ValueOf(row.field(&st)).Elem().Int(); !ok || got != want {
+			t.Errorf("/metrics.json %s = %d (present %v, gauge %v), Stats says %d", row.name, got, ok, row.gauge, want)
+		}
 	}
 	if n := snap.Histograms["rsin_sched_epoch_solve_ms"].N; int64(n) != 0 && int64(n) > st.Epochs {
 		t.Errorf("solve histogram N = %d > epochs %d", n, st.Epochs)

@@ -64,6 +64,7 @@ import (
 	"runtime"
 	"sync"
 
+	"rsin/internal/core"
 	"rsin/internal/maxflow"
 	"rsin/internal/obs"
 	"rsin/internal/system"
@@ -115,12 +116,13 @@ type Config struct {
 	// free route to the unit exists, so equal-tier tasks never starve
 	// each other. Victims are charged against the same SeverRetries
 	// budget as hardware severs. Requires every shard to run the MinCost
-	// discipline: only its weighted-value objective guarantees the freed
-	// unit goes to the higher tier. Fully-provisioned tasks are never
-	// preempted.
+	// discipline (New refuses anything else): only its weighted-value
+	// objective guarantees the freed unit goes to the higher tier.
+	// Fully-provisioned tasks are never preempted.
 	Preempt bool
-	// Obs, when non-nil, receives service metrics (the Stats counters as
-	// Prometheus-style instruments), latency histograms (submit-to-grant,
+	// Obs, when non-nil, exports service metrics (every Stats counter and
+	// gauge, computed from Stats() when the registry is scraped — see
+	// statsTable), latency histograms (submit-to-grant,
 	// grant-to-release, epoch solve wall time) and a ring-buffer trace of
 	// scheduling decisions. It is also threaded into each shard's
 	// system.Config (unless that config carries its own registry), so one
@@ -173,31 +175,29 @@ type Stats struct {
 	GangsFailed    int64 // gangs terminated by the service with an error
 	GangSevers     int64 // atomic gang sever events (one per gang per fault event)
 
-	// Warm-start solver counters (MaxFlow discipline only; zero for the
-	// others and with Config.ColdSolve).
-	WarmSolves  int64 // cycles served from the persistent warm-start arena
-	ColdSolves  int64 // cycles that built the flow network from scratch
-	ArcsTouched int64 // arena arcs toggled by warm delta syncs
-	Retractions int64 // standing-circuit units walked back (releases, severs)
-	FastPaths   int64 // grants resolved by the combinatorial routing fast path
-
-	// Multicommodity epoch counters (Hetero discipline only; zero for the
-	// others). MultiFastPath counts cycles committed as certified optimal:
-	// sequential per-type max-flow met the combinatorial upper bound (the
-	// common case, no LP solved), or on a bound miss the LP relaxation was
-	// certified integral. MultiLP counts the bound misses — cycles that
-	// went on to the dense LP, whatever it then certified — so the typed
-	// tail is the MultiLP share of cycles times the LP's cost. MultiGreedy
-	// counts cycles served by the sequential greedy decomposition after
-	// both failed. MultiRetries is the extra commodity orderings tried, on
-	// either path, and MultiGapUnits the integral allocations left versus
-	// the tightest bound computed, summed over the cycles (zero on every
-	// certified cycle).
-	MultiFastPath int64
-	MultiLP       int64
-	MultiGreedy   int64
-	MultiRetries  int64
-	MultiGapUnits int64
+	// Solver counters, decoded from each cycle's core.SolveStats by
+	// core.SolveCounts.Add.
+	//
+	// The warm-start five move under the MaxFlow and MinCost solvers:
+	// WarmSolves counts cycles served from the planner's persistent arena,
+	// ColdSolves cycles that built the flow network from scratch (the first,
+	// and after a fault epoch or divergence), ArcsTouched the arena arcs
+	// toggled by warm delta syncs, Retractions the standing-circuit units
+	// walked back (releases, severs) and FastPaths the grants resolved by
+	// the combinatorial routing fast path (the last three MaxFlow only).
+	//
+	// The Multi five move under the typed solver. MultiFastPath counts
+	// cycles committed as certified optimal: sequential per-type max-flow
+	// met the combinatorial upper bound (the common case, no LP solved), or
+	// on a bound miss the LP relaxation was certified integral. MultiLP
+	// counts the bound misses — cycles that went on to the dense LP,
+	// whatever it then certified — so the typed tail is the MultiLP share
+	// of cycles times the LP's cost. MultiGreedy counts cycles served by the
+	// sequential greedy decomposition after both failed. MultiRetries is the
+	// extra commodity orderings tried, on either path, and MultiGapUnits the
+	// integral allocations left versus the tightest bound computed, summed
+	// over the cycles (zero on every certified cycle).
+	core.SolveCounts
 
 	Free   int // free resources after each shard's latest epoch
 	Usable int // degraded-capacity gauge: schedulable resources surviving faults
@@ -206,43 +206,83 @@ type Stats struct {
 	Ops maxflow.Counters
 }
 
-// add folds another snapshot's counters into st. Free and Usable are
-// gauges, not counters: the callers place them.
-func (st *Stats) add(o *Stats) {
-	st.Submitted += o.Submitted
-	st.Granted += o.Granted
-	st.Serviced += o.Serviced
-	st.Epochs += o.Epochs
-	st.Cycles += o.Cycles
-	st.Deferred += o.Deferred
-	st.Canceled += o.Canceled
-	st.Failed += o.Failed
-	st.Restarts += o.Restarts
-	st.LinkFaults += o.LinkFaults
-	st.Severed += o.Severed
-	st.Repairs += o.Repairs
-	st.Preempts += o.Preempts
-	st.GangsSubmitted += o.GangsSubmitted
-	st.GangsActivated += o.GangsActivated
-	st.GangsServiced += o.GangsServiced
-	st.GangsCanceled += o.GangsCanceled
-	st.GangsFailed += o.GangsFailed
-	st.GangSevers += o.GangSevers
-	st.WarmSolves += o.WarmSolves
-	st.ColdSolves += o.ColdSolves
-	st.ArcsTouched += o.ArcsTouched
-	st.Retractions += o.Retractions
-	st.FastPaths += o.FastPaths
-	st.MultiFastPath += o.MultiFastPath
-	st.MultiLP += o.MultiLP
-	st.MultiGreedy += o.MultiGreedy
-	st.MultiRetries += o.MultiRetries
-	st.MultiGapUnits += o.MultiGapUnits
-	st.Ops.Add(o.Ops)
+// statsTable is the one definition of every Stats counter and gauge: the
+// metric name it is exported under and where it lives in Stats. Stats.add
+// sums through it and the registry collector projects Scheduler.Stats()
+// through it at scrape time, so /metrics cannot disagree with Stats and a
+// new counter is a Stats field, the place it is counted, and a row here
+// (TestStatsTableCoversEveryCounter fails on a field without one).
+var statsTable = []struct {
+	name  string
+	gauge bool
+	field func(*Stats) any // *int64, or *int for the gauges and Ops
+}{
+	{"rsin_sched_submitted_total", false, func(st *Stats) any { return &st.Submitted }},
+	{"rsin_sched_granted_total", false, func(st *Stats) any { return &st.Granted }},
+	{"rsin_sched_serviced_total", false, func(st *Stats) any { return &st.Serviced }},
+	{"rsin_sched_epochs_total", false, func(st *Stats) any { return &st.Epochs }},
+	{"rsin_sched_cycles_total", false, func(st *Stats) any { return &st.Cycles }},
+	{"rsin_sched_deferred_total", false, func(st *Stats) any { return &st.Deferred }},
+	{"rsin_sched_canceled_total", false, func(st *Stats) any { return &st.Canceled }},
+	{"rsin_sched_failed_total", false, func(st *Stats) any { return &st.Failed }},
+	{"rsin_sched_restarts_total", false, func(st *Stats) any { return &st.Restarts }},
+	{"rsin_sched_fault_ops_total", false, func(st *Stats) any { return &st.LinkFaults }},
+	{"rsin_sched_severed_total", false, func(st *Stats) any { return &st.Severed }},
+	{"rsin_sched_repair_ops_total", false, func(st *Stats) any { return &st.Repairs }},
+	{"rsin_sched_preempts_total", false, func(st *Stats) any { return &st.Preempts }},
+	{"rsin_sched_gangs_submitted_total", false, func(st *Stats) any { return &st.GangsSubmitted }},
+	{"rsin_sched_gangs_activated_total", false, func(st *Stats) any { return &st.GangsActivated }},
+	{"rsin_sched_gangs_serviced_total", false, func(st *Stats) any { return &st.GangsServiced }},
+	{"rsin_sched_gangs_canceled_total", false, func(st *Stats) any { return &st.GangsCanceled }},
+	{"rsin_sched_gangs_failed_total", false, func(st *Stats) any { return &st.GangsFailed }},
+	{"rsin_sched_gang_severs_total", false, func(st *Stats) any { return &st.GangSevers }},
+	{"rsin_solver_warm_solves_total", false, func(st *Stats) any { return &st.WarmSolves }},
+	{"rsin_solver_cold_solves_total", false, func(st *Stats) any { return &st.ColdSolves }},
+	{"rsin_solver_warm_arcs_touched_total", false, func(st *Stats) any { return &st.ArcsTouched }},
+	{"rsin_solver_warm_retractions_total", false, func(st *Stats) any { return &st.Retractions }},
+	{"rsin_solver_fast_paths_total", false, func(st *Stats) any { return &st.FastPaths }},
+	{"rsin_solver_multi_fast_path_total", false, func(st *Stats) any { return &st.MultiFastPath }},
+	{"rsin_solver_multi_lp_total", false, func(st *Stats) any { return &st.MultiLP }},
+	{"rsin_solver_multi_greedy_total", false, func(st *Stats) any { return &st.MultiGreedy }},
+	{"rsin_solver_multi_retries_total", false, func(st *Stats) any { return &st.MultiRetries }},
+	{"rsin_solver_multi_gap_units_total", false, func(st *Stats) any { return &st.MultiGapUnits }},
+	{"rsin_sched_free_resources", true, func(st *Stats) any { return &st.Free }},
+	{"rsin_sched_usable_resources", true, func(st *Stats) any { return &st.Usable }},
+	{"rsin_solver_augmentations_total", false, func(st *Stats) any { return &st.Ops.Augmentations }},
+	{"rsin_solver_phases_total", false, func(st *Stats) any { return &st.Ops.Phases }},
+	{"rsin_solver_arc_scans_total", false, func(st *Stats) any { return &st.Ops.ArcScans }},
+	{"rsin_solver_node_visits_total", false, func(st *Stats) any { return &st.Ops.NodeVisits }},
 }
 
-// shard owns one System. Only the shard's goroutine touches sys, tracked
-// and dead; stats and usable are shared with Stats() and Submit callers.
+// add folds another snapshot into st, gauges included: Stats sums shards
+// with it, off the scheduling path.
+func (st *Stats) add(o *Stats) {
+	for _, row := range statsTable {
+		switch p := row.field(st).(type) {
+		case *int64:
+			*p += *row.field(o).(*int64)
+		case *int:
+			*p += *row.field(o).(*int)
+		}
+	}
+}
+
+// collect is the scrape-time projection registered on Config.Obs: every
+// statsTable row of Stats(), read when /metrics is.
+func (s *Scheduler) collect(emit func(name string, gauge bool, v int64)) {
+	st := s.Stats()
+	for _, row := range statsTable {
+		switch p := row.field(&st).(type) {
+		case *int64:
+			emit(row.name, row.gauge, *p)
+		case *int:
+			emit(row.name, row.gauge, int64(*p))
+		}
+	}
+}
+
+// shard owns one System. Only the shard's goroutine touches sys, tracked,
+// tot and dead; stats and usable are shared with Stats() and Submit callers.
 type shard struct {
 	idx    int
 	sys    *system.System
@@ -259,11 +299,12 @@ type shard struct {
 	capEpoch uint64 // fault epoch the usable census was computed at
 	capOK    bool   // false forces a recompute (restart, first flush)
 
-	// Observability bookkeeping, shard-goroutine only.
 	cycleCount int64 // cumulative cycles, stamps trace events
-	lastFree   int   // last Free published to the shared obs gauge
-	lastUsable int   // last Usable published to the shared obs gauge
 
+	// tot is the shard's running totals, counted in place by the shard
+	// goroutine; stats is the copy publish last made of it under mu, which
+	// is all a reader ever sees.
+	tot   Stats
 	mu    sync.Mutex
 	stats Stats
 	// usable is the degraded-capacity census per resource type ({0: n}
@@ -331,14 +372,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.SeverRetries <= 0 {
 		cfg.SeverRetries = 3
 	}
-	if cfg.Preempt {
-		for i, sc := range cfg.Shards {
-			if sc.Discipline != system.MinCost {
-				return nil, fmt.Errorf("sched: shard %d: Preempt requires the MinCost discipline (got %d): "+
-					"only its weighted-value objective routes a preempted unit to the higher tier", i, sc.Discipline)
-			}
-		}
-	}
 	s := &Scheduler{
 		cfg: cfg,
 		sem: make(chan struct{}, cfg.Workers),
@@ -351,6 +384,13 @@ func New(cfg Config) (*Scheduler, error) {
 			sc.Obs = cfg.Obs
 		}
 		sc.ObsShard = i
+		// Is this shard's configuration coherent: with the service's own
+		// settings here, and in itself (discipline against fabric) in
+		// system.New.
+		if cfg.Preempt && sc.Discipline != system.MinCost {
+			return nil, fmt.Errorf("sched: shard %d: Preempt requires the MinCost discipline (got %d): "+
+				"only its weighted-value objective routes a preempted unit to the higher tier", i, sc.Discipline)
+		}
 		sys, err := system.New(sc)
 		if err != nil {
 			return nil, fmt.Errorf("sched: shard %d: %w", i, err)
@@ -364,19 +404,17 @@ func New(cfg Config) (*Scheduler, error) {
 			ops:     make(chan op, 2*cfg.BatchSize), // a full batch queues while another flushes
 			tracked: make(map[system.TaskID]*job),
 		}
-		sh.stats.Free = sc.Net.Ress
+		sh.tot.Free = sc.Net.Ress
 		sh.usable = sh.sys.UsableResources()
 		for _, c := range sh.usable {
-			sh.stats.Usable += c
+			sh.tot.Usable += c
 		}
+		sh.stats = sh.tot
 		sh.capEpoch = sh.sys.FaultEpoch()
 		sh.capOK = true
-		sh.lastFree = sh.stats.Free
-		sh.lastUsable = sh.stats.Usable
-		s.o.free.Add(int64(sh.lastFree))
-		s.o.usable.Add(int64(sh.lastUsable))
 		s.shards = append(s.shards, sh)
 	}
+	cfg.Obs.Collect(s.collect)
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		go s.run(sh)
@@ -610,8 +648,6 @@ func (s *Scheduler) Stats() Stats {
 		st := sh.stats
 		sh.mu.Unlock()
 		tot.add(&st)
-		tot.Free += st.Free
-		tot.Usable += st.Usable
 	}
 	return tot
 }
@@ -672,32 +708,23 @@ func (s *Scheduler) run(sh *shard) {
 	// Closed and drained: every queued op has had its epoch. Work the
 	// service could not provision is terminal — each member counts once
 	// in Stats.Failed.
-	var closed Stats
 	for id, j := range sh.tracked {
 		if id == j.ids[0] {
-			s.finish(sh, j, &closed, failed, ErrClosed, 0, resClosed)
+			s.finish(sh, j, failed, ErrClosed, 0, resClosed)
 		}
 	}
 }
 
-// publish folds the epoch-local counter deltas into the shard's published
-// stats as one locked batch and mirrors them into the obs instruments,
-// then zeroes the deltas. The epoch calls it before every client-visible
+// publish copies the shard's running totals into its published stats as
+// one locked batch. The shard calls it before every client-visible
 // completion — a reply-channel send, a handle close, the end of the epoch
 // — which is what makes Stats read-your-writes coherent: by the time
 // EndService or FailLink has returned, or Handle.Done has fired, the
-// corresponding counters are visible to Stats readers. Runs on the shard
-// goroutine.
-func (s *Scheduler) publish(sh *shard, epoch *Stats) {
-	free := sh.sys.FreeResources()
+// corresponding counters are visible to Stats readers, and to /metrics,
+// which reads the same copy. Runs on the shard goroutine.
+func (s *Scheduler) publish(sh *shard) {
+	sh.tot.Free = sh.sys.FreeResources()
 	sh.mu.Lock()
-	sh.stats.add(epoch)
-	sh.stats.Free = free
+	sh.stats = sh.tot
 	sh.mu.Unlock()
-	if s.o.enabled {
-		s.o.mirror(epoch)
-		s.o.free.Add(int64(free - sh.lastFree))
-		sh.lastFree = free
-	}
-	*epoch = Stats{}
 }

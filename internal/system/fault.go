@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rsin/internal/topology"
@@ -58,7 +59,7 @@ func (s *System) FailResource(r int) ([]TaskID, error) {
 	if id := s.resHolder[r]; id != -1 {
 		// Still-acquiring is gang-granular: a member's unit is only safe
 		// once the whole gang holds its complete set.
-		if t := s.tasks[id]; t != nil && (t.remaining() > 0 || s.gangAcquiring(id)) {
+		if t := s.tasks[id]; t != nil && (t.remaining() > 0 || s.gangAcquiring(t)) {
 			s.revokeUnit(t, r)
 			affected = append(affected, id)
 			if s.o.enabled {
@@ -192,41 +193,44 @@ func (s *System) circuitUsable(c topology.Circuit) bool {
 	return true
 }
 
-// severBroken tears down every in-flight circuit that now traverses a
-// failed component: the circuit's links are force-released (they are
-// link-disjoint, so only this circuit owns them), the unit it was
-// delivering is revoked from its task, and the processor's transmission
-// is marked severed so a pending EndTransmission reports
-// ErrCircuitSevered. The task stays at its queue head with its remaining
-// count restored — the next cycle re-requests the lost unit on whatever
-// capacity survives. Returns the affected task IDs in ascending order.
+// sever is the one circuit teardown outside EndTransmission, shared by
+// hardware faults, gang resets and preemption: the circuit's links are
+// force-released (they are link-disjoint, so only this circuit owns them)
+// and, if the processor is still transmitting on it, the transmission is
+// marked severed so a pending EndTransmission reports ErrCircuitSevered.
+// Dropping c from t.circuits and revoking the unit are the caller's.
+func (s *System) sever(t *taskState, c topology.Circuit) {
+	s.net.ForceRelease(c)
+	if s.transmitting[c.Proc] == t.id {
+		s.transmitting[c.Proc] = -1
+		s.severedProc[c.Proc] = true
+	}
+	s.broken++
+	if s.o.enabled {
+		s.o.severed.Inc()
+		s.event(evSever, t.id, int64(c.Res), "")
+	}
+}
+
+// severBroken severs every in-flight circuit that now traverses a failed
+// component and revokes the unit it was delivering. The task stays at its
+// queue head with its remaining count restored — the next cycle re-requests
+// the lost unit on whatever capacity survives. Returns the affected task
+// IDs in ascending order.
 func (s *System) severBroken() []TaskID {
 	var affected []TaskID
 	for id, t := range s.tasks {
-		circs := s.circuits[id]
-		if len(circs) == 0 {
-			continue
-		}
-		kept := circs[:0]
-		for _, c := range circs {
+		kept := t.circuits[:0]
+		for _, c := range t.circuits {
 			if s.circuitUsable(c) {
 				kept = append(kept, c)
 				continue
 			}
-			s.net.ForceRelease(c)
+			s.sever(t, c)
 			s.revokeUnit(t, c.Res)
-			if s.transmitting[c.Proc] == id {
-				s.transmitting[c.Proc] = -1
-				s.severedProc[c.Proc] = true
-			}
-			s.broken++
 			affected = append(affected, id)
-			if s.o.enabled {
-				s.o.severed.Inc()
-				s.event(evSever, id, int64(c.Res), "")
-			}
 		}
-		s.circuits[id] = kept
+		t.circuits = kept
 	}
 	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
 	return affected
@@ -234,37 +238,21 @@ func (s *System) severBroken() []TaskID {
 
 // revokeUnit removes one held unit of resource r from a task and frees
 // the holder slot. The resource returns to the schedulable pool only if
-// it is itself healthy (Cycle skips failed resources).
+// it is itself healthy (Cycle skips failed resources). The unit's charge
+// leaves with it, so the re-request goes against the right commodity: the
+// demand entry of r's type, since on a typed fabric only the typed solver
+// runs and it grants a type only to a request for it.
 func (s *System) revokeUnit(t *taskState, r int) {
-	for i, held := range t.held {
-		if held == r {
-			// The unit's charge leaves with it, so the re-request goes
-			// against the right commodity.
-			t.have[s.chargedEntry(t, r)]--
-			t.held = append(t.held[:i], t.held[i+1:]...)
-			break
+	if i := slices.Index(t.held, r); i >= 0 {
+		t.held = slices.Delete(t.held, i, i+1)
+		for e, d := range t.demand {
+			if d.Type == s.resType(r) {
+				t.have[e]--
+				break
+			}
 		}
 	}
 	if s.resHolder[r] == t.id {
 		s.resHolder[r] = -1
 	}
-}
-
-// chargedEntry names the demand entry a held unit of resource r is charged
-// to: the entry of r's configured type (the Hetero discipline grants a type
-// only to a request for it), else the last entry holding anything — the
-// only entry of a one-type task, and the fallback under a type-blind
-// discipline on a typed fabric.
-func (s *System) chargedEntry(t *taskState, r int) int {
-	ty, last := s.resType(r), 0
-	for i, d := range t.demand {
-		if t.have[i] == 0 {
-			continue
-		}
-		if d.Type == ty {
-			return i
-		}
-		last = i
-	}
-	return last
 }

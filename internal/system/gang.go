@@ -76,8 +76,9 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	gid := s.nextGang
 	g := &gangState{id: gid, members: make([]TaskID, len(members)), demand: demand}
 	for i, t := range members {
-		g.members[i] = s.enqueue(newTaskState(t))
-		s.gangOf[g.members[i]] = gid
+		ts := newTaskState(t)
+		ts.gang = g
+		g.members[i] = s.enqueue(ts)
 	}
 	s.gangs[gid] = g
 	s.gangPending = append(s.gangPending, gid)
@@ -139,31 +140,19 @@ func (s *System) activateGangs() int {
 	return activated
 }
 
-// gangMemberGated reports whether a task is a member of a gang that has
-// not been activated yet (it must not request resources).
-func (s *System) gangMemberGated(id TaskID) bool {
-	gid, ok := s.gangOf[id]
-	if !ok {
-		return false
-	}
-	g := s.gangs[gid]
-	return g != nil && !g.active
-}
+// gated reports whether a task is a member of a gang that has not been
+// activated yet (it must not request resources).
+func (t *taskState) gated() bool { return t.gang != nil && !t.gang.active }
+
+// activeMember reports whether a task belongs to an activated gang.
+func (t *taskState) activeMember() bool { return t.gang != nil && t.gang.active }
 
 // gangAcquiring reports whether a task belongs to an active gang that is
 // not yet fully provisioned. FailResource uses it to extend the
 // still-acquiring revocation rule to gang granularity: a member's unit is
 // only safe from revocation once the whole gang holds its complete set.
-func (s *System) gangAcquiring(id TaskID) bool {
-	gid, ok := s.gangOf[id]
-	if !ok {
-		return false
-	}
-	g := s.gangs[gid]
-	if g == nil || !g.active {
-		return false
-	}
-	return !s.gangProvisioned(g)
+func (s *System) gangAcquiring(t *taskState) bool {
+	return t.activeMember() && !s.gangProvisioned(t.gang)
 }
 
 func (s *System) gangProvisioned(g *gangState) bool {
@@ -217,19 +206,10 @@ func (s *System) resetGang(g *gangState) []TaskID {
 			continue
 		}
 		p := t.task.Proc
-		for _, c := range s.circuits[id] {
-			s.net.ForceRelease(c)
-			s.broken++
-			if s.o.enabled {
-				s.o.severed.Inc()
-				s.event(evSever, id, int64(c.Res), "")
-			}
+		for _, c := range t.circuits {
+			s.sever(t, c)
 		}
-		delete(s.circuits, id)
-		if s.transmitting[p] == id {
-			s.transmitting[p] = -1
-			s.severedProc[p] = true
-		}
+		t.circuits = nil
 		for _, r := range t.held {
 			if s.resHolder[r] == id {
 				s.resHolder[r] = -1
@@ -271,21 +251,17 @@ func (s *System) resetGang(g *gangState) []TaskID {
 // with the reset members, deduplicated and sorted.
 func (s *System) resetGangsOf(affected []TaskID) []TaskID {
 	var extra []TaskID
-	var seen map[GangID]bool
+	var seen map[*gangState]bool
 	for _, id := range affected {
-		gid, ok := s.gangOf[id]
-		if !ok {
-			continue
-		}
-		if seen[gid] {
+		g := s.tasks[id].gang
+		if g == nil || seen[g] {
 			continue
 		}
 		if seen == nil {
-			seen = map[GangID]bool{}
+			seen = map[*gangState]bool{}
 		}
-		seen[gid] = true
-		g := s.gangs[gid]
-		if g == nil || !g.active || s.gangProvisioned(g) {
+		seen[g] = true
+		if !g.active || s.gangProvisioned(g) {
 			continue
 		}
 		extra = append(extra, s.resetGang(g)...)
@@ -332,9 +308,6 @@ func (s *System) CancelGang(gid GangID) error {
 			break
 		}
 	}
-	for _, id := range g.members {
-		delete(s.gangOf, id)
-	}
 	delete(s.gangs, gid)
 	return nil
 }
@@ -367,8 +340,6 @@ func (s *System) EndGangService(gid GangID) error {
 			}
 		}
 		delete(s.tasks, id)
-		delete(s.circuits, id)
-		delete(s.gangOf, id)
 	}
 	delete(s.gangs, gid)
 	return nil

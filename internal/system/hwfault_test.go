@@ -19,7 +19,7 @@ func TestFailLinkSeversCircuit(t *testing.T) {
 	}
 	// Fail the resource-side link: the resource becomes unreachable but
 	// the processor keeps its access link and can re-route elsewhere.
-	clinks := s.circuits[id][0].Links
+	clinks := s.tasks[id].circuits[0].Links
 	lid := clinks[len(clinks)-1]
 
 	severed, err := s.FailLink(lid)
@@ -51,7 +51,7 @@ func TestFailLinkSeversCircuit(t *testing.T) {
 	if r.Granted != 1 || len(s.Holding(id)) != 1 {
 		t.Fatalf("task not re-granted: granted=%d holding=%v", r.Granted, s.Holding(id))
 	}
-	for _, c := range s.circuits[id] {
+	for _, c := range s.tasks[id].circuits {
 		for _, l := range c.Links {
 			if l == lid {
 				t.Fatal("re-grant routed through the failed link")
@@ -176,7 +176,7 @@ func TestFailBoxSeversAndMasks(t *testing.T) {
 	// Find a box on the in-flight circuit: the head of any non-first link.
 	var box int
 	found := false
-	for _, lid := range s.circuits[id][0].Links {
+	for _, lid := range s.tasks[id].circuits[0].Links {
 		if from := s.net.Links[lid].From; from.Kind == topology.KindBox {
 			box, found = from.Index, true
 			break
@@ -255,7 +255,7 @@ func TestHardwareHookScriptsFaults(t *testing.T) {
 	})
 	id := mustSubmit(t, s, Task{Proc: 6})
 	cycle(t, s) // cycle 1: grant
-	deadLink = s.circuits[id][0].Links[0]
+	deadLink = s.tasks[id].circuits[0].Links[0]
 	r := cycle(t, s) // cycle 2: hook kills the circuit's link, then re-grants
 	if r.Broken != 1 {
 		t.Fatalf("Broken = %d, want 1", r.Broken)

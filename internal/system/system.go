@@ -57,7 +57,8 @@ const (
 type Discipline int
 
 const (
-	// MaxFlow is the homogeneous optimal discipline (Transformation 1).
+	// MaxFlow is the optimal discipline without priorities (Transformation
+	// 1); on a fabric with Config.Types it is the Hetero solver.
 	MaxFlow Discipline = iota
 	// MinCost honors priorities and preferences (Transformation 2).
 	MinCost
@@ -80,23 +81,20 @@ const (
 
 // Config parameterizes a System.
 type Config struct {
-	Net        *topology.Network
+	Net *topology.Network
+	// Discipline names the epoch solver; New resolves it once, together
+	// with Types, and refuses a combination no solver serves (see
+	// resolveSolver).
 	Discipline Discipline
-	Hetero     *core.HeteroOptions // options for the Hetero discipline
+	Hetero     *core.HeteroOptions // options for the typed solver
 	Avoidance  Avoidance
 	// Preferences assigns a preference level per resource (MinCost).
 	Preferences []int64
-	// Types assigns a resource type per resource (Hetero); nil = all 0.
+	// Types assigns a resource type per resource; nil = all 0. A typed
+	// fabric is scheduled by the typed solver: name Hetero, or leave
+	// Discipline at its zero value (MaxFlow generalised to types is that
+	// solver). MinCost and TokenArch are type-blind and refuse Types.
 	Types []int
-	// ColdSolve disables the incremental warm-start solvers, rebuilding
-	// the flow network from scratch every cycle (the pre-warm-start
-	// behavior). The default, false, keeps a persistent arena in the
-	// planner between cycles: residual flow for the MaxFlow discipline,
-	// the previous epoch's simplex basis for MinCost. The mapping quality
-	// is identical either way (every engine is optimal per Theorems 2/3)
-	// — only which equal-objective assignment gets picked may differ.
-	// Other disciplines ignore this knob.
-	ColdSolve bool
 	// FaultHook, when non-nil, is consulted at the named fault points
 	// (FaultCycle, FaultEndTransmission). A non-nil return makes that
 	// operation fail with the hook's error before it mutates any state.
@@ -197,6 +195,9 @@ type taskState struct {
 	need   int    // demand.Total()
 	held   []int  // resources acquired so far
 
+	circuits []topology.Circuit // established and not yet released; the last is the one transmitting
+	gang     *gangState         // the gang this task is a member of, or nil
+
 	// Inline backing for the one-type case, so admitting it costs the one
 	// allocation of the taskState itself.
 	demand1 [1]DemandEntry
@@ -243,7 +244,6 @@ type System struct {
 
 	resHolder    []TaskID // per resource: holding task, or -1
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
-	circuits     map[TaskID][]topology.Circuit
 
 	// Hardware fault bookkeeping: severedProc[p] marks a transmission
 	// torn down by a fault and not yet acknowledged via EndTransmission;
@@ -251,10 +251,10 @@ type System struct {
 	severedProc []bool
 	broken      int
 
-	// Gang bookkeeping (see gang.go): gangs by ID, membership index, and
-	// the FIFO of gangs still gated before banker's activation.
+	// Gang bookkeeping (see gang.go): gangs by ID (a member's taskState
+	// points at its gang) and the FIFO of gangs still gated before banker's
+	// activation.
 	gangs       map[GangID]*gangState
-	gangOf      map[TaskID]GangID
 	gangPending []GangID
 	nextGang    GangID
 
@@ -264,6 +264,11 @@ type System struct {
 	usableCacheOK    bool
 
 	planner core.Planner // recycled solver arenas (MaxFlow residuals, MinCost warm basis, typed-epoch arena)
+	// solve is the epoch solver New resolved the configuration into, bound
+	// to planner and net. A field rather than a method so a test can
+	// install a fake and measure cycle's own cost.
+	solve  solveFunc
+	clocks int // clock periods of the latest solve; only the token solver sets it
 
 	// Cycle input scratch, reused across cycles.
 	reqs   []core.Request
@@ -273,8 +278,7 @@ type System struct {
 
 	// Observability (zero value = disabled, allocation-free).
 	o          sysObs
-	cycleCount int64          // completed Cycle calls, stamps trace events
-	tokenOpts  *token.Options // threads Obs into TokenArch solves; nil when disabled
+	cycleCount int64 // completed Cycle calls, stamps trace events
 }
 
 // New validates the configuration and returns an empty system.
@@ -295,11 +299,9 @@ func New(cfg Config) (*System, error) {
 		tasks:        make(map[TaskID]*taskState),
 		resHolder:    make([]TaskID, cfg.Net.Ress),
 		transmitting: make([]TaskID, cfg.Net.Procs),
-		circuits:     make(map[TaskID][]topology.Circuit),
 		severedProc:  make([]bool, cfg.Net.Procs),
 		taskOf:       make([]*taskState, cfg.Net.Procs),
 		gangs:        make(map[GangID]*gangState),
-		gangOf:       make(map[TaskID]GangID),
 	}
 	for i := range s.resHolder {
 		s.resHolder[i] = -1
@@ -308,10 +310,90 @@ func New(cfg Config) (*System, error) {
 		s.transmitting[i] = -1
 	}
 	s.o = newSysObs(cfg.Obs, cfg.ObsShard)
-	if cfg.Obs != nil {
-		s.tokenOpts = &token.Options{Obs: cfg.Obs}
+	var err error
+	if s.solve, err = s.resolveSolver(); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// solveFunc is one epoch's solve: map this cycle's requests onto the free
+// resources over the fabric as it stands. The slices are cycle scratch and
+// must not be retained.
+type solveFunc func(reqs []core.Request, avail []core.Avail) (*core.Mapping, error)
+
+// resolveSolver is the one place a discipline is chosen, so it is also
+// where the choice is checked against the fabric. The disciplines are
+// nested cases of one flow problem: MaxFlow on a typed fabric is the typed
+// solver (§III-D with one type is Transformation 1). The two type-blind
+// solvers would grant a request a resource of the wrong type, so they
+// refuse Types rather than ignore it.
+func (s *System) resolveSolver() (solveFunc, error) {
+	typed := s.cfg.Types != nil
+	switch d := s.cfg.Discipline; d {
+	case MaxFlow, Hetero:
+		if typed || d == Hetero {
+			return s.solveTyped, nil
+		}
+		return s.solveMaxFlow, nil
+	case MinCost, TokenArch:
+		if typed {
+			return nil, fmt.Errorf("system: discipline %d is type-blind and cannot schedule a fabric with Types (use Hetero)", d)
+		}
+		if d == MinCost {
+			return s.solveMinCost, nil
+		}
+		return s.tokenSolver(), nil
+	default:
+		return nil, fmt.Errorf("system: unknown discipline %d", d)
+	}
+}
+
+// solveMaxFlow is warm max-flow: residual flow persists in the planner's
+// arena between cycles.
+func (s *System) solveMaxFlow(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
+	return s.planner.ScheduleIncremental(s.net, reqs, avail)
+}
+
+// solveMinCost is warm-basis network simplex: the planner keeps the
+// previous epoch's optimal basis and falls back cold on fault-epoch changes
+// or divergence (see core.ScheduleMinCostIncremental).
+func (s *System) solveMinCost(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
+	return s.planner.ScheduleMinCostIncremental(s.net, reqs, avail)
+}
+
+// solveTyped is bound first, LP last, on the planner's typed arena; a
+// mapping is a pure function of this cycle's inputs
+// (core.Planner.ScheduleHetero).
+func (s *System) solveTyped(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
+	return s.planner.ScheduleHetero(s.net, reqs, avail, s.cfg.Hetero)
+}
+
+// tokenSolver adapts the distributed token simulator, which takes a cycle
+// as two masks and reports its clock periods beside the mapping. The masks
+// are the adapter's own scratch.
+func (s *System) tokenSolver() solveFunc {
+	requesting, free := make([]bool, s.net.Procs), make([]bool, s.net.Ress)
+	var opts *token.Options
+	if s.cfg.Obs != nil {
+		opts = &token.Options{Obs: s.cfg.Obs}
+	}
+	return func(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
+		clear(requesting)
+		clear(free)
+		for _, rq := range reqs {
+			requesting[rq.Proc] = true
+		}
+		for _, a := range avail {
+			free[a.Res] = true
+		}
+		tr, err := token.Schedule(s.net, requesting, free, opts)
+		if err != nil {
+			return nil, err
+		}
+		s.clocks = tr.Clocks
+		return tr.Mapping, nil
+	}
 }
 
 // Submit queues a task and returns its ID.
@@ -401,24 +483,6 @@ func (t *taskState) entityAdd(e *hypoEntity) {
 	}
 }
 
-// wantsResource reports whether the processor's head task should request
-// this cycle: it needs more resources, is not mid-transmission, and is not
-// a gang member still gated before activation (the all-or-nothing grant
-// means no member requests until the whole gang is admitted).
-func (s *System) wantsResource(p int) *taskState {
-	if s.transmitting[p] != -1 {
-		return nil
-	}
-	t := s.headTask(p)
-	if t == nil || t.remaining() <= 0 {
-		return nil
-	}
-	if s.gangMemberGated(t.id) {
-		return nil
-	}
-	return t
-}
-
 // requestCandidate picks the task a processor requests for this cycle,
 // running the banker's admission when hypo is non-nil. The queue head is
 // always first in line; behind a head the banker defers (or a head still
@@ -438,10 +502,10 @@ func (s *System) requestCandidate(p int, hypo *hypoState, res *CycleResult) *tas
 		if t == nil || t.remaining() <= 0 {
 			continue
 		}
-		if s.gangMemberGated(id) {
+		if t.gated() {
 			continue
 		}
-		if qi > 0 && !s.gangActiveMember(id) {
+		if qi > 0 && !t.activeMember() {
 			// Singletons never bypass: their FIFO contract is
 			// position-for-position, and holding nothing while queued they
 			// cannot wedge anyone. The scan continues past them — an active
@@ -494,21 +558,20 @@ func (s *System) hypothetical() *hypoState {
 			h.freeByType[s.resType(r)]++
 		}
 	}
-	gangEnt := map[GangID]*hypoEntity{}
+	gangEnt := map[*gangState]*hypoEntity{}
 	for id, t := range s.tasks {
-		if gid, ok := s.gangOf[id]; ok {
-			g := s.gangs[gid]
-			if g == nil || !g.active {
+		if g := t.gang; g != nil {
+			if !g.active {
 				continue // gated members hold nothing and are not committed
 			}
 			// Members of an active gang are committed even while holding
 			// nothing: the gang's activation promised it a completion
 			// order, and singleton admission must not grant that capacity
 			// away.
-			e := gangEnt[gid]
+			e := gangEnt[g]
 			if e == nil {
 				e = newHypoEntity()
-				gangEnt[gid] = e
+				gangEnt[g] = e
 				h.entities = append(h.entities, e)
 			}
 			t.entityAdd(e)
@@ -524,16 +587,6 @@ func (s *System) hypothetical() *hypoState {
 		h.byTask[id] = e
 	}
 	return h
-}
-
-// gangActiveMember reports whether a task belongs to an activated gang.
-func (s *System) gangActiveMember(id TaskID) bool {
-	gid, ok := s.gangOf[id]
-	if !ok {
-		return false
-	}
-	g := s.gangs[gid]
-	return g != nil && g.active
 }
 
 // safe checks the banker's condition: some completion order lets every
@@ -636,17 +689,13 @@ func (s *System) Cycle() (*CycleResult, error) {
 		s.o.granted.Add(int64(res.Granted))
 		s.o.deferred.Add(int64(res.Deferred))
 		s.o.cycleMS.Observe(res.Elapsed.Seconds() * 1e3)
-		if res.Mapping != nil {
-			switch {
-			case res.Mapping.Solve.Warm:
-				s.o.warmSolves.Inc()
-			case res.Mapping.Solve.Cold:
-				s.o.coldSolves.Inc()
-			}
-			s.o.arcsTouched.Add(int64(res.Mapping.Solve.ArcsTouched))
-			s.o.retractions.Add(int64(res.Mapping.Solve.Retractions))
-			s.o.fastPaths.Add(int64(res.Mapping.Solve.FastPaths))
-		}
+		var c core.SolveCounts
+		c.Add(&res.Mapping.Solve)
+		s.o.warmSolves.Add(c.WarmSolves)
+		s.o.coldSolves.Add(c.ColdSolves)
+		s.o.arcsTouched.Add(c.ArcsTouched)
+		s.o.retractions.Add(c.Retractions)
+		s.o.fastPaths.Add(c.FastPaths)
 		s.event(evCycle, 0, int64(res.Granted), "")
 	}
 	return res, nil
@@ -719,58 +768,16 @@ func (s *System) cycle() (*CycleResult, error) {
 		return res, nil
 	}
 
-	var m *core.Mapping
-	var err error
-	switch s.cfg.Discipline {
-	case MaxFlow:
-		if s.cfg.ColdSolve {
-			m, err = s.planner.ScheduleMaxFlow(s.net, reqs, avail)
-		} else {
-			m, err = s.planner.ScheduleIncremental(s.net, reqs, avail)
-		}
-	case MinCost:
-		if s.cfg.ColdSolve {
-			m, err = core.ScheduleMinCost(s.net, reqs, avail)
-		} else {
-			// Warm-basis network simplex: the planner keeps the previous
-			// epoch's optimal basis and falls back cold on fault-epoch
-			// changes or divergence (see core.ScheduleMinCostIncremental).
-			m, err = s.planner.ScheduleMinCostIncremental(s.net, reqs, avail)
-		}
-	case Hetero:
-		// Bound first, LP last, on the planner's typed arena; a mapping is
-		// a pure function of this cycle's inputs (core.Planner.ScheduleHetero).
-		m, err = s.planner.ScheduleHetero(s.net, reqs, avail, s.cfg.Hetero)
-	case TokenArch:
-		requesting := make([]bool, s.net.Procs)
-		free := make([]bool, s.net.Ress)
-		for _, rq := range reqs {
-			requesting[rq.Proc] = true
-		}
-		for _, a := range avail {
-			free[a.Res] = true
-		}
-		var tr *token.Result
-		tr, err = token.Schedule(s.net, requesting, free, s.tokenOpts)
-		if err == nil {
-			m = tr.Mapping
-			res.Clocks = tr.Clocks
-		}
-	default:
-		return nil, fmt.Errorf("system: unknown discipline %d", s.cfg.Discipline)
-	}
+	m, err := s.solve(reqs, avail)
 	if err != nil {
 		return nil, fmt.Errorf("system: cycle: %w", err)
 	}
+	res.Clocks = s.clocks
 	if err := m.Apply(s.net); err != nil {
 		return nil, fmt.Errorf("system: establishing circuits: %w", err)
 	}
 	for _, a := range m.Assigned {
 		t := taskOf[a.Req.Proc]
-		if t == nil {
-			// TokenArch does not carry task identity; recover it.
-			t = s.wantsResource(a.Req.Proc)
-		}
 		if t == nil {
 			return nil, fmt.Errorf("system: allocation for idle processor %d", a.Req.Proc)
 		}
@@ -779,7 +786,7 @@ func (s *System) cycle() (*CycleResult, error) {
 		s.resHolder[a.Res] = t.id
 		s.transmitting[a.Req.Proc] = t.id
 		s.severedProc[a.Req.Proc] = false // a fresh grant supersedes an unacknowledged sever
-		s.circuits[t.id] = append(s.circuits[t.id], a.Circuit)
+		t.circuits = append(t.circuits, a.Circuit)
 		res.Granted++
 	}
 	res.Mapping = m
@@ -814,11 +821,11 @@ func (s *System) EndTransmission(p int) error {
 		}
 	}
 	t := s.tasks[id]
-	circ := s.circuits[id][len(s.circuits[id])-1]
-	if err := s.net.Release(circ); err != nil {
+	last := len(t.circuits) - 1
+	if err := s.net.Release(t.circuits[last]); err != nil {
 		return fmt.Errorf("system: releasing circuit: %w", err)
 	}
-	s.circuits[id] = s.circuits[id][:len(s.circuits[id])-1]
+	t.circuits = t.circuits[:last]
 	s.transmitting[p] = -1
 	if t.remaining() == 0 {
 		// Task fully provisioned; it leaves the queue. Usually the head,
@@ -841,8 +848,8 @@ func (s *System) EndTransmission(p int) error {
 // that abandons a queued or partially-provisioned task (a deadline, a
 // crashed caller) cannot strand its queue-head slot or leak held units.
 func (s *System) Cancel(id TaskID) error {
-	if gid, ok := s.gangOf[id]; ok {
-		return fmt.Errorf("system: task %d belongs to gang %d; use CancelGang (the gang is the unit of withdrawal)", id, gid)
+	if t := s.tasks[id]; t != nil && t.gang != nil {
+		return fmt.Errorf("system: task %d belongs to gang %d; use CancelGang (the gang is the unit of withdrawal)", id, t.gang.id)
 	}
 	return s.cancelTask(id)
 }
@@ -855,7 +862,7 @@ func (s *System) cancelTask(id TaskID) error {
 		return fmt.Errorf("system: unknown task %d", id)
 	}
 	p := t.task.Proc
-	for _, c := range s.circuits[id] {
+	for _, c := range t.circuits {
 		if err := s.net.Release(c); err != nil {
 			return fmt.Errorf("system: canceling task %d: releasing circuit: %w", id, err)
 		}
@@ -874,7 +881,6 @@ func (s *System) cancelTask(id TaskID) error {
 		}
 	}
 	delete(s.tasks, id)
-	delete(s.circuits, id)
 	return nil
 }
 
@@ -883,12 +889,12 @@ func (s *System) cancelTask(id TaskID) error {
 // with its service history. A second EndService on the same ID therefore
 // reports the task as unknown.
 func (s *System) EndService(id TaskID) error {
-	if gid, ok := s.gangOf[id]; ok {
-		return fmt.Errorf("system: task %d belongs to gang %d; use EndGangService (the gang releases together)", id, gid)
-	}
 	t, ok := s.tasks[id]
 	if !ok {
 		return fmt.Errorf("system: unknown task %d", id)
+	}
+	if t.gang != nil {
+		return fmt.Errorf("system: task %d belongs to gang %d; use EndGangService (the gang releases together)", id, t.gang.id)
 	}
 	if t.remaining() != 0 {
 		return fmt.Errorf("system: task %d still needs %d resources", id, t.remaining())
@@ -900,7 +906,6 @@ func (s *System) EndService(id TaskID) error {
 		s.resHolder[r] = -1
 	}
 	delete(s.tasks, id)
-	delete(s.circuits, id)
 	return nil
 }
 

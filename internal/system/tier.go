@@ -139,14 +139,14 @@ func (s *System) CanRoute(p, r int) bool {
 // layer's priority policy — decides *whether* preemption is worth it
 // (strict tier-weight improvement); this primitive only performs it.
 func (s *System) Preempt(id TaskID, r int) error {
-	if gid, ok := s.gangOf[id]; ok {
-		// Revoking one member's unit would break the gang's atomic grant;
-		// the preemption policy must pick a singleton victim instead.
-		return fmt.Errorf("system: task %d belongs to gang %d and cannot be preempted", id, gid)
-	}
 	t, ok := s.tasks[id]
 	if !ok {
 		return fmt.Errorf("system: unknown task %d", id)
+	}
+	if t.gang != nil {
+		// Revoking one member's unit would break the gang's atomic grant;
+		// the preemption policy must pick a singleton victim instead.
+		return fmt.Errorf("system: task %d belongs to gang %d and cannot be preempted", id, t.gang.id)
 	}
 	if r < 0 || r >= s.net.Ress {
 		return fmt.Errorf("system: resource %d out of range", r)
@@ -158,25 +158,15 @@ func (s *System) Preempt(id TaskID, r int) error {
 		return fmt.Errorf("system: task %d is fully provisioned and cannot be preempted", id)
 	}
 	// Tear down an in-flight delivery of r, if any.
-	circs := s.circuits[id]
-	kept := circs[:0]
-	for _, c := range circs {
+	kept := t.circuits[:0]
+	for _, c := range t.circuits {
 		if c.Res != r {
 			kept = append(kept, c)
 			continue
 		}
-		s.net.ForceRelease(c)
-		if s.transmitting[c.Proc] == id {
-			s.transmitting[c.Proc] = -1
-			s.severedProc[c.Proc] = true
-		}
-		s.broken++
-		if s.o.enabled {
-			s.o.severed.Inc()
-			s.event(evSever, id, int64(c.Res), "")
-		}
+		s.sever(t, c)
 	}
-	s.circuits[id] = kept
+	t.circuits = kept
 	s.revokeUnit(t, r)
 	if s.o.enabled {
 		s.o.preempts.Inc()

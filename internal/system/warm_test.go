@@ -137,33 +137,6 @@ func TestWarmSolveMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestColdSolveConfig pins the escape hatch: with Config.ColdSolve the
-// MaxFlow discipline rebuilds every cycle and the warm counters stay
-// zero while the cold counter advances.
-func TestColdSolveConfig(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := New(Config{Net: topology.Omega(8), ColdSolve: true, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustSubmit(t, s, Task{Proc: 0})
-	mustSubmit(t, s, Task{Proc: 1})
-	r := cycle(t, s)
-	if r.Granted != 2 {
-		t.Fatalf("granted %d", r.Granted)
-	}
-	if r.Mapping.Solve.Warm || !r.Mapping.Solve.Cold {
-		t.Fatalf("ColdSolve produced %+v", r.Mapping.Solve)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["rsin_system_cold_solves_total"]; got != 1 {
-		t.Fatalf("cold solve counter = %d", got)
-	}
-	if got := snap.Counters["rsin_system_warm_solves_total"]; got != 0 {
-		t.Fatalf("warm solve counter = %d", got)
-	}
-}
-
 // TestWarmSolveCounters checks the warm counters move under the default
 // configuration: first flow cycle cold (arena build), steady-state warm,
 // and a release shows up as a retraction.

@@ -102,16 +102,19 @@ type (
 // SystemConfig.Discipline and .Avoidance values (the internal constants,
 // reachable from outside the module).
 const (
-	// DisciplineMaxFlow is the homogeneous optimal discipline
-	// (Transformation 1); resource types are ignored.
+	// DisciplineMaxFlow is the optimal discipline without priorities
+	// (Transformation 1); on a fabric with Config.Types it is
+	// DisciplineHetero.
 	DisciplineMaxFlow = system.MaxFlow
 	// DisciplineMinCost honors priorities and preferences
-	// (Transformation 2).
+	// (Transformation 2). It is type-blind: NewSystem refuses it
+	// together with Config.Types.
 	DisciplineMinCost = system.MinCost
-	// DisciplineHetero schedules typed requests (multicommodity flow);
-	// the only discipline that matches Task.Type to Config.Types.
+	// DisciplineHetero schedules typed requests (multicommodity flow),
+	// matching Task.Type to Config.Types.
 	DisciplineHetero = system.Hetero
-	// DisciplineToken runs the distributed token architecture (§IV).
+	// DisciplineToken runs the distributed token architecture (§IV). It
+	// is type-blind: NewSystem refuses it together with Config.Types.
 	DisciplineToken = system.TokenArch
 
 	// AvoidanceNone grants greedily; hold-and-wait deadlock is possible.
