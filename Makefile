@@ -2,7 +2,7 @@
 # packages. `make` (or `make all`) is what CI runs.
 GO ?= go
 
-.PHONY: all vet build test race allocguard ratchet schedbench sparsebench bench fuzz lint vuln loc
+.PHONY: all vet build test race allocguard ratchet sparsebench benchsmoke bench fuzz lint vuln loc
 
 all: vet build test race ratchet
 
@@ -28,18 +28,14 @@ race:
 # the warm network simplex must pivot strictly less than cold on the
 # reference trace, and out-of-kilter / SSP / simplex must agree. The ops
 # ratchet holds arc scans per granted task on the pinned warm-cold trace
-# within 10% of the recorded baseline (the counters are deterministic,
-# so the threshold is absolute), and the parity test pins the counting
-# convention itself. The rsinbench smoke run evaluates its whole gate
-# table (warm-start, tier, ops, gang, multi): among the rest, zero partial
-# grants, intact accounting identities, bounded multicommodity gaps on a
-# probe that reached both the bound-certified path and the LP behind it.
+# within 10% of the recorded baseline and warm solve work at or below cold
+# on both pinned traces (the counters are deterministic, so the thresholds
+# are absolute), and the parity test pins the counting convention itself.
 ratchet:
 	$(GO) test -run 'TestWarmSimplexPivotRatchet|TestMinCostIncremental' ./internal/core
 	$(GO) test -run 'TestQuickCrossSolver|TestNegativeCostRegressions' ./internal/netsimplex
 	$(GO) test -run 'TestOpsCounterParity' ./internal/maxflow
-	$(GO) test -run 'TestOpsGateRatchet' ./cmd/rsinbench
-	$(GO) run ./cmd/rsinbench -sched -smoke
+	$(GO) test -run 'TestOpsGateRatchet' ./internal/core
 
 # The instrumentation hot path must not allocate (disabled or enabled),
 # and a bound-certified typed epoch on a warm planner allocates only the
@@ -47,13 +43,6 @@ ratchet:
 allocguard:
 	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree' ./internal/sched ./internal/obs
 	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
-
-# Machine-readable scheduling-service benchmark (see EXPERIMENTS.md for
-# the BENCH_sched.json format; the file is an artifact, not committed).
-# Every gate in rsinbench's table runs; -openloop adds the overload sweep
-# and its shed gate.
-schedbench:
-	$(GO) run ./cmd/rsinbench -sched -openloop -json BENCH_sched.json
 
 # Flush-policy smoke: 8 closed-loop clients keep far less than one batch
 # in flight, so their median latency is the flush policy's. It must stay
@@ -63,6 +52,16 @@ schedbench:
 sparsebench:
 	bash bench/run.sh --workload untyped_sparse --seed 1 --seconds 2 --trace 0 | tee /dev/stderr | \
 		jq -e '.correct == true and .metrics.lat_p50_ms.value < 0.5'
+
+# End-to-end smoke of the service: every workload of the repo's benchmark
+# for 2 s with the harness's own checks on, the did-not-exercise rules
+# among them (a tiered run that preempts nothing, a fault run that severs
+# nothing, an overload run that sheds nothing is a failure). sparsebench
+# covers the seventh workload. Needs jq.
+benchsmoke: sparsebench
+	@set -e; for w in untyped_sat typed_pool tiered_faults gangs frontdoor_zero_hold frontdoor_overload; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tee /dev/stderr | jq -e '.correct == true' >/dev/null; \
+	done
 
 # lint/vuln need staticcheck / govulncheck on PATH (CI installs them);
 # they are not part of `all` so an offline checkout still builds.
@@ -75,13 +74,14 @@ vuln:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Non-test lines of the packages ROADMAP item 2 wants smaller, counted the
-# way CHANGES.md has counted them since PR 12, so "less code" is a number
-# in every CI log.
+# Non-test lines of the packages ROADMAP item 2 wants smaller and of the
+# two programs item 6 wants to be one harness, counted the way CHANGES.md
+# has counted them since PR 12, so "less code" is a number in every CI log.
 loc:
-	@for d in internal/system internal/sched internal/server cmd/rsinbench; do \
-		printf '%-16s %s\n' $$d $$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
-	done
+	@total=0; for d in internal/system internal/sched internal/server cmd/rsinbench bench; do \
+		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); total=$$((total + n)); \
+		printf '%-16s %s\n' $$d $$n; \
+	done; printf '%-16s %s\n' total $$total
 
 # Short smoke-fuzz of the life-cycle, typed-solver, parser and front-door
 # fuzzers.

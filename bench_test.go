@@ -663,7 +663,7 @@ func BenchmarkHarnessQuick(b *testing.B) {
 // half occupancy — under the incremental warm-start planner versus a
 // cold per-epoch rebuild (Transformation 1 from scratch). The warm path
 // syncs only the epoch's deltas against its persistent residual, which
-// is the point of the tentpole; cmd/rsinbench -sched (warm-start gate) holds the
+// is the point of the tentpole; TestOpsGateRatchet in internal/core holds the
 // operation-counter version of this comparison at break-even or better.
 func BenchmarkWarmVsColdEpochSolve(b *testing.B) {
 	const n = 32

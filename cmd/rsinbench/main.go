@@ -8,73 +8,113 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"rsin/internal/experiments"
 )
 
+// suite is the one experiment table: the -exp help, the lookup and the
+// run order all come from it. Each row derives its own seed offset and
+// ensemble size from -seed and -trials.
+var suite = []struct {
+	id  string
+	run func(seed int64, trials int) *experiments.Table
+}{
+	{"E1", func(int64, int) *experiments.Table { return experiments.E1Fig2() }},
+	{"E4", func(s int64, n int) *experiments.Table { return experiments.E4CubeBlocking(s, n) }},
+	{"E5", func(s int64, n int) *experiments.Table { return experiments.E5OmegaBlocking(s+1, n/2) }},
+	{"E6", func(s int64, n int) *experiments.Table { return experiments.E6OccupancySweep(s+2, n/2) }},
+	{"E7", func(s int64, n int) *experiments.Table { return experiments.E7ExtraStages(s+3, n/2) }},
+	{"E10", func(s int64, n int) *experiments.Table { return experiments.E10TokenVsMonitor(s+4, small(n)) }},
+	{"E11", func(s int64, _ int) *experiments.Table { return experiments.E11TableII(s + 5) }},
+	{"E12", func(s int64, n int) *experiments.Table { return experiments.E12DinicScaling(s+6, small(n)) }},
+	{"E13", func(s int64, n int) *experiments.Table { return experiments.E13Integrality(s+7, small(n)) }},
+	{"E14", func(s int64, _ int) *experiments.Table { return experiments.E14LoadBalance(s + 8) }},
+	{"E15", func(s int64, _ int) *experiments.Table { return experiments.E15CyclePolicy(s + 9) }},
+	{"E16", func(s int64, n int) *experiments.Table { return experiments.E16Placement(s+10, small(n)) }},
+	{"E17", func(s int64, n int) *experiments.Table { return experiments.E17CircuitVsPacket(s+11, small(n)/2+1) }},
+	{"E18", func(s int64, n int) *experiments.Table { return experiments.E18FaultTolerance(s+12, small(n)) }},
+}
+
+// small is the ensemble size of the experiments that solve a whole trace
+// per trial: a tenth of -trials, never none.
+func small(trials int) int {
+	if trials < 10 {
+		return 10
+	}
+	return trials / 10
+}
+
+type options struct {
+	run    []int // indices into suite, in run order
+	seed   int64
+	trials int
+	csv    bool
+}
+
+// parseFlags turns the command line into options. Like the flag package's
+// own errors, a rejected value is reported on stderr before it is returned.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	fail := func(format string, a ...any) (options, error) {
+		err := fmt.Errorf(format, a...)
+		fmt.Fprintln(stderr, "rsinbench:", err)
+		return options{}, err
+	}
+	ids := make([]string, len(suite))
+	for i, e := range suite {
+		ids[i] = e.id
+	}
+	fs := flag.NewFlagSet("rsinbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment ID to run ("+strings.Join(ids, ", ")+"); empty = all")
+	seed := fs.Int64("seed", 1, "RNG seed")
+	trials := fs.Int("trials", 2000, "trials per ensemble point (at least 2)")
+	format := fs.String("format", "table", "output format: table | csv")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	// E5-E7 run trials/2 per point; below 2 that ensemble is empty and
+	// every blocking probability prints as 0.0%.
+	if *trials < 2 {
+		return fail("-trials %d: need at least 2", *trials)
+	}
+	if *format != "table" && *format != "csv" {
+		return fail("unknown -format %q (table | csv)", *format)
+	}
+	opt := options{seed: *seed, trials: *trials, csv: *format == "csv"}
+	for i, id := range ids {
+		if *exp == "" || strings.EqualFold(*exp, id) {
+			opt.run = append(opt.run, i)
+		}
+	}
+	if len(opt.run) == 0 {
+		return fail("unknown experiment %q (%s)", *exp, strings.Join(ids, ", "))
+	}
+	return opt, nil
+}
+
 func main() {
-	var (
-		exp      = flag.String("exp", "", "experiment ID to run (E1, E4-E7, E10-E16); empty = all")
-		seed     = flag.Int64("seed", 1, "RNG seed")
-		trials   = flag.Int("trials", 2000, "trials per ensemble point")
-		format   = flag.String("format", "table", "output format: table | csv")
-		schedRun = flag.Bool("sched", false, "run the scheduling-service benchmark and its gate table instead of the paper tables")
-		smoke    = flag.Bool("smoke", false, "with -sched: shrink the run for CI smoke testing")
-		jsonOut  = flag.String("json", "", "with -sched: write the machine-readable report (BENCH_sched.json) here")
-		openLoop = flag.Bool("openloop", false, "with -sched: also run the open-loop overload sweep through the HTTP front door (Poisson arrivals over a rate grid past the knee) and its shed gate")
-	)
-	flag.Parse()
-
-	if *schedRun {
-		if err := runSchedBench(*seed, *smoke, *openLoop, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	opt, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	render := func(t *experiments.Table) string {
-		if *format == "csv" {
-			return t.CSV()
+	if err != nil {
+		os.Exit(2)
+	}
+	for _, i := range opt.run {
+		t := suite[i].run(opt.seed, opt.trials)
+		if opt.csv {
+			fmt.Print(t.CSV())
+		} else {
+			fmt.Print(t.String())
 		}
-		return t.String()
-	}
-
-	small := *trials / 10
-	if small == 0 {
-		small = 10
-	}
-	run := map[string]func() *experiments.Table{
-		"E1":  experiments.E1Fig2,
-		"E4":  func() *experiments.Table { return experiments.E4CubeBlocking(*seed, *trials) },
-		"E5":  func() *experiments.Table { return experiments.E5OmegaBlocking(*seed+1, *trials/2) },
-		"E6":  func() *experiments.Table { return experiments.E6OccupancySweep(*seed+2, *trials/2) },
-		"E7":  func() *experiments.Table { return experiments.E7ExtraStages(*seed+3, *trials/2) },
-		"E10": func() *experiments.Table { return experiments.E10TokenVsMonitor(*seed+4, small) },
-		"E11": func() *experiments.Table { return experiments.E11TableII(*seed + 5) },
-		"E12": func() *experiments.Table { return experiments.E12DinicScaling(*seed+6, small) },
-		"E13": func() *experiments.Table { return experiments.E13Integrality(*seed+7, small) },
-		"E14": func() *experiments.Table { return experiments.E14LoadBalance(*seed + 8) },
-		"E15": func() *experiments.Table { return experiments.E15CyclePolicy(*seed + 9) },
-		"E16": func() *experiments.Table { return experiments.E16Placement(*seed+10, small) },
-		"E17": func() *experiments.Table { return experiments.E17CircuitVsPacket(*seed+11, small/2+1) },
-		"E18": func() *experiments.Table { return experiments.E18FaultTolerance(*seed+12, small) },
-	}
-
-	if *exp != "" {
-		f, ok := run[strings.ToUpper(*exp)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-			os.Exit(2)
+		if len(opt.run) > 1 {
+			fmt.Println()
 		}
-		fmt.Print(render(f()))
-		return
-	}
-	for _, id := range []string{"E1", "E4", "E5", "E6", "E7", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18"} {
-		fmt.Print(render(run[id]()))
-		fmt.Println()
 	}
 }

@@ -224,7 +224,6 @@ func main() {
 		topo      = flag.String("topo", "omega", "fabric per shard: omega | benes | cube | baseline | crossbar")
 		n         = flag.Int("n", 64, "fabric size (N x N) per shard")
 		shards    = flag.Int("shards", 1, "independent shards (disjoint sub-networks)")
-		workers   = flag.Int("workers", 0, "solver worker pool size (0 = one per shard)")
 		clients   = flag.Int("clients", 64, "concurrent client goroutines")
 		tasks     = flag.Int("tasks", 500, "tasks per client")
 		need      = flag.Int("need", 1, "resources per task")
@@ -262,6 +261,10 @@ func main() {
 	}
 	if *types > *n {
 		fmt.Fprintf(os.Stderr, "-types %d exceeds the %d resources per shard\n", *types, *n)
+		os.Exit(2)
+	}
+	if *gangs && *serveAddr == "" {
+		fmt.Fprintln(os.Stderr, "-gangs requires -serve (the gang endpoint is part of the front door)")
 		os.Exit(2)
 	}
 
@@ -320,7 +323,7 @@ func main() {
 		defer srv.Close()
 	}
 
-	cfg := sched.Config{BatchSize: *batch, Workers: *workers, Obs: reg, Preempt: *preempt}
+	cfg := sched.Config{BatchSize: *batch, Obs: reg, Preempt: *preempt}
 	for i := 0; i < *shards; i++ {
 		sc := system.Config{Net: build(*n), Avoidance: avoidance}
 		// Tiered traffic needs the priority-honoring discipline; untiered
@@ -356,10 +359,6 @@ func main() {
 	// recovery are all exercised continuously under live load.
 	stopChaos := startChaos(ctx, s, *shards, len(cfg.Shards[0].Net.Links), *linkfault, chaosSeed)
 
-	if *gangs && *serveAddr == "" {
-		fmt.Fprintln(os.Stderr, "-gangs requires -serve (the gang endpoint is part of the front door)")
-		os.Exit(2)
-	}
 	if *serveAddr != "" {
 		runServe(ctx, s, reg, *serveAddr, *gangs, *drain, stopChaos)
 		return
@@ -465,11 +464,7 @@ func main() {
 	}
 	qs := stats.Percentiles(all, 0.50, 0.90, 0.99, 1)
 
-	effWorkers := *workers
-	if effWorkers <= 0 || effWorkers > *shards {
-		effWorkers = *shards
-	}
-	fmt.Printf("fabric        %d shard(s) x %s(%d), %d solver worker(s)\n", *shards, *topo, *n, effWorkers)
+	fmt.Printf("fabric        %d shard(s) x %s(%d)\n", *shards, *topo, *n)
 	fmt.Printf("load          %d clients x %d tasks (need=%d), %d total\n", *clients, *tasks, *need, total)
 	fmt.Printf("wall time     %v\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("throughput    %.0f tasks/s\n", float64(len(all))/elapsed.Seconds())

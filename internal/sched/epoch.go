@@ -12,12 +12,8 @@ import (
 // the discipline while it makes progress, then publish the jobs that
 // finished acquiring. Buffer order guarantees a job's submit precedes its
 // cancel, and resources freed by an op are available to this very epoch's
-// solve. The worker-pool semaphore is held for the whole epoch (the
-// solver-bound phase dominates it).
+// solve.
 func (s *Scheduler) flush(sh *shard, buf []op) []op {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-
 	sh.tot.Epochs++
 	for i := range buf {
 		switch o := &buf[i]; o.kind {

@@ -530,6 +530,9 @@ func TestGangChaosStress(t *testing.T) {
 	if gangsOK.Load() == 0 {
 		t.Fatal("no gang completed under chaos")
 	}
+	if st.GangsActivated < st.GangsServiced {
+		t.Fatalf("%d gangs serviced but only %d ever activated", st.GangsServiced, st.GangsActivated)
+	}
 	t.Logf("gangs ok=%d severed=%d unsat=%d singles ok=%d gang-severs=%d",
 		gangsOK.Load(), gangsSevered.Load(), gangsUnsat.Load(), singlesOK.Load(), st.GangSevers)
 }

@@ -18,8 +18,7 @@
 //   - Sharding. The fabric is partitioned into disjoint sub-networks (one
 //     Clos plane, one resource type, one tenant...), each owned by its own
 //     shard goroutine with its own System, so independent shards schedule
-//     in parallel with zero shared state. A worker-pool semaphore caps how
-//     many shards solve simultaneously.
+//     in parallel with zero shared state.
 //   - Buffer reuse. Each shard's System carries a core.Planner whose
 //     maxflow.Buffers recycle the residual arena between cycles, keeping
 //     the per-epoch solve allocation-light.
@@ -96,9 +95,6 @@ type Config struct {
 	// callers block in Submit/EndService), and the next epoch takes all of
 	// them. Default 32.
 	BatchSize int
-	// Workers caps how many shards may run their solver concurrently
-	// (the solver worker pool). Default: one worker per shard.
-	Workers int
 	// SeverRetries bounds how many times a task's units may be severed
 	// by hardware faults (or preemption, with Preempt set) before its
 	// handle is failed with an error matching system.ErrCircuitSevered
@@ -349,8 +345,7 @@ func (sh *shard) validate(t system.Task) error {
 type Scheduler struct {
 	cfg    Config
 	shards []*shard
-	sem    chan struct{} // solver worker pool
-	o      schedObs      // resolved instruments; zero value when Obs is nil
+	o      schedObs // resolved instruments; zero value when Obs is nil
 
 	mu     sync.RWMutex // guards closed vs. in-flight channel sends
 	closed bool
@@ -366,15 +361,11 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	if cfg.Workers <= 0 || cfg.Workers > len(cfg.Shards) {
-		cfg.Workers = len(cfg.Shards)
-	}
 	if cfg.SeverRetries <= 0 {
 		cfg.SeverRetries = 3
 	}
 	s := &Scheduler{
 		cfg: cfg,
-		sem: make(chan struct{}, cfg.Workers),
 		o:   newSchedObs(cfg.Obs),
 	}
 	for i, sc := range cfg.Shards {

@@ -281,11 +281,10 @@ func TestStressBenes(t *testing.T) {
 }
 
 // TestShardsRunIndependently: tasks on different shards complete without
-// interference and the worker-pool cap is respected (no deadlock with
-// Workers < shards).
+// interference.
 func TestShardsRunIndependently(t *testing.T) {
 	const shards = 4
-	cfg := Config{Workers: 2}
+	var cfg Config
 	for i := 0; i < shards; i++ {
 		cfg.Shards = append(cfg.Shards, system.Config{Net: topology.Omega(8)})
 	}

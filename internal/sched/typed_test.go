@@ -211,7 +211,8 @@ func TestTypedQueuedTaskFailsWhenCapacityDrops(t *testing.T) {
 // scalar tasks through a Hetero shard while a chaos goroutine fails and
 // heals resources and links. Invariants: a handle that closes clean holds
 // exactly its declared vector (no partial typed grants), no resource has
-// two live holders, and at quiescence the terminal identity
+// two live holders, the recorded multicommodity gap stays within one unit
+// per greedy epoch, and at quiescence the terminal identity
 // Submitted == Serviced + Canceled + Failed holds exactly.
 func TestTypedChaosStress(t *testing.T) {
 	const clients = 64
@@ -383,6 +384,11 @@ func TestTypedChaosStress(t *testing.T) {
 	}
 	if st.MultiFastPath == 0 {
 		t.Fatalf("no certified multicommodity epoch under chaos: %+v", st)
+	}
+	// Certified epochs carry no gap by construction; only an epoch that
+	// fell to the greedy decomposition may record one, and then one unit.
+	if st.MultiGapUnits > st.MultiGreedy {
+		t.Fatalf("%d gap units over %d greedy epochs, want at most one per greedy epoch", st.MultiGapUnits, st.MultiGreedy)
 	}
 	t.Logf("typed ok=%d scalar ok=%d unsat=%d severed=%d multi: fast=%d greedy=%d retries=%d gap=%d",
 		typedOK.Load(), scalarOK.Load(), unsat.Load(), severed.Load(),

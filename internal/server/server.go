@@ -296,7 +296,7 @@ func (sv *Server) draining() bool {
 
 // handleHealthz serves the liveness/responsiveness probe: the admission
 // census as JSON. It stays cheap and lock-bounded so it answers even
-// when every worker is saturated — the open-loop harness uses its
+// when every worker is saturated — TestOverloadChaosStress uses its
 // latency as the "process stays responsive under overload" check.
 func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	state := struct {

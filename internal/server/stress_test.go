@@ -21,16 +21,19 @@ import (
 // h2c at an offered load the admission controller must shed, while a
 // chaos goroutine fails and heals random links underneath. It is the
 // end-to-end robustness check of this layer: every response is one of
-// the documented outcomes, tier 0 is never tier-shed, and the
-// scheduler's exactly-once accounting identity holds at quiescence.
+// the documented outcomes, tier 0 is never tier-shed, the admission queue
+// never outgrows its cap, /healthz keeps answering while the door sheds,
+// and the scheduler's exactly-once accounting identity holds at
+// quiescence.
 func TestOverloadChaosStress(t *testing.T) {
 	const (
-		clients    = 64
-		perClient  = 24
-		procs      = 16
-		maxInfl    = 16 // well under clients: the threshold gate must engage
-		maxQueue   = 8
-		linkPeriod = 2 * time.Millisecond
+		clients     = 64
+		perClient   = 24
+		procs       = 16
+		maxInfl     = 16 // well under clients: the threshold gate must engage
+		maxQueue    = 8
+		linkPeriod  = 2 * time.Millisecond
+		healthBound = 250 * time.Millisecond // the slowest /healthz answer tolerated under overload
 	)
 	s, err := sched.New(sched.Config{
 		Shards:       []system.Config{{Net: topology.Omega(procs)}},
@@ -88,6 +91,39 @@ func TestOverloadChaosStress(t *testing.T) {
 		Transport: &http.Transport{Protocols: p},
 		Timeout:   10 * time.Second,
 	}
+
+	// Responsiveness probe: /healthz sampled on the clients' own h2c
+	// connection for as long as they overload the door.
+	healthURL := fmt.Sprintf("http://%s/healthz", ln.Addr())
+	probeStop := make(chan struct{})
+	probeDone := make(chan struct{})
+	var probes int
+	var worstHealth time.Duration
+	go func() {
+		defer close(probeDone)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-probeStop:
+				return
+			case <-tick.C:
+			}
+			t0 := time.Now()
+			resp, err := client.Get(healthURL)
+			if err != nil {
+				t.Errorf("/healthz under overload: %v", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("/healthz under overload: status %d", resp.StatusCode)
+				return
+			}
+			probes++
+			worstHealth = max(worstHealth, time.Since(t0))
+		}
+	}()
 
 	var serviced, shed, timeouts, failed, tier0Shed atomic.Int64
 	var wg sync.WaitGroup
@@ -151,6 +187,8 @@ func TestOverloadChaosStress(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	close(probeStop)
+	<-probeDone
 	close(chaosStop)
 	<-chaosDone
 
@@ -189,6 +227,11 @@ func TestOverloadChaosStress(t *testing.T) {
 	if adm.PeakQueued > maxQueue {
 		t.Errorf("peak queue %d exceeded the %d cap", adm.PeakQueued, maxQueue)
 	}
-	t.Logf("serviced=%d shed=%d timeouts=%d chaos-failed=%d linkfaults=%d repairs=%d severed=%d",
-		serviced.Load(), shed.Load(), timeouts.Load(), failed.Load(), st.LinkFaults, st.Repairs, st.Severed)
+	if probes == 0 || worstHealth > healthBound {
+		t.Errorf("/healthz answered %d probes under overload, the slowest in %v; want some, all within %v",
+			probes, worstHealth, healthBound)
+	}
+	t.Logf("serviced=%d shed=%d timeouts=%d chaos-failed=%d linkfaults=%d repairs=%d severed=%d peak-queued=%d healthz: %d probes, worst %v",
+		serviced.Load(), shed.Load(), timeouts.Load(), failed.Load(), st.LinkFaults, st.Repairs, st.Severed,
+		adm.PeakQueued, probes, worstHealth)
 }

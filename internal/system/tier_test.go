@@ -2,6 +2,7 @@ package system
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"rsin/internal/topology"
@@ -162,5 +163,99 @@ func TestQueueHead(t *testing.T) {
 	// The provisioned head left the queue; the second task moves up.
 	if got := sys.QueueHead(0); got != id2 {
 		t.Fatalf("head after provisioning = %d, want %d", got, id2)
+	}
+}
+
+// TestTierZeroWaitsNoLongerThanUntiered states what the priority tiers buy
+// under contention, in cycles rather than wall time, so it reads no clock
+// and has one outcome. The fabric is over-subscribed on purpose (crossbar
+// 16x4, four tasks queued on every processor, client c in tier c mod 8) and
+// every grant holds its resource for a scripted number of cycles, so every
+// solve is a contended one: MaxFlow ignores Task.Tier, so under it the
+// same tasks are the untiered load and it grants some maximum-cardinality
+// subset; MinCost grants the subset of greatest weighted value. Tier 0
+// must then wait no longer than anyone waits untiered, and strictly less
+// than tier 7, which absorbs the queueing. The load runs twice, with
+// the clients laid over the processors in ascending and in descending
+// order: a solver that ignored the tiers would serve by processor, and no
+// processor order favours tier 0 over tier 7 in both layouts. That the
+// weighted value is optimal at all is held elsewhere, by the brute-force
+// oracle of priority_differential_test.go.
+func TestTierZeroWaitsNoLongerThanUntiered(t *testing.T) {
+	const (
+		procs, ress = 16, 4
+		clients     = 4 * procs
+		tiers       = MaxTier + 1
+		hold        = 3 // cycles between a grant and its EndService
+	)
+	// drive runs the whole load through one System and returns, per tier,
+	// the most cycles any of its tasks waited for its grant, and how many
+	// cycles left a request blocked.
+	drive := func(d Discipline, descending bool) (worst [tiers]int, contended int) {
+		sys, err := New(Config{Net: topology.Crossbar(procs, ress), Discipline: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tierOf := map[TaskID]int{}
+		for c := 0; c < clients; c++ {
+			task := Task{Proc: c % procs, Tier: c % tiers}
+			if descending {
+				task.Proc = procs - 1 - task.Proc
+			}
+			id, err := sys.Submit(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tierOf[id] = task.Tier
+		}
+		ends := map[int][]TaskID{} // cycle -> tasks whose service ends as it starts
+		for cycle, served := 0, 0; served < clients; cycle++ {
+			if cycle > clients*hold {
+				t.Fatalf("%d of %d tasks served after %d cycles", served, clients, cycle)
+			}
+			for _, id := range ends[cycle] {
+				if err := sys.EndService(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := sys.Cycle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Mapping.Blocked) > 0 {
+				contended++
+			}
+			for _, a := range res.Mapping.Assigned {
+				id := sys.Transmitting(a.Req.Proc)
+				if err := sys.EndTransmission(a.Req.Proc); err != nil {
+					t.Fatal(err)
+				}
+				// Every task was submitted before cycle 0, so the cycle
+				// that grants it is its wait.
+				worst[tierOf[id]] = max(worst[tierOf[id]], cycle)
+				ends[cycle+hold] = append(ends[cycle+hold], id)
+				served++
+			}
+		}
+		return worst, contended
+	}
+
+	for _, descending := range []bool{false, true} {
+		untiered, baseContended := drive(MaxFlow, descending)
+		tiered, tierContended := drive(MinCost, descending)
+		if baseContended == 0 || tierContended == 0 {
+			t.Fatalf("did not exercise: %d untiered and %d tiered cycles left a request blocked; the comparison needs contention in both",
+				baseContended, tierContended)
+		}
+		untieredWorst := slices.Max(untiered[:])
+		if tiered[0] > untieredWorst {
+			t.Errorf("descending=%v: tier 0 waited up to %d cycles tiered, the untiered run's worst is %d",
+				descending, tiered[0], untieredWorst)
+		}
+		if tiered[0] >= tiered[MaxTier] {
+			t.Errorf("descending=%v: tier 0 waited up to %d cycles, tier %d up to %d: the tiers did not order the queueing",
+				descending, tiered[0], MaxTier, tiered[MaxTier])
+		}
+		t.Logf("descending=%v: worst wait in cycles by client tier, untiered %v, tiered %v", descending, untiered, tiered)
 	}
 }

@@ -8,9 +8,8 @@ import (
 // TypedInstance is one hand-picked heterogeneous scheduling instance with
 // what the bound-first typed solver (core.Planner.ScheduleHetero) is known
 // to do on it. The random ensembles almost never leave the solver's common
-// path; these are the inputs that do, shared by the differential test, the
-// fuzz corpus and rsinbench's gap probe so each can demand that the rare
-// paths were exercised.
+// path; these are the inputs that do, shared by the differential test and
+// the fuzz corpus so each can demand that the rare paths were exercised.
 type TypedInstance struct {
 	Name    string
 	Net     *topology.Network // a fresh fabric with the instance's faults applied

@@ -72,7 +72,7 @@ type (
 	// solve, and disjoint shards schedule in parallel.
 	Scheduler = sched.Scheduler
 	// SchedulerConfig parameterizes a Scheduler (shards, batch size,
-	// solver worker pool).
+	// sever budget, preemption).
 	SchedulerConfig = sched.Config
 	// SchedulerStats is a snapshot of service counters.
 	SchedulerStats = sched.Stats
