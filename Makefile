@@ -38,11 +38,13 @@ ratchet:
 	$(GO) test -run 'TestOpsGateRatchet' ./internal/core
 
 # The instrumentation hot path must not allocate (disabled or enabled),
-# and a bound-certified typed epoch on a warm planner allocates only the
-# Mapping it returns; CI runs the same guards.
+# a bound-certified typed epoch on a warm planner allocates only the
+# Mapping it returns, and a cycle under the banker only its CycleResult and
+# the empty Mapping; CI runs the same guards.
 allocguard:
 	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree' ./internal/sched ./internal/obs
 	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
+	$(GO) test -run 'TestBankerCycleAllocs' ./internal/system
 
 # Flush-policy smoke: 8 closed-loop clients keep far less than one batch
 # in flight, so their median latency is the flush policy's. It must stay

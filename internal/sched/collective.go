@@ -28,7 +28,8 @@ type CollectiveSpec struct {
 	Type int
 	Need int
 	Tier int
-	// Label names the collective in trace events; phases append "/p<i>".
+	// Label names the collective in trace events (default: the pattern's
+	// name); phase i's gang is labelled "<label>/p<i>".
 	Label string
 	// PhaseHold keeps each phase's circuits granted for this long before
 	// the barrier releases them — the simulated transfer time. Zero
@@ -71,10 +72,11 @@ func (s *Scheduler) RunCollective(ctx context.Context, shard int, spec Collectiv
 				Tier: spec.Tier,
 			}
 		}
-		gh, err := s.SubmitGangCtx(ctx, shard, GangSpec{
-			Members: members,
-			Label:   fmt.Sprintf("%s/p%d", label, pi),
-		})
+		gang := GangSpec{Members: members}
+		if s.o.trace != nil {
+			gang.Label = fmt.Sprintf("%s/p%d", label, pi) // read by the trace alone
+		}
+		gh, err := s.SubmitGangCtx(ctx, shard, gang)
 		if err != nil {
 			return res, fmt.Errorf("sched: %s phase %d/%d: %w", label, pi, len(phases), err)
 		}

@@ -95,7 +95,7 @@ func (s *Scheduler) applySubmit(sh *shard, o *op) {
 	j.gen = sh.gen
 	sh.track(j)
 	j.count(&sh.tot, submitted)
-	s.jobEvent(sh, j, kSubmit, j.units(), "")
+	s.jobEvent(sh, j, kSubmit, j.units(), j.label)
 }
 
 // applyCancel withdraws a job whose context ended, unless it was
@@ -133,10 +133,13 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 			s.event(sh, evFault, 0, int64(f.Index), "")
 		}
 	}
-	charged := map[*job]bool{}
+	var charged map[*job]bool // most fault events cost nobody a unit
 	for _, id := range all {
 		// A nil job is a multi-unit holder published in an earlier epoch.
 		if j := sh.tracked[id]; j != nil && !charged[j] {
+			if charged == nil {
+				charged = map[*job]bool{}
+			}
 			charged[j] = true
 			if !s.chargeSever(sh, j) {
 				break
@@ -166,9 +169,16 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 }
 
 // runCycles is the epoch's scheduling phase: one Cycle solves the whole
-// batch; repeat only while grants keep landing (multi-resource tasks and
-// freshly unblocked queue heads acquire on the follow-up cycles).
-// Transmission completes within the granting cycle.
+// batch; repeat only while another could grant something (multi-resource
+// tasks and freshly unblocked queue heads acquire on the follow-up cycles).
+// Transmission completes within the granting cycle. After a granting cycle
+// the System's ledger says whether any task still wants a unit and any
+// healthy unit is unheld; when either count is zero the loop stops there
+// instead of running a cycle whose only result would be Granted == 0 — so
+// the common epoch, which serves every request it was handed, is one cycle.
+// Skipping that cycle skips nothing else: between a cycle's grants and the
+// next cycle's gang gate only units moved from the free pool to holders,
+// which can make no waiting gang admissible (DESIGN.md §22).
 func (s *Scheduler) runCycles(sh *shard) {
 	var solveStart int64
 	if s.o.enabled {
@@ -196,6 +206,11 @@ func (s *Scheduler) runCycles(sh *shard) {
 				break
 			}
 			for _, a := range r.Mapping.Assigned {
+				// Whoever received a unit this epoch is who publishGrants
+				// has to look at.
+				if j := sh.tracked[sh.sys.Transmitting(a.Req.Proc)]; j != nil {
+					sh.granted = append(sh.granted, j)
+				}
 				err := sh.sys.EndTransmission(a.Req.Proc)
 				if errors.Is(err, system.ErrCircuitSevered) {
 					// Retryable: the System already revoked and re-queued
@@ -205,6 +220,9 @@ func (s *Scheduler) runCycles(sh *shard) {
 					s.failShard(sh, err)
 					break cycling
 				}
+			}
+			if sh.sys.Quiescent() {
+				break
 			}
 		}
 		// Quiescent: no further grants are possible on the current holding
@@ -223,11 +241,14 @@ func (s *Scheduler) runCycles(sh *shard) {
 // publishGrants hands over the jobs whose grant completed: every member
 // fully provisioned, resources recorded per member before Done fires — a
 // client can never observe a partially granted gang through its handle.
-// Provisioned jobs leave the tracking map; the system layer keeps them
-// immune to severs and resets.
+// A grant completes only in an epoch that gave the job a unit, so the
+// candidates are the jobs runCycles saw receive one (a gang once per unit,
+// a job a restart or a withdrawal has since finished: the tracks check
+// drops both). Provisioned jobs leave the tracking map; the system layer
+// keeps them immune to severs and resets.
 func (s *Scheduler) publishGrants(sh *shard) {
-	for id, j := range sh.tracked {
-		if id != j.ids[0] || !j.provisionedIn(sh.sys) {
+	for _, j := range sh.granted {
+		if !sh.tracks(j) || !j.provisionedIn(sh.sys) {
 			continue
 		}
 		j.res = j.res1[:0]
@@ -244,6 +265,8 @@ func (s *Scheduler) publishGrants(sh *shard) {
 		sh.untrack(j)
 		close(j.done)
 	}
+	clear(sh.granted) // the list outlives the jobs; do not pin them
+	sh.granted = sh.granted[:0]
 }
 
 // finish resolves a tracked job terminally, exactly once: stop tracking

@@ -108,6 +108,44 @@ func TestLoneClientIsNotPaced(t *testing.T) {
 	}
 }
 
+// TestGrantingEpochRunsOneCycle pins the stop rule: an epoch that serves
+// every request it was handed ends on the System's own word that nothing is
+// left to grant (System.Quiescent), not on a second Cycle whose only result
+// is Granted == 0 — and a task that needs several units, one per cycle,
+// still gets them all inside the one epoch, because the rule stops the loop
+// only when nobody wants a unit or none is free.
+func TestGrantingEpochRunsOneCycle(t *testing.T) {
+	const tasks = 2000
+	s := newScheduler(t, Config{Shards: []system.Config{{Net: topology.Omega(8)}}})
+	for i := 0; i < tasks; i++ {
+		h := provision(t, s, 0, system.Task{Proc: i % 8})
+		if err := s.EndService(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.Serviced != tasks || st.Granted != tasks {
+		t.Fatalf("serviced %d, granted %d, want %d each", st.Serviced, st.Granted, tasks)
+	}
+	if limit := int64(tasks * 105 / 100); st.Cycles < tasks || st.Cycles > limit {
+		t.Errorf("%d sequential round trips ran %d cycles, want one per task (at most %d): the confirming cycle is back", tasks, st.Cycles, limit)
+	}
+
+	before := s.Stats()
+	h := provision(t, s, 0, system.Task{Proc: 3, Need: 3})
+	after := s.Stats()
+	if got := len(h.Resources()); got != 3 {
+		t.Fatalf("Need 3 provisioned with %d resources", got)
+	}
+	if after.Epochs-before.Epochs != 1 || after.Cycles-before.Cycles != 3 {
+		t.Errorf("Need 3 took %d epochs and %d cycles, want all three units inside one epoch, one cycle each",
+			after.Epochs-before.Epochs, after.Cycles-before.Cycles)
+	}
+	if err := s.EndService(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMultiLPCounted drives one typed epoch that misses the combinatorial
 // bound through the service and checks the miss is counted, in Stats and
 // on /metrics alike. The instance is workload.AdversarialTyped's chained

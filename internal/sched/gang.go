@@ -24,8 +24,10 @@ import (
 // events alongside.
 
 // GangSpec describes one all-or-nothing gang: at least two member tasks
-// on distinct processors of one shard. Label optionally names the gang in
-// trace events and logs (a collective phase, a training step).
+// on distinct processors of one shard. Label optionally names the gang (a
+// collective phase, a training step): it is the Result of the gang's
+// "gangsubmit" trace event, which ties the gang ID every later event of the
+// gang carries to the name the client knows it by.
 type GangSpec struct {
 	Members []system.Task
 	Label   string
@@ -42,6 +44,7 @@ func (s *Scheduler) SubmitGang(shard int, spec GangSpec) (*GangHandle, error) {
 		return nil, fmt.Errorf("sched: shard %d: a gang needs at least 2 members, got %d", shard, len(spec.Members))
 	}
 	h := &GangHandle{}
+	h.label = spec.Label
 	if err := s.admit(shard, &h.job, system.Task{}, spec.Members); err != nil {
 		return nil, err
 	}
@@ -51,15 +54,13 @@ func (s *Scheduler) SubmitGang(shard int, spec GangSpec) (*GangHandle, error) {
 // validateGang checks a gang's members, returning the copy of the member
 // list the shard will own.
 func (sh *shard) validateGang(members []system.Task) ([]system.Task, error) {
-	seenProc := make(map[int]bool, len(members))
 	for i, t := range members {
 		if err := sh.validate(t); err != nil {
 			return nil, fmt.Errorf("gang member %d: %w", i, err)
 		}
-		if seenProc[t.Proc] {
+		if system.RepeatsProc(members[:i], t.Proc) {
 			return nil, fmt.Errorf("gang members must use distinct processors (processor %d repeated)", t.Proc)
 		}
-		seenProc[t.Proc] = true
 	}
 	return append([]system.Task(nil), members...), nil
 }

@@ -14,6 +14,7 @@ type job struct {
 	shard  int
 	gen    int             // shard restart generation the job was admitted under
 	gang   system.GangID   // the System's gang ID, set at admission; 0 for a singleton
+	label  string          // GangSpec.Label: the Result of the gang's submit trace event
 	ids    []system.TaskID // member task IDs in member order, set at admission
 	demand system.Demand   // summed over members, for degraded-capacity rechecks
 	tier   int             // most urgent member tier: preemption policy, per-tier instruments

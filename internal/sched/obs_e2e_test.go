@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rsin/internal/core"
 	"rsin/internal/obs"
 	"rsin/internal/system"
 	"rsin/internal/topology"
@@ -292,5 +294,62 @@ func TestObsEndToEnd(t *testing.T) {
 		if !strings.Contains(index, link) {
 			t.Errorf("index missing %s", link)
 		}
+	}
+}
+
+// TestGangLabelsReachTrace: the name a client gives a gang or a collective
+// is the Result of the "gangsubmit" event, read back from /trace — the one
+// place that ties the gang ID every later event carries to the client's
+// name for it. Unlabelled gangs record none.
+func TestGangLabelsReachTrace(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newScheduler(t, Config{Obs: reg, Shards: []system.Config{{Net: topology.Omega(8)}}})
+	srv := httptest.NewServer(obs.Handler(reg))
+	defer srv.Close()
+
+	for _, label := range []string{"step-17", ""} {
+		gh, err := s.SubmitGang(0, GangSpec{Members: []system.Task{{Proc: 0}, {Proc: 1}}, Label: label})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, gh, "gang")
+		if err := s.EndGang(gh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.RunCollective(context.Background(), 0, CollectiveSpec{
+		Pattern: core.RingAllReduce, Procs: []int{2, 3, 4}, Label: "grads",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunCollective(context.Background(), 0, CollectiveSpec{
+		Pattern: core.RingReduceScatter, Procs: []int{5, 6},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	body, _ := scrape(t, srv.URL, "/trace")
+	var tr struct {
+		Events []obs.Event `json:"events"`
+	}
+	if err := json.Unmarshal([]byte(body), &tr); err != nil {
+		t.Fatalf("/trace: %v", err)
+	}
+	var got []string
+	for _, e := range tr.Events {
+		// The system layer records its own "gangsubmit" (Val = gang ID, no
+		// Task); the service's carries the gang ID as Task.
+		if e.Kind == evGangSubmit && e.Task != 0 {
+			got = append(got, e.Result)
+		}
+	}
+	want := []string{"step-17", ""}
+	for pi := 0; pi < res.Phases; pi++ {
+		want = append(want, "grads/p"+strconv.Itoa(pi))
+	}
+	want = append(want, core.RingReduceScatter.String()+"/p0")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("gangsubmit labels on /trace = %q, want %q", got, want)
 	}
 }

@@ -148,7 +148,7 @@ type Stats struct {
 	Granted   int64 // resources granted across all cycles
 	Serviced  int64 // tasks completed by EndService
 	Epochs    int64 // batches flushed
-	Cycles    int64 // scheduling cycles run (>= Epochs when work pending)
+	Cycles    int64 // scheduling cycles run: one in an epoch that serves all it can at once, none when nothing awaits a grant
 	Deferred  int64 // requests withheld by deadlock avoidance
 	Canceled  int64 // tasks withdrawn by SubmitCtx context cancellation
 	Failed    int64 // tasks terminated by the service with a non-cancel error
@@ -291,6 +291,7 @@ type shard struct {
 	// its job in one lookup. A walk therefore meets a gang once per
 	// member; walks act on a job at its first member (id == j.ids[0]).
 	tracked  map[system.TaskID]*job
+	granted  []*job // jobs that received a unit this epoch: publishGrants' candidates
 	gen      int    // bumped by every supervisor restart
 	capEpoch uint64 // fault epoch the usable census was computed at
 	capOK    bool   // false forces a recompute (restart, first flush)

@@ -1,7 +1,9 @@
 package system
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -52,14 +54,19 @@ func appendVector(dst Demand, needs map[int]int) Demand {
 // GangDemand sums the members' demand per type: a gang's members hold
 // their units together, so admission tests the whole sum at once.
 func GangDemand(members []Task) Demand {
-	sum := map[int]int{}
+	var sum Demand
 	var one [1]DemandEntry
 	for _, t := range members {
 		for _, e := range t.AppendDemand(one[:0]) {
-			sum[e.Type] += e.Count
+			i, found := slices.BinarySearchFunc(sum, e.Type, func(d DemandEntry, ty int) int { return cmp.Compare(d.Type, ty) })
+			if found {
+				sum[i].Count += e.Count
+			} else {
+				sum = slices.Insert(sum, i, e)
+			}
 		}
 	}
-	return appendVector(nil, sum)
+	return sum
 }
 
 // Total reports the unit demand summed over all types.

@@ -52,7 +52,7 @@ func (s *System) RepairBox(id int) error { return s.net.RepairBox(id) }
 // EndService returns the resource, which then never re-enters the free
 // pool until repaired.
 func (s *System) FailResource(r int) ([]TaskID, error) {
-	if err := s.net.FailResource(r); err != nil {
+	if err := s.flipResource(r, s.net.FailResource, -1); err != nil {
 		return nil, err
 	}
 	affected := s.severBroken()
@@ -73,7 +73,25 @@ func (s *System) FailResource(r int) ([]TaskID, error) {
 
 // RepairResource clears a resource fault, returning the resource to the
 // free pool if no task holds it.
-func (s *System) RepairResource(r int) error { return s.net.RepairResource(r) }
+func (s *System) RepairResource(r int) error {
+	return s.flipResource(r, s.net.RepairResource, +1)
+}
+
+// flipResource fails or repairs a resource in the topology and books it:
+// the ledger's free count follows an unheld resource's fault flag, and only
+// an effective transition — the topology's Fail/Repair are idempotent and
+// move the fault epoch exactly when they change state. A held resource is
+// in no free count; vacate decides when it returns.
+func (s *System) flipResource(r int, flip func(int) error, delta int) error {
+	ep := s.net.FaultEpoch()
+	if err := flip(r); err != nil {
+		return err
+	}
+	if s.net.FaultEpoch() != ep && s.resHolder[r] == -1 {
+		s.led.free[s.led.resTy[r]] += delta
+	}
+	return nil
+}
 
 // ApplyFault dispatches one FaultOp to the matching Fail/Repair method
 // and returns the tasks whose units it severed or revoked (nil for
@@ -251,8 +269,18 @@ func (s *System) revokeUnit(t *taskState, r int) {
 				break
 			}
 		}
+		// The ledger follows: the unit is owed again and leaves the entity's
+		// row, and a singleton left holding nothing is no longer committed.
+		l := &s.led
+		l.owed++
+		c := s.cell(t, r)
+		l.rem[c]++
+		l.held[c]--
+		if t.gang == nil && len(t.held) == 0 {
+			l.closeRow(&t.row)
+		}
 	}
 	if s.resHolder[r] == t.id {
-		s.resHolder[r] = -1
+		s.vacate(r)
 	}
 }

@@ -44,10 +44,11 @@ func FuzzSubmitCycle(f *testing.F) {
 		// Every fuzzed run drives the instrumentation hooks too: counters,
 		// histograms and the trace ring record under arbitrary op orders.
 		reg := obs.NewRegistry()
-		s, err := New(Config{Net: net, Avoidance: avoid, Obs: reg})
+		raw, err := New(Config{Net: net, Avoidance: avoid, Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := audit(t, raw) // the ledger differential rides every operation
 		var ids []TaskID
 		for _, b := range ops {
 			switch b & 0x07 {
@@ -148,10 +149,11 @@ func FuzzGangSubmit(f *testing.F) {
 			avoid = AvoidanceBankers
 		}
 		net := topology.Omega(4)
-		s, err := New(Config{Net: net, Avoidance: avoid})
+		raw, err := New(Config{Net: net, Avoidance: avoid})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := audit(t, raw) // the ledger differential rides every operation
 		var ids []TaskID
 		var gids []GangID
 		for _, b := range ops {
@@ -208,7 +210,7 @@ func FuzzGangSubmit(f *testing.F) {
 
 // checkGangInvariants audits the all-or-nothing observables of every
 // still-known gang.
-func checkGangInvariants(t *testing.T, s *System, gids []GangID) {
+func checkGangInvariants(t *testing.T, s audited, gids []GangID) {
 	t.Helper()
 	for _, gid := range gids {
 		members := s.GangMembers(gid)
@@ -233,7 +235,7 @@ func checkGangInvariants(t *testing.T, s *System, gids []GangID) {
 }
 
 // checkInvariants audits the externally observable state of the system.
-func checkInvariants(t *testing.T, s *System, net *topology.Network, ids []TaskID) {
+func checkInvariants(t *testing.T, s audited, net *topology.Network, ids []TaskID) {
 	t.Helper()
 	if s.Pending() < 0 {
 		t.Fatalf("Pending() = %d", s.Pending())
@@ -303,10 +305,11 @@ func FuzzTypedSubmit(f *testing.F) {
 		}
 		net := topology.Omega(4)
 		types := []int{0, 1, 0, 1}
-		s, err := New(Config{Net: net, Discipline: Hetero, Types: types, Avoidance: avoid})
+		raw, err := New(Config{Net: net, Discipline: Hetero, Types: types, Avoidance: avoid})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := audit(t, raw) // the ledger differential rides every operation
 		var ids []TaskID
 		needsOf := map[TaskID]map[int]int{}
 		for _, b := range ops {
@@ -372,7 +375,7 @@ func FuzzTypedSubmit(f *testing.F) {
 
 // checkTypedInvariants audits the per-type holdings of every still-live
 // typed task against its declared vector.
-func checkTypedInvariants(t *testing.T, s *System, types []int, needsOf map[TaskID]map[int]int) {
+func checkTypedInvariants(t *testing.T, s audited, types []int, needsOf map[TaskID]map[int]int) {
 	t.Helper()
 	for id, needs := range needsOf {
 		rem := s.Remaining(id)

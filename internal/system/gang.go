@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,10 +27,10 @@ import (
 //     to be re-planned on the surviving fabric. A fully provisioned gang
 //     is immune, mirroring the provisioned-singleton rule.
 //
-// Members of an active gang are first-class banker's citizens: they are
-// committed in the hypothetical state even while holding nothing, so
-// singleton admission under AvoidanceBankers cannot grant away the units
-// a gang's completion order depends on.
+// Members of an active gang are first-class banker's citizens: the gang is
+// a committed entity in the ledger from activation on, even while it holds
+// nothing, so singleton admission under AvoidanceBankers cannot grant away
+// the units a gang's completion order depends on.
 
 // GangID identifies a gang submitted via SubmitGang.
 type GangID int
@@ -39,6 +40,7 @@ type gangState struct {
 	members []TaskID
 	demand  Demand // summed over members; what a gated gang still needs in full
 	active  bool
+	row     int // the composite's row among the ledger's committed entities; -1 unless active
 }
 
 // SubmitGang queues a gang of member tasks, all-or-nothing: no member
@@ -53,7 +55,6 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	if len(members) < 2 {
 		return 0, nil, fmt.Errorf("system: a gang needs at least 2 members, got %d", len(members))
 	}
-	seenProc := make(map[int]bool, len(members))
 	for i, t := range members {
 		if t.Proc < 0 || t.Proc >= s.net.Procs {
 			return 0, nil, fmt.Errorf("system: gang member %d: processor %d out of range", i, t.Proc)
@@ -61,10 +62,9 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 		if err := ValidateTask(t, s.net.Ress); err != nil {
 			return 0, nil, fmt.Errorf("system: gang member %d: %w", i, err)
 		}
-		if seenProc[t.Proc] {
+		if RepeatsProc(members[:i], t.Proc) {
 			return 0, nil, fmt.Errorf("system: gang members must use distinct processors (processor %d repeated)", t.Proc)
 		}
-		seenProc[t.Proc] = true
 	}
 	// Gang admission: members hold their units together, so the summed
 	// demand must be simultaneously satisfiable on the surviving fabric.
@@ -74,7 +74,7 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	}
 	s.nextGang++
 	gid := s.nextGang
-	g := &gangState{id: gid, members: make([]TaskID, len(members)), demand: demand}
+	g := &gangState{id: gid, members: make([]TaskID, len(members)), demand: demand, row: -1}
 	for i, t := range members {
 		ts := newTaskState(t)
 		ts.gang = g
@@ -89,6 +89,19 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	return gid, g.members, nil
 }
 
+// RepeatsProc reports whether any of the members sits on processor p — the
+// distinct-processors rule of a gang, for the service's admission and the
+// System's alike. A scan: gangs are a handful of members, and the members
+// before each one are all there is to look at.
+func RepeatsProc(members []Task, p int) bool {
+	for _, m := range members {
+		if m.Proc == p {
+			return true
+		}
+	}
+	return false
+}
+
 // activateGangs runs the all-or-nothing admission gate at the top of a
 // cycle: pending gangs activate in strict FIFO order, each only when the
 // banker's condition holds with every member committed at its full
@@ -100,8 +113,12 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 // behind it for as long as the fault lasts. Such gangs are skipped in
 // place — they keep their FIFO slot for the cycle a repair makes them
 // satisfiable again, or until the owning service withdraws them
-// retroactively (sched.refreshCapacity). Returns how many gangs activated.
-func (s *System) activateGangs() int {
+// retroactively (sched.refreshCapacity). The candidate is tried on the
+// cycle's trial copy of the ledger, which a cycle with a pending gang
+// always has (any gang puts the cycle under the banker); an admitted gang
+// stays in the trial, so the next candidate and the cycle's admissions see
+// it committed. Returns how many gangs activated.
+func (s *System) activateGangs(tr *trial) int {
 	activated := 0
 	usable := s.usableResources()
 	for i := 0; i < len(s.gangPending); {
@@ -117,18 +134,16 @@ func (s *System) activateGangs() int {
 			i++ // unsatisfiable at this fault epoch: skip, don't block
 			continue
 		}
-		// The candidate joins the hypothetical world as one composite
-		// entity: its members' demand must be finishable together, since
-		// none of them releases a unit until the whole gang completes.
-		cand := newHypoEntity()
-		for _, id := range g.members {
-			s.tasks[id].entityAdd(cand)
-		}
-		hypo := s.hypothetical()
-		hypo.entities = append(hypo.entities, cand)
-		if !hypo.safe() {
+		// The candidate joins the trial as one composite entity: its
+		// members' demand must be finishable together, since none of them
+		// releases a unit until the whole gang completes.
+		tr.push(&s.led, g.demand, nil)
+		if !tr.safe() {
+			tr.pop()
 			break
 		}
+		tr.base = 1 // safe with the candidate in it
+		s.led.openRow(&g.row, g.demand, nil)
 		g.active = true
 		s.gangPending = append(s.gangPending[:i], s.gangPending[i+1:]...)
 		activated++
@@ -210,11 +225,8 @@ func (s *System) resetGang(g *gangState) []TaskID {
 			s.sever(t, c)
 		}
 		t.circuits = nil
-		for _, r := range t.held {
-			if s.resHolder[r] == id {
-				s.resHolder[r] = -1
-			}
-		}
+		s.vacateAll(t)
+		s.led.owed += len(t.held)
 		t.held = t.held[:0]
 		clear(t.have)
 		// Re-enqueue members that left their queue when they provisioned.
@@ -223,19 +235,13 @@ func (s *System) resetGang(g *gangState) []TaskID {
 		// member whose unit was just revoked already has remaining()>0 but
 		// is in no queue, and skipping it would strand the gang active
 		// forever with a member no cycle can ever grant to.
-		inQueue := false
-		for _, qid := range s.queues[p] {
-			if qid == id {
-				inQueue = true
-				break
-			}
-		}
-		if !inQueue {
-			s.queues[p] = append(s.queues[p], id)
+		if !slices.Contains(s.queues[p], t) {
+			s.queues[p] = append(s.queues[p], t)
 		}
 		affected = append(affected, id)
 	}
 	g.active = false
+	s.led.closeRow(&g.row) // back behind the gate: no longer committed
 	s.gangPending = append([]GangID{g.id}, s.gangPending...)
 	if s.o.enabled {
 		s.o.gangResets.Inc()
@@ -308,6 +314,7 @@ func (s *System) CancelGang(gid GangID) error {
 			break
 		}
 	}
+	s.led.closeRow(&g.row)
 	delete(s.gangs, gid)
 	return nil
 }
@@ -333,14 +340,10 @@ func (s *System) EndGangService(gid GangID) error {
 		}
 	}
 	for _, id := range g.members {
-		t := s.tasks[id]
-		for _, r := range t.held {
-			if s.resHolder[r] == id {
-				s.resHolder[r] = -1
-			}
-		}
+		s.vacateAll(s.tasks[id])
 		delete(s.tasks, id)
 	}
+	s.led.closeRow(&g.row)
 	delete(s.gangs, gid)
 	return nil
 }

@@ -11,12 +11,17 @@ import (
 
 // TestGangDifferentialTraces is the differential suite for gang
 // scheduling: randomized mixed singleton/gang traces with hardware churn,
-// holding three oracles every cycle:
+// holding four oracles:
 //
-//  1. Safety differential — the banker's greedy safety scan must agree
-//     with a brute-force search over every completion permutation of the
-//     committed entities. An unsafe state safe() misses would let gangs
-//     deadlock; a safe state it rejects would starve them.
+//  0. Ledger differential — after every operation the banker's ledger is
+//     recomputed from scratch and compared, and every cycle's decisions
+//     (gangs activated, request per processor, deferrals) are held to the
+//     from-scratch banker's prediction (audited, ledger_reference_test.go).
+//  1. Safety differential — the banker's greedy safety scan, the ledger's
+//     and the reference's alike, must agree with a brute-force search over
+//     every completion permutation of the committed entities. An unsafe
+//     state safe() misses would let gangs deadlock; a safe state it rejects
+//     would starve them.
 //  2. All-or-nothing observables — a gated (inactive) gang's members hold
 //     nothing; a provisioned gang's members each hold their full set; a
 //     fault reset is total (no member of a reset gang keeps a unit).
@@ -45,10 +50,11 @@ func runGangDifferential(t *testing.T, rng *rand.Rand, av Avoidance) {
 		steps = 12
 	}
 	for _, net := range nets {
-		sys, err := New(Config{Net: net, Discipline: MinCost, Avoidance: av})
+		raw, err := New(Config{Net: net, Discipline: MinCost, Avoidance: av})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys := audit(t, raw)
 		singles := map[TaskID]bool{}
 		gangs := map[GangID][]TaskID{}
 		failedLinks := map[int]bool{}
@@ -111,10 +117,11 @@ func runGangDifferential(t *testing.T, rng *rand.Rand, av Avoidance) {
 			// Cycle to quiescence; every hypothetical state's safety verdict
 			// is held to the brute-force permutation oracle.
 			for {
-				h := sys.hypothetical()
-				if got, want := h.safe(), bruteForceSafe(h); got != want {
-					t.Fatalf("%s step %d: safe()=%v, brute force says %v (free %v, committed %d)",
-						net.Name, step, got, want, h.freeByType, len(h.entities))
+				h := sys.hypothetical(nil)
+				want := bruteForceSafe(h)
+				if got, ref := sys.led.openTrial().safe(), h.safe(); got != want || ref != want {
+					t.Fatalf("%s step %d: ledger safe()=%v, reference safe()=%v, brute force says %v (free %v, committed %d)",
+						net.Name, step, got, ref, want, h.freeByType, len(h.entities))
 				}
 				r, err := sys.Cycle()
 				if err != nil {
@@ -186,7 +193,7 @@ func runGangDifferential(t *testing.T, rng *rand.Rand, av Avoidance) {
 // checkGangAtomicity asserts the observable all-or-nothing contract: a
 // gang that has not passed (or was reset behind) the activation gate holds
 // nothing on any member, and a provisioned gang holds everything.
-func checkGangAtomicity(t *testing.T, sys *System, gangs map[GangID][]TaskID, name string, step int) {
+func checkGangAtomicity(t *testing.T, sys audited, gangs map[GangID][]TaskID, name string, step int) {
 	t.Helper()
 	for gid, members := range gangs {
 		if !sys.GangActive(gid) {

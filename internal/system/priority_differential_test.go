@@ -48,10 +48,11 @@ func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt
 		for r := range prefs {
 			prefs[r] = rng.Int63n(12)
 		}
-		sys, err := New(Config{Net: net, Discipline: MinCost, Avoidance: av, Preferences: prefs})
+		raw, err := New(Config{Net: net, Discipline: MinCost, Avoidance: av, Preferences: prefs})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys := audit(t, raw)             // the ledger differential rides every operation
 		live := map[TaskID]bool{}        // submitted, not yet EndServiced
 		provisioned := map[TaskID]bool{} // Remaining == 0, awaiting EndService
 		failedLinks := map[int]bool{}
@@ -149,7 +150,7 @@ func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt
 // snapshotAvail rebuilds the avail list the next cycle will price,
 // exactly as cycle() does for Prefs-free tasks: every unheld, unfaulted
 // resource at its configured preference.
-func snapshotAvail(sys *System, prefs []int64) []core.Avail {
+func snapshotAvail(sys audited, prefs []int64) []core.Avail {
 	var avail []core.Avail
 	for r := 0; r < sys.net.Ress; r++ {
 		if sys.resHolder[r] != -1 || sys.net.ResourceFaulted(r) {
@@ -162,7 +163,7 @@ func snapshotAvail(sys *System, prefs []int64) []core.Avail {
 
 // applyRandomFault fails a random healthy component or repairs a random
 // failed one, keeping the trace's shadow fault sets in sync.
-func applyRandomFault(t *testing.T, rng *rand.Rand, sys *System, net *topology.Network, failedLinks, failedRes map[int]bool) {
+func applyRandomFault(t *testing.T, rng *rand.Rand, sys audited, net *topology.Network, failedLinks, failedRes map[int]bool) {
 	t.Helper()
 	if rng.Float64() < 0.5 && net.Ress > 1 {
 		// Resource fault or repair; keep at least one resource alive.

@@ -18,6 +18,7 @@ package system
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"rsin/internal/core"
@@ -197,6 +198,7 @@ type taskState struct {
 
 	circuits []topology.Circuit // established and not yet released; the last is the one transmitting
 	gang     *gangState         // the gang this task is a member of, or nil
+	row      int                // a singleton's row among the ledger's committed entities; -1 while it holds nothing
 
 	// Inline backing for the one-type case, so admitting it costs the one
 	// allocation of the taskState itself.
@@ -205,7 +207,7 @@ type taskState struct {
 }
 
 func newTaskState(t Task) *taskState {
-	ts := &taskState{task: t}
+	ts := &taskState{task: t, row: -1}
 	ts.demand = t.AppendDemand(ts.demand1[:0])
 	ts.have = ts.have1[:]
 	if len(ts.demand) > 1 {
@@ -238,12 +240,13 @@ type CycleResult struct {
 type System struct {
 	cfg    Config
 	net    *topology.Network
-	queues [][]TaskID // per-processor FIFO of submitted tasks
+	queues [][]*taskState // per-processor FIFO of submitted tasks
 	tasks  map[TaskID]*taskState
 	nextID TaskID
 
 	resHolder    []TaskID // per resource: holding task, or -1
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
+	led          ledger   // the banker's books, moved wherever a unit moves (ledger.go)
 
 	// Hardware fault bookkeeping: severedProc[p] marks a transmission
 	// torn down by a fault and not yet acknowledged via EndTransmission;
@@ -295,13 +298,14 @@ func New(cfg Config) (*System, error) {
 	s := &System{
 		cfg:          cfg,
 		net:          cfg.Net.Clone(),
-		queues:       make([][]TaskID, cfg.Net.Procs),
+		queues:       make([][]*taskState, cfg.Net.Procs),
 		tasks:        make(map[TaskID]*taskState),
 		resHolder:    make([]TaskID, cfg.Net.Ress),
 		transmitting: make([]TaskID, cfg.Net.Procs),
 		severedProc:  make([]bool, cfg.Net.Procs),
 		taskOf:       make([]*taskState, cfg.Net.Procs),
 		gangs:        make(map[GangID]*gangState),
+		led:          newLedger(cfg.Net.Ress, cfg.Types),
 	}
 	for i := range s.resHolder {
 		s.resHolder[i] = -1
@@ -417,8 +421,18 @@ func (s *System) enqueue(ts *taskState) TaskID {
 	s.nextID++
 	ts.id = s.nextID
 	s.tasks[ts.id] = ts
-	s.queues[ts.task.Proc] = append(s.queues[ts.task.Proc], ts.id)
+	s.queues[ts.task.Proc] = append(s.queues[ts.task.Proc], ts)
+	s.led.owed += ts.need
 	return ts.id
+}
+
+// dequeue removes a task from its processor's queue, wherever in it the
+// task stands; no-op if it already left.
+func (s *System) dequeue(t *taskState) {
+	q := s.queues[t.task.Proc]
+	if i := slices.Index(q, t); i >= 0 {
+		s.queues[t.task.Proc] = slices.Delete(q, i, i+1)
+	}
 }
 
 // admissible is the one admission gate, for tasks and gangs alike: the
@@ -452,7 +466,7 @@ func (s *System) headTask(p int) *taskState {
 	if len(s.queues[p]) == 0 {
 		return nil
 	}
-	return s.tasks[s.queues[p][0]]
+	return s.queues[p][0]
 }
 
 // remaining reports how many more resources a task needs across all types.
@@ -473,18 +487,8 @@ func (t *taskState) next() int {
 // reqType is the type of the next unit the task requests.
 func (t *taskState) reqType() int { return t.demand[t.next()].Type }
 
-// entityAdd accumulates the task's per-type remaining demand and holdings
-// into a banker's entity (the shared body of the hypothetical snapshot and
-// the gang composite candidate).
-func (t *taskState) entityAdd(e *hypoEntity) {
-	for i, d := range t.demand {
-		e.rem[d.Type] += d.Count - t.have[i]
-		e.held[d.Type] += t.have[i]
-	}
-}
-
 // requestCandidate picks the task a processor requests for this cycle,
-// running the banker's admission when hypo is non-nil. The queue head is
+// running the banker's admission when tr is non-nil. The queue head is
 // always first in line; behind a head the banker defers (or a head still
 // gated before its gang's activation), members of ACTIVE gangs may bypass
 // it. Activation admitted the gang into the acquiring set — the per-proc
@@ -493,13 +497,12 @@ func (t *taskState) entityAdd(e *hypoEntity) {
 // completion order can require exactly the buried member's grant (see
 // TestGangDifferentialTraces' liveness drain). Without gangs the scan
 // degenerates to the head-only discipline.
-func (s *System) requestCandidate(p int, hypo *hypoState, res *CycleResult) *taskState {
+func (s *System) requestCandidate(p int, tr *trial, res *CycleResult) *taskState {
 	if s.transmitting[p] != -1 {
 		return nil
 	}
-	for qi, id := range s.queues[p] {
-		t := s.tasks[id]
-		if t == nil || t.remaining() <= 0 {
+	for qi, t := range s.queues[p] {
+		if t.remaining() <= 0 {
 			continue
 		}
 		if t.gated() {
@@ -512,163 +515,13 @@ func (s *System) requestCandidate(p int, hypo *hypoState, res *CycleResult) *tas
 			// member may be buried deeper.
 			continue
 		}
-		if hypo != nil && !hypo.admit(t) {
+		if tr != nil && !s.admit(tr, t) {
 			res.Deferred++
 			continue
 		}
 		return t
 	}
 	return nil
-}
-
-// hypoState is the banker's hypothetical world used for sequential
-// admission within one cycle: free resources per type and the committed
-// census. Entities are the units of completion, not tasks — a singleton
-// releases its units when it alone finishes, but a gang's members release
-// nothing until the whole gang has acquired its full set, so an active
-// gang is one composite entity aggregating its members' demand and
-// holdings per type. Modeling members independently is the classic unsafe
-// shortcut: the banker would count a provisioned member's unit as
-// releasable while the gang still waits on its siblings, and admit
-// cross-gang hold-and-wait deadlocks.
-type hypoState struct {
-	freeByType map[int]int
-	entities   []*hypoEntity
-	byTask     map[TaskID]*hypoEntity
-}
-
-// hypoEntity is one completion unit: remaining demand and current
-// holdings per resource type.
-type hypoEntity struct {
-	rem  map[int]int
-	held map[int]int
-}
-
-func newHypoEntity() *hypoEntity {
-	return &hypoEntity{rem: map[int]int{}, held: map[int]int{}}
-}
-
-// hypothetical snapshots the current allocation state.
-func (s *System) hypothetical() *hypoState {
-	h := &hypoState{freeByType: map[int]int{}, byTask: map[TaskID]*hypoEntity{}}
-	for r := 0; r < s.net.Ress; r++ {
-		// A failed resource is not free capacity: counting it would let
-		// the banker admit holders that cannot complete until repair.
-		if s.resHolder[r] == -1 && !s.net.ResourceFaulted(r) {
-			h.freeByType[s.resType(r)]++
-		}
-	}
-	gangEnt := map[*gangState]*hypoEntity{}
-	for id, t := range s.tasks {
-		if g := t.gang; g != nil {
-			if !g.active {
-				continue // gated members hold nothing and are not committed
-			}
-			// Members of an active gang are committed even while holding
-			// nothing: the gang's activation promised it a completion
-			// order, and singleton admission must not grant that capacity
-			// away.
-			e := gangEnt[g]
-			if e == nil {
-				e = newHypoEntity()
-				gangEnt[g] = e
-				h.entities = append(h.entities, e)
-			}
-			t.entityAdd(e)
-			h.byTask[id] = e
-			continue
-		}
-		if len(t.held) == 0 {
-			continue
-		}
-		e := newHypoEntity()
-		t.entityAdd(e)
-		h.entities = append(h.entities, e)
-		h.byTask[id] = e
-	}
-	return h
-}
-
-// safe checks the banker's condition: some completion order lets every
-// committed entity finish. The classic greedy safety scan is exact —
-// finishing an entity only ever grows the free vector, so if any safe
-// order exists there is one that starts with any currently-finishable
-// entity (validated against a brute-force permutation oracle in
-// gang_differential_test.go).
-func (h *hypoState) safe() bool {
-	free := make(map[int]int, len(h.freeByType))
-	for typ, n := range h.freeByType {
-		free[typ] = n
-	}
-	done := make([]bool, len(h.entities))
-	finished := 0
-	for progress := true; progress && finished < len(h.entities); {
-		progress = false
-		for i, e := range h.entities {
-			if done[i] || !fitsFree(e.rem, free) {
-				continue
-			}
-			for typ, n := range e.held {
-				free[typ] += n // finishing releases everything it holds
-			}
-			done[i] = true
-			finished++
-			progress = true
-		}
-	}
-	return finished == len(h.entities)
-}
-
-// fitsFree reports whether a remaining-demand vector fits within the free
-// vector.
-func fitsFree(rem, free map[int]int) bool {
-	for typ, n := range rem {
-		if n > free[typ] {
-			return false
-		}
-	}
-	return true
-}
-
-// admit tentatively grants one resource of the task's requested type in the
-// hypothetical state; if the result is unsafe the grant is rolled back and
-// admit reports false. Sequential admission makes the cycle's combined
-// grant set safe even if the scheduler later grants only a subset (a
-// rolled-back grant only returns resources to the free pool). A typed task
-// is committed at its FULL demand vector on first contact: granting its
-// type-a unit while ignoring its type-b demand is the classic unsafe
-// shortcut — the banker would promise a completion order the other types
-// cannot honor.
-func (h *hypoState) admit(t *taskState) bool {
-	ty := t.reqType()
-	if h.freeByType[ty] == 0 {
-		return false
-	}
-	e, created := h.byTask[t.id], false
-	if e == nil {
-		// First contact with this task in the hypothetical world: an
-		// uncommitted singleton (gang members are pre-committed through
-		// their composite entity whenever their gang is active).
-		e = newHypoEntity()
-		t.entityAdd(e)
-		h.entities = append(h.entities, e)
-		h.byTask[t.id] = e
-		created = true
-	}
-	h.freeByType[ty]--
-	e.rem[ty]--
-	e.held[ty]++
-	if h.safe() {
-		return true
-	}
-	h.freeByType[ty]++
-	e.rem[ty]++
-	e.held[ty]--
-	if created {
-		h.entities = h.entities[:len(h.entities)-1]
-		delete(h.byTask, t.id)
-	}
-	return false
 }
 
 // Cycle runs one scheduling cycle: pending head tasks request one resource
@@ -717,26 +570,26 @@ func (s *System) cycle() (*CycleResult, error) {
 	}
 	res := &CycleResult{Broken: s.broken}
 	s.broken = 0
+	// Gangs upgrade the shard to banker's grants for as long as any exist:
+	// activation promised each active gang a completion order, and a greedy
+	// grant (to a singleton or a rival gang's member) could hand away the
+	// units that order depends on — two gangs acquiring concurrently would
+	// wedge in hold-and-wait exactly like unguarded singletons.
+	var tr *trial
+	if s.cfg.Avoidance == AvoidanceBankers || len(s.gangs) > 0 {
+		tr = s.led.openTrial()
+	}
 	// Gate check after the hardware hooks: faults applied above may have
 	// reset gangs, and newly safe pending gangs join this very cycle.
-	res.GangsActivated = s.activateGangs()
+	res.GangsActivated = s.activateGangs(tr)
 	// Per-cycle inputs are assembled in scratch kept on the System (no
 	// solver retains reqs or avail past its call): requests in ascending
 	// processor order, free resources in ascending resource order.
 	reqs, avail, prefs := s.reqs[:0], s.avail[:0], s.prefs[:0]
 	taskOf := s.taskOf
 	clear(taskOf)
-	var hypo *hypoState
-	// Gangs upgrade the shard to banker's grants for as long as any exist:
-	// activation promised each active gang a completion order, and a greedy
-	// grant (to a singleton or a rival gang's member) could hand away the
-	// units that order depends on — two gangs acquiring concurrently would
-	// wedge in hold-and-wait exactly like unguarded singletons.
-	if s.cfg.Avoidance == AvoidanceBankers || len(s.gangs) > 0 {
-		hypo = s.hypothetical()
-	}
 	for p := 0; p < s.net.Procs; p++ {
-		t := s.requestCandidate(p, hypo, res)
+		t := s.requestCandidate(p, tr, res)
 		if t == nil {
 			continue
 		}
@@ -781,9 +634,7 @@ func (s *System) cycle() (*CycleResult, error) {
 		if t == nil {
 			return nil, fmt.Errorf("system: allocation for idle processor %d", a.Req.Proc)
 		}
-		t.have[t.next()]++ // charged to the entry the task requested this cycle
-		t.held = append(t.held, a.Res)
-		s.resHolder[a.Res] = t.id
+		s.acquire(t, a.Res)
 		s.transmitting[a.Req.Proc] = t.id
 		s.severedProc[a.Req.Proc] = false // a fresh grant supersedes an unacknowledged sever
 		t.circuits = append(t.circuits, a.Circuit)
@@ -831,12 +682,7 @@ func (s *System) EndTransmission(p int) error {
 		// Task fully provisioned; it leaves the queue. Usually the head,
 		// but an active gang member may have been granted past a deferred
 		// head (see requestCandidate), so remove it by identity.
-		for qi, qid := range s.queues[p] {
-			if qid == id {
-				s.queues[p] = append(s.queues[p][:qi], s.queues[p][qi+1:]...)
-				break
-			}
-		}
+		s.dequeue(t)
 	}
 	return nil
 }
@@ -871,15 +717,10 @@ func (s *System) cancelTask(id TaskID) error {
 		s.transmitting[p] = -1
 	}
 	s.severedProc[p] = false // withdrawing the task retires any unacknowledged sever
-	for _, r := range t.held {
-		s.resHolder[r] = -1
-	}
-	for i, qid := range s.queues[p] {
-		if qid == id {
-			s.queues[p] = append(s.queues[p][:i], s.queues[p][i+1:]...)
-			break
-		}
-	}
+	s.vacateAll(t)
+	s.led.closeRow(&t.row) // a gang member has none; CancelGang closes the gang's
+	s.led.owed -= t.remaining()
+	s.dequeue(t)
 	delete(s.tasks, id)
 	return nil
 }
@@ -902,9 +743,8 @@ func (s *System) EndService(id TaskID) error {
 	if s.transmitting[t.task.Proc] == id {
 		return fmt.Errorf("system: task %d is still transmitting", id)
 	}
-	for _, r := range t.held {
-		s.resHolder[r] = -1
-	}
+	s.vacateAll(t)
+	s.led.closeRow(&t.row)
 	delete(s.tasks, id)
 	return nil
 }
@@ -938,16 +778,8 @@ func (s *System) Transmitting(p int) TaskID {
 	return s.transmitting[p]
 }
 
-// FreeResources counts unheld resources.
-func (s *System) FreeResources() int {
-	n := 0
-	for _, h := range s.resHolder {
-		if h == -1 {
-			n++
-		}
-	}
-	return n
-}
+// FreeResources counts unheld resources, faulted or not.
+func (s *System) FreeResources() int { return s.led.unheld }
 
 // Pending counts unserviced submitted tasks.
 func (s *System) Pending() int { return len(s.tasks) }
@@ -960,12 +792,6 @@ func (s *System) Deadlocked() bool {
 	for p := range s.transmitting {
 		if s.transmitting[p] != -1 {
 			return false // a transmission will complete and free a port
-		}
-	}
-	freeByType := map[int]int{}
-	for r := 0; r < s.net.Ress; r++ {
-		if s.resHolder[r] == -1 && !s.net.ResourceFaulted(r) {
-			freeByType[s.resType(r)]++
 		}
 	}
 	anyWaitingHolder := false
@@ -982,7 +808,7 @@ func (s *System) Deadlocked() bool {
 		}
 		// A task makes progress if ANY type it still needs has a free unit.
 		for i, d := range t.demand {
-			if t.have[i] < d.Count && freeByType[d.Type] > 0 {
+			if t.have[i] < d.Count && s.led.free[s.led.typeIndex(d.Type)] > 0 {
 				return false // a cycle could grant it (ignoring link blockage)
 			}
 		}

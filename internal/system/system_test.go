@@ -7,7 +7,7 @@ import (
 	"rsin/internal/topology"
 )
 
-func mustSubmit(t *testing.T, s *System, task Task) TaskID {
+func mustSubmit(t testing.TB, s *System, task Task) TaskID {
 	t.Helper()
 	id, err := s.Submit(task)
 	if err != nil {
@@ -16,7 +16,7 @@ func mustSubmit(t *testing.T, s *System, task Task) TaskID {
 	return id
 }
 
-func cycle(t *testing.T, s *System) *CycleResult {
+func cycle(t testing.TB, s *System) *CycleResult {
 	t.Helper()
 	r, err := s.Cycle()
 	if err != nil {
@@ -230,7 +230,8 @@ func TestBankersStress(t *testing.T) {
 	run := func(av Avoidance, seed int64) (deadlocks int) {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 25; trial++ {
-			s, _ := New(Config{Net: topology.Crossbar(4, 4), Avoidance: av})
+			raw, _ := New(Config{Net: topology.Crossbar(4, 4), Avoidance: av})
+			s := audit(t, raw) // the ledger differential rides every operation
 			var ids []TaskID
 			for p := 0; p < 4; p++ {
 				ids = append(ids, func() TaskID {

@@ -108,7 +108,7 @@ func (s *System) QueueHead(p int) TaskID {
 	if p < 0 || p >= len(s.queues) || len(s.queues[p]) == 0 {
 		return -1
 	}
-	return s.queues[p][0]
+	return s.queues[p][0].id
 }
 
 // CanRoute reports whether a free link-disjoint path currently exists
