@@ -26,25 +26,29 @@ race:
 
 # Warm-solver pivot ratchet plus the three-engine min-cost cross-check:
 # the warm network simplex must pivot strictly less than cold on the
-# reference trace, and out-of-kilter / SSP / simplex must agree. The ops
+# reference trace, at exactly the pinned pivot counts, out-of-kilter / SSP
+# / simplex must agree, and after every pivot the subtree-updated tree
+# must equal a from-scratch rebuild. The ops
 # ratchet holds arc scans per granted task on the pinned warm-cold trace
 # within 10% of the recorded baseline and warm solve work at or below cold
 # on both pinned traces (the counters are deterministic, so the thresholds
 # are absolute), and the parity test pins the counting convention itself.
 ratchet:
 	$(GO) test -run 'TestWarmSimplexPivotRatchet|TestMinCostIncremental' ./internal/core
-	$(GO) test -run 'TestQuickCrossSolver|TestNegativeCostRegressions' ./internal/netsimplex
+	$(GO) test -run 'TestQuickCrossSolver|TestNegativeCostRegressions|TestPivotTreeDifferential' ./internal/netsimplex
 	$(GO) test -run 'TestOpsCounterParity' ./internal/maxflow
 	$(GO) test -run 'TestOpsGateRatchet' ./internal/core
 
 # The instrumentation hot path must not allocate (disabled or enabled),
 # a bound-certified typed epoch on a warm planner allocates only the
-# Mapping it returns, and a cycle under the banker only its CycleResult and
-# the empty Mapping; CI runs the same guards.
+# Mapping it returns, a cycle under the banker only its CycleResult and
+# the empty Mapping, a warm simplex solve on a reused basis nothing, and a
+# banker'd MinCost cycle stays within its recorded bound; CI runs the same
+# guards.
 allocguard:
 	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree' ./internal/sched ./internal/obs
 	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
-	$(GO) test -run 'TestBankerCycleAllocs' ./internal/system
+	$(GO) test -run 'TestBankerCycleAllocs|TestPricedCycleAllocs' ./internal/system
 
 # Flush-policy smoke: 8 closed-loop clients keep far less than one batch
 # in flight, so their median latency is the flush policy's. It must stay
@@ -85,12 +89,13 @@ loc:
 		printf '%-16s %s\n' $$d $$n; \
 	done; printf '%-16s %s\n' total $$total
 
-# Short smoke-fuzz of the life-cycle, typed-solver, parser and front-door
-# fuzzers.
+# Short smoke-fuzz of the life-cycle, typed-solver, min-cost engine,
+# parser and front-door fuzzers.
 fuzz:
 	$(GO) test -fuzz FuzzSubmitCycle -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzGangSubmit -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzTypedSubmit -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzHeteroBound -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzMinCostEngines -fuzztime 30s ./internal/netsimplex
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dimacs
 	$(GO) test -fuzz FuzzHTTPSubmitDecode -fuzztime 30s ./internal/server

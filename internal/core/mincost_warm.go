@@ -42,7 +42,14 @@ type mcState struct {
 
 	consumed []int // per arc: stamp of the decode pass that used it
 	stamp    int
-	reqOf    map[int]*Request // per proc: this epoch's request
+	pathCap  int // links on the longest processor-to-resource path
+
+	// Per-solve lookups, valid where the entry's stamp equals syncs.
+	syncs      int
+	reqPrio    []int64 // per processor: this solve's request priority
+	reqStamp   []int
+	availPref  []int64 // per resource: this solve's preference
+	availStamp []int   // per resource: stamp of the solve offering it
 }
 
 func (st *mcState) matches(net *topology.Network) bool {
@@ -74,7 +81,12 @@ func newMCState(net *topology.Network) *mcState {
 		resArc:  make([]int, net.Ress),
 		linkArc: make([]int, len(net.Links)),
 		outArcs: make([][]int, total),
-		reqOf:   make(map[int]*Request, net.Procs),
+		pathCap: net.NumStages() + 1,
+
+		reqPrio:    make([]int64, net.Procs),
+		reqStamp:   make([]int, net.Procs),
+		availPref:  make([]int64, net.Ress),
+		availStamp: make([]int, net.Ress),
 	}
 	nodeOf := func(e topology.Endpoint) int {
 		switch e.Kind {
@@ -123,15 +135,17 @@ func (st *mcState) sync(reqs []Request, avail []Avail) (touched int, err error) 
 	yMax, qMax := maxPriorityPreference(reqs, avail)
 	base := bypassBaseCost(yMax, qMax)
 
-	for p := range st.reqOf {
-		delete(st.reqOf, p)
-	}
+	st.syncs++
 	for i := range reqs {
 		r := &reqs[i]
-		if _, dup := st.reqOf[r.Proc]; dup {
+		if r.Proc < 0 || r.Proc >= st.procs {
+			return 0, fmt.Errorf("core: request from processor %d outside 0..%d", r.Proc, st.procs-1)
+		}
+		if st.reqStamp[r.Proc] == st.syncs {
 			return 0, fmt.Errorf("core: duplicate request from processor %d", r.Proc)
 		}
-		st.reqOf[r.Proc] = r
+		st.reqStamp[r.Proc] = st.syncs
+		st.reqPrio[r.Proc] = r.Priority
 	}
 	set := func(id int, cap, cost int64) {
 		if st.w.SetArc(id, cap, cost) {
@@ -139,21 +153,23 @@ func (st *mcState) sync(reqs []Request, avail []Avail) (touched int, err error) 
 		}
 	}
 	for p := 0; p < st.procs; p++ {
-		if r, ok := st.reqOf[p]; ok {
-			set(st.reqArc[p], 1, yMax-r.Priority)
-			set(st.bypArc[p], 1, base+r.Priority)
+		if st.reqStamp[p] == st.syncs {
+			set(st.reqArc[p], 1, yMax-st.reqPrio[p])
+			set(st.bypArc[p], 1, base+st.reqPrio[p])
 		} else {
 			set(st.reqArc[p], 0, 0)
 			set(st.bypArc[p], 0, 0)
 		}
 	}
-	inAvail := make(map[int]int64, len(avail))
 	for _, a := range avail {
-		inAvail[a.Res] = a.Preference
+		if a.Res >= 0 && a.Res < st.ress {
+			st.availStamp[a.Res] = st.syncs
+			st.availPref[a.Res] = a.Preference
+		}
 	}
 	for r := 0; r < st.ress; r++ {
-		if q, ok := inAvail[r]; ok {
-			set(st.resArc[r], 1, qMax-q)
+		if st.availStamp[r] == st.syncs {
+			set(st.resArc[r], 1, qMax-st.availPref[r])
 		} else {
 			set(st.resArc[r], 0, 0)
 		}
@@ -195,7 +211,7 @@ func (st *mcState) decode(reqs []Request) (*Mapping, error) {
 			continue
 		}
 		node := 2 + st.boxes + p // procNode(p)
-		var links []int
+		links := make([]int, 0, st.pathCap)
 		res := -1
 		for hops := 0; res == -1; hops++ {
 			if hops > st.links+1 {

@@ -205,8 +205,13 @@ func TestMinCostIncrementalFaultEpochFallsCold(t *testing.T) {
 // warm gate: over an epoch trace, the warm-basis planner must do strictly
 // less total pivot work (simplex flow changes) than one-shot cold network
 // simplex solves of the same instances. A refactor that silently stops
-// reusing the basis fails here before it reaches a benchmark.
+// reusing the basis fails here before it reaches a benchmark. The exact
+// counts are pinned too: the trace is seeded and pricing is
+// deterministic, so any change to the pivot sequence — a tree update
+// that leaves a potential stale, a different entering or leaving rule —
+// moves them.
 func TestWarmSimplexPivotRatchet(t *testing.T) {
+	const wantWarm, wantCold = 938, 1783
 	rng := rand.New(rand.NewSource(1986))
 	net := topology.Benes(8)
 	var pl Planner
@@ -254,6 +259,10 @@ func TestWarmSimplexPivotRatchet(t *testing.T) {
 	if warmPivots >= coldPivots {
 		t.Fatalf("warm planner did %d pivots, cold did %d: warm start is not paying for itself",
 			warmPivots, coldPivots)
+	}
+	if warmPivots != wantWarm || coldPivots != wantCold {
+		t.Fatalf("pivot sequence changed: warm %d, cold %d pivots, pinned %d and %d",
+			warmPivots, coldPivots, wantWarm, wantCold)
 	}
 	t.Logf("pivot ratchet: warm %d, cold %d", warmPivots, coldPivots)
 }

@@ -75,36 +75,55 @@ func TestQuickCrossSolver(t *testing.T) {
 // seed corpus covering the regimes that historically disagreed: all-zero
 // costs (degenerate ties), all-negative costs, and mixed signs.
 func FuzzMinCostEngines(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(3), int64(4))
-	f.Add(int64(42), uint8(3), uint8(2), int64(0))   // all costs ~0: tie-heavy
-	f.Add(int64(7), uint8(4), uint8(4), int64(-6))   // negative-leaning costs
-	f.Add(int64(211), uint8(2), uint8(5), int64(12)) // wide positive spread
+	for _, c := range fuzzCorpus {
+		f.Add(c.seed, c.stages, c.width, c.costBias)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, stages, width uint8, costBias int64) {
-		s := 1 + int(stages%4)
-		w := 1 + int(width%5)
-		if costBias > 1<<20 || costBias < -(1<<20) {
-			costBias %= 1 << 20
-		}
-		rng := rand.New(rand.NewSource(seed))
-		n := s * w
-		g := graph.New(n+2, 0, n+1)
-		node := func(st, i int) int { return 1 + st*w + i }
-		cost := func() int64 { return costBias + rng.Int63n(9) - 4 }
+		g := fuzzInstance(seed, stages, width, costBias)
+		withTreeCheck(t, func() { crossCheck(t, g, "fuzz") })
+	})
+}
+
+// fuzzCorpus is FuzzMinCostEngines' seed corpus, shared with the per-pivot
+// tree differential.
+var fuzzCorpus = []struct {
+	seed          int64
+	stages, width uint8
+	costBias      int64
+}{
+	{1, 2, 3, 4},
+	{42, 3, 2, 0},   // all costs ~0: tie-heavy
+	{7, 4, 4, -6},   // negative-leaning costs
+	{211, 2, 5, 12}, // wide positive spread
+}
+
+// fuzzInstance decodes one FuzzMinCostEngines input into a layered 0-1
+// network with costs centred on costBias.
+func fuzzInstance(seed int64, stages, width uint8, costBias int64) *graph.Network {
+	s := 1 + int(stages%4)
+	w := 1 + int(width%5)
+	if costBias > 1<<20 || costBias < -(1<<20) {
+		costBias %= 1 << 20
+	}
+	rng := rand.New(rand.NewSource(seed))
+	n := s * w
+	g := graph.New(n+2, 0, n+1)
+	node := func(st, i int) int { return 1 + st*w + i }
+	cost := func() int64 { return costBias + rng.Int63n(9) - 4 }
+	for i := 0; i < w; i++ {
+		g.AddArc(0, node(0, i), 1, cost())
+		g.AddArc(node(s-1, i), n+1, 1, cost())
+	}
+	for st := 0; st+1 < s; st++ {
 		for i := 0; i < w; i++ {
-			g.AddArc(0, node(0, i), 1, cost())
-			g.AddArc(node(s-1, i), n+1, 1, cost())
-		}
-		for st := 0; st+1 < s; st++ {
-			for i := 0; i < w; i++ {
-				for j := 0; j < w; j++ {
-					if rng.Intn(2) == 0 {
-						g.AddArc(node(st, i), node(st+1, j), 1, cost())
-					}
+			for j := 0; j < w; j++ {
+				if rng.Intn(2) == 0 {
+					g.AddArc(node(st, i), node(st+1, j), 1, cost())
 				}
 			}
 		}
-		crossCheck(t, g, "fuzz")
-	})
+	}
+	return g
 }
 
 // TestNegativeCostRegressions pins small hand-built instances in the

@@ -10,6 +10,9 @@
 // entering arcs are chosen by round-robin eligibility; the leaving arc is
 // the last blocking arc when traversing the pivot cycle from its apex
 // along the orientation, which guarantees termination under degeneracy.
+// A pivot that changes the tree re-derives parent, depth and potential
+// only over the subtree it moves; the whole tree is built from scratch
+// only when a solve starts.
 //
 // Two front ends share the pivot engine: MinCostFlow is the one-shot
 // solver (build, big-M cold start, solve), and Warm is the persistent
@@ -68,7 +71,17 @@ type simplex struct {
 	incOff  []int32
 	inc     []int32
 	incArcs int // len(arcs) the incidence was built for (0 = unbuilt)
+
+	// Scratch reused across pivots and solves: the BFS queue of
+	// rebuildTree/rehang and the pivot cycle of cycleFor.
+	queue []int
+	cycle []step
 }
+
+// pivotHook, when non-nil, is called after every pivot.
+// Tests set it to hold the incrementally updated tree to a from-scratch
+// rebuild; production code never sets it.
+var pivotHook func(sx *simplex)
 
 // init sizes the tree scratch for a node count (root = total-1).
 func (sx *simplex) init(total int) {
@@ -80,6 +93,10 @@ func (sx *simplex) init(total int) {
 	sx.pi = make([]int64, total)
 	sx.incOff = make([]int32, total+1)
 	sx.incArcs = 0
+	// A BFS enqueues each node once and a pivot cycle has at most one
+	// arc per node, so neither scratch grows after this.
+	sx.queue = make([]int, 0, total)
+	sx.cycle = make([]step, 0, total)
 }
 
 // ensureIncidence (re)builds the incidence CSR when the arc array has
@@ -117,10 +134,10 @@ func (sx *simplex) ensureIncidence() {
 	sx.incOff[0] = 0
 }
 
-// rebuildTree recomputes parent/depth/potentials from the arcs marked
-// inTree by BFS from the root over the incidence CSR. O(n + m) per
-// pivot, which is acceptable at MRSIN scale and keeps the invariants
-// trivially correct.
+// rebuildTree recomputes parent/depth/potentials of the whole tree from
+// the arcs marked inTree by BFS from the root over the incidence CSR,
+// O(n + m). It runs only where a whole tree is needed — a cold start or
+// a reused basis at the start of a solve; pivots use rehang.
 func (sx *simplex) rebuildTree() error {
 	sx.ensureIncidence()
 	for v := range sx.parent {
@@ -131,37 +148,61 @@ func (sx *simplex) rebuildTree() error {
 	sx.parentArc[root] = -1
 	sx.depth[root] = 0
 	sx.pi[root] = 0
-	queue := []int{root}
-	seen := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, ai32 := range sx.inc[sx.incOff[v]:sx.incOff[v+1]] {
-			ai := int(ai32)
-			a := &sx.arcs[ai]
-			if a.state != inTree {
-				continue
-			}
-			w := a.from + a.to - v
-			if sx.parent[w] != -2 {
-				continue
-			}
-			sx.parent[w] = v
-			sx.parentArc[w] = ai
-			sx.depth[w] = sx.depth[v] + 1
-			if a.from == v { // arc v -> w: pi[w] = pi[v] - ... rc = c + pi_u - pi_v = 0
-				sx.pi[w] = sx.pi[v] + a.cost
-			} else { // arc w -> v
-				sx.pi[w] = sx.pi[v] - a.cost
-			}
-			seen++
-			queue = append(queue, w)
-		}
-	}
-	if seen != sx.total {
+	if seen := sx.grow(root); seen != sx.total {
 		return fmt.Errorf("netsimplex: basis is not a spanning tree (%d of %d nodes)", seen, sx.total)
 	}
 	return nil
+}
+
+// rehang is the pivot's tree update. The leaving arc has left the tree
+// and the entering arc (index e) has joined it, joining node r — the
+// entering endpoint on the side the cut separated from the root — to
+// its other endpoint. Only that side's parents, depths and potentials
+// change, so the BFS restarts from r alone.
+func (sx *simplex) rehang(e, r int) {
+	a := &sx.arcs[e]
+	p := a.from + a.to - r
+	sx.parent[r] = p
+	sx.parentArc[r] = e
+	sx.depth[r] = sx.depth[p] + 1
+	if a.from == p {
+		sx.pi[r] = sx.pi[p] + a.cost
+	} else {
+		sx.pi[r] = sx.pi[p] - a.cost
+	}
+	sx.grow(r)
+}
+
+// grow derives parent, depth and potential for every node below top by
+// BFS over inTree arcs, skipping each node's own parent arc (top's must
+// already be set), and returns the number of nodes reached, top
+// included — more than sx.total if the inTree arcs hold a cycle.
+// Potentials keep every tree arc's reduced cost c + pi[from] - pi[to]
+// at zero.
+func (sx *simplex) grow(top int) int {
+	q := append(sx.queue[:0], top)
+	for h := 0; h < len(q) && len(q) <= sx.total; h++ {
+		v := q[h]
+		for _, ai32 := range sx.inc[sx.incOff[v]:sx.incOff[v+1]] {
+			ai := int(ai32)
+			a := &sx.arcs[ai]
+			if a.state != inTree || ai == sx.parentArc[v] {
+				continue
+			}
+			w := a.from + a.to - v
+			sx.parent[w] = v
+			sx.parentArc[w] = ai
+			sx.depth[w] = sx.depth[v] + 1
+			if a.from == v {
+				sx.pi[w] = sx.pi[v] + a.cost
+			} else {
+				sx.pi[w] = sx.pi[v] - a.cost
+			}
+			q = append(q, w)
+		}
+	}
+	sx.queue = q
+	return len(q)
 }
 
 // step describes one traversal element of the pivot cycle: arc index and
@@ -172,8 +213,9 @@ type step struct {
 }
 
 // cycleFor assembles the pivot cycle for entering arc e, ordered from the
-// apex along the orientation (the direction of flow change).
-func (sx *simplex) cycleFor(e int) []step {
+// apex along the orientation (the direction of flow change), into the
+// reused sx.cycle, and returns it with the entering arc's position.
+func (sx *simplex) cycleFor(e int) ([]step, int) {
 	a := &sx.arcs[e]
 	// Orientation: if entering from lower bound, flow increases along the
 	// arc (u -> v); if from upper, flow decreases, i.e. the orientation
@@ -203,15 +245,15 @@ func (sx *simplex) cycleFor(e int) []step {
 	// crosses each tree arc from parent(w) to w, so the crossing is
 	// forward iff the arc points at w; the slice is built bottom-up and
 	// reversed into apex-first order (the flags are unaffected).
-	var down []step
+	cycle := sx.cycle[:0]
 	for w := u; w != apex; w = sx.parent[w] {
 		ai := sx.parentArc[w]
-		down = append(down, step{ai, sx.arcs[ai].to == w})
+		cycle = append(cycle, step{ai, sx.arcs[ai].to == w})
 	}
-	for i, j := 0, len(down)-1; i < j; i, j = i+1, j-1 {
-		down[i], down[j] = down[j], down[i]
+	enter := len(cycle)
+	for i, j := 0, enter-1; i < j; i, j = i+1, j-1 {
+		cycle[i], cycle[j] = cycle[j], cycle[i]
 	}
-	cycle := down
 	cycle = append(cycle, step{e, entF})
 	for w := v; w != apex; w = sx.parent[w] {
 		ai := sx.parentArc[w]
@@ -219,7 +261,8 @@ func (sx *simplex) cycleFor(e int) []step {
 		// parent(w): forward iff the arc points w->parent.
 		cycle = append(cycle, step{ai, sx.arcs[ai].from == w})
 	}
-	return cycle
+	sx.cycle = cycle
+	return cycle, enter
 }
 
 func (sx *simplex) residual(s step) int64 {
@@ -233,7 +276,8 @@ func (sx *simplex) residual(s step) int64 {
 // run is the main simplex loop with round-robin entering-arc selection,
 // starting from the current basis (states + tree already rebuilt). Pivot
 // work is recorded in ops: ArcScans counts pricing scans, Augmentations
-// counts pivots (flow changes), PotentialUpdates counts tree rebuilds.
+// counts pivots (flow changes), PotentialUpdates counts tree-changing
+// pivots, one subtree update (rehang) each.
 func (sx *simplex) run(ops *mincost.Counters) error {
 	arcs := sx.arcs
 	rc := func(i int) int64 { return arcs[i].cost + sx.pi[arcs[i].from] - sx.pi[arcs[i].to] }
@@ -261,7 +305,7 @@ func (sx *simplex) run(ops *mincost.Counters) error {
 			return nil // optimal
 		}
 		scan = entering + 1
-		cycle := sx.cycleFor(entering)
+		cycle, enter := sx.cycleFor(entering)
 		delta := inf
 		for _, s := range cycle {
 			if r := sx.residual(s); r < delta {
@@ -284,8 +328,7 @@ func (sx *simplex) run(ops *mincost.Counters) error {
 			}
 		}
 		ops.Augmentations++
-		lv := cycle[leaving].ai
-		if lv == entering {
+		if lv := cycle[leaving].ai; lv == entering {
 			// The entering arc itself blocks: it swaps bound without
 			// entering the tree.
 			if arcs[entering].state == atLower {
@@ -293,20 +336,32 @@ func (sx *simplex) run(ops *mincost.Counters) error {
 			} else {
 				arcs[entering].state = atLower
 			}
-			continue
-		}
-		// Pivot: entering arc joins the tree; leaving arc departs at the
-		// bound it hit.
-		arcs[entering].state = inTree
-		if arcs[lv].flow == 0 {
-			arcs[lv].state = atLower
 		} else {
-			arcs[lv].state = atUpper
+			// Pivot: entering arc joins the tree; leaving arc departs at
+			// the bound it hit. Cutting the leaving arc separates the
+			// entering arc's endpoint on the same side of the apex: its
+			// tail (the cycle's descent from the apex reaches it) when
+			// the leaving arc precedes the entering step, else its head.
+			arcs[entering].state = inTree
+			if arcs[lv].flow == 0 {
+				arcs[lv].state = atLower
+			} else {
+				arcs[lv].state = atUpper
+			}
+			tail, head := arcs[entering].from, arcs[entering].to
+			if !cycle[enter].forward {
+				tail, head = head, tail
+			}
+			if leaving < enter {
+				sx.rehang(entering, tail)
+			} else {
+				sx.rehang(entering, head)
+			}
+			ops.PotentialUpdates++
 		}
-		if err := sx.rebuildTree(); err != nil {
-			return err
+		if pivotHook != nil {
+			pivotHook(sx)
 		}
-		ops.PotentialUpdates++
 	}
 }
 

@@ -359,13 +359,7 @@ func (s *Scheduler) preemptOnce(sh *shard) bool {
 		if j == nil || j.tier <= benef.tier {
 			continue
 		}
-		r := -1
-		for _, held := range sh.sys.Holding(id) {
-			if sh.sys.CanRoute(benef.proc, held) {
-				r = held
-				break
-			}
-		}
+		r := sh.sys.RoutableHeld(id, benef.proc)
 		if r >= 0 && (victim == nil || j.tier > victim.tier || (j.tier == victim.tier && id < victim.ids[0])) {
 			victim, res = j, r
 		}

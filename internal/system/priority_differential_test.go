@@ -115,6 +115,7 @@ func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt
 				if err != nil {
 					t.Fatalf("%s step %d: cycle: %v", net.Name, step, err)
 				}
+				checkRoutableHeld(t, sys.System, live)
 				for _, a := range r.Mapping.Assigned {
 					if err := sys.EndTransmission(a.Req.Proc); err != nil &&
 						!errors.Is(err, ErrCircuitSevered) {
@@ -235,5 +236,27 @@ func TestPrefsSteerAssignment(t *testing.T) {
 	held := sys.Holding(id)
 	if len(held) != 1 || held[0] != 1 {
 		t.Fatalf("holding %v, want the preferred resource 1", held)
+	}
+}
+
+// checkRoutableHeld holds RoutableHeld to its definition — the first held
+// unit, in acquisition order, that is healthy and that FindPath reaches
+// from the processor — for every live task and every processor, while
+// the cycle's circuits still occupy their links.
+func checkRoutableHeld(t *testing.T, sys *System, live map[TaskID]bool) {
+	t.Helper()
+	for id := range live {
+		for p := 0; p < sys.net.Procs; p++ {
+			want := -1
+			for _, r := range sys.Holding(id) {
+				if !sys.net.ResourceFaulted(r) && sys.net.FindPath(p, func(res int) bool { return res == r }) != nil {
+					want = r
+					break
+				}
+			}
+			if got := sys.RoutableHeld(id, p); got != want {
+				t.Fatalf("RoutableHeld(%d, p%d) = %d, reference %d (holding %v)", id, p, got, want, sys.Holding(id))
+			}
+		}
 	}
 }

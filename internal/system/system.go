@@ -282,6 +282,11 @@ type System struct {
 	// Observability (zero value = disabled, allocation-free).
 	o          sysObs
 	cycleCount int64 // completed Cycle calls, stamps trace events
+
+	// RoutableHeld's reachability scratch, allocated on first use. A
+	// pointer, last, so the fields above keep their offsets and size
+	// class for the cycle path, which never probes.
+	probe *routeProbe
 }
 
 // New validates the configuration and returns an empty system.

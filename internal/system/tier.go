@@ -3,6 +3,8 @@ package system
 import (
 	"errors"
 	"fmt"
+
+	"rsin/internal/topology"
 )
 
 // MaxTier is the lowest-urgency priority class. Tiers run 0 (most
@@ -111,19 +113,73 @@ func (s *System) QueueHead(p int) TaskID {
 	return s.queues[p][0].id
 }
 
-// CanRoute reports whether a free link-disjoint path currently exists
-// from processor p to resource r. The sched layer's preemption policy
-// probes it after choosing a victim: severing a lower-tier holder is
-// pointless if the beneficiary cannot reach the freed resource on the
-// surviving fabric.
-func (s *System) CanRoute(p, r int) bool {
-	if p < 0 || p >= s.net.Procs || r < 0 || r >= s.net.Ress {
-		return false
+// RoutableHeld returns the first unit task id holds, in acquisition
+// order, that processor p can reach over free, usable links, or -1 when
+// none is reachable (or id is unknown, or p out of range). The sched
+// layer's preemption policy probes it per candidate victim: severing a
+// lower-tier holder is pointless if the beneficiary cannot reach the
+// freed resource on the surviving fabric. One reachability sweep over
+// reused scratch answers for every held unit at once.
+func (s *System) RoutableHeld(id TaskID, p int) int {
+	t, ok := s.tasks[id]
+	if !ok || len(t.held) == 0 || p < 0 || p >= s.net.Procs {
+		return -1
 	}
-	if s.net.ResourceFaulted(r) {
-		return false
+	if s.probe == nil {
+		s.probe = &routeProbe{}
 	}
-	return s.net.FindPath(p, func(res int) bool { return res == r }) != nil
+	s.probe.sweep(s.net, p)
+	for _, r := range t.held {
+		if s.probe.res[r] == s.probe.stamp && !s.net.ResourceFaulted(r) {
+			return r
+		}
+	}
+	return -1
+}
+
+// routeProbe is RoutableHeld's scratch: per-box and per-resource marks,
+// current when they equal stamp, and the DFS stack of link IDs.
+type routeProbe struct {
+	stamp    int
+	box, res []int
+	stack    []int
+}
+
+// sweep marks every box and resource processor p reaches over links
+// that are free and usable — the paths FindPath would search.
+func (pr *routeProbe) sweep(net *topology.Network, p int) {
+	if pr.box == nil {
+		pr.box = make([]int, len(net.Boxes))
+		pr.res = make([]int, net.Ress)
+	}
+	pr.stamp++
+	stack := pr.stack[:0]
+	if lid := net.ProcLink[p]; lid != -1 {
+		stack = append(stack, lid)
+	}
+	for len(stack) > 0 {
+		lid := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if net.Links[lid].State != topology.LinkFree || !net.LinkUsable(lid) {
+			continue
+		}
+		to := net.Links[lid].To
+		switch to.Kind {
+		case topology.KindResource:
+			pr.res[to.Index] = pr.stamp
+		case topology.KindBox:
+			if pr.box[to.Index] == pr.stamp {
+				continue
+			}
+			pr.box[to.Index] = pr.stamp
+			for _, out := range net.Boxes[to.Index].Out {
+				if out != -1 {
+					stack = append(stack, out)
+				}
+			}
+		}
+	}
+	pr.stack = stack
 }
 
 // Preempt revokes resource r from a still-acquiring task: the unit
