@@ -23,9 +23,9 @@
 // The -tiers flag spreads the clients across priority classes (tier 0
 // most urgent), switches the shards to the min-cost discipline so the
 // classes are honored at every epoch solve, and reports latency
-// percentiles per tier; -preempt additionally lets a higher-tier arrival
-// sever a lower-tier in-flight circuit when that strictly improves the
-// fabric's weighted value:
+// percentiles per tier; -preempt additionally lets a waiting higher-tier
+// task take a unit from a still-acquiring lower-tier one, planned inside
+// each scheduling cycle so the same solve grants it:
 //
 //	go run ./cmd/rsinserve -tiers 3                      # gold/silver/bronze QoS
 //	go run ./cmd/rsinserve -tiers 3 -preempt -need 2     # with preemption
@@ -231,7 +231,7 @@ func main() {
 		naive     = flag.Bool("no-avoidance", false, "disable banker's deadlock avoidance for need > 1 (can wedge, §II)")
 		tiers     = flag.Int("tiers", 0, "spread clients across this many priority tiers (1..8); switches shards to the min-cost discipline and reports per-tier latency")
 		types     = flag.Int("types", 0, "pool this many heterogeneous resource types per shard (0 = homogeneous); switches shards to the multicommodity Hetero discipline and clients to typed demand vectors")
-		preempt   = flag.Bool("preempt", false, "let higher-tier arrivals sever lower-tier in-flight circuits (requires -tiers)")
+		preempt   = flag.Bool("preempt", false, "let each cycle give a waiting higher-tier task a unit held by a still-acquiring lower-tier one (requires -tiers)")
 		inject    = flag.String("inject", "", "fault-injection script, e.g. cycle:%500,cycle:9:fail-link=3 (see internal/faultinject)")
 		deadline  = flag.Duration("deadline", 0, "per-task context deadline (0 = none); expired tasks are canceled")
 		linkfault = flag.Duration("linkfault", 0, "hardware chaos: fail then heal one random link per period (0 = off)")

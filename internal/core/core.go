@@ -28,7 +28,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rsin/internal/graph"
 	"rsin/internal/maxflow"
@@ -353,10 +353,11 @@ func (tr *Transform) crossesBypass(p graph.Path) bool {
 }
 
 // sortMapping orders assignments and blocked requests by processor for
-// deterministic output.
+// deterministic output (a processor requests once a cycle, so the order is
+// total). slices.SortFunc, unlike sort.Slice, allocates nothing.
 func sortMapping(m *Mapping) {
-	sort.Slice(m.Assigned, func(i, j int) bool { return m.Assigned[i].Req.Proc < m.Assigned[j].Req.Proc })
-	sort.Slice(m.Blocked, func(i, j int) bool { return m.Blocked[i].Proc < m.Blocked[j].Proc })
+	slices.SortFunc(m.Assigned, func(a, b Assignment) int { return a.Req.Proc - b.Req.Proc })
+	slices.SortFunc(m.Blocked, func(a, b Request) int { return a.Proc - b.Proc })
 }
 
 // ScheduleMaxFlow computes the optimal request-resource mapping for a

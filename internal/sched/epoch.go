@@ -178,60 +178,53 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 // the common epoch, which serves every request it was handed, is one cycle.
 // Skipping that cycle skips nothing else: between a cycle's grants and the
 // next cycle's gang gate only units moved from the free pool to holders,
-// which can make no waiting gang admissible (DESIGN.md §22).
+// which can make no waiting gang admissible (DESIGN.md §22). With Preempt
+// set, each cycle also plans its tier exchanges; the victims it reports are
+// charged here, once the cycle's transmissions have ended.
 func (s *Scheduler) runCycles(sh *shard) {
 	var solveStart int64
 	if s.o.enabled {
 		solveStart = nowNano()
 	}
 	cycles := 0
-	// Preemption-round bound: every round strictly increases the total
-	// tier weight held (the beneficiary's unit outweighs the victim's), so
-	// at most one round per tracked task can make progress; the explicit
-	// cap also keeps a deferred beneficiary (deadlock avoidance) from
-	// churning a victim's sever budget within one epoch.
-	rounds := len(sh.tracked)
-	for {
-	cycling:
-		for sh.dead == nil && len(sh.tracked) > 0 {
-			r, err := sh.sys.Cycle()
-			if err != nil {
-				s.failShard(sh, err)
-				break
-			}
-			cycles++
-			sh.cycleCount++
-			sh.tot.addCycle(r)
-			if r.Granted == 0 {
-				break
-			}
-			for _, a := range r.Mapping.Assigned {
-				// Whoever received a unit this epoch is who publishGrants
-				// has to look at.
-				if j := sh.tracked[sh.sys.Transmitting(a.Req.Proc)]; j != nil {
-					sh.granted = append(sh.granted, j)
-				}
-				err := sh.sys.EndTransmission(a.Req.Proc)
-				if errors.Is(err, system.ErrCircuitSevered) {
-					// Retryable: the System already revoked and re-queued
-					// the unit; a follow-up cycle reacquires it.
-					sh.tot.Severed++
-				} else if err != nil {
-					s.failShard(sh, err)
-					break cycling
-				}
-			}
-			if sh.sys.Quiescent() {
-				break
-			}
-		}
-		// Quiescent: no further grants are possible on the current holding
-		// pattern. With Preempt set, try one tier exchange and re-enter the
-		// cycle loop so the beneficiary can claim the freed unit.
-		if sh.dead != nil || !s.cfg.Preempt || rounds <= 0 || !s.preemptOnce(sh) {
+cycling:
+	for sh.dead == nil && len(sh.tracked) > 0 {
+		r, err := sh.sys.Cycle()
+		if err != nil {
+			s.failShard(sh, err)
 			break
 		}
-		rounds--
+		cycles++
+		sh.cycleCount++
+		sh.tot.addCycle(r)
+		for _, a := range r.Mapping.Assigned {
+			// Whoever received a unit this epoch is who publishGrants has
+			// to look at.
+			if j := sh.tracked[sh.sys.Transmitting(a.Req.Proc)]; j != nil {
+				sh.granted = append(sh.granted, j)
+			}
+			err := sh.sys.EndTransmission(a.Req.Proc)
+			if errors.Is(err, system.ErrCircuitSevered) {
+				// Retryable: the System already revoked and re-queued the
+				// unit; a follow-up cycle reacquires it.
+				sh.tot.Severed++
+			} else if err != nil {
+				s.failShard(sh, err)
+				break cycling
+			}
+		}
+		for _, x := range r.Preempted {
+			sh.tot.Preempts++
+			s.event(sh, evPreempt, int64(x.Victim), int64(x.Res), "")
+			// A victim over its sever budget is withdrawn; a withdrawal that
+			// escalated to a restart ends the epoch.
+			if j := sh.tracked[x.Victim]; j != nil && !s.chargeSever(sh, j) {
+				break cycling
+			}
+		}
+		if r.Granted == 0 || sh.sys.Quiescent() {
+			break
+		}
 	}
 	if s.o.enabled && cycles > 0 {
 		s.o.epochSolveMS.Observe(float64(nowNano()-solveStart) / 1e6)
@@ -318,65 +311,6 @@ func (s *Scheduler) chargeSever(sh *shard, j *job) bool {
 	}
 	cause := fmt.Errorf("sched: shard %d: units severed %d times: %w", sh.idx, j.severs, system.ErrCircuitSevered)
 	return s.withdraw(sh, j, failed, cause, int64(j.severs), resSeverBudget)
-}
-
-// preemptOnce is the tier-preemption policy: pick the most urgent
-// queue-head task still acquiring (the beneficiary), then the least
-// urgent still-acquiring holder of a strictly lower tier whose unit the
-// beneficiary can reach, and revoke that one unit. The strict-tier
-// requirement is the starvation guard — TierWeight is strictly monotone
-// in tier, so the exchange strictly increases total held tier weight and
-// equal-tier tasks can never preempt each other. Gangs sit the exchange
-// out on both sides: revoking one member's unit would break the atomic
-// grant (System.Preempt refuses). Reports whether a unit was revoked (the
-// caller then re-runs the cycle loop, where the MinCost solve routes the
-// freed unit to the highest effective priority).
-func (s *Scheduler) preemptOnce(sh *shard) bool {
-	acquiring := func(id system.TaskID) *job {
-		if j := sh.tracked[id]; j != nil && j.gang == 0 && sh.sys.Remaining(id) > 0 {
-			return j
-		}
-		return nil
-	}
-	var benef *job
-	for p := 0; p < sh.procs; p++ {
-		j := acquiring(sh.sys.QueueHead(p))
-		if j != nil && (benef == nil || j.tier < benef.tier || (j.tier == benef.tier && j.ids[0] < benef.ids[0])) {
-			benef = j
-		}
-	}
-	if benef == nil {
-		return false
-	}
-	// Cheapest viable victim: highest tier number first, lowest task ID to
-	// stay deterministic. Fully-provisioned holders are immune (they are
-	// computing on a complete resource set; revoking would waste finished
-	// work for a unit the System cannot even take back).
-	var victim *job
-	res := -1
-	for id := range sh.tracked {
-		j := acquiring(id)
-		if j == nil || j.tier <= benef.tier {
-			continue
-		}
-		r := sh.sys.RoutableHeld(id, benef.proc)
-		if r >= 0 && (victim == nil || j.tier > victim.tier || (j.tier == victim.tier && id < victim.ids[0])) {
-			victim, res = j, r
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	if err := sh.sys.Preempt(victim.ids[0], res); err != nil {
-		// Preempt's preconditions were just checked on this goroutine;
-		// failure means the shard state is inconsistent.
-		s.failShard(sh, fmt.Errorf("preempting resource %d from task %d: %w", res, victim.ids[0], err))
-		return false
-	}
-	sh.tot.Preempts++
-	s.event(sh, evPreempt, int64(victim.ids[0]), int64(res), "")
-	s.chargeSever(sh, victim)
-	return sh.dead == nil
 }
 
 // refreshCapacity republishes the shard's degraded-capacity census when

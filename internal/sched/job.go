@@ -17,8 +17,7 @@ type job struct {
 	label  string          // GangSpec.Label: the Result of the gang's submit trace event
 	ids    []system.TaskID // member task IDs in member order, set at admission
 	demand system.Demand   // summed over members, for degraded-capacity rechecks
-	tier   int             // most urgent member tier: preemption policy, per-tier instruments
-	proc   int             // a singleton's processor, for preemption route probes
+	tier   int             // most urgent member tier, for the per-tier instruments
 	severs int             // sever events charged; bounded by Config.SeverRetries
 	done   chan struct{}
 	res    [][]int // per member; written by the shard goroutine before done closes
@@ -52,11 +51,11 @@ func (j *job) Err() error { return j.err }
 func (j *job) Shard() int { return j.shard }
 
 // describe records what a validated submission is (members nil means the
-// singleton t): its summed demand, its most urgent member's tier — a job
-// is as urgent as that — and a singleton's processor.
+// singleton t): its summed demand and its most urgent member's tier — a
+// job is as urgent as that.
 func (j *job) describe(t system.Task, members []system.Task) {
 	if members == nil {
-		j.demand, j.tier, j.proc = t.AppendDemand(j.demand1[:0]), t.Tier, t.Proc
+		j.demand, j.tier = t.AppendDemand(j.demand1[:0]), t.Tier
 		return
 	}
 	j.demand, j.tier = system.GangDemand(members), members[0].Tier

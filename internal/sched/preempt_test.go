@@ -57,7 +57,8 @@ func waitOK(t *testing.T, h *Handle, what string) {
 // exactly once, the beneficiary is provisioned with that unit, and the
 // victim — its sever budget not exhausted — re-acquires on later epochs
 // and completes normally. Exactly-once terminal accounting holds at
-// quiescence.
+// quiescence. (system's TestExchangeRegrant steps the same decisions
+// cycle by cycle.)
 func TestPreemptionRegrant(t *testing.T) {
 	s, h, v := preemptRig(t, 3)
 	b, err := s.Submit(0, system.Task{Proc: 1, Tier: 0})
@@ -108,6 +109,7 @@ func TestPreemptionRegrant(t *testing.T) {
 // the second preemption exhausts the victim's budget and fails its
 // handle with exactly one ErrCircuitSevered — the same typed error and
 // exactly-once terminal accounting as the hardware sever path it rides.
+// (system's TestExchangeSameVictimAgain steps the second exchange.)
 func TestPreemptionSeverBudget(t *testing.T) {
 	s, h, v := preemptRig(t, 1)
 	b1, err := s.Submit(0, system.Task{Proc: 1, Tier: 0})
@@ -155,7 +157,9 @@ func TestPreemptionSeverBudget(t *testing.T) {
 // TestPreemptionStarvationGuard pins the strict-improvement rule: an
 // equal-tier or less urgent arrival never preempts — TierWeight would
 // not strictly increase — so the holder keeps its unit and the arrivals
-// wait for a natural release.
+// wait for a natural release. The decision itself is stepped cycle by
+// cycle in system's TestExchangeStarvationGuard; here it is the service's
+// end to end.
 func TestPreemptionStarvationGuard(t *testing.T) {
 	s, h, v := preemptRig(t, 3)
 	equal, err := s.Submit(0, system.Task{Proc: 1, Tier: 2}) // same tier as the victim
@@ -166,7 +170,13 @@ func TestPreemptionStarvationGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // several flush periods of opportunity
+	// An epoch publishes its counters after its cycles, and exchanges are
+	// planned inside them: once both submissions are counted, every cycle
+	// that could have preempted for them has run. The shard cycles again
+	// only on a new op.
+	if st := waitStats(t, s, func(st Stats) bool { return st.Submitted == 4 }); st.Submitted != 4 {
+		t.Fatalf("the arrivals were never admitted: %+v", st)
+	}
 	if st := s.Stats(); st.Preempts != 0 {
 		t.Fatalf("Preempts = %d, want 0: equal or lower tier must not preempt", st.Preempts)
 	}

@@ -102,19 +102,20 @@ type Config struct {
 	// ordinary epoch cadence — the re-queued unit is solved for on the
 	// next cycle, a natural backoff of one batch period. Default 3.
 	SeverRetries int
-	// Preempt enables tier-based preemption: when an epoch reaches
-	// quiescence with a queue-head task still acquiring, the shard may
-	// revoke one unit from a still-acquiring holder of a strictly less
-	// urgent tier (larger Task.Tier) and re-run the cycle loop so the
-	// beneficiary can claim it. The exchange is made only when it
-	// strictly improves total tier weight — system.TierWeight(benef) >
-	// system.TierWeight(victim), i.e. strictly lower tier number — and a
-	// free route to the unit exists, so equal-tier tasks never starve
-	// each other. Victims are charged against the same SeverRetries
-	// budget as hardware severs. Requires every shard to run the MinCost
-	// discipline (New refuses anything else): only its weighted-value
-	// objective guarantees the freed unit goes to the higher tier.
-	// Fully-provisioned tasks are never preempted.
+	// Preempt enables tier-based preemption on every shard: it sets each
+	// shard's system.Config.Preempt, so every scheduling cycle plans its
+	// tier exchanges between the banker's admission and the solve. A queue
+	// head the cycle's free units do not cover (one the banker refused, or,
+	// without avoidance, one ranked past the free count) takes one unit from
+	// the least urgent still-acquiring singleton of a strictly less urgent
+	// tier (larger Task.Tier) whose unit it can reach and that the free
+	// units do not cover either — under the banker only if admitting it
+	// against that unit is safe — and joins the same solve. Equal tiers
+	// never exchange, gangs and fully-provisioned tasks are never victims,
+	// and a victim loses at most one unit a cycle. Each victim is charged
+	// against the same SeverRetries budget as a hardware sever and counted
+	// in Stats.Preempts. Requires every shard to run the MinCost discipline
+	// (system.New refuses anything else).
 	Preempt bool
 	// Obs, when non-nil, exports service metrics (every Stats counter and
 	// gauge, computed from Stats() when the registry is scraped — see
@@ -371,18 +372,13 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	for i, sc := range cfg.Shards {
 		// Thread the service registry through the shard's system (unless
-		// the caller gave that shard its own) and label its trace events.
+		// the caller gave that shard its own) and label its trace events;
+		// thread preemption the same way. system.New checks the result.
 		if sc.Obs == nil {
 			sc.Obs = cfg.Obs
 		}
 		sc.ObsShard = i
-		// Is this shard's configuration coherent: with the service's own
-		// settings here, and in itself (discipline against fabric) in
-		// system.New.
-		if cfg.Preempt && sc.Discipline != system.MinCost {
-			return nil, fmt.Errorf("sched: shard %d: Preempt requires the MinCost discipline (got %d): "+
-				"only its weighted-value objective routes a preempted unit to the higher tier", i, sc.Discipline)
-		}
+		sc.Preempt = sc.Preempt || cfg.Preempt
 		sys, err := system.New(sc)
 		if err != nil {
 			return nil, fmt.Errorf("sched: shard %d: %w", i, err)
@@ -669,8 +665,7 @@ func (s *Scheduler) Close() error {
 // as soon as a yield brings nothing new. Nothing waits on a clock — a lone
 // op is served at once, and when the shard is the bottleneck ops pile up
 // behind the running flush and the next epoch takes them all, which keeps
-// the per-epoch work (cycles, preemption rounds) amortized over a full
-// queue. The yield is what lets a batch form at all on a saturated
+// the per-epoch work (cycles, their solves) amortized over a full queue. The yield is what lets a batch form at all on a saturated
 // scheduler: without it the shard outruns its clients and solves one op
 // per epoch. An idle shard blocks in the receive: blocked tracked work
 // alone never re-solves, because the System evolves only through ops and

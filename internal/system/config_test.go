@@ -11,8 +11,9 @@ import (
 // TestNewRejectsContradictoryConfig: a configuration no solver serves is
 // refused where the solver is chosen — by system.New, and so by sched.New
 // before any shard goroutine starts — instead of surfacing later as a
-// wrong-type grant (a type-blind discipline on a typed fabric) or as a
-// shard that restarts on every epoch (an unknown discipline).
+// wrong-type grant (a type-blind discipline on a typed fabric), as a shard
+// that restarts on every epoch (an unknown discipline), or as tier
+// exchanges no priced solve follows (Preempt off MinCost).
 func TestNewRejectsContradictoryConfig(t *testing.T) {
 	types := []int{0, 0, 0, 1}
 	for _, tc := range []struct {
@@ -22,6 +23,8 @@ func TestNewRejectsContradictoryConfig(t *testing.T) {
 		{"unknown discipline", system.Config{Discipline: system.Discipline(9)}},
 		{"Types with MinCost", system.Config{Discipline: system.MinCost, Types: types}},
 		{"Types with TokenArch", system.Config{Discipline: system.TokenArch, Types: types}},
+		{"Preempt with MaxFlow", system.Config{Discipline: system.MaxFlow, Preempt: true}},
+		{"Preempt with Hetero", system.Config{Discipline: system.Hetero, Preempt: true}},
 	} {
 		tc.cfg.Net = topology.Omega(4)
 		if _, err := system.New(tc.cfg); err == nil {
@@ -30,6 +33,15 @@ func TestNewRejectsContradictoryConfig(t *testing.T) {
 		if s, err := sched.New(sched.Config{Shards: []system.Config{tc.cfg}}); err == nil {
 			s.Close()
 			t.Errorf("%s: sched.New accepted it", tc.name)
+		}
+	}
+	// The service's own Preempt reaches every shard's system.Config, so
+	// system.New refuses it there too.
+	for _, d := range []system.Discipline{system.MaxFlow, system.Hetero, system.TokenArch} {
+		cfg := sched.Config{Preempt: true, Shards: []system.Config{{Net: topology.Omega(4), Discipline: system.MinCost}, {Net: topology.Omega(4), Discipline: d}}}
+		if s, err := sched.New(cfg); err == nil {
+			s.Close()
+			t.Errorf("sched.New accepted Preempt with a shard on discipline %d", d)
 		}
 	}
 }

@@ -20,6 +20,10 @@ import (
 //   - Pending() is never negative and counts exactly the live tasks;
 //   - a task never holds more than its declared Need.
 //
+// Bit 0 of the first byte selects the banker, bit 1 the MinCost discipline
+// with Config.Preempt, so the cycles also plan tier exchanges — which the
+// audited wrapper holds to the reference planner.
+//
 // Operation errors (bad processor, premature EndService, a severed
 // transmission, ...) are legal outcomes; invariant violations are not.
 func FuzzSubmitCycle(f *testing.F) {
@@ -32,19 +36,26 @@ func FuzzSubmitCycle(f *testing.F) {
 	// Preemption seed: two tiered Need=2 submits, cycles, then 0x47/0x4f
 	// exercise op 7's preempt variant (b&0x40) against both tasks.
 	f.Add([]byte{0x01, 0x40, 0x60, 0x01, 0x02, 0x02, 0x47, 0x01, 0x4f, 0x01, 0x02, 0x03})
+	// Exchange seeds, without avoidance and under the banker: Need-3 holders
+	// of tiers 7 and 6 acquire, then tier-0 and tier-1 arrivals want units.
+	f.Add([]byte{0x02, 0x78, 0x70, 0x01, 0x1a, 0x12, 0x01, 0x1a, 0x12, 0xc0, 0x48, 0x01, 0x02, 0x0a, 0x01})
+	f.Add([]byte{0x03, 0x78, 0x70, 0x01, 0x1a, 0x12, 0x01, 0x1a, 0x12, 0xc0, 0x48, 0x01, 0x02, 0x0a, 0x01})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<12 {
 			return
-		}
-		avoid := AvoidanceNone
-		if len(ops) > 0 && ops[0]&1 == 1 {
-			avoid = AvoidanceBankers
 		}
 		net := topology.Omega(4)
 		// Every fuzzed run drives the instrumentation hooks too: counters,
 		// histograms and the trace ring record under arbitrary op orders.
 		reg := obs.NewRegistry()
-		raw, err := New(Config{Net: net, Avoidance: avoid, Obs: reg})
+		cfg := Config{Net: net, Obs: reg}
+		if len(ops) > 0 && ops[0]&1 == 1 {
+			cfg.Avoidance = AvoidanceBankers
+		}
+		if len(ops) > 0 && ops[0]&2 != 0 {
+			cfg.Discipline, cfg.Preempt = MinCost, true
+		}
+		raw, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

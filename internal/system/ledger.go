@@ -231,6 +231,40 @@ func (tr *trial) pop() {
 	tr.rem, tr.held = tr.rem[:tr.rows*tr.n], tr.held[:tr.rows*tr.n]
 }
 
+// revoke moves one unit of type ty from committed entity e back to the free
+// pool: a planned exchange's victim. An entity left holding nothing is no
+// longer committed (revokeUnit closes its row); its row stays, zeroed,
+// needing and releasing nothing. A revoke adds to the pool, which breaks
+// the premise of refused and ready — admissions only ever take from it — so
+// both are reset, and an unsafe base is asked again.
+func (tr *trial) revoke(e, ty int) {
+	tr.free[ty]++
+	rem, held := tr.row(tr.rem, e), tr.row(tr.held, e)
+	rem[ty]++
+	held[ty]--
+	if allZero(held) {
+		clear(rem)
+	}
+	tr.refused, tr.readyOK = tr.refused[:0], false
+	if tr.base < 0 {
+		tr.base = 0
+	}
+}
+
+// unrevoke undoes revoke, given the base verdict from before it. A zeroed
+// row held one unit and no tentative grant, so its rem is the ledger's.
+func (tr *trial) unrevoke(l *ledger, e, ty int, base int8) {
+	tr.free[ty]--
+	rem, held := tr.row(tr.rem, e), tr.row(tr.held, e)
+	if allZero(held) {
+		copy(rem, tr.row(l.rem, e))
+	} else {
+		rem[ty]--
+	}
+	held[ty]++
+	tr.refused, tr.readyOK, tr.base = tr.refused[:0], false, base
+}
+
 // row is entity e's slice of a flat per-entity vector.
 func (tr *trial) row(v []int, e int) []int { return v[e*tr.n : (e+1)*tr.n] }
 

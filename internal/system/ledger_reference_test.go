@@ -175,11 +175,13 @@ func (h *hypoState) admit(t *taskState) bool {
 // prediction is what the reference says the next Cycle will decide, on a
 // System with no hooks installed: which pending gangs the gate admits, in
 // order; which task each processor requests for (nil: none); how many
-// requests the banker withholds.
+// requests the banker withholds; with Config.Preempt, which tier exchanges
+// the cycle makes (predictExchanges, exchange_test.go).
 type prediction struct {
 	activated []GangID
 	requests  []*taskState
 	deferred  int
+	exchanges []Exchange
 }
 
 // predictCycle runs the gang gate and sequential admission the way cycle
@@ -236,6 +238,9 @@ func predictCycle(s *System) prediction {
 			break
 		}
 	}
+	if s.cfg.Preempt {
+		predictExchanges(s, &pr, hypo)
+	}
 	return pr
 }
 
@@ -271,7 +276,8 @@ func (a audited) SubmitGang(members []Task) (GangID, []TaskID, error) {
 
 // Cycle predicts the cycle's decisions from scratch, runs it, and compares:
 // the gangs activated, the task each processor requested for, the number
-// deferred — then the ledger, which the grant loop has moved.
+// deferred, the tier exchanges — then the ledger, which the grant loop has
+// moved.
 func (a audited) Cycle() (*CycleResult, error) {
 	a.t.Helper()
 	s := a.System
@@ -298,6 +304,9 @@ func (a audited) Cycle() (*CycleResult, error) {
 	}
 	if r.Deferred != want.deferred {
 		a.t.Fatalf("cycle deferred %d requests, the from-scratch banker %d", r.Deferred, want.deferred)
+	}
+	if !slices.Equal(r.Preempted, want.exchanges) {
+		a.t.Fatalf("cycle exchanged %+v, the reference planner %+v", r.Preempted, want.exchanges)
 	}
 	a.after("Cycle")
 	return r, nil

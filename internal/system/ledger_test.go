@@ -2,6 +2,7 @@ package system
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -298,7 +299,8 @@ func TestTypedLedgerDifferentialTraces(t *testing.T) {
 					t.Fatalf("seed %d step %d: submit gang: %v", seed, step, err)
 				}
 			}
-			for id := range singles {
+			// Sorted, so a seed draws the same numbers on every run.
+			for _, id := range slices.Sorted(maps.Keys(singles)) {
 				switch {
 				case s.Remaining(id) == 0 && rng.Float64() < 0.5:
 					if err := s.EndService(id); err != nil {
@@ -312,7 +314,7 @@ func TestTypedLedgerDifferentialTraces(t *testing.T) {
 					delete(singles, id)
 				}
 			}
-			for gid := range gangs {
+			for _, gid := range slices.Sorted(maps.Keys(gangs)) {
 				switch {
 				case s.GangProvisioned(gid) && rng.Float64() < 0.5:
 					if err := s.EndGangService(gid); err != nil {

@@ -12,15 +12,15 @@ import (
 // pricedCycleAllocBound is the recorded ceiling on the mean allocations of
 // one banker'd MinCost cycle in TestPricedCycleAllocs' tiered trace. What
 // remains is the result a cycle hands back — the CycleResult, the Mapping
-// with its Assigned and Blocked slices, one link slice per circuit — and
-// the banker's and sorting scratch; a per-pivot or per-solve rebuild reads
-// in the thousands here.
+// with its Assigned and Blocked slices, one link slice per circuit, the
+// exchanges it made — and the banker's scratch; a per-pivot or per-solve
+// rebuild reads in the thousands here.
 const pricedCycleAllocBound = 40
 
 // TestPricedCycleAllocs pins the cost of a priced epoch in allocations.
 // A warm network simplex solve on a reused basis allocates nothing, and a
 // banker'd MinCost System.Cycle on Omega-32 with tiered requests stays
-// within pricedCycleAllocBound on average.
+// within pricedCycleAllocBound on average, with tier exchanges or without.
 func TestPricedCycleAllocs(t *testing.T) {
 	t.Run("warm solve", func(t *testing.T) {
 		w, target, reprice := pricedArena(32)
@@ -38,54 +38,74 @@ func TestPricedCycleAllocs(t *testing.T) {
 		}
 	})
 	t.Run("mincost cycle", func(t *testing.T) {
-		s := newCycleSystem(t, Config{Net: topology.Omega(32), Discipline: MinCost, Avoidance: AvoidanceBankers})
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		rng := rand.New(rand.NewSource(27))
-		owner := make([]TaskID, 32)
-		for p := range owner {
-			owner[p] = -1
-		}
-		var ms runtime.MemStats
-		var total uint64
-		granted := 0
-		const cycles = 300
-		for c := 0; c < cycles+1; c++ {
-			for p := range owner {
-				if owner[p] == -1 {
-					owner[p] = mustSubmit(t, s, Task{Proc: p, Tier: rng.Intn(MaxTier + 1), Priority: rng.Int63n(1000), Need: 1 + rng.Intn(2)})
-				}
-			}
-			runtime.ReadMemStats(&ms)
-			before := ms.Mallocs
-			r := cycle(t, s)
-			runtime.ReadMemStats(&ms)
-			if c > 0 { // the first solve builds the arena
-				total += ms.Mallocs - before
-				granted += r.Granted
-			}
-			for _, a := range r.Mapping.Assigned {
-				if err := s.EndTransmission(a.Req.Proc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for p, id := range owner {
-				if s.Remaining(id) == 0 && rng.Intn(2) == 0 {
-					if err := s.EndService(id); err != nil {
-						t.Fatal(err)
-					}
-					owner[p] = -1
-				}
-			}
-		}
-		if granted == 0 {
-			t.Fatal("the trace granted nothing")
-		}
-		mean := float64(total) / cycles
-		t.Logf("%.1f allocations per cycle, %d grants over %d cycles", mean, granted, cycles)
-		if mean > pricedCycleAllocBound {
-			t.Errorf("a banker'd MinCost cycle allocates %.1f objects on average, bound %d", mean, pricedCycleAllocBound)
+		if exchanges := pricedCycleTrace(t, false); exchanges != 0 {
+			t.Fatalf("%d exchanges without Preempt", exchanges)
 		}
 	})
+	// The same trace with the exchange planner on: the victims' revokes and
+	// the beneficiaries' admissions ride inside the cycle, under the same
+	// bound.
+	t.Run("mincost cycle with Preempt", func(t *testing.T) {
+		if exchanges := pricedCycleTrace(t, true); exchanges == 0 {
+			t.Fatal("did not exercise: the trace made no exchange")
+		}
+	})
+}
+
+// pricedCycleTrace runs TestPricedCycleAllocs' tiered trace — every
+// processor of a banker'd MinCost Omega-32 kept busy with a tier-k task of
+// Need 1 or 2 — holds the mean allocations of its cycles to
+// pricedCycleAllocBound and returns the exchanges made.
+func pricedCycleTrace(t *testing.T, preempt bool) (exchanges int) {
+	s := newCycleSystem(t, Config{Net: topology.Omega(32), Discipline: MinCost, Avoidance: AvoidanceBankers, Preempt: preempt})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(27))
+	owner := make([]TaskID, 32)
+	for p := range owner {
+		owner[p] = -1
+	}
+	var ms runtime.MemStats
+	var total uint64
+	granted := 0
+	const cycles = 300
+	for c := 0; c < cycles+1; c++ {
+		for p := range owner {
+			if owner[p] == -1 {
+				owner[p] = mustSubmit(t, s, Task{Proc: p, Tier: rng.Intn(MaxTier + 1), Priority: rng.Int63n(1000), Need: 1 + rng.Intn(2)})
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		r := cycle(t, s)
+		runtime.ReadMemStats(&ms)
+		if c > 0 { // the first solve builds the arena
+			total += ms.Mallocs - before
+			granted += r.Granted
+		}
+		exchanges += len(r.Preempted)
+		for _, a := range r.Mapping.Assigned {
+			if err := s.EndTransmission(a.Req.Proc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p, id := range owner {
+			if s.Remaining(id) == 0 && rng.Intn(2) == 0 {
+				if err := s.EndService(id); err != nil {
+					t.Fatal(err)
+				}
+				owner[p] = -1
+			}
+		}
+	}
+	if granted == 0 {
+		t.Fatal("the trace granted nothing")
+	}
+	mean := float64(total) / cycles
+	t.Logf("%.1f allocations per cycle, %d grants and %d exchanges over %d cycles", mean, granted, exchanges, cycles)
+	if mean > pricedCycleAllocBound {
+		t.Errorf("a banker'd MinCost cycle allocates %.1f objects on average, bound %d", mean, pricedCycleAllocBound)
+	}
+	return exchanges
 }
 
 // pricedArena builds a Transformation 2 shaped arena — source, n

@@ -3,7 +3,9 @@ package system
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rsin/internal/core"
@@ -162,20 +164,19 @@ func snapshotAvail(sys audited, prefs []int64) []core.Avail {
 	return avail
 }
 
-// applyRandomFault fails a random healthy component or repairs a random
-// failed one, keeping the trace's shadow fault sets in sync.
+// applyRandomFault fails a random healthy component or repairs the
+// lowest-numbered failed one, keeping the trace's shadow fault sets in sync;
+// a seed replays the same churn.
 func applyRandomFault(t *testing.T, rng *rand.Rand, sys audited, net *topology.Network, failedLinks, failedRes map[int]bool) {
 	t.Helper()
 	if rng.Float64() < 0.5 && net.Ress > 1 {
 		// Resource fault or repair; keep at least one resource alive.
 		if len(failedRes) > 0 && rng.Float64() < 0.5 {
-			for r := range failedRes {
-				if err := sys.RepairResource(r); err != nil {
-					t.Fatalf("repair resource %d: %v", r, err)
-				}
-				delete(failedRes, r)
-				break
+			r := slices.Min(slices.Collect(maps.Keys(failedRes)))
+			if err := sys.RepairResource(r); err != nil {
+				t.Fatalf("repair resource %d: %v", r, err)
 			}
+			delete(failedRes, r)
 			return
 		}
 		if len(failedRes) >= net.Ress-1 {
@@ -192,13 +193,11 @@ func applyRandomFault(t *testing.T, rng *rand.Rand, sys audited, net *topology.N
 		return
 	}
 	if len(failedLinks) > 0 && rng.Float64() < 0.5 {
-		for l := range failedLinks {
-			if err := sys.RepairLink(l); err != nil {
-				t.Fatalf("repair link %d: %v", l, err)
-			}
-			delete(failedLinks, l)
-			break
+		l := slices.Min(slices.Collect(maps.Keys(failedLinks)))
+		if err := sys.RepairLink(l); err != nil {
+			t.Fatalf("repair link %d: %v", l, err)
 		}
+		delete(failedLinks, l)
 		return
 	}
 	l := rng.Intn(len(net.Links))
@@ -239,14 +238,16 @@ func TestPrefsSteerAssignment(t *testing.T) {
 	}
 }
 
-// checkRoutableHeld holds RoutableHeld to its definition — the first held
-// unit, in acquisition order, that is healthy and that FindPath reaches
-// from the processor — for every live task and every processor, while
-// the cycle's circuits still occupy their links.
+// checkRoutableHeld holds the planner's reachability probe to its
+// definition — the first held unit, in acquisition order, that is healthy
+// and that FindPath reaches from the processor — for every live task and
+// every processor, while the cycle's circuits still occupy their links.
 func checkRoutableHeld(t *testing.T, sys *System, live map[TaskID]bool) {
 	t.Helper()
-	for id := range live {
-		for p := 0; p < sys.net.Procs; p++ {
+	var pr routeProbe
+	for p := 0; p < sys.net.Procs; p++ {
+		pr.sweep(sys.net, p)
+		for id := range live {
 			want := -1
 			for _, r := range sys.Holding(id) {
 				if !sys.net.ResourceFaulted(r) && sys.net.FindPath(p, func(res int) bool { return res == r }) != nil {
@@ -254,8 +255,12 @@ func checkRoutableHeld(t *testing.T, sys *System, live map[TaskID]bool) {
 					break
 				}
 			}
-			if got := sys.RoutableHeld(id, p); got != want {
-				t.Fatalf("RoutableHeld(%d, p%d) = %d, reference %d (holding %v)", id, p, got, want, sys.Holding(id))
+			got := -1
+			if ts := sys.tasks[id]; ts != nil {
+				got = pr.routableHeld(sys.net, ts)
+			}
+			if got != want {
+				t.Fatalf("routableHeld(%d) from p%d = %d, reference %d (holding %v)", id, p, got, want, sys.Holding(id))
 			}
 		}
 	}

@@ -89,6 +89,14 @@ type Config struct {
 	Discipline Discipline
 	Hetero     *core.HeteroOptions // options for the typed solver
 	Avoidance  Avoidance
+	// Preempt arms tier exchanges: each cycle, a queue head the cycle's
+	// free units do not cover may take one unit from a still-acquiring
+	// singleton of a strictly less urgent tier, planned between the
+	// banker's admission and the solve (planExchanges) and reported in
+	// CycleResult.Preempted. It requires MinCost, whose weighted-value
+	// solve prefers the more urgent requester for the unit; New refuses it
+	// with any other discipline.
+	Preempt bool
 	// Preferences assigns a preference level per resource (MinCost).
 	Preferences []int64
 	// Types assigns a resource type per resource; nil = all 0. A typed
@@ -164,7 +172,7 @@ type Task struct {
 	// Tier is the task's priority class, 0 (most urgent) through MaxTier.
 	// Under the MinCost discipline tier strictly dominates Priority: any
 	// tier-k request outranks every tier-(k+1) request. Tier also drives
-	// the sched layer's preemption policy (TierWeight).
+	// the tier exchanges of Config.Preempt.
 	Tier int
 	// Priority is the fine-grain priority within a tier, [0, 2^20).
 	Priority int64
@@ -201,14 +209,18 @@ type taskState struct {
 	row      int                // a singleton's row among the ledger's committed entities; -1 while it holds nothing
 
 	// Inline backing for the one-type case, so admitting it costs the one
-	// allocation of the taskState itself.
-	demand1 [1]DemandEntry
-	have1   [1]int
+	// allocation of the taskState itself, and for a first held unit and a
+	// first circuit, so neither does a single-unit grant.
+	demand1   [1]DemandEntry
+	have1     [1]int
+	held1     [1]int
+	circuits1 [1]topology.Circuit
 }
 
 func newTaskState(t Task) *taskState {
 	ts := &taskState{task: t, row: -1}
 	ts.demand = t.AppendDemand(ts.demand1[:0])
+	ts.held, ts.circuits = ts.held1[:0], ts.circuits1[:0]
 	ts.have = ts.have1[:]
 	if len(ts.demand) > 1 {
 		ts.have = make([]int, len(ts.demand))
@@ -228,6 +240,10 @@ type CycleResult struct {
 	// GangsActivated counts gangs admitted by the banker's activation gate
 	// at the top of this cycle (their members start competing now).
 	GangsActivated int
+
+	// Preempted lists the units this cycle's tier exchanges revoked
+	// (Config.Preempt), in plan order; nil when it made none.
+	Preempted []Exchange
 
 	// Elapsed is the wall-clock time of the cycle — hooks, discipline
 	// solve and circuit establishment — the per-cycle monitor cost in
@@ -283,10 +299,10 @@ type System struct {
 	o          sysObs
 	cycleCount int64 // completed Cycle calls, stamps trace events
 
-	// RoutableHeld's reachability scratch, allocated on first use. A
-	// pointer, last, so the fields above keep their offsets and size
-	// class for the cycle path, which never probes.
-	probe *routeProbe
+	// The exchange planner's scratch, allocated on first use. A pointer,
+	// last, so the fields above keep their offsets and size class for the
+	// cycle path, which never plans without Config.Preempt.
+	xp *exchangePlan
 }
 
 // New validates the configuration and returns an empty system.
@@ -299,6 +315,10 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Types != nil && len(cfg.Types) != cfg.Net.Ress {
 		return nil, fmt.Errorf("system: %d types for %d resources", len(cfg.Types), cfg.Net.Ress)
+	}
+	if cfg.Preempt && cfg.Discipline != MinCost {
+		return nil, fmt.Errorf("system: Preempt requires the MinCost discipline (got %d): "+
+			"only its weighted-value solve prefers the more urgent requester for an exchanged unit", cfg.Discipline)
 	}
 	s := &System{
 		cfg:          cfg,
@@ -602,6 +622,14 @@ func (s *System) cycle() (*CycleResult, error) {
 		taskOf[p] = t
 		if t.task.Prefs != nil {
 			prefs = append(prefs, t)
+		}
+	}
+	if s.cfg.Preempt {
+		// Between admission and the solve: a revoked unit joins the offer
+		// list below, a refused beneficiary the requests.
+		var err error
+		if reqs, prefs, err = s.planExchanges(tr, res, reqs, prefs); err != nil {
+			return nil, fmt.Errorf("system: cycle: %w", err)
 		}
 	}
 	for r := 0; r < s.net.Ress; r++ {

@@ -1,9 +1,12 @@
 package system
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
+	"rsin/internal/core"
 	"rsin/internal/topology"
 )
 
@@ -82,8 +85,8 @@ func ValidateTask(t Task, ress int) error {
 // to preemption decisions: 2^(MaxTier-k), so tier 0 outweighs any number
 // of units from strictly lower tiers combined (within the 8-tier band a
 // tier-k unit outweighs up to 2 units of tier k+1, 4 of k+2, ...). The
-// sched layer's preemption rule severs a lower-tier circuit only when the
-// exchange strictly increases total tier weight.
+// exchange planner (planExchanges) takes a unit only from a strictly lower
+// tier, so every exchange strictly increases total tier weight.
 func TierWeight(tier int) int64 {
 	if tier < 0 {
 		tier = 0
@@ -101,44 +104,143 @@ func effectivePriority(t Task) int64 {
 	return int64(MaxTier-t.Tier)<<tierShift + t.Priority
 }
 
-// QueueHead reports the task at the head of processor p's queue, or -1
-// when the queue is empty or p is out of range. Only the queue head
-// competes for resources on a cycle, so the sched layer's preemption
-// policy picks its beneficiary among queue heads — severing a unit for a
-// queued-behind task could not be claimed by that task next cycle.
-func (s *System) QueueHead(p int) TaskID {
-	if p < 0 || p >= len(s.queues) || len(s.queues[p]) == 0 {
-		return -1
-	}
-	return s.queues[p][0].id
+// Exchange is one tier exchange a cycle made: Victim, a still-acquiring
+// singleton, lost resource Res so that Beneficiary, a strictly more urgent
+// queue head, requests in the same solve.
+type Exchange struct {
+	Victim, Beneficiary TaskID
+	Res                 int
 }
 
-// RoutableHeld returns the first unit task id holds, in acquisition
-// order, that processor p can reach over free, usable links, or -1 when
-// none is reachable (or id is unknown, or p out of range). The sched
-// layer's preemption policy probes it per candidate victim: severing a
-// lower-tier holder is pointless if the beneficiary cannot reach the
-// freed resource on the surviving fabric. One reachability sweep over
-// reused scratch answers for every held unit at once.
-func (s *System) RoutableHeld(id TaskID, p int) int {
-	t, ok := s.tasks[id]
-	if !ok || len(t.held) == 0 || p < 0 || p >= s.net.Procs {
-		return -1
+// exchangePlan is planExchanges' scratch, reused across cycles: the
+// reachability marks of the latest sweep and the two sides' candidates.
+type exchangePlan struct {
+	routeProbe
+	benefs, victims []*taskState
+}
+
+// planExchanges is the tier-preemption policy (Config.Preempt), run once a
+// cycle between the banker's admission and the solve.
+//
+//   - Beneficiaries are the acquiring singleton queue heads the cycle's free
+//     units do not cover, most urgent first: under the banker the heads it
+//     refused, without avoidance the requesting heads ranked past the free
+//     count.
+//   - Each takes the least urgent still-acquiring singleton holder of a
+//     strictly lower tier whose unit it can reach. Under the banker the
+//     exchange happens only if admit accepts the beneficiary on the trial
+//     with that unit back in the pool.
+//   - A victim is a holder the free units do not cover either: one the
+//     banker admitted this cycle would only win a unit back in the same
+//     solve, at the cost of a sever. (Without avoidance a covered head is
+//     never strictly less urgent than an uncovered one.)
+//   - A victim loses at most one unit a cycle and is no beneficiary.
+//
+// Gangs sit out both sides, provisioned tasks are immune, and the tier test
+// is strict, so equal tiers never exchange. Ties break by lower task ID. An
+// acquiring singleton holder is always its queue's head (singletons never
+// bypass), so one pass over the heads finds both sides. The plan is made on
+// the cycle's opening holdings and then carried out: Preempt revokes each
+// unit, which the offer list then picks up, and a refused beneficiary joins
+// reqs (in processor order), so the one solve that follows grants it.
+func (s *System) planExchanges(tr *trial, res *CycleResult, reqs []core.Request, prefs []*taskState) ([]core.Request, []*taskState, error) {
+	if s.xp == nil {
+		s.xp = &exchangePlan{}
 	}
-	if s.probe == nil {
-		s.probe = &routeProbe{}
+	xp := s.xp
+	benefs, victims := xp.benefs[:0], xp.victims[:0]
+	for p, q := range s.queues {
+		if len(q) == 0 || q[0].gang != nil || q[0].remaining() <= 0 {
+			continue
+		}
+		t := q[0]
+		if len(t.held) > 0 && (tr == nil || s.taskOf[p] != t) {
+			victims = append(victims, t)
+		}
+		if tr == nil && s.taskOf[p] == t || tr != nil && s.taskOf[p] == nil && s.transmitting[p] == -1 {
+			benefs = append(benefs, t)
+		}
 	}
-	s.probe.sweep(s.net, p)
+	xp.benefs, xp.victims = benefs, victims
+	slices.SortFunc(benefs, moreUrgent)
+	slices.SortFunc(victims, lessUrgent)
+	if tr == nil {
+		// Every head requests; the free units cover the most urgent.
+		benefs = benefs[min(s.led.free[0], len(benefs)):]
+	}
+	for _, b := range benefs {
+		if len(victims) == 0 || victims[0].task.Tier <= b.task.Tier ||
+			slices.ContainsFunc(res.Preempted, func(x Exchange) bool { return x.Victim == b.id }) {
+			continue
+		}
+		xp.sweep(s.net, b.task.Proc)
+		for i, v := range victims {
+			if v.task.Tier <= b.task.Tier {
+				break
+			}
+			r := xp.routableHeld(s.net, v)
+			if r < 0 {
+				continue
+			}
+			if tr != nil {
+				if !s.tryExchange(tr, b, v, r) {
+					break
+				}
+				p := b.task.Proc
+				s.taskOf[p] = b
+				at, _ := slices.BinarySearchFunc(reqs, p, func(rq core.Request, p int) int { return rq.Proc - p })
+				reqs = slices.Insert(reqs, at, core.Request{Proc: p, Priority: effectivePriority(b.task), Type: b.reqType()})
+				if b.task.Prefs != nil {
+					prefs = append(prefs, b)
+				}
+			}
+			res.Preempted = append(res.Preempted, Exchange{Victim: v.id, Beneficiary: b.id, Res: r})
+			victims = slices.Delete(victims, i, i+1)
+			break
+		}
+	}
+	for _, x := range res.Preempted {
+		if err := s.Preempt(x.Victim, x.Res); err != nil {
+			return nil, nil, fmt.Errorf("exchange for task %d: %w", x.Beneficiary, err)
+		}
+	}
+	return reqs, prefs, nil
+}
+
+// moreUrgent orders beneficiaries most urgent first: lower tier, then
+// lower task ID. lessUrgent orders victims least urgent first: higher
+// tier, then lower task ID.
+func moreUrgent(a, b *taskState) int { return cmp.Or(a.task.Tier-b.task.Tier, int(a.id-b.id)) }
+func lessUrgent(a, b *taskState) int { return cmp.Or(b.task.Tier-a.task.Tier, int(a.id-b.id)) }
+
+// tryExchange asks the banker about one planned exchange: victim v's unit r
+// goes back to the trial's pool and beneficiary b is admitted against it.
+// A refusal undoes the revoke, leaving the trial as it was.
+func (s *System) tryExchange(tr *trial, b, v *taskState, r int) bool {
+	ty, base := s.led.resTy[r], tr.base
+	tr.revoke(v.row, ty)
+	if s.admit(tr, b) {
+		return true
+	}
+	tr.unrevoke(&s.led, v.row, ty, base)
+	return false
+}
+
+// routableHeld returns the first unit t holds, in acquisition order, that
+// is healthy and that the latest sweep reached, or -1: one sweep from the
+// beneficiary's processor answers for every candidate victim.
+func (pr *routeProbe) routableHeld(net *topology.Network, t *taskState) int {
 	for _, r := range t.held {
-		if s.probe.res[r] == s.probe.stamp && !s.net.ResourceFaulted(r) {
+		if pr.res[r] == pr.stamp && !net.ResourceFaulted(r) {
 			return r
 		}
 	}
 	return -1
 }
 
-// routeProbe is RoutableHeld's scratch: per-box and per-resource marks,
-// current when they equal stamp, and the DFS stack of link IDs.
+// routeProbe is the planner's reachability scratch: per-box and
+// per-resource marks, current when they equal stamp, and the DFS stack of
+// link IDs.
 type routeProbe struct {
 	stamp    int
 	box, res []int
@@ -191,9 +293,10 @@ func (pr *routeProbe) sweep(net *topology.Network, p int) {
 //
 // A fully-provisioned task (remaining 0) cannot be preempted: it is
 // computing on its complete resource set, mirroring FailResource's rule
-// that provisioned holders keep their units. The caller — the sched
-// layer's priority policy — decides *whether* preemption is worth it
-// (strict tier-weight improvement); this primitive only performs it.
+// that provisioned holders keep their units. The caller — the cycle's
+// exchange planner, with Config.Preempt — decides *whether* preemption is
+// worth it (a strictly more urgent beneficiary); this primitive only
+// performs it.
 func (s *System) Preempt(id TaskID, r int) error {
 	t, ok := s.tasks[id]
 	if !ok {

@@ -130,18 +130,16 @@ func TestPreemptValidation(t *testing.T) {
 	}
 }
 
-// TestQueueHead pins the accessor the sched preemption policy uses to
-// pick beneficiaries.
+// TestQueueHead pins headTask, which the exchange planner's pass over the
+// processors reads: the first submission heads its queue until it is
+// provisioned, then the next one moves up.
 func TestQueueHead(t *testing.T) {
 	sys, err := New(Config{Net: topology.Crossbar(2, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.QueueHead(0); got != -1 {
-		t.Fatalf("empty queue head = %d, want -1", got)
-	}
-	if got := sys.QueueHead(-1); got != -1 {
-		t.Fatalf("out-of-range head = %d, want -1", got)
+	if got := sys.headTask(0); got != nil {
+		t.Fatalf("empty queue head = task %d, want none", got.id)
 	}
 	id, err := sys.Submit(Task{Proc: 0})
 	if err != nil {
@@ -151,8 +149,8 @@ func TestQueueHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.QueueHead(0); got != id {
-		t.Fatalf("head = %d, want first submission %d", got, id)
+	if got := sys.headTask(0); got == nil || got.id != id {
+		t.Fatalf("head = %s, want the first submission %d", taskName(got), id)
 	}
 	if _, err := sys.Cycle(); err != nil {
 		t.Fatal(err)
@@ -161,8 +159,8 @@ func TestQueueHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The provisioned head left the queue; the second task moves up.
-	if got := sys.QueueHead(0); got != id2 {
-		t.Fatalf("head after provisioning = %d, want %d", got, id2)
+	if got := sys.headTask(0); got == nil || got.id != id2 {
+		t.Fatalf("head after provisioning = %s, want task %d", taskName(got), id2)
 	}
 }
 

@@ -141,8 +141,8 @@ const (
 // strictly decreasing in tier, so granting one tier-k request is worth
 // more than granting every request of the tiers below it. The MinCost
 // discipline maximizes total TierWeight-weighted value each cycle, and
-// the Scheduler's preemption rule (SchedulerConfig.Preempt) only severs
-// a lower-tier circuit when that strictly improves it.
+// the tier exchanges of SchedulerConfig.Preempt only take a unit from a
+// strictly lower tier, so each one strictly improves it.
 var TierWeight = system.TierWeight
 
 // NewSystem constructs a System (see internal/system for the life cycle).
