@@ -40,13 +40,14 @@ ratchet:
 	$(GO) test -run 'TestOpsGateRatchet' ./internal/core
 
 # The instrumentation hot path must not allocate (disabled or enabled),
-# a bound-certified typed epoch on a warm planner allocates only the
-# Mapping it returns, a cycle under the banker only its CycleResult and
+# a service round trip allocates only what it hands back (plus the task
+# record and its share of the epoch's result), a bound-certified typed
+# epoch on a warm planner allocates only the Mapping it returns, a cycle under the banker only its CycleResult and
 # the empty Mapping, a warm simplex solve on a reused basis nothing, and a
 # banker'd MinCost cycle stays within its recorded bound; CI runs the same
 # guards.
 allocguard:
-	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree' ./internal/sched ./internal/obs
+	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree|TestRoundTripAllocs' ./internal/sched ./internal/obs
 	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
 	$(GO) test -run 'TestBankerCycleAllocs|TestPricedCycleAllocs' ./internal/system
 

@@ -52,6 +52,12 @@ type Avail struct {
 }
 
 // Assignment binds one request to one resource through a concrete circuit.
+// From a warm Planner method (ScheduleIncremental, ScheduleMinCostIncremental,
+// a bound-certified ScheduleHetero) the circuit's Links view the planner's
+// path slot for Req.Proc: they stay intact while the circuit is established
+// on the network it was solved on, and a caller that keeps an unapplied
+// mapping, or one applied to a Clone, past the planner's next solve must
+// copy them (see Planner).
 type Assignment struct {
 	Req     Request
 	Res     int
@@ -84,6 +90,17 @@ type OpCounts struct {
 
 // Allocated reports the number of resources allocated.
 func (m *Mapping) Allocated() int { return len(m.Assigned) }
+
+// sizedMapping returns an empty mapping for reqs with room for exactly
+// granted assignments and the rest blocked, so a decode fills it without
+// growing either slice.
+func sizedMapping(reqs []Request, granted int) *Mapping {
+	m := &Mapping{Assigned: make([]Assignment, 0, granted)}
+	if n := len(reqs) - granted; n > 0 {
+		m.Blocked = make([]Request, 0, n)
+	}
+	return m
+}
 
 // Apply establishes every circuit of the mapping on the network. On error
 // (which indicates a scheduler bug or a concurrently-modified network) the
@@ -378,6 +395,16 @@ func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Map
 // arena's memory (never its flow) for every typed epoch. The zero value is
 // ready to use. A Planner
 // is not safe for concurrent use; give each scheduling shard its own.
+//
+// The warm methods (ScheduleIncremental, ScheduleMinCostIncremental and a
+// bound-certified ScheduleHetero) decode each circuit into the planner's
+// path slot for its processor, and the Mapping's Circuit.Links view that
+// slot. The next grant to the same processor rewrites it. A mapping applied
+// to the network it was solved on stays intact while its circuits stand (a
+// standing circuit's processor cannot be granted again). A caller that
+// solves without applying, or applies to another network (a Clone), must
+// copy the links it keeps before the next solve: otherwise they change
+// under it, and a later Release or ForceRelease frees the wrong links.
 type Planner struct {
 	buf maxflow.Buffers
 	inc *incState   // warm-start arena; nil until the first incremental solve

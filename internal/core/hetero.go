@@ -380,6 +380,10 @@ func ScheduleHetero(net *topology.Network, reqs []Request, avail []Avail, opts *
 // [14] nearly every epoch ends there. Only a missed bound (and the priced
 // discipline, always) reaches the dense LP: scheduleHeteroLP, which sets
 // Solve.MultiLP.
+//
+// A bound-certified mapping's Links view the planner's per-processor path
+// slots: unless the mapping is applied to net, copy the links before the
+// next solve (see Planner).
 func (p *Planner) ScheduleHetero(net *topology.Network, reqs []Request, avail []Avail, opts *HeteroOptions) (*Mapping, error) {
 	if opts == nil {
 		opts = &HeteroOptions{}

@@ -90,6 +90,35 @@ type standingCircuit struct {
 	links []int
 }
 
+// pathSlots is where a warm planner decodes its circuits: one fixed-width
+// slot per processor port in a single slab, so a grant allocates no path.
+// The width is one link per stage plus the processor link (NumStages()+1,
+// the longest path on every staged fabric) plus the extra arcs the caller
+// stores. A slot's capacity is capped, so a longer path on a fabric without
+// stages would only move to a slice of its own.
+//
+// A Mapping's Circuit.Links view the slot of the processor it serves, and
+// a slot is rewritten only when the planner grants that processor again. A
+// caller that Applies the mapping keeps the view intact for as long as the
+// circuit stands: its processor link is occupied, so nothing can be granted
+// to that processor until the circuit is released. A caller that keeps a
+// mapping it never applied must copy the links before the next solve.
+type pathSlots struct {
+	slab  []int
+	width int
+}
+
+func newPathSlots(net *topology.Network, extra int) pathSlots {
+	w := net.NumStages() + 1 + extra
+	return pathSlots{slab: make([]int, net.Procs*w), width: w}
+}
+
+// slot returns processor p's slot, empty with the slot's width as capacity.
+func (ps pathSlots) slot(p int) []int {
+	lo := p * ps.width
+	return ps.slab[lo : lo : lo+ps.width]
+}
+
 // incState is the planner's persistent warm-start state: the arena, the
 // fixed arc numbering against one topology.Network, the routing table for
 // the combinatorial fast path, and the standing circuits of previous
@@ -120,6 +149,9 @@ type incState struct {
 	pathWords   []maxflow.PathWord
 
 	standing []standingCircuit // by processor; nil arcs = none
+	// slots holds each processor's latest decomposed path (source arc,
+	// link arcs, sink arc); standing[p] and the Mapping's circuit view it.
+	slots pathSlots
 
 	// Blocked-request certificates: after a solve with failed searches,
 	// every blocked processor shares the solve's one cut of the final
@@ -152,9 +184,6 @@ func (st *incState) linkArc(l int) int { return l }
 func (st *incState) srcArc(p int) int  { return st.links + p }
 func (st *incState) snkArc(r int) int  { return st.links + st.procs + r }
 
-// linkOfArc inverts linkArc; out of range for source/sink arcs.
-func (st *incState) linkOfArc(a int) int { return a }
-
 // resOfSnk inverts snkArc.
 func (st *incState) resOfSnk(a int) int { return a - st.links - st.procs }
 
@@ -170,6 +199,7 @@ func newIncState(net *topology.Network) *incState {
 		links:     len(net.Links),
 		rt:        topology.NewRoutingTable(net),
 		standing:  make([]standingCircuit, net.Procs),
+		slots:     newPathSlots(net, 2),
 		cert:      make([]maxflow.Cut, net.Procs),
 		hasCert:   make([]bool, net.Procs),
 		certGen:   make([]uint64, net.Procs),
@@ -274,6 +304,10 @@ func (st *incState) matches(net *topology.Network) bool {
 //
 // The mapping may differ from ScheduleMaxFlow's in which optimal
 // assignment it picks; the allocation count is always equal.
+//
+// Its circuits' Links view the planner's per-processor path slots: unless
+// the mapping is applied to net, copy the links before the next solve
+// (see Planner).
 func (p *Planner) ScheduleIncremental(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
 	cold := false
 	if !p.inc.matches(net) {
@@ -470,25 +504,30 @@ func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail, 
 		}
 	}
 
-	// Decompose the new flow into circuits and record them standing.
-	m := &Mapping{}
+	// Decompose the new flow into circuits, each into its processor's path
+	// slot, and record them standing.
+	granted := 0
+	for _, r := range reqs {
+		if w.Flow(st.srcArc(r.Proc)) {
+			granted++
+		}
+	}
+	m := sizedMapping(reqs, granted)
 	for _, r := range reqs {
 		src := st.srcArc(r.Proc)
 		if !w.Flow(src) {
 			m.Blocked = append(m.Blocked, r)
 			continue
 		}
-		arcs, ok := w.DecomposeFrom(src)
+		arcs, ok := w.AppendPathFrom(st.slots.slot(r.Proc), src)
 		if !ok {
 			return nil, fmt.Errorf("core: incremental decomposition failed for processor %d", r.Proc)
 		}
-		links := make([]int, 0, len(arcs)-2)
-		for _, a := range arcs[1 : len(arcs)-1] {
-			lid := st.linkOfArc(a)
+		links := arcs[1 : len(arcs)-1 : len(arcs)-1] // link arc l is link l
+		for _, lid := range links {
 			if lid < 0 || lid >= st.links {
-				return nil, fmt.Errorf("core: interior path arc %d has no link", a)
+				return nil, fmt.Errorf("core: interior path arc %d has no link", lid)
 			}
-			links = append(links, lid)
 		}
 		res := st.resOfSnk(arcs[len(arcs)-1])
 		if res < 0 || res >= st.ress {

@@ -42,7 +42,7 @@ type mcState struct {
 
 	consumed []int // per arc: stamp of the decode pass that used it
 	stamp    int
-	pathCap  int // links on the longest processor-to-resource path
+	slots    pathSlots // per-processor link paths the decode writes circuits into
 
 	// Per-solve lookups, valid where the entry's stamp equals syncs.
 	syncs      int
@@ -81,7 +81,7 @@ func newMCState(net *topology.Network) *mcState {
 		resArc:  make([]int, net.Ress),
 		linkArc: make([]int, len(net.Links)),
 		outArcs: make([][]int, total),
-		pathCap: net.NumStages() + 1,
+		slots:   newPathSlots(net, 0),
 
 		reqPrio:    make([]int64, net.Procs),
 		reqStamp:   make([]int, net.Procs),
@@ -201,7 +201,13 @@ func (st *mcState) loadBypassFlow(reqs []Request) {
 // crossed the bypass is blocked; every other unit traces its unique
 // link-disjoint path from the processor to a resource.
 func (st *mcState) decode(reqs []Request) (*Mapping, error) {
-	m := &Mapping{}
+	granted := 0
+	for i := range reqs {
+		if st.w.Flow(st.bypArc[reqs[i].Proc]) == 0 {
+			granted++
+		}
+	}
+	m := sizedMapping(reqs, granted)
 	st.stamp++
 	for i := range reqs {
 		req := reqs[i]
@@ -211,7 +217,7 @@ func (st *mcState) decode(reqs []Request) (*Mapping, error) {
 			continue
 		}
 		node := 2 + st.boxes + p // procNode(p)
-		links := make([]int, 0, st.pathCap)
+		links := st.slots.slot(p)
 		res := -1
 		for hops := 0; res == -1; hops++ {
 			if hops > st.links+1 {
@@ -266,6 +272,10 @@ func (st *mcState) decode(reqs []Request) (*Mapping, error) {
 // solver-reported divergence falls back to a cold solve (the basis is
 // rebuilt from the all-artificial tree, or the instance re-solved one-
 // shot by ScheduleMinCostNetworkSimplex), never to a wrong answer.
+//
+// Its circuits' Links view the planner's per-processor path slots: unless
+// the mapping is applied to net, copy the links before the next solve
+// (see Planner).
 func (p *Planner) ScheduleMinCostIncremental(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
 	if len(reqs) == 0 {
 		return &Mapping{}, nil

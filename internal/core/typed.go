@@ -66,7 +66,8 @@ type typedState struct {
 	// path[lo:hi], source arc first, sink arc last.
 	grants  []typedGrant
 	path    []int
-	grantOf []int32 // processor -> 1 + index into grants, 0 = blocked
+	grantOf []int32   // processor -> 1 + index into grants, 0 = blocked
+	slots   pathSlots // per-processor link paths the mapping's circuits view
 
 	linkAt, resAt []uint32 // legality scratch, stamp-cleared
 	stamp         uint32
@@ -88,6 +89,7 @@ func newTypedState(net *topology.Network) *typedState {
 		availAt: make([]int32, net.Ress),
 		resAt:   make([]uint32, net.Ress),
 		linkAt:  make([]uint32, len(net.Links)),
+		slots:   newPathSlots(net, 0),
 	}
 }
 
@@ -386,11 +388,7 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 	for i, g := range st.grants {
 		st.grantOf[g.proc] = int32(i + 1)
 	}
-	m = &Mapping{Assigned: make([]Assignment, 0, len(st.grants))}
-	if n := len(reqs) - len(st.grants); n > 0 {
-		m.Blocked = make([]Request, 0, n)
-	}
-	links := make([]int, 0, len(st.path)-2*len(st.grants)) // one backing array for every circuit
+	m = sizedMapping(reqs, len(st.grants))
 	for p, t := range st.commOf {
 		if t == 0 {
 			continue
@@ -403,12 +401,11 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 		g := st.grants[st.grantOf[p]-1]
 		arcs := st.path[g.lo:g.hi]
 		res := arcs[len(arcs)-1] - st.snkArc(0)
-		lo := len(links)
-		links = append(links, arcs[1:len(arcs)-1]...) // link arc l is link l
+		links := append(st.slots.slot(p), arcs[1:len(arcs)-1]...) // link arc l is link l
 		m.Assigned = append(m.Assigned, Assignment{
 			Req:     req,
 			Res:     res,
-			Circuit: topology.Circuit{Proc: p, Res: res, Links: links[lo:len(links):len(links)]},
+			Circuit: topology.Circuit{Proc: p, Res: res, Links: links},
 		})
 	}
 	m.Ops = OpCounts{

@@ -302,8 +302,9 @@ func typedAllocInstance() (*topology.Network, []core.Request, []core.Avail) {
 
 // TestTypedEpochAllocs is the alloc guard of the typed common path: on a
 // warm planner a bound-certified epoch allocates what it returns — the
-// Mapping, its Assigned and Blocked slices and one backing array for every
-// circuit's links — and nothing else: no graph, no maps, no labels.
+// Mapping with its Assigned and Blocked slices — and nothing else: no
+// graph, no maps, no labels, and no link slice (circuits decode into the
+// planner's per-processor path slots).
 func TestTypedEpochAllocs(t *testing.T) {
 	net, reqs, avail := typedAllocInstance()
 	var planner core.Planner
@@ -315,7 +316,7 @@ func TestTypedEpochAllocs(t *testing.T) {
 		t.Fatalf("the instance must be bound-certified with grants and blocked requests: %+v, %d assigned, %d blocked",
 			m.Solve, m.Allocated(), len(m.Blocked))
 	}
-	const own = 4 // Mapping, Assigned, Blocked, links
+	const own = 3 // Mapping, Assigned, Blocked
 	got := testing.AllocsPerRun(200, func() {
 		if _, err := planner.ScheduleHetero(net, reqs, avail, nil); err != nil {
 			t.Fatal(err)

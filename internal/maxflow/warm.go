@@ -546,21 +546,16 @@ func (w *Warm) dfs(v int, sweepSeen, solve uint32, c *Counters) bool {
 	return false
 }
 
-// DecomposeFrom walks the flow unit entering through source arc src to
-// the sink and returns the logical arc ids of its path, src first, sink
-// arc last. Arcs are consumed per solve so repeated calls decompose a
-// multi-unit flow into disjoint paths (at a node carrying several units
-// the pairing of in- to out-arcs is arbitrary, which is exactly the
-// freedom flow decomposition has). Only enabled arcs are walked: frozen
-// (disabled) flow from earlier epochs is invisible here. Returns false
-// on a conservation violation, which indicates arena corruption.
-func (w *Warm) DecomposeFrom(src int) ([]int, bool) {
-	return w.AppendPathFrom(nil, src)
-}
-
-// AppendPathFrom is DecomposeFrom appending the path to dst, for callers
-// that decompose into a reused buffer. On failure dst is returned
-// unextended.
+// AppendPathFrom walks the flow unit entering through source arc src to
+// the sink and appends the logical arc ids of its path to dst, src first,
+// sink arc last, so a caller can decompose into storage it reuses. Arcs
+// are consumed per solve so repeated calls decompose a multi-unit flow
+// into disjoint paths (at a node carrying several units the pairing of in-
+// to out-arcs is arbitrary, which is exactly the freedom flow
+// decomposition has). Only enabled arcs are walked: frozen (disabled) flow
+// from earlier epochs is invisible here. Returns false, with dst
+// unextended, on a conservation violation, which indicates arena
+// corruption.
 func (w *Warm) AppendPathFrom(dst []int, src int) ([]int, bool) {
 	w.ensureCSR()
 	solve := w.solve

@@ -78,9 +78,9 @@ func (f *warmFixture) retractNew(t *testing.T) {
 		if !f.w.Flow(s) {
 			continue
 		}
-		path, ok := f.w.DecomposeFrom(s)
+		path, ok := f.w.AppendPathFrom(nil, s)
 		if !ok {
-			t.Fatalf("DecomposeFrom(%d) failed on a loaded source arc", s)
+			t.Fatalf("AppendPathFrom(nil, %d) failed on a loaded source arc", s)
 		}
 		if err := f.w.ClearPath(path); err != nil {
 			t.Fatalf("ClearPath: %v", err)
@@ -135,7 +135,7 @@ func TestWarmFrozenUnitsAreInvisible(t *testing.T) {
 	if !w.Augment(srcA, &c) {
 		t.Fatal("first unit should land")
 	}
-	path, ok := w.DecomposeFrom(srcA)
+	path, ok := w.AppendPathFrom(nil, srcA)
 	if !ok {
 		t.Fatal("decompose failed")
 	}
@@ -152,7 +152,7 @@ func TestWarmFrozenUnitsAreInvisible(t *testing.T) {
 	if !w.Flow(srcA) || !w.Flow(ab) || !w.Flow(out) {
 		t.Fatal("frozen flow was disturbed")
 	}
-	if _, ok := w.DecomposeFrom(srcA); ok {
+	if _, ok := w.AppendPathFrom(nil, srcA); ok {
 		t.Fatal("decomposition walked a frozen (disabled) unit")
 	}
 	// Release: clear the path, re-enable, and the blocked request lands.

@@ -73,7 +73,8 @@ func (s *Scheduler) applyEnd(sh *shard, o *op) {
 		s.jobEvent(sh, j, kFailed, 0, lost)
 	}
 	s.publish(sh)
-	o.reply <- err
+	j.endErr = err
+	j.ended.Done()
 }
 
 // applySubmit admits a job to the shard's System and starts tracking it.
@@ -244,12 +245,14 @@ func (s *Scheduler) publishGrants(sh *shard) {
 		if !sh.tracks(j) || !j.provisionedIn(sh.sys) {
 			continue
 		}
-		j.res = j.res1[:0]
 		if n := len(j.ids); n > 1 {
 			j.res = make([][]int, 0, n)
-		}
-		for _, m := range j.ids {
-			j.res = append(j.res, sh.sys.Holding(m))
+			for _, m := range j.ids {
+				j.res = append(j.res, sh.sys.AppendHolding(nil, m))
+			}
+		} else {
+			j.res1[0] = sh.sys.AppendHolding(j.held1[:0], j.ids[0])
+			j.res = j.res1[:]
 		}
 		if s.o.enabled {
 			s.o.observeGrant(j)

@@ -84,7 +84,8 @@ func (s *Scheduler) SubmitGangCtx(ctx context.Context, shard int, spec GangSpec)
 
 // EndGang releases every resource a finished gang holds, atomically. It
 // may only be called after the handle's Done channel closed with a nil
-// Err; it blocks until the release epoch has run.
+// Err; it blocks until the release epoch has run. A call made while another
+// is in flight on the same handle returns an error at once.
 func (s *Scheduler) EndGang(h *GangHandle) error {
 	if h == nil {
 		return fmt.Errorf("sched: nil gang handle")

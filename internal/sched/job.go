@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync"
+
 	"rsin/internal/system"
 )
 
@@ -23,6 +25,14 @@ type job struct {
 	res    [][]int // per member; written by the shard goroutine before done closes
 	err    error   // terminal error; written before done closes
 
+	// The release's reply travels on the job, not on a channel made per
+	// call: end holds endMu across its send and wait, so racing calls queue
+	// behind one another, and the shard writes endErr before it marks ended
+	// done.
+	endMu  sync.Mutex
+	ended  sync.WaitGroup
+	endErr error
+
 	// Observability bookkeeping, touched only when Config.Obs is set.
 	submitNano int64 // Submit wall-clock, for the submit-to-grant histograms
 	grantNano  int64 // provisioning wall-clock, for grant-to-release
@@ -32,9 +42,11 @@ type job struct {
 	finished bool
 
 	// Inline backing for the one-member, one-type case: a singleton costs
-	// one struct and one channel, whatever it is a view of.
+	// one struct and one channel, whatever it is a view of, and a one-unit
+	// grant is recorded without a slice of its own.
 	id1     [1]system.TaskID
 	res1    [1][]int
+	held1   [1]int
 	demand1 [1]system.DemandEntry
 }
 
@@ -113,7 +125,7 @@ type op struct {
 	j       *job
 	task    system.Task      // opSubmit of a singleton (inline: no slice to allocate)
 	members []system.Task    // opSubmit of a gang: the validated member tasks
-	reply   chan error       // opEnd/opFault: the outcome of the System call
+	reply   chan error       // opFault: the outcome of the System call (opEnd replies on its job)
 	cause   error            // opCancel: the context's Err at cancellation
 	faults  []system.FaultOp // opFault: one correlated hardware event (one sever charge)
 }

@@ -530,11 +530,15 @@ func (s *Scheduler) end(j *job) error {
 	if j.err != nil {
 		return fmt.Errorf("sched: submission failed and holds nothing: %w", j.err)
 	}
-	reply := make(chan error, 1)
-	if err := s.send(s.shards[j.shard], op{kind: opEnd, j: j, reply: reply}); err != nil {
+	j.endMu.Lock()
+	defer j.endMu.Unlock()
+	j.ended.Add(1)
+	if err := s.send(s.shards[j.shard], op{kind: opEnd, j: j}); err != nil {
+		j.ended.Done()
 		return err
 	}
-	return <-reply
+	j.ended.Wait()
+	return j.endErr
 }
 
 // FailLink fails one physical link of a shard's fabric. The call blocks
@@ -704,7 +708,7 @@ func (s *Scheduler) run(sh *shard) {
 
 // publish copies the shard's running totals into its published stats as
 // one locked batch. The shard calls it before every client-visible
-// completion — a reply-channel send, a handle close, the end of the epoch
+// completion — a reply, a handle close, the end of the epoch
 // — which is what makes Stats read-your-writes coherent: by the time
 // EndService or FailLink has returned, or Handle.Done has fired, the
 // corresponding counters are visible to Stats readers, and to /metrics,

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,6 +122,57 @@ func TestSingleTaskLifecycle(t *testing.T) {
 	}
 	if st.Ops.NodeVisits <= 0 && st.FastPaths <= 0 {
 		t.Fatalf("neither search nor fast path recorded the grant: ops=%+v fastpaths=%d", st.Ops, st.FastPaths)
+	}
+}
+
+// TestEndServiceRepliesOnJob: EndService's reply travels on the job rather
+// than on a channel made per call, and racing calls on one handle queue
+// behind each other. Of racing calls exactly one succeeds — each later one
+// reaches the System and is told the task is unknown — the release counts
+// once, and after Close the handle keeps answering ErrClosed instead of
+// blocking.
+func TestEndServiceRepliesOnJob(t *testing.T) {
+	s := newScheduler(t, Config{Shards: []system.Config{{Net: topology.Omega(8)}}})
+	granted := func() *Handle {
+		h, err := s.Submit(0, system.Task{Proc: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-h.Done()
+		if h.Err() != nil {
+			t.Fatal(h.Err())
+		}
+		return h
+	}
+	const rounds, callers = 50, 4
+	for round := 0; round < rounds; round++ {
+		h := granted()
+		errs := make(chan error, callers)
+		for c := 0; c < callers; c++ {
+			go func() { errs <- s.EndService(h) }()
+		}
+		ok := 0
+		for c := 0; c < callers; c++ {
+			switch err := <-errs; {
+			case err == nil:
+				ok++
+			case !strings.Contains(err.Error(), "unknown task"):
+				t.Fatalf("round %d: a racing EndService got %v, want the System's unknown task", round, err)
+			}
+		}
+		if ok != 1 {
+			t.Fatalf("round %d: %d of %d racing EndService calls succeeded, want 1", round, ok, callers)
+		}
+	}
+	if st := s.Stats(); st.Submitted != rounds || st.Serviced != rounds || st.Failed != 0 || st.Free != 8 {
+		t.Fatalf("stats %+v, want %d submitted and serviced, the pool whole", st, rounds)
+	}
+	h := granted()
+	s.Close()
+	for i := 0; i < 2; i++ {
+		if err := s.EndService(h); err != ErrClosed {
+			t.Fatalf("EndService %d after Close = %v, want ErrClosed", i+1, err)
+		}
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 // pricedCycleAllocBound is the recorded ceiling on the mean allocations of
 // one banker'd MinCost cycle in TestPricedCycleAllocs' tiered trace. What
 // remains is the result a cycle hands back — the CycleResult, the Mapping
-// with its Assigned and Blocked slices, one link slice per circuit, the
-// exchanges it made — and the banker's scratch; a per-pivot or per-solve
-// rebuild reads in the thousands here.
-const pricedCycleAllocBound = 40
+// with its Assigned and Blocked slices, the exchanges it made — and the
+// banker's scratch: about 6 a cycle, 8 with exchanges. Circuits decode into
+// the planner's per-processor path slots, so a link slice per circuit
+// (about 9 grants a cycle here) reads above the bound, and a per-pivot or
+// per-solve rebuild reads in the thousands.
+const pricedCycleAllocBound = 12
 
 // TestPricedCycleAllocs pins the cost of a priced epoch in allocations.
 // A warm network simplex solve on a reused basis allocates nothing, and a

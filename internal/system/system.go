@@ -231,6 +231,9 @@ func newTaskState(t Task) *taskState {
 
 // CycleResult reports one scheduling cycle.
 type CycleResult struct {
+	// Mapping is the cycle's solve. Its circuits' links are the planner's
+	// and hold until the processor's next grant, which comes only after the
+	// circuit is released (EndTransmission, a sever, a withdrawal).
 	Mapping  *core.Mapping
 	Granted  int // resources granted this cycle
 	Deferred int // requests withheld by the avoidance policy
@@ -782,13 +785,17 @@ func (s *System) EndService(id TaskID) error {
 	return nil
 }
 
-// Holding reports the resources currently held by a task.
-func (s *System) Holding(id TaskID) []int {
-	t, ok := s.tasks[id]
-	if !ok {
-		return nil
+// Holding reports the resources currently held by a task, in a slice of
+// its own.
+func (s *System) Holding(id TaskID) []int { return s.AppendHolding(nil, id) }
+
+// AppendHolding is Holding appending to dst, for a caller that keeps the
+// answer in storage of its own; an unknown task appends nothing.
+func (s *System) AppendHolding(dst []int, id TaskID) []int {
+	if t, ok := s.tasks[id]; ok {
+		dst = append(dst, t.held...)
 	}
-	return append([]int(nil), t.held...)
+	return dst
 }
 
 // Remaining reports how many more resources a task must acquire before it

@@ -40,11 +40,17 @@ type (
 	Avail = core.Avail
 	// Mapping is the outcome of a scheduling cycle.
 	Mapping = core.Mapping
-	// Assignment binds one request to one resource through a circuit.
+	// Assignment binds one request to one resource through a circuit. From
+	// a warm Planner method its Circuit.Links may be rewritten by the
+	// planner's next solve unless the mapping was applied (see Planner).
 	Assignment = core.Assignment
 	// Planner carries reusable scheduling state across epochs; its
 	// ScheduleIncremental method warm-starts each solve from the previous
 	// epoch's residual flow (DESIGN.md §12). The zero value is ready to use.
+	// Its warm methods' circuits view per-processor path slots that the
+	// next grant to the same processor rewrites: a caller that does not
+	// apply a mapping to the network it was solved on must copy the Links
+	// it keeps before the next solve (DESIGN.md §23).
 	Planner = core.Planner
 	// SolveStats reports how a Mapping was solved (warm vs cold, arcs
 	// touched, circuits retracted).
