@@ -511,8 +511,8 @@ func main() {
 	fmt.Printf("solver ops    augmentations=%d phases=%d arc-scans=%d node-visits=%d\n",
 		st.Ops.Augmentations, st.Ops.Phases, st.Ops.ArcScans, st.Ops.NodeVisits)
 	if *types > 0 {
-		fmt.Printf("multicommod.  fast-path=%d lp=%d greedy=%d retries=%d gap-units=%d\n",
-			st.MultiFastPath, st.MultiLP, st.MultiGreedy, st.MultiRetries, st.MultiGapUnits)
+		fmt.Printf("multicommod.  fast-path=%d search=%d lp=%d greedy=%d retries=%d gap-units=%d\n",
+			st.MultiFastPath, st.MultiSearch, st.MultiLP, st.MultiGreedy, st.MultiRetries, st.MultiGapUnits)
 	}
 	// Shard-down losses and deadline cancellations are the expected cost
 	// of -inject / -deadline runs; anything else is a real failure.

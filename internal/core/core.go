@@ -16,10 +16,11 @@
 //     minimum-cost flow of value F0 = #requests yields the optimal
 //     prioritized mapping (Theorem 3).
 //   - ScheduleHetero — multiple resource types: the multicommodity
-//     formulations of §III-D. Maximum flow goes bound first, LP last:
-//     sequential per-type max-flow certified against a combinatorial
-//     upper bound, the dense LP (with integral fallbacks) only when the
-//     bound is missed.
+//     formulations of §III-D. Maximum flow goes bound first, search
+//     next, LP last: sequential per-type max-flow certified against a
+//     combinatorial upper bound, an exact search over the routing table's
+//     paths when the bound is missed, the dense LP (with integral
+//     fallbacks) only when the search cannot settle the epoch.
 //
 // The schedulers never touch established circuits: links occupied by
 // earlier allocations are simply absent from the flow network, exactly as

@@ -373,17 +373,19 @@ func ScheduleHetero(net *topology.Network, reqs []Request, avail []Avail, opts *
 }
 
 // ScheduleHetero solves one typed epoch. The maximum-flow discipline goes
-// bound first, LP last: sequential per-type max-flow on the planner's
-// arena, committed when it meets a combinatorial upper bound that also
-// bounds the LP relaxation (typedState) — Solve.MultiFastPath set,
-// MultiLPBound the bound, MultiGap zero. On the restricted topologies of
-// [14] nearly every epoch ends there. Only a missed bound (and the priced
-// discipline, always) reaches the dense LP: scheduleHeteroLP, which sets
-// Solve.MultiLP.
+// bound first, search next, LP last: sequential per-type max-flow on the
+// planner's arena, committed when it meets a combinatorial upper bound
+// that also bounds the LP relaxation (typedState) — Solve.MultiFastPath
+// set, MultiLPBound the bound, MultiGap zero. On the restricted topologies
+// of [14] nearly every epoch ends there. A missed bound is settled by an
+// exact search over the routing table's paths (typedSearch), certified the
+// same way and marked Solve.MultiSearch. Only a fabric with no routing
+// table, a search out of nodes, and the priced discipline (always) reach
+// the dense LP: scheduleHeteroLP, which sets Solve.MultiLP.
 //
-// A bound-certified mapping's Links view the planner's per-processor path
-// slots: unless the mapping is applied to net, copy the links before the
-// next solve (see Planner).
+// A mapping certified on the arena (by the bound or the search) has Links
+// that view the planner's per-processor path slots: unless the mapping is
+// applied to net, copy the links before the next solve (see Planner).
 func (p *Planner) ScheduleHetero(net *topology.Network, reqs []Request, avail []Avail, opts *HeteroOptions) (*Mapping, error) {
 	if opts == nil {
 		opts = &HeteroOptions{}
@@ -394,6 +396,9 @@ func (p *Planner) ScheduleHetero(net *topology.Network, reqs []Request, avail []
 	if !opts.UsePriorities {
 		if !p.ty.matches(net) {
 			p.ty = newTypedState(net)
+			if p.inc.matches(net) {
+				p.ty.s.rt, p.ty.s.built = p.inc.rt, true
+			}
 		}
 		m, ok, err := p.ty.solve(net, reqs, avail)
 		if err != nil {

@@ -36,21 +36,24 @@ type SolveStats struct {
 	FastPaths int `json:"fast_paths,omitempty"`
 
 	// Multicommodity epoch accounting (ScheduleHetero only). MultiFastPath
-	// marks an epoch committed as *certified optimal*: either the
-	// sequential per-type max-flow met the combinatorial upper bound
-	// (typedState — no LP ran), or the LP relaxation was certified
-	// integral (flows rounded, re-verified legal, objective matched).
-	// MultiGreedy marks the fallback: the bound was missed, the relaxation
+	// marks an epoch committed as *certified optimal*: the sequential
+	// per-type max-flow met the combinatorial upper bound (typedState — no
+	// LP ran), the routing-table search proved its schedule optimal, or the
+	// LP relaxation was certified integral (flows rounded, re-verified
+	// legal, objective matched). MultiSearch marks a bound miss the search
+	// settled (typedSearch). MultiGreedy marks the fallback: the relaxation
 	// came out fractional, and the epoch was served by the sequential
 	// per-commodity decomposition. MultiRetries counts the commodity
 	// orderings tried beyond the first, on either path. MultiLPBound is the
 	// tightest upper bound on integral allocations the epoch computed — the
-	// combinatorial bound when it was met, else the relaxation objective —
-	// and MultiGap the integral units left on the table versus
-	// floor(MultiLPBound): zero whenever optimality was certified (fast
-	// path or a closed branch-and-bound run). MultiLP marks an epoch that
-	// solved the dense LP at all: a bound miss, or the priced discipline.
+	// combinatorial bound when it was met, the optimum when the search
+	// proved one, else the relaxation objective — and MultiGap the integral
+	// units left on the table versus floor(MultiLPBound): zero whenever
+	// optimality was certified (fast path or a closed branch-and-bound
+	// run). MultiLP marks an epoch that solved the dense LP at all: a bound
+	// miss the search could not settle, or the priced discipline.
 	MultiFastPath bool    `json:"multi_fast_path,omitempty"`
+	MultiSearch   bool    `json:"multi_search,omitempty"`
 	MultiGreedy   bool    `json:"multi_greedy,omitempty"`
 	MultiRetries  int     `json:"multi_retries,omitempty"`
 	MultiLPBound  float64 `json:"multi_lp_bound,omitempty"`
@@ -62,8 +65,9 @@ type SolveStats struct {
 // one decode of a solve's flags, behind internal/system's instruments and
 // sched.Stats alike (which documents the fields).
 type SolveCounts struct {
-	WarmSolves, ColdSolves, ArcsTouched, Retractions, FastPaths      int64
-	MultiFastPath, MultiLP, MultiGreedy, MultiRetries, MultiGapUnits int64
+	WarmSolves, ColdSolves, ArcsTouched, Retractions, FastPaths    int64
+	MultiFastPath, MultiSearch, MultiLP, MultiGreedy, MultiRetries int64
+	MultiGapUnits                                                  int64
 }
 
 // Add counts one solve.
@@ -74,6 +78,7 @@ func (c *SolveCounts) Add(sv *SolveStats) {
 	c.Retractions += int64(sv.Retractions)
 	c.FastPaths += int64(sv.FastPaths)
 	c.MultiFastPath += int64(btoi(sv.MultiFastPath))
+	c.MultiSearch += int64(btoi(sv.MultiSearch))
 	c.MultiLP += int64(btoi(sv.MultiLP))
 	c.MultiGreedy += int64(btoi(sv.MultiGreedy))
 	c.MultiRetries += int64(sv.MultiRetries)
@@ -190,14 +195,15 @@ func (st *incState) resOfSnk(a int) int { return a - st.links - st.procs }
 // newIncState builds the arena for a network: every processor, resource,
 // switchbox, and link gets its node/arc up front, all arcs disabled. The
 // per-epoch sync then toggles membership; the structure itself is never
-// rebuilt while the topology identity holds.
-func newIncState(net *topology.Network) *incState {
+// rebuilt while the topology identity holds. rt is net's routing table
+// (Planner.routingTable), nil for a fabric without one.
+func newIncState(net *topology.Network, rt *topology.RoutingTable) *incState {
 	st := &incState{
 		net:       net,
 		procs:     net.Procs,
 		ress:      net.Ress,
 		links:     len(net.Links),
-		rt:        topology.NewRoutingTable(net),
+		rt:        rt,
 		standing:  make([]standingCircuit, net.Procs),
 		slots:     newPathSlots(net, 2),
 		cert:      make([]maxflow.Cut, net.Procs),
@@ -221,6 +227,16 @@ func newIncState(net *topology.Network) *incState {
 		}
 	}
 	return st
+}
+
+// routingTable returns net's routing table (nil for a fabric with too many
+// paths per pair): the one the planner's typed arena already built for net,
+// else a new one. One table serves both arenas of a planner.
+func (p *Planner) routingTable(net *topology.Network) *topology.RoutingTable {
+	if p.ty.matches(net) && p.ty.s.built {
+		return p.ty.s.rt
+	}
+	return topology.NewRoutingTable(net)
 }
 
 // newFabricArena builds the unit-capacity arena over a whole fabric in the
@@ -311,13 +327,13 @@ func (st *incState) matches(net *topology.Network) bool {
 func (p *Planner) ScheduleIncremental(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
 	cold := false
 	if !p.inc.matches(net) {
-		p.inc = newIncState(net)
+		p.inc = newIncState(net, p.routingTable(net))
 		cold = true
 	}
 	m, err := p.inc.solve(net, reqs, avail, cold)
 	if err == errIncFallback && !cold {
 		// Divergence or oversized delta: rebuild once, solve cold.
-		p.inc = newIncState(net)
+		p.inc = newIncState(net, p.inc.rt)
 		m, err = p.inc.solve(net, reqs, avail, true)
 	}
 	if err != nil {

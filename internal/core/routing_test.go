@@ -219,3 +219,39 @@ func FuzzRoutingFallbackBoundary(f *testing.F) {
 		}
 	})
 }
+
+// TestPlannerSharesRoutingTable: a planner builds a fabric's routing
+// table once, whichever arena needs it first — the typed search on its
+// first bound miss, or the incremental planner — and both arenas use it.
+func TestPlannerSharesRoutingTable(t *testing.T) {
+	net := topology.Omega(8)
+	// The chained-cuts instance of workload.AdversarialTyped: it misses the
+	// bound, so the typed solve searches.
+	reqs := []Request{{Proc: 0, Type: 0}, {Proc: 4, Type: 1}, {Proc: 5, Type: 1}, {Proc: 6, Type: 2}}
+	avail := []Avail{{Res: 2, Type: 1}, {Res: 3, Type: 2}, {Res: 4, Type: 1}, {Res: 7, Type: 0}}
+	untyped := []Request{{Proc: 1}}
+	free := []Avail{{Res: 0}}
+
+	var typedFirst Planner
+	m, err := typedFirst.ScheduleHetero(net, reqs, avail, nil)
+	if err != nil || !m.Solve.MultiSearch {
+		t.Fatalf("the instance must be settled by the search: %+v, %v", m, err)
+	}
+	if _, err := typedFirst.ScheduleIncremental(net, untyped, free); err != nil {
+		t.Fatal(err)
+	}
+	if typedFirst.ty.s.rt == nil || typedFirst.inc.rt != typedFirst.ty.s.rt {
+		t.Fatal("the incremental arena built its own routing table beside the typed search's")
+	}
+
+	var incFirst Planner
+	if _, err := incFirst.ScheduleIncremental(net, untyped, free); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := incFirst.ScheduleHetero(net, reqs, avail, nil); err != nil {
+		t.Fatal(err)
+	}
+	if incFirst.inc.rt == nil || incFirst.ty.s.rt != incFirst.inc.rt {
+		t.Fatal("the typed search built its own routing table beside the incremental arena's")
+	}
+}

@@ -12,7 +12,9 @@ import (
 // typedState is the planner's arena for heterogeneous (typed) epochs: the
 // whole-fabric unit-capacity arena of the warm max-flow planner, on which
 // one epoch's multicommodity problem is solved combinatorially — a bound
-// first, the dense LP of internal/multiflow only when the bound is missed.
+// first, an exact search over the routing table's paths when no sweep
+// meets it (typedSearch), the dense LP of internal/multiflow only when
+// the search cannot settle the epoch.
 //
 // The bound: in any multicommodity flow, fractional or integral, the part
 // carried for type t is by itself a feasible single-commodity flow from
@@ -34,8 +36,10 @@ import (
 // reverse, starved-first and rotations) until one ships UB units. A sweep
 // that reaches the bound is optimal by the argument above; it is decoded,
 // re-checked for legality against the fabric itself and committed. A
-// missed bound proves nothing either way and the epoch falls through to
-// the LP chain (scheduleHeteroLP).
+// missed bound proves nothing either way: the best sweep becomes the
+// search's incumbent, and a search that settles the epoch is committed
+// the same way. Only a fabric with no routing table, or a search out of
+// nodes, falls through to the LP chain (scheduleHeteroLP).
 //
 // The mapping is a pure function of (fabric state, reqs, avail): every
 // solve clears the arena's flow, only its memory is reused. A long-lived
@@ -68,6 +72,12 @@ type typedState struct {
 	path    []int
 	grantOf []int32   // processor -> 1 + index into grants, 0 = blocked
 	slots   pathSlots // per-processor link paths the mapping's circuits view
+
+	// The best sweep's circuits while later orders are tried.
+	keptGrants []typedGrant
+	keptPath   []int
+
+	s typedSearch // the routing-table search behind a missed bound
 
 	linkAt, resAt []uint32 // legality scratch, stamp-cleared
 	stamp         uint32
@@ -362,9 +372,11 @@ func (st *typedState) legal(net *topology.Network, reqs []Request, avail []Avail
 	return true
 }
 
-// solve runs one typed epoch bound-first. ok is false when no order
-// reached the bound (or the re-check refused the circuits): nothing is
-// known about optimality then and the caller falls through to the LP.
+// solve runs one typed epoch: bound first, search next. ok is false when
+// no order reached the bound and the routing-table search could not settle
+// the epoch either (the fabric has no table, or the search ran out of
+// nodes), or when the re-check refused the circuits: nothing is known about
+// optimality then and the caller falls through to the LP.
 func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail) (m *Mapping, ok bool, err error) {
 	if err := st.index(reqs, avail); err != nil {
 		return nil, false, err
@@ -374,12 +386,37 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 
 	total, walked := st.sweep()
 	ub := st.bound(total)
-	attempts := 1
+	best, attempts := total, 1
 	for walked && total < ub && st.nextOrder(attempts) {
+		if total == best {
+			st.keep()
+		}
 		total, walked = st.sweep()
+		best = max(best, total)
 		attempts++
 	}
-	if !walked || total != ub || !st.legal(net, reqs, avail) {
+	if !walked {
+		return nil, false, nil
+	}
+	if total < best {
+		st.keep() // back to the best sweep
+	}
+	searched := false
+	if best < ub {
+		if st.table(net) == nil {
+			return nil, false, nil
+		}
+		proved, improved := st.search(best, ub)
+		if !proved {
+			return nil, false, nil
+		}
+		if improved {
+			st.adoptSearch()
+			best = st.s.found
+		}
+		searched = true
+	}
+	if !st.legal(net, reqs, avail) {
 		return nil, false, nil
 	}
 
@@ -414,6 +451,13 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 		ArcScans:      st.ops.ArcScans,
 		NodeVisits:    st.ops.NodeVisits,
 	}
-	m.Solve = SolveStats{MultiFastPath: true, MultiRetries: attempts - 1, MultiLPBound: float64(ub)}
+	m.Solve = SolveStats{MultiFastPath: true, MultiSearch: searched, MultiRetries: attempts - 1, MultiLPBound: float64(best)}
 	return m, true, nil
+}
+
+// keep swaps the recorded circuits with the kept ones: it sets the latest
+// sweep aside before the next one overwrites it, and brings it back.
+func (st *typedState) keep() {
+	st.grants, st.keptGrants = st.keptGrants, st.grants
+	st.path, st.keptPath = st.keptPath, st.path
 }

@@ -106,12 +106,27 @@ func checkAgainstOracle(t testing.TB, name string, net *topology.Network, reqs [
 	return def
 }
 
+// pathOf reports how a typed epoch was settled.
+func pathOf(m *core.Mapping) workload.TypedPath {
+	switch {
+	case m.Solve.MultiLP:
+		return workload.ByLP
+	case m.Solve.MultiSearch:
+		return workload.BySearch
+	}
+	return workload.ByBound
+}
+
 // TestDifferentialMulticommodityVsOracle cross-checks the typed epoch
 // solver against the exact branch-and-bound oracle: across the restricted
 // topologies under fault churn, and on the adversarial instances that
-// leave the common path. The run must have seen both ways an epoch is
-// decided — the combinatorial bound met, and the bound missed with the LP
-// solved — or the comparison proved nothing about one of them.
+// leave the common path. The run must have seen all three ways an epoch is
+// settled — the combinatorial bound met, the bound missed and the
+// routing-table search settling it, and the LP reached (no routing table,
+// or a search out of nodes) — or the comparison proved nothing about one
+// of them. A search-settled epoch claims a zero gap, so checkAgainstOracle
+// holds it to the oracle exactly; the instance whose search runs out of
+// nodes stops a solver that takes an exhausted search for a proof.
 func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	builders := []func() *topology.Network{
@@ -123,15 +138,8 @@ func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 	if testing.Short() {
 		trials = 12
 	}
-	boundMet, boundMissed := 0, 0
-	tally := func(m *core.Mapping) {
-		switch {
-		case m.Solve.MultiLP:
-			boundMissed++
-		case m.Solve.MultiFastPath:
-			boundMet++
-		}
-	}
+	var settled [3]int // by workload.TypedPath
+	tally := func(m *core.Mapping) { settled[pathOf(m)]++ }
 	// The first `trials` instances draw from three types; as many again
 	// draw from five, where the solver no longer tries every type order
 	// but reverse, starved-first and rotations (TestTypedOrderSequence).
@@ -172,15 +180,16 @@ func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 		if oracle := oracleTyped(t, in.Net, in.Reqs, in.Avail); oracle != in.Optimum {
 			t.Errorf("%s: oracle %d, table says %d", in.Name, oracle, in.Optimum)
 		}
-		if def.Solve.MultiLP != in.BoundMiss {
-			t.Errorf("%s: reached the LP = %v, table says %v (solve %+v)", in.Name, def.Solve.MultiLP, in.BoundMiss, def.Solve)
+		if got := pathOf(def); got != in.Path {
+			t.Errorf("%s: settled by %v, table says %v (solve %+v)", in.Name, got, in.Path, def.Solve)
 		}
-		if starved := !def.Solve.MultiLP && def.Solve.MultiRetries > 0; starved != in.Starves {
+		if starved := pathOf(def) == workload.ByBound && def.Solve.MultiRetries > 0; starved != in.Starves {
 			t.Errorf("%s: bound met only after retries = %v, table says %v (solve %+v)", in.Name, starved, in.Starves, def.Solve)
 		}
 	}
-	if boundMet == 0 || boundMissed == 0 {
-		t.Fatalf("did not exercise both paths: %d epochs met the bound, %d missed it and solved the LP", boundMet, boundMissed)
+	if settled[workload.ByBound] == 0 || settled[workload.BySearch] == 0 || settled[workload.ByLP] == 0 {
+		t.Fatalf("did not exercise all three paths: %d epochs met the bound, %d were settled by the search, %d reached the LP",
+			settled[workload.ByBound], settled[workload.BySearch], settled[workload.ByLP])
 	}
 }
 
@@ -189,14 +198,16 @@ func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 // A long-lived planner is driven through 1200 epochs of seeded typed
 // demand while circuits are established and released and links and boxes
 // fail and heal; every epoch it must return exactly what a fresh
-// core.ScheduleHetero returns on the same instance.
+// core.ScheduleHetero returns on the same instance. Both fabrics have a
+// routing table, so no epoch may reach the LP: a bound miss is the
+// search's to settle, and some must have been.
 func TestTypedPlannerDeterministic(t *testing.T) {
 	builders := []func() *topology.Network{
 		func() *topology.Network { return topology.Omega(16) },
 		func() *topology.Network { return topology.Benes(8) },
 	}
 	const epochsPerFabric = 600
-	boundMet, boundMissed := 0, 0
+	var settled [3]int // by workload.TypedPath
 	for bi, build := range builders {
 		rng := rand.New(rand.NewSource(1013 + int64(bi)))
 		net := build()
@@ -264,10 +275,9 @@ func TestTypedPlannerDeterministic(t *testing.T) {
 			}
 			checkTyped(t, net, reqs, avail, got)
 			if got.Solve.MultiLP {
-				boundMissed++
-			} else {
-				boundMet++
+				t.Errorf("%s epoch %d reached the LP (solve %+v)", net.Name, epoch, got.Solve)
 			}
+			settled[pathOf(got)]++
 			if err := got.Apply(net); err != nil {
 				t.Fatalf("%s epoch %d: %v", net.Name, epoch, err)
 			}
@@ -276,10 +286,12 @@ func TestTypedPlannerDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if boundMet < 1000 {
-		t.Fatalf("only %d epochs were decided on the arena (%d reached the LP); the contract wants 1000", boundMet, boundMissed)
+	met, searched := settled[workload.ByBound], settled[workload.BySearch]
+	if met+searched < 1000 || searched == 0 {
+		t.Fatalf("%d epochs met the bound and %d were settled by the search; the contract wants 1000 in all, some searched",
+			met, searched)
 	}
-	t.Logf("%d epochs met the bound on the arena, %d missed it and solved the LP", boundMet, boundMissed)
+	t.Logf("%d epochs met the bound, %d were settled by the search, %d reached the LP", met, searched, settled[workload.ByLP])
 }
 
 // typedAllocInstance is a half-loaded Omega-16 with three striped
@@ -300,29 +312,46 @@ func typedAllocInstance() (*topology.Network, []core.Request, []core.Avail) {
 	return net, reqs, avail
 }
 
-// TestTypedEpochAllocs is the alloc guard of the typed common path: on a
-// warm planner a bound-certified epoch allocates what it returns — the
-// Mapping with its Assigned and Blocked slices — and nothing else: no
-// graph, no maps, no labels, and no link slice (circuits decode into the
-// planner's per-processor path slots).
+// TestTypedEpochAllocs is the alloc guard of the typed solver: on a warm
+// planner an epoch allocates what it returns — the Mapping with its
+// Assigned and Blocked slices — and nothing else: no graph, no maps, no
+// labels, and no link slice (circuits decode into the planner's
+// per-processor path slots). That holds for an epoch certified by the
+// bound and for one the routing-table search settles.
 func TestTypedEpochAllocs(t *testing.T) {
-	net, reqs, avail := typedAllocInstance()
-	var planner core.Planner
-	m, err := planner.ScheduleHetero(net, reqs, avail, nil)
-	if err != nil {
-		t.Fatal(err)
+	chained := workload.AdversarialTyped()[0]
+	rows := []struct {
+		name   string
+		search bool // the epoch misses the bound and the search settles it
+		build  func() (*topology.Network, []core.Request, []core.Avail)
+	}{
+		{"bound met", false, typedAllocInstance},
+		{"bound missed, search", true, func() (*topology.Network, []core.Request, []core.Avail) {
+			return chained.Net, chained.Reqs, chained.Avail
+		}},
 	}
-	if !m.Solve.MultiFastPath || m.Solve.MultiLP || m.Allocated() == 0 || len(m.Blocked) == 0 {
-		t.Fatalf("the instance must be bound-certified with grants and blocked requests: %+v, %d assigned, %d blocked",
-			m.Solve, m.Allocated(), len(m.Blocked))
-	}
-	const own = 3 // Mapping, Assigned, Blocked
-	got := testing.AllocsPerRun(200, func() {
-		if _, err := planner.ScheduleHetero(net, reqs, avail, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got > own {
-		t.Fatalf("a bound-certified epoch on a warm planner allocated %.0f times; its mapping owns %d", got, own)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			net, reqs, avail := row.build()
+			var planner core.Planner
+			m, err := planner.ScheduleHetero(net, reqs, avail, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Solve.MultiFastPath || m.Solve.MultiLP || m.Solve.MultiSearch != row.search ||
+				m.Allocated() == 0 || len(m.Blocked) == 0 {
+				t.Fatalf("the instance must be certified (search %v) with grants and blocked requests: %+v, %d assigned, %d blocked",
+					row.search, m.Solve, m.Allocated(), len(m.Blocked))
+			}
+			const own = 3 // Mapping, Assigned, Blocked
+			got := testing.AllocsPerRun(200, func() {
+				if _, err := planner.ScheduleHetero(net, reqs, avail, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > own {
+				t.Fatalf("a certified epoch on a warm planner allocated %.0f times; its mapping owns %d", got, own)
+			}
+		})
 	}
 }

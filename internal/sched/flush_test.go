@@ -146,34 +146,73 @@ func TestGrantingEpochRunsOneCycle(t *testing.T) {
 	}
 }
 
-// TestMultiLPCounted drives one typed epoch that misses the combinatorial
-// bound through the service and checks the miss is counted, in Stats and
-// on /metrics alike. The instance is workload.AdversarialTyped's chained
-// cuts on Omega-8; a gated epoch makes its four requests one cycle.
-func TestMultiLPCounted(t *testing.T) {
-	inst := workload.AdversarialTyped()[0]
-	if !inst.BoundMiss || inst.Net.Ress != 8 {
-		t.Fatalf("instance %q is not the Omega-8 bound miss this test is written for", inst.Name)
+// typedInstance returns the workload.AdversarialTyped instance of that name.
+func typedInstance(t *testing.T, name string) workload.TypedInstance {
+	t.Helper()
+	for _, in := range workload.AdversarialTyped() {
+		if in.Name == name {
+			return in
+		}
 	}
-	// The instance's free resources keep their types; of the rest, three
-	// are type 3 (a filler holds them) and one is type 4 (the gate).
-	types := []int{3, 3, 0, 0, 0, 3, 4, 0}
+	t.Fatalf("no typed instance %q", name)
+	return workload.TypedInstance{}
+}
+
+// driveTypedInstance serves one workload.AdversarialTyped instance through
+// a typed shard on its fabric, its requests in a single cycle, and returns
+// Stats and the /metrics counters once that cycle is counted. The
+// instance's free resources keep their types; of the rest the last is a
+// gate (type 4) and the others fillers (type 3) one task holds. Three
+// processors the instance leaves idle hold the fillers, hold the gate and
+// wait on it: releasing the gate starts an epoch whose cycle (the waiter is
+// tracked) parks, and the instance's requests queue up behind it.
+func driveTypedInstance(t *testing.T, inst workload.TypedInstance) (Stats, map[string]int64) {
+	t.Helper()
+	types := make([]int, inst.Net.Ress)
+	offered := map[int]bool{}
 	for _, a := range inst.Avail {
 		types[a.Res] = a.Type
+		offered[a.Res] = true
 	}
+	var spare []int
+	for r := range types {
+		if !offered[r] {
+			spare = append(spare, r)
+		}
+	}
+	asking := map[int]bool{}
+	for _, r := range inst.Reqs {
+		asking[r.Proc] = true
+	}
+	var idle []int
+	for p := 0; p < inst.Net.Procs; p++ {
+		if !asking[p] {
+			idle = append(idle, p)
+		}
+	}
+	if len(idle) < 3 || len(spare) == 0 {
+		t.Fatalf("instance %q leaves no room for the gate: %d idle processors, %d spare resources", inst.Name, len(idle), len(spare))
+	}
+	fillers := len(spare) - 1
+	for _, r := range spare[:fillers] {
+		types[r] = 3
+	}
+	types[spare[fillers]] = 4
 	g := newCycleGate()
 	reg := obs.NewRegistry()
-	sc := typedShard(topology.Omega(8), types)
+	sc := typedShard(inst.Net, types)
 	sc.FaultHook = g.hook
 	s := newScheduler(t, Config{Obs: reg, Shards: []system.Config{sc}})
 	t.Cleanup(g.unpark)
 
-	provision(t, s, 0, system.Task{Proc: 3, Needs: map[int]int{3: 3}})
-	holder := provision(t, s, 0, system.Task{Proc: 1, Needs: map[int]int{4: 1}})
-	waiter := submit(t, s, system.Task{Proc: 2, Needs: map[int]int{4: 1}})
-	waitStats(t, s, func(st Stats) bool { return st.Submitted == 3 })
-	// Releasing the type-4 unit starts an epoch whose cycle (the waiter is
-	// tracked) parks; the instance's requests queue up behind it.
+	submitted := int64(2)
+	if fillers > 0 {
+		provision(t, s, 0, system.Task{Proc: idle[2], Needs: map[int]int{3: fillers}})
+		submitted++
+	}
+	holder := provision(t, s, 0, system.Task{Proc: idle[0], Needs: map[int]int{4: 1}})
+	waiter := submit(t, s, system.Task{Proc: idle[1], Needs: map[int]int{4: 1}})
+	waitStats(t, s, func(st Stats) bool { return st.Submitted == submitted })
 	g.armed.Store(true)
 	if err := s.EndService(holder); err != nil {
 		t.Fatal(err)
@@ -184,11 +223,41 @@ func TestMultiLPCounted(t *testing.T) {
 	}
 	g.release <- struct{}{}
 	waitDone(t, waiter, "gate waiter")
+	st := waitStats(t, s, func(st Stats) bool { return st.MultiSearch+st.MultiLP > 0 })
+	return st, reg.Snapshot().Counters
+}
 
-	st := waitStats(t, s, func(st Stats) bool { return st.MultiLP > 0 })
-	scraped := reg.Snapshot().Counters["rsin_solver_multi_lp_total"]
-	if st.MultiLP != 1 || scraped != 1 {
-		t.Fatalf("MultiLP = %d, rsin_solver_multi_lp_total = %d, want 1 and 1 (the one bound-missing cycle): %+v",
-			st.MultiLP, scraped, st)
+// TestMultiSearchCounted drives one typed epoch that misses the
+// combinatorial bound through the service — workload.AdversarialTyped's
+// chained cuts on Omega-8 — and checks it is counted as settled by the
+// routing-table search and not as an LP solve, in Stats and on /metrics
+// alike.
+func TestMultiSearchCounted(t *testing.T) {
+	inst := typedInstance(t, "omega8-chained-cuts")
+	if inst.Path != workload.BySearch {
+		t.Fatalf("instance %q is settled by %v; this test is written for the search", inst.Name, inst.Path)
+	}
+	st, scraped := driveTypedInstance(t, inst)
+	if st.MultiSearch != 1 || scraped["rsin_solver_multi_search_total"] != 1 ||
+		st.MultiLP != 0 || scraped["rsin_solver_multi_lp_total"] != 0 {
+		t.Fatalf("MultiSearch = %d (scraped %d), MultiLP = %d (scraped %d), want 1 and 0 (the one bound-missing cycle, searched): %+v",
+			st.MultiSearch, scraped["rsin_solver_multi_search_total"], st.MultiLP, scraped["rsin_solver_multi_lp_total"], st)
+	}
+}
+
+// TestMultiLPCounted drives one typed epoch that misses the combinatorial
+// bound on a fabric with no routing table through the service and checks
+// it is counted as an LP solve, in Stats and on /metrics alike. The
+// instance is workload.AdversarialTyped's Omega-8 with six extra stages.
+func TestMultiLPCounted(t *testing.T) {
+	inst := typedInstance(t, "omega+6-8-no-table")
+	if inst.Path != workload.ByLP {
+		t.Fatalf("instance %q is settled by %v; this test is written for the LP", inst.Name, inst.Path)
+	}
+	st, scraped := driveTypedInstance(t, inst)
+	if st.MultiLP != 1 || scraped["rsin_solver_multi_lp_total"] != 1 ||
+		st.MultiSearch != 0 || scraped["rsin_solver_multi_search_total"] != 0 {
+		t.Fatalf("MultiLP = %d (scraped %d), MultiSearch = %d (scraped %d), want 1 and 0 (the one bound-missing cycle): %+v",
+			st.MultiLP, scraped["rsin_solver_multi_lp_total"], st.MultiSearch, scraped["rsin_solver_multi_search_total"], st)
 	}
 }

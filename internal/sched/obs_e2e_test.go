@@ -111,6 +111,7 @@ var goldenMetricNames = []string{
 	"rsin_solver_multi_greedy_total",
 	"rsin_solver_multi_lp_total",
 	"rsin_solver_multi_retries_total",
+	"rsin_solver_multi_search_total",
 	"rsin_solver_node_visits_total",
 	"rsin_solver_phases_total",
 	"rsin_solver_warm_arcs_touched_total",

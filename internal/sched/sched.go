@@ -183,14 +183,17 @@ type Stats struct {
 	// walked back (releases, severs) and FastPaths the grants resolved by
 	// the combinatorial routing fast path (the last three MaxFlow only).
 	//
-	// The Multi five move under the typed solver. MultiFastPath counts
+	// The Multi six move under the typed solver. MultiFastPath counts
 	// cycles committed as certified optimal: sequential per-type max-flow
-	// met the combinatorial upper bound (the common case, no LP solved), or
-	// on a bound miss the LP relaxation was certified integral. MultiLP
-	// counts the bound misses — cycles that went on to the dense LP,
-	// whatever it then certified — so the typed tail is the MultiLP share
-	// of cycles times the LP's cost. MultiGreedy counts cycles served by the
-	// sequential greedy decomposition after both failed. MultiRetries is the
+	// met the combinatorial upper bound (the common case, no LP solved), on
+	// a bound miss the routing-table search proved its schedule optimal, or
+	// the LP relaxation was certified integral. MultiSearch counts the
+	// bound misses the search settled, MultiLP the ones it could not (a
+	// fabric with no routing table, or a search out of nodes) — cycles that
+	// went on to the dense LP, whatever it then certified — so the typed
+	// tail is the MultiLP share of cycles times the LP's cost. MultiGreedy
+	// counts cycles served by the sequential greedy decomposition after the
+	// LP was not certified. MultiRetries is the
 	// extra commodity orderings tried, on either path, and MultiGapUnits the
 	// integral allocations left versus the tightest bound computed, summed
 	// over the cycles (zero on every certified cycle).
@@ -239,6 +242,7 @@ var statsTable = []struct {
 	{"rsin_solver_warm_retractions_total", false, func(st *Stats) any { return &st.Retractions }},
 	{"rsin_solver_fast_paths_total", false, func(st *Stats) any { return &st.FastPaths }},
 	{"rsin_solver_multi_fast_path_total", false, func(st *Stats) any { return &st.MultiFastPath }},
+	{"rsin_solver_multi_search_total", false, func(st *Stats) any { return &st.MultiSearch }},
 	{"rsin_solver_multi_lp_total", false, func(st *Stats) any { return &st.MultiLP }},
 	{"rsin_solver_multi_greedy_total", false, func(st *Stats) any { return &st.MultiGreedy }},
 	{"rsin_solver_multi_retries_total", false, func(st *Stats) any { return &st.MultiRetries }},

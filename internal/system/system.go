@@ -394,8 +394,8 @@ func (s *System) solveMinCost(reqs []core.Request, avail []core.Avail) (*core.Ma
 	return s.planner.ScheduleMinCostIncremental(s.net, reqs, avail)
 }
 
-// solveTyped is bound first, LP last, on the planner's typed arena; a
-// mapping is a pure function of this cycle's inputs
+// solveTyped is bound first, search next, LP last, on the planner's
+// typed arena; a mapping is a pure function of this cycle's inputs
 // (core.Planner.ScheduleHetero).
 func (s *System) solveTyped(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
 	return s.planner.ScheduleHetero(s.net, reqs, avail, s.cfg.Hetero)
