@@ -676,7 +676,7 @@ func BenchmarkWarmVsColdEpochSolve(b *testing.B) {
 			if warmStart {
 				m, err = p.ScheduleIncremental(net, reqs, avail)
 			} else {
-				m, err = p.ScheduleMaxFlow(net, reqs, avail)
+				m, err = core.ScheduleMaxFlow(net, reqs, avail)
 			}
 			if err != nil {
 				b.Fatal(err)

@@ -34,6 +34,7 @@ import (
 	"rsin/internal/graph"
 	"rsin/internal/maxflow"
 	"rsin/internal/mincost"
+	"rsin/internal/multiflow"
 	"rsin/internal/netsimplex"
 	"rsin/internal/topology"
 )
@@ -120,16 +121,18 @@ func (m *Mapping) Apply(net *topology.Network) error {
 
 // Transform is a flow network produced from an MRSIN plus the bookkeeping
 // needed to turn a flow assignment back into circuits. It realizes
-// Transformations 1 and 2 and the per-commodity layers of §III-D.
+// Transformations 1 and 2 (one commodity) and the per-type layers of
+// §III-D (one commodity per requested resource type); see build.
 type Transform struct {
-	G *graph.Network
+	G  *graph.Network
+	F0 int64 // required flow value (Transformation 2), 0 otherwise
 
-	net      *topology.Network
-	arcLink  []int           // arc index -> topology link ID, or -1 for s/t/bypass arcs
-	reqOfArc map[int]Request // source-arc index -> request
-	resOfArc map[int]int     // sink-arc index -> resource
-	bypass   int             // bypass node, or -1
-	F0       int64           // required flow value (Transformation 2), 0 otherwise
+	reqs    []Request             // request arc i carries reqs[i]
+	res     []int                 // resource arc len(reqs)+i leaves resource res[i]
+	arcLink []int                 // arc index -> topology link ID, or -1 for s/t/bypass arcs
+	comms   []multiflow.Commodity // commodity c's source, sink and demand
+	types   []int                 // types[c]: the resource type of commodity c (typed builds)
+	bypass  []int                 // bypass[c]: commodity c's bypass node (priced builds)
 }
 
 // Transform1 performs Transformation 1 (§III-B): nodes for requesting
@@ -138,7 +141,7 @@ type Transform struct {
 // resource. Occupied links, idle processors and busy resources are omitted,
 // implementing steps (T3)-(T4).
 func Transform1(net *topology.Network, reqs []Request, avail []Avail) *Transform {
-	return transform(net, reqs, avail, false)
+	return build(net, reqs, avail, false, false, true)
 }
 
 // Transform2 performs Transformation 2 (§III-C): Transformation 1 plus a
@@ -160,15 +163,45 @@ func Transform1(net *topology.Network, reqs []Request, avail []Avail) *Transform
 // legally return equal-cost mappings that ignored priority entirely.
 // TestPriorityPricingFixture pins the divergence.
 func Transform2(net *topology.Network, reqs []Request, avail []Avail) *Transform {
-	return transform(net, reqs, avail, true)
+	return build(net, reqs, avail, false, true, true)
 }
 
-func transform(net *topology.Network, reqs []Request, avail []Avail, priced bool) *Transform {
-	// Node numbering: 0 = source, 1 = sink, 2..2+boxes-1 = switchboxes,
-	// then one node per requesting processor and per free resource, then
-	// the bypass (Transformation 2 only).
+// build lays Transformation 1 — and with priced, Transformation 2 — over
+// the fabric once per commodity. Untyped there is one commodity and
+// request and resource types are ignored; typed there is one per
+// requested resource type, in ascending type order, sharing the link
+// graph (§III-D), and a free resource of a type nobody requested gets no
+// resource arc ((T4) would prune it). Every commodity is priced alike:
+// y_max, q_max and the bypass base are the whole instance's. Node names
+// and arc labels are formatted only when labels is set: the solvers never
+// read them, the offline readers (DIMACS export, E13, placement, DOT) do.
+//
+// Nodes: commodity 0's source and sink (0 and 1), the switchboxes, one
+// node per requesting processor and per free resource, then per
+// commodity its source and sink (commodity 0's excepted) and, priced, its
+// bypass. Arcs: request arcs in reqs order, resource arcs in avail order,
+// one arc per free usable link whose endpoints exist, then, priced, one
+// bypass arc per request and one bypass sink arc per commodity. A
+// one-commodity build is thus Transformation 1 or 2 node for node and arc
+// for arc.
+func build(net *topology.Network, reqs []Request, avail []Avail, typed, priced, labels bool) *Transform {
+	types := []int{0}
+	if typed {
+		types = types[:0]
+		for _, r := range reqs {
+			types = append(types, r.Type)
+		}
+		slices.Sort(types)
+		types = slices.Compact(types)
+	}
+	commOf := func(t int) (int, bool) {
+		if !typed {
+			return 0, true
+		}
+		return slices.BinarySearch(types, t)
+	}
+
 	nBoxes := len(net.Boxes)
-	boxNode := func(b int) int { return 2 + b }
 	n := 2 + nBoxes
 	procNode := make(map[int]int, len(reqs))
 	for _, r := range reqs {
@@ -186,72 +219,91 @@ func transform(net *topology.Network, reqs []Request, avail []Avail, priced bool
 		resNode[a.Res] = n
 		n++
 	}
-	bypass := -1
-	if priced {
-		bypass = n
-		n++
+	tr := &Transform{
+		reqs:  slices.Clone(reqs),
+		comms: make([]multiflow.Commodity, len(types)),
+		types: types,
+	}
+	for c := range tr.comms {
+		src, sink := 0, 1
+		if c > 0 {
+			src, sink = n, n+1
+			n += 2
+		}
+		tr.comms[c].Source, tr.comms[c].Sink = src, sink
+		if priced {
+			tr.bypass = append(tr.bypass, n)
+			n++
+		}
 	}
 
 	g := graph.New(n, 0, 1)
-	g.SetName(0, "s")
-	g.SetName(1, "t")
-	for b := 0; b < nBoxes; b++ {
-		g.SetName(boxNode(b), fmt.Sprintf("x%d", b))
-	}
-	for p, v := range procNode {
-		g.SetName(v, fmt.Sprintf("p%d", p))
-	}
-	for r, v := range resNode {
-		g.SetName(v, fmt.Sprintf("r%d", r))
-	}
-	if bypass >= 0 {
-		g.SetName(bypass, "u")
+	tr.G = g
+	if labels {
+		for b := 0; b < nBoxes; b++ {
+			g.SetName(2+b, fmt.Sprintf("x%d", b))
+		}
+		for p, v := range procNode {
+			g.SetName(v, fmt.Sprintf("p%d", p))
+		}
+		for r, v := range resNode {
+			g.SetName(v, fmt.Sprintf("r%d", r))
+		}
+		for c, cm := range tr.comms {
+			suffix := ""
+			if typed {
+				suffix = fmt.Sprint(types[c])
+			}
+			g.SetName(cm.Source, "s"+suffix)
+			g.SetName(cm.Sink, "t"+suffix)
+			if priced {
+				g.SetName(tr.bypass[c], "u"+suffix)
+			}
+		}
 	}
 
-	tr := &Transform{
-		G:        g,
-		net:      net,
-		reqOfArc: make(map[int]Request),
-		resOfArc: make(map[int]int),
-		bypass:   bypass,
+	nArcs := len(reqs) + len(avail) + len(net.Links)
+	if priced {
+		nArcs += len(reqs) + len(types)
+	}
+	tr.arcLink = make([]int, 0, nArcs)
+	// addArc adds one arc with its arcLink entry (link: the topology link
+	// it stands for, -1 for request, resource and bypass arcs) and, with
+	// labels, its label format(i).
+	addArc := func(from, to int, capacity, cost int64, link int, format string, i int) int {
+		id := g.AddArc(from, to, capacity, cost)
+		if labels {
+			g.Arcs[id].Label = fmt.Sprintf(format, i)
+		}
+		tr.arcLink = append(tr.arcLink, link)
+		return id
 	}
 
-	var yMax, qMax int64
+	// cost prices a request arc (bound y_max, level y_p) or a resource arc
+	// (q_max, q_w); unpriced, every arc is cost-free.
+	yMax, qMax := maxPriorityPreference(reqs, avail)
+	cost := func(bound, level int64) int64 {
+		if !priced {
+			return 0
+		}
+		return bound - level
+	}
+	// (T2)/(T3): request arcs S = {(s_c, p)}.
 	for _, r := range reqs {
-		if r.Priority > yMax {
-			yMax = r.Priority
-		}
+		c, _ := commOf(r.Type)
+		tr.comms[c].Demand++
+		addArc(tr.comms[c].Source, procNode[r.Proc], 1, cost(yMax, r.Priority), -1, "req p%d", r.Proc)
 	}
+	// Resource arcs T = {(r, t_c)}.
 	for _, a := range avail {
-		if a.Preference > qMax {
-			qMax = a.Preference
+		c, ok := commOf(a.Type)
+		if !ok {
+			continue
 		}
-	}
-	bypassBase := bypassBaseCost(yMax, qMax)
-
-	// (T2)/(T3): request arcs S = {(s, p)}.
-	for _, r := range reqs {
-		cost := int64(0)
-		if priced {
-			cost = yMax - r.Priority
-		}
-		id := g.AddLabeledArc(0, procNode[r.Proc], 1, cost, fmt.Sprintf("req p%d", r.Proc))
-		tr.reqOfArc[id] = r
-	}
-	// Resource arcs T = {(r, t)}.
-	for _, a := range avail {
-		cost := int64(0)
-		if priced {
-			cost = qMax - a.Preference
-		}
-		id := g.AddLabeledArc(resNode[a.Res], 1, 1, cost, fmt.Sprintf("res r%d", a.Res))
-		tr.resOfArc[id] = a.Res
+		addArc(resNode[a.Res], tr.comms[c].Sink, 1, cost(qMax, a.Preference), -1, "res r%d", a.Res)
+		tr.res = append(tr.res, a.Res)
 	}
 	// Link arcs B: one per free link whose endpoints exist in the node set.
-	tr.arcLink = make([]int, len(g.Arcs))
-	for i := range tr.arcLink {
-		tr.arcLink[i] = -1
-	}
 	nodeOf := func(e topology.Endpoint) (int, bool) {
 		switch e.Kind {
 		case topology.KindProcessor:
@@ -261,7 +313,7 @@ func transform(net *topology.Network, reqs []Request, avail []Avail, priced bool
 			v, ok := resNode[e.Index]
 			return v, ok
 		default:
-			return boxNode(e.Index), true
+			return 2 + e.Index, true
 		}
 	}
 	for _, l := range net.Links {
@@ -280,24 +332,24 @@ func transform(net *topology.Network, reqs []Request, avail []Avail, priced bool
 		if !ok1 || !ok2 {
 			continue // idle processor or busy resource endpoint
 		}
-		id := g.AddLabeledArc(from, to, 1, 0, fmt.Sprintf("link%d", l.ID))
-		for len(tr.arcLink) < len(g.Arcs) {
-			tr.arcLink = append(tr.arcLink, -1)
-		}
-		tr.arcLink[id] = l.ID
+		addArc(from, to, 1, 0, l.ID, "link%d", l.ID)
 	}
-	// Bypass arcs L (Transformation 2 only): leaving request p unserved
+	// Bypass arcs L (Transformation 2): leaving request p unserved
 	// forfeits its priority on top of the constant base, so the objective
 	// discriminates between requests (see Transform2).
 	if priced {
+		base := bypassBaseCost(yMax, qMax)
 		for _, r := range reqs {
-			g.AddLabeledArc(procNode[r.Proc], bypass, 1, bypassBase+r.Priority, fmt.Sprintf("bypass p%d", r.Proc))
+			c, _ := commOf(r.Type)
+			addArc(procNode[r.Proc], tr.bypass[c], 1, base+r.Priority, -1, "bypass p%d", r.Proc)
 		}
-		g.AddLabeledArc(bypass, 1, int64(len(reqs)), 0, "bypass sink")
+		for c, cm := range tr.comms {
+			id := addArc(tr.bypass[c], cm.Sink, cm.Demand, 0, -1, "bypass sink %d", types[c])
+			if labels && !typed {
+				g.Arcs[id].Label = "bypass sink"
+			}
+		}
 		tr.F0 = int64(len(reqs))
-	}
-	for len(tr.arcLink) < len(g.Arcs) {
-		tr.arcLink = append(tr.arcLink, -1)
 	}
 	return tr
 }
@@ -307,67 +359,94 @@ func transform(net *topology.Network, reqs []Request, avail []Avail, priced bool
 // bypass becomes a circuit (Theorem 2). Requests whose flow is absent or
 // routed through the bypass node are reported blocked.
 func (tr *Transform) MappingFromFlow() (*Mapping, error) {
-	paths, err := tr.G.DecomposePaths()
-	if err != nil {
+	if err := tr.G.CheckLegal(); err != nil {
 		return nil, fmt.Errorf("core: decoding flow: %w", err)
 	}
-	m := &Mapping{Cost: tr.G.Cost()}
-	allocated := make(map[int]bool) // processors allocated
-	for _, p := range paths {
-		if p.Amt != 1 {
-			// Bypass sink arc can carry more than one unit; such a path
-			// represents several blocked requests only when it crosses the
-			// bypass. Unit decomposition of everything else is guaranteed
-			// by unit capacities.
-			if !tr.crossesBypass(p) {
-				return nil, fmt.Errorf("core: non-unit flow path (amount %d) outside bypass", p.Amt)
-			}
-		}
-		if tr.crossesBypass(p) {
-			continue // blocked request(s); collected below
-		}
-		req, ok := tr.reqOfArc[p.Arcs[0]]
-		if !ok {
-			return nil, fmt.Errorf("core: path does not start with a request arc")
-		}
-		res, ok := tr.resOfArc[p.Arcs[len(p.Arcs)-1]]
-		if !ok {
-			return nil, fmt.Errorf("core: path does not end with a resource arc")
-		}
-		var links []int
-		for _, a := range p.Arcs[1 : len(p.Arcs)-1] {
-			lid := tr.arcLink[a]
-			if lid < 0 {
-				return nil, fmt.Errorf("core: interior path arc %d has no link", a)
-			}
-			links = append(links, lid)
-		}
-		m.Assigned = append(m.Assigned, Assignment{
-			Req:     req,
-			Res:     res,
-			Circuit: topology.Circuit{Proc: req.Proc, Res: res, Links: links},
-		})
-		allocated[req.Proc] = true
+	flow := make([]int64, len(tr.G.Arcs))
+	for i := range flow {
+		flow[i] = tr.G.Arcs[i].Flow
 	}
-	for _, req := range tr.reqOfArc {
-		if !allocated[req.Proc] {
-			m.Blocked = append(m.Blocked, req)
+	return tr.decode([][]int64{flow}, tr.G.Cost())
+}
+
+// decode turns integral per-commodity flow into a Mapping with the given
+// cost; flow[c][e] is commodity c's flow on arc e, consumed by the walk.
+// Every unit leaving a commodity's source is walked to its sink, each
+// step along the first arc out that still carries flow: a unit through
+// the commodity's bypass is a blocked request, any other one circuit.
+// A unit that cannot reach its sink is an error, never a dropped request.
+func (tr *Transform) decode(flow [][]int64, cost int64) (*Mapping, error) {
+	g := tr.G
+	m := &Mapping{Cost: cost}
+	served := make([]bool, len(tr.reqs))
+	var arcs []int
+	for c, cm := range tr.comms {
+		rem := flow[c]
+		for _, first := range g.Out(cm.Source) {
+			for rem[first] > 0 {
+				arcs = arcs[:0]
+				for id := first; ; {
+					arcs = append(arcs, id)
+					rem[id]--
+					v := g.Arcs[id].To
+					if v == cm.Sink {
+						break
+					}
+					id = -1
+					for _, out := range g.Out(v) {
+						if rem[out] > 0 {
+							id = out
+							break
+						}
+					}
+					if id < 0 {
+						return nil, fmt.Errorf("core: commodity %d: a flow unit stops at node %s", c, g.Name(v))
+					}
+				}
+				if err := tr.decodeUnit(m, served, c, arcs); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for i, r := range tr.reqs {
+		if !served[i] {
+			m.Blocked = append(m.Blocked, r)
 		}
 	}
 	sortMapping(m)
 	return m, nil
 }
 
-func (tr *Transform) crossesBypass(p graph.Path) bool {
-	if tr.bypass < 0 {
-		return false
+// decodeUnit records one walked unit of commodity c: request arc first,
+// then the bypass (blocked: nothing to record) or link arcs up to a
+// resource arc (one assignment).
+func (tr *Transform) decodeUnit(m *Mapping, served []bool, c int, arcs []int) error {
+	if len(arcs) < 2 || arcs[0] >= len(tr.reqs) {
+		return fmt.Errorf("core: commodity %d path does not start with a request arc", c)
 	}
-	for _, n := range p.Nodes(tr.G) {
-		if n == tr.bypass {
-			return true
+	if len(tr.bypass) > 0 && tr.G.Arcs[arcs[1]].To == tr.bypass[c] {
+		return nil
+	}
+	req := tr.reqs[arcs[0]]
+	last := arcs[len(arcs)-1] - len(tr.reqs)
+	if last < 0 || last >= len(tr.res) {
+		return fmt.Errorf("core: commodity %d path does not end with a resource arc", c)
+	}
+	links := make([]int, 0, len(arcs)-2)
+	for _, a := range arcs[1 : len(arcs)-1] {
+		if tr.arcLink[a] < 0 {
+			return fmt.Errorf("core: commodity %d interior path arc %d has no link", c, a)
 		}
+		links = append(links, tr.arcLink[a])
 	}
-	return false
+	m.Assigned = append(m.Assigned, Assignment{
+		Req:     req,
+		Res:     tr.res[last],
+		Circuit: topology.Circuit{Proc: req.Proc, Res: tr.res[last], Links: links},
+	})
+	served[arcs[0]] = true
+	return nil
 }
 
 // sortMapping orders assignments and blocked requests by processor for
@@ -383,19 +462,30 @@ func sortMapping(m *Mapping) {
 // number of resources (§III-B). Priorities, preferences and types on the
 // inputs are ignored.
 func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
-	var p Planner
-	return p.ScheduleMaxFlow(net, reqs, avail)
+	tr := build(net, reqs, avail, false, false, false)
+	res := maxflow.Dinic(tr.G)
+	m, err := tr.MappingFromFlow()
+	if err != nil {
+		return nil, err
+	}
+	m.Ops = OpCounts{
+		Augmentations: res.Ops.Augmentations,
+		Phases:        res.Ops.Phases,
+		ArcScans:      res.Ops.ArcScans,
+		NodeVisits:    res.Ops.NodeVisits,
+	}
+	m.Solve = SolveStats{Cold: true}
+	return m, nil
 }
 
 // Planner is a reusable scheduling workspace for hot paths that solve one
 // flow problem per cycle for the lifetime of a system (internal/system,
-// internal/sched). ScheduleMaxFlow recycles the residual arena of the
-// cold solver between cycles; ScheduleIncremental goes further and keeps
-// the previous epoch's residual/flow state itself, applying per-epoch
-// deltas instead of rebuilding; ScheduleHetero reuses one whole-fabric
-// arena's memory (never its flow) for every typed epoch. The zero value is
-// ready to use. A Planner
-// is not safe for concurrent use; give each scheduling shard its own.
+// internal/sched). ScheduleIncremental keeps the previous epoch's
+// residual/flow state itself, applying per-epoch deltas instead of
+// rebuilding; ScheduleMinCostIncremental keeps a warm simplex basis;
+// ScheduleHetero reuses one whole-fabric arena's memory (never its flow)
+// for every typed epoch. The zero value is ready to use. A Planner is not
+// safe for concurrent use; give each scheduling shard its own.
 //
 // The warm methods (ScheduleIncremental, ScheduleMinCostIncremental and a
 // bound-certified ScheduleHetero) decode each circuit into the planner's
@@ -407,30 +497,9 @@ func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Map
 // copy the links it keeps before the next solve: otherwise they change
 // under it, and a later Release or ForceRelease frees the wrong links.
 type Planner struct {
-	buf maxflow.Buffers
 	inc *incState   // warm-start arena; nil until the first incremental solve
 	mc  *mcState    // min-cost warm-basis arena; nil until the first prioritized solve
 	ty  *typedState // typed-epoch arena; nil until the first heterogeneous solve
-}
-
-// ScheduleMaxFlow is the package-level ScheduleMaxFlow computed with the
-// planner's recycled solver buffers.
-func (p *Planner) ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
-	tr := Transform1(net, reqs, avail)
-	res := p.buf.Dinic(tr.G)
-	m, err := tr.MappingFromFlow()
-	if err != nil {
-		return nil, err
-	}
-	m.Ops = OpCounts{
-		Augmentations: res.Ops.Augmentations,
-		Phases:        res.Ops.Phases,
-		ArcScans:      res.Ops.ArcScans,
-		NodeVisits:    res.Ops.NodeVisits,
-	}
-	m.Cost = 0
-	m.Solve = SolveStats{Cold: true}
-	return m, nil
 }
 
 // ScheduleMinCost computes the optimal mapping for a homogeneous MRSIN with
@@ -439,66 +508,38 @@ func (p *Planner) ScheduleMaxFlow(net *topology.Network, reqs []Request, avail [
 // minimum total cost (y_max - y_p summed over allocated requests plus
 // q_max - q_w over chosen resources) is selected.
 func ScheduleMinCost(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
-	if len(reqs) == 0 {
-		return &Mapping{}, nil
-	}
-	tr := Transform2(net, reqs, avail)
-	res, err := mincost.SuccessiveShortestPaths(tr.G, tr.F0)
-	if err != nil {
-		// Cannot happen: the bypass guarantees feasibility (Theorem 3).
-		return nil, fmt.Errorf("core: min-cost scheduling: %w", err)
-	}
-	m, merr := tr.MappingFromFlow()
-	if merr != nil {
-		return nil, merr
-	}
-	m.Ops = OpCounts{
-		Augmentations: res.Ops.Augmentations,
-		ArcScans:      res.Ops.ArcScans,
-		NodeVisits:    res.Ops.NodeVisits,
-	}
-	return m, nil
+	return scheduleMinCost(net, reqs, avail, mincost.SuccessiveShortestPaths)
 }
 
 // ScheduleMinCostNetworkSimplex is ScheduleMinCost solved with the primal
 // network simplex method; results are equivalent in allocation count and
 // cost (all three min-cost engines are optimal).
 func ScheduleMinCostNetworkSimplex(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
-	if len(reqs) == 0 {
-		return &Mapping{}, nil
-	}
-	tr := Transform2(net, reqs, avail)
-	res, err := netsimplex.MinCostFlow(tr.G, tr.F0)
-	if err != nil {
-		return nil, fmt.Errorf("core: network-simplex scheduling: %w", err)
-	}
-	m, merr := tr.MappingFromFlow()
-	if merr != nil {
-		return nil, merr
-	}
-	m.Ops = OpCounts{
-		Augmentations: res.Ops.Augmentations,
-		ArcScans:      res.Ops.ArcScans,
-		NodeVisits:    res.Ops.NodeVisits,
-	}
-	return m, nil
+	return scheduleMinCost(net, reqs, avail, netsimplex.MinCostFlow)
 }
 
 // ScheduleMinCostOutOfKilter is ScheduleMinCost solved with Fulkerson's
 // out-of-kilter algorithm instead of successive shortest paths; results are
 // equivalent in allocation count and cost (both optimal).
 func ScheduleMinCostOutOfKilter(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
+	return scheduleMinCost(net, reqs, avail, mincost.OutOfKilter)
+}
+
+// scheduleMinCost is the body of the three ScheduleMinCost engines:
+// Transformation 2, a minimum-cost flow of value F0 by solve, the decode.
+func scheduleMinCost(net *topology.Network, reqs []Request, avail []Avail, solve func(*graph.Network, int64) (mincost.Result, error)) (*Mapping, error) {
 	if len(reqs) == 0 {
 		return &Mapping{}, nil
 	}
-	tr := Transform2(net, reqs, avail)
-	res, err := mincost.OutOfKilter(tr.G, tr.F0)
+	tr := build(net, reqs, avail, false, true, false)
+	res, err := solve(tr.G, tr.F0)
 	if err != nil {
-		return nil, fmt.Errorf("core: out-of-kilter scheduling: %w", err)
+		// Cannot happen: the bypass guarantees feasibility (Theorem 3).
+		return nil, fmt.Errorf("core: min-cost scheduling: %w", err)
 	}
-	m, merr := tr.MappingFromFlow()
-	if merr != nil {
-		return nil, merr
+	m, err := tr.MappingFromFlow()
+	if err != nil {
+		return nil, err
 	}
 	m.Ops = OpCounts{
 		Augmentations: res.Ops.Augmentations,

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"rsin/internal/maxflow"
 	"rsin/internal/topology"
 )
 
@@ -378,6 +380,47 @@ func TestTransform1Structure(t *testing.T) {
 			t.Fatalf("Transformation 1 must be cost-free, got %d", a.Cost)
 		}
 	}
+	// One builder: the unpriced multicommodity build of a one-type
+	// instance is Transformation 1.
+	sameArcs(t, tr, build(net, withType(reqs, 3), withAvailType(avail, 3), true, false, false))
+}
+
+// withType and withAvailType give every request or resource type typ.
+func withType(reqs []Request, typ int) []Request {
+	out := slices.Clone(reqs)
+	for i := range out {
+		out[i].Type = typ
+	}
+	return out
+}
+
+func withAvailType(avail []Avail, typ int) []Avail {
+	out := slices.Clone(avail)
+	for i := range out {
+		out[i].Type = typ
+	}
+	return out
+}
+
+// sameArcs holds a typed one-commodity build to the Transformation it
+// must reproduce: the same nodes, and arc for arc the same endpoints,
+// capacity, cost and topology link.
+func sameArcs(t *testing.T, want, got *Transform) {
+	t.Helper()
+	if got.G.NumNodes() != want.G.NumNodes() || len(got.G.Arcs) != len(want.G.Arcs) {
+		t.Fatalf("typed build: %d nodes, %d arcs; want %d, %d",
+			got.G.NumNodes(), len(got.G.Arcs), want.G.NumNodes(), len(want.G.Arcs))
+	}
+	if len(got.comms) != 1 || got.comms[0].Source != 0 || got.comms[0].Sink != 1 {
+		t.Fatalf("typed build: commodities %+v, want one from node 0 to node 1", got.comms)
+	}
+	for i, w := range want.G.Arcs {
+		g := got.G.Arcs[i]
+		if g.From != w.From || g.To != w.To || g.Cap != w.Cap || g.Cost != w.Cost || got.arcLink[i] != want.arcLink[i] {
+			t.Fatalf("arc %d (%s): typed build %d->%d cap %d cost %d link %d, want %d->%d cap %d cost %d link %d",
+				i, w.Label, g.From, g.To, g.Cap, g.Cost, got.arcLink[i], w.From, w.To, w.Cap, w.Cost, want.arcLink[i])
+		}
+	}
 }
 
 func TestTransform2Structure(t *testing.T) {
@@ -429,6 +472,30 @@ func TestTransform2Structure(t *testing.T) {
 			}
 		}
 	}
+	// One builder: the priced multicommodity build of a one-type instance
+	// is Transformation 2, bypass pricing included.
+	sameArcs(t, tr, build(net, withType(reqs, 1), withAvailType(avail, 1), true, true, false))
+}
+
+// TestDecodeRejectsStrandedUnit: the one decoder walks every unit that
+// leaves a commodity's source, and a unit that stops short of the sink is
+// an error — the flow is not a schedule — never a request silently
+// reported blocked. A whole unit decodes to its circuit.
+func TestDecodeRejectsStrandedUnit(t *testing.T) {
+	net := topology.Crossbar(2, 2)
+	tr := build(net, reqsFor(0, 1), availFor(0, 1), true, false, false)
+	flow := make([]int64, len(tr.G.Arcs))
+	flow[0] = 1 // p0's request arc, and nothing after it
+	if m, err := tr.decode([][]int64{flow}, 0); err == nil {
+		t.Fatalf("stranded unit decoded: %+v", m)
+	}
+	tr1 := Transform1(net, reqsFor(0, 1), availFor(0, 1))
+	maxflow.Dinic(tr1.G)
+	m, err := tr1.MappingFromFlow()
+	if err != nil || m.Allocated() != 2 || len(m.Blocked) != 0 {
+		t.Fatalf("full flow decoded to %+v, err %v", m, err)
+	}
+	checkMapping(t, net, m)
 }
 
 func TestDuplicateRequestPanics(t *testing.T) {

@@ -12,15 +12,14 @@ import (
 
 // TestDifferentialFlowEngines cross-checks every max-flow engine on ~200
 // random Transformation-1-shaped unit networks: Ford-Fulkerson,
-// Edmonds-Karp, Dinic (cold and buffered) and push-relabel must agree on
-// the flow value, and each write-back must be a legal flow of that value.
+// Edmonds-Karp, Dinic and push-relabel must agree on the flow value, and
+// each write-back must be a legal flow of that value.
 func TestDifferentialFlowEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(1986))
 	trials := 200
 	if testing.Short() {
 		trials = 50
 	}
-	var buf maxflow.Buffers
 	engines := []struct {
 		name string
 		run  func(*graph.Network) maxflow.Result
@@ -28,7 +27,6 @@ func TestDifferentialFlowEngines(t *testing.T) {
 		{"ford-fulkerson", maxflow.FordFulkerson},
 		{"edmonds-karp", maxflow.EdmondsKarp},
 		{"dinic", maxflow.Dinic},
-		{"dinic-buffered", buf.Dinic},
 		{"push-relabel", maxflow.PushRelabel},
 	}
 	for trial := 0; trial < trials; trial++ {

@@ -25,7 +25,7 @@ func incTraceTopologies(rng *rand.Rand) []*topology.Network {
 // brute-force oracle. It returns how many steps solved warm.
 func incTrace(t *testing.T, net *topology.Network, rng *rand.Rand, steps int) int {
 	t.Helper()
-	var warmPlanner, coldPlanner Planner
+	var warmPlanner Planner
 	warmSolves := 0
 
 	type standing struct{ c topology.Circuit }
@@ -110,7 +110,7 @@ func incTrace(t *testing.T, net *topology.Network, rng *rand.Rand, steps int) in
 		}
 
 		oracle := BruteForceMax(net, reqs, avail)
-		coldM, err := coldPlanner.ScheduleMaxFlow(net, reqs, avail)
+		coldM, err := ScheduleMaxFlow(net, reqs, avail)
 		if err != nil {
 			t.Fatalf("step %d: cold: %v", step, err)
 		}
@@ -292,7 +292,7 @@ func TestIncrementalFallsBackCold(t *testing.T) {
 // same trace.
 func TestIncrementalWorkBelowCold(t *testing.T) {
 	net := topology.Omega(16)
-	var warm, cold Planner
+	var warm Planner
 	warmWork, coldWork := 0, 0
 	var held []Assignment
 	for step := 0; step < 200; step++ {
@@ -319,7 +319,7 @@ func TestIncrementalWorkBelowCold(t *testing.T) {
 		if len(reqs) == 0 || len(avail) == 0 {
 			continue
 		}
-		cm, err := cold.ScheduleMaxFlow(net, reqs, avail)
+		cm, err := ScheduleMaxFlow(net, reqs, avail)
 		if err != nil {
 			t.Fatal(err)
 		}

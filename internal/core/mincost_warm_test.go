@@ -15,7 +15,10 @@ import (
 // happened to favor high priorities, the other engines legitimately did
 // not. With the per-request bypass surcharge (base + y_p), forfeiting a
 // high-priority request is strictly more expensive, and every optimal
-// engine must allocate the y=9 request on a 2x1 crossbar.
+// engine must allocate the y=9 request on a 2x1 crossbar. The priced
+// multicommodity LP of ScheduleHetero is held to the same pricing, and
+// every engine runs both orientations (y=9 on p0, then on p1), so no
+// engine passes by serving whichever processor it happens to reach last.
 func TestPriorityPricingFixture(t *testing.T) {
 	engines := []struct {
 		name string
@@ -28,20 +31,26 @@ func TestPriorityPricingFixture(t *testing.T) {
 			var p Planner
 			return p.ScheduleMinCostIncremental(n, r, a)
 		}},
+		{"hetero-priced", func(n *topology.Network, r []Request, a []Avail) (*Mapping, error) {
+			return ScheduleHetero(n, r, a, &HeteroOptions{UsePriorities: true})
+		}},
 	}
 	for _, e := range engines {
-		net := topology.Crossbar(2, 1)
-		reqs := []Request{{Proc: 0, Priority: 0}, {Proc: 1, Priority: 9}}
-		avail := []Avail{{Res: 0}}
-		m, err := e.run(net, reqs, avail)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		if len(m.Assigned) != 1 || m.Assigned[0].Req.Proc != 1 {
-			t.Fatalf("%s: assigned %+v, want the priority-9 request from proc 1", e.name, m.Assigned)
-		}
-		if got, want := WeightedValue(reqs, avail, m), BruteForceBestValue(net, reqs, avail); got != want {
-			t.Fatalf("%s: weighted value %d, brute force %d", e.name, got, want)
+		for hi := 0; hi < 2; hi++ {
+			net := topology.Crossbar(2, 1)
+			reqs := []Request{{Proc: 0}, {Proc: 1}}
+			reqs[hi].Priority = 9
+			avail := []Avail{{Res: 0}}
+			m, err := e.run(net, reqs, avail)
+			if err != nil {
+				t.Fatalf("%s, y=9 on p%d: %v", e.name, hi, err)
+			}
+			if len(m.Assigned) != 1 || m.Assigned[0].Req.Proc != hi {
+				t.Fatalf("%s: assigned %+v, want the priority-9 request from proc %d", e.name, m.Assigned, hi)
+			}
+			if got, want := WeightedValue(reqs, avail, m), BruteForceBestValue(net, reqs, avail); got != want {
+				t.Fatalf("%s, y=9 on p%d: weighted value %d, brute force %d", e.name, hi, got, want)
+			}
 		}
 	}
 }

@@ -148,7 +148,7 @@ func FuzzRoutingFallbackBoundary(f *testing.F) {
 			}
 		}
 		rng := rand.New(rand.NewSource(seed))
-		var warm, cold Planner
+		var warm Planner
 		held := map[int]topology.Circuit{}
 		heldRes := map[int]bool{}
 		reqMask := occ
@@ -167,7 +167,7 @@ func FuzzRoutingFallbackBoundary(f *testing.F) {
 			}
 			if len(reqs) > 0 && len(avail) > 0 {
 				oracle := BruteForceMax(net, reqs, avail)
-				cm, err := cold.ScheduleMaxFlow(net, reqs, avail)
+				cm, err := ScheduleMaxFlow(net, reqs, avail)
 				if err != nil {
 					t.Fatalf("epoch %d: cold: %v", epoch, err)
 				}

@@ -31,7 +31,7 @@ func runWarmColdTrace(seed int64, n, steps int) (warmColdTrace, error) {
 	var tr warmColdTrace
 	net := topology.Omega(n)
 	rng := rand.New(rand.NewSource(seed))
-	var warm, cold Planner
+	var warm Planner
 
 	var circuits []topology.Circuit
 	heldProc := make(map[int]bool)
@@ -87,7 +87,7 @@ func runWarmColdTrace(seed int64, n, steps int) (warmColdTrace, error) {
 		}
 		tr.SolvedSteps++
 
-		cm, err := cold.ScheduleMaxFlow(net, reqs, avail)
+		cm, err := ScheduleMaxFlow(net, reqs, avail)
 		if err != nil {
 			return tr, fmt.Errorf("step %d: cold: %w", step, err)
 		}

@@ -53,45 +53,3 @@ func TestCountersMonotone(t *testing.T) {
 		t.Fatalf("counters never advanced: %+v", acc)
 	}
 }
-
-// TestBuffersDinicMatchesFresh runs the buffered Dinic across many
-// differently-shaped networks through one Buffers instance and checks each
-// result against a cold Dinic run: same value, legal written-back flow.
-func TestBuffersDinicMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var buf Buffers
-	for i := 0; i < 50; i++ {
-		stages := 2 + rng.Intn(3)
-		width := 2 + rng.Intn(7)
-		g := testutil.RandomUnitNetwork(rng, stages, width, 0.2+0.6*rng.Float64())
-		cold := Dinic(g.Clone())
-		warm := buf.Dinic(g)
-		if warm.Value != cold.Value {
-			t.Fatalf("instance %d: buffered value %d, fresh value %d", i, warm.Value, cold.Value)
-		}
-		if warm.Ops != cold.Ops {
-			t.Fatalf("instance %d: buffered ops %+v, fresh ops %+v", i, warm.Ops, cold.Ops)
-		}
-		if err := g.CheckLegal(); err != nil {
-			t.Fatalf("instance %d: buffered write-back illegal: %v", i, err)
-		}
-		if g.Value() != warm.Value {
-			t.Fatalf("instance %d: written-back value %d, reported %d", i, g.Value(), warm.Value)
-		}
-	}
-}
-
-// TestBuffersShrinkGrow exercises the reset path across shrinking and
-// growing instances, where stale capacity reuse bugs would show.
-func TestBuffersShrinkGrow(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var buf Buffers
-	for _, width := range []int{12, 2, 9, 3, 16, 1, 16} {
-		g := testutil.RandomUnitNetwork(rng, 3, width, 0.5)
-		cold := Dinic(g.Clone())
-		warm := buf.Dinic(g)
-		if warm.Value != cold.Value {
-			t.Fatalf("width %d: buffered value %d, fresh value %d", width, warm.Value, cold.Value)
-		}
-	}
-}

@@ -56,21 +56,18 @@ type residual struct {
 // arcs returns node v's residual adjacency as a contiguous CSR slice.
 func (r *residual) arcs(v int) []int32 { return r.adj[r.off[v]:r.off[v+1]] }
 
-// reset rebuilds the residual for g, reusing the backing arrays from any
-// previous computation, so a warm residual builds without allocating on
-// the hot path of repeated scheduling cycles. The CSR arrays are filled
-// with the classic two-pass counting sort: degree count, prefix sum,
-// scatter.
-func (r *residual) reset(g *graph.Network) {
-	r.g = g
+// newResidual builds the residual of g's current flow. The CSR arrays
+// are filled with the classic two-pass counting sort: degree count,
+// prefix sum, scatter.
+func newResidual(g *graph.Network) *residual {
 	m := 2 * len(g.Arcs)
-	r.to = growInts(r.to, m)
-	r.cap = growInt64s(r.cap, m)
 	n := g.NumNodes()
-	r.off = growInt32s(r.off, n+1)
-	r.adj = growInt32s(r.adj, m)
-	for i := range r.off {
-		r.off[i] = 0
+	r := &residual{
+		g:   g,
+		to:  make([]int, m),
+		cap: make([]int64, m),
+		off: make([]int32, n+1),
+		adj: make([]int32, m),
 	}
 	for i := range g.Arcs {
 		a := &g.Arcs[i]
@@ -97,57 +94,7 @@ func (r *residual) reset(g *graph.Network) {
 		r.off[v] = r.off[v-1]
 	}
 	r.off[0] = 0
-}
-
-func newResidual(g *graph.Network) *residual {
-	r := &residual{}
-	r.reset(g)
 	return r
-}
-
-// growInts returns s resized to length n, reusing its backing array when
-// large enough.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growInt64s(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// Buffers is a reusable workspace for repeated max-flow computations. The
-// zero value is ready to use; each call recycles the residual arrays and
-// search scratch of the previous call, so a long-lived solver (one per
-// scheduling shard, say) runs the per-cycle flow solve without rebuilding
-// its arena. Buffers is not safe for concurrent use; give each goroutine
-// its own.
-type Buffers struct {
-	r     residual
-	level []int
-	iter  []int
-}
-
-// Dinic computes a maximum flow like the package-level Dinic, reusing b's
-// storage.
-func (b *Buffers) Dinic(g *graph.Network) Result {
-	b.r.reset(g)
-	n := g.NumNodes()
-	b.level = growInts(b.level, n)
-	b.iter = growInts(b.iter, n)
-	return dinic(g, &b.r, b.level, b.iter)
 }
 
 // push advances amt units of flow along residual arc id.
@@ -278,18 +225,13 @@ func EdmondsKarp(g *graph.Network) Result {
 // between constructing a layered network by BFS from the source (§IV-A,
 // Fig. 7 "first phase") and finding a maximal — not maximum — flow in that
 // layered network by depth-first search with arc retirement ("second
-// phase"). The loop ends when the sink is no longer reachable.
+// phase"). The loop ends when the sink is no longer reachable. iter[v] is
+// an absolute cursor into the residual's CSR adjacency array, so the
+// blocking-flow DFS resumes each node exactly where its last probe stopped.
 func Dinic(g *graph.Network) Result {
 	r := newResidual(g)
-	n := g.NumNodes()
-	return dinic(g, r, make([]int, n), make([]int, n))
-}
-
-// dinic is the shared Dinic body; level and iter must have length
-// g.NumNodes() (their contents are overwritten). iter[v] is an absolute
-// cursor into the residual's CSR adjacency array, so the blocking-flow
-// DFS resumes each node exactly where its last probe stopped.
-func dinic(g *graph.Network, r *residual, level, iter []int) Result {
+	level := make([]int, g.NumNodes())
+	iter := make([]int, g.NumNodes())
 	var res Result
 	res.Value = g.Value()
 

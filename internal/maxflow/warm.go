@@ -58,7 +58,7 @@ import (
 // buys.
 //
 // Warm is not safe for concurrent use; give each scheduling shard its
-// own, like Buffers.
+// own.
 type Warm struct {
 	source, sink int
 

@@ -19,9 +19,9 @@
 //     Clos plane, one resource type, one tenant...), each owned by its own
 //     shard goroutine with its own System, so independent shards schedule
 //     in parallel with zero shared state.
-//   - Buffer reuse. Each shard's System carries a core.Planner whose
-//     maxflow.Buffers recycle the residual arena between cycles, keeping
-//     the per-epoch solve allocation-light.
+//   - Warm solves. Each shard's System carries a core.Planner whose
+//     arenas keep the previous epoch's flow or basis and apply only the
+//     epoch's deltas, keeping the per-epoch solve allocation-light.
 //
 // Transmission is modeled as completing within the epoch that grants it
 // (the service calls EndTransmission on behalf of the client); the

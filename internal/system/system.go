@@ -285,7 +285,7 @@ type System struct {
 	usableCacheEpoch uint64
 	usableCacheOK    bool
 
-	planner core.Planner // recycled solver arenas (MaxFlow residuals, MinCost warm basis, typed-epoch arena)
+	planner core.Planner // warm solver arenas (max-flow residual, MinCost basis, typed-epoch arena)
 	// solve is the epoch solver New resolved the configuration into, bound
 	// to planner and net. A field rather than a method so a test can
 	// install a fake and measure cycle's own cost.
