@@ -82,13 +82,9 @@ type Mapping struct {
 	Solve SolveStats
 }
 
-// OpCounts mirrors the flow packages' counters in one shape.
-type OpCounts struct {
-	Augmentations int
-	Phases        int
-	ArcScans      int
-	NodeVisits    int
-}
+// OpCounts is the flow packages' operation counters, in maxflow's shape;
+// the min-cost engines map theirs onto it.
+type OpCounts = maxflow.Counters
 
 // Allocated reports the number of resources allocated.
 func (m *Mapping) Allocated() int { return len(m.Assigned) }
@@ -468,24 +464,20 @@ func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Map
 	if err != nil {
 		return nil, err
 	}
-	m.Ops = OpCounts{
-		Augmentations: res.Ops.Augmentations,
-		Phases:        res.Ops.Phases,
-		ArcScans:      res.Ops.ArcScans,
-		NodeVisits:    res.Ops.NodeVisits,
-	}
+	m.Ops = res.Ops
 	m.Solve = SolveStats{Cold: true}
 	return m, nil
 }
 
 // Planner is a reusable scheduling workspace for hot paths that solve one
 // flow problem per cycle for the lifetime of a system (internal/system,
-// internal/sched). ScheduleIncremental keeps the previous epoch's
-// residual/flow state itself, applying per-epoch deltas instead of
-// rebuilding; ScheduleMinCostIncremental keeps a warm simplex basis;
-// ScheduleHetero reuses one whole-fabric arena's memory (never its flow)
-// for every typed epoch. The zero value is ready to use. A Planner is not
-// safe for concurrent use; give each scheduling shard its own.
+// internal/sched). ScheduleIncremental and ScheduleHetero solve on one
+// whole-fabric arena per network, built on first use and reused by every
+// later solve of either kind: its structure, routing table and memory
+// carry over, never its flow, so their mappings are those of a fresh
+// planner. ScheduleMinCostIncremental keeps a warm simplex basis. The zero
+// value is ready to use. A Planner is not safe for concurrent use; give
+// each scheduling shard its own.
 //
 // The warm methods (ScheduleIncremental, ScheduleMinCostIncremental and a
 // bound-certified ScheduleHetero) decode each circuit into the planner's
@@ -497,9 +489,10 @@ func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Map
 // copy the links it keeps before the next solve: otherwise they change
 // under it, and a later Release or ForceRelease frees the wrong links.
 type Planner struct {
-	inc *incState   // warm-start arena; nil until the first incremental solve
-	mc  *mcState    // min-cost warm-basis arena; nil until the first prioritized solve
-	ty  *typedState // typed-epoch arena; nil until the first heterogeneous solve
+	fab *fabricArena // whole-fabric arena; nil until the first max-flow or typed solve
+	inc *incState    // max-flow solver on fab; nil until the first incremental solve
+	ty  *typedState  // typed-epoch solver on fab; nil until the first heterogeneous solve
+	mc  *mcState     // min-cost warm-basis arena; nil until the first prioritized solve
 }
 
 // ScheduleMinCost computes the optimal mapping for a homogeneous MRSIN with

@@ -142,11 +142,9 @@ func (p *Planner) ScheduleHetero(net *topology.Network, reqs []Request, avail []
 		return &Mapping{}, nil
 	}
 	if !opts.UsePriorities {
-		if !p.ty.matches(net) {
-			p.ty = newTypedState(net)
-			if p.inc.matches(net) {
-				p.ty.s.rt, p.ty.s.built = p.inc.rt, true
-			}
+		a, _ := p.arena(net)
+		if p.ty == nil {
+			p.ty = newTypedState(a)
 		}
 		m, ok, err := p.ty.solve(net, reqs, avail)
 		if err != nil {

@@ -8,26 +8,27 @@ import (
 	"rsin/internal/topology"
 )
 
-// SolveStats describes how the planner obtained a mapping: via the
-// incremental warm-start path, a full cold build, or neither (the
-// non-flow disciplines). SolveCounts folds it into the warm-vs-cold and
-// multicommodity counters of internal/system and internal/sched.
+// SolveStats describes how the planner obtained a mapping: on an arena it
+// reused, on one it built, or neither (the non-flow disciplines).
+// SolveCounts folds it into the warm-vs-cold and multicommodity counters of
+// internal/system and internal/sched.
 type SolveStats struct {
-	// Warm marks a solve served by the persistent warm-start arena:
-	// only the epoch's deltas were applied before augmenting.
+	// Warm marks a solve on an arena the planner reused: the max-flow
+	// planner's whole-fabric arena, or the MinCost planner's simplex basis.
 	Warm bool `json:"warm,omitempty"`
-	// Cold marks a full build-and-solve: either ScheduleMaxFlow's
-	// per-cycle Transformation 1, or ScheduleIncremental falling back
-	// (first call, topology change, oversized delta, divergence).
+	// Cold marks a solve that built its network: ScheduleMaxFlow's
+	// per-cycle Transformation 1, the solve that built the planner's arena
+	// (first use, another network), or a MinCost solve that could not
+	// reuse its basis.
 	Cold bool `json:"cold,omitempty"`
-	// ArcsTouched counts the arcs whose instance membership this
-	// epoch's delta sync toggled (warm solves only; a cold build
-	// touches everything and reports 0 to keep the metric a delta
-	// size).
+	// ArcsTouched counts the arcs a warm MinCost solve re-priced (a cold
+	// build touches everything and reports 0 to keep the metric a delta
+	// size). The max-flow planner enables each solve's instance afresh and
+	// reports 0.
 	ArcsTouched int `json:"arcs_touched,omitempty"`
-	// Retractions counts standing-circuit flow paths the delta sync
-	// walked back: units released by EndTransmission/EndService/Cancel
-	// or severed by hardware faults since the previous epoch.
+	// Retractions is always 0: no planner keeps flow between solves, so
+	// none walks a released circuit back. The field stays for callers
+	// that still read it.
 	Retractions int `json:"retractions,omitempty"`
 	// FastPaths counts requests granted by the combinatorial routing
 	// fast path — a candidate path from the topology's routing table
@@ -65,7 +66,7 @@ type SolveStats struct {
 // one decode of a solve's flags, behind internal/system's instruments and
 // sched.Stats alike (which documents the fields).
 type SolveCounts struct {
-	WarmSolves, ColdSolves, ArcsTouched, Retractions, FastPaths    int64
+	WarmSolves, ColdSolves, ArcsTouched, FastPaths                 int64
 	MultiFastPath, MultiSearch, MultiLP, MultiGreedy, MultiRetries int64
 	MultiGapUnits                                                  int64
 }
@@ -75,7 +76,6 @@ func (c *SolveCounts) Add(sv *SolveStats) {
 	c.WarmSolves += int64(btoi(sv.Warm))
 	c.ColdSolves += int64(btoi(sv.Cold && !sv.Warm))
 	c.ArcsTouched += int64(sv.ArcsTouched)
-	c.Retractions += int64(sv.Retractions)
 	c.FastPaths += int64(sv.FastPaths)
 	c.MultiFastPath += int64(btoi(sv.MultiFastPath))
 	c.MultiSearch += int64(btoi(sv.MultiSearch))
@@ -85,22 +85,12 @@ func (c *SolveCounts) Add(sv *SolveStats) {
 	c.MultiGapUnits += int64(sv.MultiGap)
 }
 
-// standingCircuit is a circuit granted by an earlier incremental solve
-// whose unit still stands frozen in the warm arena. The arcs are the
-// unit's full flow path (source arc, link arcs, sink arc); the links are
-// the topology link IDs of the interior, used to detect release/sever.
-type standingCircuit struct {
-	res   int
-	arcs  []int
-	links []int
-}
-
-// pathSlots is where a warm planner decodes its circuits: one fixed-width
-// slot per processor port in a single slab, so a grant allocates no path.
-// The width is one link per stage plus the processor link (NumStages()+1,
-// the longest path on every staged fabric) plus the extra arcs the caller
-// stores. A slot's capacity is capped, so a longer path on a fabric without
-// stages would only move to a slice of its own.
+// pathSlots is where a planner decodes its circuits: one fixed-width slot
+// per processor port in a single slab, so a grant allocates no path. The
+// width is one link per stage plus the processor link (NumStages()+1, the
+// longest path on every staged fabric). A slot's capacity is capped, so a
+// longer path on a fabric without stages would only move to a slice of its
+// own.
 //
 // A Mapping's Circuit.Links view the slot of the processor it serves, and
 // a slot is rewritten only when the planner grants that processor again. A
@@ -113,8 +103,8 @@ type pathSlots struct {
 	width int
 }
 
-func newPathSlots(net *topology.Network, extra int) pathSlots {
-	w := net.NumStages() + 1 + extra
+func newPathSlots(net *topology.Network) pathSlots {
+	w := net.NumStages() + 1
 	return pathSlots{slab: make([]int, net.Procs*w), width: w}
 }
 
@@ -124,126 +114,38 @@ func (ps pathSlots) slot(p int) []int {
 	return ps.slab[lo : lo : lo+ps.width]
 }
 
-// incState is the planner's persistent warm-start state: the arena, the
-// fixed arc numbering against one topology.Network, the routing table for
-// the combinatorial fast path, and the standing circuits of previous
-// epochs.
-type incState struct {
-	net   *topology.Network // identity: the fabric the arena was built for
-	epoch uint64            // fault epoch at the last sync (diagnostic)
-
-	w *maxflow.Warm
-	// Arc numbering: arc l in [0,Links) is the arc of link l — link
-	// arcs come first so the per-epoch want words below line up with
-	// whole bitset words — then arc Links+p is the source arc of
-	// processor p and arc Links+Procs+r the sink arc of resource r.
-	// Node numbering: 0 source, 1 sink, 2+b per box, 2+Boxes+p per
-	// processor, 2+Boxes+Procs+r per resource.
+// fabricArena is a planner's whole-fabric unit-capacity arena, on which
+// ScheduleIncremental and ScheduleHetero both solve: every processor,
+// resource, switchbox and link gets its node or arc once, when the planner
+// first meets the network. Neither solver keeps flow in it from one solve
+// to the next. Each solve clears the flow and enables its own instance, so
+// the structure, the routing table and the memory carry over, and the
+// mapping is a function of the fabric state and the solve's inputs alone
+// (DESIGN.md §12).
+//
+// Arc numbering: arc l in [0,Links) is the arc of link l — link arcs come
+// first so the link base lines up with whole bitset words — then arc
+// Links+p is the source arc of processor p and arc Links+Procs+r the sink
+// arc of resource r. Node numbering: 0 source, 1 sink, 2+b per box,
+// 2+Boxes+p per processor, 2+Boxes+Procs+r per resource.
+type fabricArena struct {
+	net                *topology.Network // identity: the fabric the arena was built for
 	procs, ress, links int
+	w                  *maxflow.Warm
 
-	// rt is the network's combinatorial routing table, nil when the
-	// fabric has too many paths per pair to enumerate (then every
-	// request takes the flow search).
-	rt *topology.RoutingTable
-	// pathWords[pathWordOff[j]:pathWordOff[j+1]] is routing path j's
-	// interior (link arcs only) as word-granular masks — precomputable
-	// because link arcs sit at the bottom of the arc id space, aligned
-	// with the state words. A grant-time probe ORs in the request's
-	// source and sink bits and costs a few word ops total.
-	pathWordOff []int32
-	pathWords   []maxflow.PathWord
+	// routes is the network's combinatorial routing table, built on first
+	// use (routing); nil when the fabric has too many paths per pair to
+	// enumerate.
+	routes      *topology.RoutingTable
+	routesBuilt bool
 
-	standing []standingCircuit // by processor; nil arcs = none
-	// slots holds each processor's latest decomposed path (source arc,
-	// link arcs, sink arc); standing[p] and the Mapping's circuit view it.
-	slots pathSlots
-
-	// Blocked-request certificates: after a solve with failed searches,
-	// every blocked processor shares the solve's one cut of the final
-	// retired region (maxflow.Cut). While the cut still checks out
-	// against live arena state, a repeat request from p is provably
-	// still blocked for a few word ops instead of a re-search. certGen
-	// tags which build a processor's cert came from, so one solve checks
-	// each shared cut at most once between state changes.
-	cert    []maxflow.Cut
-	hasCert []bool
-	certGen []uint64
-	cutSeq  uint64
-
-	reqMark   []bool             // scratch: processor requests this epoch
-	availMark []bool             // scratch: resource free this epoch
-	want      bitset.Bits        // scratch: per-arc desired membership this epoch
-	wordBuf   []maxflow.PathWord // scratch: fast-path candidate words
-
-	// Per-request residual-word cache: fastPath fetches each state word
-	// from the arena at most once per request (one counted ResidualWord),
-	// then tests source, sink, and candidate-path bits against the local
-	// copy for free — the same word-reuse a hardware monitor register
-	// gets. probeGen stamps the cache so invalidation is O(1) per request.
-	probeGen uint32
-	wordGen  []uint32
-	wordVal  []uint64
+	base  bitset.Bits // this solve's free and usable link arcs, read off the fabric
+	want  bitset.Bits // scratch: the arc membership of one flow step
+	slots pathSlots   // per-processor link paths the mappings' circuits view
 }
 
-func (st *incState) linkArc(l int) int { return l }
-func (st *incState) srcArc(p int) int  { return st.links + p }
-func (st *incState) snkArc(r int) int  { return st.links + st.procs + r }
-
-// resOfSnk inverts snkArc.
-func (st *incState) resOfSnk(a int) int { return a - st.links - st.procs }
-
-// newIncState builds the arena for a network: every processor, resource,
-// switchbox, and link gets its node/arc up front, all arcs disabled. The
-// per-epoch sync then toggles membership; the structure itself is never
-// rebuilt while the topology identity holds. rt is net's routing table
-// (Planner.routingTable), nil for a fabric without one.
-func newIncState(net *topology.Network, rt *topology.RoutingTable) *incState {
-	st := &incState{
-		net:       net,
-		procs:     net.Procs,
-		ress:      net.Ress,
-		links:     len(net.Links),
-		rt:        rt,
-		standing:  make([]standingCircuit, net.Procs),
-		slots:     newPathSlots(net, 2),
-		cert:      make([]maxflow.Cut, net.Procs),
-		hasCert:   make([]bool, net.Procs),
-		certGen:   make([]uint64, net.Procs),
-		reqMark:   make([]bool, net.Procs),
-		availMark: make([]bool, net.Ress),
-	}
-	st.w = newFabricArena(net)
-	st.want = make(bitset.Bits, st.w.ArcWords())
-	st.wordGen = make([]uint32, st.w.ArcWords())
-	st.wordVal = make([]uint64, st.w.ArcWords())
-	if st.rt != nil {
-		st.pathWordOff = make([]int32, 1, st.rt.NumPaths()+1)
-		for j := 0; j < st.rt.NumPaths(); j++ {
-			start := len(st.pathWords)
-			for _, lid := range st.rt.PathLinks(int32(j)) {
-				st.pathWords = appendPathBit(st.pathWords, start, st.linkArc(int(lid)))
-			}
-			st.pathWordOff = append(st.pathWordOff, int32(len(st.pathWords)))
-		}
-	}
-	return st
-}
-
-// routingTable returns net's routing table (nil for a fabric with too many
-// paths per pair): the one the planner's typed arena already built for net,
-// else a new one. One table serves both arenas of a planner.
-func (p *Planner) routingTable(net *topology.Network) *topology.RoutingTable {
-	if p.ty.matches(net) && p.ty.s.built {
-		return p.ty.s.rt
-	}
-	return topology.NewRoutingTable(net)
-}
-
-// newFabricArena builds the unit-capacity arena over a whole fabric in the
-// numbering incState documents (link arcs first, then one source arc per
-// processor and one sink arc per resource), every arc disabled. The warm
-// max-flow planner and the typed epoch solver both solve on this shape.
-func newFabricArena(net *topology.Network) *maxflow.Warm {
+// newFabricArena builds the arena for a network, every arc disabled.
+func newFabricArena(net *topology.Network) *fabricArena {
 	nBoxes := len(net.Boxes)
 	procNode := func(p int) int { return 2 + nBoxes + p }
 	resNode := func(r int) int { return 2 + nBoxes + net.Procs + r }
@@ -267,7 +169,125 @@ func newFabricArena(net *topology.Network) *maxflow.Warm {
 	for r := 0; r < net.Ress; r++ {
 		w.AddArc(resNode(r), 1)
 	}
-	return w
+	return &fabricArena{
+		net: net, procs: net.Procs, ress: net.Ress, links: len(net.Links), w: w,
+		base:  make(bitset.Bits, w.ArcWords()),
+		want:  make(bitset.Bits, w.ArcWords()),
+		slots: newPathSlots(net),
+	}
+}
+
+// matches reports whether the arena still describes this network: same
+// object and same shape (links are append-only in topology, and no
+// public API grows a built network, but the guard keeps a stale arena
+// from silently corrupting a solve).
+func (a *fabricArena) matches(net *topology.Network) bool {
+	return a != nil && a.net == net &&
+		a.procs == net.Procs && a.ress == net.Ress && a.links == len(net.Links)
+}
+
+func (a *fabricArena) linkArc(l int) int { return l }
+func (a *fabricArena) srcArc(p int) int  { return a.links + p }
+func (a *fabricArena) snkArc(r int) int  { return a.links + a.procs + r }
+
+// resOfSnk inverts snkArc.
+func (a *fabricArena) resOfSnk(arc int) int { return arc - a.links - a.procs }
+
+// routing returns the network's routing table, building it on first use.
+func (a *fabricArena) routing() *topology.RoutingTable {
+	if !a.routesBuilt {
+		a.routes, a.routesBuilt = topology.NewRoutingTable(a.net), true
+	}
+	return a.routes
+}
+
+// syncLinks rebuilds base from the fabric: the links that are free and,
+// under the current faults, usable. Nothing about the fabric's state is
+// carried from one solve to the next.
+func (a *fabricArena) syncLinks(net *topology.Network) {
+	a.base.Reset()
+	for l := range net.Links {
+		if net.Links[l].State == topology.LinkFree && net.LinkUsable(l) {
+			a.base.Set(a.linkArc(l))
+		}
+	}
+}
+
+// arena returns the planner's whole-fabric arena for net, building a new
+// one when net is not the fabric it was built for; the solver state tied
+// to the old arena goes with it. built reports a new arena.
+func (p *Planner) arena(net *topology.Network) (a *fabricArena, built bool) {
+	if p.fab.matches(net) {
+		return p.fab, false
+	}
+	p.fab, p.inc, p.ty = newFabricArena(net), nil, nil
+	return p.fab, true
+}
+
+// incState is the max-flow solver's state on the planner's arena: the
+// blocked-request certificates and the routing fast path's probe cache.
+type incState struct {
+	*fabricArena
+
+	// rt is the routing table the fast path probes, nil when the fabric
+	// has none (then every request takes the flow search).
+	rt *topology.RoutingTable
+	// pathWords[pathWordOff[j]:pathWordOff[j+1]] is routing path j's
+	// interior (link arcs only) as word-granular masks — precomputable
+	// because link arcs sit at the bottom of the arc id space, aligned
+	// with the state words. A grant-time probe ORs in the request's
+	// source and sink bits and costs a few word ops total.
+	pathWordOff []int32
+	pathWords   []maxflow.PathWord
+	wordBuf     []maxflow.PathWord // scratch: fast-path candidate words
+
+	// Per-request residual-word cache: fastPath fetches each state word
+	// from the arena at most once per request (one counted ResidualWord),
+	// then tests source, sink, and candidate-path bits against the local
+	// copy for free — the same word-reuse a hardware monitor register
+	// gets. probeGen stamps the cache so invalidation is O(1) per request.
+	probeGen uint32
+	wordGen  []uint32
+	wordVal  []uint64
+
+	// Blocked-request certificates: after a solve with failed searches,
+	// every blocked processor shares the solve's one cut of the final
+	// retired region (maxflow.Cut). While the cut still checks out
+	// against live arena state, a repeat request from p is provably
+	// still blocked for a few word ops instead of a re-search. certGen
+	// tags which build a processor's cert came from, so one solve checks
+	// each shared cut at most once between state changes.
+	cert    []maxflow.Cut
+	hasCert []bool
+	certGen []uint64
+	cutSeq  uint64
+
+	arcs []int // scratch: the arc path of the circuit being decoded
+}
+
+// newIncState readies the max-flow solver on an arena, building the
+// arena's routing table if no solve has yet.
+func newIncState(a *fabricArena) *incState {
+	st := &incState{
+		fabricArena: a,
+		rt:          a.routing(),
+		cert:        make([]maxflow.Cut, a.procs),
+		hasCert:     make([]bool, a.procs),
+		certGen:     make([]uint64, a.procs),
+		wordGen:     make([]uint32, a.w.ArcWords()),
+		wordVal:     make([]uint64, a.w.ArcWords()),
+	}
+	if st.rt != nil {
+		st.pathWordOff = make([]int32, 1, st.rt.NumPaths()+1)
+		for j := 0; j < st.rt.NumPaths(); j++ {
+			start := len(st.pathWords)
+			for _, lid := range st.rt.PathLinks(int32(j)) {
+				st.pathWords = appendPathBit(st.pathWords, start, st.linkArc(int(lid)))
+			}
+			st.pathWordOff = append(st.pathWordOff, int32(len(st.pathWords)))
+		}
+	}
+	return st
 }
 
 // appendPathBit ORs arc a into the path word run words[start:],
@@ -285,38 +305,21 @@ func appendPathBit(words []maxflow.PathWord, start, a int) []maxflow.PathWord {
 	return append(words, maxflow.PathWord{Word: wd, Mask: bit})
 }
 
-// matches reports whether the arena still describes this network: same
-// object and same shape (links are append-only in topology, and no
-// public API grows a built network, but the guard keeps a stale arena
-// from silently corrupting a solve).
-func (st *incState) matches(net *topology.Network) bool {
-	return st != nil && st.net == net &&
-		st.procs == net.Procs && st.ress == net.Ress && st.links == len(net.Links)
-}
-
 // ScheduleIncremental computes the same optimal mapping as
 // ScheduleMaxFlow — the differential suite holds it to allocation-count
-// equality with the cold solver and the brute-force oracle — but reuses
-// the previous epoch's residual state, applying only this epoch's
-// deltas:
+// equality with the cold solver and the brute-force oracle — on the
+// planner's whole-fabric arena. Every solve starts from an empty flow:
+// it enables the free and usable links, this solve's source arcs and the
+// free resources' sink arcs, then grants each request in caller order —
+// a blocked-request certificate that still holds skips it, a free
+// candidate path from the routing table commits it without a search (the
+// combinatorial fast path), and otherwise Augment searches the residual.
+// Only the arena's structure, routing table and memory carry over, with
+// the certificates, which skip only searches that would fail — so a
+// long-lived planner returns the mapping a fresh one would.
 //
-//   - a new request enables its source arc and lands its unit either by
-//     committing a free candidate path from the routing table (the
-//     combinatorial fast path) or by augmenting along a residual search;
-//   - a released or severed circuit (its links no longer occupied and
-//     usable) has its standing unit retracted by walking the decomposed
-//     path recorded at grant time;
-//   - occupancy and fault changes (keyed off the link states and
-//     topology.Network.FaultEpoch advancing on every Fail/Repair)
-//     toggle exactly the arcs whose LinkUsable/state changed, compared
-//     64 arcs per word against the arena's membership bits.
-//
-// The full cold rebuild remains the safe fallback: first use, a
-// different or reshaped network, a delta set touching more than half
-// the arena, or bookkeeping divergence (a retraction or sync that no
-// longer matches the arena) all discard the state and rebuild, so a
-// warm solve is never trusted past the point it can be cheaply
-// validated.
+// Solve.Cold marks the solve that built the arena (the first on a
+// network), Solve.Warm every solve that reused it.
 //
 // The mapping may differ from ScheduleMaxFlow's in which optimal
 // assignment it picks; the allocation count is always equal.
@@ -325,142 +328,45 @@ func (st *incState) matches(net *topology.Network) bool {
 // the mapping is applied to net, copy the links before the next solve
 // (see Planner).
 func (p *Planner) ScheduleIncremental(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
-	cold := false
-	if !p.inc.matches(net) {
-		p.inc = newIncState(net, p.routingTable(net))
-		cold = true
+	a, built := p.arena(net)
+	if p.inc == nil {
+		p.inc = newIncState(a)
 	}
-	m, err := p.inc.solve(net, reqs, avail, cold)
-	if err == errIncFallback && !cold {
-		// Divergence or oversized delta: rebuild once, solve cold.
-		p.inc = newIncState(net, p.inc.rt)
-		m, err = p.inc.solve(net, reqs, avail, true)
-	}
+	m, err := p.inc.solve(net, reqs, avail)
 	if err != nil {
-		p.inc = nil // never trust the arena after an error
 		return nil, err
 	}
+	m.Solve.Warm, m.Solve.Cold = !built, built
 	return m, nil
 }
 
-// errIncFallback asks ScheduleIncremental to rebuild the arena and
-// retry cold. Never escapes the planner.
-var errIncFallback = fmt.Errorf("core: incremental state diverged")
-
-// solve runs one epoch: sync deltas, grant new requests (fast path or
-// augmenting search), decompose and record the grants. cold marks a
-// freshly built arena (counted as a cold solve, delta accounting
-// suppressed).
-func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail, cold bool) (*Mapping, error) {
-	retractions := 0
+// solve runs one epoch on an emptied arena: enable the instance, grant
+// the requests (certificate, fast path or augmenting search), decode the
+// grants into the processors' path slots.
+func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
 	w := st.w
-
+	st.syncLinks(net)
+	copy(st.want, st.base)
 	for _, r := range reqs {
 		if r.Proc < 0 || r.Proc >= st.procs {
 			return nil, fmt.Errorf("core: request from processor %d out of range [0,%d)", r.Proc, st.procs)
 		}
-		if st.reqMark[r.Proc] {
+		if st.want.Get(st.srcArc(r.Proc)) {
 			return nil, fmt.Errorf("core: duplicate request from processor %d", r.Proc)
 		}
-		st.reqMark[r.Proc] = true
+		st.want.Set(st.srcArc(r.Proc))
 	}
 	for _, a := range avail {
 		if a.Res < 0 || a.Res >= st.ress {
 			return nil, fmt.Errorf("core: availability for resource %d out of range [0,%d)", a.Res, st.ress)
 		}
-		if st.availMark[a.Res] {
+		if st.want.Get(st.snkArc(a.Res)) {
 			return nil, fmt.Errorf("core: duplicate availability for resource %d", a.Res)
 		}
-		st.availMark[a.Res] = true
+		st.want.Set(st.snkArc(a.Res))
 	}
-	defer func() {
-		for _, r := range reqs {
-			if r.Proc >= 0 && r.Proc < st.procs {
-				st.reqMark[r.Proc] = false
-			}
-		}
-		for _, a := range avail {
-			if a.Res >= 0 && a.Res < st.ress {
-				st.availMark[a.Res] = false
-			}
-		}
-	}()
-
-	// Retraction sweep: a standing circuit whose links are no longer all
-	// occupied-and-usable has been released (EndTransmission, EndService,
-	// Cancel) or severed (ForceRelease after a fault); walk its recorded
-	// path and return the units. A standing processor that requests again
-	// is the raw-API variant of the same thing: its previous grant is no
-	// longer standing from the caller's point of view.
-	for proc := range st.standing {
-		sc := &st.standing[proc]
-		if sc.arcs == nil {
-			continue
-		}
-		live := !st.reqMark[proc]
-		if live {
-			for _, lid := range sc.links {
-				if net.Links[lid].State != topology.LinkOccupied || !net.LinkUsable(lid) {
-					live = false
-					break
-				}
-			}
-		}
-		if live {
-			continue
-		}
-		if err := w.ClearPath(sc.arcs); err != nil {
-			return nil, errIncFallback
-		}
-		retractions++
-		sc.arcs, sc.links = nil, nil
-	}
-
-	// Membership sync against ground truth, one 64-arc word at a time:
-	// assemble the epoch's desired membership into the want scratch bits,
-	// then reconcile each word with a single XOR/popcount. After the
-	// retraction sweep the invariant is: every arc still carrying flow
-	// belongs to a live standing circuit, whose links are occupied — so
-	// the sync only ever disables those arcs; a sync that would enable a
-	// loaded arc means the bookkeeping diverged and falls back cold.
-	st.want.Reset()
-	for l := range net.Links {
-		if net.Links[l].State == topology.LinkFree && net.LinkUsable(l) {
-			st.want.Set(st.linkArc(l))
-		}
-	}
-	for pr := 0; pr < st.procs; pr++ {
-		if st.reqMark[pr] {
-			st.want.Set(st.srcArc(pr))
-		}
-	}
-	for r := 0; r < st.ress; r++ {
-		if st.availMark[r] {
-			st.want.Set(st.snkArc(r))
-		}
-	}
-	touched := 0
-	tail := bitset.TailMask(w.NumArcs())
-	for wi := range st.want {
-		mask := ^uint64(0)
-		if wi == len(st.want)-1 {
-			mask = tail
-		}
-		changed, ok := w.SyncEnabledWord(wi, st.want[wi], mask)
-		if !ok {
-			return nil, errIncFallback
-		}
-		touched += changed
-	}
-	st.epoch = net.FaultEpoch()
-
-	// Oversized delta: past half the arena the warm bookkeeping buys
-	// nothing over a cold build, and a smaller standing state bounds how
-	// much a divergence could ever corrupt. (Policy documented in
-	// DESIGN.md §12.)
-	if !cold && touched > w.NumArcs()/2 {
-		return nil, errIncFallback
-	}
+	w.ClearFlow()
+	w.EnableIdle(st.want)
 
 	// Grant: one attempt per arriving request, in caller order. The
 	// routing fast path goes first — probe the table's candidate paths
@@ -520,8 +426,8 @@ func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail, 
 		}
 	}
 
-	// Decompose the new flow into circuits, each into its processor's path
-	// slot, and record them standing.
+	// Decompose the flow into circuits, each into its processor's path
+	// slot.
 	granted := 0
 	for _, r := range reqs {
 		if w.Flow(st.srcArc(r.Proc)) {
@@ -535,39 +441,22 @@ func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail, 
 			m.Blocked = append(m.Blocked, r)
 			continue
 		}
-		arcs, ok := w.AppendPathFrom(st.slots.slot(r.Proc), src)
+		arcs, ok := w.AppendPathFrom(st.arcs[:0], src)
 		if !ok {
 			return nil, fmt.Errorf("core: incremental decomposition failed for processor %d", r.Proc)
 		}
-		links := arcs[1 : len(arcs)-1 : len(arcs)-1] // link arc l is link l
-		for _, lid := range links {
-			if lid < 0 || lid >= st.links {
-				return nil, fmt.Errorf("core: interior path arc %d has no link", lid)
-			}
-		}
+		st.arcs = arcs
 		res := st.resOfSnk(arcs[len(arcs)-1])
-		if res < 0 || res >= st.ress {
-			return nil, fmt.Errorf("core: path does not end with a resource arc")
-		}
+		links := append(st.slots.slot(r.Proc), arcs[1:len(arcs)-1]...) // link arc l is link l
 		m.Assigned = append(m.Assigned, Assignment{
 			Req:     r,
 			Res:     res,
 			Circuit: topology.Circuit{Proc: r.Proc, Res: res, Links: links},
 		})
-		st.standing[r.Proc] = standingCircuit{res: res, arcs: arcs, links: links}
 	}
 	sortMapping(m)
-	m.Ops = OpCounts{
-		Augmentations: ops.Augmentations,
-		Phases:        ops.Phases,
-		ArcScans:      ops.ArcScans,
-		NodeVisits:    ops.NodeVisits,
-	}
-	if cold {
-		m.Solve = SolveStats{Cold: true, Retractions: retractions, FastPaths: fastPaths}
-	} else {
-		m.Solve = SolveStats{Warm: true, ArcsTouched: touched, Retractions: retractions, FastPaths: fastPaths}
-	}
+	m.Ops = ops
+	m.Solve = SolveStats{FastPaths: fastPaths}
 	return m, nil
 }
 
@@ -671,7 +560,7 @@ func (st *incState) fastPath(p int, ops *maxflow.Counters) int {
 			buf = appendPathBit(buf, 0, src)
 			buf = appendPathBit(buf, 0, snk)
 			st.wordBuf = buf
-			if w := st.w; w.LoadWords(buf, ops) {
+			if st.w.LoadWords(buf, ops) {
 				return fastGrant
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rsin/internal/topology"
@@ -162,12 +163,11 @@ func TestIncrementalDifferentialTraces(t *testing.T) {
 	}
 }
 
-// TestIncrementalRetractionUnderFault is the dedicated regression for
-// the likeliest incremental-solver bug class: a circuit established in
-// epoch N is severed by a link fault in epoch N+1, and the retracted
-// residual must still yield the brute-force-optimal mapping on the
-// surviving fabric — and again after repair.
-func TestIncrementalRetractionUnderFault(t *testing.T) {
+// TestIncrementalSeverUnderFault is the dedicated regression for a
+// circuit established in epoch N and severed by a link fault in epoch
+// N+1: the reused arena must still yield the brute-force-optimal mapping
+// on the surviving fabric — and again after repair.
+func TestIncrementalSeverUnderFault(t *testing.T) {
 	for _, build := range []func() *topology.Network{
 		func() *topology.Network { return topology.Omega(8) },
 		func() *topology.Network { return topology.Benes(8) },
@@ -221,10 +221,7 @@ func TestIncrementalRetractionUnderFault(t *testing.T) {
 			t.Fatalf("%s: epoch N+1: %v", net.Name, err)
 		}
 		if !m2.Solve.Warm {
-			t.Fatalf("%s: epoch N+1 fell back to cold; the sever delta should stay warm", net.Name)
-		}
-		if m2.Solve.Retractions == 0 {
-			t.Fatalf("%s: severed circuit was not retracted", net.Name)
+			t.Fatalf("%s: epoch N+1 rebuilt the arena; a sever should reuse it", net.Name)
 		}
 		if m2.Allocated() != oracle {
 			t.Fatalf("%s: epoch N+1 allocated %d, brute says %d", net.Name, m2.Allocated(), oracle)
@@ -253,9 +250,9 @@ func TestIncrementalRetractionUnderFault(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallsBackCold pins the fallback-to-cold policy: the
-// first solve on a fabric and a solve against a different fabric are
-// cold; steady-state repeats are warm.
+// TestIncrementalFallsBackCold pins when the arena is built: the first
+// solve on a fabric and a solve against a different fabric are cold;
+// steady-state repeats are warm.
 func TestIncrementalFallsBackCold(t *testing.T) {
 	var p Planner
 	netA := topology.Omega(8)
@@ -346,5 +343,129 @@ func TestIncrementalWorkBelowCold(t *testing.T) {
 	}
 	if warmWork >= coldWork {
 		t.Fatalf("warm start did not reduce solve work: warm=%d cold=%d", warmWork, coldWork)
+	}
+}
+
+// TestIncrementalPlannerDeterministic is the determinism contract of the
+// max-flow planner: every solve starts from an empty flow on the reused
+// arena, so a long-lived planner returns exactly the mapping a fresh one
+// returns on the same instance. The long-lived planner is driven through
+// seeded traces of held circuits, releases and link, box and resource
+// churn, and also runs typed epochs (ScheduleHetero) on the same arena
+// between its max-flow solves; the typed circuits are held too. Some
+// solves must block a request and some must grant through the residual
+// search rather than the routing fast path, or the trace proved nothing.
+func TestIncrementalPlannerDeterministic(t *testing.T) {
+	builders := []func() *topology.Network{
+		func() *topology.Network { return topology.Omega(16) },
+		func() *topology.Network { return topology.Benes(8) },
+		func() *topology.Network { return topology.OmegaExtra(8, 1) },
+		func() *topology.Network { return topology.Clos(3, 2, 4) },
+	}
+	blocking, searched, typed := 0, 0, 0
+	for bi, build := range builders {
+		net := build()
+		rng := rand.New(rand.NewSource(2024 + int64(bi)))
+		var long Planner
+		held := map[int]topology.Circuit{} // by processor
+		heldRes := map[int]bool{}
+		hold := func(m *Mapping) {
+			if err := m.Apply(net); err != nil {
+				t.Fatalf("%s: apply: %v", net.Name, err)
+			}
+			for _, a := range m.Assigned {
+				// Copy: the links view the planner's slot, and this test
+				// keeps them past later solves.
+				c := a.Circuit
+				c.Links = append([]int(nil), c.Links...)
+				held[a.Req.Proc], heldRes[a.Res] = c, true
+			}
+		}
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(8) {
+			case 0:
+				_ = net.FailLink(rng.Intn(len(net.Links)))
+			case 1:
+				_ = net.FailBox(rng.Intn(len(net.Boxes)))
+			case 2:
+				_ = net.FailResource(rng.Intn(net.Ress))
+			case 3, 4:
+				_ = net.RepairLink(rng.Intn(len(net.Links)))
+				_ = net.RepairBox(rng.Intn(len(net.Boxes)))
+				_ = net.RepairResource(rng.Intn(net.Ress))
+			}
+			for p := 0; p < net.Procs; p++ {
+				c, ok := held[p]
+				if !ok {
+					continue
+				}
+				severed := net.ResourceFaulted(c.Res)
+				for _, l := range c.Links {
+					severed = severed || !net.LinkUsable(l)
+				}
+				if !severed && rng.Intn(2) != 0 {
+					continue
+				}
+				net.ForceRelease(c)
+				delete(held, p)
+				delete(heldRes, c.Res)
+			}
+			var reqs []Request
+			for p := 0; p < net.Procs; p++ {
+				if _, busy := held[p]; !busy && rng.Intn(2) == 0 {
+					reqs = append(reqs, Request{Proc: p, Type: p % 2})
+				}
+			}
+			var avail []Avail
+			for r := 0; r < net.Ress; r++ {
+				if !heldRes[r] && !net.ResourceFaulted(r) && rng.Intn(4) != 0 {
+					avail = append(avail, Avail{Res: r, Type: r % 2})
+				}
+			}
+			if len(reqs) == 0 {
+				continue
+			}
+			if step%3 == 2 {
+				// A typed epoch on the long-lived planner's arena.
+				got, err := long.ScheduleHetero(net, reqs, avail, nil)
+				if err != nil {
+					t.Fatalf("%s step %d: typed: %v", net.Name, step, err)
+				}
+				var fresh Planner
+				want, err := fresh.ScheduleHetero(net, reqs, avail, nil)
+				if err != nil {
+					t.Fatalf("%s step %d: fresh typed: %v", net.Name, step, err)
+				}
+				if !reflect.DeepEqual(got.Assigned, want.Assigned) || !reflect.DeepEqual(got.Blocked, want.Blocked) {
+					t.Fatalf("%s step %d: long-lived typed planner diverged from a fresh one:\n%+v\n%+v", net.Name, step, got, want)
+				}
+				typed++
+				hold(got)
+				continue
+			}
+			got, err := long.ScheduleIncremental(net, reqs, avail)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", net.Name, step, err)
+			}
+			var fresh Planner
+			want, err := fresh.ScheduleIncremental(net, reqs, avail)
+			if err != nil {
+				t.Fatalf("%s step %d: fresh: %v", net.Name, step, err)
+			}
+			if !reflect.DeepEqual(got.Assigned, want.Assigned) || !reflect.DeepEqual(got.Blocked, want.Blocked) {
+				t.Fatalf("%s step %d: long-lived planner diverged from a fresh one:\n%+v\n%+v", net.Name, step, got, want)
+			}
+			if len(got.Blocked) > 0 {
+				blocking++
+			}
+			if got.Allocated() > got.Solve.FastPaths {
+				searched++
+			}
+			hold(got)
+		}
+	}
+	t.Logf("%d max-flow solves blocked a request, %d granted through the search; %d typed epochs", blocking, searched, typed)
+	if blocking == 0 || searched == 0 || typed == 0 {
+		t.Fatal("the traces never blocked a request, never reached the search, or ran no typed epoch")
 	}
 }

@@ -15,11 +15,10 @@ import (
 // differ only in capacities and costs, never in structure. Each epoch's
 // solve hot-starts the network simplex from the all-bypass feasible flow
 // and, when the fabric's fault epoch is unchanged, from the previous
-// epoch's optimal basis tree (DESIGN.md §13). It mirrors the MaxFlow
-// discipline's incState (§12): same identity guard, same cold-fallback
-// contract, but where incState freezes standing flow between epochs, the
-// min-cost arena re-prices and re-solves from a trivial flow — the warmth
-// is the basis, not the flow.
+// epoch's optimal basis tree (DESIGN.md §13). Like the MaxFlow
+// discipline's whole-fabric arena (§12) it keeps structure, never flow:
+// the min-cost arena re-prices and re-solves from a trivial flow — the
+// warmth is the basis.
 type mcState struct {
 	net    *topology.Network
 	procs  int
@@ -81,7 +80,7 @@ func newMCState(net *topology.Network) *mcState {
 		resArc:  make([]int, net.Ress),
 		linkArc: make([]int, len(net.Links)),
 		outArcs: make([][]int, total),
-		slots:   newPathSlots(net, 0),
+		slots:   newPathSlots(net),
 
 		reqPrio:    make([]int64, net.Procs),
 		reqStamp:   make([]int, net.Procs),

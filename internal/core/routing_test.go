@@ -7,9 +7,9 @@ import (
 	"rsin/internal/topology"
 )
 
-// disableRouting strips the planner's routing table so every grant goes
-// through the flow search; re-applied after each solve because a
-// fallback rebuild would restore the table.
+// disableRouting strips the planner's fast-path routing table so every
+// grant goes through the flow search; re-applied after each solve because
+// an arena built for another network would restore the table.
 func disableRouting(p *Planner) {
 	if p.inc != nil {
 		p.inc.rt = nil
@@ -220,9 +220,11 @@ func FuzzRoutingFallbackBoundary(f *testing.F) {
 	})
 }
 
-// TestPlannerSharesRoutingTable: a planner builds a fabric's routing
-// table once, whichever arena needs it first — the typed search on its
-// first bound miss, or the incremental planner — and both arenas use it.
+// TestPlannerSharesRoutingTable: a planner holds one whole-fabric arena
+// per network, whichever solver needs it first — the typed solve or the
+// incremental planner — and both solve on it; its routing table is built
+// once, by the typed search on its first bound miss or by the incremental
+// planner, and both use it. Another network replaces the arena.
 func TestPlannerSharesRoutingTable(t *testing.T) {
 	net := topology.Omega(8)
 	// The chained-cuts instance of workload.AdversarialTyped: it misses the
@@ -240,8 +242,11 @@ func TestPlannerSharesRoutingTable(t *testing.T) {
 	if _, err := typedFirst.ScheduleIncremental(net, untyped, free); err != nil {
 		t.Fatal(err)
 	}
+	if typedFirst.ty.fabricArena != typedFirst.fab || typedFirst.inc.fabricArena != typedFirst.fab {
+		t.Fatal("the incremental planner built its own arena beside the typed solver's")
+	}
 	if typedFirst.ty.s.rt == nil || typedFirst.inc.rt != typedFirst.ty.s.rt {
-		t.Fatal("the incremental arena built its own routing table beside the typed search's")
+		t.Fatal("the incremental planner built its own routing table beside the typed search's")
 	}
 
 	var incFirst Planner
@@ -251,7 +256,19 @@ func TestPlannerSharesRoutingTable(t *testing.T) {
 	if _, err := incFirst.ScheduleHetero(net, reqs, avail, nil); err != nil {
 		t.Fatal(err)
 	}
+	if incFirst.ty.fabricArena != incFirst.fab || incFirst.inc.fabricArena != incFirst.fab {
+		t.Fatal("the typed solver built its own arena beside the incremental planner's")
+	}
 	if incFirst.inc.rt == nil || incFirst.ty.s.rt != incFirst.inc.rt {
-		t.Fatal("the typed search built its own routing table beside the incremental arena's")
+		t.Fatal("the typed search built its own routing table beside the incremental planner's")
+	}
+
+	other := topology.Omega(8)
+	m, err = incFirst.ScheduleIncremental(other, untyped, free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Solve.Cold || incFirst.fab.net != other || incFirst.ty != nil || incFirst.inc.fabricArena != incFirst.fab {
+		t.Fatalf("another network must replace the arena and the solvers on it: %+v", m.Solve)
 	}
 }

@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"slices"
 
-	"rsin/internal/bitset"
 	"rsin/internal/maxflow"
 	"rsin/internal/topology"
 )
 
-// typedState is the planner's arena for heterogeneous (typed) epochs: the
-// whole-fabric unit-capacity arena of the warm max-flow planner, on which
-// one epoch's multicommodity problem is solved combinatorially — a bound
-// first, an exact search over the routing table's paths when no sweep
-// meets it (typedSearch), the dense LP of internal/multiflow only when
-// the search cannot settle the epoch.
+// typedState is the typed-epoch solver on the planner's whole-fabric arena
+// (fabricArena), on which one epoch's multicommodity problem is solved
+// combinatorially — a bound first, an exact search over the routing
+// table's paths when no sweep meets it (typedSearch), the dense LP of
+// internal/multiflow only when the search cannot settle the epoch.
 //
 // The bound: in any multicommodity flow, fractional or integral, the part
 // carried for type t is by itself a feasible single-commodity flow from
@@ -45,12 +43,7 @@ import (
 // solve clears the arena's flow, only its memory is reused. A long-lived
 // planner and a fresh one return identical mappings.
 type typedState struct {
-	net                *topology.Network // identity: the fabric the arena was built for
-	procs, ress, links int
-	w                  *maxflow.Warm // numbering of newFabricArena
-
-	base bitset.Bits // this epoch's free and usable link arcs, read off the fabric every solve
-	want bitset.Bits // scratch: the membership of one commodity step
+	*fabricArena
 
 	// The epoch's instance. Commodity c carries type types[c]; a tag is
 	// 1+c, with 0 for "none" (and -1 for a free resource nobody asked for).
@@ -70,8 +63,7 @@ type typedState struct {
 	// path[lo:hi], source arc first, sink arc last.
 	grants  []typedGrant
 	path    []int
-	grantOf []int32   // processor -> 1 + index into grants, 0 = blocked
-	slots   pathSlots // per-processor link paths the mapping's circuits view
+	grantOf []int32 // processor -> 1 + index into grants, 0 = blocked
 
 	// The best sweep's circuits while later orders are tried.
 	keptGrants []typedGrant
@@ -86,30 +78,18 @@ type typedState struct {
 
 type typedGrant struct{ proc, lo, hi int32 }
 
-func newTypedState(net *topology.Network) *typedState {
-	w := newFabricArena(net)
+func newTypedState(a *fabricArena) *typedState {
 	return &typedState{
-		net: net, procs: net.Procs, ress: net.Ress, links: len(net.Links), w: w,
-		base:    make(bitset.Bits, w.ArcWords()),
-		want:    make(bitset.Bits, w.ArcWords()),
-		commOf:  make([]int32, net.Procs),
-		reqAt:   make([]int32, net.Procs),
-		grantOf: make([]int32, net.Procs),
-		resComm: make([]int32, net.Ress),
-		availAt: make([]int32, net.Ress),
-		resAt:   make([]uint32, net.Ress),
-		linkAt:  make([]uint32, len(net.Links)),
-		slots:   newPathSlots(net, 0),
+		fabricArena: a,
+		commOf:      make([]int32, a.procs),
+		reqAt:       make([]int32, a.procs),
+		grantOf:     make([]int32, a.procs),
+		resComm:     make([]int32, a.ress),
+		availAt:     make([]int32, a.ress),
+		resAt:       make([]uint32, a.ress),
+		linkAt:      make([]uint32, a.links),
 	}
 }
-
-func (st *typedState) matches(net *topology.Network) bool {
-	return st != nil && st.net == net &&
-		st.procs == net.Procs && st.ress == net.Ress && st.links == len(net.Links)
-}
-
-func (st *typedState) srcArc(p int) int { return st.links + p }
-func (st *typedState) snkArc(r int) int { return st.links + st.procs + r }
 
 // index files the epoch's requests and free resources under dense
 // commodity numbers.
@@ -160,18 +140,6 @@ func (st *typedState) index(reqs []Request, avail []Avail) error {
 		}
 	}
 	return nil
-}
-
-// syncLinks rebuilds base from the fabric: the links that are free and,
-// under the current faults, usable. Nothing about the fabric's state is
-// carried from one solve to the next.
-func (st *typedState) syncLinks(net *topology.Network) {
-	st.base.Reset()
-	for l := range net.Links {
-		if net.Links[l].State == topology.LinkFree && net.LinkUsable(l) {
-			st.base.Set(l)
-		}
-	}
 }
 
 // ship routes one commodity by max-flow over the free links no frozen unit
@@ -403,7 +371,7 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 	}
 	searched := false
 	if best < ub {
-		if st.table(net) == nil {
+		if st.routing() == nil {
 			return nil, false, nil
 		}
 		proved, improved := st.search(best, ub)
@@ -445,12 +413,7 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 			Circuit: topology.Circuit{Proc: p, Res: res, Links: links},
 		})
 	}
-	m.Ops = OpCounts{
-		Augmentations: st.ops.Augmentations,
-		Phases:        st.ops.Phases,
-		ArcScans:      st.ops.ArcScans,
-		NodeVisits:    st.ops.NodeVisits,
-	}
+	m.Ops = st.ops
 	m.Solve = SolveStats{MultiFastPath: true, MultiSearch: searched, MultiRetries: attempts - 1, MultiLPBound: float64(best)}
 	return m, true, nil
 }

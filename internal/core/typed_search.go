@@ -30,8 +30,7 @@ const searchNodeBudget = 1 << 13
 // and ties kept in processor order, so the mapping stays a pure function
 // of the epoch's instance.
 type typedSearch struct {
-	rt    *topology.RoutingTable // nil: the fabric has no routing table
-	built bool                   // rt holds what NewRoutingTable returned for the fabric
+	rt *topology.RoutingTable // the arena's routing table, set by each search
 
 	commOf []int32     // processor -> commodity tag (typedState.commOf)
 	reqs   []int32     // search order: processors of the searchable requests
@@ -50,19 +49,12 @@ type typedSearch struct {
 	nodes     int // nodes the latest search visited
 }
 
-// table returns the fabric's routing table, built on first use.
-func (st *typedState) table(net *topology.Network) *topology.RoutingTable {
-	if !st.s.built {
-		st.s.rt, st.s.built = topology.NewRoutingTable(net), true
-	}
-	return st.s.rt
-}
-
 // search runs the routing-table search from an incumbent of total units
 // toward ub. proved reports that the search reached ub or ran to the end;
 // improved that it beat the incumbent, whose paths are then in st.s.best.
 func (st *typedState) search(total, ub int) (proved, improved bool) {
 	s := &st.s
+	s.rt = st.routing()
 	k := len(st.types)
 	s.commOf = st.commOf
 	s.off = append(s.off[:0], make([]int32, k+1)...)

@@ -6,11 +6,11 @@ import "testing"
 // arena shares with the cold solvers, so warm-vs-cold ratios and the
 // ops-per-task CI gate stay apples-to-apples:
 //
-//   - per-arc primitives (Augment probes, CommitPath) charge one ArcScan
-//     per residual arc whose state is examined;
-//   - word-granular primitives (CommitWords, ResidualWord, BuildCut,
-//     CutBlocked) charge one ArcScan per 64-arc word examined — one
-//     machine op in the §IV instruction model;
+//   - per-arc primitives (Augment's probes) charge one ArcScan per
+//     residual arc whose state is examined;
+//   - word-granular primitives (ResidualWord, BuildCut, CutBlocked)
+//     charge one ArcScan per 64-arc word examined — one machine op in
+//     the §IV instruction model;
 //   - LoadWords charges no ArcScans at all: it is the commit half of a
 //     probe the caller already paid for through counted ResidualWord
 //     fetches, and its revalidation is an uncounted software assertion;
@@ -29,36 +29,11 @@ func TestOpsCounterParity(t *testing.T) {
 	}
 	w.BeginSolve()
 
-	path := []int{a0, a1, a2}
 	mask := uint64(1)<<uint(a0) | uint64(1)<<uint(a1) | uint64(1)<<uint(a2)
 	words := []PathWord{{Word: 0, Mask: mask}}
 
-	// CommitPath: one probe per arc.
-	var c Counters
-	if !w.CommitPath(path, &c) {
-		t.Fatal("CommitPath failed on an idle chain")
-	}
-	if want := (Counters{Augmentations: 1, ArcScans: 3}); c != want {
-		t.Fatalf("CommitPath ops = %+v, want %+v", c, want)
-	}
-	if err := w.ClearPath(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// CommitWords: one scan per word, not per arc.
-	c = Counters{}
-	if !w.CommitWords(words, &c) {
-		t.Fatal("CommitWords failed on an idle chain")
-	}
-	if want := (Counters{Augmentations: 1, ArcScans: 1}); c != want {
-		t.Fatalf("CommitWords ops = %+v, want %+v", c, want)
-	}
-	if err := w.ClearPath(path); err != nil {
-		t.Fatal(err)
-	}
-
 	// ResidualWord: exactly one scan per fetch.
-	c = Counters{}
+	var c Counters
 	if got := w.ResidualWord(0, &c); got&mask != mask {
 		t.Fatalf("ResidualWord(0) = %b, want the chain free (mask %b)", got, mask)
 	}
@@ -75,9 +50,7 @@ func TestOpsCounterParity(t *testing.T) {
 	if want := (Counters{Augmentations: 1}); c != want {
 		t.Fatalf("LoadWords ops = %+v, want %+v", c, want)
 	}
-	if err := w.ClearPath(path); err != nil {
-		t.Fatal(err)
-	}
+	w.ClearFlow()
 
 	// Augment on the idle chain: source-arc probe (1), then the DFS
 	// expands nodes 2 and 3 (the sink is never expanded), scanning each
@@ -90,9 +63,7 @@ func TestOpsCounterParity(t *testing.T) {
 	if want := (Counters{Augmentations: 1, ArcScans: 5, NodeVisits: 2}); c != want {
 		t.Fatalf("Augment ops = %+v, want %+v", c, want)
 	}
-	if err := w.ClearPath(path); err != nil {
-		t.Fatal(err)
-	}
+	w.ClearFlow()
 
 	// Failed search and its certificate. With the sink arc disabled the
 	// same sweep dead-ends at node 3 (same 5 scans, no augmentation),

@@ -2,56 +2,51 @@ package maxflow
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rsin/internal/bitset"
 )
 
-// Warm is a persistent unit-capacity residual network for incremental
-// (warm-start) max-flow solving across scheduling epochs. Unlike the
-// per-solve residual built by Dinic/FordFulkerson from a graph.Network,
-// a Warm arena is built once for a fixed node/arc structure and then
-// mutated by deltas between solves:
+// Warm is a reusable unit-capacity residual network for solving one
+// max-flow instance per scheduling epoch on a fixed structure. Unlike the
+// per-solve residual built by Dinic/FordFulkerson from a graph.Network, a
+// Warm arena is built once for a fixed node/arc structure, and each solve
+// reuses its adjacency and memory, not its flow:
 //
-//   - SetEnabled (or the word-granular SyncEnabledWord) toggles arcs in
-//     or out of the instance (a request arriving or leaving, a resource
-//     becoming busy or free, a link being occupied, released, failed or
-//     repaired) without rebuilding adjacency.
+//   - ClearFlow empties the arena, and EnableIdle sets the instance: the
+//     arcs of the solve's free links, requests and free resources. A
+//     sequential multicommodity sweep calls EnableIdle again per
+//     commodity, freezing the units of the commodities before it.
 //   - Augment advances one unit of flow from the source through a chosen
-//     source arc, the per-request delta of a new arrival.
-//   - CommitPath loads one unit onto a caller-chosen fully-idle path —
-//     the combinatorial routing fast path that skips search entirely.
-//   - ClearPath retracts the unit carried by a previously decomposed
-//     path (an EndService/Cancel release or a fault severing a standing
-//     circuit), returning its capacity to the residual.
-//   - ClearFlow and EnableIdle serve the stateless use: a sequential
-//     multicommodity sweep that reuses the arena's memory every epoch but
-//     none of its flow, freezing each commodity's units before the next
-//     commodity augments.
+//     source arc: one request's grant by residual search.
+//   - ResidualWord and LoadWords probe and commit a caller-chosen
+//     fully-idle path a word at a time: the combinatorial routing fast
+//     path that skips search entirely.
+//   - BuildCut and CutBlocked certify a failed search cheaply, so a
+//     request still blocked in a later solve skips it.
+//   - AppendPathFrom decomposes the solve's flow into paths.
 //
 // Every arc has unit capacity — exactly the networks Transformation 1
 // produces — so per-arc enabled and flow state are single bits, packed
 // into bitset words: residual capacity tests are one AND/ANDNOT, and
-// membership syncs compare 64 arcs per word op. Adjacency is CSR — each
+// EnableIdle sets 64 memberships per word op. Adjacency is CSR — each
 // node's residual arc ids contiguous in one int32 array — so augmenting
 // searches are cache-linear.
 //
 // A disabled arc contributes no residual capacity in either direction
-// even while it carries flow. That is how callers freeze an established
-// circuit: leave its unit in place and disable its arcs, and no later
-// augmentation can reroute it (step (T3) of Transformation 1: occupied
-// links leave the flow problem entirely).
+// even while it carries flow. That is how a caller freezes a circuit: it
+// leaves the unit in place and disables its arcs, and no later
+// augmentation can reroute it (the arena's form of step (T3) of
+// Transformation 1: occupied links leave the flow problem entirely).
 //
 // # Operation-counter convention
 //
 // Warm counts work exactly like the cold solvers (pinned by
 // TestOpsCounterParity): ArcScans increments once per residual arc whose
-// state is examined — including the chosen source arc and every
-// candidate arc of a CommitPath probe — and NodeVisits increments once
-// per node whose adjacency is expanded, which excludes the sink (the
+// state is examined — including the chosen source arc — and NodeVisits
+// increments once per node whose adjacency is expanded, which excludes the sink (the
 // sink's adjacency is never scanned). Warm-vs-cold work ratios and the
 // ops-per-task CI gates are therefore apples-to-apples. The word-granular
-// primitives (CommitWords, ResidualWord) count one ArcScan per word
+// primitives (ResidualWord, BuildCut, CutBlocked) count one ArcScan per word
 // examined, not per arc bit: the paper's §IV cost model charges
 // "instructions executed", and one word op inspecting 64 arc states is
 // one instruction — that discount is precisely the win the bitset layout
@@ -191,8 +186,8 @@ func (w *Warm) arcsOf(v int) []int32 { return w.adj[w.off[v]:w.off[v+1]] }
 // NumArcs reports the number of logical arcs.
 func (w *Warm) NumArcs() int { return w.nArcs }
 
-// ArcWords reports the number of 64-arc state words (for SyncEnabledWord
-// callers sizing their shadow bitsets).
+// ArcWords reports the number of 64-arc state words (for EnableIdle
+// callers sizing their membership bitsets).
 func (w *Warm) ArcWords() int { return len(w.enabled) }
 
 // Enabled reports whether arc a is part of the current instance.
@@ -208,11 +203,10 @@ func (w *Warm) Tail(a int) int { return int(w.to[2*a+1]) }
 func (w *Warm) Head(a int) int { return int(w.to[2*a]) }
 
 // SetEnabled toggles arc a's membership in the instance and reports
-// whether the state changed (the caller's delta counter). Disabling an
-// arc that carries flow is legal and freezes the unit in place; enabling
-// an arc that carries flow is a caller bug — the stale unit would
-// saturate the arc — so the caller must ClearPath first (the invariant
-// ScheduleIncremental's sync enforces).
+// whether the state changed. Disabling an arc that carries flow is legal
+// and freezes the unit in place; enabling an arc that carries flow is a
+// caller bug — the stale unit would saturate the arc — so a caller starts
+// each instance with ClearFlow (EnableIdle never enables a loaded arc).
 func (w *Warm) SetEnabled(a int, on bool) bool {
 	if w.enabled.Get(a) == on {
 		return false
@@ -221,34 +215,15 @@ func (w *Warm) SetEnabled(a int, on bool) bool {
 	return true
 }
 
-// SyncEnabledWord reconciles one 64-arc word of membership state: the
-// enabled bits of arcs 64*wi..64*wi+63 (masked to mask) are set to want
-// in one XOR, and the popcount of the differing bits — the caller's
-// delta counter — is returned. If the sync would enable an arc that
-// still carries flow (the caller-bug invariant SetEnabled documents),
-// nothing changes and ok is false: the caller's bookkeeping has diverged
-// from the arena and it should rebuild cold.
-func (w *Warm) SyncEnabledWord(wi int, want, mask uint64) (changed int, ok bool) {
-	cur := w.enabled[wi]
-	diff := (cur ^ want) & mask
-	if diff == 0 {
-		return 0, true
-	}
-	if diff&want&w.flow[wi] != 0 {
-		return 0, false // would enable a loaded arc
-	}
-	w.enabled[wi] = cur ^ diff
-	return bits.OnesCount64(diff), true
-}
-
 // ClearFlow drops every unit in the arena, loaded or frozen, leaving
 // membership alone. It starts a solve that must be a pure function of its
 // instance: the arena's memory is reused, its flow is not.
 func (w *Warm) ClearFlow() { w.flow.Reset() }
 
 // EnableIdle sets the instance membership to the arcs of want that carry
-// no flow: one commodity step of a sequential multicommodity sweep. Units
-// already in the arena — the circuits of earlier commodities — land on
+// no flow: right after ClearFlow, a solve's whole instance; later, one
+// commodity step of a sequential multicommodity sweep. Units already in
+// the arena — the circuits of earlier commodities — land on
 // disabled arcs and are thereby frozen (see the type comment): the next
 // Augment calls can neither reuse their capacity nor cancel them through a
 // reverse residual arc, which across commodities would splice one type's
@@ -309,33 +284,6 @@ func (w *Warm) retire(v int32, solve uint32) {
 	}
 }
 
-// CommitPath loads one unit onto a fully-idle path without searching:
-// the combinatorial fast path for topologies whose (source, resource)
-// path sets are known in advance (Omega-class MINs have exactly one).
-// arcs must be the logical arc ids of a source-to-sink path, source arc
-// first. Each arc is probed (counted in ArcScans, per the parity
-// convention); if every arc is enabled and idle the whole unit is loaded
-// atomically and the Augmentation is counted. On any conflict nothing
-// changes and the caller falls back to Augment's flow search.
-//
-// A committed path never conflicts with Augment's dead-node retirement:
-// a fully-idle path to an enabled sink arc proves every node on it can
-// reach the sink, so none of them sit in a retired (failed-sweep) set.
-func (w *Warm) CommitPath(arcs []int, c *Counters) bool {
-	for _, a := range arcs {
-		c.ArcScans++
-		word, bit := a>>6, uint64(1)<<(uint(a)&63)
-		if w.enabled[word]&^w.flow[word]&bit == 0 {
-			return false
-		}
-	}
-	for _, a := range arcs {
-		w.flow.Set(a)
-	}
-	c.Augmentations++
-	return true
-}
-
 // PathWord selects a set of logical arcs inside one 64-arc state word:
 // the word-granular path representation of the routing fast path.
 // Callers with a static arc numbering (internal/core packs every link
@@ -345,27 +293,6 @@ func (w *Warm) CommitPath(arcs []int, c *Counters) bool {
 type PathWord struct {
 	Word int32
 	Mask uint64
-}
-
-// CommitWords is CommitPath over the word-granular representation: if
-// every arc selected by words is enabled and idle, all of them are
-// loaded atomically and the Augmentation counted; on any conflict
-// nothing changes. Each word examined counts one ArcScan — the §IV
-// instruction-count cost model charges the machine op, not the 64 arc
-// states it inspects (the same way the word-granular SyncEnabledWord
-// reconciles 64 memberships per op).
-func (w *Warm) CommitWords(words []PathWord, c *Counters) bool {
-	for _, pw := range words {
-		c.ArcScans++
-		if w.enabled[pw.Word]&^w.flow[pw.Word]&pw.Mask != pw.Mask {
-			return false
-		}
-	}
-	for _, pw := range words {
-		w.flow[pw.Word] |= pw.Mask
-	}
-	c.Augmentations++
-	return true
 }
 
 // LoadWords loads one unit onto the arcs selected by words, counting the
@@ -481,7 +408,7 @@ func (w *Warm) CutBlocked(cut Cut, c *Counters) bool {
 // any augmenting path entering the set could never leave it to reach the
 // sink, so the paths of later sweeps avoid the set and never touch its
 // incident arcs. This is the warm-start analogue of Dinic's per-phase
-// node retirement. (CommitPath preserves the argument: committed paths
+// node retirement. (LoadWords preserves the argument: committed paths
 // are residual-available end to end, so they never touch a retired set
 // and never create a residual arc leaving one.)
 func (w *Warm) Augment(src int, c *Counters) bool {
@@ -587,32 +514,4 @@ func (w *Warm) AppendPathFrom(dst []int, src int) ([]int, bool) {
 		}
 	}
 	return dst, true
-}
-
-// ClearPath retracts the unit carried by a previously decomposed path:
-// every arc's flow bit is cleared, returning the capacity to the
-// residual (the arcs typically get re-enabled by the caller's next sync
-// once the underlying links are free again). It fails without changes
-// if any arc of the path carries no flow — the path no longer describes
-// a standing unit, so the caller's bookkeeping has diverged from the
-// arena and it should rebuild cold.
-func (w *Warm) ClearPath(arcs []int) error {
-	fail := func(i int, err error) error {
-		for j := 0; j < i; j++ {
-			w.flow.Set(arcs[j]) // roll back the cleared prefix
-		}
-		return err
-	}
-	for i, a := range arcs {
-		if a < 0 || a >= w.nArcs {
-			return fail(i, fmt.Errorf("maxflow: ClearPath: arc %d out of range", a))
-		}
-		if !w.flow.Get(a) {
-			// Covers both a genuinely idle arc and a duplicate entry
-			// cleared earlier in this same call.
-			return fail(i, fmt.Errorf("maxflow: ClearPath: arc %d carries no flow", a))
-		}
-		w.flow.Clear(a)
-	}
-	return nil
 }

@@ -70,27 +70,23 @@ func (f *warmFixture) solve(c *Counters) int {
 	return landed
 }
 
-// retractNew decomposes the units landed by the last solve and clears
-// them, restoring the pre-solve flow state.
-func (f *warmFixture) retractNew(t *testing.T) {
+// decompose walks every unit the last solve landed back to a path, as a
+// planner's decode does.
+func (f *warmFixture) decompose(t *testing.T) {
 	t.Helper()
 	for _, s := range f.srcArcs {
 		if !f.w.Flow(s) {
 			continue
 		}
-		path, ok := f.w.AppendPathFrom(nil, s)
-		if !ok {
+		if _, ok := f.w.AppendPathFrom(nil, s); !ok {
 			t.Fatalf("AppendPathFrom(nil, %d) failed on a loaded source arc", s)
-		}
-		if err := f.w.ClearPath(path); err != nil {
-			t.Fatalf("ClearPath: %v", err)
 		}
 	}
 }
 
-// TestWarmMatchesDinic drives random instances through enable/disable
-// deltas and checks every solve's value against a cold Dinic solve of
-// the identical instance.
+// TestWarmMatchesDinic solves random instances, mutating their membership
+// between solves on one reused arena, and checks every solve's value
+// against a cold Dinic solve of the identical instance.
 func TestWarmMatchesDinic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -106,10 +102,11 @@ func TestWarmMatchesDinic(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d step %d: warm landed %d units, cold says %d", trial, step, got, want)
 			}
-			f.retractNew(t)
+			f.decompose(t)
+			f.w.ClearFlow()
 			for k := 0; k < 1+rng.Intn(4); k++ {
 				a := rng.Intn(f.w.NumArcs())
-				f.w.SetEnabled(a, !f.w.Enabled(a) && !f.w.Flow(a))
+				f.w.SetEnabled(a, !f.w.Enabled(a))
 			}
 		}
 	}
@@ -117,7 +114,7 @@ func TestWarmMatchesDinic(t *testing.T) {
 
 // TestWarmFrozenUnitsAreInvisible pins the freeze contract: a unit left
 // on disabled arcs is neither rerouted by augmentation nor walked by
-// decomposition, and re-enabling its arcs after ClearPath restores the
+// decomposition, and the next solve's ClearFlow and EnableIdle restore the
 // capacity.
 func TestWarmFrozenUnitsAreInvisible(t *testing.T) {
 	// Two source arcs feeding routes that share the single sink-side arc.
@@ -127,21 +124,24 @@ func TestWarmFrozenUnitsAreInvisible(t *testing.T) {
 	ab := w.AddArc(2, 4)
 	bb := w.AddArc(3, 4)
 	out := w.AddArc(4, 1)
-	for _, a := range []int{srcA, srcB, ab, bb, out} {
-		w.SetEnabled(a, true)
-	}
+	all := []uint64{1<<uint(srcA) | 1<<uint(srcB) | 1<<uint(ab) | 1<<uint(bb) | 1<<uint(out)}
+	w.ClearFlow()
+	w.EnableIdle(all)
 	var c Counters
 	w.BeginSolve()
 	if !w.Augment(srcA, &c) {
 		t.Fatal("first unit should land")
 	}
-	path, ok := w.AppendPathFrom(nil, srcA)
-	if !ok {
+	if _, ok := w.AppendPathFrom(nil, srcA); !ok {
 		t.Fatal("decompose failed")
 	}
-	// Freeze the established circuit: disable its arcs, keep the flow.
-	for _, a := range path {
-		w.SetEnabled(a, false)
+	// Freeze the established circuit: EnableIdle drops its loaded arcs
+	// from the instance and keeps the flow.
+	w.EnableIdle(all)
+	for _, a := range []int{srcA, ab, out} {
+		if w.Enabled(a) {
+			t.Fatalf("loaded arc %d stayed enabled", a)
+		}
 	}
 	// The shared tail arc is now frozen: the second request must fail,
 	// and must not cancel the frozen unit to get through.
@@ -155,45 +155,12 @@ func TestWarmFrozenUnitsAreInvisible(t *testing.T) {
 	if _, ok := w.AppendPathFrom(nil, srcA); ok {
 		t.Fatal("decomposition walked a frozen (disabled) unit")
 	}
-	// Release: clear the path, re-enable, and the blocked request lands.
-	if err := w.ClearPath(path); err != nil {
-		t.Fatalf("ClearPath: %v", err)
-	}
-	for _, a := range path {
-		w.SetEnabled(a, true)
-	}
+	// The next solve starts empty: the blocked request lands.
+	w.ClearFlow()
+	w.EnableIdle(all)
 	w.BeginSolve()
 	if !w.Augment(srcB, &c) {
 		t.Fatal("released capacity should admit the blocked request")
-	}
-}
-
-// TestWarmClearPathErrors pins the divergence detection: retracting a
-// path whose units are gone fails without mutating anything.
-func TestWarmClearPathErrors(t *testing.T) {
-	w := NewWarm(3, 0, 1)
-	a := w.AddArc(0, 2)
-	b := w.AddArc(2, 1)
-	w.SetEnabled(a, true)
-	w.SetEnabled(b, true)
-	var c Counters
-	w.BeginSolve()
-	if !w.Augment(a, &c) {
-		t.Fatal("augment failed")
-	}
-	if err := w.ClearPath([]int{a, b, b}); err == nil {
-		t.Fatal("double-clear in one path should fail")
-	} else if !w.Flow(a) || !w.Flow(b) {
-		t.Fatal("failed ClearPath mutated flow state")
-	}
-	if err := w.ClearPath([]int{a, 99}); err == nil {
-		t.Fatal("out-of-range arc should fail")
-	}
-	if err := w.ClearPath([]int{a, b}); err != nil {
-		t.Fatalf("valid ClearPath: %v", err)
-	}
-	if err := w.ClearPath([]int{a}); err == nil {
-		t.Fatal("clearing an idle arc should fail")
 	}
 }
 
@@ -220,8 +187,9 @@ func TestWarmDeadMarkingStillFindsAllUnits(t *testing.T) {
 				landed++
 			}
 		}
-		// Retract and recompute cold for the comparison.
-		f.retractNew(t)
+		// Empty the arena and recompute cold for the comparison.
+		f.decompose(t)
+		f.w.ClearFlow()
 		if want := f.refValue(); landed != want {
 			t.Fatalf("trial %d: warm landed %d, cold %d", trial, landed, want)
 		}

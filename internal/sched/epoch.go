@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rsin/internal/maxflow"
 	"rsin/internal/system"
 )
 
@@ -160,12 +159,7 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 	st.Granted += int64(r.Granted)
 	st.Deferred += int64(r.Deferred)
 	st.GangsActivated += int64(r.GangsActivated)
-	st.Ops.Add(maxflow.Counters{
-		Augmentations: r.Mapping.Ops.Augmentations,
-		Phases:        r.Mapping.Ops.Phases,
-		ArcScans:      r.Mapping.Ops.ArcScans,
-		NodeVisits:    r.Mapping.Ops.NodeVisits,
-	})
+	st.Ops.Add(r.Mapping.Ops)
 	st.SolveCounts.Add(&r.Mapping.Solve)
 }
 

@@ -115,7 +115,6 @@ var goldenMetricNames = []string{
 	"rsin_solver_node_visits_total",
 	"rsin_solver_phases_total",
 	"rsin_solver_warm_arcs_touched_total",
-	"rsin_solver_warm_retractions_total",
 	"rsin_solver_warm_solves_total",
 	"rsin_system_cold_solves_total",
 	"rsin_system_cycle_ms",
@@ -133,7 +132,6 @@ var goldenMetricNames = []string{
 	"rsin_system_severed_total",
 	"rsin_system_unsat_total",
 	"rsin_system_warm_arcs_touched_total",
-	"rsin_system_warm_retractions_total",
 	"rsin_system_warm_solves_total",
 }
 

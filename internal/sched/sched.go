@@ -175,13 +175,13 @@ type Stats struct {
 	// Solver counters, decoded from each cycle's core.SolveStats by
 	// core.SolveCounts.Add.
 	//
-	// The warm-start five move under the MaxFlow and MinCost solvers:
-	// WarmSolves counts cycles served from the planner's persistent arena,
-	// ColdSolves cycles that built the flow network from scratch (the first,
-	// and after a fault epoch or divergence), ArcsTouched the arena arcs
-	// toggled by warm delta syncs, Retractions the standing-circuit units
-	// walked back (releases, severs) and FastPaths the grants resolved by
-	// the combinatorial routing fast path (the last three MaxFlow only).
+	// The warm-start four move under the MaxFlow and MinCost solvers:
+	// WarmSolves counts cycles solved on an arena the planner reused (the
+	// max-flow planner's whole-fabric arena, or MinCost's simplex basis),
+	// ColdSolves cycles that built theirs (the first, and for MinCost
+	// after a fault epoch), ArcsTouched the arcs warm MinCost solves
+	// re-priced, and FastPaths the grants resolved by the combinatorial
+	// routing fast path (MaxFlow only).
 	//
 	// The Multi six move under the typed solver. MultiFastPath counts
 	// cycles committed as certified optimal: sequential per-type max-flow
@@ -239,7 +239,6 @@ var statsTable = []struct {
 	{"rsin_solver_warm_solves_total", false, func(st *Stats) any { return &st.WarmSolves }},
 	{"rsin_solver_cold_solves_total", false, func(st *Stats) any { return &st.ColdSolves }},
 	{"rsin_solver_warm_arcs_touched_total", false, func(st *Stats) any { return &st.ArcsTouched }},
-	{"rsin_solver_warm_retractions_total", false, func(st *Stats) any { return &st.Retractions }},
 	{"rsin_solver_fast_paths_total", false, func(st *Stats) any { return &st.FastPaths }},
 	{"rsin_solver_multi_fast_path_total", false, func(st *Stats) any { return &st.MultiFastPath }},
 	{"rsin_solver_multi_search_total", false, func(st *Stats) any { return &st.MultiSearch }},

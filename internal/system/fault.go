@@ -131,41 +131,6 @@ func (s *System) applyFault(op FaultOp) ([]TaskID, error) {
 	return nil, fmt.Errorf("system: unknown fault target %v", op.Target)
 }
 
-// ApplyFaults applies a batch of fault operations as one correlated
-// hardware event (a switchbox taking its attached resources down with it,
-// a power domain dropping several links at once) and returns the union of
-// affected task IDs, deduplicated and sorted. Layered services charge the
-// whole batch as a single sever event per task — losing two units to one
-// physical failure is one retry, not two (see sched's sever budget).
-func (s *System) ApplyFaults(ops []FaultOp) ([]TaskID, error) {
-	var all []TaskID
-	for _, op := range ops {
-		affected, err := s.ApplyFault(op)
-		all = append(all, affected...)
-		if err != nil {
-			return DedupeTasks(all), err
-		}
-	}
-	return DedupeTasks(all), nil
-}
-
-// DedupeTasks sorts and deduplicates a task-ID list in place. Fault
-// batches use it to turn per-unit affected lists into the per-task set a
-// single sever event charges.
-func DedupeTasks(ids []TaskID) []TaskID {
-	if len(ids) < 2 {
-		return ids
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // FaultEpoch reports the fabric's fault generation counter; it advances
 // on every effective Fail/Repair.
 func (s *System) FaultEpoch() uint64 { return s.net.FaultEpoch() }

@@ -41,10 +41,9 @@ type sysObs struct {
 	gangsActivated *obs.Counter // gangs admitted by the banker's gate
 	gangResets     *obs.Counter // gangs atomically severed and re-planned
 
-	warmSolves  *obs.Counter // cycles served by the warm-start arena
-	coldSolves  *obs.Counter // cycles that built the flow network cold
-	arcsTouched *obs.Counter // arena arcs toggled by warm delta syncs
-	retractions *obs.Counter // standing-circuit units walked back
+	warmSolves  *obs.Counter // cycles on an arena or basis the planner reused
+	coldSolves  *obs.Counter // cycles that built their arena or flow network
+	arcsTouched *obs.Counter // arcs re-priced by warm MinCost solves
 	fastPaths   *obs.Counter // grants via the combinatorial routing fast path
 
 	cycleMS *obs.Histogram // solve wall time per cycle, milliseconds
@@ -78,7 +77,6 @@ func newSysObs(reg *obs.Registry, shard int) sysObs {
 		warmSolves:  reg.Counter("rsin_system_warm_solves_total"),
 		coldSolves:  reg.Counter("rsin_system_cold_solves_total"),
 		arcsTouched: reg.Counter("rsin_system_warm_arcs_touched_total"),
-		retractions: reg.Counter("rsin_system_warm_retractions_total"),
 		fastPaths:   reg.Counter("rsin_system_fast_paths_total"),
 
 		cycleMS: reg.Histogram("rsin_system_cycle_ms", obs.ExpBuckets(0.001, 2, 20)),

@@ -285,7 +285,7 @@ type System struct {
 	usableCacheEpoch uint64
 	usableCacheOK    bool
 
-	planner core.Planner // warm solver arenas (max-flow residual, MinCost basis, typed-epoch arena)
+	planner core.Planner // warm solver state (whole-fabric arena, MinCost basis)
 	// solve is the epoch solver New resolved the configuration into, bound
 	// to planner and net. A field rather than a method so a test can
 	// install a fake and measure cycle's own cost.
@@ -381,8 +381,9 @@ func (s *System) resolveSolver() (solveFunc, error) {
 	}
 }
 
-// solveMaxFlow is warm max-flow: residual flow persists in the planner's
-// arena between cycles.
+// solveMaxFlow is max-flow on the planner's whole-fabric arena: its
+// structure and memory persist between cycles, its flow does not (see
+// core.Planner.ScheduleIncremental).
 func (s *System) solveMaxFlow(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
 	return s.planner.ScheduleIncremental(s.net, reqs, avail)
 }
@@ -395,7 +396,7 @@ func (s *System) solveMinCost(reqs []core.Request, avail []core.Avail) (*core.Ma
 }
 
 // solveTyped is bound first, search next, LP last, on the planner's
-// typed arena; a mapping is a pure function of this cycle's inputs
+// whole-fabric arena; a mapping is a pure function of this cycle's inputs
 // (core.Planner.ScheduleHetero).
 func (s *System) solveTyped(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
 	return s.planner.ScheduleHetero(s.net, reqs, avail, s.cfg.Hetero)
@@ -575,7 +576,6 @@ func (s *System) Cycle() (*CycleResult, error) {
 		s.o.warmSolves.Add(c.WarmSolves)
 		s.o.coldSolves.Add(c.ColdSolves)
 		s.o.arcsTouched.Add(c.ArcsTouched)
-		s.o.retractions.Add(c.Retractions)
 		s.o.fastPaths.Add(c.FastPaths)
 		s.event(evCycle, 0, int64(res.Granted), "")
 	}

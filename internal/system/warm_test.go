@@ -138,8 +138,7 @@ func TestWarmSolveMatchesOracle(t *testing.T) {
 }
 
 // TestWarmSolveCounters checks the warm counters move under the default
-// configuration: first flow cycle cold (arena build), steady-state warm,
-// and a release shows up as a retraction.
+// configuration: first flow cycle cold (arena build), then warm.
 func TestWarmSolveCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New(Config{Net: topology.Omega(8), Obs: reg})
@@ -162,13 +161,9 @@ func TestWarmSolveCounters(t *testing.T) {
 	if !r.Mapping.Solve.Warm {
 		t.Fatalf("steady-state solve should be warm, got %+v", r.Mapping.Solve)
 	}
-	if r.Mapping.Solve.Retractions != 1 {
-		t.Fatalf("the released unit should retract, got %+v", r.Mapping.Solve)
-	}
 	snap := reg.Snapshot()
 	if snap.Counters["rsin_system_warm_solves_total"] != 1 ||
-		snap.Counters["rsin_system_cold_solves_total"] != 1 ||
-		snap.Counters["rsin_system_warm_retractions_total"] != 1 {
+		snap.Counters["rsin_system_cold_solves_total"] != 1 {
 		t.Fatalf("counters: %v", snap.Counters)
 	}
 }

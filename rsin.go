@@ -45,15 +45,16 @@ type (
 	// planner's next solve unless the mapping was applied (see Planner).
 	Assignment = core.Assignment
 	// Planner carries reusable scheduling state across epochs; its
-	// ScheduleIncremental method warm-starts each solve from the previous
-	// epoch's residual flow (DESIGN.md §12). The zero value is ready to use.
+	// ScheduleIncremental and ScheduleHetero methods solve on one
+	// whole-fabric arena per network, reusing its structure and memory but
+	// never its flow (DESIGN.md §12). The zero value is ready to use.
 	// Its warm methods' circuits view per-processor path slots that the
 	// next grant to the same processor rewrites: a caller that does not
 	// apply a mapping to the network it was solved on must copy the Links
 	// it keeps before the next solve (DESIGN.md §23).
 	Planner = core.Planner
 	// SolveStats reports how a Mapping was solved (warm vs cold, arcs
-	// touched, circuits retracted).
+	// touched, fast-path grants, the typed solver's path).
 	SolveStats = core.SolveStats
 	// HeteroOptions tunes heterogeneous (multi-type) scheduling.
 	HeteroOptions = core.HeteroOptions
