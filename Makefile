@@ -28,7 +28,10 @@ race:
 # the warm network simplex must pivot strictly less than cold on the
 # reference trace, at exactly the pinned pivot counts, out-of-kilter / SSP
 # / simplex must agree, and after every pivot the subtree-updated tree
-# must equal a from-scratch rebuild. The ops
+# must equal a from-scratch rebuild. The TestMinCostIncremental* pattern
+# also selects the certified differential
+# (TestMinCostIncrementalCertified): MinCost epochs settled on the
+# max-flow arena must match the cold engine and the oracle. The ops
 # ratchet holds arc scans per granted task on the pinned warm-cold trace
 # within 10% of the recorded baseline and warm solve work at or below cold
 # on both pinned traces (the counters are deterministic, so the thresholds

@@ -475,7 +475,8 @@ func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Map
 // whole-fabric arena per network, built on first use and reused by every
 // later solve of either kind: its structure, routing table and memory
 // carry over, never its flow, so their mappings are those of a fresh
-// planner. ScheduleMinCostIncremental keeps a warm simplex basis. The zero
+// planner. ScheduleMinCostIncremental tries each epoch on that arena first
+// and keeps a warm simplex basis for the epochs it cannot certify. The zero
 // value is ready to use. A Planner is not safe for concurrent use; give
 // each scheduling shard its own.
 //
@@ -493,6 +494,8 @@ type Planner struct {
 	inc *incState    // max-flow solver on fab; nil until the first incremental solve
 	ty  *typedState  // typed-epoch solver on fab; nil until the first heterogeneous solve
 	mc  *mcState     // min-cost warm-basis arena; nil until the first prioritized solve
+
+	offer []Avail // scratch: a MinCost epoch's top-preference offer (certify)
 }
 
 // ScheduleMinCost computes the optimal mapping for a homogeneous MRSIN with

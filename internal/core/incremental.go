@@ -24,7 +24,8 @@ type SolveStats struct {
 	// ArcsTouched counts the arcs a warm MinCost solve re-priced (a cold
 	// build touches everything and reports 0 to keep the metric a delta
 	// size). The max-flow planner enables each solve's instance afresh and
-	// reports 0.
+	// reports 0, and so does a certified MinCost epoch, which never reaches
+	// the simplex.
 	ArcsTouched int `json:"arcs_touched,omitempty"`
 	// Retractions is always 0: no planner keeps flow between solves, so
 	// none walks a released circuit back. The field stays for callers
@@ -35,6 +36,11 @@ type SolveStats struct {
 	// committed without a flow search. The remainder of the epoch's
 	// grants went through Augment's residual search.
 	FastPaths int `json:"fast_paths,omitempty"`
+	// Certified marks a MinCost epoch settled on the max-flow arena: every
+	// request was granted a resource of the top offered preference, which
+	// is Theorem 3's optimum, so no simplex ran. Warm, Cold, FastPaths and
+	// the Mapping's Ops are then the max-flow arena's.
+	Certified bool `json:"certified,omitempty"`
 
 	// Multicommodity epoch accounting (ScheduleHetero only). MultiFastPath
 	// marks an epoch committed as *certified optimal*: the sequential
@@ -67,6 +73,7 @@ type SolveStats struct {
 // sched.Stats alike (which documents the fields).
 type SolveCounts struct {
 	WarmSolves, ColdSolves, ArcsTouched, FastPaths                 int64
+	MinCostCertified                                               int64
 	MultiFastPath, MultiSearch, MultiLP, MultiGreedy, MultiRetries int64
 	MultiGapUnits                                                  int64
 }
@@ -77,6 +84,7 @@ func (c *SolveCounts) Add(sv *SolveStats) {
 	c.ColdSolves += int64(btoi(sv.Cold && !sv.Warm))
 	c.ArcsTouched += int64(sv.ArcsTouched)
 	c.FastPaths += int64(sv.FastPaths)
+	c.MinCostCertified += int64(btoi(sv.Certified))
 	c.MultiFastPath += int64(btoi(sv.MultiFastPath))
 	c.MultiSearch += int64(btoi(sv.MultiSearch))
 	c.MultiLP += int64(btoi(sv.MultiLP))
@@ -115,10 +123,11 @@ func (ps pathSlots) slot(p int) []int {
 }
 
 // fabricArena is a planner's whole-fabric unit-capacity arena, on which
-// ScheduleIncremental and ScheduleHetero both solve: every processor,
-// resource, switchbox and link gets its node or arc once, when the planner
-// first meets the network. Neither solver keeps flow in it from one solve
-// to the next. Each solve clears the flow and enables its own instance, so
+// ScheduleIncremental, ScheduleHetero and ScheduleMinCostIncremental's
+// certifying trial all solve: every processor, resource, switchbox and
+// link gets its node or arc once, when the planner first meets the
+// network. No solver keeps flow in it from one solve to the next. Each
+// solve clears the flow and enables its own instance, so
 // the structure, the routing table and the memory carry over, and the
 // mapping is a function of the fabric state and the solve's inputs alone
 // (DESIGN.md §12).
@@ -328,40 +337,56 @@ func appendPathBit(words []maxflow.PathWord, start, a int) []maxflow.PathWord {
 // the mapping is applied to net, copy the links before the next solve
 // (see Planner).
 func (p *Planner) ScheduleIncremental(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
+	st, built := p.incremental(net)
+	var ops maxflow.Counters
+	fastPaths, _, err := st.grant(net, reqs, avail, false, &ops)
+	if err != nil {
+		return nil, err
+	}
+	m, err := st.decode(reqs)
+	if err != nil {
+		return nil, err
+	}
+	m.Ops = ops
+	m.Solve = SolveStats{Warm: !built, Cold: built, FastPaths: fastPaths}
+	return m, nil
+}
+
+// incremental returns the max-flow solver on the planner's arena for net;
+// built reports an arena built by this call.
+func (p *Planner) incremental(net *topology.Network) (st *incState, built bool) {
 	a, built := p.arena(net)
 	if p.inc == nil {
 		p.inc = newIncState(a)
 	}
-	m, err := p.inc.solve(net, reqs, avail)
-	if err != nil {
-		return nil, err
-	}
-	m.Solve.Warm, m.Solve.Cold = !built, built
-	return m, nil
+	return p.inc, built
 }
 
-// solve runs one epoch on an emptied arena: enable the instance, grant
-// the requests (certificate, fast path or augmenting search), decode the
-// grants into the processors' path slots.
-func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
+// grant runs one epoch's flow on an emptied arena: enable the instance,
+// then make one attempt per request in caller order (certificate, fast
+// path or augmenting search), and return the fast-path grants. A full
+// solve attempts every request and leaves the blocked ones the epoch's
+// cut. A trial stops at the first request it cannot grant, reports
+// stopped, and builds no certificate, so a failed trial allocates nothing.
+func (st *incState) grant(net *topology.Network, reqs []Request, avail []Avail, trial bool, ops *maxflow.Counters) (fastPaths int, stopped bool, err error) {
 	w := st.w
 	st.syncLinks(net)
 	copy(st.want, st.base)
 	for _, r := range reqs {
 		if r.Proc < 0 || r.Proc >= st.procs {
-			return nil, fmt.Errorf("core: request from processor %d out of range [0,%d)", r.Proc, st.procs)
+			return 0, false, fmt.Errorf("core: request from processor %d out of range [0,%d)", r.Proc, st.procs)
 		}
 		if st.want.Get(st.srcArc(r.Proc)) {
-			return nil, fmt.Errorf("core: duplicate request from processor %d", r.Proc)
+			return 0, false, fmt.Errorf("core: duplicate request from processor %d", r.Proc)
 		}
 		st.want.Set(st.srcArc(r.Proc))
 	}
 	for _, a := range avail {
 		if a.Res < 0 || a.Res >= st.ress {
-			return nil, fmt.Errorf("core: availability for resource %d out of range [0,%d)", a.Res, st.ress)
+			return 0, false, fmt.Errorf("core: availability for resource %d out of range [0,%d)", a.Res, st.ress)
 		}
 		if st.want.Get(st.snkArc(a.Res)) {
-			return nil, fmt.Errorf("core: duplicate availability for resource %d", a.Res)
+			return 0, false, fmt.Errorf("core: duplicate availability for resource %d", a.Res)
 		}
 		st.want.Set(st.snkArc(a.Res))
 	}
@@ -374,8 +399,6 @@ func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail) 
 	// and only a conflicted or faulted request pays for Augment's
 	// residual search (whose failed sweeps retire nodes for the rest of
 	// this solve).
-	var ops maxflow.Counters
-	fastPaths := 0
 	if st.rt != nil {
 		st.rt.Refresh()
 	}
@@ -390,34 +413,43 @@ func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail) 
 		if st.hasCert[r.Proc] {
 			still := memoBlocked
 			if g := st.certGen[r.Proc]; g != memoGen {
-				still = w.CutBlocked(st.cert[r.Proc], &ops)
+				still = w.CutBlocked(st.cert[r.Proc], ops)
 				memoGen, memoBlocked = g, still
 			}
 			if still {
+				if trial {
+					return fastPaths, true, nil
+				}
 				continue // still provably blocked, skip probe and search
 			}
 			st.hasCert[r.Proc] = false
 		}
-		switch st.fastPath(r.Proc, &ops) {
+		switch st.fastPath(r.Proc, ops) {
 		case fastGrant:
 			fastPaths++
 			memoGen = 0
+			continue
 		case fastMiss:
-			if w.Augment(st.srcArc(r.Proc), &ops) {
+			if w.Augment(st.srcArc(r.Proc), ops) {
 				memoGen = 0
-			} else {
+				continue
+			}
+			if !trial {
 				blocked = append(blocked, r.Proc)
 			}
 		case fastBlocked:
 			// No sink arc has residual capacity, so no augmenting path
 			// exists for anyone: skip the doomed search.
 		}
+		if trial {
+			return fastPaths, true, nil
+		}
 	}
 	// One cut serves every processor blocked this solve: each of their
 	// nodes sits in the final retired set (retirement persists for the
 	// whole solve), and CutBlocked validates against live state anyway.
 	if len(blocked) > 0 {
-		cut := w.BuildCut(&ops)
+		cut := w.BuildCut(ops)
 		st.cutSeq++
 		for _, pr := range blocked {
 			st.cert[pr] = cut
@@ -425,9 +457,13 @@ func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail) 
 			st.hasCert[pr] = true
 		}
 	}
+	return fastPaths, false, nil
+}
 
-	// Decompose the flow into circuits, each into its processor's path
-	// slot.
+// decode decomposes the granted flow into circuits, each into its
+// processor's path slot.
+func (st *incState) decode(reqs []Request) (*Mapping, error) {
+	w := st.w
 	granted := 0
 	for _, r := range reqs {
 		if w.Flow(st.srcArc(r.Proc)) {
@@ -455,8 +491,6 @@ func (st *incState) solve(net *topology.Network, reqs []Request, avail []Avail) 
 		})
 	}
 	sortMapping(m)
-	m.Ops = ops
-	m.Solve = SolveStats{FastPaths: fastPaths}
 	return m, nil
 }
 

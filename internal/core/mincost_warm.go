@@ -263,14 +263,20 @@ func (st *mcState) decode(reqs []Request) (*Mapping, error) {
 // ScheduleMinCostIncremental computes the same optimal prioritized
 // mapping as ScheduleMinCost — the differential suites hold it to
 // weighted-value equality with the cold engines and the brute-force
-// oracle — but keeps a persistent network-simplex arena between epochs:
-// per epoch only capacities and costs are re-synced, the solve hot-starts
-// from the trivially feasible all-bypass flow, and when the fabric's
-// fault epoch is unchanged the pivot loop reuses the previous epoch's
-// optimal basis tree. A topology change, a fault-epoch advance, or any
-// solver-reported divergence falls back to a cold solve (the basis is
-// rebuilt from the all-artificial tree, or the instance re-solved one-
-// shot by ScheduleMinCostNetworkSimplex), never to a wrong answer.
+// oracle — certified max-flow first, warm-basis simplex otherwise.
+//
+// It first tries to grant every request a resource of the top offered
+// preference on the planner's max-flow arena (certify). When that trial
+// grants them all, the mapping reaches Theorem 3's upper bound and is
+// returned with Solve.Certified set; no simplex runs. Otherwise it solves
+// on a persistent network-simplex arena: per epoch only capacities and
+// costs are re-synced, the solve hot-starts from the trivially feasible
+// all-bypass flow, and when the fabric's fault epoch is unchanged the
+// pivot loop reuses the previous epoch's optimal basis tree. A topology
+// change, a fault-epoch advance, or any solver-reported divergence falls
+// back to a cold solve (the basis is rebuilt from the all-artificial tree,
+// or the instance re-solved one-shot by ScheduleMinCostNetworkSimplex),
+// never to a wrong answer.
 //
 // Its circuits' Links view the planner's per-processor path slots: unless
 // the mapping is applied to net, copy the links before the next solve
@@ -278,6 +284,9 @@ func (st *mcState) decode(reqs []Request) (*Mapping, error) {
 func (p *Planner) ScheduleMinCostIncremental(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
 	if len(reqs) == 0 {
 		return &Mapping{}, nil
+	}
+	if m, err := p.certify(net, reqs, avail); m != nil || err != nil {
+		return m, err
 	}
 	if !p.mc.matches(net) {
 		p.mc = newMCState(net)
@@ -319,5 +328,55 @@ func (p *Planner) ScheduleMinCostIncremental(net *topology.Network, reqs []Reque
 	if usedBasis {
 		m.Solve.ArcsTouched = touched
 	}
+	return m, nil
+}
+
+// certify settles a MinCost epoch on the max-flow arena when it can. Each
+// granted pair is worth v(p, r) = base + y_p + q_r - q_max <= base + y_p
+// (WeightedValue), so a mapping that grants every request, each onto a
+// resource of the top offered preference q_max, reaches the upper bound
+// on both of Theorem 3's criteria: it is optimal. certify offers the
+// max-flow trial only the avail entries at q_max (avail itself when every
+// entry is), and returns nil when the offer is smaller than the requests
+// or the trial stops at a request it cannot grant; the caller then runs
+// the simplex. A certified mapping's Cost is the Transformation 2 cost the
+// simplex would report: sum over requests of y_max - y_p, with no bypass
+// and no resource cost.
+func (p *Planner) certify(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
+	yMax, qMax := maxPriorityPreference(reqs, avail)
+	top := 0
+	for _, a := range avail {
+		if a.Preference == qMax {
+			top++
+		}
+	}
+	if top < len(reqs) {
+		return nil, nil
+	}
+	offer := avail
+	if top < len(avail) {
+		offer = p.offer[:0]
+		for _, a := range avail {
+			if a.Preference == qMax {
+				offer = append(offer, a)
+			}
+		}
+		p.offer = offer
+	}
+	st, built := p.incremental(net)
+	var ops OpCounts
+	fastPaths, stopped, err := st.grant(net, reqs, offer, true, &ops)
+	if err != nil || stopped {
+		return nil, err
+	}
+	m, err := st.decode(reqs)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range reqs {
+		m.Cost += yMax - r.Priority
+	}
+	m.Ops = ops
+	m.Solve = SolveStats{Warm: !built, Cold: built, FastPaths: fastPaths, Certified: true}
 	return m, nil
 }

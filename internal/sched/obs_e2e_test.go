@@ -106,6 +106,7 @@ var goldenMetricNames = []string{
 	"rsin_solver_augmentations_total",
 	"rsin_solver_cold_solves_total",
 	"rsin_solver_fast_paths_total",
+	"rsin_solver_mincost_certified_total",
 	"rsin_solver_multi_fast_path_total",
 	"rsin_solver_multi_gap_units_total",
 	"rsin_solver_multi_greedy_total",

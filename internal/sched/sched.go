@@ -20,8 +20,12 @@
 //     shard goroutine with its own System, so independent shards schedule
 //     in parallel with zero shared state.
 //   - Warm solves. Each shard's System carries a core.Planner whose
-//     arenas keep the previous epoch's flow or basis and apply only the
-//     epoch's deltas, keeping the per-epoch solve allocation-light.
+//     arenas persist between epochs. The max-flow arena keeps its
+//     structure, routing table and memory, never its flow: every solve
+//     starts empty. A MinCost epoch is certified max-flow first, on that
+//     arena, and warm-basis simplex otherwise: the simplex arena keeps the
+//     previous epoch's basis until a fault epoch forces a cold rebuild.
+//     Either way the per-epoch solve stays allocation-light.
 //
 // Transmission is modeled as completing within the epoch that grants it
 // (the service calls EndTransmission on behalf of the client); the
@@ -175,13 +179,16 @@ type Stats struct {
 	// Solver counters, decoded from each cycle's core.SolveStats by
 	// core.SolveCounts.Add.
 	//
-	// The warm-start four move under the MaxFlow and MinCost solvers:
+	// The warm-start five move under the MaxFlow and MinCost solvers:
 	// WarmSolves counts cycles solved on an arena the planner reused (the
 	// max-flow planner's whole-fabric arena, or MinCost's simplex basis),
 	// ColdSolves cycles that built theirs (the first, and for MinCost
 	// after a fault epoch), ArcsTouched the arcs warm MinCost solves
-	// re-priced, and FastPaths the grants resolved by the combinatorial
-	// routing fast path (MaxFlow only).
+	// re-priced, FastPaths the grants resolved by the combinatorial
+	// routing fast path on the max-flow arena (MaxFlow cycles and certified
+	// MinCost cycles), and MinCostCertified the MinCost cycles settled on
+	// that arena without the simplex: every request granted a resource of
+	// the top offered preference.
 	//
 	// The Multi six move under the typed solver. MultiFastPath counts
 	// cycles committed as certified optimal: sequential per-type max-flow
@@ -240,6 +247,7 @@ var statsTable = []struct {
 	{"rsin_solver_cold_solves_total", false, func(st *Stats) any { return &st.ColdSolves }},
 	{"rsin_solver_warm_arcs_touched_total", false, func(st *Stats) any { return &st.ArcsTouched }},
 	{"rsin_solver_fast_paths_total", false, func(st *Stats) any { return &st.FastPaths }},
+	{"rsin_solver_mincost_certified_total", false, func(st *Stats) any { return &st.MinCostCertified }},
 	{"rsin_solver_multi_fast_path_total", false, func(st *Stats) any { return &st.MultiFastPath }},
 	{"rsin_solver_multi_search_total", false, func(st *Stats) any { return &st.MultiSearch }},
 	{"rsin_solver_multi_lp_total", false, func(st *Stats) any { return &st.MultiLP }},

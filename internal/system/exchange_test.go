@@ -126,6 +126,7 @@ func (h *hypoState) exchange(ty int, v, b *taskState) bool {
 type exchangeTally struct {
 	cycles, oracle      int // cycles run; cycles held to the brute-force oracle
 	exchanges, realized int // exchanges made; those whose beneficiary was granted in the same cycle
+	paths               solvePaths
 }
 
 // TestExchangeDifferentialTraces holds the tier-exchange planner to its
@@ -138,9 +139,12 @@ type exchangeTally struct {
 // After every cycle each victim must be a not-provisioned singleton strictly
 // less urgent than its beneficiary and lose one unit at most, and the solve
 // must reach the brute-force weighted value on its instance — the requests
-// it was handed and the free units plus the exchanged ones. The test fails
-// as "did not exercise" unless both avoidance modes exchange and the
-// banker refuses at least one exchange.
+// it was handed and the free units plus the exchanged ones. Each fabric
+// runs once with random resource preferences and once with flat (nil)
+// ones. The test fails as "did not exercise" unless both avoidance modes
+// exchange, the banker refuses at least one exchange, and the random and
+// the flat rows each reach both of MinCost's paths: the certified max-flow
+// trial and the simplex.
 func TestExchangeDifferentialTraces(t *testing.T) {
 	fabrics := []func() *topology.Network{
 		func() *topology.Network { return topology.Omega(8) },
@@ -153,13 +157,25 @@ func TestExchangeDifferentialTraces(t *testing.T) {
 		t.Run(fmt.Sprintf("avoid=%d", av), func(t *testing.T) {
 			var tot exchangeTally
 			refused := exchangesRefused
-			for i, mk := range fabrics {
-				rng := rand.New(rand.NewSource(int64(2801 + 100*int(av) + i)))
-				x := runExchangeTrace(t, rng, mk(), av)
-				tot.cycles += x.cycles
-				tot.oracle += x.oracle
-				tot.exchanges += x.exchanges
-				tot.realized += x.realized
+			for _, flat := range []bool{false, true} {
+				var paths solvePaths
+				for i, mk := range fabrics {
+					seed := int64(2801 + 100*int(av) + i)
+					if flat {
+						seed += 50
+					}
+					x := runExchangeTrace(t, rand.New(rand.NewSource(seed)), mk(), av, flat)
+					tot.cycles += x.cycles
+					tot.oracle += x.oracle
+					tot.exchanges += x.exchanges
+					tot.realized += x.realized
+					paths.certified += x.paths.certified
+					paths.simplex += x.paths.simplex
+				}
+				if paths.certified == 0 || paths.simplex == 0 {
+					t.Fatalf("did not exercise: flat=%v: %d certified and %d simplex cycles", flat, paths.certified, paths.simplex)
+				}
+				t.Logf("flat=%v: %d certified and %d simplex cycles", flat, paths.certified, paths.simplex)
 			}
 			refused = exchangesRefused - refused
 			if tot.exchanges == 0 || tot.oracle == 0 || av == AvoidanceBankers && refused == 0 {
@@ -186,12 +202,9 @@ func TestExchangeDifferentialTraces(t *testing.T) {
 // cost is exponential in the requests.
 const oracleReqs = 8
 
-func runExchangeTrace(t *testing.T, rng *rand.Rand, net *topology.Network, av Avoidance) (x exchangeTally) {
+func runExchangeTrace(t *testing.T, rng *rand.Rand, net *topology.Network, av Avoidance, flat bool) (x exchangeTally) {
 	t.Helper()
-	prefs := make([]int64, net.Ress)
-	for r := range prefs {
-		prefs[r] = rng.Int63n(12)
-	}
+	prefs := randomPrefs(rng, net.Ress, flat)
 	raw, err := New(Config{Net: net, Discipline: MinCost, Avoidance: av, Preferences: prefs, Preempt: true})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +280,7 @@ func runExchangeTrace(t *testing.T, rng *rand.Rand, net *topology.Network, av Av
 					t.Fatalf("%s: exchange %+v: victim %+v, beneficiary %+v (victims so far %v)", where, e, v, b, victims)
 				}
 				victims[e.Victim] = true
-				avail = append(avail, core.Avail{Res: e.Res, Preference: prefs[e.Res]})
+				avail = append(avail, core.Avail{Res: e.Res, Preference: prefOf(prefs, e.Res)})
 				for _, a := range r.Mapping.Assigned {
 					if sys.Transmitting(a.Req.Proc) == e.Beneficiary {
 						x.realized++
@@ -283,6 +296,9 @@ func runExchangeTrace(t *testing.T, rng *rand.Rand, net *topology.Network, av Av
 			reqs := slices.Concat(r.Mapping.Blocked)
 			for _, a := range r.Mapping.Assigned {
 				reqs = append(reqs, a.Req)
+			}
+			if len(reqs) > 0 && len(avail) > 0 {
+				x.paths.add(r.Mapping)
 			}
 			if len(reqs) > 0 && len(avail) > 0 && len(reqs) <= oracleReqs {
 				x.oracle++

@@ -14,27 +14,66 @@ import (
 
 // TestPriorityDifferentialTraces is the differential suite for the
 // MinCost priority discipline: randomized arrival/release/fault traces
-// on four fabric families, run under both deadlock-avoidance modes and
-// with preemption exercised or not, holding every scheduling cycle to
-// the brute-force weighted-value oracle. Equality is on total weighted
-// value (core.WeightedValue), not on assignments — equal-value optima
-// are legitimately non-unique.
+// on four fabric families, run under both deadlock-avoidance modes, with
+// preemption exercised or not, and with random or flat (nil) resource
+// preferences, holding every scheduling cycle to the brute-force
+// weighted-value oracle. Equality is on total weighted value
+// (core.WeightedValue), not on assignments — equal-value optima are
+// legitimately non-unique. Each row fails as "did not exercise" unless
+// its cycles reach both of the discipline's paths: the certified max-flow
+// trial and the simplex.
 func TestPriorityDifferentialTraces(t *testing.T) {
 	for _, av := range []Avoidance{AvoidanceNone, AvoidanceBankers} {
 		for _, preempt := range []bool{false, true} {
-			av, preempt := av, preempt
 			t.Run(fmt.Sprintf("avoid=%d/preempt=%v", av, preempt), func(t *testing.T) {
-				seed := 4211 + int64(av)*17
-				if preempt {
-					seed += 1000
+				for _, row := range []string{"random", "flat"} {
+					flat := row == "flat"
+					t.Run(row, func(t *testing.T) {
+						seed := 4211 + int64(av)*17
+						if preempt {
+							seed += 1000
+						}
+						if flat {
+							seed += 500
+						}
+						x := runPriorityDifferential(t, rand.New(rand.NewSource(seed)), av, preempt, flat)
+						if x.certified == 0 || x.simplex == 0 {
+							t.Fatalf("did not exercise: %d certified and %d simplex cycles", x.certified, x.simplex)
+						}
+						t.Logf("%d certified and %d simplex cycles", x.certified, x.simplex)
+					})
 				}
-				runPriorityDifferential(t, rand.New(rand.NewSource(seed)), av, preempt)
 			})
 		}
 	}
 }
 
-func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt bool) {
+// solvePaths counts a MinCost trace's solved cycles by the path that
+// settled them: the certified max-flow trial or the simplex.
+type solvePaths struct{ certified, simplex int }
+
+func (x *solvePaths) add(m *core.Mapping) {
+	if m.Solve.Certified {
+		x.certified++
+	} else {
+		x.simplex++
+	}
+}
+
+// randomPrefs draws one preference in [0,12) per resource, or returns
+// nil for a flat row.
+func randomPrefs(rng *rand.Rand, ress int, flat bool) []int64 {
+	if flat {
+		return nil
+	}
+	prefs := make([]int64, ress)
+	for r := range prefs {
+		prefs[r] = rng.Int63n(12)
+	}
+	return prefs
+}
+
+func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt, flat bool) (x solvePaths) {
 	nets := []*topology.Network{
 		topology.Omega(4),
 		topology.Benes(4),
@@ -46,10 +85,7 @@ func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt
 		steps = 15
 	}
 	for _, net := range nets {
-		prefs := make([]int64, net.Ress)
-		for r := range prefs {
-			prefs[r] = rng.Int63n(12)
-		}
+		prefs := randomPrefs(rng, net.Ress, flat)
 		raw, err := New(Config{Net: net, Discipline: MinCost, Avoidance: av, Preferences: prefs})
 		if err != nil {
 			t.Fatal(err)
@@ -130,6 +166,7 @@ func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt
 				}
 				reqs = append(reqs, r.Mapping.Blocked...)
 				if len(reqs) > 0 && len(avail) > 0 {
+					x.add(r.Mapping)
 					got := core.WeightedValue(reqs, avail, r.Mapping)
 					want := core.BruteForceBestValue(sys.net, reqs, avail)
 					if got != want {
@@ -148,20 +185,29 @@ func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt
 			}
 		}
 	}
+	return x
 }
 
 // snapshotAvail rebuilds the avail list the next cycle will price,
 // exactly as cycle() does for Prefs-free tasks: every unheld, unfaulted
-// resource at its configured preference.
+// resource at its configured preference (0 for all when prefs is nil).
 func snapshotAvail(sys audited, prefs []int64) []core.Avail {
 	var avail []core.Avail
 	for r := 0; r < sys.net.Ress; r++ {
 		if sys.resHolder[r] != -1 || sys.net.ResourceFaulted(r) {
 			continue
 		}
-		avail = append(avail, core.Avail{Res: r, Preference: prefs[r]})
+		avail = append(avail, core.Avail{Res: r, Preference: prefOf(prefs, r)})
 	}
 	return avail
+}
+
+// prefOf is resource r's configured preference, 0 when prefs is nil.
+func prefOf(prefs []int64, r int) int64 {
+	if prefs == nil {
+		return 0
+	}
+	return prefs[r]
 }
 
 // applyRandomFault fails a random healthy component or repairs the

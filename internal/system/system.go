@@ -388,9 +388,12 @@ func (s *System) solveMaxFlow(reqs []core.Request, avail []core.Avail) (*core.Ma
 	return s.planner.ScheduleIncremental(s.net, reqs, avail)
 }
 
-// solveMinCost is warm-basis network simplex: the planner keeps the
-// previous epoch's optimal basis and falls back cold on fault-epoch changes
-// or divergence (see core.ScheduleMinCostIncremental).
+// solveMinCost is certified max-flow first, warm-basis network simplex
+// otherwise: a cycle whose every request the max-flow arena grants a
+// resource of the top offered preference is optimal without the simplex;
+// any other cycle runs the simplex on the previous epoch's basis, falling
+// back cold on fault-epoch changes or divergence (see
+// core.Planner.ScheduleMinCostIncremental).
 func (s *System) solveMinCost(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
 	return s.planner.ScheduleMinCostIncremental(s.net, reqs, avail)
 }

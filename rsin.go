@@ -47,7 +47,9 @@ type (
 	// Planner carries reusable scheduling state across epochs; its
 	// ScheduleIncremental and ScheduleHetero methods solve on one
 	// whole-fabric arena per network, reusing its structure and memory but
-	// never its flow (DESIGN.md §12). The zero value is ready to use.
+	// never its flow (DESIGN.md §12), and ScheduleMinCostIncremental tries
+	// each epoch there before its warm simplex basis (§13). The zero value
+	// is ready to use.
 	// Its warm methods' circuits view per-processor path slots that the
 	// next grant to the same processor rewrites: a caller that does not
 	// apply a mapping to the network it was solved on must copy the Links
@@ -114,8 +116,10 @@ const (
 	// DisciplineHetero.
 	DisciplineMaxFlow = system.MaxFlow
 	// DisciplineMinCost honors priorities and preferences
-	// (Transformation 2). It is type-blind: NewSystem refuses it
-	// together with Config.Types.
+	// (Transformation 2): certified max-flow first — a cycle that grants
+	// every request a resource of the top offered preference is optimal
+	// as it stands — and warm-basis network simplex otherwise. It is
+	// type-blind: NewSystem refuses it together with Config.Types.
 	DisciplineMinCost = system.MinCost
 	// DisciplineHetero schedules typed requests (multicommodity flow),
 	// matching Task.Type to Config.Types.
