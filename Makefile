@@ -2,9 +2,9 @@
 # packages. `make` (or `make all`) is what CI runs.
 GO ?= go
 
-.PHONY: all vet build test race allocguard ratchet sparsebench benchsmoke bench fuzz lint vuln loc
+.PHONY: all vet build test race allocguard ratchet deps sparsebench benchsmoke bench fuzz lint vuln loc
 
-all: vet build test race ratchet
+all: vet build test race ratchet deps
 
 vet:
 	$(GO) vet ./...
@@ -20,9 +20,11 @@ test:
 # the packages with concurrency (or concurrent callers); their stress
 # tests — including the priority differential traces, the preemption
 # chaos stress and the 64-client overload+chaos front-door stress — must
-# stay race-clean.
+# stay race-clean. internal/core is the solver every shard runs; its
+# allocation guard is built only without -race (alloc_guard_test.go) and
+# runs under allocguard instead.
 race:
-	$(GO) test -race -shuffle=on ./internal/sched ./internal/system ./internal/obs ./internal/server
+	$(GO) test -race -shuffle=on ./internal/sched ./internal/system ./internal/obs ./internal/server ./internal/core
 
 # Warm-solver pivot ratchet plus the three-engine min-cost cross-check:
 # the warm network simplex must pivot strictly less than cold on the
@@ -41,6 +43,14 @@ ratchet:
 	$(GO) test -run 'TestQuickCrossSolver|TestNegativeCostRegressions|TestPivotTreeDifferential' ./internal/netsimplex
 	$(GO) test -run 'TestOpsCounterParity' ./internal/maxflow
 	$(GO) test -run 'TestOpsGateRatchet' ./internal/core
+
+# The packages of this module that the service binary links must be
+# exactly the checked-in allow-list (cmd/rsinserve/deps.txt, one import
+# path a line, byte-sorted): a new package fails as a `+` line, and one
+# the binary no longer links fails as a `-` line until the list drops it,
+# so the list only shrinks with the code.
+deps:
+	$(GO) list -deps ./cmd/rsinserve | grep '^rsin/' | LC_ALL=C sort | diff -u cmd/rsinserve/deps.txt -
 
 # The instrumentation hot path must not allocate (disabled or enabled),
 # a service round trip allocates only what it hands back (plus the task
@@ -85,15 +95,15 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Non-test lines of the packages ROADMAP item 2 wants smaller (the
-# solvers of internal/core and internal/maxflow among them) and of the two
-# programs item 6 wants to be one harness, counted the way CHANGES.md
-# counts them (every line of the non-test .go files), so "less code" is a
-# number in every CI log.
+# solvers of internal/core and internal/maxflow and the fabric model of
+# internal/topology among them) and of the two programs item 6 wants to
+# be one harness, counted the way CHANGES.md counts them (every line of
+# the non-test .go files), so "less code" is a number in every CI log.
 loc:
-	@total=0; for d in internal/core internal/maxflow internal/system internal/sched internal/server cmd/rsinbench bench; do \
+	@total=0; for d in internal/core internal/maxflow internal/topology internal/system internal/sched internal/server cmd/rsinbench bench; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); total=$$((total + n)); \
-		printf '%-16s %s\n' $$d $$n; \
-	done; printf '%-16s %s\n' total $$total
+		printf '%-18s %s\n' $$d $$n; \
+	done; printf '%-18s %s\n' total $$total
 
 # Short smoke-fuzz of the life-cycle, typed-solver, min-cost engine,
 # parser and front-door fuzzers.

@@ -16,11 +16,10 @@ type HeteroOptions struct {
 	// (§III-D second formulation); otherwise total allocation is maximized.
 	UsePriorities bool
 	// Exact forces branch-and-bound when the LP relaxation comes out
-	// fractional (maximum-flow discipline only). Without it, the integral
-	// sequential per-commodity fallback is used.
+	// fractional (maximum-flow discipline only), within the search's own
+	// default node budget. Without it, the integral sequential
+	// per-commodity fallback is used.
 	Exact bool
-	// MaxNodes bounds the branch-and-bound search (0 = default).
-	MaxNodes int
 }
 
 // decodeResult decodes an integral multicommodity result — a certified
@@ -206,7 +205,7 @@ func scheduleHeteroLP(net *topology.Network, reqs []Request, avail []Avail, opts
 	case ok:
 		st.MultiFastPath = true
 	case opts.Exact:
-		if sol, err = multiflow.BranchAndBound(tr.G, tr.comms, nil, opts.MaxNodes); err != nil {
+		if sol, err = multiflow.BranchAndBound(tr.G, tr.comms, nil, 0); err != nil {
 			return nil, fmt.Errorf("core: heterogeneous branch-and-bound: %w", err)
 		}
 	default:

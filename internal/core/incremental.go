@@ -239,7 +239,8 @@ type incState struct {
 	*fabricArena
 
 	// rt is the routing table the fast path probes, nil when the fabric
-	// has none (then every request takes the flow search).
+	// has none (then every request takes the flow search). It is wiring
+	// only: faults reach the probe through base, never through rt.
 	rt *topology.RoutingTable
 	// pathWords[pathWordOff[j]:pathWordOff[j+1]] is routing path j's
 	// interior (link arcs only) as word-granular masks — precomputable
@@ -399,9 +400,6 @@ func (st *incState) grant(net *topology.Network, reqs []Request, avail []Avail, 
 	// and only a conflicted or faulted request pays for Augment's
 	// residual search (whose failed sweeps retire nodes for the rest of
 	// this solve).
-	if st.rt != nil {
-		st.rt.Refresh()
-	}
 	w.BeginSolve()
 	// Certificates from the same build are the same cut, so between
 	// arena mutations one CutBlocked verdict covers every processor
@@ -521,9 +519,12 @@ func (st *incState) residualWord(wi int, ops *maxflow.Counters) uint64 {
 // fastPath tries to grant processor p's request combinatorially: find a
 // free sink arc by word scan, then commit the first candidate path from
 // the routing table whose arcs are all enabled and idle — a handful of
-// word ops per grant, no flow search. Resources are probed starting at a
-// processor-dependent rotation ((p*Ress)/Procs) so simultaneous arrivals
-// spread across the resource pool instead of contending for resource 0.
+// word ops per grant, no flow search. That probe is the fast path's one
+// fault check: grant enabled no link arc outside base, the links free and
+// usable this solve, so a path over a faulted link reads busy. Resources
+// are probed starting at a processor-dependent rotation ((p*Ress)/Procs)
+// so simultaneous arrivals spread across the resource pool instead of
+// contending for resource 0.
 // On fastMiss the arena is untouched and the caller falls back to the
 // flow search.
 func (st *incState) fastPath(p int, ops *maxflow.Counters) int {
@@ -577,9 +578,6 @@ func (st *incState) fastPath(p int, ops *maxflow.Counters) int {
 		lo, hi := rt.PairPaths(p, r)
 	paths:
 		for j := lo; j < hi; j++ {
-			if rt.PathDead(j) {
-				continue
-			}
 			pws := st.pathWords[st.pathWordOff[j]:st.pathWordOff[j+1]]
 			for _, pw := range pws {
 				if st.residualWord(int(pw.Word), ops)&pw.Mask != pw.Mask {

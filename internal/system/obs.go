@@ -46,7 +46,7 @@ type sysObs struct {
 	arcsTouched *obs.Counter // arcs re-priced by warm MinCost solves
 	fastPaths   *obs.Counter // grants via the combinatorial routing fast path
 
-	cycleMS *obs.Histogram // solve wall time per cycle, milliseconds
+	cycleMS *obs.Histogram // wall time per cycle (hooks, solve, establishment), milliseconds
 
 	trace *obs.Trace
 }

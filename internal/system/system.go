@@ -247,11 +247,6 @@ type CycleResult struct {
 	// Preempted lists the units this cycle's tier exchanges revoked
 	// (Config.Preempt), in plan order; nil when it made none.
 	Preempted []Exchange
-
-	// Elapsed is the wall-clock time of the cycle — hooks, discipline
-	// solve and circuit establishment — the per-cycle monitor cost in
-	// real units alongside the Mapping's primitive-operation counters.
-	Elapsed time.Duration
 }
 
 // System is the running resource-sharing machine. Not safe for concurrent
@@ -558,22 +553,24 @@ func (s *System) requestCandidate(p int, tr *trial, res *CycleResult) *taskState
 
 // Cycle runs one scheduling cycle: pending head tasks request one resource
 // each, the configured discipline maps them, and granted circuits are
-// established (the processors begin transmitting). The result carries the
-// cycle's wall time in Elapsed; with Config.Obs set, the cycle is also
-// recorded in the registry (count, solve-time histogram, trace event).
+// established (the processors begin transmitting). With Config.Obs set,
+// the cycle is also recorded in the registry (count, wall-time histogram,
+// trace event); without it, Cycle reads no clock.
 func (s *System) Cycle() (*CycleResult, error) {
-	start := time.Now()
+	var start time.Time
+	if s.o.enabled {
+		start = time.Now()
+	}
 	res, err := s.cycle()
 	if err != nil {
 		return nil, err
 	}
-	res.Elapsed = time.Since(start)
 	s.cycleCount++
 	if s.o.enabled {
 		s.o.cycles.Inc()
 		s.o.granted.Add(int64(res.Granted))
 		s.o.deferred.Add(int64(res.Deferred))
-		s.o.cycleMS.Observe(res.Elapsed.Seconds() * 1e3)
+		s.o.cycleMS.Observe(time.Since(start).Seconds() * 1e3)
 		var c core.SolveCounts
 		c.Add(&res.Mapping.Solve)
 		s.o.warmSolves.Add(c.WarmSolves)

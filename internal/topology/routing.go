@@ -10,8 +10,6 @@
 
 package topology
 
-import "rsin/internal/bitset"
-
 // Routing-table construction caps. A table is only worth holding when
 // the per-pair path sets are small (Omega: 1, Benes(2^k): 2^(k-1),
 // Clos(n,m,r): m); fabrics whose path counts blow past these caps —
@@ -29,26 +27,16 @@ const (
 // and path j's link ids are linkSeq[pathOff[j]:pathOff[j+1]] (processor
 // link first, resource link last).
 //
-// The table depends only on the wiring, never on circuit occupancy:
-// callers probe candidate paths against live link state at grant time.
-// Hardware faults are folded in lazily: Refresh recomputes the per-path
-// dead mask whenever the network's FaultEpoch has advanced, so between
-// fault events a faulted path costs one bit test to skip.
-//
-// A RoutingTable is immutable after construction except for the fault
-// mask; like the planner that owns it, it is not safe for concurrent
-// use with Refresh.
+// The table is the wiring and nothing else: it never changes after
+// construction and holds neither circuit occupancy nor hardware faults.
+// Callers probe candidate paths against live link state at grant time,
+// and a link that is busy or unusable under a fault fails that probe
+// alike. Being immutable, a table is safe for concurrent readers.
 type RoutingTable struct {
-	net     *Network
-	procs   int
 	ress    int
 	pairOff []int32 // len procs*ress+1, indexes pathOff
 	pathOff []int32 // len numPaths+1, indexes linkSeq
 	linkSeq []int32 // concatenated link ids of every path
-
-	epoch    uint64      // FaultEpoch the dead mask was computed for
-	anyFault bool        // false: dead mask known all-clear, skip tests
-	dead     bitset.Bits // per path: traverses a faulted component
 }
 
 // NewRoutingTable enumerates every (processor, resource) path of the
@@ -58,8 +46,6 @@ type RoutingTable struct {
 // should be used unconditionally.
 func NewRoutingTable(n *Network) *RoutingTable {
 	t := &RoutingTable{
-		net:     n,
-		procs:   n.Procs,
 		ress:    n.Ress,
 		pairOff: make([]int32, n.Procs*n.Ress+1),
 		pathOff: []int32{0},
@@ -119,8 +105,6 @@ func NewRoutingTable(n *Network) *RoutingTable {
 			t.pairOff[p*n.Ress+r+1] = int32(len(t.pathOff) - 1)
 		}
 	}
-	t.dead = bitset.Make(len(t.pathOff) - 1)
-	t.refreshFaults()
 	return t
 }
 
@@ -138,40 +122,4 @@ func (t *RoutingTable) PairPaths(p, r int) (int32, int32) {
 // link last. The slice aliases the table; callers must not modify it.
 func (t *RoutingTable) PathLinks(j int32) []int32 {
 	return t.linkSeq[t.pathOff[j]:t.pathOff[j+1]]
-}
-
-// PathDead reports whether path j traverses a component that was faulted
-// as of the last Refresh.
-func (t *RoutingTable) PathDead(j int32) bool {
-	return t.anyFault && t.dead.Get(int(j))
-}
-
-// Refresh re-derives the per-path fault mask if — and only if — the
-// network's fault epoch has advanced since the last call, and reports
-// whether it did. The scan is linear in the table's total links, paid
-// once per Fail/Repair event rather than per grant.
-func (t *RoutingTable) Refresh() bool {
-	if t.net.FaultEpoch() == t.epoch {
-		return false
-	}
-	t.refreshFaults()
-	return true
-}
-
-func (t *RoutingTable) refreshFaults() {
-	t.epoch = t.net.FaultEpoch()
-	t.anyFault = t.net.HasFaults()
-	if !t.anyFault {
-		return // dead mask is stale but unread until anyFault flips back
-	}
-	for j := 0; j < len(t.pathOff)-1; j++ {
-		deadPath := false
-		for _, lid := range t.linkSeq[t.pathOff[j]:t.pathOff[j+1]] {
-			if !t.net.LinkUsable(int(lid)) {
-				deadPath = true
-				break
-			}
-		}
-		t.dead.SetTo(j, deadPath)
-	}
 }

@@ -78,43 +78,6 @@ func TestRoutingTableExtraStageDoubling(t *testing.T) {
 	}
 }
 
-func TestRoutingTableFaultRefresh(t *testing.T) {
-	n := Omega(8)
-	rt := NewRoutingTable(n)
-	if rt == nil {
-		t.Fatal("NewRoutingTable(Omega(8)) = nil")
-	}
-	lo, _ := rt.PairPaths(0, 0)
-	if rt.PathDead(lo) {
-		t.Fatal("path dead on fault-free network")
-	}
-	if rt.Refresh() {
-		t.Fatal("Refresh reported work with unchanged fault epoch")
-	}
-
-	// Fail the first link of the path; the path must go dead after Refresh.
-	lid := int(rt.PathLinks(lo)[0])
-	if err := n.FailLink(lid); err != nil {
-		t.Fatalf("FailLink: %v", err)
-	}
-	if !rt.Refresh() {
-		t.Fatal("Refresh ignored a fault-epoch advance")
-	}
-	if !rt.PathDead(lo) {
-		t.Fatal("path with failed link not marked dead")
-	}
-
-	if err := n.RepairLink(lid); err != nil {
-		t.Fatalf("RepairLink: %v", err)
-	}
-	if !rt.Refresh() {
-		t.Fatal("Refresh ignored repair epoch advance")
-	}
-	if rt.PathDead(lo) {
-		t.Fatal("path still dead after repair")
-	}
-}
-
 func TestRoutingTableCapOverflow(t *testing.T) {
 	// A Benes wide enough that per-pair path count (n/2) exceeds the cap
 	// must yield no table.

@@ -58,7 +58,9 @@ type (
 	// SolveStats reports how a Mapping was solved (warm vs cold, arcs
 	// touched, fast-path grants, the typed solver's path).
 	SolveStats = core.SolveStats
-	// HeteroOptions tunes heterogeneous (multi-type) scheduling.
+	// HeteroOptions tunes heterogeneous (multi-type) scheduling. Its
+	// branch-and-bound runs to the search's own node budget; the
+	// MaxNodes field is gone.
 	HeteroOptions = core.HeteroOptions
 	// TokenResult is the outcome of a distributed token-architecture cycle.
 	TokenResult = token.Result
@@ -66,7 +68,9 @@ type (
 	TokenOptions = token.Options
 	// System is the long-running resource-sharing machine: task queues,
 	// scheduling cycles, transmission/service life cycle, multi-resource
-	// acquisition with deadlock avoidance.
+	// acquisition with deadlock avoidance. System.Cycle's result carries
+	// no wall time (CycleResult.Elapsed is gone): with SystemConfig.Obs
+	// set, the rsin_system_cycle_ms histogram times each cycle.
 	System = system.System
 	// SystemConfig parameterizes a System.
 	SystemConfig = system.Config
