@@ -105,13 +105,15 @@ loc:
 		printf '%-18s %s\n' $$d $$n; \
 	done; printf '%-18s %s\n' total $$total
 
-# Short smoke-fuzz of the life-cycle, typed-solver, min-cost engine,
-# parser and front-door fuzzers.
+# Short smoke-fuzz of the life-cycle, typed-solver, fast-path/search
+# boundary, min-cost engine, parser and front-door fuzzers; CI's fuzz smoke
+# runs the same list.
 fuzz:
 	$(GO) test -fuzz FuzzSubmitCycle -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzGangSubmit -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzTypedSubmit -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzHeteroBound -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzRoutingFallbackBoundary -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzMinCostEngines -fuzztime 30s ./internal/netsimplex
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dimacs
 	$(GO) test -fuzz FuzzHTTPSubmitDecode -fuzztime 30s ./internal/server

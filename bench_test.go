@@ -598,8 +598,9 @@ func BenchmarkMicroMinCost(b *testing.B) {
 	})
 }
 
-// BenchmarkCrossbarFastPath contrasts the Hopcroft-Karp crossbar scheduler
-// against the generic flow transformation on the same instance.
+// BenchmarkCrossbarFastPath contrasts the generic flow transformation
+// against the planner's warm arena, whose routing fast path grants every
+// request of a crossbar without a flow search, on the same instance.
 func BenchmarkCrossbarFastPath(b *testing.B) {
 	net := topology.Crossbar(32, 32)
 	var reqs []core.Request
@@ -608,18 +609,19 @@ func BenchmarkCrossbarFastPath(b *testing.B) {
 		reqs = append(reqs, core.Request{Proc: i})
 		avail = append(avail, core.Avail{Res: i})
 	}
-	b.Run("hopcroft-karp", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ScheduleCrossbar(net, reqs, avail); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("flow-transformation", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.ScheduleMaxFlow(net, reqs, avail); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("arena", func(b *testing.B) {
+		var planner core.Planner
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := planner.ScheduleIncremental(net, reqs, avail); err != nil {
 				b.Fatal(err)
 			}
 		}

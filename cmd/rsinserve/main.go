@@ -492,13 +492,11 @@ func main() {
 		fmt.Printf("faults        injected=%d restarts=%d lost=%d canceled=%d\n",
 			fired, st.Restarts, lost.Load(), canceled.Load())
 	}
-	hwFired := 0
-	if injector != nil {
-		hwFired = injector.HardwareFired() // ops applied via HardwareHook, not the sched API
-	}
-	if *linkfault > 0 || hwFired > 0 || st.LinkFaults > 0 || st.Repairs > 0 || st.Severed > 0 {
-		fmt.Printf("hardware      faults=%d repairs=%d hook-ops=%d severed=%d usable=%d severed-tasks=%d unsat=%d\n",
-			st.LinkFaults, st.Repairs, hwFired, st.Severed, st.Usable, severed.Load(), unsat.Load())
+	// Stats counts every fault, whether the chaos loop applied it through
+	// the sched API or a scripted HardwareHook at the top of a cycle.
+	if *linkfault > 0 || st.LinkFaults > 0 || st.Repairs > 0 || st.Severed > 0 {
+		fmt.Printf("hardware      faults=%d repairs=%d severed=%d usable=%d severed-tasks=%d unsat=%d\n",
+			st.LinkFaults, st.Repairs, st.Severed, st.Usable, severed.Load(), unsat.Load())
 	}
 	if interrupted {
 		fmt.Printf("shutdown      interrupted; %d of %d tasks admitted, %d abandoned\n",

@@ -471,29 +471,31 @@ func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Map
 
 // Planner is a reusable scheduling workspace for hot paths that solve one
 // flow problem per cycle for the lifetime of a system (internal/system,
-// internal/sched). ScheduleIncremental and ScheduleHetero solve on one
-// whole-fabric arena per network, built on first use and reused by every
-// later solve of either kind: its structure, routing table and memory
-// carry over, never its flow, so their mappings are those of a fresh
-// planner. ScheduleMinCostIncremental tries each epoch on that arena first
-// and keeps a warm simplex basis for the epochs it cannot certify. The zero
-// value is ready to use. A Planner is not safe for concurrent use; give
-// each scheduling shard its own.
+// internal/sched). It holds one whole-fabric arena per network, built on
+// first use, and one solver on it (typedState): ScheduleIncremental and
+// ScheduleMinCostIncremental's certifying trial are that solver's
+// one-commodity case, ScheduleHetero its typed case, and all of them run
+// the same grant loop and the same decode. The arena's structure, routing
+// table and memory carry over, never its flow, so the mappings are those
+// of a fresh planner. ScheduleMinCostIncremental keeps a warm simplex
+// basis beside it for the epochs the arena cannot certify. The zero value
+// is ready to use. A Planner is not safe for concurrent use; give each
+// scheduling shard its own.
 //
 // The warm methods (ScheduleIncremental, ScheduleMinCostIncremental and a
-// bound-certified ScheduleHetero) decode each circuit into the planner's
-// path slot for its processor, and the Mapping's Circuit.Links view that
-// slot. The next grant to the same processor rewrites it. A mapping applied
-// to the network it was solved on stays intact while its circuits stand (a
-// standing circuit's processor cannot be granted again). A caller that
-// solves without applying, or applies to another network (a Clone), must
-// copy the links it keeps before the next solve: otherwise they change
-// under it, and a later Release or ForceRelease frees the wrong links.
+// ScheduleHetero settled on the arena) decode each circuit into the
+// planner's path slot for its processor, and the Mapping's Circuit.Links
+// view that slot. The next grant to the same processor rewrites it. A
+// mapping applied to the network it was solved on stays intact while its
+// circuits stand (a standing circuit's processor cannot be granted again).
+// A caller that solves without applying, or applies to another network (a
+// Clone), must copy the links it keeps before the next solve: otherwise
+// they change under it, and a later Release or ForceRelease frees the
+// wrong links.
 type Planner struct {
-	fab *fabricArena // whole-fabric arena; nil until the first max-flow or typed solve
-	inc *incState    // max-flow solver on fab; nil until the first incremental solve
-	ty  *typedState  // typed-epoch solver on fab; nil until the first heterogeneous solve
-	mc  *mcState     // min-cost warm-basis arena; nil until the first prioritized solve
+	fab *fabricArena // whole-fabric arena; nil until the first arena solve
+	ty  *typedState  // the one solver on fab, built with it
+	mc  *mcState     // min-cost warm-basis arena; nil until the first simplex solve
 
 	offer []Avail // scratch: a MinCost epoch's top-preference offer (certify)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"rsin/internal/matching"
 	"rsin/internal/maxflow"
 	"rsin/internal/topology"
 )
@@ -255,10 +256,14 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestScheduleCrossbarEqualsMaxFlow: the Hopcroft-Karp fast path must
-// agree with the flow-based scheduler on crossbar RSINs, including typed
-// requests and partially-occupied endpoint links.
-func TestScheduleCrossbarEqualsMaxFlow(t *testing.T) {
+// TestCrossbarMatchesHopcroftKarp holds the planner to an independent
+// oracle on crossbar RSINs, where any requesting processor reaches any free
+// resource over its own two endpoint links, so the optimal mapping is a
+// maximum bipartite matching: Hopcroft-Karp on the type-compatible pairs
+// with free endpoint links. Both the typed solve and the one-commodity
+// solve of a single-type instance must allocate exactly that, including on
+// partially occupied crossbars.
+func TestCrossbarMatchesHopcroftKarp(t *testing.T) {
 	rng := rand.New(rand.NewSource(119))
 	for trial := 0; trial < 80; trial++ {
 		net := topology.Crossbar(3+rng.Intn(5), 3+rng.Intn(5))
@@ -271,38 +276,47 @@ func TestScheduleCrossbarEqualsMaxFlow(t *testing.T) {
 				}
 			}
 		}
+		types := 1 + trial%2
 		var reqs []Request
 		var avail []Avail
 		for p := 0; p < net.Procs; p++ {
 			if rng.Float64() < 0.6 && net.Links[net.ProcLink[p]].State == topology.LinkFree {
-				reqs = append(reqs, Request{Proc: p, Type: rng.Intn(2)})
+				reqs = append(reqs, Request{Proc: p, Type: rng.Intn(types)})
 			}
 		}
 		for r := 0; r < net.Ress; r++ {
 			if rng.Float64() < 0.6 && net.Links[net.ResLink[r]].State == topology.LinkFree {
-				avail = append(avail, Avail{Res: r, Type: rng.Intn(2)})
+				avail = append(avail, Avail{Res: r, Type: rng.Intn(types)})
 			}
 		}
-		fast, err := ScheduleCrossbar(net, reqs, avail)
+		g := matching.NewGraph(len(reqs), len(avail))
+		for i, rq := range reqs {
+			for j, a := range avail {
+				if a.Type == rq.Type {
+					g.AddEdge(i, j)
+				}
+			}
+		}
+		want := matching.HopcroftKarp(g).Size
+		var planner Planner
+		typed, err := planner.ScheduleHetero(net, reqs, avail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ScheduleHetero(net, reqs, avail, &HeteroOptions{Exact: true})
-		if err != nil {
-			t.Fatal(err)
+		if typed.Allocated() != want {
+			t.Fatalf("trial %d: typed solve allocated %d, Hopcroft-Karp %d", trial, typed.Allocated(), want)
 		}
-		if fast.Allocated() != want.Allocated() {
-			t.Fatalf("trial %d: crossbar fast path %d vs multicommodity %d",
-				trial, fast.Allocated(), want.Allocated())
+		checkMapping(t, net, typed)
+		if types == 1 {
+			one, err := planner.ScheduleIncremental(net, reqs, avail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Allocated() != want {
+				t.Fatalf("trial %d: one-commodity solve allocated %d, Hopcroft-Karp %d", trial, one.Allocated(), want)
+			}
+			checkMapping(t, net, one)
 		}
-		checkMapping(t, net, fast)
-	}
-}
-
-func TestScheduleCrossbarRejectsMultistage(t *testing.T) {
-	net := topology.Omega(8)
-	if _, err := ScheduleCrossbar(net, reqsFor(0), availFor(0)); err == nil {
-		t.Fatal("multistage network accepted")
 	}
 }
 

@@ -141,11 +141,8 @@ func (p *Planner) ScheduleHetero(net *topology.Network, reqs []Request, avail []
 		return &Mapping{}, nil
 	}
 	if !opts.UsePriorities {
-		a, _ := p.arena(net)
-		if p.ty == nil {
-			p.ty = newTypedState(a)
-		}
-		m, ok, err := p.ty.solve(net, reqs, avail)
+		st, _ := p.solver(net)
+		m, ok, err := st.solve(net, reqs, avail)
 		if err != nil {
 			return nil, err
 		}

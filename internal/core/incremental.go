@@ -33,8 +33,10 @@ type SolveStats struct {
 	Retractions int `json:"retractions,omitempty"`
 	// FastPaths counts requests granted by the combinatorial routing
 	// fast path — a candidate path from the topology's routing table
-	// committed without a flow search. The remainder of the epoch's
-	// grants went through Augment's residual search.
+	// committed without a flow search — in the sweep the mapping came
+	// from (none when a typed epoch took the search's schedule). The
+	// remainder of the epoch's grants went through Augment's residual
+	// search.
 	FastPaths int `json:"fast_paths,omitempty"`
 	// Certified marks a MinCost epoch settled on the max-flow arena: every
 	// request was granted a resource of the top offered preference, which
@@ -123,13 +125,13 @@ func (ps pathSlots) slot(p int) []int {
 }
 
 // fabricArena is a planner's whole-fabric unit-capacity arena, on which
-// ScheduleIncremental, ScheduleHetero and ScheduleMinCostIncremental's
-// certifying trial all solve: every processor, resource, switchbox and
-// link gets its node or arc once, when the planner first meets the
-// network. No solver keeps flow in it from one solve to the next. Each
-// solve clears the flow and enables its own instance, so
-// the structure, the routing table and the memory carry over, and the
-// mapping is a function of the fabric state and the solve's inputs alone
+// its one solver (typedState) runs ScheduleIncremental,
+// ScheduleMinCostIncremental's certifying trial and ScheduleHetero: every
+// processor, resource, switchbox and link gets its node or arc once, when
+// the planner first meets the network. No solve keeps flow in it for the
+// next. Each solve clears the flow and enables its own instance, so the
+// structure, the routing table and the memory carry over, and the mapping
+// is a function of the fabric state and the solve's inputs alone
 // (DESIGN.md §12).
 //
 // Arc numbering: arc l in [0,Links) is the arc of link l — link arcs come
@@ -141,12 +143,6 @@ type fabricArena struct {
 	net                *topology.Network // identity: the fabric the arena was built for
 	procs, ress, links int
 	w                  *maxflow.Warm
-
-	// routes is the network's combinatorial routing table, built on first
-	// use (routing); nil when the fabric has too many paths per pair to
-	// enumerate.
-	routes      *topology.RoutingTable
-	routesBuilt bool
 
 	base  bitset.Bits // this solve's free and usable link arcs, read off the fabric
 	want  bitset.Bits // scratch: the arc membership of one flow step
@@ -202,14 +198,6 @@ func (a *fabricArena) snkArc(r int) int  { return a.links + a.procs + r }
 // resOfSnk inverts snkArc.
 func (a *fabricArena) resOfSnk(arc int) int { return arc - a.links - a.procs }
 
-// routing returns the network's routing table, building it on first use.
-func (a *fabricArena) routing() *topology.RoutingTable {
-	if !a.routesBuilt {
-		a.routes, a.routesBuilt = topology.NewRoutingTable(a.net), true
-	}
-	return a.routes
-}
-
 // syncLinks rebuilds base from the fabric: the links that are free and,
 // under the current faults, usable. Nothing about the fabric's state is
 // carried from one solve to the next.
@@ -222,82 +210,67 @@ func (a *fabricArena) syncLinks(net *topology.Network) {
 	}
 }
 
-// arena returns the planner's whole-fabric arena for net, building a new
-// one when net is not the fabric it was built for; the solver state tied
-// to the old arena goes with it. built reports a new arena.
-func (p *Planner) arena(net *topology.Network) (a *fabricArena, built bool) {
+// solver returns the planner's one solver, on its whole-fabric arena for
+// net, building both when net is not the fabric they were built for.
+// built reports a new arena.
+func (p *Planner) solver(net *topology.Network) (st *typedState, built bool) {
 	if p.fab.matches(net) {
-		return p.fab, false
+		return p.ty, false
 	}
-	p.fab, p.inc, p.ty = newFabricArena(net), nil, nil
-	return p.fab, true
+	p.fab = newFabricArena(net)
+	p.ty = newTypedState(p.fab)
+	return p.ty, true
 }
 
-// incState is the max-flow solver's state on the planner's arena: the
-// blocked-request certificates and the routing fast path's probe cache.
-type incState struct {
-	*fabricArena
-
-	// rt is the routing table the fast path probes, nil when the fabric
-	// has none (then every request takes the flow search). It is wiring
-	// only: faults reach the probe through base, never through rt.
-	rt *topology.RoutingTable
-	// pathWords[pathWordOff[j]:pathWordOff[j+1]] is routing path j's
-	// interior (link arcs only) as word-granular masks — precomputable
-	// because link arcs sit at the bottom of the arc id space, aligned
-	// with the state words. A grant-time probe ORs in the request's
-	// source and sink bits and costs a few word ops total.
-	pathWordOff []int32
-	pathWords   []maxflow.PathWord
-	wordBuf     []maxflow.PathWord // scratch: fast-path candidate words
-
-	// Per-request residual-word cache: fastPath fetches each state word
-	// from the arena at most once per request (one counted ResidualWord),
-	// then tests source, sink, and candidate-path bits against the local
-	// copy for free — the same word-reuse a hardware monitor register
-	// gets. probeGen stamps the cache so invalidation is O(1) per request.
-	probeGen uint32
-	wordGen  []uint32
-	wordVal  []uint64
-
-	// Blocked-request certificates: after a solve with failed searches,
-	// every blocked processor shares the solve's one cut of the final
-	// retired region (maxflow.Cut). While the cut still checks out
-	// against live arena state, a repeat request from p is provably
-	// still blocked for a few word ops instead of a re-search. certGen
-	// tags which build a processor's cert came from, so one solve checks
-	// each shared cut at most once between state changes.
-	cert    []maxflow.Cut
-	hasCert []bool
-	certGen []uint64
-	cutSeq  uint64
-
-	arcs []int // scratch: the arc path of the circuit being decoded
+// ScheduleIncremental computes the same optimal mapping as
+// ScheduleMaxFlow — the differential suite holds it to allocation-count
+// equality with the cold solver and the brute-force oracle — on the
+// planner's whole-fabric arena, as the typed solver's one-commodity case
+// (oneCommodity): one grant loop over the requests in caller order, each
+// skipped by a blocked-request certificate that still holds, committed on
+// a free candidate path from the routing table (the combinatorial fast
+// path), or else searched for by Augment. Only the arena's structure,
+// routing table and memory carry over, with the certificates, which skip
+// only searches that would fail — so a long-lived planner returns the
+// assignments a fresh one would (its Ops may be lower).
+//
+// Solve.Cold marks the solve that built the arena (the first on a
+// network), Solve.Warm every solve that reused it.
+//
+// The mapping may differ from ScheduleMaxFlow's in which optimal
+// assignment it picks; the allocation count is always equal.
+//
+// Its circuits' Links view the planner's per-processor path slots: unless
+// the mapping is applied to net, copy the links before the next solve
+// (see Planner).
+func (p *Planner) ScheduleIncremental(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
+	return p.oneCommodity(net, reqs, avail, false)
 }
 
-// newIncState readies the max-flow solver on an arena, building the
-// arena's routing table if no solve has yet.
-func newIncState(a *fabricArena) *incState {
-	st := &incState{
-		fabricArena: a,
-		rt:          a.routing(),
-		cert:        make([]maxflow.Cut, a.procs),
-		hasCert:     make([]bool, a.procs),
-		certGen:     make([]uint64, a.procs),
-		wordGen:     make([]uint32, a.w.ArcWords()),
-		wordVal:     make([]uint64, a.w.ArcWords()),
+// oneCommodity solves an epoch on the arena as one commodity, request
+// and resource types ignored: one sweep of the grant loop, then the
+// decode. A trial stops at the first request it cannot grant and returns
+// a nil mapping; it allocates nothing then. The mapping's Solve says
+// whether the arena was built for it and how many grants the fast path
+// made.
+func (p *Planner) oneCommodity(net *topology.Network, reqs []Request, avail []Avail, trial bool) (*Mapping, error) {
+	st, built := p.solver(net)
+	if err := st.index(net, reqs, avail, false); err != nil {
+		return nil, err
 	}
-	if st.rt != nil {
-		st.pathWordOff = make([]int32, 1, st.rt.NumPaths()+1)
-		for j := 0; j < st.rt.NumPaths(); j++ {
-			start := len(st.pathWords)
-			for _, lid := range st.rt.PathLinks(int32(j)) {
-				st.pathWords = appendPathBit(st.pathWords, start, st.linkArc(int(lid)))
-			}
-			st.pathWordOff = append(st.pathWordOff, int32(len(st.pathWords)))
-		}
+	total, walked := st.sweep(trial)
+	if !walked {
+		return nil, fmt.Errorf("core: arena flow decomposition failed")
 	}
-	return st
+	if trial && total < len(reqs) {
+		return nil, nil
+	}
+	m, ok := st.decode(net, reqs, avail)
+	if !ok {
+		return nil, fmt.Errorf("core: arena circuits failed the legality re-check")
+	}
+	m.Solve = SolveStats{Warm: !built, Cold: built, FastPaths: st.fast}
+	return m, nil
 }
 
 // appendPathBit ORs arc a into the path word run words[start:],
@@ -315,181 +288,107 @@ func appendPathBit(words []maxflow.PathWord, start, a int) []maxflow.PathWord {
 	return append(words, maxflow.PathWord{Word: wd, Mask: bit})
 }
 
-// ScheduleIncremental computes the same optimal mapping as
-// ScheduleMaxFlow — the differential suite holds it to allocation-count
-// equality with the cold solver and the brute-force oracle — on the
-// planner's whole-fabric arena. Every solve starts from an empty flow:
-// it enables the free and usable links, this solve's source arcs and the
-// free resources' sink arcs, then grants each request in caller order —
-// a blocked-request certificate that still holds skips it, a free
-// candidate path from the routing table commits it without a search (the
-// combinatorial fast path), and otherwise Augment searches the residual.
-// Only the arena's structure, routing table and memory carry over, with
-// the certificates, which skip only searches that would fail — so a
-// long-lived planner returns the mapping a fresh one would.
+// grant is the arena's one grant loop. It routes one commodity by
+// max-flow over the free links no frozen unit occupies and returns the
+// units it landed, which stay in the arena, and how many of them the
+// fast path committed. The commodity is the one tagged only, or with
+// only == 0 the merged relaxation: every commodity of st.order except the
+// one tagged except (0: none) as one, any of their requests free to take
+// any of their resources. The pass's instance is the free links plus the
+// source and sink arcs of its commodities (st.inst), ORed in a word at a
+// time.
 //
-// Solve.Cold marks the solve that built the arena (the first on a
-// network), Solve.Warm every solve that reused it.
+// Each request gets one attempt, in caller order: a blocked-request
+// certificate that still holds skips it, a free candidate path from the
+// routing table commits it without a search (fastPath), and otherwise
+// Augment searches the residual (its failed sweeps retire nodes for the
+// rest of the pass). One attempt is enough: a source arc with no
+// augmenting path now has none after later augmentations either. A full
+// pass attempts every request and gives those whose search failed the
+// pass's one cut as their certificate. A trial stops at the first request
+// it cannot grant and builds no certificate.
 //
-// The mapping may differ from ScheduleMaxFlow's in which optimal
-// assignment it picks; the allocation count is always equal.
-//
-// Its circuits' Links view the planner's per-processor path slots: unless
-// the mapping is applied to net, copy the links before the next solve
-// (see Planner).
-func (p *Planner) ScheduleIncremental(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
-	st, built := p.incremental(net)
-	var ops maxflow.Counters
-	fastPaths, _, err := st.grant(net, reqs, avail, false, &ops)
-	if err != nil {
-		return nil, err
-	}
-	m, err := st.decode(reqs)
-	if err != nil {
-		return nil, err
-	}
-	m.Ops = ops
-	m.Solve = SolveStats{Warm: !built, Cold: built, FastPaths: fastPaths}
-	return m, nil
-}
-
-// incremental returns the max-flow solver on the planner's arena for net;
-// built reports an arena built by this call.
-func (p *Planner) incremental(net *topology.Network) (st *incState, built bool) {
-	a, built := p.arena(net)
-	if p.inc == nil {
-		p.inc = newIncState(a)
-	}
-	return p.inc, built
-}
-
-// grant runs one epoch's flow on an emptied arena: enable the instance,
-// then make one attempt per request in caller order (certificate, fast
-// path or augmenting search), and return the fast-path grants. A full
-// solve attempts every request and leaves the blocked ones the epoch's
-// cut. A trial stops at the first request it cannot grant, reports
-// stopped, and builds no certificate, so a failed trial allocates nothing.
-func (st *incState) grant(net *topology.Network, reqs []Request, avail []Avail, trial bool, ops *maxflow.Counters) (fastPaths int, stopped bool, err error) {
+// Certificates are checked against the arena's live state, so one built
+// in any earlier pass, solve or instance is sound; they skip only
+// searches that would fail, and never change which units land.
+func (st *typedState) grant(only, except int32, trial bool) (n, fast int) {
 	w := st.w
-	st.syncLinks(net)
 	copy(st.want, st.base)
-	for _, r := range reqs {
-		if r.Proc < 0 || r.Proc >= st.procs {
-			return 0, false, fmt.Errorf("core: request from processor %d out of range [0,%d)", r.Proc, st.procs)
+	nSrc, nSnk := 0, 0
+	for _, c := range st.order {
+		if t := int32(c + 1); t == except || only != 0 && t != only {
+			continue
 		}
-		if st.want.Get(st.srcArc(r.Proc)) {
-			return 0, false, fmt.Errorf("core: duplicate request from processor %d", r.Proc)
+		for i, m := range st.inst[c] {
+			st.want[i] |= m
 		}
-		st.want.Set(st.srcArc(r.Proc))
+		nSrc, nSnk = nSrc+st.nReq[c], nSnk+st.nRes[c]
 	}
-	for _, a := range avail {
-		if a.Res < 0 || a.Res >= st.ress {
-			return 0, false, fmt.Errorf("core: availability for resource %d out of range [0,%d)", a.Res, st.ress)
-		}
-		if st.want.Get(st.snkArc(a.Res)) {
-			return 0, false, fmt.Errorf("core: duplicate availability for resource %d", a.Res)
-		}
-		st.want.Set(st.snkArc(a.Res))
-	}
-	w.ClearFlow()
 	w.EnableIdle(st.want)
-
-	// Grant: one attempt per arriving request, in caller order. The
-	// routing fast path goes first — probe the table's candidate paths
-	// against the arena's idle bits and commit the first fully-free one —
-	// and only a conflicted or faulted request pays for Augment's
-	// residual search (whose failed sweeps retire nodes for the rest of
-	// this solve).
 	w.BeginSolve()
 	// Certificates from the same build are the same cut, so between
 	// arena mutations one CutBlocked verdict covers every processor
 	// holding that generation. Any grant invalidates the memo: new flow
 	// can put reverse residual on an R arc and unblock the cut.
-	var blocked []int
+	st.blocked = st.blocked[:0]
 	memoGen, memoBlocked := uint64(0), false
-	for _, r := range reqs {
-		if st.hasCert[r.Proc] {
+	limit := min(nSrc, nSnk)
+	for _, p32 := range st.reqProc {
+		p := int(p32)
+		if n == limit {
+			break
+		}
+		if !st.want.Get(st.srcArc(p)) {
+			continue // another commodity's request
+		}
+		if g := st.certGen[p]; g != 0 {
 			still := memoBlocked
-			if g := st.certGen[r.Proc]; g != memoGen {
-				still = w.CutBlocked(st.cert[r.Proc], ops)
+			if g != memoGen {
+				still = w.CutBlocked(st.cert[p], &st.ops)
 				memoGen, memoBlocked = g, still
 			}
 			if still {
 				if trial {
-					return fastPaths, true, nil
+					return n, fast
 				}
 				continue // still provably blocked, skip probe and search
 			}
-			st.hasCert[r.Proc] = false
+			st.certGen[p] = 0
 		}
-		switch st.fastPath(r.Proc, ops) {
+		switch st.fastPath(p) {
 		case fastGrant:
-			fastPaths++
-			memoGen = 0
+			n, fast, memoGen = n+1, fast+1, 0
 			continue
 		case fastMiss:
-			if w.Augment(st.srcArc(r.Proc), ops) {
-				memoGen = 0
+			if w.Augment(st.srcArc(p), &st.ops) {
+				n, memoGen = n+1, 0
 				continue
 			}
 			if !trial {
-				blocked = append(blocked, r.Proc)
+				st.blocked = append(st.blocked, p)
 			}
 		case fastBlocked:
 			// No sink arc has residual capacity, so no augmenting path
 			// exists for anyone: skip the doomed search.
 		}
 		if trial {
-			return fastPaths, true, nil
+			return n, fast
 		}
 	}
-	// One cut serves every processor blocked this solve: each of their
+	// One cut serves every processor blocked this pass: each of their
 	// nodes sits in the final retired set (retirement persists for the
-	// whole solve), and CutBlocked validates against live state anyway.
-	if len(blocked) > 0 {
-		cut := w.BuildCut(ops)
+	// whole pass), and CutBlocked validates against live state anyway.
+	// Each processor keeps its own copy in storage it reuses.
+	if len(st.blocked) > 0 {
+		st.cut = w.BuildCut(st.cut, &st.ops)
 		st.cutSeq++
-		for _, pr := range blocked {
-			st.cert[pr] = cut
-			st.certGen[pr] = st.cutSeq
-			st.hasCert[pr] = true
+		for _, p := range st.blocked {
+			st.cert[p].F = append(st.cert[p].F[:0], st.cut.F...)
+			st.cert[p].R = append(st.cert[p].R[:0], st.cut.R...)
+			st.certGen[p] = st.cutSeq
 		}
 	}
-	return fastPaths, false, nil
-}
-
-// decode decomposes the granted flow into circuits, each into its
-// processor's path slot.
-func (st *incState) decode(reqs []Request) (*Mapping, error) {
-	w := st.w
-	granted := 0
-	for _, r := range reqs {
-		if w.Flow(st.srcArc(r.Proc)) {
-			granted++
-		}
-	}
-	m := sizedMapping(reqs, granted)
-	for _, r := range reqs {
-		src := st.srcArc(r.Proc)
-		if !w.Flow(src) {
-			m.Blocked = append(m.Blocked, r)
-			continue
-		}
-		arcs, ok := w.AppendPathFrom(st.arcs[:0], src)
-		if !ok {
-			return nil, fmt.Errorf("core: incremental decomposition failed for processor %d", r.Proc)
-		}
-		st.arcs = arcs
-		res := st.resOfSnk(arcs[len(arcs)-1])
-		links := append(st.slots.slot(r.Proc), arcs[1:len(arcs)-1]...) // link arc l is link l
-		m.Assigned = append(m.Assigned, Assignment{
-			Req:     r,
-			Res:     res,
-			Circuit: topology.Circuit{Proc: r.Proc, Res: res, Links: links},
-		})
-	}
-	sortMapping(m)
-	return m, nil
+	return n, fast
 }
 
 // fastPath verdicts: fastMiss sends the request to the flow search,
@@ -508,9 +407,9 @@ const (
 // counted ResidualWord fetch, every later bit test against the copy is
 // free. Coherent within a request because the arena only mutates on a
 // successful commit, which ends the request.
-func (st *incState) residualWord(wi int, ops *maxflow.Counters) uint64 {
+func (st *typedState) residualWord(wi int) uint64 {
 	if st.wordGen[wi] != st.probeGen {
-		st.wordVal[wi] = st.w.ResidualWord(wi, ops)
+		st.wordVal[wi] = st.w.ResidualWord(wi, &st.ops)
 		st.wordGen[wi] = st.probeGen
 	}
 	return st.wordVal[wi]
@@ -521,26 +420,25 @@ func (st *incState) residualWord(wi int, ops *maxflow.Counters) uint64 {
 // the routing table whose arcs are all enabled and idle — a handful of
 // word ops per grant, no flow search. That probe is the fast path's one
 // fault check: grant enabled no link arc outside base, the links free and
-// usable this solve, so a path over a faulted link reads busy. Resources
-// are probed starting at a processor-dependent rotation ((p*Ress)/Procs)
-// so simultaneous arrivals spread across the resource pool instead of
+// usable this solve, so a path over a faulted link reads busy, and so
+// does one over a frozen unit of an earlier commodity. Resources are
+// probed starting at a processor-dependent rotation ((p*Ress)/Procs) so
+// simultaneous arrivals spread across the resource pool instead of
 // contending for resource 0.
 // On fastMiss the arena is untouched and the caller falls back to the
 // flow search.
-func (st *incState) fastPath(p int, ops *maxflow.Counters) int {
+func (st *typedState) fastPath(p int) int {
 	rt := st.rt
 	if rt == nil {
 		return fastMiss
 	}
 	st.probeGen++
 	if st.probeGen == 0 { // uint32 wrap: flush the stale generation stamps
-		for i := range st.wordGen {
-			st.wordGen[i] = 0
-		}
+		clear(st.wordGen)
 		st.probeGen = 1
 	}
 	src := st.srcArc(p)
-	if st.residualWord(src>>6, ops)&(1<<(uint(src)&63)) == 0 {
+	if st.residualWord(src>>6)&(1<<(uint(src)&63)) == 0 {
 		return fastMiss
 	}
 	// Free-resource scan: the sink arcs are contiguous at the top of the
@@ -550,7 +448,7 @@ func (st *incState) fastPath(p int, ops *maxflow.Counters) int {
 	loWord, hiWord := snkBase>>6, (snkBase+st.ress-1)>>6
 	anyFree := false
 	for wi := loWord; wi <= hiWord; wi++ {
-		m := st.residualWord(wi, ops)
+		m := st.residualWord(wi)
 		if lo := snkBase - wi<<6; lo > 0 {
 			m &^= 1<<uint(lo) - 1
 		}
@@ -572,7 +470,7 @@ func (st *incState) fastPath(p int, ops *maxflow.Counters) int {
 			r -= st.ress
 		}
 		snk := snkBase + r
-		if st.residualWord(snk>>6, ops)&(1<<(uint(snk)&63)) == 0 {
+		if st.residualWord(snk>>6)&(1<<(uint(snk)&63)) == 0 {
 			continue
 		}
 		lo, hi := rt.PairPaths(p, r)
@@ -580,7 +478,7 @@ func (st *incState) fastPath(p int, ops *maxflow.Counters) int {
 		for j := lo; j < hi; j++ {
 			pws := st.pathWords[st.pathWordOff[j]:st.pathWordOff[j+1]]
 			for _, pw := range pws {
-				if st.residualWord(int(pw.Word), ops)&pw.Mask != pw.Mask {
+				if st.residualWord(int(pw.Word))&pw.Mask != pw.Mask {
 					continue paths
 				}
 			}
@@ -592,7 +490,7 @@ func (st *incState) fastPath(p int, ops *maxflow.Counters) int {
 			buf = appendPathBit(buf, 0, src)
 			buf = appendPathBit(buf, 0, snk)
 			st.wordBuf = buf
-			if st.w.LoadWords(buf, ops) {
+			if st.w.LoadWords(buf, &st.ops) {
 				return fastGrant
 			}
 		}

@@ -336,10 +336,10 @@ func (p *Planner) ScheduleMinCostIncremental(net *topology.Network, reqs []Reque
 // (WeightedValue), so a mapping that grants every request, each onto a
 // resource of the top offered preference q_max, reaches the upper bound
 // on both of Theorem 3's criteria: it is optimal. certify offers the
-// max-flow trial only the avail entries at q_max (avail itself when every
-// entry is), and returns nil when the offer is smaller than the requests
-// or the trial stops at a request it cannot grant; the caller then runs
-// the simplex. A certified mapping's Cost is the Transformation 2 cost the
+// arena's one-commodity trial (oneCommodity) only the avail entries at
+// q_max (avail itself when every entry is), and returns nil when the
+// offer is smaller than the requests or the trial stops at a request it
+// cannot grant; the caller then runs the simplex. A certified mapping's Cost is the Transformation 2 cost the
 // simplex would report: sum over requests of y_max - y_p, with no bypass
 // and no resource cost.
 func (p *Planner) certify(net *topology.Network, reqs []Request, avail []Avail) (*Mapping, error) {
@@ -363,20 +363,13 @@ func (p *Planner) certify(net *topology.Network, reqs []Request, avail []Avail) 
 		}
 		p.offer = offer
 	}
-	st, built := p.incremental(net)
-	var ops OpCounts
-	fastPaths, stopped, err := st.grant(net, reqs, offer, true, &ops)
-	if err != nil || stopped {
-		return nil, err
-	}
-	m, err := st.decode(reqs)
-	if err != nil {
+	m, err := p.oneCommodity(net, reqs, offer, true)
+	if m == nil || err != nil {
 		return nil, err
 	}
 	for _, r := range reqs {
 		m.Cost += yMax - r.Priority
 	}
-	m.Ops = ops
-	m.Solve = SolveStats{Warm: !built, Cold: built, FastPaths: fastPaths, Certified: true}
+	m.Solve.Certified = true
 	return m, nil
 }

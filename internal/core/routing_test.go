@@ -11,8 +11,8 @@ import (
 // grant goes through the flow search; re-applied after each solve because
 // an arena built for another network would restore the table.
 func disableRouting(p *Planner) {
-	if p.inc != nil {
-		p.inc.rt = nil
+	if p.ty != nil {
+		p.ty.rt = nil
 	}
 }
 
@@ -221,10 +221,10 @@ func FuzzRoutingFallbackBoundary(f *testing.F) {
 }
 
 // TestPlannerSharesRoutingTable: a planner holds one whole-fabric arena
-// per network, whichever solver needs it first — the typed solve or the
-// incremental planner — and both solve on it; its routing table is built
-// once, by the typed search on its first bound miss or by the incremental
-// planner, and both use it. Another network replaces the arena.
+// per network and one solver on it, whichever kind of solve comes first —
+// typed or one-commodity — and every later solve of either kind runs on
+// that same solver, with the one routing table it built. Another network
+// replaces the arena and the solver together.
 func TestPlannerSharesRoutingTable(t *testing.T) {
 	net := topology.Omega(8)
 	// The chained-cuts instance of workload.AdversarialTyped: it misses the
@@ -234,41 +234,41 @@ func TestPlannerSharesRoutingTable(t *testing.T) {
 	untyped := []Request{{Proc: 1}}
 	free := []Avail{{Res: 0}}
 
-	var typedFirst Planner
-	m, err := typedFirst.ScheduleHetero(net, reqs, avail, nil)
-	if err != nil || !m.Solve.MultiSearch {
-		t.Fatalf("the instance must be settled by the search: %+v, %v", m, err)
-	}
-	if _, err := typedFirst.ScheduleIncremental(net, untyped, free); err != nil {
-		t.Fatal(err)
-	}
-	if typedFirst.ty.fabricArena != typedFirst.fab || typedFirst.inc.fabricArena != typedFirst.fab {
-		t.Fatal("the incremental planner built its own arena beside the typed solver's")
-	}
-	if typedFirst.ty.s.rt == nil || typedFirst.inc.rt != typedFirst.ty.s.rt {
-		t.Fatal("the incremental planner built its own routing table beside the typed search's")
-	}
+	for _, typedFirst := range []bool{true, false} {
+		var p Planner
+		typed := func() {
+			m, err := p.ScheduleHetero(net, reqs, avail, nil)
+			if err != nil || !m.Solve.MultiSearch {
+				t.Fatalf("the instance must be settled by the search: %+v, %v", m, err)
+			}
+		}
+		oneCommodity := func() {
+			if _, err := p.ScheduleIncremental(net, untyped, free); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, second := typed, oneCommodity
+		if !typedFirst {
+			first, second = oneCommodity, typed
+		}
+		first()
+		fab, solver := p.fab, p.ty
+		if fab == nil || solver == nil || solver.fabricArena != fab || solver.rt == nil {
+			t.Fatalf("typed first %v: the first solve must build the arena, one solver on it and its routing table", typedFirst)
+		}
+		rt := solver.rt
+		second()
+		if p.fab != fab || p.ty != solver || p.ty.rt != rt || solver.s.rt != rt {
+			t.Fatalf("typed first %v: the second kind of solve built its own arena, solver or routing table", typedFirst)
+		}
 
-	var incFirst Planner
-	if _, err := incFirst.ScheduleIncremental(net, untyped, free); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := incFirst.ScheduleHetero(net, reqs, avail, nil); err != nil {
-		t.Fatal(err)
-	}
-	if incFirst.ty.fabricArena != incFirst.fab || incFirst.inc.fabricArena != incFirst.fab {
-		t.Fatal("the typed solver built its own arena beside the incremental planner's")
-	}
-	if incFirst.inc.rt == nil || incFirst.ty.s.rt != incFirst.inc.rt {
-		t.Fatal("the typed search built its own routing table beside the incremental planner's")
-	}
-
-	other := topology.Omega(8)
-	m, err = incFirst.ScheduleIncremental(other, untyped, free)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Solve.Cold || incFirst.fab.net != other || incFirst.ty != nil || incFirst.inc.fabricArena != incFirst.fab {
-		t.Fatalf("another network must replace the arena and the solvers on it: %+v", m.Solve)
+		other := topology.Omega(8)
+		m, err := p.ScheduleIncremental(other, untyped, free)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Solve.Cold || p.fab == fab || p.fab.net != other || p.ty == solver || p.ty.fabricArena != p.fab {
+			t.Fatalf("typed first %v: another network must replace the arena and its solver: %+v", typedFirst, m.Solve)
+		}
 	}
 }

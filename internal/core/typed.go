@@ -4,15 +4,20 @@ import (
 	"fmt"
 	"slices"
 
+	"rsin/internal/bitset"
 	"rsin/internal/maxflow"
 	"rsin/internal/topology"
 )
 
-// typedState is the typed-epoch solver on the planner's whole-fabric arena
-// (fabricArena), on which one epoch's multicommodity problem is solved
-// combinatorially — a bound first, an exact search over the routing
-// table's paths when no sweep meets it (typedSearch), the dense LP of
-// internal/multiflow only when the search cannot settle the epoch.
+// typedState is the planner's one solver on its whole-fabric arena
+// (fabricArena). Its one-commodity case, every request free to take every
+// free resource with types ignored, is the max-flow solve of
+// ScheduleIncremental and of ScheduleMinCostIncremental's certifying
+// trial: one pass of the grant loop (grant), then the decode. Its typed
+// case solves one epoch's multicommodity problem combinatorially — a
+// bound first, an exact search over the routing table's paths when no
+// sweep meets it (typedSearch), the dense LP of internal/multiflow only
+// when the search cannot settle the epoch.
 //
 // The bound: in any multicommodity flow, fractional or integral, the part
 // carried for type t is by itself a feasible single-commodity flow from
@@ -25,8 +30,8 @@ import (
 // tried, and only while the first sweep is short of sum_t F_t: all types
 // in one group, then each type against the rest merged.
 //
-// The schedule: route the types one after another, each by max-flow on
-// what the earlier ones left. Earlier types' circuits are frozen
+// The schedule: route the types one after another, each by the grant loop
+// on what the earlier ones left. Earlier types' circuits are frozen
 // (maxflow.Warm.EnableIdle) rather than left in the residual: an
 // augmenting path that cancelled another type's unit would splice one
 // type's request onto the other type's resource. The outcome depends on
@@ -40,36 +45,81 @@ import (
 // nodes, falls through to the LP chain (scheduleHeteroLP).
 //
 // The mapping is a pure function of (fabric state, reqs, avail): every
-// solve clears the arena's flow, only its memory is reused. A long-lived
-// planner and a fresh one return identical mappings.
+// solve clears the arena's flow, and the blocked-request certificates it
+// keeps only skip searches that would fail. A long-lived planner and a
+// fresh one return the same assignments; their Ops may differ.
 type typedState struct {
 	*fabricArena
 
-	// The epoch's instance. Commodity c carries type types[c]; a tag is
-	// 1+c, with 0 for "none" (and -1 for a free resource nobody asked for).
-	types   []int   // distinct requested types, ascending
-	commOf  []int32 // processor -> tag of its request
-	reqAt   []int32 // processor -> index of its request in reqs
-	resComm []int32 // resource -> tag of the commodity it is offered to
-	availAt []int32 // resource -> index of its entry in avail
-	nReq    []int   // commodity -> requests
-	nRes    []int   // commodity -> free resources
+	// The epoch's instance. Commodity c carries type types[c] (typed) or
+	// every request (untyped: c = 0 only); a tag is 1+c, with 0 for "none"
+	// (and -1 for a free resource nobody asked for).
+	typed   bool
+	types   []int         // distinct requested types, ascending; {0} untyped
+	reqProc []int32       // the requesting processors, in caller order
+	inst    []bitset.Bits // commodity -> its requests' source arcs and its resources' sink arcs
+	commOf  []int32       // processor -> tag of its request
+	reqAt   []int32       // processor -> index of its request in reqs
+	resComm []int32       // resource -> tag of the commodity it is offered to
+	availAt []int32       // resource -> index of its entry in avail
+	nReq    []int         // commodity -> requests
+	nRes    []int         // commodity -> free resources
 
 	order   []int // the sweep's commodity order, over commodities with nReq, nRes > 0
 	shipped []int // commodity -> units the latest sweep shipped
 	alone   []int // commodity -> F_c, its max-flow with the fabric to itself
 
 	// The latest sweep's circuits: grant g of processor proc is the arc path
-	// path[lo:hi], source arc first, sink arc last.
+	// path[lo:hi], source arc first, sink arc last; fast of them came by the
+	// fast path.
 	grants  []typedGrant
 	path    []int
+	fast    int
 	grantOf []int32 // processor -> 1 + index into grants, 0 = blocked
 
 	// The best sweep's circuits while later orders are tried.
 	keptGrants []typedGrant
 	keptPath   []int
+	keptFast   int
 
 	s typedSearch // the routing-table search behind a missed bound
+
+	// rt is the network's routing table, which the fast path probes and
+	// the search walks; nil when the fabric has too many paths per pair to
+	// enumerate (then every request takes the flow search, and a missed
+	// bound the LP). It is wiring only: faults reach the probe through
+	// base, never through rt.
+	rt *topology.RoutingTable
+	// pathWords[pathWordOff[j]:pathWordOff[j+1]] is routing path j's
+	// interior (link arcs only) as word-granular masks — precomputable
+	// because link arcs sit at the bottom of the arc id space, aligned
+	// with the state words. A grant-time probe ORs in the request's
+	// source and sink bits and costs a few word ops total.
+	pathWordOff []int32
+	pathWords   []maxflow.PathWord
+	wordBuf     []maxflow.PathWord // scratch: fast-path candidate words
+
+	// Per-request residual-word cache: fastPath fetches each state word
+	// from the arena at most once per request (one counted ResidualWord),
+	// then tests source, sink, and candidate-path bits against the local
+	// copy for free — the same word-reuse a hardware monitor register
+	// gets. probeGen stamps the cache so invalidation is O(1) per request.
+	probeGen uint32
+	wordGen  []uint32
+	wordVal  []uint64
+
+	// Blocked-request certificates: after a pass with failed searches,
+	// every blocked processor keeps a copy of the pass's one cut of the
+	// final retired region (maxflow.Cut). While the cut still checks out
+	// against live arena state, a repeat request from p is provably
+	// still blocked for a few word ops instead of a re-search. certGen
+	// tags which build a processor's cert came from (0: it has none), so
+	// one pass checks each cut at most once between state changes.
+	cert    []maxflow.Cut
+	certGen []uint64
+	cutSeq  uint64
+	cut     maxflow.Cut // scratch: the latest pass's cut
+	blocked []int       // scratch: the processors whose search failed this pass
 
 	linkAt, resAt []uint32 // legality scratch, stamp-cleared
 	stamp         uint32
@@ -78,8 +128,10 @@ type typedState struct {
 
 type typedGrant struct{ proc, lo, hi int32 }
 
+// newTypedState readies the solver on an arena and builds the network's
+// routing table.
 func newTypedState(a *fabricArena) *typedState {
-	return &typedState{
+	st := &typedState{
 		fabricArena: a,
 		commOf:      make([]int32, a.procs),
 		reqAt:       make([]int32, a.procs),
@@ -88,35 +140,72 @@ func newTypedState(a *fabricArena) *typedState {
 		availAt:     make([]int32, a.ress),
 		resAt:       make([]uint32, a.ress),
 		linkAt:      make([]uint32, a.links),
+		rt:          topology.NewRoutingTable(a.net),
+		cert:        make([]maxflow.Cut, a.procs),
+		certGen:     make([]uint64, a.procs),
+		wordGen:     make([]uint32, a.w.ArcWords()),
+		wordVal:     make([]uint64, a.w.ArcWords()),
 	}
+	if st.rt != nil {
+		st.pathWordOff = make([]int32, 1, st.rt.NumPaths()+1)
+		for j := 0; j < st.rt.NumPaths(); j++ {
+			start := len(st.pathWords)
+			for _, lid := range st.rt.PathLinks(int32(j)) {
+				st.pathWords = appendPathBit(st.pathWords, start, st.linkArc(int(lid)))
+			}
+			st.pathWordOff = append(st.pathWordOff, int32(len(st.pathWords)))
+		}
+	}
+	return st
 }
 
-// index files the epoch's requests and free resources under dense
-// commodity numbers.
-func (st *typedState) index(reqs []Request, avail []Avail) error {
+// index starts a solve: it files the epoch's requests and free resources
+// under dense commodity numbers — one per requested type, or typed false
+// a single one — validating processor and resource ranges and
+// duplicates, and reads the free and usable links off the fabric.
+func (st *typedState) index(net *topology.Network, reqs []Request, avail []Avail, typed bool) error {
 	clear(st.commOf)
 	clear(st.resComm)
+	st.reqProc = st.reqProc[:0]
+	st.typed = typed
 	st.types = st.types[:0]
+	if !typed {
+		st.types = append(st.types, 0)
+	}
 	for _, r := range reqs {
 		if r.Proc < 0 || r.Proc >= st.procs {
 			return fmt.Errorf("core: request from processor %d out of range [0,%d)", r.Proc, st.procs)
+		}
+		if !typed {
+			continue
 		}
 		if i, found := slices.BinarySearch(st.types, r.Type); !found {
 			st.types = slices.Insert(st.types, i, r.Type)
 		}
 	}
 	k := len(st.types)
-	st.nReq = append(st.nReq[:0], make([]int, k)...)
-	st.nRes = append(st.nRes[:0], make([]int, k)...)
-	st.shipped = append(st.shipped[:0], make([]int, k)...)
-	st.alone = append(st.alone[:0], make([]int, k)...)
+	st.nReq = zeroed(st.nReq, k)
+	st.nRes = zeroed(st.nRes, k)
+	st.shipped = zeroed(st.shipped, k)
+	st.alone = zeroed(st.alone, k)
+	for len(st.inst) < k {
+		st.inst = append(st.inst, make(bitset.Bits, st.w.ArcWords()))
+	}
+	for _, m := range st.inst[:k] {
+		m.Reset()
+	}
 	for i, r := range reqs {
 		if st.commOf[r.Proc] != 0 {
 			return fmt.Errorf("core: duplicate request from processor %d", r.Proc)
 		}
-		c, _ := slices.BinarySearch(st.types, r.Type)
+		c := 0
+		if typed {
+			c, _ = slices.BinarySearch(st.types, r.Type)
+		}
 		st.commOf[r.Proc] = int32(c + 1)
 		st.reqAt[r.Proc] = int32(i)
+		st.reqProc = append(st.reqProc, int32(r.Proc))
+		st.inst[c].Set(st.srcArc(r.Proc))
 		st.nReq[c]++
 	}
 	for i, a := range avail {
@@ -128,8 +217,13 @@ func (st *typedState) index(reqs []Request, avail []Avail) error {
 		}
 		st.availAt[a.Res] = int32(i)
 		st.resComm[a.Res] = -1
-		if c, found := slices.BinarySearch(st.types, a.Type); found {
+		c, found := 0, true
+		if typed {
+			c, found = slices.BinarySearch(st.types, a.Type)
+		}
+		if found {
 			st.resComm[a.Res] = int32(c + 1)
+			st.inst[c].Set(st.snkArc(a.Res))
 			st.nRes[c]++
 		}
 	}
@@ -139,63 +233,40 @@ func (st *typedState) index(reqs []Request, avail []Avail) error {
 			st.order = append(st.order, c)
 		}
 	}
+	st.syncLinks(net)
+	st.ops = maxflow.Counters{}
 	return nil
 }
 
-// ship routes one commodity by max-flow over the free links no frozen unit
-// occupies and returns the units it landed; they stay in the arena. The
-// commodity is the one tagged only, or with only == 0 the merged
-// relaxation: every commodity of st.order except the one tagged except
-// (0: none) as one, any of their requests free to take any of their
-// resources. One augmenting attempt per request is enough: a source arc
-// with no augmenting path now has none after later augmentations either.
-func (st *typedState) ship(only, except int32) int {
-	take := func(t int32) bool {
-		return t > 0 && t != except && (only == 0 || t == only) && st.nRes[t-1] > 0
-	}
-	copy(st.want, st.base)
-	nSrc, nSnk := 0, 0
-	for p, t := range st.commOf {
-		if take(t) {
-			st.want.Set(st.srcArc(p))
-			nSrc++
-		}
-	}
-	for r, t := range st.resComm {
-		if take(t) {
-			st.want.Set(st.snkArc(r))
-			nSnk++
-		}
-	}
-	st.w.EnableIdle(st.want)
-	st.w.BeginSolve()
-	n, limit := 0, min(nSrc, nSnk)
-	for p, t := range st.commOf {
-		if n == limit {
-			break
-		}
-		if take(t) && st.w.Augment(st.srcArc(p), &st.ops) {
-			n++
-		}
-	}
-	return n
+// zeroed returns s resized to n zeroed elements, reusing its storage when
+// it is large enough. Unlike append(s[:0], make([]T, n)...), it allocates
+// nothing under the race detector either.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
-// sweep routes the commodities one at a time in st.order, each frozen
-// before the next starts, recording every circuit. It returns the units
-// shipped; ok is false when a unit could not be walked back to a path.
-func (st *typedState) sweep() (total int, ok bool) {
+// sweep routes the commodities one at a time in st.order by the grant
+// loop, each frozen before the next starts, recording every circuit. It
+// returns the units shipped; ok is false when a unit could not be walked
+// back to a path. A trial sweep stops each commodity at its first request
+// it cannot grant.
+func (st *typedState) sweep(trial bool) (total int, ok bool) {
 	st.w.ClearFlow()
 	st.grants = st.grants[:0]
 	st.path = st.path[:0]
+	st.fast = 0
 	for _, c := range st.order {
 		tag := int32(c + 1)
-		n := st.ship(tag, 0)
+		n, fast := st.grant(tag, 0, trial)
 		st.shipped[c] = n
+		st.fast += fast
 		total += n
 		// Decompose now: the next step disables these arcs.
-		for p, t := range st.commOf {
-			if t != tag || !st.w.Flow(st.srcArc(p)) {
+		for _, p32 := range st.reqProc {
+			p := int(p32)
+			if st.commOf[p] != tag || !st.w.Flow(st.srcArc(p)) {
 				continue
 			}
 			lo := len(st.path)
@@ -222,7 +293,7 @@ func (st *typedState) bound(total int) int {
 		f := st.shipped[c]
 		if i > 0 && f < min(st.nReq[c], st.nRes[c]) {
 			st.w.ClearFlow()
-			f = st.ship(int32(c+1), 0)
+			f, _ = st.grant(int32(c+1), 0, false)
 		}
 		st.alone[c] = f
 		ub += f
@@ -230,12 +301,14 @@ func (st *typedState) bound(total int) int {
 	k := len(st.order)
 	if total < ub && k > 1 {
 		st.w.ClearFlow()
-		ub = min(ub, st.ship(0, 0))
+		merged, _ := st.grant(0, 0, false)
+		ub = min(ub, merged)
 	}
 	for i := 0; total < ub && k > 2 && i < k; i++ {
 		c := st.order[i]
 		st.w.ClearFlow()
-		ub = min(ub, st.alone[c]+st.ship(0, int32(c+1)))
+		rest, _ := st.grant(0, int32(c+1), false)
+		ub = min(ub, st.alone[c]+rest)
 	}
 	return ub
 }
@@ -297,10 +370,11 @@ func nextPermutation(a []int) bool {
 }
 
 // legal re-checks the recorded circuits against the fabric and the
-// caller's inputs, not against the arena: each runs over free, usable
-// links no other circuit uses, contiguously from its processor to a free
-// resource nobody else got, of the type the processor asked for. It is
-// the same guard multiflow.CheckLegal is for the LP path (joint unit
+// caller's inputs, not against the arena's flow: each runs over links
+// free and usable this solve (base, read off the fabric) that no other
+// circuit uses, contiguously from its processor to a free resource nobody
+// else got, of the type the processor asked for (typed epochs only). It
+// is the same guard multiflow.CheckLegal is for the LP path (joint unit
 // capacity, conservation, each commodity absorbed by its own sink).
 func (st *typedState) legal(net *topology.Network, reqs []Request, avail []Avail) bool {
 	st.stamp++
@@ -317,14 +391,13 @@ func (st *typedState) legal(net *topology.Network, reqs []Request, avail []Avail
 		}
 		r := arcs[len(arcs)-1] - st.snkArc(0)
 		if r < 0 || r >= st.ress || st.resComm[r] == 0 || st.resAt[r] == st.stamp ||
-			avail[st.availAt[r]].Type != reqs[st.reqAt[p]].Type {
+			st.typed && avail[st.availAt[r]].Type != reqs[st.reqAt[p]].Type {
 			return false
 		}
 		st.resAt[r] = st.stamp
 		at := topology.Endpoint{Kind: topology.KindProcessor, Index: p}
 		for _, l := range arcs[1 : len(arcs)-1] {
-			if l < 0 || l >= st.links || st.linkAt[l] == st.stamp ||
-				net.Links[l].State != topology.LinkFree || !net.LinkUsable(l) {
+			if l < 0 || l >= st.links || st.linkAt[l] == st.stamp || !st.base.Get(l) {
 				return false
 			}
 			st.linkAt[l] = st.stamp
@@ -346,20 +419,17 @@ func (st *typedState) legal(net *topology.Network, reqs []Request, avail []Avail
 // nodes), or when the re-check refused the circuits: nothing is known about
 // optimality then and the caller falls through to the LP.
 func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail) (m *Mapping, ok bool, err error) {
-	if err := st.index(reqs, avail); err != nil {
+	if err := st.index(net, reqs, avail, true); err != nil {
 		return nil, false, err
 	}
-	st.syncLinks(net)
-	st.ops = maxflow.Counters{}
-
-	total, walked := st.sweep()
+	total, walked := st.sweep(false)
 	ub := st.bound(total)
 	best, attempts := total, 1
 	for walked && total < ub && st.nextOrder(attempts) {
 		if total == best {
 			st.keep()
 		}
-		total, walked = st.sweep()
+		total, walked = st.sweep(false)
 		best = max(best, total)
 		attempts++
 	}
@@ -371,7 +441,7 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 	}
 	searched := false
 	if best < ub {
-		if st.routing() == nil {
+		if st.rt == nil {
 			return nil, false, nil
 		}
 		proved, improved := st.search(best, ub)
@@ -384,28 +454,37 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 		}
 		searched = true
 	}
-	if !st.legal(net, reqs, avail) {
+	if m, ok = st.decode(net, reqs, avail); !ok {
 		return nil, false, nil
 	}
+	m.Solve = SolveStats{FastPaths: st.fast, MultiFastPath: true, MultiSearch: searched, MultiRetries: attempts - 1, MultiLPBound: float64(best)}
+	return m, true, nil
+}
 
-	// Decode straight into the mapping, in processor order.
-	clear(st.grantOf)
+// decode is the one decode of an arena mapping, whichever case solved
+// it: once legal has re-checked the recorded circuits against the fabric
+// (ok false when it refuses them), each circuit's links go into its
+// processor's path slot, and the mapping comes out in processor order.
+func (st *typedState) decode(net *topology.Network, reqs []Request, avail []Avail) (m *Mapping, ok bool) {
+	if !st.legal(net, reqs, avail) {
+		return nil, false
+	}
+	for _, p := range st.reqProc {
+		st.grantOf[p] = 0
+	}
 	for i, g := range st.grants {
 		st.grantOf[g.proc] = int32(i + 1)
 	}
 	m = sizedMapping(reqs, len(st.grants))
-	for p, t := range st.commOf {
-		if t == 0 {
-			continue
-		}
-		req := reqs[st.reqAt[p]]
+	for _, req := range reqs {
+		p := req.Proc
 		if st.grantOf[p] == 0 {
 			m.Blocked = append(m.Blocked, req)
 			continue
 		}
 		g := st.grants[st.grantOf[p]-1]
 		arcs := st.path[g.lo:g.hi]
-		res := arcs[len(arcs)-1] - st.snkArc(0)
+		res := st.resOfSnk(arcs[len(arcs)-1])
 		links := append(st.slots.slot(p), arcs[1:len(arcs)-1]...) // link arc l is link l
 		m.Assigned = append(m.Assigned, Assignment{
 			Req:     req,
@@ -413,9 +492,9 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 			Circuit: topology.Circuit{Proc: p, Res: res, Links: links},
 		})
 	}
+	sortMapping(m)
 	m.Ops = st.ops
-	m.Solve = SolveStats{MultiFastPath: true, MultiSearch: searched, MultiRetries: attempts - 1, MultiLPBound: float64(best)}
-	return m, true, nil
+	return m, true
 }
 
 // keep swaps the recorded circuits with the kept ones: it sets the latest
@@ -423,4 +502,5 @@ func (st *typedState) solve(net *topology.Network, reqs []Request, avail []Avail
 func (st *typedState) keep() {
 	st.grants, st.keptGrants = st.keptGrants, st.grants
 	st.path, st.keptPath = st.keptPath, st.path
+	st.fast, st.keptFast = st.keptFast, st.fast
 }

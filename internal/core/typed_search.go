@@ -30,7 +30,7 @@ const searchNodeBudget = 1 << 13
 // and ties kept in processor order, so the mapping stays a pure function
 // of the epoch's instance.
 type typedSearch struct {
-	rt *topology.RoutingTable // the arena's routing table, set by each search
+	rt *topology.RoutingTable // the arena's routing table (typedState.rt), set by each search
 
 	commOf []int32     // processor -> commodity tag (typedState.commOf)
 	reqs   []int32     // search order: processors of the searchable requests
@@ -54,7 +54,7 @@ type typedSearch struct {
 // improved that it beat the incumbent, whose paths are then in st.s.best.
 func (st *typedState) search(total, ub int) (proved, improved bool) {
 	s := &st.s
-	s.rt = st.routing()
+	s.rt = st.rt
 	k := len(st.types)
 	s.commOf = st.commOf
 	s.off = append(s.off[:0], make([]int32, k+1)...)
@@ -226,4 +226,5 @@ func (st *typedState) adoptSearch() {
 		st.path = append(st.path, st.snkArc(r))
 		st.grants = append(st.grants, typedGrant{proc: int32(p), lo: int32(lo), hi: int32(len(st.path))})
 	}
+	st.fast = 0
 }

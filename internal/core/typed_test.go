@@ -124,9 +124,11 @@ func pathOf(m *core.Mapping) workload.TypedPath {
 // settled — the combinatorial bound met, the bound missed and the
 // routing-table search settling it, and the LP reached (no routing table,
 // or a search out of nodes) — or the comparison proved nothing about one
-// of them. A search-settled epoch claims a zero gap, so checkAgainstOracle
-// holds it to the oracle exactly; the instance whose search runs out of
-// nodes stops a solver that takes an exhausted search for a proof.
+// of them — and among the LP epochs one on a fabric with a routing table,
+// whose search ran out of nodes. A search-settled epoch claims a zero gap,
+// so checkAgainstOracle holds it to the oracle exactly; the instance whose
+// search runs out of nodes stops a solver that takes an exhausted search
+// for a proof.
 func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	builders := []func() *topology.Network{
@@ -139,7 +141,13 @@ func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 		trials = 12
 	}
 	var settled [3]int // by workload.TypedPath
-	tally := func(m *core.Mapping) { settled[pathOf(m)]++ }
+	exhausted := 0     // LP epochs on a fabric with a routing table to search
+	tally := func(net *topology.Network, m *core.Mapping) {
+		settled[pathOf(m)]++
+		if pathOf(m) == workload.ByLP && topology.NewRoutingTable(net) != nil {
+			exhausted++
+		}
+	}
 	// The first `trials` instances draw from three types; as many again
 	// draw from five, where the solver no longer tries every type order
 	// but reverse, starved-first and rotations (TestTypedOrderSequence).
@@ -172,11 +180,11 @@ func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 		if len(reqs) == 0 || len(avail) == 0 {
 			continue
 		}
-		tally(checkAgainstOracle(t, net.Name, net, reqs, avail))
+		tally(net, checkAgainstOracle(t, net.Name, net, reqs, avail))
 	}
 	for _, in := range workload.AdversarialTyped() {
 		def := checkAgainstOracle(t, in.Name, in.Net, in.Reqs, in.Avail)
-		tally(def)
+		tally(in.Net, def)
 		if oracle := oracleTyped(t, in.Net, in.Reqs, in.Avail); oracle != in.Optimum {
 			t.Errorf("%s: oracle %d, table says %d", in.Name, oracle, in.Optimum)
 		}
@@ -187,9 +195,9 @@ func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 			t.Errorf("%s: bound met only after retries = %v, table says %v (solve %+v)", in.Name, starved, in.Starves, def.Solve)
 		}
 	}
-	if settled[workload.ByBound] == 0 || settled[workload.BySearch] == 0 || settled[workload.ByLP] == 0 {
-		t.Fatalf("did not exercise all three paths: %d epochs met the bound, %d were settled by the search, %d reached the LP",
-			settled[workload.ByBound], settled[workload.BySearch], settled[workload.ByLP])
+	if settled[workload.ByBound] == 0 || settled[workload.BySearch] == 0 || settled[workload.ByLP] == 0 || exhausted == 0 {
+		t.Fatalf("did not exercise all three paths: %d epochs met the bound, %d were settled by the search, %d reached the LP (%d after a search ran out of nodes)",
+			settled[workload.ByBound], settled[workload.BySearch], settled[workload.ByLP], exhausted)
 	}
 }
 
@@ -197,9 +205,11 @@ func TestDifferentialMulticommodityVsOracle(t *testing.T) {
 // solver: its mapping is a pure function of (fabric state, reqs, avail).
 // A long-lived planner is driven through 1200 epochs of seeded typed
 // demand while circuits are established and released and links and boxes
-// fail and heal; every epoch it must return exactly what a fresh
-// core.ScheduleHetero returns on the same instance. Both fabrics have a
-// routing table, so no epoch may reach the LP: a bound miss is the
+// fail and heal; every epoch it must return the assignments, blocked
+// requests and solve flags a fresh core.ScheduleHetero returns on the same
+// instance. Ops may differ: the long-lived planner's blocked-request
+// certificates skip searches the fresh one runs (and fails). Both fabrics
+// have a routing table, so no epoch may reach the LP: a bound miss is the
 // search's to settle, and some must have been.
 func TestTypedPlannerDeterministic(t *testing.T) {
 	builders := []func() *topology.Network{
@@ -270,7 +280,7 @@ func TestTypedPlannerDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s epoch %d: fresh: %v", net.Name, epoch, err)
 			}
-			if !reflect.DeepEqual(got, fresh) {
+			if !reflect.DeepEqual(got.Assigned, fresh.Assigned) || !reflect.DeepEqual(got.Blocked, fresh.Blocked) || got.Solve != fresh.Solve {
 				t.Fatalf("%s epoch %d: the long-lived planner and a fresh one disagree:\n%+v\n%+v", net.Name, epoch, got, fresh)
 			}
 			checkTyped(t, net, reqs, avail, got)

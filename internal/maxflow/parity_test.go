@@ -80,7 +80,7 @@ func TestOpsCounterParity(t *testing.T) {
 		t.Fatalf("failed Augment ops = %+v, want %+v", c, want)
 	}
 	c = Counters{}
-	cut := w.BuildCut(&c)
+	cut := w.BuildCut(Cut{}, &c)
 	if want := (Counters{ArcScans: 1}); c != want {
 		t.Fatalf("BuildCut ops = %+v, want %+v", c, want)
 	}

@@ -348,9 +348,11 @@ type Cut struct {
 // after a solve whose Augment calls failed; the certificate stays
 // checkable across later solves and epochs — CutBlocked reads live
 // state, so the certificate never goes unsound, it only starts
-// reporting false once the fabric changes enough.
-func (w *Warm) BuildCut(c *Counters) Cut {
-	var cut Cut
+// reporting false once the fabric changes enough. The cut is built in
+// dst's storage, so a caller that recycles its scratch cut allocates
+// nothing once the buffers have grown.
+func (w *Warm) BuildCut(dst Cut, c *Counters) Cut {
+	cut := Cut{F: dst.F[:0], R: dst.R[:0]}
 	for wi := range w.deadTail {
 		c.ArcScans++
 		f := w.deadTail[wi] &^ w.deadHead[wi]

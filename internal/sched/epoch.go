@@ -107,10 +107,8 @@ func (s *Scheduler) applyCancel(sh *shard, o *op) {
 	}
 }
 
-// applyFault applies one correlated hardware event. Severed counts every
-// unit lost, but the retry budget is charged once per job: a task that
-// lost several units to the one event, or a gang that lost several
-// members' units, pays one retry.
+// applyFault applies one correlated hardware event and counts and charges
+// it (faulted).
 func (s *Scheduler) applyFault(sh *shard, o *op) {
 	if sh.dead != nil {
 		o.reply <- sh.dead
@@ -118,13 +116,32 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 	}
 	var all []system.TaskID
 	var err error
+	applied := 0
 	for _, f := range o.faults {
 		var affected []system.TaskID
 		if affected, err = sh.sys.ApplyFault(f); err != nil {
 			break
 		}
-		sh.tot.Severed += int64(len(affected))
 		all = append(all, affected...)
+		applied++
+	}
+	s.faulted(sh, o.faults[:applied], all)
+	if sh.dead == nil {
+		s.refreshCapacity(sh)
+	}
+	s.publish(sh)
+	o.reply <- err
+}
+
+// faulted counts one correlated hardware event — an ApplyFaults batch, or
+// the operations one HardwareHook call returned — and charges it. Severed
+// counts every unit lost, but the retry budget is charged once per job: a
+// task that lost several units to the one event, or a gang that lost
+// several members' units, pays one retry. Reports false when a withdrawal
+// escalated to a shard restart.
+func (s *Scheduler) faulted(sh *shard, ops []system.FaultOp, severed []system.TaskID) bool {
+	sh.tot.Severed += int64(len(severed))
+	for _, f := range ops {
 		if f.Repair {
 			sh.tot.Repairs++
 			s.event(sh, evRepair, 0, int64(f.Index), "")
@@ -134,7 +151,7 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 		}
 	}
 	var charged map[*job]bool // most fault events cost nobody a unit
-	for _, id := range all {
+	for _, id := range severed {
 		// A nil job is a multi-unit holder published in an earlier epoch.
 		if j := sh.tracked[id]; j != nil && !charged[j] {
 			if charged == nil {
@@ -142,15 +159,11 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 			}
 			charged[j] = true
 			if !s.chargeSever(sh, j) {
-				break
+				return false
 			}
 		}
 	}
-	if sh.dead == nil {
-		s.refreshCapacity(sh)
-	}
-	s.publish(sh)
-	o.reply <- err
+	return true
 }
 
 // addCycle folds one scheduling cycle's result into the counters.
@@ -175,7 +188,8 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 // next cycle's gang gate only units moved from the free pool to holders,
 // which can make no waiting gang admissible (DESIGN.md §22). With Preempt
 // set, each cycle also plans its tier exchanges; the victims it reports are
-// charged here, once the cycle's transmissions have ended.
+// charged here, once the cycle's transmissions have ended, and so are the
+// tasks the faults of the cycle's HardwareHook severed.
 func (s *Scheduler) runCycles(sh *shard) {
 	var solveStart int64
 	if s.o.enabled {
@@ -216,6 +230,11 @@ cycling:
 			if j := sh.tracked[x.Victim]; j != nil && !s.chargeSever(sh, j) {
 				break cycling
 			}
+		}
+		// The faults the HardwareHook applied at the top of the cycle are
+		// one event, counted and charged like an ApplyFaults batch.
+		if len(r.Hardware) > 0 && !s.faulted(sh, r.Hardware, r.HardwareSevered) {
+			break cycling
 		}
 		if r.Granted == 0 || sh.sys.Quiescent() {
 			break

@@ -55,9 +55,11 @@
 // bounded by Config.SeverRetries before the handle fails with an error
 // matching system.ErrCircuitSevered; tasks whose demand no longer fits
 // the degraded capacity fail with system.ErrUnsatisfiable (at Submit and
-// retroactively for queued tasks). Stats.LinkFaults, Stats.Severed,
-// Stats.Repairs count the events; Stats.Usable gauges surviving
-// capacity.
+// retroactively for queued tasks). The same holds for the faults a shard's
+// system.Config.HardwareHook applies at the top of a cycle: each hook call
+// is one event, counted and charged like an ApplyFaults batch.
+// Stats.LinkFaults, Stats.Severed, Stats.Repairs count the events;
+// Stats.Usable gauges surviving capacity.
 package sched
 
 import (
@@ -179,14 +181,16 @@ type Stats struct {
 	// Solver counters, decoded from each cycle's core.SolveStats by
 	// core.SolveCounts.Add.
 	//
-	// The warm-start five move under the MaxFlow and MinCost solvers:
-	// WarmSolves counts cycles solved on an arena the planner reused (the
-	// max-flow planner's whole-fabric arena, or MinCost's simplex basis),
-	// ColdSolves cycles that built theirs (the first, and for MinCost
-	// after a fault epoch), ArcsTouched the arcs warm MinCost solves
-	// re-priced, FastPaths the grants resolved by the combinatorial
-	// routing fast path on the max-flow arena (MaxFlow cycles and certified
-	// MinCost cycles), and MinCostCertified the MinCost cycles settled on
+	// The warm-start five move under the MaxFlow and MinCost solvers, and
+	// FastPaths under the typed one too: WarmSolves counts cycles solved on
+	// an arena the planner reused (the max-flow planner's whole-fabric
+	// arena, or MinCost's simplex basis), ColdSolves cycles that built
+	// theirs (the first, and for MinCost after a fault epoch), ArcsTouched
+	// the arcs warm MinCost solves re-priced, FastPaths the grants resolved
+	// by the combinatorial routing fast path on the whole-fabric arena
+	// (MaxFlow cycles, certified MinCost cycles, and typed cycles, whose
+	// sweeps run the same grant loop; a typed cycle settled by the search
+	// counts none), and MinCostCertified the MinCost cycles settled on
 	// that arena without the simplex: every request granted a resource of
 	// the top offered preference.
 	//

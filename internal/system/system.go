@@ -247,6 +247,13 @@ type CycleResult struct {
 	// Preempted lists the units this cycle's tier exchanges revoked
 	// (Config.Preempt), in plan order; nil when it made none.
 	Preempted []Exchange
+
+	// Hardware lists the fault operations Config.HardwareHook applied at
+	// the top of this cycle, in order, and HardwareSevered the tasks they
+	// severed, once per unit lost (as ApplyFault reports them); both empty
+	// when the hook applied nothing.
+	Hardware        []FaultOp
+	HardwareSevered []TaskID
 }
 
 // System is the running resource-sharing machine. Not safe for concurrent
@@ -589,14 +596,19 @@ func (s *System) cycle() (*CycleResult, error) {
 			return nil, fmt.Errorf("system: cycle: %w", err)
 		}
 	}
+	var hw []FaultOp
+	var hwSevered []TaskID
 	if s.cfg.HardwareHook != nil {
-		for _, op := range s.cfg.HardwareHook(FaultCycle) {
-			if _, err := s.ApplyFault(op); err != nil {
+		hw = s.cfg.HardwareHook(FaultCycle)
+		for _, op := range hw {
+			affected, err := s.ApplyFault(op)
+			if err != nil {
 				return nil, fmt.Errorf("system: cycle: scripted hardware fault: %w", err)
 			}
+			hwSevered = append(hwSevered, affected...)
 		}
 	}
-	res := &CycleResult{Broken: s.broken}
+	res := &CycleResult{Broken: s.broken, Hardware: hw, HardwareSevered: hwSevered}
 	s.broken = 0
 	// Gangs upgrade the shard to banker's grants for as long as any exist:
 	// activation promised each active gang a completion order, and a greedy

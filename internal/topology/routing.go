@@ -5,7 +5,7 @@
 // fixed by the wiring. A scheduler that knows those paths up front can
 // resolve most grants by probing a handful of links combinatorially
 // instead of running a flow search over the whole residual network;
-// internal/core's incremental planner does exactly that, falling back to
+// internal/core's arena solver does exactly that, falling back to
 // max-flow augmentation only on conflict.
 
 package topology

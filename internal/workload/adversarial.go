@@ -110,14 +110,14 @@ func AdversarialTyped() []TypedInstance {
 		},
 		{
 			// Two failed links leave all five requests servable, and every
-			// bound says so, but each of the six type orders strands one:
-			// only a joint choice of middle-stage links serves all three
-			// types. The search finds it, at the bound.
-			Name:    "benes8-every-order-starves",
+			// bound says so, but only a joint choice of middle-stage links
+			// serves all three types: the first two type orders strand one,
+			// and the third ships the bound.
+			Name:    "benes8-joint-middle-stage",
 			Net:     faulted(topology.Benes(8), 12, 20),
 			Reqs:    rq(0, 0, 1, 1, 2, 1, 4, 2, 5, 0),
 			Avail:   av(2, 1, 3, 2, 4, 1, 5, 0, 6, 0),
-			Optimum: 5, Path: BySearch,
+			Optimum: 5, Path: ByBound, Starves: true,
 		},
 		{
 			// Two failed links make the relaxation itself fractional (4.5),
@@ -132,15 +132,13 @@ func AdversarialTyped() []TypedInstance {
 		},
 		{
 			// Every processor asks and every resource is free. An Omega-8
-			// passes 4096 of the 8! permutations, and the type sweeps find
-			// none that fits the types: the best order ships 6 of the 8
-			// every bound allows. The search assigns all 8, two units above
-			// its incumbent.
+			// passes 4096 of the 8! permutations: the first two type orders
+			// find none that fits the types, and the third assigns all 8.
 			Name:    "omega8-full-load",
 			Net:     topology.Omega(8),
 			Reqs:    rq(0, 0, 1, 0, 2, 1, 3, 1, 4, 2, 5, 2, 6, 1, 7, 0),
 			Avail:   av(0, 2, 1, 1, 2, 1, 3, 0, 4, 1, 5, 2, 6, 0, 7, 0),
-			Optimum: 8, Path: BySearch,
+			Optimum: 8, Path: ByBound, Starves: true,
 		},
 		{
 			// Six extra shuffle stages give every pair 64 paths, past the
@@ -156,16 +154,27 @@ func AdversarialTyped() []TypedInstance {
 		},
 		{
 			// Fifteen requests on eleven free resources of a fault-free
-			// Omega-16. Every bound says 10 and no order ships more than 9;
-			// the search goes deep on schedules of 9 before it finds one
-			// of 10 and runs out of nodes first. Having proved nothing, it
-			// leaves the epoch to the LP, which certifies 10.
-			Name: "omega16-search-budget",
+			// Omega-16: every bound says 10, and the first sweep ships 10.
+			Name: "omega16-fifteen-on-eleven",
 			Net:  topology.Omega(16),
 			Reqs: rq(0, 2, 1, 0, 2, 1, 3, 2, 4, 1, 5, 2, 6, 0, 8, 1, 9, 2, 10, 1,
 				11, 2, 12, 0, 13, 2, 14, 0, 15, 2),
 			Avail:   av(0, 0, 1, 2, 2, 2, 4, 0, 5, 0, 6, 2, 7, 0, 9, 1, 10, 2, 11, 2, 14, 2),
-			Optimum: 10, Path: ByLP,
+			Optimum: 10, Path: ByBound,
+		},
+		{
+			// Sixteen requests on fifteen free resources of a fault-free
+			// Omega-16. The bound says 13 and no order ships more than 11;
+			// the search goes deep on schedules of 11 and runs out of
+			// nodes before it finds one of 12. Having proved nothing, it
+			// leaves the epoch to the LP, which certifies 12.
+			Name: "omega16-search-budget",
+			Net:  topology.Omega(16),
+			Reqs: rq(0, 0, 1, 2, 2, 0, 3, 1, 4, 0, 5, 0, 6, 2, 7, 2, 8, 0, 9, 2,
+				10, 1, 11, 1, 12, 1, 13, 2, 14, 0, 15, 2),
+			Avail: av(0, 0, 1, 1, 2, 0, 3, 0, 5, 1, 6, 1, 7, 0, 8, 1, 9, 2, 10, 0,
+				11, 0, 12, 2, 13, 2, 14, 2, 15, 2),
+			Optimum: 12, Path: ByLP,
 		},
 	}
 }

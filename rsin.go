@@ -44,10 +44,11 @@ type (
 	// a warm Planner method its Circuit.Links may be rewritten by the
 	// planner's next solve unless the mapping was applied (see Planner).
 	Assignment = core.Assignment
-	// Planner carries reusable scheduling state across epochs; its
-	// ScheduleIncremental and ScheduleHetero methods solve on one
-	// whole-fabric arena per network, reusing its structure and memory but
-	// never its flow (DESIGN.md §12), and ScheduleMinCostIncremental tries
+	// Planner carries reusable scheduling state across epochs: one
+	// whole-fabric arena per network and one solver on it, whose structure
+	// and memory it reuses but never its flow (DESIGN.md §12).
+	// ScheduleIncremental is that solver's one-commodity case and
+	// ScheduleHetero its typed case, and ScheduleMinCostIncremental tries
 	// each epoch there before its warm simplex basis (§13). The zero value
 	// is ready to use.
 	// Its warm methods' circuits view per-processor path slots that the
