@@ -48,9 +48,14 @@ ratchet:
 # exactly the checked-in allow-list (cmd/rsinserve/deps.txt, one import
 # path a line, byte-sorted): a new package fails as a `+` line, and one
 # the binary no longer links fails as a `-` line until the list drops it,
-# so the list only shrinks with the code.
+# so the list only shrinks with the code. The service (internal/sched) is
+# the one recorder: internal/system, and everything it links, must not
+# import internal/obs.
 deps:
 	$(GO) list -deps ./cmd/rsinserve | grep '^rsin/' | LC_ALL=C sort | diff -u cmd/rsinserve/deps.txt -
+	@if $(GO) list -deps ./internal/system | grep -qx 'rsin/internal/obs'; then \
+		echo 'deps: internal/system links rsin/internal/obs; only the service records' >&2; exit 1; \
+	fi
 
 # The instrumentation hot path must not allocate (disabled or enabled),
 # a service round trip allocates only what it hands back (plus the task

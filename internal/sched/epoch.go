@@ -85,6 +85,7 @@ func (s *Scheduler) applySubmit(sh *shard, o *op) {
 			// Admission raced a capacity drop; the job never entered the
 			// system, so it counts as rejected, not failed.
 			s.o.rejected.Inc()
+			s.event(sh, evReject, 0, j.units(), resUnsat)
 		}
 	}
 	if err != nil {
@@ -135,20 +136,24 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 
 // faulted counts one correlated hardware event — an ApplyFaults batch, or
 // the operations one HardwareHook call returned — and charges it. Severed
-// counts every unit lost, but the retry budget is charged once per job: a
-// task that lost several units to the one event, or a gang that lost
-// several members' units, pays one retry. Reports false when a withdrawal
-// escalated to a shard restart.
+// counts, and the trace records as one "sever" each, every task the System
+// reported (a singleton once per unit lost, a reset gang once per member),
+// but the retry budget is charged once per job: a task that lost several
+// units to the one event, or a gang that lost several members' units, pays
+// one retry. Reports false when a withdrawal escalated to a shard restart.
 func (s *Scheduler) faulted(sh *shard, ops []system.FaultOp, severed []system.TaskID) bool {
 	sh.tot.Severed += int64(len(severed))
 	for _, f := range ops {
 		if f.Repair {
 			sh.tot.Repairs++
-			s.event(sh, evRepair, 0, int64(f.Index), "")
+			s.event(sh, evRepair, 0, int64(f.Index), f.Target.String())
 		} else {
 			sh.tot.LinkFaults++
-			s.event(sh, evFault, 0, int64(f.Index), "")
+			s.event(sh, evFault, 0, int64(f.Index), f.Target.String())
 		}
+	}
+	for _, id := range severed {
+		s.event(sh, evSever, int64(id), 0, "")
 	}
 	var charged map[*job]bool // most fault events cost nobody a unit
 	for _, id := range severed {
@@ -198,10 +203,17 @@ func (s *Scheduler) runCycles(sh *shard) {
 	cycles := 0
 cycling:
 	for sh.dead == nil && len(sh.tracked) > 0 {
+		var start int64
+		if s.o.enabled {
+			start = nowNano()
+		}
 		r, err := sh.sys.Cycle()
 		if err != nil {
 			s.failShard(sh, err)
 			break
+		}
+		if s.o.enabled {
+			s.o.cycleMS.Observe(float64(nowNano()-start) / 1e6)
 		}
 		cycles++
 		sh.cycleCount++

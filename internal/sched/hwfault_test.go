@@ -312,9 +312,15 @@ func TestCorrelatedFaultChargesOnce(t *testing.T) {
 			if err := j.Err(); err != nil {
 				t.Fatalf("job charged more than once for one fault event: %v", err)
 			}
+			// A singleton counts each unit it lost; a gang counts each member
+			// the reset re-queued, however many units the fault took.
 			st := s.Stats()
-			if k.gangs == 0 && st.Severed != 2 {
-				t.Fatalf("Severed = %d, want 2 (both units lost, once)", st.Severed)
+			want := int64(2)
+			if k.gangs != 0 {
+				want = k.members
+			}
+			if st.Severed != want {
+				t.Fatalf("Severed = %d, want %d (both units lost, once)", st.Severed, want)
 			}
 			if st.GangSevers != k.gangs {
 				t.Fatalf("GangSevers = %d, want %d (one charge per event per gang)", st.GangSevers, k.gangs)

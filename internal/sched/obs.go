@@ -17,9 +17,10 @@ const (
 	evCancel  = "cancel"  // SubmitCtx withdrew the task
 	evFailed  = "failed"  // task terminated with an error; Result labels why
 	evRestart = "restart" // shard supervisor rebuilt a failed System
-	evFault   = "fault"   // hardware fault applied via the sched API; Val = index
-	evRepair  = "repair"  // hardware repair applied via the sched API; Val = index
-	evReject  = "reject"  // Submit rejected the task before admission
+	evFault   = "fault"   // hardware fault applied; Val = index, Result = link/box/res
+	evRepair  = "repair"  // hardware repair applied; Val = index, Result = link/box/res
+	evSever   = "sever"   // a fault cost a task a unit (gang resets: every member); Task = task
+	evReject  = "reject"  // the door or the shard's System refused the task
 	evPreempt = "preempt" // unit revoked from a lower tier; Task = victim, Val = resource
 
 	evGangSubmit  = "gangsubmit"  // gang accepted into a shard system; Task = gang ID, Val = units demanded
@@ -53,6 +54,7 @@ type schedObs struct {
 	grantReleaseMS    *obs.Histogram // provisioned -> EndService released
 	epochSolveMS      *obs.Histogram // wall time of one epoch's cycle loop
 	gangSubmitGrantMS *obs.Histogram // SubmitGang accepted -> whole gang provisioned
+	cycleMS           *obs.Histogram // wall time of one System.Cycle call
 
 	// Per-tier QoS instruments, indexed by Task.Tier. The band is small
 	// and fixed (system.MaxTier+1 classes), so each tier gets its own
@@ -81,6 +83,7 @@ func newSchedObs(reg *obs.Registry) schedObs {
 		grantReleaseMS:    reg.Histogram("rsin_sched_grant_to_release_ms", latencyBuckets()),
 		epochSolveMS:      reg.Histogram("rsin_sched_epoch_solve_ms", latencyBuckets()),
 		gangSubmitGrantMS: reg.Histogram("rsin_sched_gang_submit_to_grant_ms", latencyBuckets()),
+		cycleMS:           reg.Histogram("rsin_system_cycle_ms", obs.ExpBuckets(0.001, 2, 20)),
 		trace:             reg.Trace(),
 	}
 	for t := 0; t <= system.MaxTier; t++ {

@@ -56,8 +56,11 @@ func promValue(t *testing.T, text, name string) int64 {
 
 // goldenMetricNames is every instrument name an instrumented MaxFlow
 // scheduler exported before the Stats counters became a scrape-time
-// projection (captured from that commit): dashboards key on these, so a
-// rename or a dropped series must fail here, not in production.
+// projection (captured from that commit), less the sixteen rsin_system_*
+// counters the System kept beside the Stats series they duplicated (the
+// System records into no registry; DESIGN.md §11 maps each to the series
+// that carries its fact): dashboards key on these, so a rename or a
+// dropped series must fail here, not in production.
 var goldenMetricNames = []string{
 	"rsin_sched_canceled_total",
 	"rsin_sched_cycles_total",
@@ -117,23 +120,18 @@ var goldenMetricNames = []string{
 	"rsin_solver_phases_total",
 	"rsin_solver_warm_arcs_touched_total",
 	"rsin_solver_warm_solves_total",
-	"rsin_system_cold_solves_total",
 	"rsin_system_cycle_ms",
-	"rsin_system_cycles_total",
-	"rsin_system_deferred_total",
-	"rsin_system_fast_paths_total",
-	"rsin_system_fault_ops_total",
-	"rsin_system_gang_resets_total",
-	"rsin_system_gangs_activated_total",
-	"rsin_system_gangs_submitted_total",
-	"rsin_system_granted_total",
-	"rsin_system_preempts_total",
-	"rsin_system_repair_ops_total",
-	"rsin_system_sever_acks_total",
-	"rsin_system_severed_total",
-	"rsin_system_unsat_total",
-	"rsin_system_warm_arcs_touched_total",
-	"rsin_system_warm_solves_total",
+}
+
+// countKind counts the events of one kind in a registry's trace.
+func countKind(reg *obs.Registry, kind string) int {
+	n := 0
+	for _, e := range reg.Trace().Events() {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 // promNames lists the instruments of a Prometheus exposition, from its
@@ -232,6 +230,9 @@ func TestObsEndToEnd(t *testing.T) {
 		}
 	}
 	checkGoldenNames(t, "/metrics", promNames(text))
+	if got := promValue(t, text, "rsin_system_cycle_ms_count"); got != st.Cycles {
+		t.Errorf("cycle_ms count = %d, want one per cycle (%d)", got, st.Cycles)
+	}
 	// The latency histogram must have one submit-to-grant sample per grant
 	// of a single-unit task (every admitted task here needs one unit).
 	if got := promValue(t, text, "rsin_sched_submit_to_grant_ms_count"); got != st.Submitted-st.Failed-st.Canceled {
@@ -300,7 +301,8 @@ func TestObsEndToEnd(t *testing.T) {
 // TestGangLabelsReachTrace: the name a client gives a gang or a collective
 // is the Result of the "gangsubmit" event, read back from /trace — the one
 // place that ties the gang ID every later event carries to the client's
-// name for it. Unlabelled gangs record none.
+// name for it. Unlabelled gangs record none. Each gang (each collective
+// phase is one) records exactly one "gangsubmit": the service's.
 func TestGangLabelsReachTrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newScheduler(t, Config{Obs: reg, Shards: []system.Config{{Net: topology.Omega(8)}}})
@@ -338,9 +340,7 @@ func TestGangLabelsReachTrace(t *testing.T) {
 	}
 	var got []string
 	for _, e := range tr.Events {
-		// The system layer records its own "gangsubmit" (Val = gang ID, no
-		// Task); the service's carries the gang ID as Task.
-		if e.Kind == evGangSubmit && e.Task != 0 {
+		if e.Kind == evGangSubmit {
 			got = append(got, e.Result)
 		}
 	}
@@ -351,5 +351,57 @@ func TestGangLabelsReachTrace(t *testing.T) {
 	want = append(want, core.RingReduceScatter.String()+"/p0")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("gangsubmit labels on /trace = %q, want %q", got, want)
+	}
+}
+
+// TestServiceRecordsSystemFacts: the service is the one recorder of what
+// its System reports. Failing the unit a still-acquiring task holds traces
+// one "sever" naming the task and one "fault" whose Result is the
+// component class, and rsin_system_cycle_ms has one sample per cycle
+// Stats counts.
+func TestServiceRecordsSystemFacts(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newScheduler(t, Config{Obs: reg, BatchSize: 1, Shards: []system.Config{{Net: topology.Crossbar(2, 2)}}})
+	blocker := provision(t, s, 0, system.Task{Proc: 1})
+	victim, err := s.Submit(0, system.Task{Proc: 0, Need: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitStats(t, s, func(st Stats) bool { return st.Granted == 2 }); st.Granted != 2 {
+		t.Fatalf("victim never acquired its first unit: %+v", st)
+	}
+	held := 1 - blocker.Resources()[0]
+	if err := s.FailResource(0, held); err != nil {
+		t.Fatal(err)
+	}
+	// One usable unit cannot complete a Need-2 task: it is withdrawn.
+	waitDone(t, victim, "victim")
+	st := waitStats(t, s, func(st Stats) bool { return st.Failed == 1 })
+	if st.Severed != 1 || st.LinkFaults != 1 {
+		t.Fatalf("Severed = %d, LinkFaults = %d, want 1, 1", st.Severed, st.LinkFaults)
+	}
+	var severs, faults []obs.Event
+	for _, e := range reg.Trace().Events() {
+		switch e.Kind {
+		case evSever:
+			severs = append(severs, e)
+		case evFault:
+			faults = append(faults, e)
+		}
+	}
+	if len(severs) != 1 || len(faults) != 1 {
+		t.Fatalf("trace has %d sever and %d fault events, want 1 each", len(severs), len(faults))
+	}
+	if got := victim.job.ids[0]; severs[0].Task != int64(got) {
+		t.Errorf("sever names task %d, want the victim %d", severs[0].Task, got)
+	}
+	if f := faults[0]; f.Result != "res" || f.Val != int64(held) {
+		t.Errorf("fault event %+v, want Result res and Val %d", f, held)
+	}
+	if n := reg.Snapshot().Histograms["rsin_system_cycle_ms"].N; int64(n) != st.Cycles {
+		t.Errorf("rsin_system_cycle_ms has %d samples, Stats.Cycles = %d", n, st.Cycles)
+	}
+	if err := s.EndService(blocker); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rsin/internal/obs"
 	"rsin/internal/system"
 	"rsin/internal/topology"
 )
@@ -16,7 +17,8 @@ import (
 // resources) in a known holding pattern: blocker H (tier 0, preference-
 // steered to resource 1) is fully provisioned and therefore immune to
 // preemption, and victim V (tier 2, Need 2) holds resource 0 while
-// waiting for resource 1 — still acquiring, so preemptible.
+// waiting for resource 1 — still acquiring, so preemptible. The shard
+// records into a registry, so the trace can be checked too.
 func preemptRig(t *testing.T, severRetries int) (s *Scheduler, h, v *Handle) {
 	t.Helper()
 	s = newScheduler(t, Config{
@@ -24,6 +26,7 @@ func preemptRig(t *testing.T, severRetries int) (s *Scheduler, h, v *Handle) {
 		BatchSize:    1,
 		SeverRetries: severRetries,
 		Preempt:      true,
+		Obs:          obs.NewRegistry(),
 	})
 	h, err := s.Submit(0, system.Task{Proc: 2, Tier: 0, Prefs: []int64{0, 5}})
 	if err != nil {
@@ -145,6 +148,9 @@ func TestPreemptionSeverBudget(t *testing.T) {
 	st := s.Stats()
 	if st.Preempts != 2 {
 		t.Fatalf("Preempts = %d, want 2", st.Preempts)
+	}
+	if n := countKind(s.cfg.Obs, evPreempt); n != 2 {
+		t.Fatalf("trace has %d preempt events, want one per exchange (2)", n)
 	}
 	if st.Submitted != 4 || st.Serviced != 3 || st.Failed != 1 || st.Canceled != 0 {
 		t.Fatalf("terminal accounting broken: %+v", st)

@@ -126,11 +126,12 @@ type Config struct {
 	// Obs, when non-nil, exports service metrics (every Stats counter and
 	// gauge, computed from Stats() when the registry is scraped — see
 	// statsTable), latency histograms (submit-to-grant,
-	// grant-to-release, epoch solve wall time) and a ring-buffer trace of
-	// scheduling decisions. It is also threaded into each shard's
-	// system.Config (unless that config carries its own registry), so one
-	// registry observes the whole stack. Nil — the default — disables
-	// observability with zero additional allocations on the hot path.
+	// grant-to-release, epoch solve and per-cycle wall time) and a
+	// ring-buffer trace of scheduling decisions. The service is the one
+	// recorder: a shard's System keeps no registry, and everything it
+	// reports (CycleResult, ApplyFault's severed list) is recorded here.
+	// Nil — the default — disables observability with zero additional
+	// allocations on the hot path.
 	Obs *obs.Registry
 }
 
@@ -163,9 +164,11 @@ type Stats struct {
 
 	// Hardware fault counters.
 	LinkFaults int64 // component failures applied (links, boxes, resources)
-	Severed    int64 // in-flight units lost to faults and re-queued
-	Repairs    int64 // component repairs applied
-	Preempts   int64 // units revoked from lower-tier holders (Config.Preempt)
+	// Severed counts fault losses: one per unit a singleton lost, and one
+	// per member of each gang a fault reset, however many units it lost.
+	Severed  int64
+	Repairs  int64 // component repairs applied
+	Preempts int64 // units revoked from lower-tier holders (Config.Preempt)
 
 	// Gang counters. Gangs also count member-wise in the terminal
 	// counters above (a gang of k contributes k to Submitted and k to
@@ -298,7 +301,7 @@ func (s *Scheduler) collect(emit func(name string, gauge bool, v int64)) {
 type shard struct {
 	idx    int
 	sys    *system.System
-	sysCfg system.Config // prepared config (obs threaded); supervisor rebuilds from it
+	sysCfg system.Config // prepared config (preemption threaded); supervisor rebuilds from it
 	procs  int
 	ress   int
 	ops    chan op
@@ -386,13 +389,8 @@ func New(cfg Config) (*Scheduler, error) {
 		o:   newSchedObs(cfg.Obs),
 	}
 	for i, sc := range cfg.Shards {
-		// Thread the service registry through the shard's system (unless
-		// the caller gave that shard its own) and label its trace events;
-		// thread preemption the same way. system.New checks the result.
-		if sc.Obs == nil {
-			sc.Obs = cfg.Obs
-		}
-		sc.ObsShard = i
+		// Thread preemption through the shard's system; system.New checks
+		// the result.
 		sc.Preempt = sc.Preempt || cfg.Preempt
 		sys, err := system.New(sc)
 		if err != nil {

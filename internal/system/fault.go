@@ -62,10 +62,6 @@ func (s *System) FailResource(r int) ([]TaskID, error) {
 		if t := s.tasks[id]; t != nil && (t.remaining() > 0 || s.gangAcquiring(t)) {
 			s.revokeUnit(t, r)
 			affected = append(affected, id)
-			if s.o.enabled {
-				s.o.severed.Inc()
-				s.event(evSever, id, int64(r), "")
-			}
 		}
 	}
 	return s.resetGangsOf(affected), nil
@@ -97,20 +93,6 @@ func (s *System) flipResource(r int, flip func(int) error, delta int) error {
 // and returns the tasks whose units it severed or revoked (nil for
 // repairs).
 func (s *System) ApplyFault(op FaultOp) ([]TaskID, error) {
-	affected, err := s.applyFault(op)
-	if err == nil && s.o.enabled {
-		if op.Repair {
-			s.o.repairOps.Inc()
-			s.event(evHwRepair, 0, int64(op.Index), op.Target.String())
-		} else {
-			s.o.faultOps.Inc()
-			s.event(evHwFault, 0, int64(op.Index), op.Target.String())
-		}
-	}
-	return affected, err
-}
-
-func (s *System) applyFault(op FaultOp) ([]TaskID, error) {
 	switch op.Target {
 	case FaultTargetLink:
 		if op.Repair {
@@ -134,10 +116,6 @@ func (s *System) applyFault(op FaultOp) ([]TaskID, error) {
 // FaultEpoch reports the fabric's fault generation counter; it advances
 // on every effective Fail/Repair.
 func (s *System) FaultEpoch() uint64 { return s.net.FaultEpoch() }
-
-// Broken reports the circuits severed by faults since the last Cycle
-// (the next CycleResult.Broken).
-func (s *System) Broken() int { return s.broken }
 
 // UsableResources reports the degraded-capacity census: per resource
 // type (type 0 throughout when Config.Types is nil), how many resources
@@ -187,11 +165,6 @@ func (s *System) sever(t *taskState, c topology.Circuit) {
 	if s.transmitting[c.Proc] == t.id {
 		s.transmitting[c.Proc] = -1
 		s.severedProc[c.Proc] = true
-	}
-	s.broken++
-	if s.o.enabled {
-		s.o.severed.Inc()
-		s.event(evSever, t.id, int64(c.Res), "")
 	}
 }
 

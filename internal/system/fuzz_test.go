@@ -1,10 +1,8 @@
 package system
 
 import (
-	"io"
 	"testing"
 
-	"rsin/internal/obs"
 	"rsin/internal/topology"
 )
 
@@ -45,10 +43,7 @@ func FuzzSubmitCycle(f *testing.F) {
 			return
 		}
 		net := topology.Omega(4)
-		// Every fuzzed run drives the instrumentation hooks too: counters,
-		// histograms and the trace ring record under arbitrary op orders.
-		reg := obs.NewRegistry()
-		cfg := Config{Net: net, Obs: reg}
+		cfg := Config{Net: net}
 		if len(ops) > 0 && ops[0]&1 == 1 {
 			cfg.Avoidance = AvoidanceBankers
 		}
@@ -119,13 +114,6 @@ func FuzzSubmitCycle(f *testing.F) {
 				}
 			}
 			checkInvariants(t, s, net, ids)
-		}
-		// Export must hold together for whatever the ops recorded.
-		if err := reg.WritePrometheus(io.Discard); err != nil {
-			t.Fatalf("exposition: %v", err)
-		}
-		if cycles := reg.Snapshot().Counters["rsin_system_cycles_total"]; cycles > int64(len(ops)) {
-			t.Fatalf("cycle counter %d exceeds op count %d", cycles, len(ops))
 		}
 	})
 }

@@ -82,10 +82,6 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	}
 	s.gangs[gid] = g
 	s.gangPending = append(s.gangPending, gid)
-	if s.o.enabled {
-		s.o.gangsSubmitted.Inc()
-		s.event(evGangSubmit, 0, int64(gid), "")
-	}
 	return gid, g.members, nil
 }
 
@@ -147,10 +143,6 @@ func (s *System) activateGangs(tr *trial) int {
 		g.active = true
 		s.gangPending = append(s.gangPending[:i], s.gangPending[i+1:]...)
 		activated++
-		if s.o.enabled {
-			s.o.gangsActivated.Inc()
-			s.event(evGangActivate, 0, int64(gid), "")
-		}
 	}
 	return activated
 }
@@ -243,10 +235,6 @@ func (s *System) resetGang(g *gangState) []TaskID {
 	g.active = false
 	s.led.closeRow(&g.row) // back behind the gate: no longer committed
 	s.gangPending = append([]GangID{g.id}, s.gangPending...)
-	if s.o.enabled {
-		s.o.gangResets.Inc()
-		s.event(evGangReset, 0, int64(g.id), "")
-	}
 	return affected
 }
 

@@ -42,12 +42,9 @@ func TestFailLinkSeversCircuit(t *testing.T) {
 		t.Fatalf("second EndTransmission: %v, want plain not-transmitting error", err)
 	}
 
-	// The sever is visible in the next cycle's accounting, and the task —
-	// still at its queue head — reacquires on the surviving fabric.
+	// FailLink's list above is the sever's one report; the task — still
+	// at its queue head — reacquires on the surviving fabric.
 	r := cycle(t, s)
-	if r.Broken != 1 {
-		t.Fatalf("CycleResult.Broken = %d, want 1", r.Broken)
-	}
 	if r.Granted != 1 || len(s.Holding(id)) != 1 {
 		t.Fatalf("task not re-granted: granted=%d holding=%v", r.Granted, s.Holding(id))
 	}
@@ -257,8 +254,8 @@ func TestHardwareHookScriptsFaults(t *testing.T) {
 	cycle(t, s) // cycle 1: grant
 	deadLink = s.tasks[id].circuits[0].Links[0]
 	r := cycle(t, s) // cycle 2: hook kills the circuit's link, then re-grants
-	if r.Broken != 1 {
-		t.Fatalf("Broken = %d, want 1", r.Broken)
+	if len(r.HardwareSevered) != 1 || r.HardwareSevered[0] != id {
+		t.Fatalf("HardwareSevered = %v, want [%d]", r.HardwareSevered, id)
 	}
 	if !s.net.LinkFaulted(deadLink) {
 		t.Fatal("scripted fault not applied")

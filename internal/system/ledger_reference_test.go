@@ -7,7 +7,7 @@ import (
 )
 
 // The from-scratch banker, kept as the reference the ledger is held to.
-// This is the code System.cycle ran before the ledger (DESIGN.md §22): a
+// This is the code System.Cycle ran before the ledger (DESIGN.md §22): a
 // snapshot of the whole allocation state rebuilt from a walk over every
 // task, map-based entities, a safety scan that copies its maps, and no
 // completing-grant shortcut. It decides nothing in the service any more;

@@ -189,7 +189,7 @@ func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt
 }
 
 // snapshotAvail rebuilds the avail list the next cycle will price,
-// exactly as cycle() does for Prefs-free tasks: every unheld, unfaulted
+// exactly as Cycle does for Prefs-free tasks: every unheld, unfaulted
 // resource at its configured preference (0 for all when prefs is nil).
 func snapshotAvail(sys audited, prefs []int64) []core.Avail {
 	var avail []core.Avail

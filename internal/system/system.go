@@ -19,10 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"rsin/internal/core"
-	"rsin/internal/obs"
 	"rsin/internal/token"
 	"rsin/internal/topology"
 )
@@ -118,16 +116,6 @@ type Config struct {
 	// the surviving subgraph. internal/faultinject's hardware scripting
 	// mode produces such hooks for deterministic degraded-mode tests.
 	HardwareHook func(point string) []FaultOp
-	// Obs, when non-nil, receives system-level metrics (cycle count and
-	// solve wall time, grants, deferrals, admission rejections, severed
-	// circuits, hardware fault operations) and trace events. Nil — the
-	// default — keeps every operation free of instrumentation
-	// allocations; see internal/obs.
-	Obs *obs.Registry
-	// ObsShard labels this system's trace events with a shard index when
-	// a sharded service (internal/sched) owns several systems against one
-	// shared registry. Ignored when Obs is nil.
-	ObsShard int
 }
 
 // FaultTarget names the hardware component class of a FaultOp.
@@ -237,7 +225,6 @@ type CycleResult struct {
 	Mapping  *core.Mapping
 	Granted  int // resources granted this cycle
 	Deferred int // requests withheld by the avoidance policy
-	Broken   int // circuits severed by hardware faults since the previous cycle
 	Clocks   int // token-architecture clock periods (TokenArch only)
 
 	// GangsActivated counts gangs admitted by the banker's activation gate
@@ -269,11 +256,9 @@ type System struct {
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
 	led          ledger   // the banker's books, moved wherever a unit moves (ledger.go)
 
-	// Hardware fault bookkeeping: severedProc[p] marks a transmission
-	// torn down by a fault and not yet acknowledged via EndTransmission;
-	// broken accumulates severed circuits for the next CycleResult.
+	// severedProc[p] marks a transmission torn down by a fault and not yet
+	// acknowledged via EndTransmission.
 	severedProc []bool
-	broken      int
 
 	// Gang bookkeeping (see gang.go): gangs by ID (a member's taskState
 	// points at its gang) and the FIFO of gangs still gated before banker's
@@ -299,10 +284,6 @@ type System struct {
 	avail  []core.Avail
 	taskOf []*taskState // per processor: the task requesting this cycle, or nil
 	prefs  []*taskState // requesting tasks that carry Task.Prefs
-
-	// Observability (zero value = disabled, allocation-free).
-	o          sysObs
-	cycleCount int64 // completed Cycle calls, stamps trace events
 
 	// The exchange planner's scratch, allocated on first use. A pointer,
 	// last, so the fields above keep their offsets and size class for the
@@ -343,7 +324,6 @@ func New(cfg Config) (*System, error) {
 	for i := range s.transmitting {
 		s.transmitting[i] = -1
 	}
-	s.o = newSysObs(cfg.Obs, cfg.ObsShard)
 	var err error
 	if s.solve, err = s.resolveSolver(); err != nil {
 		return nil, err
@@ -412,10 +392,6 @@ func (s *System) solveTyped(reqs []core.Request, avail []core.Avail) (*core.Mapp
 // are the adapter's own scratch.
 func (s *System) tokenSolver() solveFunc {
 	requesting, free := make([]bool, s.net.Procs), make([]bool, s.net.Ress)
-	var opts *token.Options
-	if s.cfg.Obs != nil {
-		opts = &token.Options{Obs: s.cfg.Obs}
-	}
 	return func(reqs []core.Request, avail []core.Avail) (*core.Mapping, error) {
 		clear(requesting)
 		clear(free)
@@ -425,7 +401,7 @@ func (s *System) tokenSolver() solveFunc {
 		for _, a := range avail {
 			free[a.Res] = true
 		}
-		tr, err := token.Schedule(s.net, requesting, free, opts)
+		tr, err := token.Schedule(s.net, requesting, free, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -476,15 +452,12 @@ func (s *System) dequeue(t *taskState) {
 // no surviving resource set can cover — including a type this deployment
 // simply does not stock, such as any type but 0 on a fabric without Types —
 // must be refused now, or the banker defers the task forever and it wedges
-// its queue. The refusal is recorded in the observability layer.
+// its queue.
 func (s *System) admissible(d Demand, who string) error {
-	err := d.Shortfall(s.usableResources())
-	if err == nil {
-		return nil
+	if err := d.Shortfall(s.usableResources()); err != nil {
+		return fmt.Errorf("system: %s: %w", who, err)
 	}
-	s.o.unsat.Inc()
-	s.event(evUnsat, 0, int64(d.Total()), "")
-	return fmt.Errorf("system: %s: %w", who, err)
+	return nil
 }
 
 // resType reports the configured type of a resource.
@@ -560,37 +533,9 @@ func (s *System) requestCandidate(p int, tr *trial, res *CycleResult) *taskState
 
 // Cycle runs one scheduling cycle: pending head tasks request one resource
 // each, the configured discipline maps them, and granted circuits are
-// established (the processors begin transmitting). With Config.Obs set,
-// the cycle is also recorded in the registry (count, wall-time histogram,
-// trace event); without it, Cycle reads no clock.
+// established (the processors begin transmitting). It reads no clock; the
+// caller times it if it wants to.
 func (s *System) Cycle() (*CycleResult, error) {
-	var start time.Time
-	if s.o.enabled {
-		start = time.Now()
-	}
-	res, err := s.cycle()
-	if err != nil {
-		return nil, err
-	}
-	s.cycleCount++
-	if s.o.enabled {
-		s.o.cycles.Inc()
-		s.o.granted.Add(int64(res.Granted))
-		s.o.deferred.Add(int64(res.Deferred))
-		s.o.cycleMS.Observe(time.Since(start).Seconds() * 1e3)
-		var c core.SolveCounts
-		c.Add(&res.Mapping.Solve)
-		s.o.warmSolves.Add(c.WarmSolves)
-		s.o.coldSolves.Add(c.ColdSolves)
-		s.o.arcsTouched.Add(c.ArcsTouched)
-		s.o.fastPaths.Add(c.FastPaths)
-		s.event(evCycle, 0, int64(res.Granted), "")
-	}
-	return res, nil
-}
-
-// cycle is the uninstrumented cycle body.
-func (s *System) cycle() (*CycleResult, error) {
 	if s.cfg.FaultHook != nil {
 		if err := s.cfg.FaultHook(FaultCycle); err != nil {
 			return nil, fmt.Errorf("system: cycle: %w", err)
@@ -608,8 +553,7 @@ func (s *System) cycle() (*CycleResult, error) {
 			hwSevered = append(hwSevered, affected...)
 		}
 	}
-	res := &CycleResult{Broken: s.broken, Hardware: hw, HardwareSevered: hwSevered}
-	s.broken = 0
+	res := &CycleResult{Hardware: hw, HardwareSevered: hwSevered}
 	// Gangs upgrade the shard to banker's grants for as long as any exist:
 	// activation promised each active gang a completion order, and a greedy
 	// grant (to a singleton or a rival gang's member) could hand away the
@@ -703,13 +647,9 @@ func (s *System) EndTransmission(p int) error {
 	id := s.transmitting[p]
 	if id == -1 {
 		if s.severedProc[p] {
+			// The caller is learning its unit was lost; the retry (the
+			// re-queued request) rides the next cycle.
 			s.severedProc[p] = false
-			if s.o.enabled {
-				// The caller is learning its unit was lost; the retry (the
-				// re-queued request) rides the next cycle.
-				s.o.severAcks.Inc()
-				s.event(evSeverAck, 0, int64(p), "")
-			}
 			return fmt.Errorf("system: processor %d: %w", p, ErrCircuitSevered)
 		}
 		return fmt.Errorf("system: processor %d is not transmitting", p)

@@ -327,9 +327,5 @@ func (s *System) Preempt(id TaskID, r int) error {
 	}
 	t.circuits = kept
 	s.revokeUnit(t, r)
-	if s.o.enabled {
-		s.o.preempts.Inc()
-		s.event(evPreempt, id, int64(r), "")
-	}
 	return nil
 }

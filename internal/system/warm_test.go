@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rsin/internal/core"
-	"rsin/internal/obs"
 	"rsin/internal/topology"
 )
 
@@ -137,11 +136,10 @@ func TestWarmSolveMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestWarmSolveCounters checks the warm counters move under the default
+// TestWarmSolveCounters checks the solve flags under the default
 // configuration: first flow cycle cold (arena build), then warm.
 func TestWarmSolveCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := New(Config{Net: topology.Omega(8), Obs: reg})
+	s, err := New(Config{Net: topology.Omega(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +158,5 @@ func TestWarmSolveCounters(t *testing.T) {
 	r = cycle(t, s)
 	if !r.Mapping.Solve.Warm {
 		t.Fatalf("steady-state solve should be warm, got %+v", r.Mapping.Solve)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["rsin_system_warm_solves_total"] != 1 ||
-		snap.Counters["rsin_system_cold_solves_total"] != 1 {
-		t.Fatalf("counters: %v", snap.Counters)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"rsin/internal/core"
-	"rsin/internal/obs"
 	"rsin/internal/topology"
 )
 
@@ -17,10 +16,6 @@ type Options struct {
 	// MaxClocks aborts a runaway simulation (0 = 1<<20). Exceeding it
 	// indicates a simulator bug; Schedule returns an error.
 	MaxClocks int
-	// Obs, when non-nil, records per-solve distributed-architecture cost
-	// into the registry: clock periods and augmentation iterations
-	// (rounds) per scheduling cycle, and tokens successfully bonded.
-	Obs *obs.Registry
 }
 
 // Result is the outcome of one scheduling cycle on the distributed
@@ -148,13 +143,6 @@ func Schedule(net *topology.Network, requesting, freeRes []bool, opts *Options) 
 	res.Mapping = m
 	res.Clocks = s.clock
 	res.BusTrace = s.trace
-	if s.opts.Obs != nil {
-		reg := s.opts.Obs
-		reg.Histogram("rsin_token_clocks", obs.ExpBuckets(1, 2, 14)).Observe(float64(res.Clocks))
-		reg.Histogram("rsin_token_iterations", obs.ExpBuckets(1, 2, 10)).Observe(float64(res.Iterations))
-		reg.Counter("rsin_token_grants_total").Add(int64(len(m.Assigned)))
-		reg.Counter("rsin_token_solves_total").Inc()
-	}
 	return res, nil
 }
 

@@ -65,13 +65,20 @@ type (
 	HeteroOptions = core.HeteroOptions
 	// TokenResult is the outcome of a distributed token-architecture cycle.
 	TokenResult = token.Result
-	// TokenOptions tunes the token-architecture simulation.
+	// TokenOptions tunes the token-architecture simulation. It records
+	// into no registry (its Obs field is gone): a run's cost is
+	// TokenResult.Clocks and Iterations.
 	TokenOptions = token.Options
 	// System is the long-running resource-sharing machine: task queues,
 	// scheduling cycles, transmission/service life cycle, multi-resource
-	// acquisition with deadlock avoidance. System.Cycle's result carries
-	// no wall time (CycleResult.Elapsed is gone): with SystemConfig.Obs
-	// set, the rsin_system_cycle_ms histogram times each cycle.
+	// acquisition with deadlock avoidance. It is a state machine with no
+	// clock and no registry (SystemConfig's Obs and ObsShard are gone):
+	// what a caller counts is in its results. System.Cycle's result
+	// carries no wall time (CycleResult.Elapsed is gone) and no sever
+	// count (CycleResult.Broken and System.Broken are gone: FailLink and
+	// the other fault calls return the severed tasks, and
+	// CycleResult.HardwareSevered lists a hook's). A Scheduler with a
+	// registry times each cycle in the rsin_system_cycle_ms histogram.
 	System = system.System
 	// SystemConfig parameterizes a System.
 	SystemConfig = system.Config
