@@ -8,15 +8,14 @@
 //	go run ./cmd/rsinserve -shards 4 -topo benes -n 16 # four Benes(16) planes
 //	go run ./cmd/rsinserve -clients 256 -batch 128
 //
-// The -inject flag scripts deterministic faults into the shard systems
-// (see internal/faultinject) to exercise the supervisor's recovery path
-// at load — including scripted hardware faults — and -deadline puts a
-// per-task context deadline on every client, exercising cancellation.
-// The -linkfault flag runs continuous fail→heal hardware chaos: a random
-// link fails, the fabric schedules degraded, the link heals, repeat:
+// The -inject flag scripts deterministic software faults into the shard
+// systems (see internal/faultinject) to exercise the supervisor's recovery
+// path at load, and -deadline puts a per-task context deadline on every
+// client, exercising cancellation. The -linkfault flag is the driver's one
+// hardware-chaos path: through the scheduler's FailLink/RepairLink, a
+// random link fails, the fabric schedules degraded, the link heals, repeat:
 //
 //	go run ./cmd/rsinserve -inject cycle:%500            # fail every 500th solve
-//	go run ./cmd/rsinserve -inject cycle:100:fail-link=3 # kill link 3 at cycle 100
 //	go run ./cmd/rsinserve -deadline 2ms                 # cancel slow tasks
 //	go run ./cmd/rsinserve -linkfault 5ms                # fail→heal a link every 5ms
 //
@@ -232,7 +231,7 @@ func main() {
 		tiers     = flag.Int("tiers", 0, "spread clients across this many priority tiers (1..8); switches shards to the min-cost discipline and reports per-tier latency")
 		types     = flag.Int("types", 0, "pool this many heterogeneous resource types per shard (0 = homogeneous); switches shards to the multicommodity Hetero discipline and clients to typed demand vectors")
 		preempt   = flag.Bool("preempt", false, "let each cycle give a waiting higher-tier task a unit held by a still-acquiring lower-tier one (requires -tiers)")
-		inject    = flag.String("inject", "", "fault-injection script, e.g. cycle:%500,cycle:9:fail-link=3 (see internal/faultinject)")
+		inject    = flag.String("inject", "", "software fault-injection script, e.g. cycle:%500,endtransmission:9 (see internal/faultinject; hardware faults: -linkfault)")
 		deadline  = flag.Duration("deadline", 0, "per-task context deadline (0 = none); expired tasks are canceled")
 		linkfault = flag.Duration("linkfault", 0, "hardware chaos: fail then heal one random link per period (0 = off)")
 		seed      = flag.Int64("seed", 0, "chaos/injection RNG seed (0 = derive from the clock; logged for reproducibility)")
@@ -343,7 +342,6 @@ func main() {
 		}
 		if injector != nil {
 			sc.FaultHook = injector.Hook // one injector: counters span shards
-			sc.HardwareHook = injector.HardwareHook
 		}
 		cfg.Shards = append(cfg.Shards, sc)
 	}
@@ -492,9 +490,7 @@ func main() {
 		fmt.Printf("faults        injected=%d restarts=%d lost=%d canceled=%d\n",
 			fired, st.Restarts, lost.Load(), canceled.Load())
 	}
-	// Stats counts every fault, whether the chaos loop applied it through
-	// the sched API or a scripted HardwareHook at the top of a cycle.
-	if *linkfault > 0 || st.LinkFaults > 0 || st.Repairs > 0 || st.Severed > 0 {
+	if *linkfault > 0 {
 		fmt.Printf("hardware      faults=%d repairs=%d severed=%d usable=%d severed-tasks=%d unsat=%d\n",
 			st.LinkFaults, st.Repairs, st.Severed, st.Usable, severed.Load(), unsat.Load())
 	}

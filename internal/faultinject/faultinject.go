@@ -1,49 +1,30 @@
-// Package faultinject provides deterministic, scriptable fault injection
-// for the system life cycle. An Injector counts calls per named fault
-// point (system.FaultCycle, system.FaultEndTransmission) and fails
+// Package faultinject provides deterministic, scriptable software fault
+// injection for the system life cycle. An Injector counts calls per named
+// fault point (system.FaultCycle, system.FaultEndTransmission) and fails
 // exactly the scripted ones, so recovery tests and load drivers can force
 // solver errors, EndTransmission failures and (by wedging grants) deadlock
 // scenarios at a reproducible instant instead of waiting for entropy.
 //
-// Beyond software faults, an Injector can script hardware faults: link,
-// switchbox and resource failures (and repairs) that fire at scripted
-// cycles and are applied by the system through Config.HardwareHook. That
-// turns fail→heal scenarios — "link 3 dies at cycle 5, comes back at
-// cycle 9" — into one flag on a load driver.
+// Hardware faults are not scripted here. A link, switchbox or resource
+// failure enters a System only through ApplyFault (in a service,
+// Scheduler.ApplyFaults, or rsinserve -linkfault), and that call's
+// returned list is the fault's one report.
 //
 // An Injector is safe for concurrent use: one instance may back every
 // shard of a scheduling service, its call counters shared service-wide.
 //
-// Scripts are comma-separated point:trigger[:action] fields:
+// Scripts are comma-separated point:trigger fields:
 //
 //	cycle:3                    fail the 3rd Cycle call
 //	endtransmission:1          fail the 1st EndTransmission call
 //	cycle:%100                 fail every 100th Cycle call
 //	cycle:p=0.01               fail each Cycle call with probability 0.01
-//	cycle:5:fail-link=3        hardware: fail link 3 at the 5th Cycle
-//	cycle:9:repair-link=3      hardware: repair link 3 at the 9th Cycle
-//	cycle:%200:fail-box=2      hardware: fail box 2 every 200th Cycle
-//	cycle:p=0.001:fail-res=0   hardware: fail resource 0, p=0.001 per Cycle
 //	cycle:3,cycle:9,endtransmission:%50
-//
-// A hardware action may be a +-joined compound: every operation in the
-// batch fires on the same trigger, in one fault event —
-//
-//	cycle:5:fail-link=3+fail-res=0   correlated fault: link 3 AND resource
-//	                                 0 die at the 5th Cycle, atomically
-//
-// which is how correlated failures (a cable cut taking a link and the
-// resource behind it, a power domain dropping several boxes) are
-// scripted. The system applies the batch before rescheduling, so victims
-// are severed once by the combined event, not once per component — the
-// sever-budget accounting the sched layer relies on.
 //
 // Probability triggers draw from a deterministically seeded generator
 // (override with Seed), so "random" soak runs replay exactly. Point names
-// are validated against the system's fault points, and hardware actions
-// are only accepted at "cycle" — the one point where the system consults
-// HardwareHook — so a misspelled script is an error at Parse time, never
-// a scenario that silently fails to fire.
+// are validated against the system's fault points, so a misspelled script
+// is an error at Parse time, never a scenario that silently fails to fire.
 package faultinject
 
 import (
@@ -61,10 +42,10 @@ import (
 // errors.Is to tell scripted failures from organic ones.
 var ErrInjected = errors.New("faultinject: injected fault")
 
-// points a script may name, and whether each consults HardwareHook.
+// points a script may name.
 var knownPoints = map[string]bool{
 	system.FaultCycle:           true,
-	system.FaultEndTransmission: false,
+	system.FaultEndTransmission: true,
 }
 
 type rule struct {
@@ -73,38 +54,22 @@ type rule struct {
 	prob  float64      // additionally fail with this probability; 0 = off
 }
 
-// hwEvent is one scripted hardware fault event: the trigger (exactly one
-// of nth/every/prob is set) and the operations to apply — as one batch —
-// when it fires.
-type hwEvent struct {
-	nth   int
-	every int
-	prob  float64
-	ops   []system.FaultOp
-}
-
-// Injector scripts which calls at which fault points fail, and which
-// hardware fault operations fire at which cycles.
+// Injector scripts which calls at which fault points fail.
 type Injector struct {
-	mu      sync.Mutex
-	rules   map[string]*rule
-	calls   map[string]int
-	fired   int
-	hw      map[string][]*hwEvent
-	hwCalls map[string]int // counted separately so Hook+HardwareHook at one point agree
-	hwFired int
-	rng     *rand.Rand
+	mu    sync.Mutex
+	rules map[string]*rule
+	calls map[string]int
+	fired int
+	rng   *rand.Rand
 }
 
 // New returns an empty Injector; without scripted rules its hooks never
 // fire. Probability triggers use a fixed default seed — call Seed to vary.
 func New() *Injector {
 	return &Injector{
-		rules:   map[string]*rule{},
-		calls:   map[string]int{},
-		hw:      map[string][]*hwEvent{},
-		hwCalls: map[string]int{},
-		rng:     rand.New(rand.NewSource(1)),
+		rules: map[string]*rule{},
+		calls: map[string]int{},
+		rng:   rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -146,35 +111,6 @@ func (in *Injector) FailProb(point string, p float64) *Injector {
 	return in
 }
 
-// HardwareAt scripts ops to fire — as one correlated batch — on the nth
-// (1-based) HardwareHook call at point. It returns the Injector for
-// chaining.
-func (in *Injector) HardwareAt(point string, nth int, ops ...system.FaultOp) *Injector {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.hw[point] = append(in.hw[point], &hwEvent{nth: nth, ops: ops})
-	return in
-}
-
-// HardwareEvery scripts ops to fire — as one correlated batch — on every
-// nth HardwareHook call at point. It returns the Injector for chaining.
-func (in *Injector) HardwareEvery(point string, nth int, ops ...system.FaultOp) *Injector {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.hw[point] = append(in.hw[point], &hwEvent{every: nth, ops: ops})
-	return in
-}
-
-// HardwareProb scripts ops to fire — as one correlated batch — on each
-// HardwareHook call at point independently with probability p. It returns
-// the Injector for chaining.
-func (in *Injector) HardwareProb(point string, p float64, ops ...system.FaultOp) *Injector {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.hw[point] = append(in.hw[point], &hwEvent{prob: p, ops: ops})
-	return in
-}
-
 // rule returns the rule for a point, creating it. Callers hold in.mu.
 func (in *Injector) rule(point string) *rule {
 	r := in.rules[point]
@@ -187,7 +123,8 @@ func (in *Injector) rule(point string) *rule {
 
 // Parse builds an Injector from a script (see the package comment for the
 // grammar). An empty script yields an Injector that never fires; a
-// malformed field — unknown point, bad trigger, bad action — is an error.
+// malformed field — unknown point, bad trigger, a third :field — is an
+// error.
 func Parse(spec string) (*Injector, error) {
 	in := New()
 	for _, field := range strings.Split(spec, ",") {
@@ -195,120 +132,40 @@ func Parse(spec string) (*Injector, error) {
 		if field == "" {
 			continue
 		}
-		point, rest, ok := strings.Cut(field, ":")
-		if !ok || point == "" || rest == "" {
-			return nil, fmt.Errorf("faultinject: %q is not point:trigger[:action]", field)
+		point, trigger, ok := strings.Cut(field, ":")
+		if !ok || point == "" || trigger == "" {
+			return nil, fmt.Errorf("faultinject: %q is not point:trigger", field)
 		}
-		if _, known := knownPoints[point]; !known {
+		if !knownPoints[point] {
 			return nil, fmt.Errorf("faultinject: %q: unknown fault point %q (want %q or %q)",
 				field, point, system.FaultCycle, system.FaultEndTransmission)
 		}
-		trigger, action, hasAction := strings.Cut(rest, ":")
-
-		var nth, every int
-		var prob float64
+		if _, action, hasAction := strings.Cut(trigger, ":"); hasAction {
+			return nil, fmt.Errorf("faultinject: %q: action %q: hardware faults are not scripted; "+
+				"apply them with Scheduler.ApplyFaults or rsinserve -linkfault", field, action)
+		}
 		switch {
 		case strings.HasPrefix(trigger, "%"):
 			n, err := strconv.Atoi(strings.TrimPrefix(trigger, "%"))
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("faultinject: %q: %%N trigger needs a positive period", field)
 			}
-			every = n
+			in.FailEvery(point, n)
 		case strings.HasPrefix(trigger, "p="):
 			p, err := strconv.ParseFloat(strings.TrimPrefix(trigger, "p="), 64)
 			if err != nil || p <= 0 || p > 1 {
 				return nil, fmt.Errorf("faultinject: %q: p= trigger needs a probability in (0, 1]", field)
 			}
-			prob = p
+			in.FailProb(point, p)
 		default:
 			n, err := strconv.Atoi(trigger)
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("faultinject: %q: trigger must be N, %%N or p=P", field)
 			}
-			nth = n
-		}
-
-		if !hasAction {
-			switch {
-			case every > 0:
-				in.FailEvery(point, every)
-			case prob > 0:
-				in.FailProb(point, prob)
-			default:
-				in.FailAt(point, nth)
-			}
-			continue
-		}
-
-		ops, err := parseActions(action)
-		if err != nil {
-			return nil, fmt.Errorf("faultinject: %q: %w", field, err)
-		}
-		if !knownPoints[point] {
-			return nil, fmt.Errorf("faultinject: %q: hardware actions fire only at %q", field, system.FaultCycle)
-		}
-		switch {
-		case every > 0:
-			in.HardwareEvery(point, every, ops...)
-		case prob > 0:
-			in.HardwareProb(point, prob, ops...)
-		default:
-			in.HardwareAt(point, nth, ops...)
+			in.FailAt(point, n)
 		}
 	}
 	return in, nil
-}
-
-// parseActions decodes a hardware action — possibly a +-joined compound,
-// one correlated batch — into its FaultOps, in script order.
-func parseActions(action string) ([]system.FaultOp, error) {
-	parts := strings.Split(action, "+")
-	ops := make([]system.FaultOp, 0, len(parts))
-	for _, part := range parts {
-		op, err := parseAction(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-	return ops, nil
-}
-
-// parseAction decodes one hardware action of the form
-// (fail|repair)-(link|box|res)=INDEX into a FaultOp.
-func parseAction(action string) (system.FaultOp, error) {
-	var op system.FaultOp
-	verbTarget, idx, ok := strings.Cut(action, "=")
-	if !ok {
-		return op, fmt.Errorf("action %q is not verb-target=index", action)
-	}
-	verb, target, ok := strings.Cut(verbTarget, "-")
-	if !ok {
-		return op, fmt.Errorf("action %q is not verb-target=index", action)
-	}
-	switch verb {
-	case "fail":
-	case "repair":
-		op.Repair = true
-	default:
-		return op, fmt.Errorf("action verb %q: want fail or repair", verb)
-	}
-	switch target {
-	case "link":
-		op.Target = system.FaultTargetLink
-	case "box":
-		op.Target = system.FaultTargetBox
-	case "res", "resource":
-		op.Target = system.FaultTargetResource
-	default:
-		return op, fmt.Errorf("action target %q: want link, box or res", target)
-	}
-	n, err := strconv.Atoi(idx)
-	if err != nil || n < 0 {
-		return op, fmt.Errorf("action index %q: want a non-negative component index", idx)
-	}
-	op.Index = n
-	return op, nil
 }
 
 // Hook is the system.Config.FaultHook implementation: it counts the call
@@ -329,30 +186,6 @@ func (in *Injector) Hook(point string) error {
 	return nil
 }
 
-// HardwareHook is the system.Config.HardwareHook implementation: it
-// counts the call (on a counter separate from Hook's, so an Injector
-// serving both hooks keeps its cycle numbering consistent) and returns
-// the hardware fault operations scripted for it, in script order.
-func (in *Injector) HardwareHook(point string) []system.FaultOp {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.hwCalls[point]++
-	n := in.hwCalls[point]
-	var ops []system.FaultOp
-	for _, ev := range in.hw[point] {
-		switch {
-		case ev.nth > 0 && ev.nth == n,
-			ev.every > 0 && n%ev.every == 0,
-			ev.prob > 0 && in.rng.Float64() < ev.prob:
-			// A compound event's whole batch fires together — the system
-			// applies every op before rescheduling, one correlated fault.
-			ops = append(ops, ev.ops...)
-			in.hwFired += len(ev.ops)
-		}
-	}
-	return ops
-}
-
 // Calls reports how many times point has been consulted via Hook.
 func (in *Injector) Calls(point string) int {
 	in.mu.Lock()
@@ -365,12 +198,4 @@ func (in *Injector) Fired() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.fired
-}
-
-// HardwareFired reports how many hardware fault operations HardwareHook
-// has emitted across all points.
-func (in *Injector) HardwareFired() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.hwFired
 }

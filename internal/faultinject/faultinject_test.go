@@ -2,11 +2,9 @@ package faultinject
 
 import (
 	"errors"
-	"reflect"
+	"strings"
 	"sync"
 	"testing"
-
-	"rsin/internal/system"
 )
 
 func TestFailAt(t *testing.T) {
@@ -77,17 +75,35 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"cycle", "cycle:", ":3", "cycle:zero", "cycle:0", "cycle:%0", "cycle:-1",
 		"bogus:3",                             // unknown fault point
 		"cycle:p=0", "cycle:p=2", "cycle:p=x", // probability out of range / not a number
-		"endtransmission:3:fail-link=1",     // hardware action at a point without HardwareHook
-		"cycle:3:fail-link",                 // action missing =index
-		"cycle:3:faillink=1",                // action missing verb-target dash
-		"cycle:3:explode-link=1",            // unknown verb
-		"cycle:3:fail-widget=1",             // unknown target
-		"cycle:3:fail-link=-1",              // negative index
-		"cycle:3:fail-link=1+",              // dangling compound separator
-		"cycle:3:fail-link=1+explode-res=0", // bad op inside a compound
+		// A third field, malformed or not, at either point: no script
+		// names an action.
+		"endtransmission:3:fail-link=1",
+		"cycle:3:fail-link",
+		"cycle:3:faillink=1",
+		"cycle:3:explode-link=1",
+		"cycle:3:fail-widget=1",
+		"cycle:3:fail-link=-1",
+		"cycle:3:fail-link=1+",
+		"cycle:3:fail-link=1+explode-res=0",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
+		}
+	}
+	// Well-formed hardware actions are refused too, pointing at the one
+	// way a hardware fault enters a System.
+	for _, hw := range []string{
+		"cycle:5:fail-link=3",
+		"cycle:%200:fail-box=2",
+		"cycle:p=0.01:fail-res=0",
+		"cycle:5:fail-link=3+fail-res=0",
+	} {
+		_, err := Parse(hw)
+		if err == nil {
+			t.Fatalf("spec %q accepted", hw)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "Scheduler.ApplyFaults") || !strings.Contains(msg, "rsinserve -linkfault") {
+			t.Fatalf("spec %q: error %q does not name both ApplyFaults and -linkfault", hw, msg)
 		}
 	}
 }
@@ -116,78 +132,6 @@ func TestFailProb(t *testing.T) {
 	}
 	if again.Fired() != fired {
 		t.Fatalf("replay with seed 7 fired %d, first run fired %d", again.Fired(), fired)
-	}
-}
-
-func TestHardwareScript(t *testing.T) {
-	in, err := Parse("cycle:2:fail-link=3, cycle:4:repair-link=3, cycle:%3:fail-box=1, cycle:5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int][]system.FaultOp{
-		2: {{Target: system.FaultTargetLink, Index: 3}},
-		3: {{Target: system.FaultTargetBox, Index: 1}},
-		4: {{Repair: true, Target: system.FaultTargetLink, Index: 3}},
-		6: {{Target: system.FaultTargetBox, Index: 1}},
-	}
-	for n := 1; n <= 6; n++ {
-		got := in.HardwareHook("cycle")
-		if !reflect.DeepEqual(got, want[n]) {
-			t.Fatalf("call %d: ops %v, want %v", n, got, want[n])
-		}
-	}
-	if in.HardwareFired() != 4 {
-		t.Fatalf("HardwareFired=%d, want 4", in.HardwareFired())
-	}
-	// The software rule rides the same spec on an independent counter.
-	for n := 1; n <= 5; n++ {
-		err := in.Hook("cycle")
-		if (err != nil) != (n == 5) {
-			t.Fatalf("Hook call %d: err=%v", n, err)
-		}
-	}
-}
-
-// TestHardwareCompound: a +-joined action is one correlated fault event —
-// every op in the batch emitted together, on the same HardwareHook call.
-func TestHardwareCompound(t *testing.T) {
-	in, err := Parse("cycle:2:fail-link=3+fail-res=0, cycle:4:repair-link=3+repair-res=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int][]system.FaultOp{
-		2: {
-			{Target: system.FaultTargetLink, Index: 3},
-			{Target: system.FaultTargetResource, Index: 0},
-		},
-		4: {
-			{Repair: true, Target: system.FaultTargetLink, Index: 3},
-			{Repair: true, Target: system.FaultTargetResource, Index: 0},
-		},
-	}
-	for n := 1; n <= 4; n++ {
-		got := in.HardwareHook("cycle")
-		if !reflect.DeepEqual(got, want[n]) {
-			t.Fatalf("call %d: ops %v, want %v", n, got, want[n])
-		}
-	}
-	if in.HardwareFired() != 4 {
-		t.Fatalf("HardwareFired=%d, want 4 (two 2-op batches)", in.HardwareFired())
-	}
-}
-
-func TestHardwareProb(t *testing.T) {
-	in, err := Parse("cycle:p=0.5:fail-res=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Seed(42)
-	fired := 0
-	for i := 0; i < 1000; i++ {
-		fired += len(in.HardwareHook("cycle"))
-	}
-	if fired < 400 || fired > 600 {
-		t.Fatalf("p=0.5 emitted %d ops in 1000 calls", fired)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 
 	"rsin/internal/system"
@@ -27,11 +26,6 @@ func (s *Scheduler) flush(sh *shard, buf []op) []op {
 		}
 	}
 	s.runCycles(sh)
-	// A HardwareHook may have failed or repaired components mid-epoch;
-	// republish the degraded-capacity census if the fault epoch moved.
-	if sh.dead == nil {
-		s.refreshCapacity(sh)
-	}
 	// Make the epoch's grants and cycle counters visible before any
 	// handle's Done fires.
 	s.publish(sh)
@@ -108,42 +102,25 @@ func (s *Scheduler) applyCancel(sh *shard, o *op) {
 	}
 }
 
-// applyFault applies one correlated hardware event and counts and charges
-// it (faulted).
+// applyFault applies one correlated hardware event, an ApplyFaults batch,
+// and counts and charges it. Severed counts, and the trace records as one
+// "sever" each, every task the System reported (a singleton once per unit
+// lost, a reset gang once per member), but the retry budget is charged
+// once per job: a task that lost several units to the one event, or a
+// gang that lost several members' units, pays one retry.
 func (s *Scheduler) applyFault(sh *shard, o *op) {
 	if sh.dead != nil {
 		o.reply <- sh.dead
 		return
 	}
-	var all []system.TaskID
+	var severed []system.TaskID
 	var err error
-	applied := 0
 	for _, f := range o.faults {
 		var affected []system.TaskID
 		if affected, err = sh.sys.ApplyFault(f); err != nil {
 			break
 		}
-		all = append(all, affected...)
-		applied++
-	}
-	s.faulted(sh, o.faults[:applied], all)
-	if sh.dead == nil {
-		s.refreshCapacity(sh)
-	}
-	s.publish(sh)
-	o.reply <- err
-}
-
-// faulted counts one correlated hardware event — an ApplyFaults batch, or
-// the operations one HardwareHook call returned — and charges it. Severed
-// counts, and the trace records as one "sever" each, every task the System
-// reported (a singleton once per unit lost, a reset gang once per member),
-// but the retry budget is charged once per job: a task that lost several
-// units to the one event, or a gang that lost several members' units, pays
-// one retry. Reports false when a withdrawal escalated to a shard restart.
-func (s *Scheduler) faulted(sh *shard, ops []system.FaultOp, severed []system.TaskID) bool {
-	sh.tot.Severed += int64(len(severed))
-	for _, f := range ops {
+		severed = append(severed, affected...)
 		if f.Repair {
 			sh.tot.Repairs++
 			s.event(sh, evRepair, 0, int64(f.Index), f.Target.String())
@@ -152,6 +129,7 @@ func (s *Scheduler) faulted(sh *shard, ops []system.FaultOp, severed []system.Ta
 			s.event(sh, evFault, 0, int64(f.Index), f.Target.String())
 		}
 	}
+	sh.tot.Severed += int64(len(severed))
 	for _, id := range severed {
 		s.event(sh, evSever, int64(id), 0, "")
 	}
@@ -163,12 +141,17 @@ func (s *Scheduler) faulted(sh *shard, ops []system.FaultOp, severed []system.Ta
 				charged = map[*job]bool{}
 			}
 			charged[j] = true
+			// A withdrawal that escalated to a restart emptied sh.tracked.
 			if !s.chargeSever(sh, j) {
-				return false
+				break
 			}
 		}
 	}
-	return true
+	if sh.dead == nil {
+		s.refreshCapacity(sh)
+	}
+	s.publish(sh)
+	o.reply <- err
 }
 
 // addCycle folds one scheduling cycle's result into the counters.
@@ -193,8 +176,7 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 // next cycle's gang gate only units moved from the free pool to holders,
 // which can make no waiting gang admissible (DESIGN.md §22). With Preempt
 // set, each cycle also plans its tier exchanges; the victims it reports are
-// charged here, once the cycle's transmissions have ended, and so are the
-// tasks the faults of the cycle's HardwareHook severed.
+// charged here, once the cycle's transmissions have ended.
 func (s *Scheduler) runCycles(sh *shard) {
 	var solveStart int64
 	if s.o.enabled {
@@ -224,12 +206,7 @@ cycling:
 			if j := sh.tracked[sh.sys.Transmitting(a.Req.Proc)]; j != nil {
 				sh.granted = append(sh.granted, j)
 			}
-			err := sh.sys.EndTransmission(a.Req.Proc)
-			if errors.Is(err, system.ErrCircuitSevered) {
-				// Retryable: the System already revoked and re-queued the
-				// unit; a follow-up cycle reacquires it.
-				sh.tot.Severed++
-			} else if err != nil {
+			if err := sh.sys.EndTransmission(a.Req.Proc); err != nil {
 				s.failShard(sh, err)
 				break cycling
 			}
@@ -242,11 +219,6 @@ cycling:
 			if j := sh.tracked[x.Victim]; j != nil && !s.chargeSever(sh, j) {
 				break cycling
 			}
-		}
-		// The faults the HardwareHook applied at the top of the cycle are
-		// one event, counted and charged like an ApplyFaults batch.
-		if len(r.Hardware) > 0 && !s.faulted(sh, r.Hardware, r.HardwareSevered) {
-			break cycling
 		}
 		if r.Granted == 0 || sh.sys.Quiescent() {
 			break

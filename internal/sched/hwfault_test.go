@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -192,83 +191,6 @@ func TestSeverRetryBudget(t *testing.T) {
 	}
 	if st := s.Stats(); st.Free != net.Ress || st.Usable != net.Ress {
 		t.Fatalf("fabric not restored: %+v", st)
-	}
-}
-
-// TestHardwareHookChargesSevers: the faults a shard's HardwareHook applies
-// at the top of a cycle reach Stats and the sever budget exactly as an
-// ApplyFaults batch does. A Need=2 task holds the one unit three blockers
-// leave free and waits; the hook then fails that unit, repairs it (the
-// task reacquires it) and fails it again, one operation per cycle. With
-// SeverRetries 1 the second sever fails the handle with ErrCircuitSevered,
-// and the hook's operations and severed units are counted.
-func TestHardwareHookChargesSevers(t *testing.T) {
-	net := topology.Omega(4)
-	var armed atomic.Bool
-	var calls atomic.Int64
-	free := -1
-	hook := func(point string) []system.FaultOp {
-		if !armed.Load() {
-			return nil
-		}
-		repair := calls.Add(1)%2 == 0
-		return []system.FaultOp{{Target: system.FaultTargetResource, Index: free, Repair: repair}}
-	}
-	s := newScheduler(t, Config{
-		Shards:       []system.Config{{Net: net, HardwareHook: hook}},
-		SeverRetries: 1,
-	})
-	var blockers []*Handle
-	taken := map[int]bool{}
-	for p := 1; p < 4; p++ {
-		b := provision(t, s, 0, system.Task{Proc: p})
-		taken[b.Resources()[0]] = true
-		blockers = append(blockers, b)
-	}
-	for r := 0; r < net.Ress; r++ {
-		if !taken[r] {
-			free = r
-		}
-	}
-	victim, err := s.Submit(0, system.Task{Proc: 0, Need: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitStats(t, s, func(st Stats) bool { return st.Free == 0 })
-	armed.Store(true)
-	// Every epoch cycles (the victim is tracked) and so consults the hook:
-	// a task queued behind the victim and canceled at once is two epochs
-	// that move no unit.
-	deadline := time.After(10 * time.Second)
-	for done := false; !done; {
-		ctx, cancel := context.WithCancel(context.Background())
-		tick, err := s.SubmitCtx(ctx, 0, system.Task{Proc: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cancel()
-		waitDone(t, tick, "tick")
-		select {
-		case <-victim.Done():
-			done = true
-		case <-deadline:
-			t.Fatalf("victim never exceeded its sever budget: %+v", s.Stats())
-		default:
-		}
-	}
-	if !errors.Is(victim.Err(), system.ErrCircuitSevered) {
-		t.Fatalf("victim error %v, want ErrCircuitSevered", victim.Err())
-	}
-	st := s.Stats()
-	if st.LinkFaults < 2 || st.Repairs < 1 || st.Severed < 2 {
-		t.Fatalf("hook faults not counted: LinkFaults = %d, Repairs = %d, Severed = %d; want at least 2, 1, 2",
-			st.LinkFaults, st.Repairs, st.Severed)
-	}
-	armed.Store(false)
-	for _, b := range blockers {
-		if err := s.EndService(b); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

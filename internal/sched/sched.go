@@ -55,9 +55,8 @@
 // bounded by Config.SeverRetries before the handle fails with an error
 // matching system.ErrCircuitSevered; tasks whose demand no longer fits
 // the degraded capacity fail with system.ErrUnsatisfiable (at Submit and
-// retroactively for queued tasks). The same holds for the faults a shard's
-// system.Config.HardwareHook applies at the top of a cycle: each hook call
-// is one event, counted and charged like an ApplyFaults batch.
+// retroactively for queued tasks). These calls are the only way a fault
+// enters a shard, and each is one event, counted and charged once.
 // Stats.LinkFaults, Stats.Severed, Stats.Repairs count the events;
 // Stats.Usable gauges surviving capacity.
 package sched
@@ -313,7 +312,7 @@ type shard struct {
 	granted  []*job // jobs that received a unit this epoch: publishGrants' candidates
 	gen      int    // bumped by every supervisor restart
 	capEpoch uint64 // fault epoch the usable census was computed at
-	capOK    bool   // false forces a recompute (restart, first flush)
+	capOK    bool   // false forces a recompute (restart)
 
 	cycleCount int64 // cumulative cycles, stamps trace events
 

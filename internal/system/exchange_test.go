@@ -289,7 +289,7 @@ func runExchangeTrace(t *testing.T, rng *rand.Rand, net *topology.Network, av Av
 			}
 			x.exchanges += len(r.Preempted)
 			for _, a := range r.Mapping.Assigned {
-				if err := sys.EndTransmission(a.Req.Proc); err != nil && !errors.Is(err, ErrCircuitSevered) {
+				if err := sys.EndTransmission(a.Req.Proc); err != nil {
 					t.Fatalf("%s: end transmission %d: %v", where, a.Req.Proc, err)
 				}
 			}

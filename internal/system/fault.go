@@ -157,14 +157,14 @@ func (s *System) circuitUsable(c topology.Circuit) bool {
 // sever is the one circuit teardown outside EndTransmission, shared by
 // hardware faults, gang resets and preemption: the circuit's links are
 // force-released (they are link-disjoint, so only this circuit owns them)
-// and, if the processor is still transmitting on it, the transmission is
-// marked severed so a pending EndTransmission reports ErrCircuitSevered.
-// Dropping c from t.circuits and revoking the unit are the caller's.
+// and, if the processor is still transmitting on it, the transmission
+// ends. The processor's next EndTransmission reports it is not
+// transmitting; the caller that severed reports the loss. Dropping c from
+// t.circuits and revoking the unit are the caller's.
 func (s *System) sever(t *taskState, c topology.Circuit) {
 	s.net.ForceRelease(c)
 	if s.transmitting[c.Proc] == t.id {
 		s.transmitting[c.Proc] = -1
-		s.severedProc[c.Proc] = true
 	}
 }
 

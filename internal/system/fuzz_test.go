@@ -22,8 +22,9 @@ import (
 // with Config.Preempt, so the cycles also plan tier exchanges — which the
 // audited wrapper holds to the reference planner.
 //
-// Operation errors (bad processor, premature EndService, a severed
-// transmission, ...) are legal outcomes; invariant violations are not.
+// Operation errors (bad processor, premature EndService, ending a
+// transmission a fault severed, ...) are legal outcomes; invariant
+// violations are not.
 func FuzzSubmitCycle(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03})
 	f.Add([]byte{0x10, 0x50, 0x01, 0x01, 0x02, 0x03, 0x03, 0x03})
@@ -71,7 +72,7 @@ func FuzzSubmitCycle(f *testing.F) {
 				if _, err := s.Cycle(); err != nil {
 					t.Fatalf("cycle: %v", err)
 				}
-			case 2: // EndTransmission(proc); not-transmitting / severed are fine
+			case 2: // EndTransmission(proc); not transmitting is fine
 				_ = s.EndTransmission(int(b>>3) & 0x03)
 			case 3: // EndService on a fuzzer-chosen submitted task
 				if len(ids) > 0 {
@@ -130,8 +131,8 @@ func FuzzSubmitCycle(f *testing.F) {
 //     hold across the mixed population.
 //
 // Operation errors (member already serviced, cancel of an unknown gang,
-// a severed transmission, ...) are legal outcomes; invariant violations
-// and cycle failures are not.
+// ending a transmission a fault severed, ...) are legal outcomes;
+// invariant violations and cycle failures are not.
 func FuzzGangSubmit(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x0a, 0x12, 0x1a, 0x01, 0x03})
 	f.Add([]byte{0x08, 0x01, 0x01, 0x02, 0x0a, 0x03, 0x04, 0x01})

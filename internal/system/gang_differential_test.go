@@ -128,8 +128,7 @@ func runGangDifferential(t *testing.T, rng *rand.Rand, av Avoidance) {
 					t.Fatalf("%s step %d: cycle: %v", net.Name, step, err)
 				}
 				for _, a := range r.Mapping.Assigned {
-					if err := sys.EndTransmission(a.Req.Proc); err != nil &&
-						!errors.Is(err, ErrCircuitSevered) {
+					if err := sys.EndTransmission(a.Req.Proc); err != nil {
 						t.Fatalf("%s step %d: end transmission %d: %v", net.Name, step, a.Req.Proc, err)
 					}
 				}
@@ -162,8 +161,7 @@ func runGangDifferential(t *testing.T, rng *rand.Rand, av Avoidance) {
 				t.Fatalf("%s: drain cycle: %v", net.Name, err)
 			}
 			for _, a := range r.Mapping.Assigned {
-				if err := sys.EndTransmission(a.Req.Proc); err != nil &&
-					!errors.Is(err, ErrCircuitSevered) {
+				if err := sys.EndTransmission(a.Req.Proc); err != nil {
 					t.Fatalf("%s: drain end transmission: %v", net.Name, err)
 				}
 			}

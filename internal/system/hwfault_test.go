@@ -8,8 +8,9 @@ import (
 )
 
 // TestFailLinkSeversCircuit: failing a link under an in-flight circuit
-// revokes the delivered unit, re-queues the task, and surfaces exactly
-// one ErrCircuitSevered to the processor's pending EndTransmission.
+// revokes the delivered unit and re-queues the task. FailLink's list is
+// the sever's one report: the processor's pending EndTransmission gets
+// the plain not-transmitting error.
 func TestFailLinkSeversCircuit(t *testing.T) {
 	s, _ := New(Config{Net: topology.Omega(8)})
 	id := mustSubmit(t, s, Task{Proc: 3})
@@ -35,15 +36,12 @@ func TestFailLinkSeversCircuit(t *testing.T) {
 	if s.Transmitting(3) != -1 {
 		t.Fatal("severed processor still marked transmitting")
 	}
-	if err := s.EndTransmission(3); !errors.Is(err, ErrCircuitSevered) {
-		t.Fatalf("EndTransmission after sever: %v, want ErrCircuitSevered", err)
-	}
 	if err := s.EndTransmission(3); err == nil || errors.Is(err, ErrCircuitSevered) {
-		t.Fatalf("second EndTransmission: %v, want plain not-transmitting error", err)
+		t.Fatalf("EndTransmission after sever: %v, want plain not-transmitting error", err)
 	}
 
-	// FailLink's list above is the sever's one report; the task — still
-	// at its queue head — reacquires on the surviving fabric.
+	// The task — still at its queue head — reacquires on the surviving
+	// fabric.
 	r := cycle(t, s)
 	if r.Granted != 1 || len(s.Holding(id)) != 1 {
 		t.Fatalf("task not re-granted: granted=%d holding=%v", r.Granted, s.Holding(id))
@@ -225,50 +223,6 @@ func TestDegradedAdmission(t *testing.T) {
 	}
 	if _, err := s.Submit(Task{Proc: 1, Need: 2}); err != nil {
 		t.Fatalf("Need=2 after repair: %v", err)
-	}
-}
-
-// TestHardwareHookScriptsFaults: Config.HardwareHook ops are applied at
-// the top of the cycle, before the solve — a fault scripted for cycle N
-// already masks the fabric N schedules on.
-func TestHardwareHookScriptsFaults(t *testing.T) {
-	calls := 0
-	var deadLink int
-	s, _ := New(Config{
-		Net: topology.Omega(8),
-		HardwareHook: func(point string) []FaultOp {
-			if point != FaultCycle {
-				t.Fatalf("hook consulted at %q", point)
-			}
-			calls++
-			switch calls {
-			case 2:
-				return []FaultOp{{Target: FaultTargetLink, Index: deadLink}}
-			case 3:
-				return []FaultOp{{Repair: true, Target: FaultTargetLink, Index: deadLink}}
-			}
-			return nil
-		},
-	})
-	id := mustSubmit(t, s, Task{Proc: 6})
-	cycle(t, s) // cycle 1: grant
-	deadLink = s.tasks[id].circuits[0].Links[0]
-	r := cycle(t, s) // cycle 2: hook kills the circuit's link, then re-grants
-	if len(r.HardwareSevered) != 1 || r.HardwareSevered[0] != id {
-		t.Fatalf("HardwareSevered = %v, want [%d]", r.HardwareSevered, id)
-	}
-	if !s.net.LinkFaulted(deadLink) {
-		t.Fatal("scripted fault not applied")
-	}
-	cycle(t, s) // cycle 3: hook repairs
-	if s.net.HasFaults() {
-		t.Fatal("scripted repair not applied")
-	}
-	if err := s.EndTransmission(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EndService(id); err != nil {
-		t.Fatal(err)
 	}
 }
 

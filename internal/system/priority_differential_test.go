@@ -155,8 +155,7 @@ func runPriorityDifferential(t *testing.T, rng *rand.Rand, av Avoidance, preempt
 				}
 				checkRoutableHeld(t, sys.System, live)
 				for _, a := range r.Mapping.Assigned {
-					if err := sys.EndTransmission(a.Req.Proc); err != nil &&
-						!errors.Is(err, ErrCircuitSevered) {
+					if err := sys.EndTransmission(a.Req.Proc); err != nil {
 						t.Fatalf("%s step %d: end transmission %d: %v", net.Name, step, a.Req.Proc, err)
 					}
 				}

@@ -35,12 +35,11 @@ import (
 // never complete with (the §II hold-and-wait deadlock, made permanent).
 var ErrUnsatisfiable = errors.New("system: task demand can never be satisfied")
 
-// ErrCircuitSevered is wrapped by EndTransmission when the transmission
-// it acknowledges was torn down by a hardware fault: a link, switchbox or
-// resource on the circuit's path failed mid-flight. The lost unit has
-// already been re-queued — the task is back at its queue head requesting
-// the unit again on the surviving fabric — so the condition is retryable,
-// not fatal.
+// ErrCircuitSevered marks work lost to hardware faults. The System itself
+// never returns it: ApplyFault reports each severed unit in its returned
+// list, and the unit is already re-queued on the surviving fabric. A
+// service wraps it when a task or gang has been severed more often than
+// its retry budget allows.
 var ErrCircuitSevered = errors.New("system: circuit severed by hardware fault")
 
 // Fault points at which Config.FaultHook is consulted.
@@ -109,13 +108,6 @@ type Config struct {
 	// load drivers (see internal/faultinject); production configs leave
 	// it nil.
 	FaultHook func(point string) error
-	// HardwareHook, when non-nil, is consulted at the top of every Cycle
-	// (after FaultHook) with the fault point name; each returned FaultOp
-	// is applied to the fabric — a scripted link/switchbox/resource
-	// failure or repair — before the solve, so the cycle schedules on
-	// the surviving subgraph. internal/faultinject's hardware scripting
-	// mode produces such hooks for deterministic degraded-mode tests.
-	HardwareHook func(point string) []FaultOp
 }
 
 // FaultTarget names the hardware component class of a FaultOp.
@@ -139,9 +131,8 @@ func (t FaultTarget) String() string {
 	return fmt.Sprintf("FaultTarget(%d)", int(t))
 }
 
-// FaultOp is one scripted hardware event: the failure or repair of one
-// component. Apply it with System.ApplyFault or return it from
-// Config.HardwareHook.
+// FaultOp is one hardware event: the failure or repair of one component.
+// Apply it with System.ApplyFault.
 type FaultOp struct {
 	Repair bool
 	Target FaultTarget
@@ -234,13 +225,6 @@ type CycleResult struct {
 	// Preempted lists the units this cycle's tier exchanges revoked
 	// (Config.Preempt), in plan order; nil when it made none.
 	Preempted []Exchange
-
-	// Hardware lists the fault operations Config.HardwareHook applied at
-	// the top of this cycle, in order, and HardwareSevered the tasks they
-	// severed, once per unit lost (as ApplyFault reports them); both empty
-	// when the hook applied nothing.
-	Hardware        []FaultOp
-	HardwareSevered []TaskID
 }
 
 // System is the running resource-sharing machine. Not safe for concurrent
@@ -255,10 +239,6 @@ type System struct {
 	resHolder    []TaskID // per resource: holding task, or -1
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
 	led          ledger   // the banker's books, moved wherever a unit moves (ledger.go)
-
-	// severedProc[p] marks a transmission torn down by a fault and not yet
-	// acknowledged via EndTransmission.
-	severedProc []bool
 
 	// Gang bookkeeping (see gang.go): gangs by ID (a member's taskState
 	// points at its gang) and the FIFO of gangs still gated before banker's
@@ -313,7 +293,6 @@ func New(cfg Config) (*System, error) {
 		tasks:        make(map[TaskID]*taskState),
 		resHolder:    make([]TaskID, cfg.Net.Ress),
 		transmitting: make([]TaskID, cfg.Net.Procs),
-		severedProc:  make([]bool, cfg.Net.Procs),
 		taskOf:       make([]*taskState, cfg.Net.Procs),
 		gangs:        make(map[GangID]*gangState),
 		led:          newLedger(cfg.Net.Ress, cfg.Types),
@@ -541,19 +520,7 @@ func (s *System) Cycle() (*CycleResult, error) {
 			return nil, fmt.Errorf("system: cycle: %w", err)
 		}
 	}
-	var hw []FaultOp
-	var hwSevered []TaskID
-	if s.cfg.HardwareHook != nil {
-		hw = s.cfg.HardwareHook(FaultCycle)
-		for _, op := range hw {
-			affected, err := s.ApplyFault(op)
-			if err != nil {
-				return nil, fmt.Errorf("system: cycle: scripted hardware fault: %w", err)
-			}
-			hwSevered = append(hwSevered, affected...)
-		}
-	}
-	res := &CycleResult{Hardware: hw, HardwareSevered: hwSevered}
+	res := &CycleResult{}
 	// Gangs upgrade the shard to banker's grants for as long as any exist:
 	// activation promised each active gang a completion order, and a greedy
 	// grant (to a singleton or a rival gang's member) could hand away the
@@ -563,8 +530,7 @@ func (s *System) Cycle() (*CycleResult, error) {
 	if s.cfg.Avoidance == AvoidanceBankers || len(s.gangs) > 0 {
 		tr = s.led.openTrial()
 	}
-	// Gate check after the hardware hooks: faults applied above may have
-	// reset gangs, and newly safe pending gangs join this very cycle.
+	// Gangs a fault reset, and pending gangs now safe, join this very cycle.
 	res.GangsActivated = s.activateGangs(tr)
 	// Per-cycle inputs are assembled in scratch kept on the System (no
 	// solver retains reqs or avail past its call): requests in ascending
@@ -628,7 +594,6 @@ func (s *System) Cycle() (*CycleResult, error) {
 		}
 		s.acquire(t, a.Res)
 		s.transmitting[a.Req.Proc] = t.id
-		s.severedProc[a.Req.Proc] = false // a fresh grant supersedes an unacknowledged sever
 		t.circuits = append(t.circuits, a.Circuit)
 		res.Granted++
 	}
@@ -646,12 +611,6 @@ func (s *System) EndTransmission(p int) error {
 	}
 	id := s.transmitting[p]
 	if id == -1 {
-		if s.severedProc[p] {
-			// The caller is learning its unit was lost; the retry (the
-			// re-queued request) rides the next cycle.
-			s.severedProc[p] = false
-			return fmt.Errorf("system: processor %d: %w", p, ErrCircuitSevered)
-		}
 		return fmt.Errorf("system: processor %d is not transmitting", p)
 	}
 	if s.cfg.FaultHook != nil {
@@ -704,7 +663,6 @@ func (s *System) cancelTask(id TaskID) error {
 	if s.transmitting[p] == id {
 		s.transmitting[p] = -1
 	}
-	s.severedProc[p] = false // withdrawing the task retires any unacknowledged sever
 	s.vacateAll(t)
 	s.led.closeRow(&t.row) // a gang member has none; CancelGang closes the gang's
 	s.led.owed -= t.remaining()

@@ -287,9 +287,9 @@ func (pr *routeProbe) sweep(net *topology.Network, p int) {
 // Preempt revokes resource r from a still-acquiring task: the unit
 // returns to the free pool (schedulable in the same cycle), and if the
 // task is mid-transmission on a circuit delivering r, that circuit is
-// severed exactly like a hardware fault — the processor's pending
-// EndTransmission reports ErrCircuitSevered and the task re-requests the
-// unit on a later cycle.
+// severed exactly like a hardware fault and the task re-requests the unit
+// on a later cycle. The planner that calls it lists the exchange in
+// CycleResult.Preempted; that is the one report.
 //
 // A fully-provisioned task (remaining 0) cannot be preempted: it is
 // computing on its complete resource set, mirroring FailResource's rule

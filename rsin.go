@@ -60,25 +60,21 @@ type (
 	// touched, fast-path grants, the typed solver's path).
 	SolveStats = core.SolveStats
 	// HeteroOptions tunes heterogeneous (multi-type) scheduling. Its
-	// branch-and-bound runs to the search's own node budget; the
-	// MaxNodes field is gone.
+	// branch-and-bound runs to the search's own node budget.
 	HeteroOptions = core.HeteroOptions
 	// TokenResult is the outcome of a distributed token-architecture cycle.
 	TokenResult = token.Result
-	// TokenOptions tunes the token-architecture simulation. It records
-	// into no registry (its Obs field is gone): a run's cost is
-	// TokenResult.Clocks and Iterations.
+	// TokenOptions tunes the token-architecture simulation. A run's cost
+	// is TokenResult.Clocks and Iterations.
 	TokenOptions = token.Options
 	// System is the long-running resource-sharing machine: task queues,
 	// scheduling cycles, transmission/service life cycle, multi-resource
 	// acquisition with deadlock avoidance. It is a state machine with no
-	// clock and no registry (SystemConfig's Obs and ObsShard are gone):
-	// what a caller counts is in its results. System.Cycle's result
-	// carries no wall time (CycleResult.Elapsed is gone) and no sever
-	// count (CycleResult.Broken and System.Broken are gone: FailLink and
-	// the other fault calls return the severed tasks, and
-	// CycleResult.HardwareSevered lists a hook's). A Scheduler with a
-	// registry times each cycle in the rsin_system_cycle_ms histogram.
+	// clock and no registry: what a caller counts is in its results. A
+	// hardware fault enters only through FailLink, FailBox, FailResource
+	// (or ApplyFault), and the severed tasks that call returns are its one
+	// report. A Scheduler with a registry times each cycle in the
+	// rsin_system_cycle_ms histogram.
 	System = system.System
 	// SystemConfig parameterizes a System.
 	SystemConfig = system.Config
@@ -191,11 +187,11 @@ var (
 	// what its fabric (or its resource type) can ever supply — including a
 	// fabric degraded by hardware faults.
 	ErrUnsatisfiable = system.ErrUnsatisfiable
-	// ErrCircuitSevered marks in-flight units lost to hardware faults: a
-	// failed link, switchbox or resource severed the circuit delivering
-	// them. A System reports it from EndTransmission (retryable — the task
-	// re-requests automatically); a Scheduler fails a handle with it only
-	// after the task exceeded its sever-retry budget.
+	// ErrCircuitSevered marks work lost to hardware faults: a failed
+	// link, switchbox or resource severed the circuit delivering it. A
+	// System never returns it (the fault call lists the severed tasks, and
+	// each re-requests automatically); a Scheduler fails a handle with it
+	// only after the task exceeded its sever-retry budget.
 	ErrCircuitSevered = system.ErrCircuitSevered
 	// ErrBadTask is wrapped by Submit when a task is malformed — a tier
 	// outside [0, MaxTier], a fine-grain Priority outside its legal band,
