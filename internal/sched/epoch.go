@@ -103,7 +103,11 @@ func (s *Scheduler) applyCancel(sh *shard, o *op) {
 }
 
 // applyFault applies one correlated hardware event, an ApplyFaults batch,
-// and counts and charges it. Severed counts, and the trace records as one
+// and counts and charges it. The batch is all-or-nothing: every op is
+// checked before any is applied, and a refused batch changes nothing. An op
+// counts in LinkFaults or Repairs, and is traced, only if it changed the
+// fabric (moved its fault epoch): failing a failed component or repairing
+// a healthy one is no event. Severed counts, and the trace records as one
 // "sever" each, every task the System reported (a singleton once per unit
 // lost, a reset gang once per member), but the retry budget is charged
 // once per job: a task that lost several units to the one event, or a
@@ -113,18 +117,27 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 		o.reply <- sh.dead
 		return
 	}
+	for _, f := range o.faults {
+		if err := sh.sys.CheckFault(f); err != nil {
+			o.reply <- err
+			return
+		}
+	}
 	var severed []system.TaskID
 	var err error
 	for _, f := range o.faults {
+		ep := sh.sys.FaultEpoch()
 		var affected []system.TaskID
 		if affected, err = sh.sys.ApplyFault(f); err != nil {
 			break
 		}
 		severed = append(severed, affected...)
-		if f.Repair {
+		switch {
+		case sh.sys.FaultEpoch() == ep: // the component already stood so: no event
+		case f.Repair:
 			sh.tot.Repairs++
 			s.event(sh, evRepair, 0, int64(f.Index), f.Target.String())
-		} else {
+		default:
 			sh.tot.LinkFaults++
 			s.event(sh, evFault, 0, int64(f.Index), f.Target.String())
 		}
@@ -230,7 +243,8 @@ cycling:
 }
 
 // publishGrants hands over the jobs whose grant completed: every member
-// fully provisioned, resources recorded per member before Done fires — a
+// fully provisioned, resources recorded per member before Done fires (the
+// record is what Resources hands back) — a
 // client can never observe a partially granted gang through its handle.
 // A grant completes only in an epoch that gave the job a unit, so the
 // candidates are the jobs runCycles saw receive one (a gang once per unit,
@@ -243,12 +257,17 @@ func (s *Scheduler) publishGrants(sh *shard) {
 			continue
 		}
 		if n := len(j.ids); n > 1 {
-			j.res = make([][]int, 0, n)
-			for _, m := range j.ids {
-				j.res = append(j.res, sh.sys.AppendHolding(nil, m))
+			// One backing array for every member's grant, each slice capped
+			// at its own length so an append to one cannot overwrite the next.
+			held := make([]int, 0, j.demand.Total())
+			j.res = make([][]int, n)
+			for i, m := range j.ids {
+				at := len(held)
+				held = sh.sys.AppendHolding(held, m)
+				j.res[i] = held[at:len(held):len(held)]
 			}
 		} else {
-			j.res1[0] = sh.sys.AppendHolding(j.held1[:0], j.ids[0])
+			j.res1[0] = sh.sys.AppendHolding(j.heldIn[:0], j.ids[0])
 			j.res = j.res1[:]
 		}
 		if s.o.enabled {

@@ -413,3 +413,55 @@ func TestFailHealStress(t *testing.T) {
 	t.Logf("completed=%d severed=%d unsat=%d faults=%d severed-units=%d",
 		completed.Load(), severed.Load(), unsat.Load(), st.LinkFaults, st.Severed)
 }
+
+// TestApplyFaultsAllOrNothing: an ApplyFaults batch is one event. A batch
+// with an op out of range is refused whole — the fabric, its fault epoch
+// and Stats stay as they were — and only an op that changed the fabric
+// counts, so a retried batch and its one repair leave Repairs equal to
+// LinkFaults, and repairing a healthy link counts nothing.
+func TestApplyFaultsAllOrNothing(t *testing.T) {
+	fail := func(i int) system.FaultOp { return system.FaultOp{Target: system.FaultTargetLink, Index: i} }
+	repair := func(i int) system.FaultOp {
+		return system.FaultOp{Repair: true, Target: system.FaultTargetLink, Index: i}
+	}
+	type batch struct {
+		ops []system.FaultOp
+		bad bool // must be refused
+	}
+	cases := []struct {
+		name            string
+		batches         []batch
+		faults, repairs int64
+		epochMoves      uint64
+	}{
+		{"a bad op refuses the batch", []batch{{[]system.FaultOp{fail(0), fail(99999)}, true}}, 0, 0, 0},
+		{"the retried op and its repair balance", []batch{
+			{[]system.FaultOp{fail(0), fail(99999)}, true},
+			{[]system.FaultOp{fail(0)}, false},
+			{[]system.FaultOp{repair(0)}, false},
+		}, 1, 1, 2},
+		{"repairing a healthy link is no event", []batch{{[]system.FaultOp{repair(0)}, false}}, 0, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			net := topology.Omega(8)
+			s := newScheduler(t, Config{Shards: []system.Config{{Net: net}}})
+			epoch := s.shards[0].sys.FaultEpoch()
+			for i, b := range c.batches {
+				err := s.ApplyFaults(0, b.ops)
+				if (err != nil) != b.bad {
+					t.Fatalf("batch %d %+v: err %v, want refused=%v", i, b.ops, err, b.bad)
+				}
+			}
+			st := s.Stats()
+			moved := s.shards[0].sys.FaultEpoch() - epoch
+			if st.LinkFaults != c.faults || st.Repairs != c.repairs || moved != c.epochMoves {
+				t.Fatalf("LinkFaults %d, Repairs %d, fault epoch moved %d; want %d, %d, %d",
+					st.LinkFaults, st.Repairs, moved, c.faults, c.repairs, c.epochMoves)
+			}
+			if st.Usable != net.Ress {
+				t.Fatalf("Usable = %d on a fabric every case leaves healthy, want %d", st.Usable, net.Ress)
+			}
+		})
+	}
+}

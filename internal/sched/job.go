@@ -41,14 +41,23 @@ type job struct {
 	// double-count Failed. Written only by the shard goroutine.
 	finished bool
 
-	// Inline backing for the one-member, one-type case: a singleton costs
-	// one struct and one channel, whatever it is a view of, and a one-unit
-	// grant is recorded without a slice of its own.
-	id1     [1]system.TaskID
-	res1    [1][]int
-	held1   [1]int
-	demand1 [1]system.DemandEntry
+	// Inline backing for a singleton: it costs one struct and one channel,
+	// whatever it is a view of, and a demand of up to inlineTypes types and
+	// a grant of up to inlineUnits units are recorded without a slice of
+	// their own.
+	id1      [1]system.TaskID
+	res1     [1][]int
+	heldIn   [inlineUnits]int
+	demandIn [inlineTypes]system.DemandEntry
 }
+
+// The inline capacities of a singleton's demand and grant: a typed task on
+// a three-type pool names at most three types, and a grant of four units
+// covers nearly every vector it asks for.
+const (
+	inlineTypes = 3
+	inlineUnits = 4
+)
 
 // Done is closed once every member is fully provisioned (or the job has
 // failed — check Err). There is no intermediate state: before Done fires
@@ -67,7 +76,7 @@ func (j *job) Shard() int { return j.shard }
 // job is as urgent as that.
 func (j *job) describe(t system.Task, members []system.Task) {
 	if members == nil {
-		j.demand, j.tier = t.AppendDemand(j.demand1[:0]), t.Tier
+		j.demand, j.tier = t.AppendDemand(j.demandIn[:0]), t.Tier
 		return
 	}
 	j.demand, j.tier = system.GangDemand(members), members[0].Tier
@@ -85,12 +94,14 @@ func (j *job) units() int64 { return int64(j.demand.Total()) }
 type Handle struct{ job }
 
 // Resources lists the resources granted to the task. Valid after Done is
-// closed and until EndService.
+// closed. The slice is the grant the shard recorded, not a copy: it
+// belongs to the handle, nothing writes it once Done has fired (EndService
+// included), and a caller only reads it.
 func (h *Handle) Resources() []int {
 	if len(h.res) == 0 {
 		return nil
 	}
-	return append([]int(nil), h.res[0]...)
+	return h.res[0]
 }
 
 // GangHandle tracks one submitted gang. Wait on Done(), then check Err()
@@ -99,14 +110,10 @@ func (h *Handle) Resources() []int {
 type GangHandle struct{ job }
 
 // Resources lists the resources granted per member, in GangSpec.Members
-// order. Valid after Done is closed with a nil Err, until EndGang.
-func (h *GangHandle) Resources() [][]int {
-	out := make([][]int, len(h.res))
-	for i, r := range h.res {
-		out[i] = append([]int(nil), r...)
-	}
-	return out
-}
+// order. Valid after Done is closed with a nil Err. Like Handle.Resources
+// it is the recorded grant, which belongs to the handle and which a caller
+// only reads: the members' slices share one backing array.
+func (h *GangHandle) Resources() [][]int { return h.res }
 
 // Size reports the gang's member count (0 until a shard has admitted it).
 func (h *GangHandle) Size() int { return len(h.ids) }

@@ -162,11 +162,11 @@ type Stats struct {
 	Restarts  int64 // shard recoveries from internal System failures
 
 	// Hardware fault counters.
-	LinkFaults int64 // component failures applied (links, boxes, resources)
+	LinkFaults int64 // component failures that changed the fabric (links, boxes, resources)
 	// Severed counts fault losses: one per unit a singleton lost, and one
 	// per member of each gang a fault reset, however many units it lost.
 	Severed  int64
-	Repairs  int64 // component repairs applied
+	Repairs  int64 // component repairs that changed the fabric
 	Preempts int64 // units revoked from lower-tier holders (Config.Preempt)
 
 	// Gang counters. Gangs also count member-wise in the terminal
@@ -597,11 +597,17 @@ func (s *Scheduler) fault(shard int, fop system.FaultOp) error {
 
 // ApplyFaults applies a batch of hardware operations to a shard as one
 // correlated fault event — a switchbox dying with its attached resources,
-// a power domain dropping several links at once. The whole batch charges
-// each affected task's (or gang's) sever-retry budget exactly once:
-// losing two units to one physical event is one retry, not two. The call
-// blocks until the shard has applied every operation and recomputed its
-// degraded capacity.
+// a power domain dropping several links at once. The batch is
+// all-or-nothing: every op's target and index are checked before any op
+// is applied, and a batch with a bad op returns that op's error and
+// leaves the fabric, its fault epoch and Stats as they were. The whole
+// batch charges each affected task's (or gang's) sever-retry budget
+// exactly once: losing two units to one physical event is one retry, not
+// two. Stats.LinkFaults and Stats.Repairs count the ops that changed the
+// fabric; failing a failed component or repairing a healthy one counts
+// nothing, so on a healed fabric the two are equal. The call blocks until
+// the shard has applied every operation and recomputed its degraded
+// capacity.
 func (s *Scheduler) ApplyFaults(shard int, fops []system.FaultOp) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("sched: shard %d out of range [0,%d)", shard, len(s.shards))

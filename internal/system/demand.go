@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // DemandEntry is one component of a demand vector: Count units of resource
@@ -46,8 +45,7 @@ func appendVector(dst Demand, needs map[int]int) Demand {
 	for ty, n := range needs {
 		dst = append(dst, DemandEntry{Type: ty, Count: n})
 	}
-	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Type < tail[j].Type })
+	slices.SortFunc(dst[base:], func(a, b DemandEntry) int { return cmp.Compare(a.Type, b.Type) })
 	return dst
 }
 

@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"rsin/internal/topology"
 )
@@ -89,10 +88,35 @@ func (s *System) flipResource(r int, flip func(int) error, delta int) error {
 	return nil
 }
 
+// CheckFault reports the error ApplyFault would return for op without
+// applying it: an unknown target or an index out of the fabric's range. A
+// caller applying a batch checks every op first, so a bad op rejects the
+// whole batch before any of it lands.
+func (s *System) CheckFault(op FaultOp) error {
+	n := 0
+	switch op.Target {
+	case FaultTargetLink:
+		n = len(s.net.Links)
+	case FaultTargetBox:
+		n = len(s.net.Boxes)
+	case FaultTargetResource:
+		n = s.net.Ress
+	default:
+		return fmt.Errorf("system: unknown fault target %v", op.Target)
+	}
+	if op.Index < 0 || op.Index >= n {
+		return fmt.Errorf("system: %v %d out of range [0,%d)", op.Target, op.Index, n)
+	}
+	return nil
+}
+
 // ApplyFault dispatches one FaultOp to the matching Fail/Repair method
 // and returns the tasks whose units it severed or revoked (nil for
-// repairs).
+// repairs). An op CheckFault refuses changes nothing.
 func (s *System) ApplyFault(op FaultOp) ([]TaskID, error) {
+	if err := s.CheckFault(op); err != nil {
+		return nil, err
+	}
 	switch op.Target {
 	case FaultTargetLink:
 		if op.Repair {
@@ -104,13 +128,11 @@ func (s *System) ApplyFault(op FaultOp) ([]TaskID, error) {
 			return nil, s.RepairBox(op.Index)
 		}
 		return s.FailBox(op.Index)
-	case FaultTargetResource:
-		if op.Repair {
-			return nil, s.RepairResource(op.Index)
-		}
-		return s.FailResource(op.Index)
 	}
-	return nil, fmt.Errorf("system: unknown fault target %v", op.Target)
+	if op.Repair {
+		return nil, s.RepairResource(op.Index)
+	}
+	return s.FailResource(op.Index)
 }
 
 // FaultEpoch reports the fabric's fault generation counter; it advances
@@ -188,7 +210,7 @@ func (s *System) severBroken() []TaskID {
 		}
 		t.circuits = kept
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	slices.Sort(affected)
 	return affected
 }
 

@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Gang tasks: the all-or-nothing collective extension. A gang is a set of
@@ -76,7 +75,7 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	gid := s.nextGang
 	g := &gangState{id: gid, members: make([]TaskID, len(members)), demand: demand, row: -1}
 	for i, t := range members {
-		ts := newTaskState(t)
+		ts := s.newTaskState(t)
 		ts.gang = g
 		g.members[i] = s.enqueue(ts)
 	}
@@ -216,7 +215,7 @@ func (s *System) resetGang(g *gangState) []TaskID {
 		for _, c := range t.circuits {
 			s.sever(t, c)
 		}
-		t.circuits = nil
+		t.circuits = t.circuits[:0]
 		s.vacateAll(t)
 		s.led.owed += len(t.held)
 		t.held = t.held[:0]
@@ -274,7 +273,7 @@ func (s *System) resetGangsOf(affected []TaskID) []TaskID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -328,8 +327,10 @@ func (s *System) EndGangService(gid GangID) error {
 		}
 	}
 	for _, id := range g.members {
-		s.vacateAll(s.tasks[id])
+		t := s.tasks[id]
+		s.vacateAll(t)
 		delete(s.tasks, id)
+		s.retire(t)
 	}
 	s.led.closeRow(&g.row)
 	delete(s.gangs, gid)

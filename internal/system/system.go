@@ -187,25 +187,45 @@ type taskState struct {
 	gang     *gangState         // the gang this task is a member of, or nil
 	row      int                // a singleton's row among the ledger's committed entities; -1 while it holds nothing
 
-	// Inline backing for the one-type case, so admitting it costs the one
-	// allocation of the taskState itself, and for a first held unit and a
-	// first circuit, so neither does a single-unit grant.
+	// Inline backing for the one-type case, for a first held unit and for
+	// a first circuit, so the first record made for a single-unit task
+	// needs no slice of its own. A reused record keeps whatever backing
+	// its earlier tasks grew (see retire).
 	demand1   [1]DemandEntry
 	have1     [1]int
 	held1     [1]int
 	circuits1 [1]topology.Circuit
 }
 
-func newTaskState(t Task) *taskState {
-	ts := &taskState{task: t, row: -1}
-	ts.demand = t.AppendDemand(ts.demand1[:0])
-	ts.held, ts.circuits = ts.held1[:0], ts.circuits1[:0]
-	ts.have = ts.have1[:]
-	if len(ts.demand) > 1 {
-		ts.have = make([]int, len(ts.demand))
+// newTaskState makes the record of an admitted task, reusing a retired
+// one when there is one, so a steady stream of submissions allocates no
+// records and no slices once its largest demand has been seen.
+func (s *System) newTaskState(t Task) *taskState {
+	var ts *taskState
+	if n := len(s.spare); n > 0 {
+		ts, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		ts = &taskState{row: -1}
+		ts.demand, ts.have, ts.held, ts.circuits = ts.demand1[:0], ts.have1[:0], ts.held1[:0], ts.circuits1[:0]
 	}
+	ts.task = t
+	ts.demand = t.AppendDemand(ts.demand)
+	ts.have = append(ts.have, make([]int, len(ts.demand))...)
 	ts.need = ts.demand.Total()
 	return ts
+}
+
+// retire keeps the record of a task that has left the System for the next
+// newTaskState: every field reads as a new record's would, and only the
+// backing arrays of its four slices survive, emptied. The caller has
+// already dropped the task from every place that names it — its queue,
+// the tasks map, its ledger row, its processor's transmitter slot — and
+// the cycle scratch that also holds records (taskOf, prefs, the exchange
+// plan) is rebuilt before it is read. DESIGN.md §23 gives the invariant,
+// TestReusedTaskStateStartsClean holds it.
+func (s *System) retire(t *taskState) {
+	*t = taskState{demand: t.demand[:0], have: t.have[:0], held: t.held[:0], circuits: t.circuits[:0], row: -1}
+	s.spare = append(s.spare, t)
 }
 
 // CycleResult reports one scheduling cycle.
@@ -235,6 +255,7 @@ type System struct {
 	queues [][]*taskState // per-processor FIFO of submitted tasks
 	tasks  map[TaskID]*taskState
 	nextID TaskID
+	spare  []*taskState // retired records newTaskState reuses (retire)
 
 	resHolder    []TaskID // per resource: holding task, or -1
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
@@ -397,8 +418,9 @@ func (s *System) Submit(t Task) (TaskID, error) {
 	if err := ValidateTask(t, s.net.Ress); err != nil {
 		return 0, err
 	}
-	ts := newTaskState(t)
+	ts := s.newTaskState(t)
 	if err := s.admissible(ts.demand, "task"); err != nil {
+		s.retire(ts)
 		return 0, err
 	}
 	return s.enqueue(ts), nil
@@ -668,6 +690,7 @@ func (s *System) cancelTask(id TaskID) error {
 	s.led.owed -= t.remaining()
 	s.dequeue(t)
 	delete(s.tasks, id)
+	s.retire(t)
 	return nil
 }
 
@@ -692,6 +715,7 @@ func (s *System) EndService(id TaskID) error {
 	s.vacateAll(t)
 	s.led.closeRow(&t.row)
 	delete(s.tasks, id)
+	s.retire(t)
 	return nil
 }
 

@@ -93,7 +93,11 @@ type (
 	SchedulerConfig = sched.Config
 	// SchedulerStats is a snapshot of service counters.
 	SchedulerStats = sched.Stats
-	// TaskHandle tracks a task submitted to a Scheduler.
+	// TaskHandle tracks a task submitted to a Scheduler. Its Resources is
+	// the grant the shard recorded, not a copy: the slice belongs to the
+	// handle and a caller only reads it. The handle and its Done channel
+	// are all a task allocates below the caller, beside its share of the
+	// epoch's result (DESIGN.md §23).
 	TaskHandle = sched.Handle
 	// GangSpec describes an all-or-nothing gang of member tasks for
 	// Scheduler.SubmitGang: every member is granted in the same epoch or
@@ -101,7 +105,9 @@ type (
 	// gang atomically (charged once against the shared sever budget).
 	GangSpec = sched.GangSpec
 	// GangHandle tracks a gang submitted via Scheduler.SubmitGang; its
-	// Done channel closes only when every member holds its full set.
+	// Done channel closes only when every member holds its full set. Its
+	// Resources is the recorded per-member grant, one backing array for
+	// all members, which the caller only reads.
 	GangHandle = sched.GangHandle
 	// CollectiveSpec describes a collective (ring allreduce,
 	// reduce-scatter) for Scheduler.RunCollective: the pattern is lowered
