@@ -2,9 +2,9 @@
 # packages. `make` (or `make all`) is what CI runs.
 GO ?= go
 
-.PHONY: all vet build test race allocguard ratchet deps sparsebench benchsmoke bench fuzz lint vuln loc
+.PHONY: all vet build test race allocguard ratchet deps port386 sparsebench benchsmoke bench fuzz lint vuln loc
 
-all: vet build test race ratchet deps
+all: vet build test race ratchet deps port386
 
 vet:
 	$(GO) vet ./...
@@ -59,15 +59,23 @@ deps:
 
 # The instrumentation hot path must not allocate (disabled or enabled),
 # a service round trip allocates only what it hands back (plus its share
-# of the epoch's result) — singleton, three-type and gang alike — a bound-certified typed
-# epoch on a warm planner allocates only the Mapping it returns, a cycle under the banker only its CycleResult and
-# the empty Mapping, a warm simplex solve on a reused basis nothing, and a
-# banker'd MinCost cycle stays within its recorded bound; CI runs the same
-# guards.
+# of the epoch's result) — singleton, three-type and gang alike — a
+# bound-certified typed epoch on a warm planner allocates only the Mapping
+# it returns, a cycle under the banker with nothing to solve nothing (the
+# System reuses its CycleResult and its empty Mapping), a warm simplex
+# solve on a reused basis nothing, and a banker'd MinCost cycle stays
+# within its recorded bound; CI runs the same guards.
 allocguard:
 	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree|TestRoundTripAllocs|TestTypedRoundTripAllocs' ./internal/sched ./internal/obs
 	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
 	$(GO) test -run 'TestBankerCycleAllocs|TestPricedCycleAllocs' ./internal/system
+
+# The TaskID packing (slot and generation in one int) must build where int
+# is 32 bits: a shift that only fits a 64-bit int fails here. CI runs the
+# same.
+port386:
+	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./internal/system ./internal/sched
 
 # Flush-policy smoke: 8 closed-loop clients keep far less than one batch
 # in flight, so their median latency is the flush policy's. It must stay
@@ -113,14 +121,15 @@ loc:
 	done; printf '%-21s %s\n' total $$total
 
 # Short smoke-fuzz of the life-cycle, typed-solver, fast-path/search
-# boundary, min-cost engine, parser and front-door fuzzers; CI's fuzz smoke
-# runs the same list.
+# boundary, fault-batch, min-cost engine, parser and front-door fuzzers;
+# CI's fuzz smoke runs the same list.
 fuzz:
 	$(GO) test -fuzz FuzzSubmitCycle -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzGangSubmit -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzTypedSubmit -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzHeteroBound -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzRoutingFallbackBoundary -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzFaultBatch -fuzztime 30s ./internal/sched
 	$(GO) test -fuzz FuzzMinCostEngines -fuzztime 30s ./internal/netsimplex
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dimacs
 	$(GO) test -fuzz FuzzHTTPSubmitDecode -fuzztime 30s ./internal/server

@@ -874,7 +874,7 @@ func TestApplyRollsBackOnConflict(t *testing.T) {
 	}
 	// Sabotage: occupy one link of the second circuit before Apply.
 	victim := m.Assigned[1].Circuit.Links[0]
-	net.Links[victim].State = topology.LinkOccupied
+	net.OccupyLink(victim)
 	if err := m.Apply(net); err == nil {
 		t.Fatal("Apply succeeded over an occupied link")
 	}

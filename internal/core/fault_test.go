@@ -15,7 +15,7 @@ import (
 func occupyFaulted(fresh, faulted *topology.Network) *topology.Network {
 	for _, l := range faulted.Links {
 		if faulted.LinkFaulted(l.ID) {
-			fresh.Links[l.ID].State = topology.LinkOccupied
+			fresh.OccupyLink(l.ID)
 		}
 	}
 	for b := range faulted.Boxes {
@@ -24,12 +24,12 @@ func occupyFaulted(fresh, faulted *topology.Network) *topology.Network {
 		}
 		for _, lid := range fresh.Boxes[b].In {
 			if lid != -1 {
-				fresh.Links[lid].State = topology.LinkOccupied
+				fresh.OccupyLink(lid)
 			}
 		}
 		for _, lid := range fresh.Boxes[b].Out {
 			if lid != -1 {
-				fresh.Links[lid].State = topology.LinkOccupied
+				fresh.OccupyLink(lid)
 			}
 		}
 	}

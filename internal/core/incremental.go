@@ -199,14 +199,14 @@ func (a *fabricArena) snkArc(r int) int  { return a.links + a.procs + r }
 func (a *fabricArena) resOfSnk(arc int) int { return arc - a.links - a.procs }
 
 // syncLinks rebuilds base from the fabric: the links that are free and,
-// under the current faults, usable. Nothing about the fabric's state is
-// carried from one solve to the next.
+// under the current faults, usable. Link arcs come first, so base's link
+// words are the fabric's own open words (topology.Network.OpenLinks),
+// copied whole with the last one's tail masked off; no other arc is ever
+// set in base. Nothing about the fabric's state is carried from one solve
+// to the next.
 func (a *fabricArena) syncLinks(net *topology.Network) {
-	a.base.Reset()
-	for l := range net.Links {
-		if net.Links[l].State == topology.LinkFree && net.LinkUsable(l) {
-			a.base.Set(a.linkArc(l))
-		}
+	if nw := copy(a.base, net.OpenLinks()); nw > 0 {
+		a.base[nw-1] &= bitset.TailMask(a.links)
 	}
 }
 

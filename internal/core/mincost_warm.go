@@ -173,11 +173,12 @@ func (st *mcState) sync(reqs []Request, avail []Avail) (touched int, err error) 
 			set(st.resArc[r], 0, 0)
 		}
 	}
-	for _, l := range st.net.Links {
-		if l.State == topology.LinkFree && st.net.LinkUsable(l.ID) {
-			set(st.linkArc[l.ID], 1, 0)
+	open := st.net.OpenLinks()
+	for l, arc := range st.linkArc {
+		if open.Get(l) {
+			set(arc, 1, 0)
 		} else {
-			set(st.linkArc[l.ID], 0, 0)
+			set(arc, 0, 0)
 		}
 	}
 	set(st.bypSink, int64(len(reqs)), 0)

@@ -149,7 +149,7 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 	var charged map[*job]bool // most fault events cost nobody a unit
 	for _, id := range severed {
 		// A nil job is a multi-unit holder published in an earlier epoch.
-		if j := sh.tracked[id]; j != nil && !charged[j] {
+		if j := sh.jobOf(id); j != nil && !charged[j] {
 			if charged == nil {
 				charged = map[*job]bool{}
 			}
@@ -197,7 +197,7 @@ func (s *Scheduler) runCycles(sh *shard) {
 	}
 	cycles := 0
 cycling:
-	for sh.dead == nil && len(sh.tracked) > 0 {
+	for sh.dead == nil && sh.ntracked > 0 {
 		var start int64
 		if s.o.enabled {
 			start = nowNano()
@@ -216,7 +216,7 @@ cycling:
 		for _, a := range r.Mapping.Assigned {
 			// Whoever received a unit this epoch is who publishGrants has
 			// to look at.
-			if j := sh.tracked[sh.sys.Transmitting(a.Req.Proc)]; j != nil {
+			if j := sh.jobOf(sh.sys.Transmitting(a.Req.Proc)); j != nil {
 				sh.granted = append(sh.granted, j)
 			}
 			if err := sh.sys.EndTransmission(a.Req.Proc); err != nil {
@@ -229,7 +229,7 @@ cycling:
 			s.event(sh, evPreempt, int64(x.Victim), int64(x.Res), "")
 			// A victim over its sever budget is withdrawn; a withdrawal that
 			// escalated to a restart ends the epoch.
-			if j := sh.tracked[x.Victim]; j != nil && !s.chargeSever(sh, j) {
+			if j := sh.jobOf(x.Victim); j != nil && !s.chargeSever(sh, j) {
 				break cycling
 			}
 		}
@@ -353,8 +353,9 @@ func (s *Scheduler) refreshCapacity(sh *shard) {
 	sh.stats.Usable = total
 	sh.mu.Unlock()
 	sh.capEpoch, sh.capOK = ep, true
-	for id, j := range sh.tracked {
-		if id != j.ids[0] {
+	for i := range sh.tracked {
+		j := sh.tracked[i].j
+		if j == nil || sh.tracked[i].id != j.ids[0] {
 			continue
 		}
 		if err := j.demand.Shortfall(usable); err != nil {
@@ -374,9 +375,9 @@ func (s *Scheduler) refreshCapacity(sh *shard) {
 // check in applyEnd rather than applied to the rebuilt state.
 func (s *Scheduler) failShard(sh *shard, cause error) {
 	down := fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrShardDown, cause)
-	for id, j := range sh.tracked {
-		if id == j.ids[0] {
-			s.finish(sh, j, failed, down, 0, resShardDown)
+	for i := range sh.tracked {
+		if e := sh.tracked[i]; e.j != nil && e.id == e.j.ids[0] {
+			s.finish(sh, e.j, failed, down, 0, resShardDown)
 		}
 	}
 	sys, err := system.New(sh.sysCfg)

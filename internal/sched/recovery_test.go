@@ -85,6 +85,38 @@ func TestShardRecoversFromCycleFault(t *testing.T) {
 	}
 }
 
+// TestRestartRefusesStaleEndService: a rebuilt System hands out the IDs
+// its predecessor did — the task table starts over at slot 0 — so a
+// pre-restart handle can name the same task ID as post-restart work. The
+// restart generation, not the ID, is what refuses the stale release: it
+// fails with ErrShardDown and the new task keeps its grant.
+func TestRestartRefusesStaleEndService(t *testing.T) {
+	in := faultinject.New()
+	s := newScheduler(t, Config{
+		Shards: []system.Config{{Net: topology.Omega(8), FaultHook: in.Hook}},
+	})
+	pre := provision(t, s, 0, system.Task{Proc: 1})
+	in.FailAt(system.FaultCycle, in.Calls(system.FaultCycle)+1)
+	victim, err := s.Submit(0, system.Task{Proc: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, victim, "victim of injected cycle fault")
+	post := provision(t, s, 0, system.Task{Proc: 1})
+	if post.ids[0] != pre.ids[0] {
+		t.Fatalf("post-restart task %d, pre-restart %d: want the rebuilt System to reuse the ID", post.ids[0], pre.ids[0])
+	}
+	if err := s.EndService(pre); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("EndService of the stale handle = %v, want ErrShardDown", err)
+	}
+	if st := s.Stats(); st.Free != 7 {
+		t.Fatalf("after the stale release %d of 8 resources are free, want 7 (the new task's unit held)", st.Free)
+	}
+	if err := s.EndService(post); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEndTransmissionFaultFailsHandles is the regression test for the
 // poisoned-shard handle leak: when EndTransmission fails mid-epoch the
 // tracked handles must be failed like the Cycle-error path does, not left

@@ -304,11 +304,15 @@ type shard struct {
 	procs  int
 	ress   int
 	ops    chan op
-	// tracked indexes every job whose grant is not yet complete by each of
-	// its member task IDs, so the fault path resolves a severed member to
-	// its job in one lookup. A walk therefore meets a gang once per
+	// tracked indexes every job whose grant is not yet complete by the
+	// slot of each of its member task IDs (system.TaskID.Slot), so the
+	// fault path resolves a severed member to its job with one index. An
+	// entry keeps the member's full ID, and a lookup matches it: the System
+	// reuses slots. A walk goes in slot order and meets a gang once per
 	// member; walks act on a job at its first member (id == j.ids[0]).
-	tracked  map[system.TaskID]*job
+	// ntracked counts the entries in use.
+	tracked  []trackedTask
+	ntracked int
 	granted  []*job // jobs that received a unit this epoch: publishGrants' candidates
 	gen      int    // bumped by every supervisor restart
 	capEpoch uint64 // fault epoch the usable census was computed at
@@ -333,21 +337,45 @@ type shard struct {
 	dead error
 }
 
+// trackedTask is one entry of shard.tracked: a member task and its job.
+type trackedTask struct {
+	id system.TaskID
+	j  *job
+}
+
 func (sh *shard) track(j *job) {
 	for _, id := range j.ids {
-		sh.tracked[id] = j
+		slot := id.Slot()
+		for slot >= len(sh.tracked) {
+			sh.tracked = append(sh.tracked, trackedTask{})
+		}
+		sh.tracked[slot] = trackedTask{id, j}
+		sh.ntracked++
 	}
 }
 
 func (sh *shard) untrack(j *job) {
 	for _, id := range j.ids {
-		delete(sh.tracked, id)
+		if sh.jobOf(id) == j {
+			sh.tracked[id.Slot()] = trackedTask{}
+			sh.ntracked--
+		}
 	}
+}
+
+// jobOf returns the tracked job a member task ID belongs to, or nil.
+func (sh *shard) jobOf(id system.TaskID) *job {
+	if id > 0 {
+		if slot := id.Slot(); slot < len(sh.tracked) && sh.tracked[slot].id == id {
+			return sh.tracked[slot].j
+		}
+	}
+	return nil
 }
 
 // tracks reports whether the job is still awaiting its grant on this
 // shard (false once provisioned, finished, or lost to a restart).
-func (sh *shard) tracks(j *job) bool { return len(j.ids) > 0 && sh.tracked[j.ids[0]] == j }
+func (sh *shard) tracks(j *job) bool { return len(j.ids) > 0 && sh.jobOf(j.ids[0]) == j }
 
 // validate is the per-task admission check that runs before shard
 // dispatch, so a malformed task never consumes a batch slot (the System
@@ -396,13 +424,12 @@ func New(cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("sched: shard %d: %w", i, err)
 		}
 		sh := &shard{
-			idx:     i,
-			sys:     sys,
-			sysCfg:  sc,
-			procs:   sc.Net.Procs,
-			ress:    sc.Net.Ress,
-			ops:     make(chan op, 2*cfg.BatchSize), // a full batch queues while another flushes
-			tracked: make(map[system.TaskID]*job),
+			idx:    i,
+			sys:    sys,
+			sysCfg: sc,
+			procs:  sc.Net.Procs,
+			ress:   sc.Net.Ress,
+			ops:    make(chan op, 2*cfg.BatchSize), // a full batch queues while another flushes
 		}
 		sh.tot.Free = sc.Net.Ress
 		sh.usable = sh.sys.UsableResources()
@@ -717,9 +744,9 @@ func (s *Scheduler) run(sh *shard) {
 	// Closed and drained: every queued op has had its epoch. Work the
 	// service could not provision is terminal — each member counts once
 	// in Stats.Failed.
-	for id, j := range sh.tracked {
-		if id == j.ids[0] {
-			s.finish(sh, j, failed, ErrClosed, 0, resClosed)
+	for i := range sh.tracked {
+		if e := sh.tracked[i]; e.j != nil && e.id == e.j.ids[0] {
+			s.finish(sh, e.j, failed, ErrClosed, 0, resClosed)
 		}
 	}
 }

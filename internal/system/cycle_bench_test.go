@@ -164,9 +164,10 @@ func BenchmarkSystemCycleNoopSolver(b *testing.B) {
 }
 
 // TestBankerCycleAllocs pins what the ledger bought: a cycle under the
-// banker allocates its CycleResult and, when it solves nothing, the empty
-// Mapping — no snapshot, no map, no per-admission copy — whatever the
-// number of entities, gangs and types in play.
+// banker that solves nothing allocates nothing — no snapshot, no map, no
+// per-admission copy, and no result, since the System reuses its
+// CycleResult and its one empty Mapping — whatever the number of
+// entities, gangs and types in play.
 func TestBankerCycleAllocs(t *testing.T) {
 	for _, st := range cycleStates {
 		if !st.banker {
@@ -183,8 +184,8 @@ func TestBankerCycleAllocs(t *testing.T) {
 					t.Fatalf("cycle: %v, deferred %d want %d", err, r.Deferred, deferred)
 				}
 			})
-			if allocs > 2 {
-				t.Errorf("a banker'd cycle allocates %.0f objects, want at most 2 (CycleResult, empty Mapping)", allocs)
+			if allocs != 0 {
+				t.Errorf("a banker'd cycle allocates %.0f objects, want 0 (the System reuses its CycleResult and empty Mapping)", allocs)
 			}
 		})
 	}

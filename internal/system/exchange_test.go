@@ -23,10 +23,10 @@ import (
 // each admitted beneficiary as its processor's request.
 func predictExchanges(s *System, pr *prediction, hypo *hypoState) {
 	var tasks []*taskState
-	for _, t := range s.tasks {
+	for t := range s.tasks() {
 		tasks = append(tasks, t)
 	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].id < tasks[j].id })
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].seq < tasks[j].seq })
 	acquiring := func(t *taskState) bool { return t.gang == nil && t.remaining() > 0 }
 	var benefs []*taskState
 	for _, t := range tasks {
@@ -265,8 +265,8 @@ func runExchangeTrace(t *testing.T, rng *rand.Rand, net *topology.Network, av Av
 				gang            bool
 			}
 			pre := map[TaskID]before{}
-			for id, ts := range sys.tasks {
-				pre[id] = before{ts.task.Tier, ts.remaining(), ts.gang != nil}
+			for ts := range sys.tasks() {
+				pre[ts.id] = before{ts.task.Tier, ts.remaining(), ts.gang != nil}
 			}
 			avail := snapshotAvail(sys, prefs)
 			r, err := sys.Cycle()

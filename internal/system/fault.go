@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"rsin/internal/bitset"
 	"rsin/internal/topology"
 )
 
@@ -58,7 +59,7 @@ func (s *System) FailResource(r int) ([]TaskID, error) {
 	if id := s.resHolder[r]; id != -1 {
 		// Still-acquiring is gang-granular: a member's unit is only safe
 		// once the whole gang holds its complete set.
-		if t := s.tasks[id]; t != nil && (t.remaining() > 0 || s.gangAcquiring(t)) {
+		if t := s.task(id); t != nil && (t.remaining() > 0 || s.gangAcquiring(t)) {
 			s.revokeUnit(t, r)
 			affected = append(affected, id)
 		}
@@ -139,6 +140,12 @@ func (s *System) ApplyFault(op FaultOp) ([]TaskID, error) {
 // on every effective Fail/Repair.
 func (s *System) FaultEpoch() uint64 { return s.net.FaultEpoch() }
 
+// OpenLinks reports the fabric's free-and-usable link words
+// (topology.Network.OpenLinks): bit l is set when link l carries no
+// circuit and no fault masks it. The slice is the System's own; a caller
+// only reads it, and copies it to keep it past the next call.
+func (s *System) OpenLinks() bitset.Bits { return s.net.OpenLinks() }
+
 // UsableResources reports the degraded-capacity census: per resource
 // type (type 0 throughout when Config.Types is nil), how many resources
 // are neither failed nor stranded behind failed components — i.e.
@@ -193,11 +200,12 @@ func (s *System) sever(t *taskState, c topology.Circuit) {
 // severBroken severs every in-flight circuit that now traverses a failed
 // component and revokes the unit it was delivering. The task stays at its
 // queue head with its remaining count restored — the next cycle re-requests
-// the lost unit on whatever capacity survives. Returns the affected task
-// IDs in ascending order.
+// the lost unit on whatever capacity survives. It walks the tasks in slot
+// order, so which unit goes first is a function of the System's state.
+// Returns the affected task IDs in ascending order.
 func (s *System) severBroken() []TaskID {
 	var affected []TaskID
-	for id, t := range s.tasks {
+	for t := range s.tasks() {
 		kept := t.circuits[:0]
 		for _, c := range t.circuits {
 			if s.circuitUsable(c) {
@@ -206,7 +214,7 @@ func (s *System) severBroken() []TaskID {
 			}
 			s.sever(t, c)
 			s.revokeUnit(t, c.Res)
-			affected = append(affected, id)
+			affected = append(affected, t.id)
 		}
 		t.circuits = kept
 	}

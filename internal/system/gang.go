@@ -71,6 +71,9 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 	if err := s.admissible(demand, "gang"); err != nil {
 		return 0, nil, err
 	}
+	if err := s.roomFor(len(members)); err != nil {
+		return 0, nil, err
+	}
 	s.nextGang++
 	gid := s.nextGang
 	g := &gangState{id: gid, members: make([]TaskID, len(members)), demand: demand, row: -1}
@@ -163,7 +166,7 @@ func (s *System) gangAcquiring(t *taskState) bool {
 
 func (s *System) gangProvisioned(g *gangState) bool {
 	for _, id := range g.members {
-		t := s.tasks[id]
+		t := s.task(id)
 		if t == nil || t.remaining() > 0 {
 			return false
 		}
@@ -207,7 +210,7 @@ func (s *System) PendingGangs() int { return len(s.gangPending) }
 func (s *System) resetGang(g *gangState) []TaskID {
 	affected := make([]TaskID, 0, len(g.members))
 	for _, id := range g.members {
-		t := s.tasks[id]
+		t := s.task(id)
 		if t == nil {
 			continue
 		}
@@ -246,7 +249,7 @@ func (s *System) resetGangsOf(affected []TaskID) []TaskID {
 	var extra []TaskID
 	var seen map[*gangState]bool
 	for _, id := range affected {
-		g := s.tasks[id].gang
+		g := s.task(id).gang
 		if g == nil || seen[g] {
 			continue
 		}
@@ -288,7 +291,7 @@ func (s *System) CancelGang(gid GangID) error {
 		return fmt.Errorf("system: unknown gang %d", gid)
 	}
 	for _, id := range g.members {
-		if _, ok := s.tasks[id]; !ok {
+		if s.task(id) == nil {
 			continue
 		}
 		if err := s.cancelTask(id); err != nil {
@@ -315,7 +318,7 @@ func (s *System) EndGangService(gid GangID) error {
 		return fmt.Errorf("system: unknown gang %d", gid)
 	}
 	for _, id := range g.members {
-		t := s.tasks[id]
+		t := s.task(id)
 		if t == nil {
 			return fmt.Errorf("system: gang %d: unknown member task %d", gid, id)
 		}
@@ -327,9 +330,8 @@ func (s *System) EndGangService(gid GangID) error {
 		}
 	}
 	for _, id := range g.members {
-		t := s.tasks[id]
+		t := s.task(id)
 		s.vacateAll(t)
-		delete(s.tasks, id)
 		s.retire(t)
 	}
 	s.led.closeRow(&g.row)

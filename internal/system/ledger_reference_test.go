@@ -65,13 +65,13 @@ func (s *System) hypothetical(also map[*gangState]bool) *hypoState {
 	}
 	gangEnt := map[*gangState]*hypoEntity{}
 	// Ascending task order, so a failure reads the same on every run.
-	ids := make([]TaskID, 0, len(s.tasks))
-	for id := range s.tasks {
-		ids = append(ids, id)
+	ids := make([]TaskID, 0, s.Pending())
+	for t := range s.tasks() {
+		ids = append(ids, t.id)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		t := s.tasks[id]
+		t := s.task(id)
 		if g := t.gang; g != nil {
 			if !g.active && !also[g] {
 				continue // gated members hold nothing and are not committed
@@ -201,7 +201,7 @@ func predictCycle(s *System) prediction {
 		}
 		cand := newHypoEntity()
 		for _, id := range g.members {
-			s.tasks[id].entityAdd(cand)
+			s.task(id).entityAdd(cand)
 		}
 		hypo := s.hypothetical(admitted)
 		hypo.entities = append(hypo.entities, cand)
@@ -405,12 +405,12 @@ func ledgerMismatch(s *System) error {
 		return fmt.Errorf("unheld %d (FreeResources %d), the holder table says %d", l.unheld, s.FreeResources(), unheld)
 	}
 	owed := 0
-	for _, t := range s.tasks {
+	for t := range s.tasks() {
 		owed += t.remaining()
 	}
 	for p, q := range s.queues {
 		for _, t := range q {
-			if s.tasks[t.id] != t || t.task.Proc != p {
+			if s.task(t.id) != t || t.task.Proc != p {
 				return fmt.Errorf("processor %d queues task %d, which is not a live task of its own", p, t.id)
 			}
 		}
@@ -447,7 +447,8 @@ func ledgerMismatch(s *System) error {
 		return nil
 	}
 	committed := 0
-	for id, t := range s.tasks {
+	for t := range s.tasks() {
+		id := t.id
 		if t.gang != nil || len(t.held) == 0 {
 			if t.row != -1 {
 				return fmt.Errorf("task %d (gang member %v, holding %d) has row %d, want none", id, t.gang != nil, len(t.held), t.row)
@@ -471,7 +472,7 @@ func ledgerMismatch(s *System) error {
 		committed++
 		want := newHypoEntity()
 		for _, id := range g.members {
-			s.tasks[id].entityAdd(want)
+			s.task(id).entityAdd(want)
 		}
 		if err := rowIs(fmt.Sprintf("gang %d", gid), g.row, want); err != nil {
 			return err

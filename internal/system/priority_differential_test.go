@@ -301,7 +301,7 @@ func checkRoutableHeld(t *testing.T, sys *System, live map[TaskID]bool) {
 				}
 			}
 			got := -1
-			if ts := sys.tasks[id]; ts != nil {
+			if ts := sys.task(id); ts != nil {
 				got = pr.routableHeld(sys.net, ts)
 			}
 			if got != want {

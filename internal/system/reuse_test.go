@@ -3,6 +3,7 @@ package system
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"rsin/internal/topology"
@@ -23,7 +24,7 @@ type taskView struct {
 }
 
 func viewOf(s *System, id TaskID) taskView {
-	t := s.tasks[id]
+	t := s.task(id)
 	v := taskView{
 		Holding:   s.Holding(id),
 		Remaining: s.Remaining(id),
@@ -149,7 +150,7 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 		{"fault-reset gang", typedNet, typedProbe, func(t *testing.T, s audited) {
 			gid, ids := gang(t, s)
 			cycleOnly(t, s)
-			link := s.tasks[ids[0]].circuits[0].Links[0]
+			link := s.task(ids[0]).circuits[0].Links[0]
 			severed, err := s.FailLink(link)
 			must(t, err)
 			if !slices.Contains(severed, ids[1]) || s.GangActive(gid) {
@@ -198,5 +199,116 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 				t.Fatalf("a reused record reads\n%+v\nthe same submission on a fresh System\n%+v", got, want)
 			}
 		})
+	}
+}
+
+// TestReusedSlotRejectsStaleID holds the task table's other promise
+// (DESIGN.md §23): once a retired task's slot holds another task, the old
+// ID reads as unknown to every call that takes one — EndService, Cancel,
+// Remaining, Holding and Preempt — and none of those calls touches the
+// slot's new task. Each retirement path leaves the record on the free
+// list, the next submission takes it, and its ID names the same slot in
+// the next generation.
+func TestReusedSlotRejectsStaleID(t *testing.T) {
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name   string
+		retire func(t *testing.T, s audited) []TaskID // the IDs it retired
+	}{
+		{"EndService", func(t *testing.T, s audited) []TaskID {
+			id := submit(t, s, Task{Proc: 0})
+			grantRound(t, s)
+			must(t, s.EndService(id))
+			return []TaskID{id}
+		}},
+		{"Cancel", func(t *testing.T, s audited) []TaskID {
+			id := submit(t, s, Task{Proc: 0, Need: 2})
+			grantRound(t, s)
+			must(t, s.Cancel(id))
+			return []TaskID{id}
+		}},
+		{"EndGangService", func(t *testing.T, s audited) []TaskID {
+			gid, ids, err := s.SubmitGang([]Task{{Proc: 0}, {Proc: 2}})
+			must(t, err)
+			for !s.GangProvisioned(gid) {
+				grantRound(t, s)
+			}
+			must(t, s.EndGangService(gid))
+			return ids
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw, err := New(Config{Net: topology.Crossbar(3, 3), Discipline: MinCost, Preempt: true})
+			must(t, err)
+			s := audit(t, raw)
+			retired := c.retire(t, s)
+			cur := submit(t, s, Task{Proc: 1, Tier: 2, Need: 2})
+			i := slices.IndexFunc(retired, func(id TaskID) bool { return id.Slot() == cur.Slot() })
+			if i < 0 || slices.Contains(retired, cur) {
+				t.Fatalf("task %d (slot %d) reuses no retired slot, or an ID, of %v", cur, cur.Slot(), retired)
+			}
+			stale := retired[i]
+			grantRound(t, s)
+			held := s.Holding(cur)
+			if len(held) != 1 || s.Remaining(cur) != 1 {
+				t.Fatalf("set-up: task %d holds %v and still needs %d; want one unit and one more", cur, held, s.Remaining(cur))
+			}
+			before := viewOf(s.System, cur)
+			for name, err := range map[string]error{
+				"EndService": s.EndService(stale),
+				"Cancel":     s.Cancel(stale),
+				"Preempt":    s.Preempt(stale, held[0]),
+			} {
+				if err == nil || !strings.Contains(err.Error(), "unknown task") {
+					t.Errorf("%s(stale %d) = %v, want an unknown-task error", name, stale, err)
+				}
+			}
+			if r := s.Remaining(stale); r != -1 {
+				t.Errorf("Remaining(stale %d) = %d, want -1", stale, r)
+			}
+			if h := s.Holding(stale); len(h) != 0 {
+				t.Errorf("Holding(stale %d) = %v, want nothing", stale, h)
+			}
+			if after := viewOf(s.System, cur); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the stale calls moved task %d:\n%+v\nwas\n%+v", cur, after, before)
+			}
+		})
+	}
+}
+
+// TestLastGenerationRetiresSlot: a slot whose record has carried the last
+// generation an ID can pack leaves the table instead of wrapping, so its
+// IDs stay positive and no later task can alias them.
+func TestLastGenerationRetiresSlot(t *testing.T) {
+	s, err := New(Config{Net: topology.Crossbar(2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Submit(Task{Proc: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if packID(a.Slot(), maxGen) <= 0 || packID(slotMask, maxGen) <= 0 {
+		t.Fatalf("the last generation packs to %d (slot %d), %d (last slot); want positive IDs",
+			packID(a.Slot(), maxGen), a.Slot(), packID(slotMask, maxGen))
+	}
+	rec := s.task(a) // as if the slot had been reused maxGen times
+	rec.gen, rec.id = maxGen, packID(a.Slot(), maxGen)
+	a = rec.id
+	if err := s.Cancel(a); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Submit(Task{Proc: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Slot() == a.Slot() || s.slots[a.Slot()] != nil || s.Remaining(a) != -1 {
+		t.Fatalf("after its last generation slot %d holds %v, and task %d took slot %d; want the slot gone", a.Slot(), s.slots[a.Slot()], b, b.Slot())
 	}
 }

@@ -18,6 +18,8 @@ package system
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 
 	"rsin/internal/core"
@@ -139,8 +141,33 @@ type FaultOp struct {
 	Index  int
 }
 
-// TaskID identifies a submitted task.
+// TaskID identifies a submitted task. It is opaque: it packs the slot of
+// the task's record in the System's task table with the slot's
+// generation, so IDs are positive but not sequential (a fresh System
+// hands out 1, 2, 3, ... until it reuses a slot), and an ID names one task
+// for good: once the task has left the System its ID reads as unknown,
+// even after the slot holds another task (DESIGN.md §23).
 type TaskID int
+
+// The TaskID packing: ID = gen<<slotBits | slot, plus one so that the
+// first task of a fresh System is 1 and no ID is 0 or negative. The shift
+// fits every int width Go builds for: the slot takes the low slotBits
+// bits and the generation the rest, which on a 32-bit int is maxGen+1 = 127
+// generations per slot. A slot that has carried maxGen is not reused, so
+// no generation ever wraps and no stale ID can alias a live task.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSlots = 1 << slotBits
+	maxGen   = math.MaxInt>>slotBits - 1
+)
+
+func packID(slot, gen int) TaskID { return TaskID(gen<<slotBits|slot) + 1 }
+
+// Slot reports the slot of the task table an ID names: a dense index, below
+// the number of records the System has ever made, that a caller can key
+// its own per-task table by. Slots are reused; check the full ID too.
+func (id TaskID) Slot() int { return int(id-1) & slotMask }
 
 // Task is one unit of work requiring Need resources (all of type Type),
 // acquired sequentially — or, with Needs set, a typed demand vector spanning
@@ -187,6 +214,14 @@ type taskState struct {
 	gang     *gangState         // the gang this task is a member of, or nil
 	row      int                // a singleton's row among the ledger's committed entities; -1 while it holds nothing
 
+	// The record's place in the task table: its slot for life, and the
+	// generation its next ID will carry. id is 0 while the record is
+	// retired, so no ID matches it.
+	slot, gen int
+	// seq numbers admitted tasks in submission order, which IDs no longer
+	// follow: the exchange planner's tie-break (moreUrgent, lessUrgent).
+	seq uint64
+
 	// Inline backing for the one-type case, for a first held unit and for
 	// a first circuit, so the first record made for a single-unit task
 	// needs no slice of its own. A reused record keeps whatever backing
@@ -198,15 +233,18 @@ type taskState struct {
 }
 
 // newTaskState makes the record of an admitted task, reusing a retired
-// one when there is one, so a steady stream of submissions allocates no
-// records and no slices once its largest demand has been seen.
+// one, and with it the record's slot, when there is one, so a steady
+// stream of submissions allocates no records and no slices once its
+// largest demand has been seen. A new record takes the next slot of the
+// table; the caller has checked there is one (roomFor).
 func (s *System) newTaskState(t Task) *taskState {
 	var ts *taskState
 	if n := len(s.spare); n > 0 {
 		ts, s.spare = s.spare[n-1], s.spare[:n-1]
 	} else {
-		ts = &taskState{row: -1}
+		ts = &taskState{row: -1, slot: len(s.slots)}
 		ts.demand, ts.have, ts.held, ts.circuits = ts.demand1[:0], ts.have1[:0], ts.held1[:0], ts.circuits1[:0]
+		s.slots = append(s.slots, ts)
 	}
 	ts.task = t
 	ts.demand = t.AppendDemand(ts.demand)
@@ -217,22 +255,73 @@ func (s *System) newTaskState(t Task) *taskState {
 
 // retire keeps the record of a task that has left the System for the next
 // newTaskState: every field reads as a new record's would, and only the
-// backing arrays of its four slices survive, emptied. The caller has
-// already dropped the task from every place that names it — its queue,
-// the tasks map, its ledger row, its processor's transmitter slot — and
-// the cycle scratch that also holds records (taskOf, prefs, the exchange
-// plan) is rebuilt before it is read. DESIGN.md §23 gives the invariant,
-// TestReusedTaskStateStartsClean holds it.
+// backing arrays of its four slices survive, emptied, with its slot. Its
+// ID goes (id 0 matches no ID), so the task table stops answering to it,
+// and the slot's next task gets the next generation. The caller has
+// already dropped the task from every other place that names it — its
+// queue, its ledger row, its processor's transmitter slot — and the cycle
+// scratch that also holds records (taskOf, prefs, the exchange plan) is
+// rebuilt before it is read. A slot that has carried its last generation
+// leaves the table for good. DESIGN.md §23 gives the invariant,
+// TestReusedTaskStateStartsClean and TestReusedSlotRejectsStaleID hold it.
 func (s *System) retire(t *taskState) {
-	*t = taskState{demand: t.demand[:0], have: t.have[:0], held: t.held[:0], circuits: t.circuits[:0], row: -1}
+	gen := t.gen
+	if t.id != 0 {
+		s.live--
+		gen++
+	}
+	*t = taskState{demand: t.demand[:0], have: t.have[:0], held: t.held[:0], circuits: t.circuits[:0], row: -1, slot: t.slot, gen: gen}
+	if gen > maxGen {
+		s.slots[t.slot] = nil
+		return
+	}
 	s.spare = append(s.spare, t)
 }
 
-// CycleResult reports one scheduling cycle.
+// roomFor reports an error when the task table has no slot left for n
+// more tasks.
+func (s *System) roomFor(n int) error {
+	if len(s.spare)+maxSlots-len(s.slots) < n {
+		return fmt.Errorf("system: %d tasks in the System, the most its task table holds", s.live)
+	}
+	return nil
+}
+
+// task returns the live task an ID names, or nil: an ID out of every
+// slot's range, of a retired task, or of a slot's earlier generation is
+// unknown.
+func (s *System) task(id TaskID) *taskState {
+	if id <= 0 {
+		return nil
+	}
+	if slot := id.Slot(); slot < len(s.slots) {
+		if t := s.slots[slot]; t != nil && t.id == id {
+			return t
+		}
+	}
+	return nil
+}
+
+// tasks yields every live task in slot order.
+func (s *System) tasks() iter.Seq[*taskState] {
+	return func(yield func(*taskState) bool) {
+		for _, t := range s.slots {
+			if t != nil && t.id != 0 && !yield(t) {
+				return
+			}
+		}
+	}
+}
+
+// CycleResult reports one scheduling cycle. The System reuses it: a
+// result is valid until the next Cycle, and a caller that keeps any of it
+// longer copies it first.
 type CycleResult struct {
 	// Mapping is the cycle's solve. Its circuits' links are the planner's
 	// and hold until the processor's next grant, which comes only after the
-	// circuit is released (EndTransmission, a sever, a withdrawal).
+	// circuit is released (EndTransmission, a sever, a withdrawal). A cycle
+	// with nothing to solve returns the System's one empty Mapping, which
+	// nobody writes.
 	Mapping  *core.Mapping
 	Granted  int // resources granted this cycle
 	Deferred int // requests withheld by the avoidance policy
@@ -253,9 +342,13 @@ type System struct {
 	cfg    Config
 	net    *topology.Network
 	queues [][]*taskState // per-processor FIFO of submitted tasks
-	tasks  map[TaskID]*taskState
-	nextID TaskID
-	spare  []*taskState // retired records newTaskState reuses (retire)
+	// The task table: every record the System has made, by slot (nil for
+	// a slot past its last generation). A record is live while its id is
+	// set; task looks an ID up, tasks walks the live ones.
+	slots []*taskState
+	live  int          // live tasks: submitted and not yet serviced or withdrawn
+	seq   uint64       // tasks admitted so far: the last taskState.seq given
+	spare []*taskState // retired records newTaskState reuses (retire)
 
 	resHolder    []TaskID // per resource: holding task, or -1
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
@@ -279,6 +372,11 @@ type System struct {
 	// install a fake and measure cycle's own cost.
 	solve  solveFunc
 	clocks int // clock periods of the latest solve; only the token solver sets it
+
+	// res is the result every Cycle returns, and noMapping the Mapping of
+	// a cycle with nothing to solve.
+	res       CycleResult
+	noMapping core.Mapping
 
 	// Cycle input scratch, reused across cycles.
 	reqs   []core.Request
@@ -311,7 +409,6 @@ func New(cfg Config) (*System, error) {
 		cfg:          cfg,
 		net:          cfg.Net.Clone(),
 		queues:       make([][]*taskState, cfg.Net.Procs),
-		tasks:        make(map[TaskID]*taskState),
 		resHolder:    make([]TaskID, cfg.Net.Ress),
 		transmitting: make([]TaskID, cfg.Net.Procs),
 		taskOf:       make([]*taskState, cfg.Net.Procs),
@@ -418,6 +515,9 @@ func (s *System) Submit(t Task) (TaskID, error) {
 	if err := ValidateTask(t, s.net.Ress); err != nil {
 		return 0, err
 	}
+	if err := s.roomFor(1); err != nil {
+		return 0, err
+	}
 	ts := s.newTaskState(t)
 	if err := s.admissible(ts.demand, "task"); err != nil {
 		s.retire(ts)
@@ -426,12 +526,13 @@ func (s *System) Submit(t Task) (TaskID, error) {
 	return s.enqueue(ts), nil
 }
 
-// enqueue gives an admitted task its ID and the tail of its processor's
-// queue.
+// enqueue gives an admitted task its ID, its slot's generation packed
+// with the slot, and the tail of its processor's queue.
 func (s *System) enqueue(ts *taskState) TaskID {
-	s.nextID++
-	ts.id = s.nextID
-	s.tasks[ts.id] = ts
+	ts.id = packID(ts.slot, ts.gen)
+	s.live++
+	s.seq++
+	ts.seq = s.seq
 	s.queues[ts.task.Proc] = append(s.queues[ts.task.Proc], ts)
 	s.led.owed += ts.need
 	return ts.id
@@ -542,7 +643,8 @@ func (s *System) Cycle() (*CycleResult, error) {
 			return nil, fmt.Errorf("system: cycle: %w", err)
 		}
 	}
-	res := &CycleResult{}
+	res := &s.res
+	*res = CycleResult{}
 	// Gangs upgrade the shard to banker's grants for as long as any exist:
 	// activation promised each active gang a completion order, and a greedy
 	// grant (to a singleton or a rival gang's member) could hand away the
@@ -597,7 +699,7 @@ func (s *System) Cycle() (*CycleResult, error) {
 	}
 	s.reqs, s.avail, s.prefs = reqs, avail, prefs
 	if len(reqs) == 0 || len(avail) == 0 {
-		res.Mapping = &core.Mapping{}
+		res.Mapping = &s.noMapping
 		return res, nil
 	}
 
@@ -640,7 +742,7 @@ func (s *System) EndTransmission(p int) error {
 			return fmt.Errorf("system: end transmission: %w", err)
 		}
 	}
-	t := s.tasks[id]
+	t := s.task(id)
 	last := len(t.circuits) - 1
 	if err := s.net.Release(t.circuits[last]); err != nil {
 		return fmt.Errorf("system: releasing circuit: %w", err)
@@ -663,7 +765,7 @@ func (s *System) EndTransmission(p int) error {
 // that abandons a queued or partially-provisioned task (a deadline, a
 // crashed caller) cannot strand its queue-head slot or leak held units.
 func (s *System) Cancel(id TaskID) error {
-	if t := s.tasks[id]; t != nil && t.gang != nil {
+	if t := s.task(id); t != nil && t.gang != nil {
 		return fmt.Errorf("system: task %d belongs to gang %d; use CancelGang (the gang is the unit of withdrawal)", id, t.gang.id)
 	}
 	return s.cancelTask(id)
@@ -672,8 +774,8 @@ func (s *System) Cancel(id TaskID) error {
 // cancelTask is the gang-unaware withdrawal body shared by Cancel and
 // CancelGang.
 func (s *System) cancelTask(id TaskID) error {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.task(id)
+	if t == nil {
 		return fmt.Errorf("system: unknown task %d", id)
 	}
 	p := t.task.Proc
@@ -689,7 +791,6 @@ func (s *System) cancelTask(id TaskID) error {
 	s.led.closeRow(&t.row) // a gang member has none; CancelGang closes the gang's
 	s.led.owed -= t.remaining()
 	s.dequeue(t)
-	delete(s.tasks, id)
 	s.retire(t)
 	return nil
 }
@@ -699,8 +800,8 @@ func (s *System) cancelTask(id TaskID) error {
 // with its service history. A second EndService on the same ID therefore
 // reports the task as unknown.
 func (s *System) EndService(id TaskID) error {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.task(id)
+	if t == nil {
 		return fmt.Errorf("system: unknown task %d", id)
 	}
 	if t.gang != nil {
@@ -714,7 +815,6 @@ func (s *System) EndService(id TaskID) error {
 	}
 	s.vacateAll(t)
 	s.led.closeRow(&t.row)
-	delete(s.tasks, id)
 	s.retire(t)
 	return nil
 }
@@ -726,7 +826,7 @@ func (s *System) Holding(id TaskID) []int { return s.AppendHolding(nil, id) }
 // AppendHolding is Holding appending to dst, for a caller that keeps the
 // answer in storage of its own; an unknown task appends nothing.
 func (s *System) AppendHolding(dst []int, id TaskID) []int {
-	if t, ok := s.tasks[id]; ok {
+	if t := s.task(id); t != nil {
 		dst = append(dst, t.held...)
 	}
 	return dst
@@ -736,8 +836,8 @@ func (s *System) AppendHolding(dst []int, id TaskID) []int {
 // is fully provisioned (0 means ready to compute / EndService), or -1 if
 // the task is unknown or already serviced.
 func (s *System) Remaining(id TaskID) int {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.task(id)
+	if t == nil {
 		return -1
 	}
 	return t.remaining()
@@ -756,12 +856,13 @@ func (s *System) Transmitting(p int) TaskID {
 func (s *System) FreeResources() int { return s.led.unheld }
 
 // Pending counts unserviced submitted tasks.
-func (s *System) Pending() int { return len(s.tasks) }
+func (s *System) Pending() int { return s.live }
 
 // Deadlocked reports the hold-and-wait deadlock of §II: no transmission is
 // in flight, no fully-provisioned task remains to be serviced, and every
 // waiting head task needs a resource type with no free unit left — while
-// at least one of those waiters is itself holding resources.
+// at least one of those waiters is itself holding resources. It walks the
+// tasks in slot order, so its answer is a function of the System's state.
 func (s *System) Deadlocked() bool {
 	for p := range s.transmitting {
 		if s.transmitting[p] != -1 {
@@ -769,7 +870,7 @@ func (s *System) Deadlocked() bool {
 		}
 	}
 	anyWaitingHolder := false
-	for _, t := range s.tasks {
+	for t := range s.tasks() {
 		if t.remaining() == 0 {
 			return false // serviceable: progress possible
 		}

@@ -262,8 +262,8 @@ func TestBankersStress(t *testing.T) {
 					}
 				}
 				// Service any fully-provisioned, non-transmitting task.
-				for id, st := range s.tasks {
-					if st.remaining() == 0 && s.transmitting[st.task.Proc] != id {
+				for st := range s.tasks() {
+					if id := st.id; st.remaining() == 0 && s.transmitting[st.task.Proc] != id {
 						if rng.Float64() < 0.7 {
 							if err := s.EndService(id); err != nil {
 								t.Fatal(err)

@@ -137,7 +137,8 @@ type exchangePlan struct {
 //   - A victim loses at most one unit a cycle and is no beneficiary.
 //
 // Gangs sit out both sides, provisioned tasks are immune, and the tier test
-// is strict, so equal tiers never exchange. Ties break by lower task ID. An
+// is strict, so equal tiers never exchange. Ties break by submission order,
+// older first (taskState.seq; task IDs do not follow it). An
 // acquiring singleton holder is always its queue's head (singletons never
 // bypass), so one pass over the heads finds both sides. The plan is made on
 // the cycle's opening holdings and then carried out: Preempt revokes each
@@ -208,10 +209,14 @@ func (s *System) planExchanges(tr *trial, res *CycleResult, reqs []core.Request,
 }
 
 // moreUrgent orders beneficiaries most urgent first: lower tier, then
-// lower task ID. lessUrgent orders victims least urgent first: higher
-// tier, then lower task ID.
-func moreUrgent(a, b *taskState) int { return cmp.Or(a.task.Tier-b.task.Tier, int(a.id-b.id)) }
-func lessUrgent(a, b *taskState) int { return cmp.Or(b.task.Tier-a.task.Tier, int(a.id-b.id)) }
+// older. lessUrgent orders victims least urgent first: higher tier, then
+// older.
+func moreUrgent(a, b *taskState) int {
+	return cmp.Or(a.task.Tier-b.task.Tier, cmp.Compare(a.seq, b.seq))
+}
+func lessUrgent(a, b *taskState) int {
+	return cmp.Or(b.task.Tier-a.task.Tier, cmp.Compare(a.seq, b.seq))
+}
 
 // tryExchange asks the banker about one planned exchange: victim v's unit r
 // goes back to the trial's pool and beneficiary b is admitted against it.
@@ -255,6 +260,7 @@ func (pr *routeProbe) sweep(net *topology.Network, p int) {
 		pr.res = make([]int, net.Ress)
 	}
 	pr.stamp++
+	open := net.OpenLinks()
 	stack := pr.stack[:0]
 	if lid := net.ProcLink[p]; lid != -1 {
 		stack = append(stack, lid)
@@ -262,7 +268,7 @@ func (pr *routeProbe) sweep(net *topology.Network, p int) {
 	for len(stack) > 0 {
 		lid := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if net.Links[lid].State != topology.LinkFree || !net.LinkUsable(lid) {
+		if !open.Get(lid) {
 			continue
 		}
 		to := net.Links[lid].To
@@ -298,8 +304,8 @@ func (pr *routeProbe) sweep(net *topology.Network, p int) {
 // worth it (a strictly more urgent beneficiary); this primitive only
 // performs it.
 func (s *System) Preempt(id TaskID, r int) error {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.task(id)
+	if t == nil {
 		return fmt.Errorf("system: unknown task %d", id)
 	}
 	if t.gang != nil {

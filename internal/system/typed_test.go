@@ -139,7 +139,7 @@ func TestTypedSequentialAcquisition(t *testing.T) {
 			t.Fatalf("step %d: granted resource %d of type %d, want type %d", i, held[i], got, want)
 		}
 	}
-	st := s.tasks[id]
+	st := s.task(id)
 	if len(st.have) != 2 || st.have[0] != 1 || st.have[1] != 2 {
 		t.Fatalf("charge ledger %v against %v, want [1 2]", st.have, st.demand)
 	}
@@ -196,7 +196,7 @@ func TestTypedCircularDeadlock(t *testing.T) {
 				free[naive.resType(r)]++
 			}
 		}
-		for _, st := range naive.tasks {
+		for st := range naive.tasks() {
 			for ty, n := range free {
 				if n > 0 && remainingOf(st, ty) > 0 && naive.headTask(st.task.Proc) == st {
 					t.Fatalf("Deadlocked() true while head task %d could take free type %d", st.id, ty)
@@ -219,7 +219,7 @@ func TestTypedCircularDeadlock(t *testing.T) {
 			_ = banker.EndTransmission(p)
 		}
 		for _, id := range ids {
-			if st, ok := banker.tasks[id]; ok && st.remaining() == 0 && banker.transmitting[st.task.Proc] != id {
+			if st := banker.task(id); st != nil && st.remaining() == 0 && banker.transmitting[st.task.Proc] != id {
 				if err := banker.EndService(id); err != nil {
 					t.Fatal(err)
 				}
@@ -245,7 +245,7 @@ func TestTypedRevokeLockstep(t *testing.T) {
 	if err := s.EndTransmission(2); err != nil {
 		t.Fatal(err)
 	}
-	st := s.tasks[id]
+	st := s.task(id)
 	held := s.Holding(id)
 	if len(held) != 1 || types[held[0]] != 0 {
 		t.Fatalf("first grant %v, want one type-0 unit", held)

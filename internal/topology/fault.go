@@ -33,7 +33,7 @@ func (n *Network) FailLink(id int) error {
 	}
 	if !n.linkFault[id] {
 		n.linkFault[id] = true
-		n.faultEpoch++
+		n.newFaultEpoch()
 	}
 	return nil
 }
@@ -45,7 +45,7 @@ func (n *Network) RepairLink(id int) error {
 	}
 	if n.linkFault != nil && n.linkFault[id] {
 		n.linkFault[id] = false
-		n.faultEpoch++
+		n.newFaultEpoch()
 	}
 	return nil
 }
@@ -61,7 +61,7 @@ func (n *Network) FailBox(id int) error {
 	}
 	if !n.boxFault[id] {
 		n.boxFault[id] = true
-		n.faultEpoch++
+		n.newFaultEpoch()
 	}
 	return nil
 }
@@ -73,7 +73,7 @@ func (n *Network) RepairBox(id int) error {
 	}
 	if n.boxFault != nil && n.boxFault[id] {
 		n.boxFault[id] = false
-		n.faultEpoch++
+		n.newFaultEpoch()
 	}
 	return nil
 }
@@ -89,7 +89,7 @@ func (n *Network) FailResource(r int) error {
 	}
 	if !n.resFault[r] {
 		n.resFault[r] = true
-		n.faultEpoch++
+		n.newFaultEpoch()
 	}
 	return nil
 }
@@ -101,7 +101,7 @@ func (n *Network) RepairResource(r int) error {
 	}
 	if n.resFault != nil && n.resFault[r] {
 		n.resFault[r] = false
-		n.faultEpoch++
+		n.newFaultEpoch()
 	}
 	return nil
 }
@@ -125,8 +125,13 @@ func (n *Network) ResourceFaulted(r int) bool {
 // LinkUsable reports whether a link may carry a new circuit or token:
 // the link is not failed, neither endpoint box is failed, and an
 // endpoint resource is not failed. Usability ignores circuit-switching
-// occupancy — an occupied link is usable but busy.
-func (n *Network) LinkUsable(id int) bool {
+// occupancy — an occupied link is usable but busy. It reads one bit of
+// the unusable words, which each fault epoch recomputes.
+func (n *Network) LinkUsable(id int) bool { return !n.unusable.Get(id) }
+
+// linkHealthy is LinkUsable computed from the fault flags: what
+// refreshWords writes into the unusable words.
+func (n *Network) linkHealthy(id int) bool {
 	if n.linkFault != nil && n.linkFault[id] {
 		return false
 	}
@@ -189,7 +194,7 @@ func (n *Network) FaultedLinks() []int {
 func (n *Network) ForceRelease(c Circuit) {
 	for _, lid := range c.Links {
 		if lid >= 0 && lid < len(n.Links) {
-			n.Links[lid].State = LinkFree
+			n.setState(lid, LinkFree)
 		}
 	}
 }

@@ -19,8 +19,11 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"rsin/internal/bitset"
 )
 
 // Kind distinguishes the three endpoint classes of an RSIN.
@@ -68,7 +71,9 @@ const (
 )
 
 // Link is a physical wire of the network, directed from the processor side
-// toward the resource side.
+// toward the resource side. Its State is written only by this package's
+// methods (Establish, Release, ForceRelease, OccupyLink, Reset), which
+// keep the network's link words in step with it (words.go).
 type Link struct {
 	ID    int
 	From  Endpoint
@@ -111,6 +116,11 @@ type Network struct {
 	boxFault   []bool
 	resFault   []bool
 	faultEpoch uint64
+
+	// Link words (words.go), bit l for link l: open marks the links that
+	// are free and usable, unusable the links a fault masks.
+	open     bitset.Bits
+	unusable bitset.Bits
 }
 
 // Builder assembles a Network. Wiring errors — duplicate links on the same
@@ -303,6 +313,8 @@ func (b *Builder) Build() (*Network, error) {
 	if err := n.checkAcyclic(); err != nil {
 		return nil, err
 	}
+	n.open, n.unusable = bitset.Make(len(n.Links)), bitset.Make(len(n.Links))
+	n.refreshWords()
 	return n, nil
 }
 
@@ -383,6 +395,7 @@ func (n *Network) Clone() *Network {
 		c.resFault = append([]bool(nil), n.resFault...)
 	}
 	c.faultEpoch = n.faultEpoch
+	c.open, c.unusable = slices.Clone(n.open), slices.Clone(n.unusable)
 	return c
 }
 
@@ -391,6 +404,7 @@ func (n *Network) Reset() {
 	for i := range n.Links {
 		n.Links[i].State = LinkFree
 	}
+	n.refreshWords()
 }
 
 // NumStages reports the highest stage index + 1 across boxes (0 for a
@@ -459,7 +473,7 @@ func (n *Network) Establish(c Circuit) error {
 		}
 	}
 	for _, lid := range c.Links {
-		n.Links[lid].State = LinkOccupied
+		n.setState(lid, LinkOccupied)
 	}
 	return nil
 }
@@ -471,7 +485,7 @@ func (n *Network) Release(c Circuit) error {
 		return err
 	}
 	for _, lid := range c.Links {
-		n.Links[lid].State = LinkFree
+		n.setState(lid, LinkFree)
 	}
 	return nil
 }

@@ -119,7 +119,7 @@ func FailRandomLinks(rng *rand.Rand, net *topology.Network, fraction float64) []
 	}
 	failed := interior[:k]
 	for _, id := range failed {
-		net.Links[id].State = topology.LinkOccupied
+		net.OccupyLink(id)
 	}
 	return failed
 }

@@ -74,7 +74,11 @@ type (
 	// hardware fault enters only through FailLink, FailBox, FailResource
 	// (or ApplyFault), and the severed tasks that call returns are its one
 	// report. A Scheduler with a registry times each cycle in the
-	// rsin_system_cycle_ms histogram.
+	// rsin_system_cycle_ms histogram. Its task IDs are opaque and not
+	// sequential: an ID packs a slot of the System's task table with the
+	// slot's generation, and the ID of a task that has left reads as
+	// unknown even after its slot is reused. Cycle's result is the
+	// System's own, valid until the next Cycle.
 	System = system.System
 	// SystemConfig parameterizes a System.
 	SystemConfig = system.Config
