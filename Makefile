@@ -58,8 +58,9 @@ deps:
 	fi
 
 # The instrumentation hot path must not allocate (disabled or enabled),
-# a service round trip allocates only what it hands back (plus its share
-# of the epoch's result) — singleton, three-type and gang alike — a
+# a service round trip allocates only what it hands back (plus its
+# cycles' Mappings) — singleton, three-type and gang alike: 4, 8 and 7
+# objects, the gang's demand summed once and its record a reused task's — a
 # bound-certified typed epoch on a warm planner allocates only the Mapping
 # it returns, a cycle under the banker with nothing to solve nothing (the
 # System reuses its CycleResult and its empty Mapping), a warm simplex
@@ -107,13 +108,14 @@ vuln:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Non-test lines of the packages ROADMAP item 2 wants smaller (the
-# solvers of internal/core and internal/maxflow, the fabric model of
-# internal/topology and the fault scripting of internal/faultinject among
-# them), of the service driver cmd/rsinserve, and of the two programs
-# item 6 wants to be one harness, counted the way CHANGES.md counts them
-# (every line of the non-test .go files), so "less code" is a number in
-# every CI log.
+# Non-test lines of the packages the north star's aim 2 (the same
+# behaviour from the least code) wants smaller — the solvers of
+# internal/core and internal/maxflow, the fabric model of
+# internal/topology, the System and the service, the fault scripting of
+# internal/faultinject, the service driver cmd/rsinserve and the
+# benchmark programs cmd/rsinbench and bench — counted the way CHANGES.md
+# counts them (every line of the non-test .go files), so "less code" is a
+# number in every CI log.
 loc:
 	@total=0; for d in internal/core internal/maxflow internal/topology internal/system internal/sched internal/server internal/faultinject cmd/rsinserve cmd/rsinbench bench; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); total=$$((total + n)); \

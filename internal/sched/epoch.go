@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"rsin/internal/system"
 )
@@ -49,7 +50,7 @@ func (s *Scheduler) applyEnd(sh *shard, o *op) {
 		// granted.
 		err, lost = fmt.Errorf("sched: shard %d: grants lost to restart: %w", sh.idx, ErrShardDown), resRestartLost
 	default:
-		if err = j.endIn(sh.sys); err == nil {
+		if err = sh.sys.EndGangService(j.entity()); err == nil {
 			j.finished = true
 			j.count(&sh.tot, serviced)
 			if s.o.enabled && j.grantNano != 0 {
@@ -75,7 +76,8 @@ func (s *Scheduler) applySubmit(sh *shard, o *op) {
 	j := o.j
 	err := sh.dead
 	if err == nil {
-		if err = j.submitTo(sh.sys, o); err != nil {
+		// The System keeps the demand the job summed as its entity's.
+		if j.ids, err = sh.sys.SubmitEntity(o.tasks(), j.demand, j.id1[:0]); err != nil {
 			// Admission raced a capacity drop; the job never entered the
 			// system, so it counts as rejected, not failed.
 			s.o.rejected.Inc()
@@ -107,11 +109,11 @@ func (s *Scheduler) applyCancel(sh *shard, o *op) {
 // checked before any is applied, and a refused batch changes nothing. An op
 // counts in LinkFaults or Repairs, and is traced, only if it changed the
 // fabric (moved its fault epoch): failing a failed component or repairing
-// a healthy one is no event. Severed counts, and the trace records as one
-// "sever" each, every task the System reported (a singleton once per unit
-// lost, a reset gang once per member), but the retry budget is charged
-// once per job: a task that lost several units to the one event, or a
-// gang that lost several members' units, pays one retry.
+// a healthy one is no event. Every task the event cost a unit or reset
+// counts once in Severed and is traced as one "sever", however many units
+// it lost, and the retry budget is charged once per job: a task that lost
+// several units to the one event, or a gang that lost several members'
+// units, pays one retry.
 func (s *Scheduler) applyFault(sh *shard, o *op) {
 	if sh.dead != nil {
 		o.reply <- sh.dead
@@ -142,18 +144,17 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 			s.event(sh, evFault, 0, int64(f.Index), f.Target.String())
 		}
 	}
+	slices.Sort(severed)
+	severed = slices.Compact(severed)
 	sh.tot.Severed += int64(len(severed))
 	for _, id := range severed {
 		s.event(sh, evSever, int64(id), 0, "")
 	}
-	var charged map[*job]bool // most fault events cost nobody a unit
 	for _, id := range severed {
-		// A nil job is a multi-unit holder published in an earlier epoch.
-		if j := sh.jobOf(id); j != nil && !charged[j] {
-			if charged == nil {
-				charged = map[*job]bool{}
-			}
-			charged[j] = true
+		// A job is charged at its first member: a gang that lost a unit was
+		// reset, and the System lists every member of a reset. A nil job is
+		// a multi-unit holder published in an earlier epoch.
+		if j := sh.jobOf(id); j != nil && j.ids[0] == id {
 			// A withdrawal that escalated to a restart emptied sh.tracked.
 			if !s.chargeSever(sh, j) {
 				break
@@ -253,22 +254,18 @@ cycling:
 // keeps them immune to severs and resets.
 func (s *Scheduler) publishGrants(sh *shard) {
 	for _, j := range sh.granted {
-		if !sh.tracks(j) || !j.provisionedIn(sh.sys) {
+		if !sh.tracks(j) || !sh.sys.GangProvisioned(j.entity()) {
 			continue
 		}
-		if n := len(j.ids); n > 1 {
-			// One backing array for every member's grant, each slice capped
-			// at its own length so an append to one cannot overwrite the next.
-			held := make([]int, 0, j.demand.Total())
-			j.res = make([][]int, n)
-			for i, m := range j.ids {
-				at := len(held)
-				held = sh.sys.AppendHolding(held, m)
-				j.res[i] = held[at:len(held):len(held)]
-			}
-		} else {
-			j.res1[0] = sh.sys.AppendHolding(j.heldIn[:0], j.ids[0])
-			j.res = j.res1[:]
+		// One backing array for every member's grant, each slice capped at
+		// its own length so an append to one cannot overwrite the next; a
+		// singleton's, and a small gang's, is the job's inline storage.
+		held := slices.Grow(j.heldIn[:0], j.demand.Total())
+		j.res = slices.Grow(j.res1[:0], len(j.ids))
+		for _, m := range j.ids {
+			at := len(held)
+			held = sh.sys.AppendHolding(held, m)
+			j.res = append(j.res, held[at:len(held):len(held)])
 		}
 		if s.o.enabled {
 			s.o.observeGrant(j)
@@ -304,7 +301,7 @@ func (s *Scheduler) finish(sh *shard, j *job, o outcome, err error, val int64, r
 // suspect: the supervisor rebuilds it, and withdraw reports false (every
 // tracked job is gone — a caller walking sh.tracked must stop).
 func (s *Scheduler) withdraw(sh *shard, j *job, o outcome, cause error, val int64, result string) bool {
-	if err := j.withdrawFrom(sh.sys); err != nil {
+	if err := sh.sys.CancelGang(j.entity()); err != nil {
 		s.failShard(sh, fmt.Errorf("withdrawing task %d: %w", j.ids[0], err))
 		return false
 	}
@@ -321,9 +318,9 @@ func (s *Scheduler) withdraw(sh *shard, j *job, o outcome, cause error, val int6
 // forever. Reports false when the withdrawal escalated to a shard restart.
 func (s *Scheduler) chargeSever(sh *shard, j *job) bool {
 	j.severs++
-	if j.gang != 0 {
+	if len(j.ids) > 1 {
 		sh.tot.GangSevers++
-		s.event(sh, evGangSever, int64(j.gang), int64(j.severs), "")
+		s.event(sh, evGangSever, int64(j.ids[0]), int64(j.severs), "")
 	}
 	if j.severs <= s.cfg.SeverRetries {
 		return true

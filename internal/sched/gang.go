@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rsin/internal/system"
 )
@@ -40,29 +41,7 @@ type GangSpec struct {
 // the shard's surviving capacity — runs here, before the gang consumes a
 // batch slot.
 func (s *Scheduler) SubmitGang(shard int, spec GangSpec) (*GangHandle, error) {
-	if len(spec.Members) < 2 {
-		return nil, fmt.Errorf("sched: shard %d: a gang needs at least 2 members, got %d", shard, len(spec.Members))
-	}
-	h := &GangHandle{}
-	h.label = spec.Label
-	if err := s.admit(shard, &h.job, system.Task{}, spec.Members); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// validateGang checks a gang's members, returning the copy of the member
-// list the shard will own.
-func (sh *shard) validateGang(members []system.Task) ([]system.Task, error) {
-	for i, t := range members {
-		if err := sh.validate(t); err != nil {
-			return nil, fmt.Errorf("gang member %d: %w", i, err)
-		}
-		if system.RepeatsProc(members[:i], t.Proc) {
-			return nil, fmt.Errorf("gang members must use distinct processors (processor %d repeated)", t.Proc)
-		}
-	}
-	return append([]system.Task(nil), members...), nil
+	return s.SubmitGangCtx(context.Background(), shard, spec)
 }
 
 // SubmitGangCtx is SubmitGang with the SubmitCtx cancellation contract:
@@ -72,14 +51,16 @@ func (sh *shard) validateGang(members []system.Task) ([]system.Task, error) {
 // grant: if Done closes with a nil Err the client owns the resources and
 // must still call EndGang.
 func (s *Scheduler) SubmitGangCtx(ctx context.Context, shard int, spec GangSpec) (*GangHandle, error) {
-	if err := ctxLive(ctx); err != nil {
+	if len(spec.Members) < 2 {
+		return nil, fmt.Errorf("sched: shard %d: a gang needs at least 2 members, got %d", shard, len(spec.Members))
+	}
+	h := &GangHandle{}
+	h.label = spec.Label
+	// The shard owns its copy of the member list.
+	if err := s.admit(ctx, shard, op{kind: opSubmit, j: &h.job, members: slices.Clone(spec.Members)}); err != nil {
 		return nil, err
 	}
-	h, err := s.SubmitGang(shard, spec)
-	if err == nil {
-		s.watchCtx(ctx, &h.job)
-	}
-	return h, err
+	return h, nil
 }
 
 // EndGang releases every resource a finished gang holds, atomically. It

@@ -234,13 +234,10 @@ func TestCorrelatedFaultChargesOnce(t *testing.T) {
 			if err := j.Err(); err != nil {
 				t.Fatalf("job charged more than once for one fault event: %v", err)
 			}
-			// A singleton counts each unit it lost; a gang counts each member
-			// the reset re-queued, however many units the fault took.
+			// A task counts once per event however many units it lost, and
+			// a gang once per member the reset re-queued.
 			st := s.Stats()
-			want := int64(2)
-			if k.gangs != 0 {
-				want = k.members
-			}
+			want := k.members
 			if st.Severed != want {
 				t.Fatalf("Severed = %d, want %d (both units lost, once)", st.Severed, want)
 			}

@@ -8,17 +8,16 @@ import (
 
 // job is the one kind of tracked work: a set of member tasks on one shard
 // that is admitted, provisioned, severed, withdrawn and released as a
-// unit. A singleton task is the one-member case; a gang has k >= 2
-// members and a System gang ID. Handle and GangHandle are typed views of
-// the same job — below the Submit boundary nothing else tells the two
-// apart except the few methods at the bottom of this file.
+// unit — one System entity. A singleton task is the one-member case; a
+// gang has k >= 2 members. Handle and GangHandle are typed views of the
+// same job; below the Submit boundary only the reporting tells the two
+// apart (count, jobEvent, chargeSever, observeGrant).
 type job struct {
 	shard  int
 	gen    int             // shard restart generation the job was admitted under
-	gang   system.GangID   // the System's gang ID, set at admission; 0 for a singleton
 	label  string          // GangSpec.Label: the Result of the gang's submit trace event
-	ids    []system.TaskID // member task IDs in member order, set at admission
-	demand system.Demand   // summed over members, for degraded-capacity rechecks
+	ids    []system.TaskID // member task IDs in member order, set at admission; the first is the entity's
+	demand system.Demand   // summed over members, for admission and degraded-capacity rechecks
 	tier   int             // most urgent member tier, for the per-tier instruments
 	severs int             // sever events charged; bounded by Config.SeverRetries
 	done   chan struct{}
@@ -71,19 +70,18 @@ func (j *job) Err() error { return j.err }
 // Shard reports the shard the work was routed to.
 func (j *job) Shard() int { return j.shard }
 
-// describe records what a validated submission is (members nil means the
-// singleton t): its summed demand and its most urgent member's tier — a
-// job is as urgent as that.
-func (j *job) describe(t system.Task, members []system.Task) {
-	if members == nil {
-		j.demand, j.tier = t.AppendDemand(j.demandIn[:0]), t.Tier
-		return
-	}
-	j.demand, j.tier = system.GangDemand(members), members[0].Tier
+// describe records what a validated submission is: its summed demand —
+// which the System keeps as the entity's — and its most urgent member's
+// tier: a job is as urgent as that.
+func (j *job) describe(members []system.Task) {
+	j.demand, j.tier = system.AppendGangDemand(j.demandIn[:0], members), members[0].Tier
 	for _, m := range members[1:] {
 		j.tier = min(j.tier, m.Tier)
 	}
 }
+
+// entity is the System's ID of the job's entity: its first member's.
+func (j *job) entity() system.GangID { return system.GangID(j.ids[0]) }
 
 // units is the job's total unit demand, the Val of its trace events.
 func (j *job) units() int64 { return int64(j.demand.Total()) }
@@ -130,11 +128,19 @@ const (
 type op struct {
 	kind    opKind
 	j       *job
-	task    system.Task      // opSubmit of a singleton (inline: no slice to allocate)
+	one     [1]system.Task   // opSubmit of a singleton: its task, inline (no slice to allocate)
 	members []system.Task    // opSubmit of a gang: the validated member tasks
 	reply   chan error       // opFault: the outcome of the System call (opEnd replies on its job)
 	cause   error            // opCancel: the context's Err at cancellation
 	faults  []system.FaultOp // opFault: one correlated hardware event (one sever charge)
+}
+
+// tasks is an opSubmit's members: a gang's, or the singleton's one.
+func (o *op) tasks() []system.Task {
+	if o.members != nil {
+		return o.members
+	}
+	return o.one[:]
 }
 
 // outcome classes a job's entry into or exit from the terminal accounting
@@ -163,13 +169,13 @@ func (j *job) count(tot *Stats, o outcome) {
 		tasks, gangs = &tot.Failed, &tot.GangsFailed
 	}
 	*tasks += int64(len(j.ids))
-	if j.gang != 0 {
+	if len(j.ids) > 1 {
 		*gangs++
 	}
 }
 
 // evPair is one life-cycle event's trace kind for a singleton and for a
-// gang; a gang's events carry its gang ID, a singleton's its task ID.
+// gang; both carry the entity's ID, a singleton's task ID.
 type evPair struct{ task, gang string }
 
 var (
@@ -185,52 +191,9 @@ func (s *Scheduler) jobEvent(sh *shard, j *job, k evPair, val int64, result stri
 	if s.o.trace == nil {
 		return
 	}
-	if j.gang != 0 {
-		s.event(sh, k.gang, int64(j.gang), val, result)
-		return
+	kind := k.task
+	if len(j.ids) > 1 {
+		kind = k.gang
 	}
-	s.event(sh, k.task, int64(j.ids[0]), val, result)
-}
-
-// The four System calls that differ between a singleton and a gang — in
-// contract, not only in history: the gang calls move every member
-// together (see DESIGN.md §18 for why system keeps two entry points).
-
-// submitTo admits the job to a System and records the IDs it was given.
-func (j *job) submitTo(sys *system.System, o *op) error {
-	if o.members == nil {
-		id, err := sys.Submit(o.task)
-		if err == nil {
-			j.id1[0] = id
-			j.ids = j.id1[:]
-		}
-		return err
-	}
-	gid, ids, err := sys.SubmitGang(o.members)
-	j.gang, j.ids = gid, ids // zero on error
-	return err
-}
-
-// endIn releases everything the provisioned job holds.
-func (j *job) endIn(sys *system.System) error {
-	if j.gang != 0 {
-		return sys.EndGangService(j.gang)
-	}
-	return sys.EndService(j.ids[0])
-}
-
-// withdrawFrom removes the job from a System at any point before release.
-func (j *job) withdrawFrom(sys *system.System) error {
-	if j.gang != 0 {
-		return sys.CancelGang(j.gang)
-	}
-	return sys.Cancel(j.ids[0])
-}
-
-// provisionedIn reports whether every member holds its full set.
-func (j *job) provisionedIn(sys *system.System) bool {
-	if j.gang != 0 {
-		return sys.GangProvisioned(j.gang)
-	}
-	return sys.Remaining(j.ids[0]) == 0
+	s.event(sh, kind, int64(j.ids[0]), val, result)
 }

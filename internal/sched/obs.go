@@ -19,7 +19,7 @@ const (
 	evRestart = "restart" // shard supervisor rebuilt a failed System
 	evFault   = "fault"   // hardware fault applied; Val = index, Result = link/box/res
 	evRepair  = "repair"  // hardware repair applied; Val = index, Result = link/box/res
-	evSever   = "sever"   // a fault cost a task a unit (gang resets: every member); Task = task
+	evSever   = "sever"   // a fault event cost a task a unit or reset it (once per event); Task = task
 	evReject  = "reject"  // the door or the shard's System refused the task
 	evPreempt = "preempt" // unit revoked from a lower tier; Task = victim, Val = resource
 
@@ -98,7 +98,7 @@ func newSchedObs(reg *obs.Registry) schedObs {
 func (o *schedObs) observeGrant(j *job) {
 	j.grantNano = nowNano()
 	ms := float64(j.grantNano-j.submitNano) / 1e6
-	if j.gang != 0 {
+	if len(j.ids) > 1 {
 		o.gangsGranted.Inc()
 		o.gangSubmitGrantMS.Observe(ms)
 		return

@@ -163,8 +163,9 @@ type Stats struct {
 
 	// Hardware fault counters.
 	LinkFaults int64 // component failures that changed the fabric (links, boxes, resources)
-	// Severed counts fault losses: one per unit a singleton lost, and one
-	// per member of each gang a fault reset, however many units it lost.
+	// Severed counts fault losses: one per task a fault event (one
+	// ApplyFaults batch) cost a unit or reset, however many units it lost —
+	// a task alone once, a reset gang once per member.
 	Severed  int64
 	Repairs  int64 // component repairs that changed the fabric
 	Preempts int64 // units revoked from lower-tier holders (Config.Preempt)
@@ -377,16 +378,6 @@ func (sh *shard) jobOf(id system.TaskID) *job {
 // shard (false once provisioned, finished, or lost to a restart).
 func (sh *shard) tracks(j *job) bool { return len(j.ids) > 0 && sh.jobOf(j.ids[0]) == j }
 
-// validate is the per-task admission check that runs before shard
-// dispatch, so a malformed task never consumes a batch slot (the System
-// would reject it again, but only on the shard goroutine).
-func (sh *shard) validate(t system.Task) error {
-	if t.Proc < 0 || t.Proc >= sh.procs {
-		return fmt.Errorf("processor %d out of range [0,%d)", t.Proc, sh.procs)
-	}
-	return system.ValidateTask(t, sh.ress)
-}
-
 // Scheduler is the concurrent batched scheduling service. All methods are
 // safe for concurrent use.
 type Scheduler struct {
@@ -456,40 +447,36 @@ func (s *Scheduler) NumShards() int { return len(s.shards) }
 // task joins the next scheduling epoch; wait on Handle.Done for its
 // resources.
 func (s *Scheduler) Submit(shard int, t system.Task) (*Handle, error) {
-	h := &Handle{}
-	if err := s.admit(shard, &h.job, t, nil); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return s.SubmitCtx(context.Background(), shard, t)
 }
 
-// admit is the shared front of Submit and SubmitGang (members nil means
-// the singleton t). Validation — shard and processor range, task checks,
-// a gang's member count and distinct processors — and the degraded
-// admission test run here, before the job consumes a batch slot: the
-// summed demand must fit the shard's surviving capacity (resources lost
-// to hardware faults, or stranded behind failed switchboxes, cannot
-// complete an acquisition until repaired), every type against its own
-// stock, which also refuses a type the fabric never stocked.
-func (s *Scheduler) admit(shard int, j *job, t system.Task, members []system.Task) error {
+// admit is the shared front of every submission: o is the job's opSubmit.
+// A context that has already ended refuses it (it consumes no queue slot
+// and never counts as Submitted). Validation — shard and processor range,
+// task checks, distinct processors — and the degraded admission test run
+// here, before the job consumes a batch slot: the summed demand must fit
+// the shard's surviving capacity (resources lost to hardware faults, or
+// stranded behind failed switchboxes, cannot complete an acquisition until
+// repaired), every type against its own stock, which also refuses a type
+// the fabric never stocked. An admitted job is watched for ctx's end
+// (watchCtx).
+func (s *Scheduler) admit(ctx context.Context, shard int, o op) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("sched: %w: %w", ErrTaskCanceled, err)
+	}
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("sched: shard %d out of range [0,%d)", shard, len(s.shards))
 	}
-	sh := s.shards[shard]
-	o := op{kind: opSubmit, j: j, task: t}
-	var err error
-	if members == nil {
-		err = sh.validate(t)
-	} else {
-		o.members, err = sh.validateGang(members)
-	}
-	if err != nil {
+	sh, j := s.shards[shard], o.j
+	// The System would refuse a malformed submission too, but only on the
+	// shard goroutine, after it took a batch slot.
+	if err := system.ValidateMembers(o.tasks(), sh.procs, sh.ress); err != nil {
 		s.o.rejected.Inc()
 		return fmt.Errorf("sched: shard %d: %w", shard, err)
 	}
-	j.describe(t, o.members)
+	j.describe(o.tasks())
 	sh.mu.Lock()
-	err = j.demand.Shortfall(sh.usable)
+	err := j.demand.Shortfall(sh.usable)
 	sh.mu.Unlock()
 	if err != nil {
 		s.o.rejected.Inc()
@@ -502,15 +489,10 @@ func (s *Scheduler) admit(shard int, j *job, t system.Task, members []system.Tas
 	if s.o.enabled {
 		j.submitNano = nowNano()
 	}
-	return s.send(sh, o)
-}
-
-// ctxLive refuses a submission whose context has already ended: it must
-// consume no queue slot and never count as Submitted.
-func ctxLive(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("sched: %w: %w", ErrTaskCanceled, err)
+	if err := s.send(sh, o); err != nil {
+		return err
 	}
+	s.watchCtx(ctx, j)
 	return nil
 }
 
@@ -539,14 +521,11 @@ func (s *Scheduler) watchCtx(ctx context.Context, j *job) {
 // is best-effort against a racing grant: if Done closes with a nil Err,
 // the client owns the resources and must still call EndService.
 func (s *Scheduler) SubmitCtx(ctx context.Context, shard int, t system.Task) (*Handle, error) {
-	if err := ctxLive(ctx); err != nil {
+	h := &Handle{}
+	if err := s.admit(ctx, shard, op{kind: opSubmit, j: &h.job, one: [1]system.Task{t}}); err != nil {
 		return nil, err
 	}
-	h, err := s.Submit(shard, t)
-	if err == nil {
-		s.watchCtx(ctx, &h.job)
-	}
-	return h, err
+	return h, nil
 }
 
 // EndService releases every resource a finished task holds. It may only

@@ -45,26 +45,38 @@ func appendVector(dst Demand, needs map[int]int) Demand {
 	for ty, n := range needs {
 		dst = append(dst, DemandEntry{Type: ty, Count: n})
 	}
-	slices.SortFunc(dst[base:], func(a, b DemandEntry) int { return cmp.Compare(a.Type, b.Type) })
+	slices.SortFunc(dst[base:], byType)
 	return dst
 }
 
+func byType(a, b DemandEntry) int { return cmp.Compare(a.Type, b.Type) }
+
 // GangDemand sums the members' demand per type: a gang's members hold
 // their units together, so admission tests the whole sum at once.
-func GangDemand(members []Task) Demand {
-	var sum Demand
-	var one [1]DemandEntry
+func GangDemand(members []Task) Demand { return AppendGangDemand(nil, members) }
+
+// AppendGangDemand is GangDemand appending to dst, so a caller with inline
+// backing for the few types a task alone names allocates nothing.
+func AppendGangDemand(dst Demand, members []Task) Demand {
+	base := len(dst)
 	for _, t := range members {
-		for _, e := range t.AppendDemand(one[:0]) {
-			i, found := slices.BinarySearchFunc(sum, e.Type, func(d DemandEntry, ty int) int { return cmp.Compare(d.Type, ty) })
-			if found {
-				sum[i].Count += e.Count
-			} else {
-				sum = slices.Insert(sum, i, e)
-			}
+		dst = t.AppendDemand(dst)
+	}
+	sum := dst[base:]
+	for i := 1; i < len(sum); i++ { // insertion sort: a member's own demand comes sorted
+		for j := i; j > 0 && sum[j].Type < sum[j-1].Type; j-- {
+			sum[j], sum[j-1] = sum[j-1], sum[j]
 		}
 	}
-	return sum
+	out := sum[:0]
+	for _, e := range sum {
+		if n := len(out); n > 0 && out[n-1].Type == e.Type {
+			out[n-1].Count += e.Count
+		} else {
+			out = append(out, e)
+		}
+	}
+	return dst[:base+len(out)]
 }
 
 // Total reports the unit demand summed over all types.

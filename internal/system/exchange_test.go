@@ -27,7 +27,7 @@ func predictExchanges(s *System, pr *prediction, hypo *hypoState) {
 		tasks = append(tasks, t)
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].seq < tasks[j].seq })
-	acquiring := func(t *taskState) bool { return t.gang == nil && t.remaining() > 0 }
+	acquiring := func(t *taskState) bool { return len(t.ent.members) == 1 && t.remaining() > 0 }
 	var benefs []*taskState
 	for _, t := range tasks {
 		p := t.task.Proc
@@ -266,7 +266,7 @@ func runExchangeTrace(t *testing.T, rng *rand.Rand, net *topology.Network, av Av
 			}
 			pre := map[TaskID]before{}
 			for ts := range sys.tasks() {
-				pre[ts.id] = before{ts.task.Tier, ts.remaining(), ts.gang != nil}
+				pre[ts.id] = before{ts.task.Tier, ts.remaining(), len(ts.ent.members) > 1}
 			}
 			avail := snapshotAvail(sys, prefs)
 			r, err := sys.Cycle()

@@ -21,12 +21,12 @@ import (
 
 // FailLink marks a link failed and severs the circuits crossing it. It
 // returns the IDs of tasks whose in-flight units were lost (each such
-// task is back at its queue head requesting the unit again).
+// task is back at its queue head requesting the unit again; see settle).
 func (s *System) FailLink(id int) ([]TaskID, error) {
 	if err := s.net.FailLink(id); err != nil {
 		return nil, err
 	}
-	return s.resetGangsOf(s.severBroken()), nil
+	return s.settle(s.severBroken()), nil
 }
 
 // RepairLink clears a link fault.
@@ -38,7 +38,7 @@ func (s *System) FailBox(id int) ([]TaskID, error) {
 	if err := s.net.FailBox(id); err != nil {
 		return nil, err
 	}
-	return s.resetGangsOf(s.severBroken()), nil
+	return s.settle(s.severBroken()), nil
 }
 
 // RepairBox clears a switchbox fault.
@@ -50,21 +50,20 @@ func (s *System) RepairBox(id int) error { return s.net.RepairBox(id) }
 // one). A fully provisioned task keeps the unit — its acquisition
 // contract is already complete — and the fault takes effect when
 // EndService returns the resource, which then never re-enters the free
-// pool until repaired.
+// pool until repaired. A gang member's unit is safe only once the whole
+// gang holds its complete set.
 func (s *System) FailResource(r int) ([]TaskID, error) {
 	if err := s.flipResource(r, s.net.FailResource, -1); err != nil {
 		return nil, err
 	}
 	affected := s.severBroken()
 	if id := s.resHolder[r]; id != -1 {
-		// Still-acquiring is gang-granular: a member's unit is only safe
-		// once the whole gang holds its complete set.
-		if t := s.task(id); t != nil && (t.remaining() > 0 || s.gangAcquiring(t)) {
+		if t := s.task(id); t != nil && !t.ent.provisioned() {
 			s.revokeUnit(t, r)
 			affected = append(affected, id)
 		}
 	}
-	return s.resetGangsOf(affected), nil
+	return s.settle(affected), nil
 }
 
 // RepairResource clears a resource fault, returning the resource to the
@@ -112,8 +111,9 @@ func (s *System) CheckFault(op FaultOp) error {
 }
 
 // ApplyFault dispatches one FaultOp to the matching Fail/Repair method
-// and returns the tasks whose units it severed or revoked (nil for
-// repairs). An op CheckFault refuses changes nothing.
+// and returns the tasks whose units it severed or revoked, or whose gang
+// it reset (settle; nil for repairs). An op CheckFault refuses changes
+// nothing.
 func (s *System) ApplyFault(op FaultOp) ([]TaskID, error) {
 	if err := s.CheckFault(op); err != nil {
 		return nil, err
@@ -202,7 +202,8 @@ func (s *System) sever(t *taskState, c topology.Circuit) {
 // queue head with its remaining count restored — the next cycle re-requests
 // the lost unit on whatever capacity survives. It walks the tasks in slot
 // order, so which unit goes first is a function of the System's state.
-// Returns the affected task IDs in ascending order.
+// Returns the affected task IDs, in slot order, once per unit (settle
+// sorts them).
 func (s *System) severBroken() []TaskID {
 	var affected []TaskID
 	for t := range s.tasks() {
@@ -218,7 +219,6 @@ func (s *System) severBroken() []TaskID {
 		}
 		t.circuits = kept
 	}
-	slices.Sort(affected)
 	return affected
 }
 
@@ -238,14 +238,16 @@ func (s *System) revokeUnit(t *taskState, r int) {
 			}
 		}
 		// The ledger follows: the unit is owed again and leaves the entity's
-		// row, and a singleton left holding nothing is no longer committed.
+		// row, and an entity left holding nothing is no longer committed
+		// (rule 1, DESIGN.md §18; a gang that lost a unit is reset in the
+		// same operation, which closes its row whatever it still holds).
 		l := &s.led
 		l.owed++
 		c := s.cell(t, r)
 		l.rem[c]++
 		l.held[c]--
-		if t.gang == nil && len(t.held) == 0 {
-			l.closeRow(&t.row)
+		if row := c - c%len(l.types); allZero(l.held[row : row+len(l.types)]) {
+			l.closeRow(&t.ent.row)
 		}
 	}
 	if s.resHolder[r] == t.id {

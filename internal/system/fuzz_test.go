@@ -120,9 +120,9 @@ func FuzzSubmitCycle(f *testing.F) {
 }
 
 // FuzzGangSubmit fuzzes the gang life cycle — SubmitGang, Cycle,
-// EndTransmission, EndGangService, CancelGang — interleaved with
-// singleton traffic and hardware faults, asserting the all-or-nothing
-// contract after every step:
+// EndTransmission, EndGangService, CancelGang — interleaved with the
+// singleton life cycle — Submit, EndService, Cancel — and hardware faults,
+// asserting the all-or-nothing contract after every step:
 //
 //   - a gang that has not been activated (or was reset by a fault) holds
 //     nothing on any member;
@@ -140,6 +140,9 @@ func FuzzGangSubmit(f *testing.F) {
 	// repair, cycle, end service.
 	f.Add([]byte{0x00, 0x01, 0x06, 0x01, 0x0e, 0x01, 0x02, 0x0a, 0x12, 0x1a, 0x03})
 	f.Add([]byte{0x07, 0x27, 0x00, 0x38, 0x01, 0x01, 0x04, 0x05, 0x01, 0x02, 0x03, 0x04})
+	// Singleton life cycle beside a gang: submit two, cycle, end one, cancel
+	// the other mid-acquisition, end the gang.
+	f.Add([]byte{0x01, 0x07, 0x2f, 0x00, 0x01, 0x02, 0x0a, 0x12, 0x1a, 0x47, 0x01, 0x8f, 0x01, 0x02, 0x0a, 0x03})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<12 {
 			return
@@ -154,7 +157,7 @@ func FuzzGangSubmit(f *testing.F) {
 			t.Fatal(err)
 		}
 		s := audit(t, raw) // the ledger differential rides every operation
-		var ids []TaskID
+		var ids, singles []TaskID
 		var gids []GangID
 		for _, b := range ops {
 			switch b & 0x07 {
@@ -197,9 +200,17 @@ func FuzzGangSubmit(f *testing.F) {
 				} else if _, err := s.FailResource(r); err != nil {
 					t.Fatalf("fail resource %d: %v", r, err)
 				}
-			case 7: // singleton traffic rides along
-				if id, err := s.Submit(Task{Proc: int(b>>3) & 0x03, Need: 1 + int(b>>5)&1}); err == nil {
-					ids = append(ids, id)
+			case 7: // singleton traffic rides along: bits 6-7 pick submit, end or cancel
+				switch {
+				case b>>6 == 1 && len(singles) > 0:
+					_ = s.EndService(singles[int(b>>3)&0x07%len(singles)])
+				case b>>6 == 2 && len(singles) > 0:
+					_ = s.Cancel(singles[int(b>>3)&0x07%len(singles)])
+				case b>>6 == 0 || b>>6 == 3:
+					if id, err := s.Submit(Task{Proc: int(b>>3) & 0x03, Need: 1 + int(b>>5)&1}); err == nil {
+						ids = append(ids, id)
+						singles = append(singles, id)
+					}
 				}
 			}
 			checkInvariants(t, s, net, ids)

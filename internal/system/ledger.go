@@ -4,11 +4,12 @@ import "slices"
 
 // The banker's ledger (DESIGN.md §22). The banker's condition is a question
 // about three things: how many healthy units of each type nobody holds, who
-// is committed — every singleton holding at least one unit, every active
-// gang as ONE composite, because its members release nothing until all of
-// them are provisioned — and what each of those still needs and already
-// holds. None of it changes except where a unit moves, a gang passes or
-// re-enters the activation gate, or an unheld resource fails or heals, so
+// is committed — every entity (a task alone, or a gang as ONE composite,
+// because its members release nothing until all of them are provisioned)
+// from its first unit or its activation on — and what each of those still
+// needs and already holds. None of it changes except where a unit moves, a
+// gang passes or re-enters the activation gate, or an unheld resource
+// fails or heals, so
 // it is kept current at exactly those sites instead of being rebuilt from a
 // walk over every task on every cycle: the §IV status bus is state every
 // server keeps current and the scheduler only reads.
@@ -29,9 +30,9 @@ type ledger struct {
 
 	// The committed entities, one row of len(types) counts each: rem is
 	// what the entity still has to acquire, held what finishing it would
-	// release. owner[e] is where row e's owner — a singleton's taskState or
-	// a gang's gangState — keeps the row's number, so closing a row can
-	// move the last one into its place and tell that one's owner.
+	// release. owner[e] is where row e's entity keeps the row's number, so
+	// closing a row can move the last one into its place and tell that
+	// one's entity.
 	rem, held []int
 	owner     []*int
 
@@ -68,13 +69,13 @@ func (l *ledger) typeIndex(ty int) int {
 	return i
 }
 
-// openRow commits an entity holding have against demand (nil: nothing yet).
-// The row's number is written through owner, now and whenever closeRow
-// moves the row.
-func (l *ledger) openRow(owner *int, demand Demand, have []int) {
+// openRow commits an entity holding nothing yet against its demand. The
+// row's number is written through owner, now and whenever closeRow moves
+// the row.
+func (l *ledger) openRow(owner *int, demand Demand) {
 	*owner = len(l.owner)
 	l.owner = append(l.owner, owner)
-	l.rem, l.held = l.appendRow(l.rem, l.held, demand, have)
+	l.rem, l.held = l.appendRow(l.rem, l.held, demand)
 }
 
 // closeRow drops the row *owner names (no-op at -1): the last row takes its
@@ -95,36 +96,29 @@ func (l *ledger) closeRow(owner *int) {
 	*owner = -1
 }
 
-// appendRow appends one entity's row to a rem/held pair: per demanded type,
-// what it still has to acquire and what it holds.
-func (l *ledger) appendRow(rem, held []int, demand Demand, have []int) ([]int, []int) {
+// appendRow appends the row of an entity holding nothing to a rem/held
+// pair: per demanded type, what it has to acquire.
+func (l *ledger) appendRow(rem, held []int, demand Demand) ([]int, []int) {
 	base := len(rem)
 	for range l.types {
 		rem, held = append(rem, 0), append(held, 0)
 	}
-	for i, d := range demand {
-		ty := base + l.typeIndex(d.Type)
-		rem[ty] = d.Count
-		if have != nil {
-			rem[ty], held[ty] = d.Count-have[i], have[i]
-		}
+	for _, d := range demand {
+		rem[base+l.typeIndex(d.Type)] = d.Count
 	}
 	return rem, held
 }
 
 // cell is where, in rem and held, a task's entity keeps its count of
-// resource r's type. The entity is the task's gang (an active gang is
-// committed from activation, holding nothing) or the task itself, whose row
-// opens on its first unit.
+// resource r's type. An entity not committed yet — a task alone, on its
+// first unit; an active gang is committed from activation on — holds
+// nothing, and its row opens here.
 func (s *System) cell(t *taskState, r int) int {
-	row := t.row
-	if t.gang != nil {
-		row = t.gang.row
-	} else if row < 0 {
-		s.led.openRow(&t.row, t.demand, t.have)
-		row = t.row
+	e := t.ent
+	if e.row < 0 {
+		s.led.openRow(&e.row, e.demand)
 	}
-	return row*len(s.led.types) + s.led.resTy[r]
+	return e.row*len(s.led.types) + s.led.resTy[r]
 }
 
 // acquire books a granted resource to a task: the one place a unit is
@@ -217,10 +211,10 @@ func (l *ledger) openTrial() *trial {
 	return tr
 }
 
-// push appends an entity's row (see ledger.appendRow) and returns its
-// number.
-func (tr *trial) push(l *ledger, demand Demand, have []int) int {
-	tr.rem, tr.held = l.appendRow(tr.rem, tr.held, demand, have)
+// push appends the row of an entity holding nothing (see
+// ledger.appendRow) and returns its number.
+func (tr *trial) push(l *ledger, demand Demand) int {
+	tr.rem, tr.held = l.appendRow(tr.rem, tr.held, demand)
 	tr.rows++
 	return tr.rows - 1
 }
@@ -387,13 +381,11 @@ func (s *System) admit(tr *trial, t *taskState) bool {
 	if tr.free[ty] == 0 || !tr.baseSafe() {
 		return false
 	}
-	e, fresh := t.row, false
-	if t.gang != nil {
-		e = t.gang.row
-	} else if e < 0 {
-		// First contact with an uncommitted singleton (gang members are
-		// committed through their composite from activation on).
-		e, fresh = tr.push(&s.led, t.demand, t.have), true
+	e, fresh := t.ent.row, false
+	if e < 0 {
+		// First contact with an uncommitted task alone (an active gang is
+		// committed from activation on).
+		e, fresh = tr.push(&s.led, t.ent.demand), true
 	}
 	rem, held := tr.row(tr.rem, e), tr.row(tr.held, e)
 	if !tr.wasRefused(ty, rem) {

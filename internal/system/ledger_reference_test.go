@@ -54,7 +54,7 @@ func (t *taskState) entityAdd(e *hypoEntity) {
 
 // hypothetical snapshots the current allocation state. Gangs in also count
 // as active: the gate's earlier admissions of the cycle being predicted.
-func (s *System) hypothetical(also map[*gangState]bool) *hypoState {
+func (s *System) hypothetical(also map[*entity]bool) *hypoState {
 	h := &hypoState{freeByType: map[int]int{}, byTask: map[TaskID]*hypoEntity{}}
 	for r := 0; r < s.net.Ress; r++ {
 		// A failed resource is not free capacity: counting it would let
@@ -63,7 +63,7 @@ func (s *System) hypothetical(also map[*gangState]bool) *hypoState {
 			h.freeByType[s.resType(r)]++
 		}
 	}
-	gangEnt := map[*gangState]*hypoEntity{}
+	gangEnt := map[*entity]*hypoEntity{}
 	// Ascending task order, so a failure reads the same on every run.
 	ids := make([]TaskID, 0, s.Pending())
 	for t := range s.tasks() {
@@ -72,8 +72,8 @@ func (s *System) hypothetical(also map[*gangState]bool) *hypoState {
 	slices.Sort(ids)
 	for _, id := range ids {
 		t := s.task(id)
-		if g := t.gang; g != nil {
-			if !g.active && !also[g] {
+		if g := t.ent; len(g.members) > 1 {
+			if g.atGate && !also[g] {
 				continue // gated members hold nothing and are not committed
 			}
 			// Members of an active gang are committed even while holding
@@ -189,19 +189,15 @@ type prediction struct {
 // the admissions — without touching the System.
 func predictCycle(s *System) prediction {
 	pr := prediction{requests: make([]*taskState, s.net.Procs)}
-	admitted := map[*gangState]bool{}
+	admitted := map[*entity]bool{}
 	usable := s.usableResources()
-	for _, gid := range s.gangPending {
-		g := s.gangs[gid]
-		if g == nil {
-			continue // canceled while pending
-		}
+	for _, g := range s.gangPending {
 		if _, _, ok := g.demand.Fits(usable); !ok {
 			continue // unsatisfiable at this fault epoch: skipped in place
 		}
 		cand := newHypoEntity()
-		for _, id := range g.members {
-			s.task(id).entityAdd(cand)
+		for _, t := range g.members {
+			t.entityAdd(cand)
 		}
 		hypo := s.hypothetical(admitted)
 		hypo.entities = append(hypo.entities, cand)
@@ -209,10 +205,14 @@ func predictCycle(s *System) prediction {
 			break
 		}
 		admitted[g] = true
-		pr.activated = append(pr.activated, gid)
+		pr.activated = append(pr.activated, GangID(g.members[0].id))
+	}
+	gangs := false
+	for t := range s.tasks() {
+		gangs = gangs || len(t.ent.members) > 1
 	}
 	var hypo *hypoState
-	if s.cfg.Avoidance == AvoidanceBankers || len(s.gangs) > 0 {
+	if s.cfg.Avoidance == AvoidanceBankers || gangs {
 		hypo = s.hypothetical(admitted)
 	}
 	for p := range pr.requests {
@@ -223,8 +223,9 @@ func predictCycle(s *System) prediction {
 			if t.remaining() <= 0 {
 				continue
 			}
-			active := t.gang != nil && (t.gang.active || admitted[t.gang])
-			if t.gang != nil && !active {
+			gang := len(t.ent.members) > 1
+			active := gang && (!t.ent.atGate || admitted[t.ent])
+			if gang && !active {
 				continue // gated
 			}
 			if qi > 0 && !active {
@@ -446,40 +447,53 @@ func ledgerMismatch(s *System) error {
 		}
 		return nil
 	}
-	committed := 0
+	// The commit rules: a task alone is committed while it holds a unit, a
+	// gang while it is past the gate, whatever it holds. Each entity is
+	// checked at its first member, which carries it.
+	committed, joined, gated := 0, 0, 0
 	for t := range s.tasks() {
-		id := t.id
-		if t.gang != nil || len(t.held) == 0 {
-			if t.row != -1 {
-				return fmt.Errorf("task %d (gang member %v, holding %d) has row %d, want none", id, t.gang != nil, len(t.held), t.row)
-			}
+		g := t.ent
+		if !slices.Contains(g.members, t) || g.members[0].ent != &g.members[0].own {
+			return fmt.Errorf("task %d's entity %v does not list it, or is not carried by its first member", t.id, g.members)
+		}
+		if g.members[0] != t {
 			continue
 		}
-		committed++
+		joined += len(g.members) - 1
 		want := newHypoEntity()
-		t.entityAdd(want)
-		if err := rowIs(fmt.Sprintf("task %d", id), t.row, want); err != nil {
-			return err
+		for _, m := range g.members {
+			m.entityAdd(want)
 		}
-	}
-	for gid, g := range s.gangs {
-		if !g.active {
+		who := fmt.Sprintf("task %d", t.id)
+		isCommitted := len(t.held) > 0
+		if len(g.members) > 1 {
+			who = fmt.Sprintf("gang %d", t.id)
+			isCommitted = !g.atGate
+			if g.atGate {
+				gated++
+				if !slices.Contains(s.gangPending, g) {
+					return fmt.Errorf("gated %s is not in the gate's FIFO", who)
+				}
+			}
+		} else if g.atGate {
+			return fmt.Errorf("%s alone is gated", who)
+		}
+		if !isCommitted {
 			if g.row != -1 {
-				return fmt.Errorf("gated gang %d has row %d, want none", gid, g.row)
+				return fmt.Errorf("%s (holding %v) has row %d, want none", who, want.held, g.row)
 			}
 			continue
 		}
 		committed++
-		want := newHypoEntity()
-		for _, id := range g.members {
-			s.task(id).entityAdd(want)
-		}
-		if err := rowIs(fmt.Sprintf("gang %d", gid), g.row, want); err != nil {
+		if err := rowIs(who, g.row, want); err != nil {
 			return err
 		}
 	}
 	if committed != len(l.owner) {
 		return fmt.Errorf("%d rows for %d committed entities", len(l.owner), committed)
+	}
+	if joined != s.joined || gated != len(s.gangPending) {
+		return fmt.Errorf("joined %d and %d gangs gated, the entities say %d and %d", s.joined, len(s.gangPending), joined, gated)
 	}
 
 	// As a multiset against the snapshot the banker used to rebuild.

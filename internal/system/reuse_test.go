@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -11,71 +12,104 @@ import (
 
 // taskView is everything a task record shows but its ID: what Holding and
 // Remaining report, the normalised demand and the per-entry counts held
-// against it, the circuits it keeps, its gang, and its ledger row (nil
-// while it has none).
+// against it, the circuits it keeps, and its entity — how many members,
+// whether this record carries it, whether it waits at the gate, its summed
+// demand and its ledger row (nil while it has none).
 type taskView struct {
 	Holding   []int
 	Remaining int
 	Demand    Demand
 	Have      []int
 	Circuits  int
-	Gang      bool
+	Members   int
+	Head      bool
+	AtGate    bool
+	Sum       Demand
 	Rem, Held []int
 }
 
 func viewOf(s *System, id TaskID) taskView {
 	t := s.task(id)
+	e := t.ent
 	v := taskView{
 		Holding:   s.Holding(id),
 		Remaining: s.Remaining(id),
 		Demand:    slices.Clone(t.demand),
 		Have:      slices.Clone(t.have),
 		Circuits:  len(t.circuits),
-		Gang:      t.gang != nil,
+		Members:   len(e.members),
+		Head:      e == &t.own,
+		AtGate:    e.atGate,
+		Sum:       slices.Clone(e.demand),
 	}
-	if t.row >= 0 {
+	if e.row >= 0 {
 		n := len(s.led.types)
-		v.Rem = slices.Clone(s.led.rem[t.row*n : (t.row+1)*n])
-		v.Held = slices.Clone(s.led.held[t.row*n : (t.row+1)*n])
+		v.Rem = slices.Clone(s.led.rem[e.row*n : (e.row+1)*n])
+		v.Held = slices.Clone(s.led.held[e.row*n : (e.row+1)*n])
 	}
 	return v
 }
 
-// probeViews submits the probe task to an otherwise empty System, grants it
-// to completion one round at a time and ends its service, viewing its record
-// after the submit, after every cycle and after every round's transmissions.
-func probeViews(t *testing.T, s audited, probe Task) []taskView {
+// probeViews submits the probe — one task alone, or a gang — to an otherwise
+// empty System, grants it to completion one round at a time and ends its
+// service, viewing every member's record after the submit, after every
+// cycle and after every round's transmissions.
+func probeViews(t *testing.T, s audited, probe []Task) [][]taskView {
 	t.Helper()
-	id := submit(t, s, probe)
-	views := []taskView{viewOf(s.System, id)}
-	for round := 0; s.Remaining(id) > 0; round++ {
+	var ids []TaskID
+	var gid GangID
+	if len(probe) == 1 {
+		ids = []TaskID{submit(t, s, probe[0])}
+		gid = GangID(ids[0])
+	} else {
+		var err error
+		if gid, ids, err = s.SubmitGang(probe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view := func() []taskView {
+		var vs []taskView
+		for _, id := range ids {
+			vs = append(vs, viewOf(s.System, id))
+		}
+		return vs
+	}
+	views := [][]taskView{view()}
+	for round := 0; !s.GangProvisioned(gid); round++ {
 		if round == 8 {
-			t.Fatalf("probe still needs %d after %d rounds", s.Remaining(id), round)
+			t.Fatalf("probe %v not provisioned after %d rounds", ids, round)
 		}
 		r, err := s.Cycle()
 		if err != nil {
 			t.Fatal(err)
 		}
-		views = append(views, viewOf(s.System, id))
+		views = append(views, view())
 		for _, a := range r.Mapping.Assigned {
 			if err := s.EndTransmission(a.Req.Proc); err != nil {
 				t.Fatal(err)
 			}
 		}
-		views = append(views, viewOf(s.System, id))
+		views = append(views, view())
 	}
-	if err := s.EndService(id); err != nil {
+	end := s.EndService
+	if len(ids) > 1 {
+		end = func(TaskID) error { return s.EndGangService(gid) }
+	}
+	if err := end(ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	return views
 }
 
 // TestReusedTaskStateStartsClean holds the reuse invariant of DESIGN.md
-// §23: a task record retired by any path — EndService, Cancel, CancelGang,
-// EndGangService, the withdrawal of a gang a fault reset and of a task a
-// tier exchange took a unit from — is reused by the next submission, which
-// then reads exactly as the same submission does on a fresh System, at
-// every step from its submit to its release.
+// §23: a task record retired by any path — EndService, Cancel, CancelGang
+// past the gate and at it, EndGangService, the withdrawal of a gang a fault
+// reset and of a task a tier exchange took a unit from — is reused by the
+// next submission, which then reads exactly as the same submission does on
+// a fresh System, at every step from its submit to its release. Each path
+// is probed with a task alone and with a gang, so a record changes kind —
+// a gang's first member, which carries the gang, becomes a task alone, and
+// a task alone becomes a gang's first member — as well as keeping it.
 func TestReusedTaskStateStartsClean(t *testing.T) {
 	typedNet := func() Config {
 		net := topology.Omega(8)
@@ -89,6 +123,8 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 		return Config{Net: topology.Crossbar(3, 3), Discipline: MinCost, Preempt: true}
 	}
 	typedProbe := Task{Proc: 6, Needs: map[int]int{1: 2, 2: 1}}
+	typedProbes := [][]Task{{typedProbe}, {typedProbe, {Proc: 7, Needs: map[int]int{0: 1}}}}
+	exchangeProbes := [][]Task{{{Proc: 0, Need: 2}}, {{Proc: 0, Need: 2}, {Proc: 1}}}
 	cycleOnly := func(t *testing.T, s audited) {
 		t.Helper()
 		if _, err := s.Cycle(); err != nil {
@@ -113,17 +149,17 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 	cases := []struct {
 		name   string
 		cfg    func() Config
-		probe  Task
+		probes [][]Task
 		retire func(t *testing.T, s audited) // leaves s empty, its last retirement the path under test
 	}{
-		{"EndService", typedNet, typedProbe, func(t *testing.T, s audited) {
+		{"EndService", typedNet, typedProbes, func(t *testing.T, s audited) {
 			id := submit(t, s, Task{Proc: 2, Needs: map[int]int{0: 2, 1: 1, 2: 1}})
 			for s.Remaining(id) > 0 {
 				grantRound(t, s)
 			}
 			must(t, s.EndService(id))
 		}},
-		{"Cancel of a partly held typed task with an established circuit", typedNet, typedProbe, func(t *testing.T, s audited) {
+		{"Cancel of a partly held typed task with an established circuit", typedNet, typedProbes, func(t *testing.T, s audited) {
 			id := submit(t, s, Task{Proc: 2, Needs: map[int]int{0: 2, 1: 1, 2: 1}})
 			grantRound(t, s)
 			cycleOnly(t, s)
@@ -132,7 +168,7 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 			}
 			must(t, s.Cancel(id))
 		}},
-		{"CancelGang", typedNet, typedProbe, func(t *testing.T, s audited) {
+		{"CancelGang", typedNet, typedProbes, func(t *testing.T, s audited) {
 			gid, ids := gang(t, s)
 			grantRound(t, s)
 			if len(s.Holding(ids[1])) != 1 {
@@ -140,14 +176,21 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 			}
 			must(t, s.CancelGang(gid))
 		}},
-		{"EndGangService", typedNet, typedProbe, func(t *testing.T, s audited) {
+		{"CancelGang at the gate", typedNet, typedProbes, func(t *testing.T, s audited) {
+			gid, _ := gang(t, s)
+			if s.GangActive(gid) || s.PendingGangs() != 1 {
+				t.Fatalf("set-up: gang active=%v with %d pending; want it gated", s.GangActive(gid), s.PendingGangs())
+			}
+			must(t, s.CancelGang(gid))
+		}},
+		{"EndGangService", typedNet, typedProbes, func(t *testing.T, s audited) {
 			gid, _ := gang(t, s)
 			for !s.GangProvisioned(gid) {
 				grantRound(t, s)
 			}
 			must(t, s.EndGangService(gid))
 		}},
-		{"fault-reset gang", typedNet, typedProbe, func(t *testing.T, s audited) {
+		{"fault-reset gang", typedNet, typedProbes, func(t *testing.T, s audited) {
 			gid, ids := gang(t, s)
 			cycleOnly(t, s)
 			link := s.task(ids[0]).circuits[0].Links[0]
@@ -160,7 +203,7 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 			cycleOnly(t, s)
 			must(t, s.CancelGang(gid))
 		}},
-		{"preemption withdrawal", exchangeNet, Task{Proc: 0, Need: 2}, func(t *testing.T, s audited) {
+		{"preemption withdrawal", exchangeNet, exchangeProbes, func(t *testing.T, s audited) {
 			v := submit(t, s, Task{Proc: 0, Tier: 2, Need: 3})
 			grantRound(t, s)
 			grantRound(t, s)
@@ -180,23 +223,27 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			raw, err := New(c.cfg())
-			must(t, err)
-			s := audit(t, raw)
-			c.retire(t, s)
-			if s.Pending() != 0 || len(s.spare) == 0 {
-				t.Fatalf("set-up left %d tasks pending and %d records retired", s.Pending(), len(s.spare))
-			}
-			reused := s.spare[len(s.spare)-1]
-			got := probeViews(t, s, c.probe)
-			if s.spare[len(s.spare)-1] != reused {
-				t.Fatal("the probe was not given the last retired record")
-			}
-			fresh, err := New(c.cfg())
-			must(t, err)
-			want := probeViews(t, audit(t, fresh), c.probe)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("a reused record reads\n%+v\nthe same submission on a fresh System\n%+v", got, want)
+			for _, probe := range c.probes {
+				t.Run(fmt.Sprintf("probe of %d", len(probe)), func(t *testing.T) {
+					raw, err := New(c.cfg())
+					must(t, err)
+					s := audit(t, raw)
+					c.retire(t, s)
+					if s.Pending() != 0 || len(s.spare) == 0 {
+						t.Fatalf("set-up left %d tasks pending and %d records retired", s.Pending(), len(s.spare))
+					}
+					reused := s.spare[len(s.spare)-1]
+					got := probeViews(t, s, probe)
+					if s.spare[len(s.spare)-1] != reused {
+						t.Fatal("the probe's first member was not given the last retired record")
+					}
+					fresh, err := New(c.cfg())
+					must(t, err)
+					want := probeViews(t, audit(t, fresh), probe)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("a reused record reads\n%+v\nthe same submission on a fresh System\n%+v", got, want)
+					}
+				})
 			}
 		})
 	}

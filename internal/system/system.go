@@ -211,8 +211,8 @@ type taskState struct {
 	held   []int  // resources acquired so far
 
 	circuits []topology.Circuit // established and not yet released; the last is the one transmitting
-	gang     *gangState         // the gang this task is a member of, or nil
-	row      int                // a singleton's row among the ledger's committed entities; -1 while it holds nothing
+	ent      *entity            // the entity the task is a member of: its own, or its first member's
+	own      entity             // the entity this task heads; unused by a gang's later members
 
 	// The record's place in the task table: its slot for life, and the
 	// generation its next ID will carry. id is 0 while the record is
@@ -232,6 +232,19 @@ type taskState struct {
 	circuits1 [1]topology.Circuit
 }
 
+// entity is what the System admits, commits, severs, withdraws and
+// releases as one: a task alone, or a gang of k >= 2 member tasks
+// (DESIGN.md §18). It lives in its first member's record, so a task alone
+// costs nothing beyond its record, and its ID is that member's.
+type entity struct {
+	members []*taskState // in member order; members[0] carries the entity
+	demand  Demand       // summed over members, as its submitter gave it; read-only
+	atGate  bool         // a gang waiting at the activation gate; never a task alone
+	row     int          // the entity's row among the ledger's committed entities; -1 while it is not committed
+
+	members1 [1]*taskState // inline backing for a task alone
+}
+
 // newTaskState makes the record of an admitted task, reusing a retired
 // one, and with it the record's slot, when there is one, so a steady
 // stream of submissions allocates no records and no slices once its
@@ -242,8 +255,9 @@ func (s *System) newTaskState(t Task) *taskState {
 	if n := len(s.spare); n > 0 {
 		ts, s.spare = s.spare[n-1], s.spare[:n-1]
 	} else {
-		ts = &taskState{row: -1, slot: len(s.slots)}
+		ts = &taskState{slot: len(s.slots)}
 		ts.demand, ts.have, ts.held, ts.circuits = ts.demand1[:0], ts.have1[:0], ts.held1[:0], ts.circuits1[:0]
+		ts.own = entity{members: ts.own.members1[:0], row: -1}
 		s.slots = append(s.slots, ts)
 	}
 	ts.task = t
@@ -255,22 +269,26 @@ func (s *System) newTaskState(t Task) *taskState {
 
 // retire keeps the record of a task that has left the System for the next
 // newTaskState: every field reads as a new record's would, and only the
-// backing arrays of its four slices survive, emptied, with its slot. Its
+// backing arrays of its five slices survive, emptied, with its slot. Its
 // ID goes (id 0 matches no ID), so the task table stops answering to it,
 // and the slot's next task gets the next generation. The caller has
 // already dropped the task from every other place that names it — its
-// queue, its ledger row, its processor's transmitter slot — and the cycle
-// scratch that also holds records (taskOf, prefs, the exchange plan) is
-// rebuilt before it is read. A slot that has carried its last generation
-// leaves the table for good. DESIGN.md §23 gives the invariant,
-// TestReusedTaskStateStartsClean and TestReusedSlotRejectsStaleID hold it.
+// queue, its entity's ledger row, the gate's FIFO, its processor's
+// transmitter slot — and the cycle scratch that also holds records
+// (taskOf, prefs, the exchange plan) is rebuilt before it is read. A slot
+// that has carried its last generation leaves the table for good.
+// DESIGN.md §23 gives the invariant, TestReusedTaskStateStartsClean and
+// TestReusedSlotRejectsStaleID hold it.
 func (s *System) retire(t *taskState) {
 	gen := t.gen
 	if t.id != 0 {
 		s.live--
 		gen++
 	}
-	*t = taskState{demand: t.demand[:0], have: t.have[:0], held: t.held[:0], circuits: t.circuits[:0], row: -1, slot: t.slot, gen: gen}
+	members := t.own.members
+	clear(members)
+	*t = taskState{demand: t.demand[:0], have: t.have[:0], held: t.held[:0], circuits: t.circuits[:0],
+		own: entity{members: members[:0], row: -1}, slot: t.slot, gen: gen}
 	if gen > maxGen {
 		s.slots[t.slot] = nil
 		return
@@ -300,6 +318,37 @@ func (s *System) task(id TaskID) *taskState {
 		}
 	}
 	return nil
+}
+
+// entity returns the live entity an ID addresses: the one whose first
+// member it names.
+func (s *System) entity(id TaskID) (*entity, error) {
+	if t := s.task(id); t != nil && t.ent == &t.own {
+		return t.ent, nil
+	}
+	return nil, fmt.Errorf("system: unknown task %d (an entity is addressed by its first member)", id)
+}
+
+// alone is entity for the per-task calls, Cancel and EndService, which
+// refuse a gang: it is withdrawn and released whole, by its GangID.
+func (s *System) alone(id TaskID) (*entity, error) {
+	e, err := s.entity(id)
+	if err == nil && len(e.members) > 1 {
+		return nil, fmt.Errorf("system: task %d heads a gang; the gang is withdrawn and released whole", id)
+	}
+	return e, err
+}
+
+// provisioned reports whether every member of an entity holds its full
+// set: FailResource's still-acquiring rule, and the immunity of Preempt
+// and of the sever reset.
+func (e *entity) provisioned() bool {
+	for _, t := range e.members {
+		if t.remaining() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // tasks yields every live task in slot order.
@@ -354,12 +403,10 @@ type System struct {
 	transmitting []TaskID // per processor: task currently holding a circuit, or -1
 	led          ledger   // the banker's books, moved wherever a unit moves (ledger.go)
 
-	// Gang bookkeeping (see gang.go): gangs by ID (a member's taskState
-	// points at its gang) and the FIFO of gangs still gated before banker's
-	// activation.
-	gangs       map[GangID]*gangState
-	gangPending []GangID
-	nextGang    GangID
+	// Gang bookkeeping (see gang.go): the FIFO of gangs gated before the
+	// banker's activation, and the live entities' members beyond their first.
+	gangPending []*entity
+	joined      int
 
 	// Degraded-capacity census cached per fault epoch.
 	usableCache      map[int]int
@@ -412,7 +459,6 @@ func New(cfg Config) (*System, error) {
 		resHolder:    make([]TaskID, cfg.Net.Ress),
 		transmitting: make([]TaskID, cfg.Net.Procs),
 		taskOf:       make([]*taskState, cfg.Net.Procs),
-		gangs:        make(map[GangID]*gangState),
 		led:          newLedger(cfg.Net.Ress, cfg.Types),
 	}
 	for i := range s.resHolder {
@@ -507,23 +553,53 @@ func (s *System) tokenSolver() solveFunc {
 	}
 }
 
-// Submit queues a task and returns its ID.
+// Submit queues a task and returns its ID: an entity of one.
 func (s *System) Submit(t Task) (TaskID, error) {
-	if t.Proc < 0 || t.Proc >= s.net.Procs {
-		return 0, fmt.Errorf("system: processor %d out of range", t.Proc)
+	one, id := [1]Task{t}, [1]TaskID{}
+	_, err := s.SubmitEntity(one[:], nil, id[:0])
+	return id[0], err
+}
+
+// SubmitEntity is the one submission body, under Submit and SubmitGang:
+// it admits members (ValidateMembers) as one entity whose summed demand
+// must fit the usable census, queues each, and appends their IDs to ids in
+// member order. The first ID, as a GangID, addresses the entity. sum is
+// GangDemand(members), which the System keeps, unwritten, for the
+// entity's life; nil stands for the first member's own demand, the sum of
+// an entity of one.
+func (s *System) SubmitEntity(members []Task, sum Demand, ids []TaskID) ([]TaskID, error) {
+	if err := ValidateMembers(members, s.net.Procs, s.net.Ress); err != nil {
+		return ids, fmt.Errorf("system: %w", err)
 	}
-	if err := ValidateTask(t, s.net.Ress); err != nil {
-		return 0, err
+	if err := s.roomFor(len(members)); err != nil {
+		return ids, err
 	}
-	if err := s.roomFor(1); err != nil {
-		return 0, err
+	head := s.newTaskState(members[0])
+	if sum == nil {
+		sum = head.demand
 	}
-	ts := s.newTaskState(t)
-	if err := s.admissible(ts.demand, "task"); err != nil {
-		s.retire(ts)
-		return 0, err
+	if err := s.admissible(sum); err != nil {
+		s.retire(head)
+		return ids, err
 	}
-	return s.enqueue(ts), nil
+	ids = slices.Grow(ids, len(members))
+	e := &head.own
+	e.demand, e.members = sum, append(e.members, head)
+	for _, t := range members[1:] {
+		e.members = append(e.members, s.newTaskState(t))
+	}
+	for _, t := range e.members {
+		t.ent = e
+		ids = append(ids, s.enqueue(t))
+	}
+	// Rule 1 (DESIGN.md §18): a gang waits at the gate; a task alone is
+	// committed by its first admitted unit.
+	if len(e.members) > 1 {
+		e.atGate = true
+		s.gangPending = append(s.gangPending, e)
+	}
+	s.joined += len(e.members) - 1
+	return ids, nil
 }
 
 // enqueue gives an admitted task its ID, its slot's generation packed
@@ -547,17 +623,17 @@ func (s *System) dequeue(t *taskState) {
 	}
 }
 
-// admissible is the one admission gate, for tasks and gangs alike: the
-// demand must fit the usable census (equal to the configured census on a
-// healthy fabric; resources lost to a fault or stranded behind a failed
-// switchbox cannot complete anyone's acquisition until repaired). A demand
-// no surviving resource set can cover — including a type this deployment
+// admissible is the one admission gate: an entity's summed demand must
+// fit the usable census (equal to the configured census on a healthy
+// fabric; resources lost to a fault or stranded behind a failed switchbox
+// cannot complete anyone's acquisition until repaired). A demand no
+// surviving resource set can cover — including a type this deployment
 // simply does not stock, such as any type but 0 on a fabric without Types —
 // must be refused now, or the banker defers the task forever and it wedges
 // its queue.
-func (s *System) admissible(d Demand, who string) error {
+func (s *System) admissible(d Demand) error {
 	if err := d.Shortfall(s.usableResources()); err != nil {
-		return fmt.Errorf("system: %s: %w", who, err)
+		return fmt.Errorf("system: %w", err)
 	}
 	return nil
 }
@@ -598,29 +674,26 @@ func (t *taskState) reqType() int { return t.demand[t.next()].Type }
 
 // requestCandidate picks the task a processor requests for this cycle,
 // running the banker's admission when tr is non-nil. The queue head is
-// always first in line; behind a head the banker defers (or a head still
-// gated before its gang's activation), members of ACTIVE gangs may bypass
-// it. Activation admitted the gang into the acquiring set — the per-proc
-// FIFO governs entry into that set, not ordering within it — and without
-// the bypass a deferred head wedges the fabric: the banker's promised
-// completion order can require exactly the buried member's grant (see
-// TestGangDifferentialTraces' liveness drain). Without gangs the scan
-// degenerates to the head-only discipline.
+// always first in line; behind a head the banker defers (or a head gated
+// before its gang's activation), members of ACTIVE gangs may bypass it
+// (rule 3, DESIGN.md §18). Activation admitted the gang into the acquiring
+// set — the per-proc FIFO governs entry into that set, not ordering within
+// it — and without the bypass a deferred head wedges the fabric: the
+// banker's promised completion order can require exactly the buried
+// member's grant (see TestGangDifferentialTraces' liveness drain). Without
+// gangs the scan degenerates to the head-only discipline.
 func (s *System) requestCandidate(p int, tr *trial, res *CycleResult) *taskState {
 	if s.transmitting[p] != -1 {
 		return nil
 	}
 	for qi, t := range s.queues[p] {
-		if t.remaining() <= 0 {
+		if t.remaining() <= 0 || t.ent.atGate {
 			continue
 		}
-		if t.gated() {
-			continue
-		}
-		if qi > 0 && !t.activeMember() {
-			// Singletons never bypass: their FIFO contract is
-			// position-for-position, and holding nothing while queued they
-			// cannot wedge anyone. The scan continues past them — an active
+		if qi > 0 && len(t.ent.members) == 1 {
+			// A task alone never bypasses: its FIFO contract is
+			// position-for-position, and holding nothing while queued it
+			// cannot wedge anyone. The scan continues past it — an active
 			// member may be buried deeper.
 			continue
 		}
@@ -645,13 +718,12 @@ func (s *System) Cycle() (*CycleResult, error) {
 	}
 	res := &s.res
 	*res = CycleResult{}
-	// Gangs upgrade the shard to banker's grants for as long as any exist:
-	// activation promised each active gang a completion order, and a greedy
-	// grant (to a singleton or a rival gang's member) could hand away the
-	// units that order depends on — two gangs acquiring concurrently would
-	// wedge in hold-and-wait exactly like unguarded singletons.
+	// Rule 2: gangs upgrade the shard to banker's grants for as long as any
+	// is live: activation promised each active gang a completion order, and
+	// a greedy grant could hand away the units that order depends on — two
+	// gangs acquiring concurrently would wedge in hold-and-wait.
 	var tr *trial
-	if s.cfg.Avoidance == AvoidanceBankers || len(s.gangs) > 0 {
+	if s.cfg.Avoidance == AvoidanceBankers || s.joined > 0 {
 		tr = s.led.openTrial()
 	}
 	// Gangs a fault reset, and pending gangs now safe, join this very cycle.
@@ -764,34 +836,29 @@ func (s *System) EndTransmission(p int) error {
 // does not require the task to be fully provisioned or idle, so a client
 // that abandons a queued or partially-provisioned task (a deadline, a
 // crashed caller) cannot strand its queue-head slot or leak held units.
-func (s *System) Cancel(id TaskID) error {
-	if t := s.task(id); t != nil && t.gang != nil {
-		return fmt.Errorf("system: task %d belongs to gang %d; use CancelGang (the gang is the unit of withdrawal)", id, t.gang.id)
-	}
-	return s.cancelTask(id)
-}
+func (s *System) Cancel(id TaskID) error { return s.withdraw(s.alone(id)) }
 
-// cancelTask is the gang-unaware withdrawal body shared by Cancel and
-// CancelGang.
-func (s *System) cancelTask(id TaskID) error {
-	t := s.task(id)
-	if t == nil {
-		return fmt.Errorf("system: unknown task %d", id)
+// withdraw is the one withdrawal body, under Cancel and CancelGang (err is
+// the entity lookup's): every member leaves its queue, in-flight circuits
+// are torn down and held units return to the pool.
+func (s *System) withdraw(e *entity, err error) error {
+	if err != nil {
+		return err
 	}
-	p := t.task.Proc
-	for _, c := range t.circuits {
-		if err := s.net.Release(c); err != nil {
-			return fmt.Errorf("system: canceling task %d: releasing circuit: %w", id, err)
+	for _, t := range e.members {
+		for _, c := range t.circuits {
+			if err := s.net.Release(c); err != nil {
+				return fmt.Errorf("system: withdrawing task %d: releasing circuit: %w", t.id, err)
+			}
 		}
+		if p := t.task.Proc; s.transmitting[p] == t.id {
+			s.transmitting[p] = -1
+		}
+		s.vacateAll(t)
+		s.led.owed -= t.remaining()
+		s.dequeue(t)
 	}
-	if s.transmitting[p] == id {
-		s.transmitting[p] = -1
-	}
-	s.vacateAll(t)
-	s.led.closeRow(&t.row) // a gang member has none; CancelGang closes the gang's
-	s.led.owed -= t.remaining()
-	s.dequeue(t)
-	s.retire(t)
+	s.leave(e)
 	return nil
 }
 
@@ -799,24 +866,42 @@ func (s *System) cancelTask(id TaskID) error {
 // task's bookkeeping is dropped, so a long-running system does not grow
 // with its service history. A second EndService on the same ID therefore
 // reports the task as unknown.
-func (s *System) EndService(id TaskID) error {
-	t := s.task(id)
-	if t == nil {
-		return fmt.Errorf("system: unknown task %d", id)
+func (s *System) EndService(id TaskID) error { return s.release(s.alone(id)) }
+
+// release is the one release body, under EndService and EndGangService
+// (err is the entity lookup's): every member must be fully provisioned and
+// idle, and all their resources return to the pool together.
+func (s *System) release(e *entity, err error) error {
+	if err != nil {
+		return err
 	}
-	if t.gang != nil {
-		return fmt.Errorf("system: task %d belongs to gang %d; use EndGangService (the gang releases together)", id, t.gang.id)
+	for _, t := range e.members {
+		if t.remaining() != 0 {
+			return fmt.Errorf("system: task %d still needs %d resources", t.id, t.remaining())
+		}
+		if s.transmitting[t.task.Proc] == t.id {
+			return fmt.Errorf("system: task %d is still transmitting", t.id)
+		}
 	}
-	if t.remaining() != 0 {
-		return fmt.Errorf("system: task %d still needs %d resources", id, t.remaining())
+	for _, t := range e.members {
+		s.vacateAll(t)
 	}
-	if s.transmitting[t.task.Proc] == id {
-		return fmt.Errorf("system: task %d is still transmitting", id)
-	}
-	s.vacateAll(t)
-	s.led.closeRow(&t.row)
-	s.retire(t)
+	s.leave(e)
 	return nil
+}
+
+// leave drops an entity that holds nothing any more: its ledger row
+// closes, a gated one leaves the gate's FIFO, and its records retire — the
+// first, which carries the entity, last.
+func (s *System) leave(e *entity) {
+	s.led.closeRow(&e.row)
+	if e.atGate {
+		s.gangPending = slices.DeleteFunc(s.gangPending, func(g *entity) bool { return g == e })
+	}
+	s.joined -= len(e.members) - 1
+	for i := len(e.members) - 1; i >= 0; i-- {
+		s.retire(e.members[i])
+	}
 }
 
 // Holding reports the resources currently held by a task, in a slice of

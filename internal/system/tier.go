@@ -81,6 +81,28 @@ func ValidateTask(t Task, ress int) error {
 	return nil
 }
 
+// ValidateMembers checks an entity's members against a fabric of procs
+// processors and ress resources: at least one, each a valid task on one of
+// the processors, no two on the same one — each holds its port for the
+// entity's life. SubmitEntity and sched's admission both apply it.
+func ValidateMembers(members []Task, procs, ress int) error {
+	if len(members) == 0 {
+		return fmt.Errorf("%w: no members", ErrBadTask)
+	}
+	for i, t := range members {
+		if t.Proc < 0 || t.Proc >= procs {
+			return fmt.Errorf("member %d: processor %d out of range [0,%d)", i, t.Proc, procs)
+		}
+		if err := ValidateTask(t, ress); err != nil {
+			return fmt.Errorf("member %d: %w", i, err)
+		}
+		if slices.ContainsFunc(members[:i], func(m Task) bool { return m.Proc == t.Proc }) {
+			return fmt.Errorf("members must use distinct processors (processor %d repeated)", t.Proc)
+		}
+	}
+	return nil
+}
+
 // TierWeight is the weighted value one unit of a tier-k task contributes
 // to preemption decisions: 2^(MaxTier-k), so tier 0 outweighs any number
 // of units from strictly lower tiers combined (within the 8-tier band a
@@ -151,7 +173,7 @@ func (s *System) planExchanges(tr *trial, res *CycleResult, reqs []core.Request,
 	xp := s.xp
 	benefs, victims := xp.benefs[:0], xp.victims[:0]
 	for p, q := range s.queues {
-		if len(q) == 0 || q[0].gang != nil || q[0].remaining() <= 0 {
+		if len(q) == 0 || !q[0].preemptible() {
 			continue
 		}
 		t := q[0]
@@ -208,6 +230,13 @@ func (s *System) planExchanges(tr *trial, res *CycleResult, reqs []core.Request,
 	return reqs, prefs, nil
 }
 
+// preemptible reports whether a task may lose a unit to a tier exchange,
+// or take part in one: it is still acquiring, and alone. Rule 5 (DESIGN.md
+// §18): revoking one member's unit would break a gang's atomic grant.
+func (t *taskState) preemptible() bool {
+	return len(t.ent.members) == 1 && !t.ent.provisioned()
+}
+
 // moreUrgent orders beneficiaries most urgent first: lower tier, then
 // older. lessUrgent orders victims least urgent first: higher tier, then
 // older.
@@ -223,11 +252,11 @@ func lessUrgent(a, b *taskState) int {
 // A refusal undoes the revoke, leaving the trial as it was.
 func (s *System) tryExchange(tr *trial, b, v *taskState, r int) bool {
 	ty, base := s.led.resTy[r], tr.base
-	tr.revoke(v.row, ty)
+	tr.revoke(v.ent.row, ty)
 	if s.admit(tr, b) {
 		return true
 	}
-	tr.unrevoke(&s.led, v.row, ty, base)
+	tr.unrevoke(&s.led, v.ent.row, ty, base)
 	return false
 }
 
@@ -308,19 +337,14 @@ func (s *System) Preempt(id TaskID, r int) error {
 	if t == nil {
 		return fmt.Errorf("system: unknown task %d", id)
 	}
-	if t.gang != nil {
-		// Revoking one member's unit would break the gang's atomic grant;
-		// the preemption policy must pick a singleton victim instead.
-		return fmt.Errorf("system: task %d belongs to gang %d and cannot be preempted", id, t.gang.id)
-	}
 	if r < 0 || r >= s.net.Ress {
 		return fmt.Errorf("system: resource %d out of range", r)
 	}
 	if s.resHolder[r] != id {
 		return fmt.Errorf("system: task %d does not hold resource %d", id, r)
 	}
-	if t.remaining() == 0 {
-		return fmt.Errorf("system: task %d is fully provisioned and cannot be preempted", id)
+	if !t.preemptible() {
+		return fmt.Errorf("system: task %d is fully provisioned or a gang member and cannot be preempted", id)
 	}
 	// Tear down an in-flight delivery of r, if any.
 	kept := t.circuits[:0]

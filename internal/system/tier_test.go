@@ -128,6 +128,24 @@ func TestPreemptValidation(t *testing.T) {
 	if err := sys.Preempt(id, held[0]); err == nil {
 		t.Fatal("fully provisioned holder preempted")
 	}
+	// A gang member still acquiring: immune too, or the gang's grant would
+	// no longer be atomic (rule 5, DESIGN.md §18).
+	gs, err := New(Config{Net: topology.Crossbar(3, 3), Discipline: MinCost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ids, err := gs.SubmitGang([]Task{{Proc: 0, Need: 2}, {Proc: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gs.Cycle(); err != nil {
+		t.Fatal(err)
+	}
+	if held := gs.Holding(ids[0]); len(held) != 1 || gs.Remaining(ids[0]) != 1 {
+		t.Fatalf("set-up: member holds %v and needs %d, want one unit and one more", held, gs.Remaining(ids[0]))
+	} else if err := gs.Preempt(ids[0], held[0]); err == nil {
+		t.Fatal("a still-acquiring gang member preempted")
+	}
 }
 
 // TestQueueHead pins headTask, which the exchange planner's pass over the

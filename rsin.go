@@ -78,7 +78,10 @@ type (
 	// sequential: an ID packs a slot of the System's task table with the
 	// slot's generation, and the ID of a task that has left reads as
 	// unknown even after its slot is reused. Cycle's result is the
-	// System's own, valid until the next Cycle.
+	// System's own, valid until the next Cycle. A task submitted alone and
+	// a gang share one life cycle: the System admits, commits, severs,
+	// withdraws and releases an entity, a task alone being a gang of one,
+	// and a gang's ID is its first member's task ID.
 	System = system.System
 	// SystemConfig parameterizes a System.
 	SystemConfig = system.Config
@@ -95,7 +98,8 @@ type (
 	// SchedulerConfig parameterizes a Scheduler (shards, batch size,
 	// sever budget, preemption).
 	SchedulerConfig = sched.Config
-	// SchedulerStats is a snapshot of service counters.
+	// SchedulerStats is a snapshot of service counters. Its Severed
+	// counts each task a fault event cost a unit or reset, once per event.
 	SchedulerStats = sched.Stats
 	// TaskHandle tracks a task submitted to a Scheduler. Its Resources is
 	// the grant the shard recorded, not a copy: the slice belongs to the
