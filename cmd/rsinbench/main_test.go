@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"rsin/internal/experiments"
 )
 
 // TestParseFlags pins the command line: what runs for each -exp, and that
@@ -13,9 +15,9 @@ import (
 // non-empty ensemble, an unknown -format, the deleted -sched family) are
 // errors — which main turns into exit 2.
 func TestParseFlags(t *testing.T) {
-	all := make([]string, len(suite))
-	for i, e := range suite {
-		all[i] = e.id
+	all := make([]string, len(experiments.Suite))
+	for i, e := range experiments.Suite {
+		all[i] = e.ID
 	}
 	cases := []struct {
 		args    string
@@ -56,7 +58,7 @@ func TestParseFlags(t *testing.T) {
 		}
 		var ran []string
 		for _, i := range got.run {
-			ran = append(ran, suite[i].id)
+			ran = append(ran, experiments.Suite[i].ID)
 		}
 		if !slices.Equal(ran, c.wantRun) {
 			t.Errorf("%q: runs %v, want %v", c.args, ran, c.wantRun)
@@ -67,16 +69,16 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
-// TestHelpNamesEveryExperiment: the -exp help is built from the suite, so
+// TestHelpNamesEveryExperiment: the -exp help is built from the Suite, so
 // it cannot fall behind it again (it stopped at E16 while E17 and E18 ran).
 func TestHelpNamesEveryExperiment(t *testing.T) {
 	var stderr strings.Builder
 	if _, err := parseFlags([]string{"-h"}, &stderr); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
 	}
-	for _, e := range suite {
-		if !strings.Contains(stderr.String(), e.id+",") && !strings.Contains(stderr.String(), e.id+")") {
-			t.Errorf("-exp help does not list %s:\n%s", e.id, stderr.String())
+	for _, e := range experiments.Suite {
+		if !strings.Contains(stderr.String(), e.ID+",") && !strings.Contains(stderr.String(), e.ID+")") {
+			t.Errorf("-exp help does not list %s:\n%s", e.ID, stderr.String())
 		}
 	}
 }

@@ -12,7 +12,7 @@
 // systems (see internal/faultinject) to exercise the supervisor's recovery
 // path at load, and -deadline puts a per-task context deadline on every
 // client, exercising cancellation. The -linkfault flag is the driver's one
-// hardware-chaos path: through the scheduler's FailLink/RepairLink, a
+// hardware-chaos path: through Scheduler.ApplyFaults, one link a batch, a
 // random link fails, the fabric schedules degraded, the link heals, repeat:
 //
 //	go run ./cmd/rsinserve -inject cycle:%500            # fail every 500th solve
@@ -125,14 +125,16 @@ func startChaos(ctx context.Context, s *sched.Scheduler, shards, nLinks int, per
 		half := period / 2
 		for {
 			shard, link := rng.Intn(shards), rng.Intn(nLinks)
-			if err := s.FailLink(shard, link); err != nil {
+			fault := []system.FaultOp{{Target: system.FaultTargetLink, Index: link}}
+			if err := s.ApplyFaults(shard, fault); err != nil {
 				if !sleepCtx(chaosCtx, period) {
 					return
 				}
 				continue
 			}
 			ok := sleepCtx(chaosCtx, half)
-			s.RepairLink(shard, link) // always heal, even on the way out
+			fault[0].Repair = true
+			s.ApplyFaults(shard, fault) // always heal, even on the way out
 			if !ok || !sleepCtx(chaosCtx, half) {
 				return
 			}
@@ -147,7 +149,7 @@ func startChaos(ctx context.Context, s *sched.Scheduler, shards, nLinks int, per
 // drainClients waits for the client goroutines to finish. On a signal it
 // stops the chaos injector FIRST — the injector must heal its last fault
 // and exit before any drain-deadline closeSched runs, otherwise a
-// RepairLink races shutdown and the run can end with a link left failed
+// repair races shutdown and the run can end with a link left failed
 // (and a spurious ErrClosed) — then bounds the drain wait and abandons
 // stragglers via closeSched. Returns whether the run was interrupted.
 func drainClients(ctx context.Context, clientsDone <-chan struct{}, drain time.Duration, stopChaos, closeSched func()) bool {

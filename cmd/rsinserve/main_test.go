@@ -40,7 +40,7 @@ func TestChooseSeed(t *testing.T) {
 // TestDrainStopsChaosFirst is the regression test for the shutdown race:
 // a SIGINT during an in-flight chaos fail→heal window used to let the
 // drain-deadline Close run while the injector was still alive, racing a
-// RepairLink against a closed scheduler. The injector must be stopped
+// repair against a closed scheduler. The injector must be stopped
 // (and waited for) before the drain wait — and therefore before any
 // Close — on the interrupted path.
 func TestDrainStopsChaosFirst(t *testing.T) {
@@ -77,7 +77,7 @@ func TestDrainStopsChaosFirst(t *testing.T) {
 
 // TestDrainChaosHealsBeforeClose drives the real injector against a real
 // scheduler through an interrupted drain: because the injector stops
-// before Close, its final RepairLink lands on a live scheduler and every
+// before Close, its final repair lands on a live scheduler and every
 // injected fault ends healed (Repairs == LinkFaults). Under the old
 // ordering the last heal raced shutdown and could be dropped.
 func TestDrainChaosHealsBeforeClose(t *testing.T) {

@@ -18,27 +18,7 @@ import (
 // and its names are not also checked one by one. A test renamed or
 // deleted without its citations fails here, not in a reader's shell.
 func TestDocTestNamesResolve(t *testing.T) {
-	funcPat := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
-	var funcs []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range funcPat.FindAllStringSubmatch(string(src), -1) {
-			funcs = append(funcs, m[1])
-		}
-		return nil
-	})
+	funcs, err := testFuncNames(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,4 +73,31 @@ func TestDocTestNamesResolve(t *testing.T) {
 	if cited == 0 || len(funcs) == 0 {
 		t.Fatalf("%d citations against %d test functions", cited, len(funcs))
 	}
+}
+
+// testFuncNames lists the Test, Fuzz and Benchmark functions of every
+// _test.go file under root, skipping dot directories.
+func testFuncNames(root string) ([]string, error) {
+	funcPat := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	var funcs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcPat.FindAllStringSubmatch(string(src), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return nil
+	})
+	return funcs, err
 }

@@ -7,8 +7,6 @@
 // sizes its sets once against a frozen arena.
 package bitset
 
-import "math/bits"
-
 // Bits is a little-endian bit vector: bit i lives in word i/64 at
 // position i%64. The zero value is an empty set of capacity 0.
 type Bits []uint64
@@ -42,15 +40,6 @@ func (b Bits) Reset() {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-// Count reports the number of set bits.
-func (b Bits) Count() int {
-	c := 0
-	for _, w := range b {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // TailMask returns the mask of valid bit positions in the last word of

@@ -1,6 +1,9 @@
 package bitset
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 func TestBasicOps(t *testing.T) {
 	b := Make(130)
@@ -55,4 +58,13 @@ func TestWordsAndTailMask(t *testing.T) {
 			t.Errorf("TailMask(%d) = %#x, want %#x", c.n, got, c.tail)
 		}
 	}
+}
+
+// Count reports the number of set bits; only the tests count them.
+func (b Bits) Count() int {
+	c := 0
+	for _, w := range b {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }

@@ -837,31 +837,39 @@ func E18FaultTolerance(seed int64, trials int) *Table {
 	return t
 }
 
-// All regenerates every experiment table. quick trims trial counts for use
-// under `go test`.
-func All(seed int64, quick bool) []*Table {
-	trials := 2000
-	if quick {
-		trials = 200
+// Experiment is one row of the experiment table: an ID and how the
+// experiment derives its own seed offset and ensemble size from a base
+// seed and trial count.
+type Experiment struct {
+	ID  string
+	Run func(seed int64, trials int) *Table
+}
+
+// Suite is the one experiment table, in run order: cmd/rsinbench's -exp
+// help, lookup and run order, the harness benchmark and the quick-run test
+// all range over it.
+var Suite = []Experiment{
+	{"E1", func(int64, int) *Table { return E1Fig2() }},
+	{"E4", func(s int64, n int) *Table { return E4CubeBlocking(s, n) }},
+	{"E5", func(s int64, n int) *Table { return E5OmegaBlocking(s+1, n/2) }},
+	{"E6", func(s int64, n int) *Table { return E6OccupancySweep(s+2, n/2) }},
+	{"E7", func(s int64, n int) *Table { return E7ExtraStages(s+3, n/2) }},
+	{"E10", func(s int64, n int) *Table { return E10TokenVsMonitor(s+4, small(n)) }},
+	{"E11", func(s int64, _ int) *Table { return E11TableII(s + 5) }},
+	{"E12", func(s int64, n int) *Table { return E12DinicScaling(s+6, small(n)) }},
+	{"E13", func(s int64, n int) *Table { return E13Integrality(s+7, small(n)) }},
+	{"E14", func(s int64, _ int) *Table { return E14LoadBalance(s + 8) }},
+	{"E15", func(s int64, _ int) *Table { return E15CyclePolicy(s + 9) }},
+	{"E16", func(s int64, n int) *Table { return E16Placement(s+10, small(n)) }},
+	{"E17", func(s int64, n int) *Table { return E17CircuitVsPacket(s+11, small(n)/2+1) }},
+	{"E18", func(s int64, n int) *Table { return E18FaultTolerance(s+12, small(n)) }},
+}
+
+// small is the ensemble size of the experiments that solve a whole trace
+// per trial: a tenth of trials, never none.
+func small(trials int) int {
+	if trials < 10 {
+		return 10
 	}
-	small := trials / 10
-	if small == 0 {
-		small = 10
-	}
-	return []*Table{
-		E1Fig2(),
-		E4CubeBlocking(seed, trials),
-		E5OmegaBlocking(seed+1, trials/2),
-		E6OccupancySweep(seed+2, trials/2),
-		E7ExtraStages(seed+3, trials/2),
-		E10TokenVsMonitor(seed+4, small),
-		E11TableII(seed + 5),
-		E12DinicScaling(seed+6, small),
-		E13Integrality(seed+7, small),
-		E14LoadBalance(seed + 8),
-		E15CyclePolicy(seed + 9),
-		E16Placement(seed+10, small),
-		E17CircuitVsPacket(seed+11, small/2+1),
-		E18FaultTolerance(seed+12, small),
-	}
+	return trials / 10
 }

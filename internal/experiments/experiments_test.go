@@ -277,11 +277,14 @@ func TestAllQuickRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness too slow for -short")
 	}
-	tabs := All(1, true)
-	if len(tabs) != 14 {
-		t.Fatalf("All returned %d tables", len(tabs))
+	if len(Suite) != 14 {
+		t.Fatalf("Suite lists %d experiments", len(Suite))
 	}
-	for _, tab := range tabs {
+	for _, e := range Suite {
+		tab := e.Run(1, 200)
+		if tab.ID != e.ID {
+			t.Errorf("Suite row %s runs table %s", e.ID, tab.ID)
+		}
 		if len(tab.Rows) == 0 {
 			t.Fatalf("%s produced no rows", tab.ID)
 		}

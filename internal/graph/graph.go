@@ -101,13 +101,6 @@ func (g *Network) AddArc(from, to int, cap, cost int64) int {
 	return id
 }
 
-// AddLabeledArc is AddArc with a label recorded on the arc.
-func (g *Network) AddLabeledArc(from, to int, cap, cost int64, label string) int {
-	id := g.AddArc(from, to, cap, cost)
-	g.Arcs[id].Label = label
-	return id
-}
-
 // Out returns the indices of arcs leaving v. The slice is owned by the
 // network and must not be mutated.
 func (g *Network) Out(v int) []int { return g.out[v] }
@@ -246,19 +239,6 @@ func (g *Network) MinCutCapacity() int64 {
 type Path struct {
 	Arcs []int
 	Amt  int64 // amount of flow carried along the path
-}
-
-// Nodes returns the node sequence of the path, starting at the network
-// source and ending at the sink.
-func (p Path) Nodes(g *Network) []int {
-	if len(p.Arcs) == 0 {
-		return nil
-	}
-	nodes := []int{g.Arcs[p.Arcs[0]].From}
-	for _, id := range p.Arcs {
-		nodes = append(nodes, g.Arcs[id].To)
-	}
-	return nodes
 }
 
 // DecomposePaths decomposes the current integral flow assignment into

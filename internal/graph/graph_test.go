@@ -142,9 +142,8 @@ func TestDecomposePathsUnitFlows(t *testing.T) {
 	var total int64
 	for _, p := range paths {
 		total += p.Amt
-		nodes := p.Nodes(g)
-		if nodes[0] != g.Source || nodes[len(nodes)-1] != g.Sink {
-			t.Fatalf("path %v does not run s->t", nodes)
+		if g.Arcs[p.Arcs[0]].From != g.Source || g.Arcs[p.Arcs[len(p.Arcs)-1]].To != g.Sink {
+			t.Fatalf("path %v does not run s->t", p.Arcs)
 		}
 	}
 	if total != g.Value() {
@@ -256,14 +255,6 @@ func TestStringIsDeterministicAndLabeled(t *testing.T) {
 	}
 	if !strings.Contains(s1, "source=s sink=t") {
 		t.Fatalf("header missing names:\n%s", s1)
-	}
-}
-
-func TestLabeledArc(t *testing.T) {
-	g := New(2, 0, 1)
-	id := g.AddLabeledArc(0, 1, 1, 0, "lnk")
-	if g.Arcs[id].Label != "lnk" {
-		t.Fatal("AddLabeledArc did not record label")
 	}
 }
 

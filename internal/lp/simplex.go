@@ -66,7 +66,8 @@ type row struct {
 }
 
 // Problem is a linear program under construction. Create with NewProblem,
-// populate with SetObjective and AddConstraint, then call Solve.
+// populate with SetObjectiveCoef, SetSense and AddConstraint, then call
+// Solve.
 type Problem struct {
 	nvars int
 	obj   []float64
@@ -78,19 +79,6 @@ type Problem struct {
 // minimization objective.
 func NewProblem(nvars int) *Problem {
 	return &Problem{nvars: nvars, obj: make([]float64, nvars)}
-}
-
-// NumVars reports the number of variables.
-func (p *Problem) NumVars() int { return p.nvars }
-
-// SetObjective installs the objective coefficients (dense, length NumVars)
-// and the optimization sense.
-func (p *Problem) SetObjective(c []float64, sense Sense) {
-	if len(c) != p.nvars {
-		panic(fmt.Sprintf("lp.SetObjective: got %d coefficients for %d variables", len(c), p.nvars))
-	}
-	copy(p.obj, c)
-	p.sense = sense
 }
 
 // SetObjectiveCoef sets a single objective coefficient.

@@ -11,10 +11,18 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
+// setObjective installs a dense objective and its sense.
+func setObjective(p *Problem, c []float64, sense Sense) {
+	for v, cv := range c {
+		p.SetObjectiveCoef(v, cv)
+	}
+	p.SetSense(sense)
+}
+
 func TestSimpleMaximize(t *testing.T) {
 	// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 => x=4, y=0, obj 12.
 	p := NewProblem(2)
-	p.SetObjective([]float64{3, 2}, Maximize)
+	setObjective(p, []float64{3, 2}, Maximize)
 	p.AddConstraint([]int{0, 1}, []float64{1, 1}, LE, 4)
 	p.AddConstraint([]int{0, 1}, []float64{1, 3}, LE, 6)
 	sol, err := p.Solve()
@@ -29,7 +37,7 @@ func TestSimpleMaximize(t *testing.T) {
 func TestSimpleMinimizeWithGE(t *testing.T) {
 	// min 2x + 3y s.t. x + y >= 10, x <= 6 => x=6, y=4, obj 24.
 	p := NewProblem(2)
-	p.SetObjective([]float64{2, 3}, Minimize)
+	setObjective(p, []float64{2, 3}, Minimize)
 	p.AddConstraint([]int{0, 1}, []float64{1, 1}, GE, 10)
 	p.AddConstraint([]int{0}, []float64{1}, LE, 6)
 	sol, err := p.Solve()
@@ -44,7 +52,7 @@ func TestSimpleMinimizeWithGE(t *testing.T) {
 func TestEqualityConstraints(t *testing.T) {
 	// min x + y s.t. x + 2y = 8, x - y = 2 => x=4, y=2, obj 6.
 	p := NewProblem(2)
-	p.SetObjective([]float64{1, 1}, Minimize)
+	setObjective(p, []float64{1, 1}, Minimize)
 	p.AddConstraint([]int{0, 1}, []float64{1, 2}, EQ, 8)
 	p.AddConstraint([]int{0, 1}, []float64{1, -1}, EQ, 2)
 	sol, err := p.Solve()
@@ -60,7 +68,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	// x - y <= -2 with rhs < 0 must flip to GE internally.
 	// min x + y s.t. x - y <= -2 => y >= x + 2 => optimum x=0, y=2.
 	p := NewProblem(2)
-	p.SetObjective([]float64{1, 1}, Minimize)
+	setObjective(p, []float64{1, 1}, Minimize)
 	p.AddConstraint([]int{0, 1}, []float64{1, -1}, LE, -2)
 	sol, err := p.Solve()
 	if err != nil {
@@ -73,7 +81,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	p := NewProblem(1)
-	p.SetObjective([]float64{1}, Minimize)
+	setObjective(p, []float64{1}, Minimize)
 	p.AddConstraint([]int{0}, []float64{1}, LE, 1)
 	p.AddConstraint([]int{0}, []float64{1}, GE, 2)
 	sol, err := p.Solve()
@@ -84,7 +92,7 @@ func TestInfeasible(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	p := NewProblem(2)
-	p.SetObjective([]float64{1, 1}, Maximize)
+	setObjective(p, []float64{1, 1}, Maximize)
 	p.AddConstraint([]int{0, 1}, []float64{1, -1}, LE, 1)
 	sol, err := p.Solve()
 	if err == nil || sol.Status != Unbounded {
@@ -96,7 +104,7 @@ func TestRedundantConstraint(t *testing.T) {
 	// Duplicate equality rows leave an artificial stuck in a zero row; the
 	// solver must cope.
 	p := NewProblem(2)
-	p.SetObjective([]float64{1, 2}, Minimize)
+	setObjective(p, []float64{1, 2}, Minimize)
 	p.AddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 3)
 	p.AddConstraint([]int{0, 1}, []float64{2, 2}, EQ, 6) // same hyperplane
 	sol, err := p.Solve()
@@ -111,7 +119,7 @@ func TestRedundantConstraint(t *testing.T) {
 func TestDegenerateCycleGuard(t *testing.T) {
 	// A classically degenerate LP (Beale-like); Bland's rule must terminate.
 	p := NewProblem(4)
-	p.SetObjective([]float64{-0.75, 150, -0.02, 6}, Minimize)
+	setObjective(p, []float64{-0.75, 150, -0.02, 6}, Minimize)
 	p.AddConstraint([]int{0, 1, 2, 3}, []float64{0.25, -60, -0.04, 9}, LE, 0)
 	p.AddConstraint([]int{0, 1, 2, 3}, []float64{0.5, -90, -0.02, 3}, LE, 0)
 	p.AddConstraint([]int{2}, []float64{1}, LE, 1)
@@ -133,7 +141,7 @@ func TestStatusString(t *testing.T) {
 
 func TestDuplicateVarIndicesAccumulate(t *testing.T) {
 	p := NewProblem(1)
-	p.SetObjective([]float64{1}, Maximize)
+	setObjective(p, []float64{1}, Maximize)
 	p.AddConstraint([]int{0, 0}, []float64{1, 1}, LE, 4) // 2x <= 4
 	sol, err := p.Solve()
 	if err != nil {
@@ -147,7 +155,6 @@ func TestDuplicateVarIndicesAccumulate(t *testing.T) {
 func TestPanicsOnBadInput(t *testing.T) {
 	p := NewProblem(2)
 	for _, fn := range []func(){
-		func() { p.SetObjective([]float64{1}, Minimize) },
 		func() { p.AddConstraint([]int{0}, []float64{1, 2}, LE, 0) },
 		func() { p.AddConstraint([]int{5}, []float64{1}, LE, 0) },
 	} {
@@ -237,7 +244,7 @@ func TestSimplexMatchesVertexEnumeration(t *testing.T) {
 		}
 
 		p := NewProblem(nvars)
-		p.SetObjective(obj, Maximize)
+		setObjective(p, obj, Maximize)
 		vars := make([]int, nvars)
 		for v := range vars {
 			vars[v] = v
@@ -333,7 +340,7 @@ func TestLPMaxFlowMatchesDinic(t *testing.T) {
 		p := NewProblem(m + 1)
 		obj := make([]float64, m+1)
 		obj[m] = 1
-		p.SetObjective(obj, Maximize)
+		setObjective(p, obj, Maximize)
 		for i := range g.Arcs {
 			p.AddConstraint([]int{i}, []float64{1}, LE, float64(g.Arcs[i].Cap))
 		}

@@ -183,15 +183,9 @@ func (w *Warm) ensureCSR() {
 // arcsOf returns node v's residual adjacency as a contiguous CSR slice.
 func (w *Warm) arcsOf(v int) []int32 { return w.adj[w.off[v]:w.off[v+1]] }
 
-// NumArcs reports the number of logical arcs.
-func (w *Warm) NumArcs() int { return w.nArcs }
-
 // ArcWords reports the number of 64-arc state words (for EnableIdle
 // callers sizing their membership bitsets).
 func (w *Warm) ArcWords() int { return len(w.enabled) }
-
-// Enabled reports whether arc a is part of the current instance.
-func (w *Warm) Enabled(a int) bool { return w.enabled.Get(a) }
 
 // Flow reports whether arc a carries a unit of flow.
 func (w *Warm) Flow(a int) bool { return w.flow.Get(a) }
@@ -201,19 +195,6 @@ func (w *Warm) Tail(a int) int { return int(w.to[2*a+1]) }
 
 // Head reports the head node of arc a.
 func (w *Warm) Head(a int) int { return int(w.to[2*a]) }
-
-// SetEnabled toggles arc a's membership in the instance and reports
-// whether the state changed. Disabling an arc that carries flow is legal
-// and freezes the unit in place; enabling an arc that carries flow is a
-// caller bug — the stale unit would saturate the arc — so a caller starts
-// each instance with ClearFlow (EnableIdle never enables a loaded arc).
-func (w *Warm) SetEnabled(a int, on bool) bool {
-	if w.enabled.Get(a) == on {
-		return false
-	}
-	w.enabled.SetTo(a, on)
-	return true
-}
 
 // ClearFlow drops every unit in the arena, loaded or frozen, leaving
 // membership alone. It starts a solve that must be a pure function of its
@@ -249,7 +230,7 @@ func (w *Warm) residual(id int32) bool {
 // consumption from previous solves are discarded in O(1).
 func (w *Warm) BeginSolve() {
 	w.ensureCSR()
-	// One solve consumes up to NumArcs+2 stamps (one per sweep plus the
+	// One solve consumes up to nArcs+2 stamps (one per sweep plus the
 	// decomposition); renumber well before uint32 wraparound.
 	if w.stamp > ^uint32(0)-uint32(w.nArcs)-8 {
 		for i := range w.seenAt {

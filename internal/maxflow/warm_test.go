@@ -271,3 +271,25 @@ func TestWarmCommoditySweep(t *testing.T) {
 		}
 	}
 }
+
+// The arena readers and the one-arc toggle below serve the tests only:
+// the service sets membership a word at a time, through EnableIdle.
+
+// NumArcs reports the number of logical arcs.
+func (w *Warm) NumArcs() int { return w.nArcs }
+
+// Enabled reports whether arc a is part of the current instance.
+func (w *Warm) Enabled(a int) bool { return w.enabled.Get(a) }
+
+// SetEnabled toggles arc a's membership in the instance and reports
+// whether the state changed. Disabling an arc that carries flow is legal
+// and freezes the unit in place; enabling an arc that carries flow is a
+// caller bug — the stale unit would saturate the arc — so a caller starts
+// each instance with ClearFlow (EnableIdle never enables a loaded arc).
+func (w *Warm) SetEnabled(a int, on bool) bool {
+	if w.enabled.Get(a) == on {
+		return false
+	}
+	w.enabled.SetTo(a, on)
+	return true
+}

@@ -131,15 +131,3 @@ func writeBackFlows(g *graph.Network, cp []int64) {
 		g.Arcs[i].Flow = cp[2*i+1]
 	}
 }
-
-// MinimumCostMaxFlow finds a maximum flow of minimum cost: it pushes
-// cheapest augmenting paths until the sink becomes unreachable, and reports
-// the value reached. Convenience wrapper used by schedulers that do not know
-// the feasible flow value in advance.
-func MinimumCostMaxFlow(g *graph.Network) Result {
-	res, err := SuccessiveShortestPaths(g, inf/2)
-	if err == nil {
-		panic("mincost: unbounded flow") // cannot happen on finite capacities
-	}
-	return res
-}

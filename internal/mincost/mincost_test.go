@@ -167,14 +167,6 @@ func TestQuickMinCostLegalAndOptimalValue(t *testing.T) {
 	}
 }
 
-func TestMinimumCostMaxFlow(t *testing.T) {
-	g := costDiamond()
-	res := MinimumCostMaxFlow(g)
-	if res.Value != 4 || res.Cost != 16 {
-		t.Fatalf("got %+v, want value 4 cost 16", res)
-	}
-}
-
 func TestOpsCounters(t *testing.T) {
 	g := costDiamond()
 	res, err := SuccessiveShortestPaths(g, 4)

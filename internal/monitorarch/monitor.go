@@ -106,27 +106,3 @@ func Schedule(net *topology.Network, reqs []core.Request, avail []core.Avail, al
 	instr += int64(len(m.Assigned)) * int64(cost.PerAcknowledge)
 	return &Result{Mapping: m, Instructions: instr}, nil
 }
-
-// ScheduleMinCost runs the priority/preference discipline on the monitor
-// (Table II: the out-of-kilter / min-cost column is always implemented in
-// software on the centralized architecture — §IV notes that "for systems
-// with ... priorities and preferences, there is no significant advantage
-// of a distributed implementation"). Instruction accounting mirrors
-// Schedule.
-func ScheduleMinCost(net *topology.Network, reqs []core.Request, avail []core.Avail, cost *Cost) (*Result, error) {
-	if cost == nil {
-		c := DefaultCost
-		cost = &c
-	}
-	m, err := core.ScheduleMinCost(net, reqs, avail)
-	if err != nil {
-		return nil, err
-	}
-	tr := core.Transform2(net, reqs, avail)
-	instr := int64(len(tr.G.Arcs)) * int64(cost.PerTransformLink)
-	instr += int64(m.Ops.ArcScans) * int64(cost.PerArcScan)
-	instr += int64(m.Ops.NodeVisits) * int64(cost.PerNodeVisit)
-	instr += int64(m.Ops.Augmentations) * int64(cost.PerAugmentation)
-	instr += int64(len(m.Assigned)) * int64(cost.PerAcknowledge)
-	return &Result{Mapping: m, Instructions: instr}, nil
-}

@@ -107,34 +107,6 @@ func TestCustomCostModel(t *testing.T) {
 	}
 }
 
-// TestScheduleMinCostOnMonitor: the priority discipline on the monitor
-// allocates like core.ScheduleMinCost and accounts instructions.
-func TestScheduleMinCostOnMonitor(t *testing.T) {
-	net := topology.Omega(8)
-	reqs := []core.Request{
-		{Proc: 0, Priority: 5},
-		{Proc: 3, Priority: 9},
-	}
-	avail := []core.Avail{
-		{Res: 1, Preference: 2},
-		{Res: 6, Preference: 7},
-	}
-	res, err := ScheduleMinCost(net, reqs, avail, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.ScheduleMinCost(net, reqs, avail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mapping.Allocated() != want.Allocated() || res.Mapping.Cost != want.Cost {
-		t.Fatalf("monitor min-cost diverges: %+v vs %+v", res.Mapping, want)
-	}
-	if res.Instructions <= 0 {
-		t.Fatal("no instructions accounted")
-	}
-}
-
 // TestTokenArchitectureWinsOnModeledCost reproduces the §IV claim that the
 // distributed realization is much faster: comparing clock periods (token)
 // against modeled instructions (monitor) at equal allocation quality, the

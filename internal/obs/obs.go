@@ -53,14 +53,6 @@ func (c *Counter) Value() int64 {
 // both directions.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
 // Add moves the value by delta (either sign).
 func (g *Gauge) Add(delta int64) {
 	if g == nil {

@@ -316,3 +316,11 @@ func TestCollect(t *testing.T) {
 		t.Errorf("collectors ran %d times over two scrapes, want 4", runs)
 	}
 }
+
+// Set replaces a gauge's value; the library only moves gauges by Add.
+func (g *Gauge) Set(n int64) {
+	if g == nil {
+		return
+	}
+	g.v.Store(n)
+}

@@ -1,9 +1,10 @@
 // Package queueing provides the classical analytic models used to sanity
 // check the discrete-event simulation: Erlang-B (circuit-switched loss),
-// Erlang-C (delay), and M/M/c utilities. The performance studies the paper
-// builds on ([19], [29], [30], [39]) analyze resource-sharing hardware
-// with exactly these tools; here they validate internal/sim at operating
-// points where the RSIN itself is not the bottleneck.
+// server utilization and Patel's acceptance recurrence. The performance
+// studies the paper builds on ([19], [29], [30], [39]) analyze
+// resource-sharing hardware with exactly these tools; here they validate
+// internal/sim at operating points where the RSIN itself is not the
+// bottleneck.
 package queueing
 
 import (
@@ -23,48 +24,6 @@ func ErlangB(c int, a float64) float64 {
 		b = a * b / (float64(k) + a*b)
 	}
 	return b
-}
-
-// ErlangC returns the probability an arrival must wait in an M/M/c queue
-// with offered load a = lambda/mu Erlangs. Returns 1 when the system is
-// unstable (a >= c).
-func ErlangC(c int, a float64) float64 {
-	if c <= 0 || a < 0 {
-		panic(fmt.Sprintf("queueing.ErlangC: c=%d a=%v", c, a))
-	}
-	if a >= float64(c) {
-		return 1
-	}
-	b := ErlangB(c, a)
-	rho := a / float64(c)
-	return b / (1 - rho + rho*b)
-}
-
-// MMcWait returns the mean waiting time (excluding service) in an M/M/c
-// queue with arrival rate lambda and per-server service rate mu. Returns
-// +Inf when unstable.
-func MMcWait(c int, lambda, mu float64) float64 {
-	if mu <= 0 {
-		panic("queueing.MMcWait: mu must be positive")
-	}
-	a := lambda / mu
-	if a >= float64(c) {
-		return math.Inf(1)
-	}
-	pw := ErlangC(c, a)
-	return pw / (float64(c)*mu - lambda)
-}
-
-// MM1Response returns the mean response time (wait + service) of an M/M/1
-// queue. Returns +Inf when unstable.
-func MM1Response(lambda, mu float64) float64 {
-	if mu <= 0 {
-		panic("queueing.MM1Response: mu must be positive")
-	}
-	if lambda >= mu {
-		return math.Inf(1)
-	}
-	return 1 / (mu - lambda)
 }
 
 // PatelAcceptance returns the probability that a request is accepted by an

@@ -45,47 +45,9 @@ func TestErlangBMonotone(t *testing.T) {
 	}
 }
 
-func TestErlangC(t *testing.T) {
-	// M/M/1: ErlangC = rho.
-	if got := ErlangC(1, 0.6); !approx(got, 0.6, 1e-12) {
-		t.Fatalf("ErlangC(1, 0.6) = %v", got)
-	}
-	if ErlangC(2, 3) != 1 {
-		t.Fatal("unstable system should report 1")
-	}
-	// C >= B always.
-	for _, a := range []float64{0.5, 1, 3} {
-		if ErlangC(4, a) < ErlangB(4, a) {
-			t.Fatalf("ErlangC < ErlangB at a=%v", a)
-		}
-	}
-}
-
-func TestMM1AndMMc(t *testing.T) {
-	// M/M/1 response 1/(mu-lambda).
-	if got := MM1Response(1, 2); !approx(got, 1, 1e-12) {
-		t.Fatalf("MM1Response = %v", got)
-	}
-	if !math.IsInf(MM1Response(2, 2), 1) {
-		t.Fatal("unstable M/M/1 should be infinite")
-	}
-	// MMcWait for c=1 equals rho/(mu-lambda).
-	lambda, mu := 0.5, 1.0
-	want := (lambda / mu) / (mu - lambda)
-	if got := MMcWait(1, lambda, mu); !approx(got, want, 1e-12) {
-		t.Fatalf("MMcWait = %v, want %v", got, want)
-	}
-	if !math.IsInf(MMcWait(2, 4, 1), 1) {
-		t.Fatal("unstable M/M/c should be infinite")
-	}
-}
-
 func TestPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { ErlangB(-1, 1) },
-		func() { ErlangC(0, 1) },
-		func() { MMcWait(1, 1, 0) },
-		func() { MM1Response(1, 0) },
 		func() { Utilization(0, 1, 1) },
 	} {
 		func() {

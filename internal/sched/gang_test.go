@@ -400,12 +400,12 @@ func TestGangChaosStress(t *testing.T) {
 				}
 			} else { // link fail→heal
 				l := rng.Intn(len(net.Links))
-				if err := s.FailLink(0, l); err != nil {
+				if err := failOne(s, 0, system.FaultTargetLink, l); err != nil {
 					t.Error(err)
 					return
 				}
 				time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
-				if err := s.RepairLink(0, l); err != nil {
+				if err := repairOne(s, 0, system.FaultTargetLink, l); err != nil {
 					t.Error(err)
 					return
 				}

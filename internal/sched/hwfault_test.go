@@ -12,30 +12,40 @@ import (
 	"rsin/internal/topology"
 )
 
-// TestFaultAPIValidationAndCounters: the Fail/Repair surface rejects bad
-// arguments and the stats gauges track applied operations.
+// failOne and repairOne apply one hardware op to a shard as a batch of its
+// own: Scheduler.ApplyFaults is the one way a fault enters a shard.
+func failOne(s *Scheduler, shard int, target system.FaultTarget, index int) error {
+	return s.ApplyFaults(shard, []system.FaultOp{{Target: target, Index: index}})
+}
+
+func repairOne(s *Scheduler, shard int, target system.FaultTarget, index int) error {
+	return s.ApplyFaults(shard, []system.FaultOp{{Repair: true, Target: target, Index: index}})
+}
+
+// TestFaultAPIValidationAndCounters: ApplyFaults rejects bad arguments
+// and the stats gauges track applied operations.
 func TestFaultAPIValidationAndCounters(t *testing.T) {
 	net := topology.Omega(8)
 	s := newScheduler(t, Config{Shards: []system.Config{{Net: net}}})
-	if err := s.FailLink(1, 0); err == nil {
+	if err := failOne(s, 1, system.FaultTargetLink, 0); err == nil {
 		t.Fatal("bad shard accepted")
 	}
-	if err := s.FailLink(0, len(net.Links)); err == nil {
+	if err := failOne(s, 0, system.FaultTargetLink, len(net.Links)); err == nil {
 		t.Fatal("bad link index accepted")
 	}
-	if err := s.FailResource(0, -1); err == nil {
+	if err := failOne(s, 0, system.FaultTargetResource, -1); err == nil {
 		t.Fatal("bad resource index accepted")
 	}
-	if err := s.FailLink(0, 3); err != nil {
+	if err := failOne(s, 0, system.FaultTargetLink, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RepairLink(0, 3); err != nil {
+	if err := repairOne(s, 0, system.FaultTargetLink, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.FailBox(0, 0); err != nil {
+	if err := failOne(s, 0, system.FaultTargetBox, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RepairBox(0, 0); err != nil {
+	if err := repairOne(s, 0, system.FaultTargetBox, 0); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -52,7 +62,7 @@ func TestFaultAPIValidationAndCounters(t *testing.T) {
 func TestDegradedCapacityGauge(t *testing.T) {
 	s := newScheduler(t, Config{Shards: []system.Config{{Net: topology.Omega(4)}}})
 	for r := 1; r < 4; r++ {
-		if err := s.FailResource(0, r); err != nil {
+		if err := failOne(s, 0, system.FaultTargetResource, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +73,7 @@ func TestDegradedCapacityGauge(t *testing.T) {
 		t.Fatalf("Need=2 on 1-resource fabric: %v, want ErrUnsatisfiable", err)
 	}
 	for r := 1; r < 4; r++ {
-		if err := s.RepairResource(0, r); err != nil {
+		if err := repairOne(s, 0, system.FaultTargetResource, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +116,7 @@ func TestQueuedTaskFailsWhenCapacityDrops(t *testing.T) {
 	}
 	// Need=4 of 4 is admissible while healthy; failing any resource makes
 	// it unsatisfiable and must fail the waiting handle.
-	if err := s.FailResource(0, blocker.Resources()[0]); err != nil {
+	if err := failOne(s, 0, system.FaultTargetResource, blocker.Resources()[0]); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -164,10 +174,10 @@ func TestSeverRetryBudget(t *testing.T) {
 	// Fail→heal the victim's unit until the sever budget (1) is exceeded.
 	deadline := time.After(10 * time.Second)
 	for done := false; !done; {
-		if err := s.FailResource(0, free); err != nil {
+		if err := failOne(s, 0, system.FaultTargetResource, free); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RepairResource(0, free); err != nil {
+		if err := repairOne(s, 0, system.FaultTargetResource, free); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -262,8 +272,8 @@ func TestCorrelatedFaultChargesOnce(t *testing.T) {
 }
 
 // TestFailHealStress is the robustness acceptance test: 64 clients
-// hammer one Benes(16) shard while a chaos goroutine interleaves
-// FailLink/RepairLink and FailResource/RepairResource with the traffic.
+// hammer one Benes(16) shard while a chaos goroutine interleaves link and
+// resource fail/repair batches with the traffic.
 // No task may be lost (every submission ends serviced or with a typed
 // fault error), no resource may be double-granted, and once the chaos
 // heals everything the pool must drain back to full capacity with
@@ -298,23 +308,23 @@ func TestFailHealStress(t *testing.T) {
 			}
 			if rng.Intn(4) == 0 { // resource fail→heal
 				r := rng.Intn(net.Ress)
-				if err := s.FailResource(0, r); err != nil {
+				if err := failOne(s, 0, system.FaultTargetResource, r); err != nil {
 					t.Error(err)
 					return
 				}
 				time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
-				if err := s.RepairResource(0, r); err != nil {
+				if err := repairOne(s, 0, system.FaultTargetResource, r); err != nil {
 					t.Error(err)
 					return
 				}
 			} else { // link fail→heal
 				l := rng.Intn(len(net.Links))
-				if err := s.FailLink(0, l); err != nil {
+				if err := failOne(s, 0, system.FaultTargetLink, l); err != nil {
 					t.Error(err)
 					return
 				}
 				time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
-				if err := s.RepairLink(0, l); err != nil {
+				if err := repairOne(s, 0, system.FaultTargetLink, l); err != nil {
 					t.Error(err)
 					return
 				}

@@ -67,9 +67,6 @@ func (j *job) Done() <-chan struct{} { return j.done }
 // Err reports the terminal error. Valid after Done is closed.
 func (j *job) Err() error { return j.err }
 
-// Shard reports the shard the work was routed to.
-func (j *job) Shard() int { return j.shard }
-
 // describe records what a validated submission is: its summed demand —
 // which the System keeps as the entity's — and its most urgent member's
 // tier: a job is as urgent as that.
@@ -112,9 +109,6 @@ type GangHandle struct{ job }
 // it is the recorded grant, which belongs to the handle and which a caller
 // only reads: the members' slices share one backing array.
 func (h *GangHandle) Resources() [][]int { return h.res }
-
-// Size reports the gang's member count (0 until a shard has admitted it).
-func (h *GangHandle) Size() int { return len(h.ids) }
 
 type opKind int
 

@@ -209,9 +209,9 @@ func TestObsEndToEnd(t *testing.T) {
 	nLinks := len(cfg.Shards[0].Net.Links)
 	for f := 0; f < 10; f++ {
 		shard, link := rng.Intn(shards), rng.Intn(nLinks)
-		if err := s.FailLink(shard, link); err == nil {
+		if err := failOne(s, shard, system.FaultTargetLink, link); err == nil {
 			time.Sleep(500 * time.Microsecond)
-			s.RepairLink(shard, link)
+			repairOne(s, shard, system.FaultTargetLink, link)
 		}
 		scrape(t, srv.URL, "/metrics")
 		scrape(t, srv.URL, "/metrics.json")
@@ -371,7 +371,7 @@ func TestServiceRecordsSystemFacts(t *testing.T) {
 		t.Fatalf("victim never acquired its first unit: %+v", st)
 	}
 	held := 1 - blocker.Resources()[0]
-	if err := s.FailResource(0, held); err != nil {
+	if err := failOne(s, 0, system.FaultTargetResource, held); err != nil {
 		t.Fatal(err)
 	}
 	// One usable unit cannot complete a Need-2 task: it is withdrawn.

@@ -252,23 +252,23 @@ func TestPreemptChaosStress(t *testing.T) {
 			}
 			if rng.Intn(4) == 0 {
 				r := rng.Intn(net.Ress)
-				if err := s.FailResource(0, r); err != nil {
+				if err := failOne(s, 0, system.FaultTargetResource, r); err != nil {
 					t.Error(err)
 					return
 				}
 				time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
-				if err := s.RepairResource(0, r); err != nil {
+				if err := repairOne(s, 0, system.FaultTargetResource, r); err != nil {
 					t.Error(err)
 					return
 				}
 			} else {
 				l := rng.Intn(len(net.Links))
-				if err := s.FailLink(0, l); err != nil {
+				if err := failOne(s, 0, system.FaultTargetLink, l); err != nil {
 					t.Error(err)
 					return
 				}
 				time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
-				if err := s.RepairLink(0, l); err != nil {
+				if err := repairOne(s, 0, system.FaultTargetLink, l); err != nil {
 					t.Error(err)
 					return
 				}

@@ -47,16 +47,16 @@
 //
 // # Hardware faults
 //
-// Hardware failures are a separate axis: FailLink/FailBox/FailResource
-// (and their Repair duals) mark physical components of a shard's fabric
-// failed. The shard keeps scheduling on the surviving subgraph — the
-// solve is still optimal for whatever capacity remains. Units in flight
+// Hardware failures are a separate axis: ApplyFaults fails or repairs
+// links, switchboxes and resources of a shard's fabric, a batch at a
+// time. The shard keeps scheduling on the surviving subgraph — the solve
+// is still optimal for whatever capacity remains. Units in flight
 // across a failed component are severed and re-queued automatically,
 // bounded by Config.SeverRetries before the handle fails with an error
 // matching system.ErrCircuitSevered; tasks whose demand no longer fits
 // the degraded capacity fail with system.ErrUnsatisfiable (at Submit and
-// retroactively for queued tasks). These calls are the only way a fault
-// enters a shard, and each is one event, counted and charged once.
+// retroactively for queued tasks). ApplyFaults is the only way a fault
+// enters a shard, and each batch is one event, counted and charged once.
 // Stats.LinkFaults, Stats.Severed, Stats.Repairs count the events;
 // Stats.Usable gauges surviving capacity.
 package sched
@@ -440,9 +440,6 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// NumShards reports the number of configured shards.
-func (s *Scheduler) NumShards() int { return len(s.shards) }
-
 // Submit queues a task on a shard and returns a handle immediately. The
 // task joins the next scheduling epoch; wait on Handle.Done for its
 // resources.
@@ -559,48 +556,6 @@ func (s *Scheduler) end(j *job) error {
 	return j.endErr
 }
 
-// FailLink fails one physical link of a shard's fabric. The call blocks
-// until the shard has applied the failure: in-flight circuits crossing
-// the link are severed, their units revoked and re-queued, and the
-// shard's degraded capacity recomputed, all before FailLink returns.
-func (s *Scheduler) FailLink(shard, link int) error {
-	return s.fault(shard, system.FaultOp{Target: system.FaultTargetLink, Index: link})
-}
-
-// RepairLink repairs a failed link; queued tasks reacquire on the healed
-// fabric in the following epochs.
-func (s *Scheduler) RepairLink(shard, link int) error {
-	return s.fault(shard, system.FaultOp{Repair: true, Target: system.FaultTargetLink, Index: link})
-}
-
-// FailBox fails a switchbox (all links on its ports become unusable).
-func (s *Scheduler) FailBox(shard, box int) error {
-	return s.fault(shard, system.FaultOp{Target: system.FaultTargetBox, Index: box})
-}
-
-// RepairBox repairs a failed switchbox.
-func (s *Scheduler) RepairBox(shard, box int) error {
-	return s.fault(shard, system.FaultOp{Repair: true, Target: system.FaultTargetBox, Index: box})
-}
-
-// FailResource fails a resource: it leaves the schedulable pool, and a
-// unit of it held by a still-acquiring task is revoked and re-queued.
-func (s *Scheduler) FailResource(shard, res int) error {
-	return s.fault(shard, system.FaultOp{Target: system.FaultTargetResource, Index: res})
-}
-
-// RepairResource repairs a failed resource.
-func (s *Scheduler) RepairResource(shard, res int) error {
-	return s.fault(shard, system.FaultOp{Repair: true, Target: system.FaultTargetResource, Index: res})
-}
-
-// fault routes one hardware event through a shard's op stream — fault
-// application is serialized with scheduling exactly like every other
-// state change — and waits for the applying epoch.
-func (s *Scheduler) fault(shard int, fop system.FaultOp) error {
-	return s.ApplyFaults(shard, []system.FaultOp{fop})
-}
-
 // ApplyFaults applies a batch of hardware operations to a shard as one
 // correlated fault event — a switchbox dying with its attached resources,
 // a power domain dropping several links at once. The batch is
@@ -650,7 +605,7 @@ func (s *Scheduler) send(sh *shard, o op) error {
 // before any client observes the operations' completion, so within one
 // shard the invariants hold in every read — Granted never exceeds what
 // Submitted can explain, Repairs never exceeds LinkFaults, and an
-// operation whose call has returned (EndService, FailLink, ...) is
+// operation whose call has returned (EndService, ApplyFaults, ...) is
 // already counted. Across shards the sum is not one global instant —
 // shard snapshots are taken sequentially — but because every counter is
 // monotone and each per-shard snapshot is internally consistent, summed
@@ -734,7 +689,7 @@ func (s *Scheduler) run(sh *shard) {
 // one locked batch. The shard calls it before every client-visible
 // completion — a reply, a handle close, the end of the epoch
 // — which is what makes Stats read-your-writes coherent: by the time
-// EndService or FailLink has returned, or Handle.Done has fired, the
+// EndService or ApplyFaults has returned, or Handle.Done has fired, the
 // corresponding counters are visible to Stats readers, and to /metrics,
 // which reads the same copy. Runs on the shard goroutine.
 func (s *Scheduler) publish(sh *shard) {

@@ -361,8 +361,8 @@ func TestShardsRunIndependently(t *testing.T) {
 					t.Errorf("task: %v", h.Err())
 					return
 				}
-				if h.Shard() != c%shards {
-					t.Errorf("task ran on shard %d, want %d", h.Shard(), c%shards)
+				if h.shard != c%shards {
+					t.Errorf("task ran on shard %d, want %d", h.shard, c%shards)
 					return
 				}
 				if err := s.EndService(h); err != nil {

@@ -159,11 +159,11 @@ func TestStatsMonotonicUnderLoad(t *testing.T) {
 			default:
 			}
 			shard, link := rng.Intn(shards), rng.Intn(nLinks)
-			if err := s.FailLink(shard, link); err != nil {
+			if err := failOne(s, shard, system.FaultTargetLink, link); err != nil {
 				continue
 			}
 			time.Sleep(200 * time.Microsecond)
-			s.RepairLink(shard, link)
+			repairOne(s, shard, system.FaultTargetLink, link)
 		}
 	}()
 

@@ -92,9 +92,9 @@ func TestTypedSubmitAdmission(t *testing.T) {
 		t.Fatalf("gang over one type's census: %v, want ErrUnsatisfiable naming type 1, need 5, have 4", err)
 	}
 	// Degrade type 1 to three usable units: a {1:4} vector must now be
-	// rejected while {1:3} is still admitted. FailResource returns only
+	// rejected while {1:3} is still admitted. ApplyFaults returns only
 	// after the applying epoch has published the degraded census.
-	if err := s.FailResource(0, 2); err != nil {
+	if err := failOne(s, 0, system.FaultTargetResource, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Submit(0, system.Task{Proc: 0, Needs: map[int]int{1: 4}}); !errors.Is(err, system.ErrUnsatisfiable) {
@@ -183,7 +183,7 @@ func TestTypedQueuedTaskFailsWhenCapacityDrops(t *testing.T) {
 	// {0:1, 1:1} is admissible while healthy; losing the type-1 unit
 	// strands that commodity and must fail the waiting handle, even though
 	// three type-0 units survive.
-	if err := s.FailResource(0, 3); err != nil {
+	if err := failOne(s, 0, system.FaultTargetResource, 3); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -257,12 +257,12 @@ func TestTypedChaosStress(t *testing.T) {
 				}
 			} else { // link fail→heal
 				l := rng.Intn(len(net.Links))
-				if err := s.FailLink(0, l); err != nil {
+				if err := failOne(s, 0, system.FaultTargetLink, l); err != nil {
 					t.Error(err)
 					return
 				}
 				time.Sleep(time.Duration(rng.Intn(400)) * time.Microsecond)
-				if err := s.RepairLink(0, l); err != nil {
+				if err := repairOne(s, 0, system.FaultTargetLink, l); err != nil {
 					t.Error(err)
 					return
 				}

@@ -30,8 +30,6 @@
 // backlog, and within the bound the queue headroom is divided among the
 // priority classes in proportion to their weights — the discrete
 // trunk-reservation analogue of their proportional-fair allocation.
-// internal/queueing (Erlang-C) is the analytic sanity check for where
-// the knee should sit at a given hold time and resource count.
 package server
 
 import (
@@ -206,9 +204,6 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 	}
 	return a, nil
 }
-
-// Tiers reports how many priority classes the controller accepts.
-func (a *Admission) Tiers() int { return len(a.cfg.Weights) }
 
 // Ticket tracks one admitted request through the controller's census.
 type Ticket struct {

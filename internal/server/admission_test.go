@@ -287,8 +287,8 @@ func TestAdmissionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Tiers() != system.MaxTier+1 {
-		t.Fatalf("default tiers = %d, want %d", a.Tiers(), system.MaxTier+1)
+	if tiers := len(a.cfg.Weights); tiers != system.MaxTier+1 {
+		t.Fatalf("default tiers = %d, want %d", tiers, system.MaxTier+1)
 	}
 	if a.reserve[0] != 0 {
 		t.Fatalf("tier 0 reserve = %v, want 0 (tier 0 sheds only at the hard cap)", a.reserve[0])

@@ -76,9 +76,11 @@ func TestOverloadChaosStress(t *testing.T) {
 			default:
 			}
 			link := rng.Intn(nLinks)
-			if err := s.FailLink(0, link); err == nil {
+			fail := []system.FaultOp{{Target: system.FaultTargetLink, Index: link}}
+			if err := s.ApplyFaults(0, fail); err == nil {
 				time.Sleep(linkPeriod / 2)
-				s.RepairLink(0, link) // always heal, even on the way out
+				fail[0].Repair = true
+				s.ApplyFaults(0, fail) // always heal, even on the way out
 			}
 			time.Sleep(linkPeriod / 2)
 		}

@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit used by the
 // simulation and benchmark harnesses: running accumulators, confidence
-// intervals and histogram summaries, all deterministic and allocation-light.
+// intervals and quantiles, all deterministic and allocation-light.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Accumulator collects samples and reports summary statistics. The zero
@@ -79,58 +78,6 @@ func (a *Accumulator) Max() float64 { return a.max }
 // String renders "mean ± ci95 (n=N)".
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("%.4f ± %.4f (n=%d)", a.Mean(), a.CI95(), a.n)
-}
-
-// Histogram counts samples into fixed-width bins over [lo, hi); samples
-// outside the range land in the first or last bin.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	n      int
-}
-
-// NewHistogram creates a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats.NewHistogram: bad range [%v,%v) bins=%d", lo, hi, bins))
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, bins)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.n++
-}
-
-// Counts returns a copy of the bin counts.
-func (h *Histogram) Counts() []int { return append([]int(nil), h.bins...) }
-
-// N reports the total number of samples.
-func (h *Histogram) N() int { return h.n }
-
-// String renders an ASCII bar chart, one bin per line.
-func (h *Histogram) String() string {
-	var sb strings.Builder
-	maxC := 1
-	for _, c := range h.bins {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	width := (h.hi - h.lo) / float64(len(h.bins))
-	for i, c := range h.bins {
-		bar := strings.Repeat("#", c*40/maxC)
-		fmt.Fprintf(&sb, "[%7.3f,%7.3f) %6d %s\n", h.lo+float64(i)*width, h.lo+float64(i+1)*width, c, bar)
-	}
-	return sb.String()
 }
 
 // Percentiles returns the qs-quantiles of a sample slice in one pass over

@@ -61,43 +61,6 @@ func TestQuickVarianceNonNegative(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 42} {
-		h.Add(x)
-	}
-	counts := h.Counts()
-	if h.N() != 8 {
-		t.Fatalf("N = %d", h.N())
-	}
-	// -1, 0, 1.9 in bin 0; 2 in bin 1; 5 in bin 2; 9.9, 10, 42 in bin 4.
-	want := []int{3, 1, 1, 0, 3}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bin %d = %d, want %d (all: %v)", i, counts[i], want[i], counts)
-		}
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Fatal("bar chart empty")
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 0, 5) },
-		func() { NewHistogram(0, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad histogram accepted")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	cases := []struct{ q, want float64 }{

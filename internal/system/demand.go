@@ -19,15 +19,11 @@ type DemandEntry struct {
 // entry-wise sum over its members (they hold their units together).
 type Demand []DemandEntry
 
-// Demand normalises a validated task's declared demand (see ValidateTask):
-// the Needs vector sorted by type, or — the scalar form being exactly the
-// one-type special case — the single entry {Type, Need}, with Need <= 0
-// read as 1.
-func (t Task) Demand() Demand { return t.AppendDemand(nil) }
-
-// AppendDemand appends the task's normalised demand to dst and returns the
-// extended vector, so a caller with inline backing for the common one-type
-// case allocates nothing.
+// AppendDemand appends a validated task's normalised demand (see
+// ValidateTask) to dst and returns the extended vector: the Needs vector
+// sorted by type, or — the scalar form being exactly the one-type special
+// case — the single entry {Type, Need}, with Need <= 0 read as 1. A caller
+// with inline backing for the common one-type case allocates nothing.
 func (t Task) AppendDemand(dst Demand) Demand {
 	if t.Needs == nil {
 		n := t.Need

@@ -107,29 +107,6 @@ func (s *System) GangProvisioned(gid GangID) bool {
 	return e != nil && e.provisioned()
 }
 
-// GangMembers reports an entity's member task IDs, or nil if unknown.
-func (s *System) GangMembers(gid GangID) []TaskID {
-	e, _ := s.entity(TaskID(gid))
-	if e == nil {
-		return nil
-	}
-	ids := make([]TaskID, len(e.members))
-	for i, t := range e.members {
-		ids[i] = t.id
-	}
-	return ids
-}
-
-// GangActive reports whether an entity is past the activation gate (its
-// members compete for resources); a task alone never waits at it.
-func (s *System) GangActive(gid GangID) bool {
-	e, _ := s.entity(TaskID(gid))
-	return e != nil && !e.atGate
-}
-
-// PendingGangs counts gangs still gated before activation.
-func (s *System) PendingGangs() int { return len(s.gangPending) }
-
 // settle applies the atomic-sever rule (rule 4, DESIGN.md §18) after a
 // hardware fault: every gang that lost a unit through any of the affected
 // tasks is reset once (the reset gates it, which its other members see);
@@ -181,9 +158,9 @@ func (s *System) resetGang(e *entity, ids []TaskID) []TaskID {
 }
 
 // CancelGang withdraws a whole entity at any point before EndGangService
-// (see withdraw). A gang's members cannot be canceled individually (Cancel
-// rejects them) — the gang is the unit of withdrawal, exactly as it is the
-// unit of grant and sever.
+// (see withdraw). A gang's members cannot be canceled individually — the
+// gang is the unit of withdrawal, exactly as it is the unit of grant and
+// sever.
 func (s *System) CancelGang(gid GangID) error { return s.withdraw(s.entity(TaskID(gid))) }
 
 // EndGangService completes an entity (see release). A gang's members

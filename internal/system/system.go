@@ -172,7 +172,7 @@ func (id TaskID) Slot() int { return int(id-1) & slotMask }
 // Task is one unit of work requiring Need resources (all of type Type),
 // acquired sequentially — or, with Needs set, a typed demand vector spanning
 // several resource types at once. Both forms are read once, through
-// Demand(); nothing below Submit sees the difference.
+// AppendDemand; nothing below Submit sees the difference.
 type Task struct {
 	Proc int
 	// Tier is the task's priority class, 0 (most urgent) through MaxTier.
@@ -329,8 +329,9 @@ func (s *System) entity(id TaskID) (*entity, error) {
 	return nil, fmt.Errorf("system: unknown task %d (an entity is addressed by its first member)", id)
 }
 
-// alone is entity for the per-task calls, Cancel and EndService, which
-// refuse a gang: it is withdrawn and released whole, by its GangID.
+// alone is entity for the per-task calls, EndService (and the tests'
+// Cancel), which refuse a gang: it is withdrawn and released whole, by its
+// GangID.
 func (s *System) alone(id TaskID) (*entity, error) {
 	e, err := s.entity(id)
 	if err == nil && len(e.members) > 1 {
@@ -830,17 +831,9 @@ func (s *System) EndTransmission(p int) error {
 	return nil
 }
 
-// Cancel withdraws a task at any point before EndService: it is removed
-// from its processor's queue, any in-flight circuit is torn down, and
-// every resource it holds returns to the free pool. Unlike EndService it
-// does not require the task to be fully provisioned or idle, so a client
-// that abandons a queued or partially-provisioned task (a deadline, a
-// crashed caller) cannot strand its queue-head slot or leak held units.
-func (s *System) Cancel(id TaskID) error { return s.withdraw(s.alone(id)) }
-
-// withdraw is the one withdrawal body, under Cancel and CancelGang (err is
-// the entity lookup's): every member leaves its queue, in-flight circuits
-// are torn down and held units return to the pool.
+// withdraw is the one withdrawal body, under CancelGang (err is the entity
+// lookup's): every member leaves its queue, in-flight circuits are torn
+// down and held units return to the pool.
 func (s *System) withdraw(e *entity, err error) error {
 	if err != nil {
 		return err

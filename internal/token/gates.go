@@ -129,8 +129,3 @@ func BuildNSRequestLogic() *NSRequestLogic {
 	l.Gates = g.gates
 	return l
 }
-
-// Eval reads one output truth table at an input assignment.
-func (t tt) Eval(assignment int) bool {
-	return t[assignment/64]>>(assignment%64)&1 == 1
-}

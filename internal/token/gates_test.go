@@ -167,3 +167,9 @@ func TestGateLogicAgreesWithSimulatedEmissions(t *testing.T) {
 		}
 	}
 }
+
+// Eval reads one output truth table at an input assignment; only the
+// tests evaluate the gates, the simulator runs the behavioural rules.
+func (t tt) Eval(assignment int) bool {
+	return t[assignment/64]>>(assignment%64)&1 == 1
+}

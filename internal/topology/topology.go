@@ -268,27 +268,6 @@ func (b *Builder) LinkBoxToRes(box, port, r int) int {
 	return id
 }
 
-// LinkProcToRes wires a processor directly to a resource (degenerate
-// networks and test fixtures).
-func (b *Builder) LinkProcToRes(p, r int) int {
-	if p < 0 || p >= b.n.Procs {
-		return b.errf("LinkProcToRes: processor %d out of range [0,%d)", p, b.n.Procs)
-	}
-	if r < 0 || r >= b.n.Ress {
-		return b.errf("LinkProcToRes: resource %d out of range [0,%d)", r, b.n.Ress)
-	}
-	if b.n.ProcLink[p] != -1 {
-		return b.errf("LinkProcToRes: processor %d already wired", p)
-	}
-	if b.n.ResLink[r] != -1 {
-		return b.errf("LinkProcToRes: resource %d already wired", r)
-	}
-	id := b.addLink(Endpoint{KindProcessor, p, 0}, Endpoint{KindResource, r, 0})
-	b.n.ProcLink[p] = id
-	b.n.ResLink[r] = id
-	return id
-}
-
 // Build validates the wiring and returns the network. It reports any
 // wiring errors recorded by the link methods (duplicate ports,
 // out-of-range indices), then checks that the box graph is loop-free (a

@@ -357,18 +357,6 @@ func TestBuilderRejectsDoubleWire(t *testing.T) {
 	}
 }
 
-func TestLinkProcToRes(t *testing.T) {
-	b := NewBuilder("direct", 1, 1)
-	b.LinkProcToRes(0, 0)
-	n, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if countPaths(n, 0, 0) != 1 {
-		t.Fatal("direct link not a path")
-	}
-}
-
 func TestLog2Panics(t *testing.T) {
 	for _, bad := range []int{0, 1, 3, 6} {
 		func() {

@@ -73,7 +73,8 @@ type (
 	// clock and no registry: what a caller counts is in its results. A
 	// hardware fault enters only through FailLink, FailBox, FailResource
 	// (or ApplyFault), and the severed tasks that call returns are its one
-	// report. A Scheduler with a registry times each cycle in the
+	// report. A task alone is withdrawn like a gang, by CancelGang. A
+	// Scheduler with a registry times each cycle in the
 	// rsin_system_cycle_ms histogram. Its task IDs are opaque and not
 	// sequential: an ID packs a slot of the System's task table with the
 	// slot's generation, and the ID of a task that has left reads as
@@ -93,7 +94,9 @@ type (
 	Avoidance = system.Avoidance
 	// Scheduler is the goroutine-safe batched scheduling service: client
 	// submissions are coalesced into epochs, each epoch costs one flow
-	// solve, and disjoint shards schedule in parallel.
+	// solve, and disjoint shards schedule in parallel. A hardware fault
+	// enters a shard only through ApplyFaults, a batch at a time (one op
+	// is a batch of one).
 	Scheduler = sched.Scheduler
 	// SchedulerConfig parameterizes a Scheduler (shards, batch size,
 	// sever budget, preemption).
