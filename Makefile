@@ -84,7 +84,7 @@ port386:
 # what any 500 us flush timer would read (one tick for the grant, one for
 # the release) — and the run must pass the harness's own checks. Needs jq.
 sparsebench:
-	bash bench/run.sh --workload untyped_sparse --seed 1 --seconds 2 --trace 0 | tee /dev/stderr | \
+	bash bench/run.sh --workload untyped_sparse --seed 1 --seconds 2 --trace 0 | tee -a /dev/stderr | \
 		jq -e '.correct == true and .metrics.lat_p50_ms.value < 0.5'
 
 # End-to-end smoke of the service: every workload of the repo's benchmark
@@ -94,7 +94,7 @@ sparsebench:
 # covers the seventh workload. Needs jq.
 benchsmoke: sparsebench
 	@set -e; for w in untyped_sat typed_pool tiered_faults gangs frontdoor_zero_hold frontdoor_overload; do \
-		bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tee /dev/stderr | jq -e '.correct == true' >/dev/null; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tee -a /dev/stderr | jq -e '.correct == true' >/dev/null; \
 	done
 
 # lint/vuln need staticcheck / govulncheck on PATH (CI installs them);
@@ -134,7 +134,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTypedSubmit -fuzztime 30s ./internal/system
 	$(GO) test -fuzz FuzzHeteroBound -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzRoutingFallbackBoundary -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzFaultBatch -fuzztime 30s ./internal/sched
+	$(GO) test -fuzz FuzzShardScript -fuzztime 30s ./internal/sched
 	$(GO) test -fuzz FuzzMinCostEngines -fuzztime 30s ./internal/netsimplex
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dimacs
 	$(GO) test -fuzz FuzzHTTPSubmitDecode -fuzztime 30s ./internal/server

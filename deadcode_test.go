@@ -55,7 +55,7 @@ var oracles = map[string]string{
 	"topology.Network.LinkFaulted":  "TestFaultOpsRangeAndIdempotence, TestDifferentialFaultMasking",
 	"topology.Network.BoxFaulted":   "TestTypedPlannerDeterministic, TestDifferentialFaultMasking",
 	"topology.Network.FaultedLinks": "TestFaultOpsRangeAndIdempotence, FuzzHeteroBound",
-	"system.System.OpenLinks":       "the System's link words after each fault batch: FuzzFaultBatch",
+	"system.System.OpenLinks":       "the System's link words after each fault batch: FuzzShardScript",
 
 	// Fixtures shared by several packages' tests.
 	"testutil.RandomNetwork":     "random flow networks: TestAlgorithmsAgreeOnRandomNetworks, TestLPMaxFlowMatchesDinic, TestRoundTrip",

@@ -1,18 +1,19 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
 	"rsin/internal/system"
 )
 
-// flush is one scheduling epoch: apply the buffered ops in order, cycle
-// the discipline while it makes progress, then publish the jobs that
-// finished acquiring. Buffer order guarantees a job's submit precedes its
-// cancel, and resources freed by an op are available to this very epoch's
-// solve.
-func (s *Scheduler) flush(sh *shard, buf []op) []op {
+// apply is an epoch's first deciding phase: it applies the buffered ops in
+// order (a job's submit precedes its cancel; resources an op frees feed
+// this very epoch's solve). Like cycle it wakes nobody, only records for
+// deliver what completed: the jobs whose Done must close, and each release's
+// and fault batch's result on its op.
+func (s *Scheduler) apply(sh *shard, buf []op) {
 	sh.tot.Epochs++
 	for i := range buf {
 		switch o := &buf[i]; o.kind {
@@ -26,31 +27,52 @@ func (s *Scheduler) flush(sh *shard, buf []op) []op {
 			s.applyFault(sh, o)
 		}
 	}
-	s.runCycles(sh)
-	// Make the epoch's grants and cycle counters visible before any
-	// handle's Done fires.
-	s.publish(sh)
-	s.publishGrants(sh)
-	return buf[:0]
 }
 
-// applyEnd releases a provisioned job. The publish precedes the reply, so
-// the caller observes its own completion in Stats the moment EndService
-// returns.
+// deliver is the shard's one delivery point, run after each deciding
+// phase: it publishes the running totals and the degraded-capacity census
+// as one locked batch, then fires what the phase completed — the recorded
+// Dones, then the results of ops' releases and fault batches. So whatever
+// a client observes is already in Stats, and in /metrics, which reads the
+// same copy.
+func (s *Scheduler) deliver(sh *shard, ops []op) {
+	sh.tot.Free = sh.sys.FreeResources()
+	sh.mu.Lock()
+	sh.stats, sh.usable = sh.tot, sh.census
+	sh.mu.Unlock()
+	for _, j := range sh.fired {
+		if j.stop != nil {
+			j.stop() // before Done fires, so a client never sees the watch live
+		}
+		close(j.done)
+	}
+	clear(sh.fired) // the list outlives the jobs; do not pin them
+	sh.fired = sh.fired[:0]
+	for i := range ops {
+		switch o := &ops[i]; o.kind {
+		case opEnd:
+			o.j.endErr = o.err
+			o.j.ended.Done()
+		case opFault:
+			o.reply <- o.err
+		}
+	}
+}
+
+// applyEnd releases a provisioned job; the outcome is the op's result.
 func (s *Scheduler) applyEnd(sh *shard, o *op) {
 	j := o.j
-	var err error
 	lost := ""
 	switch {
 	case sh.dead != nil:
-		err, lost = sh.dead, resDead
+		o.err, lost = sh.dead, resDead
 	case j.gen != sh.gen:
 		// The grants were made by a System discarded in a restart; applying
 		// the release to the rebuilt one would free resources it never
 		// granted.
-		err, lost = fmt.Errorf("sched: shard %d: grants lost to restart: %w", sh.idx, ErrShardDown), resRestartLost
+		o.err, lost = fmt.Errorf("sched: shard %d: grants lost to restart: %w", sh.idx, ErrShardDown), resRestartLost
 	default:
-		if err = sh.sys.EndGangService(j.entity()); err == nil {
+		if o.err = sh.sys.EndGangService(j.entity()); o.err == nil {
 			j.finished = true
 			j.count(&sh.tot, serviced)
 			if s.o.enabled && j.grantNano != 0 {
@@ -66,9 +88,6 @@ func (s *Scheduler) applyEnd(sh *shard, o *op) {
 		j.count(&sh.tot, failed)
 		s.jobEvent(sh, j, kFailed, 0, lost)
 	}
-	s.publish(sh)
-	j.endErr = err
-	j.ended.Done()
 }
 
 // applySubmit admits a job to the shard's System and starts tracking it.
@@ -86,13 +105,19 @@ func (s *Scheduler) applySubmit(sh *shard, o *op) {
 	}
 	if err != nil {
 		j.err = err
-		close(j.done)
+		sh.fired = append(sh.fired, j)
 		return
 	}
 	j.gen = sh.gen
 	sh.track(j)
 	j.count(&sh.tot, submitted)
 	s.jobEvent(sh, j, kSubmit, j.units(), j.label)
+	// The cancellation contract: if ctx ends before the job's Done fires
+	// (deliver then stops the watch), the job is withdrawn whole. Watched
+	// only once tracked, the cancel always queues behind its submit.
+	if ctx := o.ctx; ctx.Done() != nil {
+		j.stop = context.AfterFunc(ctx, func() { _ = s.send(sh, op{kind: opCancel, j: j, cause: ctx.Err()}) })
+	}
 }
 
 // applyCancel withdraws a job whose context ended, unless it was
@@ -115,22 +140,19 @@ func (s *Scheduler) applyCancel(sh *shard, o *op) {
 // several units to the one event, or a gang that lost several members'
 // units, pays one retry.
 func (s *Scheduler) applyFault(sh *shard, o *op) {
-	if sh.dead != nil {
-		o.reply <- sh.dead
+	if o.err = sh.dead; o.err != nil {
 		return
 	}
 	for _, f := range o.faults {
-		if err := sh.sys.CheckFault(f); err != nil {
-			o.reply <- err
+		if o.err = sh.sys.CheckFault(f); o.err != nil {
 			return
 		}
 	}
 	var severed []system.TaskID
-	var err error
 	for _, f := range o.faults {
 		ep := sh.sys.FaultEpoch()
 		var affected []system.TaskID
-		if affected, err = sh.sys.ApplyFault(f); err != nil {
+		if affected, o.err = sh.sys.ApplyFault(f); o.err != nil {
 			break
 		}
 		severed = append(severed, affected...)
@@ -164,8 +186,6 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 	if sh.dead == nil {
 		s.refreshCapacity(sh)
 	}
-	s.publish(sh)
-	o.reply <- err
 }
 
 // addCycle folds one scheduling cycle's result into the counters.
@@ -178,7 +198,7 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 	st.SolveCounts.Add(&r.Mapping.Solve)
 }
 
-// runCycles is the epoch's scheduling phase: one Cycle solves the whole
+// cycle is an epoch's second deciding phase: one Cycle solves the whole
 // batch; repeat only while another could grant something (multi-resource
 // tasks and freshly unblocked queue heads acquire on the follow-up cycles).
 // Transmission completes within the granting cycle. After a granting cycle
@@ -190,8 +210,9 @@ func (st *Stats) addCycle(r *system.CycleResult) {
 // next cycle's gang gate only units moved from the free pool to holders,
 // which can make no waiting gang admissible (DESIGN.md §22). With Preempt
 // set, each cycle also plans its tier exchanges; the victims it reports are
-// charged here, once the cycle's transmissions have ended.
-func (s *Scheduler) runCycles(sh *shard) {
+// charged here, once the cycle's transmissions have ended. The phase ends
+// by recording the grants that completed.
+func (s *Scheduler) cycle(sh *shard) {
 	var solveStart int64
 	if s.o.enabled {
 		solveStart = nowNano()
@@ -215,7 +236,7 @@ cycling:
 		sh.cycleCount++
 		sh.tot.addCycle(r)
 		for _, a := range r.Mapping.Assigned {
-			// Whoever received a unit this epoch is who publishGrants has
+			// Whoever received a unit this epoch is who recordGrants has
 			// to look at.
 			if j := sh.jobOf(sh.sys.Transmitting(a.Req.Proc)); j != nil {
 				sh.granted = append(sh.granted, j)
@@ -241,18 +262,19 @@ cycling:
 	if s.o.enabled && cycles > 0 {
 		s.o.epochSolveMS.Observe(float64(nowNano()-solveStart) / 1e6)
 	}
+	s.recordGrants(sh)
 }
 
-// publishGrants hands over the jobs whose grant completed: every member
+// recordGrants hands over the jobs whose grant completed: every member
 // fully provisioned, resources recorded per member before Done fires (the
 // record is what Resources hands back) — a
 // client can never observe a partially granted gang through its handle.
 // A grant completes only in an epoch that gave the job a unit, so the
-// candidates are the jobs runCycles saw receive one (a gang once per unit,
+// candidates are the jobs cycle saw receive one (a gang once per unit,
 // a job a restart or a withdrawal has since finished: the tracks check
 // drops both). Provisioned jobs leave the tracking map; the system layer
 // keeps them immune to severs and resets.
-func (s *Scheduler) publishGrants(sh *shard) {
+func (s *Scheduler) recordGrants(sh *shard) {
 	for _, j := range sh.granted {
 		if !sh.tracks(j) || !sh.sys.GangProvisioned(j.entity()) {
 			continue
@@ -272,16 +294,17 @@ func (s *Scheduler) publishGrants(sh *shard) {
 		}
 		s.jobEvent(sh, j, kGrant, j.units(), "")
 		sh.untrack(j)
-		close(j.done)
+		sh.fired = append(sh.fired, j)
 	}
 	clear(sh.granted) // the list outlives the jobs; do not pin them
 	sh.granted = sh.granted[:0]
 }
 
 // finish resolves a tracked job terminally, exactly once: stop tracking
-// it, record the error and the outcome, and make both visible in Stats
-// before Done fires. Every path that ends a job before its grant — cancel,
-// sever budget, capacity drop, restart, shutdown — ends here.
+// it, record the error and the outcome, and leave its Done to deliver,
+// which fires it once both are published. Every path that ends a job
+// before its grant — cancel, sever budget, capacity drop, restart,
+// shutdown — ends here.
 func (s *Scheduler) finish(sh *shard, j *job, o outcome, err error, val int64, result string) {
 	sh.untrack(j)
 	j.err = err
@@ -292,8 +315,17 @@ func (s *Scheduler) finish(sh *shard, j *job, o outcome, err error, val int64, r
 		k = kCancel
 	}
 	s.jobEvent(sh, j, k, val, result)
-	s.publish(sh)
-	close(j.done)
+	sh.fired = append(sh.fired, j)
+}
+
+// finishTracked finishes every tracked job with the same failure: the
+// supervisor's restart and the shutdown drain.
+func (s *Scheduler) finishTracked(sh *shard, err error, result string) {
+	for i := range sh.tracked {
+		if e := sh.tracked[i]; e.j != nil && e.id == e.j.ids[0] {
+			s.finish(sh, e.j, failed, err, 0, result)
+		}
+	}
 }
 
 // withdraw pulls a tracked job out of the System and finishes it. A
@@ -329,33 +361,26 @@ func (s *Scheduler) chargeSever(sh *shard, j *job) bool {
 	return s.withdraw(sh, j, failed, cause, int64(j.severs), resSeverBudget)
 }
 
-// refreshCapacity republishes the shard's degraded-capacity census when
+// refreshCapacity recomputes the shard's degraded-capacity census when
 // the fabric's fault epoch has moved, and withdraws tracked jobs whose
 // demand no longer fits the surviving capacity: they would otherwise wait
 // forever on resources the fabric has lost (a gang at the activation
 // gate, or churning resets against capacity it can never reassemble).
 func (s *Scheduler) refreshCapacity(sh *shard) {
 	ep := sh.sys.FaultEpoch()
-	if sh.capOK && ep == sh.capEpoch {
+	if sh.census != nil && ep == sh.capEpoch {
 		return
 	}
-	usable := sh.sys.UsableResources()
-	total := 0
-	for _, c := range usable {
-		total += c
+	sh.census, sh.capEpoch, sh.tot.Usable = sh.sys.UsableResources(), ep, 0
+	for _, c := range sh.census {
+		sh.tot.Usable += c
 	}
-	sh.tot.Usable = total
-	sh.mu.Lock()
-	sh.usable = usable
-	sh.stats.Usable = total
-	sh.mu.Unlock()
-	sh.capEpoch, sh.capOK = ep, true
 	for i := range sh.tracked {
 		j := sh.tracked[i].j
 		if j == nil || sh.tracked[i].id != j.ids[0] {
 			continue
 		}
-		if err := j.demand.Shortfall(usable); err != nil {
+		if err := j.demand.Shortfall(sh.census); err != nil {
 			cause := fmt.Errorf("sched: shard %d: surviving capacity: %w", sh.idx, err)
 			if !s.withdraw(sh, j, failed, cause, j.units(), resUnsat) {
 				return
@@ -371,12 +396,7 @@ func (s *Scheduler) refreshCapacity(sh *shard) {
 // Releases of grants made by the lost generation are rejected by the gen
 // check in applyEnd rather than applied to the rebuilt state.
 func (s *Scheduler) failShard(sh *shard, cause error) {
-	down := fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrShardDown, cause)
-	for i := range sh.tracked {
-		if e := sh.tracked[i]; e.j != nil && e.id == e.j.ids[0] {
-			s.finish(sh, e.j, failed, down, 0, resShardDown)
-		}
-	}
+	s.finishTracked(sh, fmt.Errorf("sched: shard %d: %w: %w", sh.idx, ErrShardDown, cause), resShardDown)
 	sys, err := system.New(sh.sysCfg)
 	if err != nil {
 		// The config built a System at New; if it no longer does,
@@ -390,6 +410,6 @@ func (s *Scheduler) failShard(sh *shard, cause error) {
 	s.event(sh, evRestart, 0, int64(sh.gen), "")
 	// The rebuilt System starts from the pristine template: force the
 	// degraded-capacity census to recompute (its fault epoch restarted).
-	sh.capOK = false
+	sh.census = nil
 	s.refreshCapacity(sh)
 }

@@ -159,13 +159,11 @@ func typedInstance(t *testing.T, name string) workload.TypedInstance {
 }
 
 // driveTypedInstance serves one workload.AdversarialTyped instance through
-// a typed shard on its fabric, its requests in a single cycle, and returns
-// Stats and the /metrics counters once that cycle is counted. The
-// instance's free resources keep their types; of the rest the last is a
-// gate (type 4) and the others fillers (type 3) one task holds. Three
-// processors the instance leaves idle hold the fillers, hold the gate and
-// wait on it: releasing the gate starts an epoch whose cycle (the waiter is
-// tracked) parks, and the instance's requests queue up behind it.
+// a stepped typed shard on its fabric, its requests in a single cycle, and
+// returns Stats and the /metrics counters once that cycle is counted. The
+// instance's free resources keep their types; the rest are fillers (type
+// 3) that one task on a processor the instance leaves idle holds, so the
+// instance's requests, submitted in one epoch, meet exactly its offer.
 func driveTypedInstance(t *testing.T, inst workload.TypedInstance) (Stats, map[string]int64) {
 	t.Helper()
 	types := make([]int, inst.Net.Ress)
@@ -174,57 +172,41 @@ func driveTypedInstance(t *testing.T, inst workload.TypedInstance) (Stats, map[s
 		types[a.Res] = a.Type
 		offered[a.Res] = true
 	}
-	var spare []int
+	fillers := 0
 	for r := range types {
 		if !offered[r] {
-			spare = append(spare, r)
+			types[r] = 3
+			fillers++
 		}
 	}
 	asking := map[int]bool{}
 	for _, r := range inst.Reqs {
 		asking[r.Proc] = true
 	}
-	var idle []int
-	for p := 0; p < inst.Net.Procs; p++ {
-		if !asking[p] {
-			idle = append(idle, p)
+	idle := 0
+	for asking[idle] {
+		idle++
+	}
+	if idle >= inst.Net.Procs {
+		t.Fatalf("instance %q leaves no processor idle for the fillers", inst.Name)
+	}
+	reg := obs.NewRegistry()
+	st := newStepper(t, Config{Obs: reg, Shards: []system.Config{typedShard(inst.Net, types)}})
+	if fillers > 0 {
+		st.provision(system.Task{Proc: idle, Needs: map[int]int{3: fillers}})
+	}
+	before := st.s.Stats()
+	for _, r := range inst.Reqs {
+		if _, err := st.submit(system.Task{Proc: r.Proc, Needs: map[int]int{r.Type: 1}}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(idle) < 3 || len(spare) == 0 {
-		t.Fatalf("instance %q leaves no room for the gate: %d idle processors, %d spare resources", inst.Name, len(idle), len(spare))
+	st.step()
+	s := st.s.Stats()
+	if s.Epochs != before.Epochs+1 || s.Submitted != before.Submitted+int64(len(inst.Reqs)) {
+		t.Fatalf("the instance's %d requests were not one epoch's: %+v", len(inst.Reqs), s)
 	}
-	fillers := len(spare) - 1
-	for _, r := range spare[:fillers] {
-		types[r] = 3
-	}
-	types[spare[fillers]] = 4
-	g := newCycleGate()
-	reg := obs.NewRegistry()
-	sc := typedShard(inst.Net, types)
-	sc.FaultHook = g.hook
-	s := newScheduler(t, Config{Obs: reg, Shards: []system.Config{sc}})
-	t.Cleanup(g.unpark)
-
-	submitted := int64(2)
-	if fillers > 0 {
-		provision(t, s, 0, system.Task{Proc: idle[2], Needs: map[int]int{3: fillers}})
-		submitted++
-	}
-	holder := provision(t, s, 0, system.Task{Proc: idle[0], Needs: map[int]int{4: 1}})
-	waiter := submit(t, s, system.Task{Proc: idle[1], Needs: map[int]int{4: 1}})
-	waitStats(t, s, func(st Stats) bool { return st.Submitted == submitted })
-	g.armed.Store(true)
-	if err := s.EndService(holder); err != nil {
-		t.Fatal(err)
-	}
-	g.waitParked(t)
-	for _, r := range inst.Reqs {
-		submit(t, s, system.Task{Proc: r.Proc, Needs: map[int]int{r.Type: 1}})
-	}
-	g.release <- struct{}{}
-	waitDone(t, waiter, "gate waiter")
-	st := waitStats(t, s, func(st Stats) bool { return st.MultiSearch+st.MultiLP > 0 })
-	return st, reg.Snapshot().Counters
+	return s, reg.Snapshot().Counters
 }
 
 // TestMultiSearchCounted drives one typed epoch that misses the

@@ -63,10 +63,10 @@ func (s *Scheduler) SubmitGangCtx(ctx context.Context, shard int, spec GangSpec)
 	return h, nil
 }
 
-// EndGang releases every resource a finished gang holds, atomically. It
-// may only be called after the handle's Done channel closed with a nil
-// Err; it blocks until the release epoch has run. A call made while another
-// is in flight on the same handle returns an error at once.
+// EndGang releases every resource a finished gang holds, atomically, on
+// EndService's terms: only after Done closed with a nil Err, and returning
+// once the release is applied and counted. A call racing another on the
+// same handle waits for that one to return, then gets the System's error.
 func (s *Scheduler) EndGang(h *GangHandle) error {
 	if h == nil {
 		return fmt.Errorf("sched: nil gang handle")

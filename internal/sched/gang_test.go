@@ -163,92 +163,81 @@ func TestGangCtxCancel(t *testing.T) {
 // gang submitted into an unsafe allocation (two wedged multi-unit
 // holders whose completions cannot be ordered) stays gated — zero
 // activations, zero member grants — until the wedge clears, and then
-// completes.
+// completes. Stepped, the gated epochs are exact: the gang's own epoch and
+// the wedge's cancel both leave it waiting; the epoch that completes the
+// survivor's grant is the last it waits.
 func TestGangActivationGate(t *testing.T) {
 	net := topology.Omega(4)
-	s := newScheduler(t, Config{
-		Shards: []system.Config{{Net: net}},
-	})
+	st := newStepper(t, Config{Shards: []system.Config{{Net: net}}})
 	// Two Need=3 singletons under the default greedy policy split the 4
 	// units 2/2 and wedge in hold-and-wait: each holds 2, needs 1 more,
 	// free is 0 and neither can ever finish. This is the canonical unsafe
 	// state the banker must refuse to promise a completion order in. The
 	// split needs both to be acquiring when the units come free (alone, the
 	// first would take 3), so a four-member gang holds every unit while
-	// they queue up and hands all four back in one EndGang.
-	filler, err := s.SubmitGang(0, GangSpec{Members: []system.Task{{Proc: 0}, {Proc: 1}, {Proc: 2}, {Proc: 3}}})
+	// they queue up and hands all four back in one release.
+	filler, err := st.gang(system.Task{Proc: 0}, system.Task{Proc: 1}, system.Task{Proc: 2}, system.Task{Proc: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, filler, "filler gang")
-	if filler.Err() != nil {
-		t.Fatal(filler.Err())
+	st.step()
+	if !fired(&filler.job) || filler.Err() != nil {
+		t.Fatalf("filler gang not provisioned: %v", filler.Err())
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	x, err := s.SubmitCtx(ctx, 0, system.Task{Proc: 0, Need: 3})
-	if err != nil {
+	x, _ := st.submit(system.Task{Proc: 0, Need: 3})
+	y, _ := st.submit(system.Task{Proc: 1, Need: 3})
+	st.step()
+	if s := st.s.Stats(); s.Submitted != 6 {
+		t.Fatalf("the singletons were not admitted: %+v", s)
+	}
+	if err := st.release(&filler.job); err != nil {
 		t.Fatal(err)
 	}
-	y, err := s.Submit(0, system.Task{Proc: 1, Need: 3})
-	if err != nil {
-		t.Fatal(err)
+	if s := st.s.Stats(); s.Free != 0 || fired(&x.job) || fired(&y.job) {
+		t.Fatalf("singletons never wedged: %+v", s)
 	}
-	waitStats(t, s, func(st Stats) bool { return st.Submitted == 6 })
-	if err := s.EndGang(filler); err != nil {
-		t.Fatal(err)
-	}
-	if st := waitStats(t, s, func(st Stats) bool { return st.Free == 0 }); st.Free != 0 {
-		t.Fatalf("singletons never wedged: %+v", st)
-	}
-	activated := s.Stats().GangsActivated // the filler's
-	gh, err := s.SubmitGang(0, GangSpec{Members: []system.Task{{Proc: 2}, {Proc: 3}}})
+	activated := st.s.Stats().GangsActivated // the filler's
+	gh, err := st.gang(system.Task{Proc: 2}, system.Task{Proc: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No completion order exists while the wedge stands: the gang must not
-	// activate, let alone acquire.
-	select {
-	case <-gh.Done():
+	// activate, let alone acquire, in its own epoch or any other.
+	st.step()
+	if fired(&gh.job) {
 		t.Fatalf("gang completed inside an unsafe allocation: %v", gh.Err())
-	case <-time.After(50 * time.Millisecond):
 	}
-	if st := s.Stats(); st.GangsActivated != activated {
-		t.Fatalf("GangsActivated rose by %d inside the wedge, want 0", st.GangsActivated-activated)
+	if s := st.s.Stats(); s.GangsActivated != activated {
+		t.Fatalf("GangsActivated rose by %d inside the wedge, want 0", s.GangsActivated-activated)
 	}
-	// Withdrawing one wedged holder returns its units; the other finishes,
-	// the allocation is safe again and the gated gang proceeds.
-	cancel()
-	<-x.Done()
+	// Withdrawing one wedged holder returns its units; the other finishes in
+	// the same epoch, and the allocation is safe again.
+	st.cancel(&x.job)
+	st.step()
 	if !errors.Is(x.Err(), ErrTaskCanceled) {
 		t.Fatalf("canceled singleton: %v", x.Err())
 	}
-	select {
-	case <-y.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("surviving singleton never completed after the wedge cleared")
+	if !fired(&y.job) || y.Err() != nil {
+		t.Fatalf("surviving singleton not provisioned in the cancel's epoch: %v", y.Err())
 	}
-	if y.Err() != nil {
-		t.Fatal(y.Err())
+	if fired(&gh.job) {
+		t.Fatal("gang provisioned while y held three of the four units")
 	}
-	if err := s.EndService(y); err != nil {
+	// y's release lets the gated gang through in the release's epoch.
+	if err := st.release(&y.job); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-gh.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("gang never activated after the allocation became safe")
+	if !fired(&gh.job) || gh.Err() != nil {
+		t.Fatalf("gang not provisioned in the epoch that made the allocation safe: %v", gh.Err())
 	}
-	if gh.Err() != nil {
-		t.Fatal(gh.Err())
+	if s := st.s.Stats(); s.GangsActivated != activated+1 {
+		t.Fatalf("GangsActivated rose by %d, want 1", s.GangsActivated-activated)
 	}
-	if st := s.Stats(); st.GangsActivated != activated+1 {
-		t.Fatalf("GangsActivated rose by %d, want 1", st.GangsActivated-activated)
-	}
-	if err := s.EndGang(gh); err != nil {
+	if err := st.release(&gh.job); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Free != net.Ress {
-		t.Fatalf("Free = %d, want %d", st.Free, net.Ress)
+	if s := st.s.Stats(); s.Free != net.Ress {
+		t.Fatalf("Free = %d, want %d", s.Free, net.Ress)
 	}
 }
 
@@ -259,7 +248,7 @@ func TestGangActivationGate(t *testing.T) {
 // once, and no member leaves partial state behind.
 func TestGangSeverExactlyOnce(t *testing.T) {
 	net := topology.Omega(8)
-	s := newScheduler(t, Config{
+	st := newStepper(t, Config{
 		Shards:       []system.Config{{Net: net}},
 		SeverRetries: 1,
 	})
@@ -269,18 +258,12 @@ func TestGangSeverExactlyOnce(t *testing.T) {
 	// while the blockers stand — a permanently mid-acquisition gang, the
 	// exact state atomic sever targets. Each fail+repair batch against the
 	// three free units is one correlated event: however many units the
-	// gang loses to it, the budget is charged once.
+	// gang loses to it, the budget is charged once, and the gang takes the
+	// three back in the repair's epoch.
 	var blockers []*Handle
 	taken := map[int]bool{}
 	for p := 2; p < 7; p++ {
-		b, err := s.Submit(0, system.Task{Proc: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-b.Done()
-		if b.Err() != nil {
-			t.Fatal(b.Err())
-		}
+		b := st.provision(system.Task{Proc: p})
 		taken[b.Resources()[0]] = true
 		blockers = append(blockers, b)
 	}
@@ -290,60 +273,46 @@ func TestGangSeverExactlyOnce(t *testing.T) {
 			free = append(free, r)
 		}
 	}
-	gh, err := s.SubmitGang(0, GangSpec{Members: []system.Task{
-		{Proc: 0, Need: 2}, {Proc: 1, Need: 2},
-	}})
+	gh, err := st.gang(system.Task{Proc: 0, Need: 2}, system.Task{Proc: 1, Need: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fail→heal the free units until the budget (1) is exceeded.
-	deadline := time.After(10 * time.Second)
-	for done := false; !done; {
-		fops := make([]system.FaultOp, 0, 2*len(free))
-		for _, r := range free {
-			fops = append(fops, system.FaultOp{Target: system.FaultTargetResource, Index: r})
+	st.step()
+	for event := 1; event <= 2; event++ {
+		if fired(&gh.job) {
+			t.Fatalf("gang resolved after %d sever events, budget 1: %v", event-1, gh.Err())
 		}
-		if err := s.ApplyFaults(0, fops); err != nil {
+		if err := st.fault(faultBatch(free, false)...); err != nil {
 			t.Fatal(err)
 		}
-		for i := range fops {
-			fops[i].Repair = true
-		}
-		if err := s.ApplyFaults(0, fops); err != nil {
+		if err := st.fault(faultBatch(free, true)...); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-gh.Done():
-			done = true
-		case <-deadline:
-			t.Fatal("gang never exceeded its sever budget")
-		case <-time.After(2 * time.Millisecond):
-		}
 	}
-	if !errors.Is(gh.Err(), system.ErrCircuitSevered) {
-		t.Fatalf("gang error %v, want ErrCircuitSevered", gh.Err())
+	if !fired(&gh.job) || !errors.Is(gh.Err(), system.ErrCircuitSevered) {
+		t.Fatalf("gang error %v, want ErrCircuitSevered on the second event", gh.Err())
 	}
-	st := s.Stats()
-	if st.GangsFailed != 1 {
-		t.Fatalf("GangsFailed = %d, want exactly 1", st.GangsFailed)
+	s := st.s.Stats()
+	if s.GangsFailed != 1 {
+		t.Fatalf("GangsFailed = %d, want exactly 1", s.GangsFailed)
 	}
-	if st.Failed != 2 {
-		t.Fatalf("Failed = %d, want exactly 2 (each member once)", st.Failed)
+	if s.Failed != 2 {
+		t.Fatalf("Failed = %d, want exactly 2 (each member once)", s.Failed)
 	}
-	if st.GangSevers < 2 {
-		t.Fatalf("GangSevers = %d, want >= 2 (budget 1 exceeded)", st.GangSevers)
+	if s.GangSevers != 2 {
+		t.Fatalf("GangSevers = %d, want exactly 2 (one per event, budget 1 exceeded on the second)", s.GangSevers)
 	}
 	for _, b := range blockers {
-		if err := s.EndService(b); err != nil {
+		if err := st.release(&b.job); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st = s.Stats()
-	if st.Submitted != st.Serviced+st.Canceled+st.Failed {
-		t.Fatalf("accounting identity broken: %+v", st)
+	s = st.s.Stats()
+	if s.Submitted != s.Serviced+s.Canceled+s.Failed {
+		t.Fatalf("accounting identity broken: %+v", s)
 	}
-	if st.Free != net.Ress || st.Usable != net.Ress {
-		t.Fatalf("fabric not restored after gang failure: %+v", st)
+	if s.Free != net.Ress || s.Usable != net.Ress {
+		t.Fatalf("fabric not restored after gang failure: %+v", s)
 	}
 }
 

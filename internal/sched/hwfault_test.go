@@ -141,7 +141,7 @@ func TestQueuedTaskFailsWhenCapacityDrops(t *testing.T) {
 // canceled with ErrCircuitSevered once it exceeds Config.SeverRetries.
 func TestSeverRetryBudget(t *testing.T) {
 	net := topology.Omega(4)
-	s := newScheduler(t, Config{
+	st := newStepper(t, Config{
 		Shards:       []system.Config{{Net: net}},
 		SeverRetries: 1,
 	})
@@ -150,14 +150,7 @@ func TestSeverRetryBudget(t *testing.T) {
 	var blockers []*Handle
 	taken := map[int]bool{}
 	for p := 1; p < 4; p++ {
-		b, err := s.Submit(0, system.Task{Proc: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-b.Done()
-		if b.Err() != nil {
-			t.Fatal(b.Err())
-		}
+		b := st.provision(system.Task{Proc: p})
 		taken[b.Resources()[0]] = true
 		blockers = append(blockers, b)
 	}
@@ -167,40 +160,37 @@ func TestSeverRetryBudget(t *testing.T) {
 			free = r
 		}
 	}
-	victim, err := s.Submit(0, system.Task{Proc: 0, Need: 2})
+	victim, err := st.submit(system.Task{Proc: 0, Need: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fail→heal the victim's unit until the sever budget (1) is exceeded.
-	deadline := time.After(10 * time.Second)
-	for done := false; !done; {
-		if err := failOne(s, 0, system.FaultTargetResource, free); err != nil {
+	st.step()
+	// Fail→heal the victim's unit: it reacquires the unit in the repair's
+	// epoch, and the second sever exceeds the budget (1).
+	for event := 1; event <= 2; event++ {
+		if fired(&victim.job) {
+			t.Fatalf("victim resolved after %d sever events, budget 1: %v", event-1, victim.Err())
+		}
+		if err := st.fault(system.FaultOp{Target: system.FaultTargetResource, Index: free}); err != nil {
 			t.Fatal(err)
 		}
-		if err := repairOne(s, 0, system.FaultTargetResource, free); err != nil {
+		if err := st.fault(system.FaultOp{Target: system.FaultTargetResource, Index: free, Repair: true}); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-victim.Done():
-			done = true
-		case <-deadline:
-			t.Fatal("victim never exceeded its sever budget")
-		case <-time.After(2 * time.Millisecond): // let it reacquire, sever again
-		}
 	}
-	if !errors.Is(victim.Err(), system.ErrCircuitSevered) {
-		t.Fatalf("victim error %v, want ErrCircuitSevered", victim.Err())
+	if !fired(&victim.job) || !errors.Is(victim.Err(), system.ErrCircuitSevered) {
+		t.Fatalf("victim error %v, want ErrCircuitSevered on the second event", victim.Err())
 	}
-	if st := s.Stats(); st.Severed < 2 {
-		t.Fatalf("Severed = %d, want >= 2", st.Severed)
+	if s := st.s.Stats(); s.Severed != 2 {
+		t.Fatalf("Severed = %d, want exactly 2", s.Severed)
 	}
 	for _, b := range blockers {
-		if err := s.EndService(b); err != nil {
+		if err := st.release(&b.job); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.Free != net.Ress || st.Usable != net.Ress {
-		t.Fatalf("fabric not restored: %+v", st)
+	if s := st.s.Stats(); s.Free != net.Ress || s.Usable != net.Ress {
+		t.Fatalf("fabric not restored: %+v", s)
 	}
 }
 
@@ -221,52 +211,46 @@ func TestCorrelatedFaultChargesOnce(t *testing.T) {
 			// holds. Failing only two of those keeps usable capacity (6)
 			// above its demand — the capacity watchdog must not be the thing
 			// that kills it.
-			s, blockers, held, j := blockedJob(t, Config{SeverRetries: 1}, k)
+			st, blockers, held, j := blockedJob(t, Config{SeverRetries: 1}, k)
 			// One correlated event takes two held units at once...
-			if err := s.ApplyFaults(0, faultBatch(held[:2], false)); err != nil {
+			if err := st.fault(faultBatch(held[:2], false)...); err != nil {
 				t.Fatal(err)
 			}
 			// ...and one batch heals them.
-			if err := s.ApplyFaults(0, faultBatch(held[:2], true)); err != nil {
+			if err := st.fault(faultBatch(held[:2], true)...); err != nil {
 				t.Fatal(err)
 			}
 			// Releasing a blocker frees the fourth unit the job needs. A job
 			// over-charged per unit (2 > SeverRetries) would already be dead
 			// with ErrCircuitSevered here.
-			if err := s.EndService(blockers[0]); err != nil {
+			if err := st.release(&blockers[0].job); err != nil {
 				t.Fatal(err)
 			}
-			select {
-			case <-j.Done():
-			case <-time.After(10 * time.Second):
-				t.Fatal("job never completed after the correlated sever")
-			}
-			if err := j.Err(); err != nil {
-				t.Fatalf("job charged more than once for one fault event: %v", err)
+			if !fired(j) || j.err != nil {
+				t.Fatalf("job charged more than once for one fault event, or not provisioned by the release: %v", j.err)
 			}
 			// A task counts once per event however many units it lost, and
 			// a gang once per member the reset re-queued.
-			st := s.Stats()
-			want := k.members
-			if st.Severed != want {
-				t.Fatalf("Severed = %d, want %d (both units lost, once)", st.Severed, want)
+			s := st.s.Stats()
+			if s.Severed != k.members {
+				t.Fatalf("Severed = %d, want %d (both units lost, once)", s.Severed, k.members)
 			}
-			if st.GangSevers != k.gangs {
-				t.Fatalf("GangSevers = %d, want %d (one charge per event per gang)", st.GangSevers, k.gangs)
+			if s.GangSevers != k.gangs {
+				t.Fatalf("GangSevers = %d, want %d (one charge per event per gang)", s.GangSevers, k.gangs)
 			}
-			if err := endJob(s, j); err != nil {
+			if err := st.release(j); err != nil {
 				t.Fatal(err)
 			}
 			for _, b := range blockers[1:] {
-				if err := s.EndService(b); err != nil {
+				if err := st.release(&b.job); err != nil {
 					t.Fatal(err)
 				}
 			}
-			st = s.Stats()
-			if st.Free != 8 {
-				t.Fatalf("drained pool has %d free of 8", st.Free)
+			s = st.s.Stats()
+			if s.Free != 8 {
+				t.Fatalf("drained pool has %d free of 8", s.Free)
 			}
-			assertTerminalIdentity(t, st)
+			assertTerminalIdentity(t, s)
 		})
 	}
 }

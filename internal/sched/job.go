@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"sync"
 
 	"rsin/internal/system"
@@ -21,12 +22,13 @@ type job struct {
 	tier   int             // most urgent member tier, for the per-tier instruments
 	severs int             // sever events charged; bounded by Config.SeverRetries
 	done   chan struct{}
-	res    [][]int // per member; written by the shard goroutine before done closes
-	err    error   // terminal error; written before done closes
+	stop   func() bool // ends the context watch; deliver calls it as Done fires
+	res    [][]int     // per member; written by the shard goroutine before done closes
+	err    error       // terminal error; written before done closes
 
 	// The release's reply travels on the job, not on a channel made per
 	// call: end holds endMu across its send and wait, so racing calls queue
-	// behind one another, and the shard writes endErr before it marks ended
+	// behind one another, and deliver writes endErr before it marks ended
 	// done.
 	endMu  sync.Mutex
 	ended  sync.WaitGroup
@@ -124,7 +126,9 @@ type op struct {
 	j       *job
 	one     [1]system.Task   // opSubmit of a singleton: its task, inline (no slice to allocate)
 	members []system.Task    // opSubmit of a gang: the validated member tasks
-	reply   chan error       // opFault: the outcome of the System call (opEnd replies on its job)
+	ctx     context.Context  // opSubmit: watched for its end once the job is tracked
+	reply   chan error       // opFault: where deliver sends err (opEnd replies on its job)
+	err     error            // opEnd, opFault: the outcome, recorded by apply for deliver
 	cause   error            // opCancel: the context's Err at cancellation
 	faults  []system.FaultOp // opFault: one correlated hardware event (one sever charge)
 }

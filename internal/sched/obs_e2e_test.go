@@ -361,22 +361,26 @@ func TestGangLabelsReachTrace(t *testing.T) {
 // Stats counts.
 func TestServiceRecordsSystemFacts(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newScheduler(t, Config{Obs: reg, BatchSize: 1, Shards: []system.Config{{Net: topology.Crossbar(2, 2)}}})
-	blocker := provision(t, s, 0, system.Task{Proc: 1})
-	victim, err := s.Submit(0, system.Task{Proc: 0, Need: 2})
+	sp := newStepper(t, Config{Obs: reg, Shards: []system.Config{{Net: topology.Crossbar(2, 2)}}})
+	blocker := sp.provision(system.Task{Proc: 1})
+	victim, err := sp.submit(system.Task{Proc: 0, Need: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitStats(t, s, func(st Stats) bool { return st.Granted == 2 }); st.Granted != 2 {
-		t.Fatalf("victim never acquired its first unit: %+v", st)
+	sp.step()
+	if st := sp.s.Stats(); st.Granted != 2 || fired(&victim.job) {
+		t.Fatalf("victim did not acquire its first unit and wait: %+v", st)
 	}
 	held := 1 - blocker.Resources()[0]
-	if err := failOne(s, 0, system.FaultTargetResource, held); err != nil {
+	if err := sp.fault(system.FaultOp{Target: system.FaultTargetResource, Index: held}); err != nil {
 		t.Fatal(err)
 	}
-	// One usable unit cannot complete a Need-2 task: it is withdrawn.
-	waitDone(t, victim, "victim")
-	st := waitStats(t, s, func(st Stats) bool { return st.Failed == 1 })
+	// One usable unit cannot complete a Need-2 task: it is withdrawn in the
+	// fault's epoch.
+	st := sp.s.Stats()
+	if !fired(&victim.job) || st.Failed != 1 {
+		t.Fatalf("victim not withdrawn by the fault's epoch: %v, %+v", victim.Err(), st)
+	}
 	if st.Severed != 1 || st.LinkFaults != 1 {
 		t.Fatalf("Severed = %d, LinkFaults = %d, want 1, 1", st.Severed, st.LinkFaults)
 	}
@@ -401,7 +405,7 @@ func TestServiceRecordsSystemFacts(t *testing.T) {
 	if n := reg.Snapshot().Histograms["rsin_system_cycle_ms"].N; int64(n) != st.Cycles {
 		t.Errorf("rsin_system_cycle_ms has %d samples, Stats.Cycles = %d", n, st.Cycles)
 	}
-	if err := s.EndService(blocker); err != nil {
+	if err := sp.release(&blocker.job); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,37 +13,33 @@ import (
 	"rsin/internal/topology"
 )
 
-// preemptRig stands up one MinCost crossbar shard (3 processors, 2
+// preemptRig stands up one stepped MinCost crossbar shard (3 processors, 2
 // resources) in a known holding pattern: blocker H (tier 0, preference-
 // steered to resource 1) is fully provisioned and therefore immune to
 // preemption, and victim V (tier 2, Need 2) holds resource 0 while
 // waiting for resource 1 — still acquiring, so preemptible. The shard
 // records into a registry, so the trace can be checked too.
-func preemptRig(t *testing.T, severRetries int) (s *Scheduler, h, v *Handle) {
+func preemptRig(t *testing.T, severRetries int) (st *stepper, h, v *Handle) {
 	t.Helper()
-	s = newScheduler(t, Config{
+	st = newStepper(t, Config{
 		Shards:       []system.Config{{Net: topology.Crossbar(3, 2), Discipline: system.MinCost}},
-		BatchSize:    1,
 		SeverRetries: severRetries,
 		Preempt:      true,
 		Obs:          obs.NewRegistry(),
 	})
-	h, err := s.Submit(0, system.Task{Proc: 2, Tier: 0, Prefs: []int64{0, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitOK(t, h, "blocker")
+	h = st.provision(system.Task{Proc: 2, Tier: 0, Prefs: []int64{0, 5}})
 	if got := h.Resources(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("blocker holds %v, want the preferred resource 1", got)
 	}
-	v, err = s.Submit(0, system.Task{Proc: 0, Tier: 2, Need: 2})
+	v, err := st.submit(system.Task{Proc: 0, Tier: 2, Need: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitStats(t, s, func(st Stats) bool { return st.Granted == 2 }); st.Granted != 2 {
-		t.Fatalf("victim never acquired its first unit: %+v", st)
+	st.step()
+	if s := st.s.Stats(); s.Granted != 2 || fired(&v.job) {
+		t.Fatalf("victim did not acquire its first unit and wait: %+v", s)
 	}
-	return s, h, v
+	return st, h, v
 }
 
 // waitOK waits for a handle to resolve successfully.
@@ -55,6 +51,14 @@ func waitOK(t *testing.T, h *Handle, what string) {
 	}
 }
 
+// granted requires a stepped handle provisioned.
+func granted(t *testing.T, h *Handle, what string) {
+	t.Helper()
+	if !fired(&h.job) || h.Err() != nil {
+		t.Fatalf("%s not provisioned in its epoch: %v", what, h.Err())
+	}
+}
+
 // TestPreemptionRegrant is the retry half of the preemption accounting
 // contract: a tier-0 arrival preempts the tier-2 victim's held unit
 // exactly once, the beneficiary is provisioned with that unit, and the
@@ -63,48 +67,45 @@ func waitOK(t *testing.T, h *Handle, what string) {
 // quiescence. (system's TestExchangeRegrant steps the same decisions
 // cycle by cycle.)
 func TestPreemptionRegrant(t *testing.T) {
-	s, h, v := preemptRig(t, 3)
-	b, err := s.Submit(0, system.Task{Proc: 1, Tier: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitOK(t, b, "tier-0 beneficiary")
+	st, h, v := preemptRig(t, 3)
+	b := st.provision(system.Task{Proc: 1, Tier: 0})
 	if got := b.Resources(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("beneficiary holds %v, want the preempted resource 0", got)
 	}
-	if st := s.Stats(); st.Preempts != 1 {
-		t.Fatalf("Preempts = %d, want 1", st.Preempts)
+	if s := st.s.Stats(); s.Preempts != 1 {
+		t.Fatalf("Preempts = %d, want 1", s.Preempts)
 	}
-	select {
-	case <-v.Done():
+	if fired(&v.job) {
 		t.Fatalf("victim resolved early: err=%v res=%v", v.Err(), v.Resources())
-	default:
 	}
 	// Release the beneficiary: the victim re-acquires its preempted unit
-	// (the one retry re-grant), then completes once the blocker leaves.
-	if err := s.EndService(b); err != nil {
+	// (the one retry re-grant) in the release's epoch, then completes once
+	// the blocker leaves.
+	if err := st.release(&b.job); err != nil {
 		t.Fatal(err)
 	}
-	waitStats(t, s, func(st Stats) bool { return st.Granted == 4 })
-	if err := s.EndService(h); err != nil {
+	if s := st.s.Stats(); s.Granted != 4 || fired(&v.job) {
+		t.Fatalf("victim did not re-acquire its unit and wait: %+v", s)
+	}
+	if err := st.release(&h.job); err != nil {
 		t.Fatal(err)
 	}
-	waitOK(t, v, "victim")
+	granted(t, v, "victim")
 	if got := v.Resources(); len(got) != 2 {
 		t.Fatalf("victim holds %v, want both resources", got)
 	}
-	if err := s.EndService(v); err != nil {
+	if err := st.release(&v.job); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Submitted != 3 || st.Serviced != 3 || st.Canceled != 0 || st.Failed != 0 {
-		t.Fatalf("terminal accounting broken: %+v", st)
+	s := st.s.Stats()
+	if s.Submitted != 3 || s.Serviced != 3 || s.Canceled != 0 || s.Failed != 0 {
+		t.Fatalf("terminal accounting broken: %+v", s)
 	}
-	if st.Preempts != 1 {
-		t.Fatalf("Preempts = %d, want exactly 1", st.Preempts)
+	if s.Preempts != 1 {
+		t.Fatalf("Preempts = %d, want exactly 1", s.Preempts)
 	}
-	if st.Free != 2 {
-		t.Fatalf("pool not drained: %d free", st.Free)
+	if s.Free != 2 {
+		t.Fatalf("pool not drained: %d free", s.Free)
 	}
 }
 
@@ -114,49 +115,39 @@ func TestPreemptionRegrant(t *testing.T) {
 // exactly-once terminal accounting as the hardware sever path it rides.
 // (system's TestExchangeSameVictimAgain steps the second exchange.)
 func TestPreemptionSeverBudget(t *testing.T) {
-	s, h, v := preemptRig(t, 1)
-	b1, err := s.Submit(0, system.Task{Proc: 1, Tier: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitOK(t, b1, "first beneficiary")
-	if err := s.EndService(b1); err != nil {
+	st, h, v := preemptRig(t, 1)
+	b1 := st.provision(system.Task{Proc: 1, Tier: 0})
+	if err := st.release(&b1.job); err != nil {
 		t.Fatal(err)
 	}
 	// The victim re-acquires resource 0 (sever budget now spent) ...
-	waitStats(t, s, func(st Stats) bool { return st.Granted == 4 })
-	// ... and the next tier-0 arrival preempts it again, over budget.
-	b2, err := s.Submit(0, system.Task{Proc: 1, Tier: 0})
-	if err != nil {
-		t.Fatal(err)
+	if s := st.s.Stats(); s.Granted != 4 {
+		t.Fatalf("victim did not re-acquire its unit: %+v", s)
 	}
-	waitOK(t, b2, "second beneficiary")
-	select {
-	case <-v.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("victim never failed")
-	}
-	if !errors.Is(v.Err(), system.ErrCircuitSevered) {
+	// ... and the next tier-0 arrival preempts it again, over budget, in
+	// the arrival's epoch.
+	b2 := st.provision(system.Task{Proc: 1, Tier: 0})
+	if !fired(&v.job) || !errors.Is(v.Err(), system.ErrCircuitSevered) {
 		t.Fatalf("victim error %v, want ErrCircuitSevered", v.Err())
 	}
-	if err := s.EndService(b2); err != nil {
+	if err := st.release(&b2.job); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EndService(h); err != nil {
+	if err := st.release(&h.job); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Preempts != 2 {
-		t.Fatalf("Preempts = %d, want 2", st.Preempts)
+	s := st.s.Stats()
+	if s.Preempts != 2 {
+		t.Fatalf("Preempts = %d, want 2", s.Preempts)
 	}
-	if n := countKind(s.cfg.Obs, evPreempt); n != 2 {
+	if n := countKind(st.s.cfg.Obs, evPreempt); n != 2 {
 		t.Fatalf("trace has %d preempt events, want one per exchange (2)", n)
 	}
-	if st.Submitted != 4 || st.Serviced != 3 || st.Failed != 1 || st.Canceled != 0 {
-		t.Fatalf("terminal accounting broken: %+v", st)
+	if s.Submitted != 4 || s.Serviced != 3 || s.Failed != 1 || s.Canceled != 0 {
+		t.Fatalf("terminal accounting broken: %+v", s)
 	}
-	if st.Free != 2 {
-		t.Fatalf("pool not drained: %d free", st.Free)
+	if s.Free != 2 {
+		t.Fatalf("pool not drained: %d free", s.Free)
 	}
 }
 
@@ -165,54 +156,48 @@ func TestPreemptionSeverBudget(t *testing.T) {
 // not strictly increase — so the holder keeps its unit and the arrivals
 // wait for a natural release. The decision itself is stepped cycle by
 // cycle in system's TestExchangeStarvationGuard; here it is the service's
-// end to end.
+// epoch by epoch.
 func TestPreemptionStarvationGuard(t *testing.T) {
-	s, h, v := preemptRig(t, 3)
-	equal, err := s.Submit(0, system.Task{Proc: 1, Tier: 2}) // same tier as the victim
+	st, h, v := preemptRig(t, 3)
+	equal, err := st.submit(system.Task{Proc: 1, Tier: 2}) // same tier as the victim
 	if err != nil {
 		t.Fatal(err)
 	}
-	lower, err := s.Submit(0, system.Task{Proc: 2, Tier: 5}) // less urgent than the victim
+	lower, err := st.submit(system.Task{Proc: 2, Tier: 5}) // less urgent than the victim
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An epoch publishes its counters after its cycles, and exchanges are
-	// planned inside them: once both submissions are counted, every cycle
-	// that could have preempted for them has run. The shard cycles again
-	// only on a new op.
-	if st := waitStats(t, s, func(st Stats) bool { return st.Submitted == 4 }); st.Submitted != 4 {
-		t.Fatalf("the arrivals were never admitted: %+v", st)
-	}
-	if st := s.Stats(); st.Preempts != 0 {
-		t.Fatalf("Preempts = %d, want 0: equal or lower tier must not preempt", st.Preempts)
+	// Exchanges are planned inside the arrivals' epoch's cycles: once it
+	// has run, every cycle that could have preempted for them has.
+	st.step()
+	if s := st.s.Stats(); s.Submitted != 4 || s.Preempts != 0 {
+		t.Fatalf("Submitted = %d, Preempts = %d, want 4 and 0: equal or lower tier must not preempt", s.Submitted, s.Preempts)
 	}
 	for _, w := range []*Handle{equal, lower, v} {
-		select {
-		case <-w.Done():
+		if fired(&w.job) {
 			t.Fatalf("task resolved without a release: err=%v", w.Err())
-		default:
 		}
 	}
 	// Natural unwind: the blocker leaves, the victim completes, and the
 	// waiting arrivals are served in turn.
-	if err := s.EndService(h); err != nil {
+	if err := st.release(&h.job); err != nil {
 		t.Fatal(err)
 	}
-	waitOK(t, v, "victim")
-	if err := s.EndService(v); err != nil {
+	granted(t, v, "victim")
+	if err := st.release(&v.job); err != nil {
 		t.Fatal(err)
 	}
-	waitOK(t, equal, "equal-tier arrival")
-	waitOK(t, lower, "lower-tier arrival")
-	if err := s.EndService(equal); err != nil {
+	granted(t, equal, "equal-tier arrival")
+	granted(t, lower, "lower-tier arrival")
+	if err := st.release(&equal.job); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EndService(lower); err != nil {
+	if err := st.release(&lower.job); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Preempts != 0 || st.Submitted != 4 || st.Serviced != 4 || st.Failed != 0 {
-		t.Fatalf("terminal accounting broken: %+v", st)
+	s := st.s.Stats()
+	if s.Preempts != 0 || s.Submitted != 4 || s.Serviced != 4 || s.Failed != 0 {
+		t.Fatalf("terminal accounting broken: %+v", s)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,6 +83,40 @@ func TestShardRecoversFromCycleFault(t *testing.T) {
 	}
 	if st.Free != 8 {
 		t.Fatalf("rebuilt shard has %d free of 8", st.Free)
+	}
+}
+
+// TestRestartCountedBeforeDone pins the delivery rule on the shard
+// goroutine: a restart's victims learn of it through their Done, and by
+// then Stats already counts the restart and their failure — every time.
+// A thousand injected solver faults; Stats is read the moment each
+// victim's Done fires.
+func TestRestartCountedBeforeDone(t *testing.T) {
+	const restarts = 1000
+	var trip atomic.Bool
+	s := newScheduler(t, Config{Shards: []system.Config{{
+		Net: topology.Omega(4),
+		FaultHook: func(point string) error {
+			if point == system.FaultCycle && trip.CompareAndSwap(true, false) {
+				return errors.New("injected solver fault")
+			}
+			return nil
+		},
+	}}})
+	for i := int64(1); i <= restarts; i++ {
+		trip.Store(true)
+		h, err := s.Submit(0, system.Task{Proc: int(i % 4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, h, "restart victim")
+		st := s.Stats()
+		if st.Restarts != i || st.Failed != i {
+			t.Fatalf("restart %d: Stats at its victim's Done reads Restarts %d, Failed %d", i, st.Restarts, st.Failed)
+		}
+		if !errors.Is(h.Err(), ErrShardDown) {
+			t.Fatalf("restart %d: victim err = %v, want ErrShardDown", i, h.Err())
+		}
 	}
 }
 
@@ -175,8 +210,12 @@ func TestNoHotLoopWhileBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The blocked task's own epoch publishes its admission together with
-	// the epoch and its cycles; from then on both counts must hold.
-	before := waitStats(t, s, func(st Stats) bool { return st.Submitted == 5 })
+	// the epoch and its cycles; from then on both counts must hold. No
+	// completion shows that admission, so this is the one wait on it.
+	before := s.Stats()
+	for deadline := time.Now().Add(5 * time.Second); before.Submitted != 5 && time.Now().Before(deadline); before = s.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	time.Sleep(50 * time.Millisecond)
 	after := s.Stats()
 	if after.Cycles != before.Cycles {
@@ -273,6 +312,30 @@ func TestSubmitCtxCancelFreesQueueHead(t *testing.T) {
 	}
 	if st := s.Stats(); st.Free != 4 {
 		t.Fatalf("drained pool has %d free of 4", st.Free)
+	}
+}
+
+// TestGrantStopsContextWatch: a submission with a cancellable context is
+// watched by a context.AfterFunc, not a goroutine, and the delivery that
+// fires its Done stops the watch — a context that ends after the grant
+// sends no cancel.
+func TestGrantStopsContextWatch(t *testing.T) {
+	s := newScheduler(t, Config{Shards: []system.Config{{Net: topology.Omega(4)}}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h, err := s.SubmitCtx(ctx, 0, system.Task{Proc: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitOK(t, h, "watched task")
+	if h.stop == nil {
+		t.Fatal("a cancellable context was not watched")
+	}
+	if h.stop() {
+		t.Fatal("the context watch outlived the grant: deliver did not stop it")
+	}
+	if err := s.EndService(h); err != nil {
+		t.Fatal(err)
 	}
 }
 

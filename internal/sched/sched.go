@@ -11,10 +11,13 @@
 //     scheduling epoch as soon as its queue runs dry — there is no timer:
 //     like the §IV scheduler, a cycle starts when work is pending and the
 //     previous one is over. Under load operations pile up behind the
-//     running epoch, so batches fill by themselves. One epoch runs the
-//     underlying System's Cycle — one flow solve covering every request in
-//     the batch — repeating only while grants are still being made
-//     (multi-resource tasks acquire one unit per cycle, §II).
+//     running epoch, so batches fill by themselves. One epoch applies the
+//     ops, then runs the underlying System's Cycle — one flow solve
+//     covering every request in the batch — repeating only while grants
+//     are still being made (multi-resource tasks acquire one unit per
+//     cycle, §II). Each of the two phases only records what it completed;
+//     one delivery point after each publishes Stats, then wakes those
+//     clients, so whatever a client observes is already counted.
 //   - Sharding. The fabric is partitioned into disjoint sub-networks (one
 //     Clos plane, one resource type, one tenant...), each owned by its own
 //     shard goroutine with its own System, so independent shards schedule
@@ -302,8 +305,6 @@ type shard struct {
 	idx    int
 	sys    *system.System
 	sysCfg system.Config // prepared config (preemption threaded); supervisor rebuilds from it
-	procs  int
-	ress   int
 	ops    chan op
 	// tracked indexes every job whose grant is not yet complete by the
 	// slot of each of its member task IDs (system.TaskID.Slot), so the
@@ -314,22 +315,22 @@ type shard struct {
 	// ntracked counts the entries in use.
 	tracked  []trackedTask
 	ntracked int
-	granted  []*job // jobs that received a unit this epoch: publishGrants' candidates
+	granted  []*job // jobs that received a unit this epoch: recordGrants' candidates
+	fired    []*job // jobs whose Done the next deliver closes
 	gen      int    // bumped by every supervisor restart
-	capEpoch uint64 // fault epoch the usable census was computed at
-	capOK    bool   // false forces a recompute (restart)
+	capEpoch uint64 // fault epoch the census was computed at (a nil census forces a recompute)
 
 	cycleCount int64 // cumulative cycles, stamps trace events
 
 	// tot is the shard's running totals, counted in place by the shard
-	// goroutine; stats is the copy publish last made of it under mu, which
-	// is all a reader ever sees.
-	tot   Stats
-	mu    sync.Mutex
-	stats Stats
-	// usable is the degraded-capacity census per resource type ({0: n}
-	// without configured types), recomputed by the shard goroutine on each
-	// fault epoch and read by the admission check (under mu).
+	// goroutine, and census its degraded-capacity census per resource type
+	// ({0: n} without configured types), recomputed on each fault epoch;
+	// stats and usable are the copies deliver last made of them under mu,
+	// which are all Stats and the admission check ever read.
+	tot    Stats
+	census map[int]int
+	mu     sync.Mutex
+	stats  Stats
 	usable map[int]int
 
 	// dead is the last resort: it is set only when a supervisor restart
@@ -393,6 +394,19 @@ type Scheduler struct {
 // New validates the configuration, builds one System per shard and starts
 // the shard goroutines.
 func New(cfg Config) (*Scheduler, error) {
+	s, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, sh := range s.shards {
+		s.wg.Add(1)
+		go s.run(sh)
+	}
+	return s, nil
+}
+
+// build is New without starting the shard goroutines.
+func build(cfg Config) (*Scheduler, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("sched: at least one shard is required")
 	}
@@ -418,25 +432,13 @@ func New(cfg Config) (*Scheduler, error) {
 			idx:    i,
 			sys:    sys,
 			sysCfg: sc,
-			procs:  sc.Net.Procs,
-			ress:   sc.Net.Ress,
 			ops:    make(chan op, 2*cfg.BatchSize), // a full batch queues while another flushes
 		}
-		sh.tot.Free = sc.Net.Ress
-		sh.usable = sh.sys.UsableResources()
-		for _, c := range sh.usable {
-			sh.tot.Usable += c
-		}
-		sh.stats = sh.tot
-		sh.capEpoch = sh.sys.FaultEpoch()
-		sh.capOK = true
+		s.refreshCapacity(sh)
+		s.deliver(sh, nil)
 		s.shards = append(s.shards, sh)
 	}
 	cfg.Obs.Collect(s.collect)
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go s.run(sh)
-	}
 	return s, nil
 }
 
@@ -447,17 +449,25 @@ func (s *Scheduler) Submit(shard int, t system.Task) (*Handle, error) {
 	return s.SubmitCtx(context.Background(), shard, t)
 }
 
-// admit is the shared front of every submission: o is the job's opSubmit.
-// A context that has already ended refuses it (it consumes no queue slot
-// and never counts as Submitted). Validation — shard and processor range,
-// task checks, distinct processors — and the degraded admission test run
-// here, before the job consumes a batch slot: the summed demand must fit
-// the shard's surviving capacity (resources lost to hardware faults, or
-// stranded behind failed switchboxes, cannot complete an acquisition until
-// repaired), every type against its own stock, which also refuses a type
-// the fabric never stocked. An admitted job is watched for ctx's end
-// (watchCtx).
+// admit, every submission's front, readies the job's opSubmit and sends it.
 func (s *Scheduler) admit(ctx context.Context, shard int, o op) error {
+	if err := s.ready(ctx, shard, &o); err != nil {
+		return err
+	}
+	return s.send(s.shards[shard], o)
+}
+
+// ready is admit's prelude. A context that has already ended refuses the
+// job (it consumes no queue slot and never counts as Submitted).
+// Validation — shard and processor range, task checks, distinct processors
+// — and the degraded admission test run here, before the job consumes a
+// batch slot: the summed demand must fit the shard's surviving capacity
+// (resources lost to hardware faults, or stranded behind failed
+// switchboxes, cannot complete an acquisition until repaired), every type
+// against its own stock, which also refuses a type the fabric never
+// stocked. The op carries ctx to the shard, which watches it once the job
+// is tracked.
+func (s *Scheduler) ready(ctx context.Context, shard int, o *op) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("sched: %w: %w", ErrTaskCanceled, err)
 	}
@@ -467,7 +477,7 @@ func (s *Scheduler) admit(ctx context.Context, shard int, o op) error {
 	sh, j := s.shards[shard], o.j
 	// The System would refuse a malformed submission too, but only on the
 	// shard goroutine, after it took a batch slot.
-	if err := system.ValidateMembers(o.tasks(), sh.procs, sh.ress); err != nil {
+	if err := system.ValidateMembers(o.tasks(), sh.sysCfg.Net.Procs, sh.sysCfg.Net.Ress); err != nil {
 		s.o.rejected.Inc()
 		return fmt.Errorf("sched: shard %d: %w", shard, err)
 	}
@@ -482,33 +492,11 @@ func (s *Scheduler) admit(ctx context.Context, shard int, o op) error {
 		}
 		return fmt.Errorf("sched: shard %d: %w", shard, err)
 	}
-	j.shard, j.done = shard, make(chan struct{})
+	j.shard, j.done, o.ctx = shard, make(chan struct{}), ctx
 	if s.o.enabled {
 		j.submitNano = nowNano()
 	}
-	if err := s.send(sh, o); err != nil {
-		return err
-	}
-	s.watchCtx(ctx, j)
 	return nil
-}
-
-// watchCtx gives an admitted job its cancellation contract: if ctx ends
-// before the job is fully provisioned it is withdrawn whole from its
-// shard. The shard decides the race — the cancel op is a no-op if the job
-// completed (or was failed) before it drains — and a closed scheduler
-// already fails the job in shutdown.
-func (s *Scheduler) watchCtx(ctx context.Context, j *job) {
-	if ctx.Done() == nil {
-		return
-	}
-	go func() {
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-			_ = s.send(s.shards[j.shard], op{kind: opCancel, j: j, cause: ctx.Err()})
-		}
-	}()
 }
 
 // SubmitCtx is Submit with a cancellation contract: if ctx ends before
@@ -526,8 +514,9 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, shard int, t system.Task) (*H
 }
 
 // EndService releases every resource a finished task holds. It may only
-// be called after the handle's Done channel closed with a nil Err; it
-// blocks until the release epoch has run.
+// be called after the handle's Done channel closed with a nil Err. It
+// returns once the shard has applied the release and counted it in Stats —
+// before that epoch's scheduling cycles, which the freed resources feed.
 func (s *Scheduler) EndService(h *Handle) error {
 	if h == nil {
 		return fmt.Errorf("sched: nil handle")
@@ -600,13 +589,13 @@ func (s *Scheduler) send(sh *shard, o op) error {
 //
 // # Snapshot semantics
 //
-// Each shard's contribution is a consistent snapshot: the shard publishes
-// every counter of an event batch atomically (under its stats lock)
-// before any client observes the operations' completion, so within one
-// shard the invariants hold in every read — Granted never exceeds what
-// Submitted can explain, Repairs never exceeds LinkFaults, and an
-// operation whose call has returned (EndService, ApplyFaults, ...) is
-// already counted. Across shards the sum is not one global instant —
+// Each shard's contribution is a consistent snapshot, by construction: a
+// shard publishes its totals (under its stats lock) and wakes its clients
+// in one place, deliver, publishing first — so within one shard the
+// invariants hold in every read (Granted never exceeds what Submitted can
+// explain, Repairs never exceeds LinkFaults) and a completion a client has
+// observed (a fired Done, a returned EndService or ApplyFaults) is already
+// counted. Across shards the sum is not one global instant —
 // shard snapshots are taken sequentially — but because every counter is
 // monotone and each per-shard snapshot is internally consistent, summed
 // totals are monotone across successive Stats calls and cross-shard sums
@@ -673,28 +662,15 @@ func (s *Scheduler) run(sh *shard) {
 			runtime.Gosched()
 			yielded = true
 		}
-		buf = s.flush(sh, buf)
+		s.apply(sh, buf)
+		s.deliver(sh, buf)
+		s.cycle(sh)
+		s.deliver(sh, nil)
+		buf = buf[:0]
 	}
 	// Closed and drained: every queued op has had its epoch. Work the
 	// service could not provision is terminal — each member counts once
 	// in Stats.Failed.
-	for i := range sh.tracked {
-		if e := sh.tracked[i]; e.j != nil && e.id == e.j.ids[0] {
-			s.finish(sh, e.j, failed, ErrClosed, 0, resClosed)
-		}
-	}
-}
-
-// publish copies the shard's running totals into its published stats as
-// one locked batch. The shard calls it before every client-visible
-// completion — a reply, a handle close, the end of the epoch
-// — which is what makes Stats read-your-writes coherent: by the time
-// EndService or ApplyFaults has returned, or Handle.Done has fired, the
-// corresponding counters are visible to Stats readers, and to /metrics,
-// which reads the same copy. Runs on the shard goroutine.
-func (s *Scheduler) publish(sh *shard) {
-	sh.tot.Free = sh.sys.FreeResources()
-	sh.mu.Lock()
-	sh.stats = sh.tot
-	sh.mu.Unlock()
+	s.finishTracked(sh, ErrClosed, resClosed)
+	s.deliver(sh, nil)
 }

@@ -15,66 +15,45 @@ import (
 // TestStatsCoherentAfterBlockingReply is the regression test for the
 // torn-snapshot bug: flush used to publish an epoch's counters only at
 // the very end, after replying to the client — so EndService could return
-// while Stats still showed the release as not having happened. The test
-// holds the shard goroutine hostage inside the post-release cycle loop
-// (via a gated FaultHook) and asserts that the completed EndService is
-// already visible; before the publish-before-reply fix this read 0
-// deterministically.
+// while Stats still showed the release as not having happened. The release
+// is replied to at the delivery point after the apply phase, before the
+// epoch's cycles: the test stops the stepped epoch there and asserts that
+// the completed release is already visible.
 func TestStatsCoherentAfterBlockingReply(t *testing.T) {
-	// One op in flight at a time, so each is an epoch of its own and
-	// nothing flushes ahead of the gated EndService.
-	g := newCycleGate()
-	s := newScheduler(t, Config{
-		BatchSize: 1,
-		Shards: []system.Config{{
-			Net:       topology.Crossbar(2, 2),
-			Avoidance: system.AvoidanceNone,
-			FaultHook: g.hook,
-		}},
-	})
-	t.Cleanup(g.unpark)
-
-	a, err := s.Submit(0, system.Task{Proc: 0, Need: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-a.Done()
-	if a.Err() != nil {
-		t.Fatal(a.Err())
-	}
+	st := newStepper(t, Config{Shards: []system.Config{{
+		Net:       topology.Crossbar(2, 2),
+		Avoidance: system.AvoidanceNone,
+	}}})
+	a := st.provision(system.Task{Proc: 0, Need: 1})
 	// b acquires the one remaining resource and blocks needing a second:
-	// the shard stays tracked, so every flush runs at least one Cycle and
-	// consults the hook.
-	b, err := s.Submit(0, system.Task{Proc: 1, Need: 2})
+	// the shard stays tracked, so the release epoch runs a Cycle.
+	b, err := st.submit(system.Task{Proc: 1, Need: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// b's admission becomes visible only after its flush's cycle loop has
-	// run; arming the gate earlier would park that flush instead of the
-	// EndService one.
-	waitStats(t, s, func(st Stats) bool { return st.Submitted == 2 })
-
-	g.armed.Store(true)
-	if err := s.EndService(a); err != nil {
+	st.step()
+	if s := st.s.Stats(); s.Submitted != 2 || s.Granted != 2 {
+		t.Fatalf("b's epoch left %+v, want 2 submitted, 2 granted", s)
+	}
+	cycles := st.s.Stats().Cycles
+	st.end(&a.job)
+	if ops := st.apply(); ops[0].err != nil {
+		t.Fatal(ops[0].err)
+	}
+	// The release has its reply; the epoch's cycles have not run. The
+	// release must nevertheless be visible.
+	if s := st.s.Stats(); s.Serviced != 1 || s.Cycles != cycles {
+		t.Fatalf("Serviced = %d, Cycles = %d when the release replied, want 1 and the %d cycles before it", s.Serviced, s.Cycles, cycles)
+	}
+	st.cycle()
+	if !fired(&b.job) || b.Err() != nil {
+		t.Fatalf("b not provisioned by the release's epoch: %v", b.Err())
+	}
+	if err := st.release(&b.job); err != nil {
 		t.Fatal(err)
 	}
-	// The shard goroutine parks in the gated hook, mid-flush. The release
-	// we just completed must nevertheless be visible.
-	g.waitParked(t)
-	if st := s.Stats(); st.Serviced != 1 {
-		t.Fatalf("Serviced = %d after EndService returned, want 1 (stats published only at flush end?)", st.Serviced)
-	}
-	g.release <- struct{}{}
-	<-b.Done()
-	if b.Err() != nil {
-		t.Fatal(b.Err())
-	}
-	if err := s.EndService(b); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Serviced != 2 || st.Submitted != 2 {
-		t.Fatalf("final stats %+v", st)
+	if s := st.s.Stats(); s.Serviced != 2 || s.Submitted != 2 {
+		t.Fatalf("final stats %+v", s)
 	}
 }
 
@@ -232,6 +211,22 @@ func (k jobKind) submit(s *Scheduler, procs [3]int, units int) (waiter, error) {
 	}})
 }
 
+// queue is submit on a stepper.
+func (k jobKind) queue(st *stepper, procs [3]int, units int) (*job, error) {
+	if k.gangs == 0 {
+		h, err := st.submit(system.Task{Proc: procs[0], Need: units})
+		if err != nil {
+			return nil, err
+		}
+		return &h.job, nil
+	}
+	h, err := st.gang(system.Task{Proc: procs[0], Need: units - 2}, system.Task{Proc: procs[1]}, system.Task{Proc: procs[2]})
+	if err != nil {
+		return nil, err
+	}
+	return &h.job, nil
+}
+
 func endJob(s *Scheduler, w waiter) error {
 	if h, ok := w.(*Handle); ok {
 		return s.EndService(h)
@@ -261,21 +256,21 @@ func assertTerminalIdentity(t *testing.T, st Stats) {
 	}
 }
 
-// blockedJob returns a one-shard Omega(8) scheduler where five filler
-// tasks (procs 0-4) each hold one resource and a job of the given kind
-// (procs 5-7) demands four: it acquires the three free units and blocks
-// on a fourth — permanently mid-acquisition, the state every terminal
-// path but release starts from. held lists the units the job holds. With
-// a gang aboard the shard runs banker's grants; activation is safe because
-// the fillers' eventual releases cover the gang.
-func blockedJob(t *testing.T, cfg Config, k jobKind) (s *Scheduler, fillers []*Handle, held []int, j waiter) {
+// blockedJob returns a stepped one-shard Omega(8) scheduler where five
+// filler tasks (procs 0-4) each hold one resource and a job of the given
+// kind (procs 5-7) demands four: it acquires the three free units and
+// blocks on a fourth — permanently mid-acquisition, the state every
+// terminal path but release starts from. held lists the units the job
+// holds. With a gang aboard the shard runs banker's grants; activation is
+// safe because the fillers' eventual releases cover the gang.
+func blockedJob(t *testing.T, cfg Config, k jobKind) (st *stepper, fillers []*Handle, held []int, j *job) {
 	t.Helper()
 	net := topology.Omega(8)
 	cfg.Shards = []system.Config{{Net: net, Avoidance: system.AvoidanceNone}}
-	s = newScheduler(t, cfg)
+	st = newStepper(t, cfg)
 	taken := map[int]bool{}
 	for p := 0; p < 5; p++ {
-		h := provision(t, s, 0, system.Task{Proc: p})
+		h := st.provision(system.Task{Proc: p})
 		taken[h.Resources()[0]] = true
 		fillers = append(fillers, h)
 	}
@@ -284,14 +279,15 @@ func blockedJob(t *testing.T, cfg Config, k jobKind) (s *Scheduler, fillers []*H
 			held = append(held, r)
 		}
 	}
-	j, err := k.submit(s, [3]int{5, 6, 7}, 4)
+	j, err := k.queue(st, [3]int{5, 6, 7}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitStats(t, s, func(st Stats) bool { return st.Free == 0 }); st.Free != 0 {
-		t.Fatalf("blocked %s never acquired the three free units: %+v", k.name, st)
+	st.step()
+	if s := st.s.Stats(); s.Free != 0 || fired(j) {
+		t.Fatalf("blocked %s did not take the three free units and wait: %+v", k.name, s)
 	}
-	return s, fillers, held, j
+	return st, fillers, held, j
 }
 
 // faultBatch is one correlated hardware event over a set of resources.
@@ -303,60 +299,43 @@ func faultBatch(res []int, repair bool) []system.FaultOp {
 	return fops
 }
 
-// waitStats polls until cond holds (the shard goroutine publishes
-// asynchronously to handle closes in a few paths) or the deadline hits.
-func waitStats(t *testing.T, s *Scheduler, cond func(Stats) bool) Stats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := s.Stats()
-		if cond(st) || time.Now().After(deadline) {
-			return st
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestTerminalAccountingSeverBudget: a job whose units are severed past
 // the retry budget fails terminal exactly once.
 func TestTerminalAccountingSeverBudget(t *testing.T) {
 	for _, k := range jobKinds {
 		t.Run(k.name, func(t *testing.T) {
-			s, fillers, held, j := blockedJob(t, Config{SeverRetries: 1}, k)
+			st, fillers, held, j := blockedJob(t, Config{SeverRetries: 1}, k)
 			// Each fail->heal of the three units the job holds is one sever
 			// event (the fillers are provisioned and keep theirs; usable
-			// capacity never drops below the demand of 4). The second event
-			// that finds it holding anything exceeds the budget.
-			deadline := time.After(10 * time.Second)
-			for done := false; !done; {
-				if err := s.ApplyFaults(0, faultBatch(held, false)); err != nil {
+			// capacity never drops below the demand of 4), and the job
+			// reacquires the three in the healing epoch. The second event
+			// exceeds the budget.
+			for event := 1; event <= 2; event++ {
+				if fired(j) {
+					t.Fatalf("job resolved after %d sever events, budget 1: %v", event-1, j.err)
+				}
+				if err := st.fault(faultBatch(held, false)...); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.ApplyFaults(0, faultBatch(held, true)); err != nil {
+				if err := st.fault(faultBatch(held, true)...); err != nil {
 					t.Fatal(err)
 				}
-				select {
-				case <-j.Done():
-					done = true
-				case <-deadline:
-					t.Fatal("sever-exhausted job never failed")
-				case <-time.After(2 * time.Millisecond):
-				}
 			}
-			if !errors.Is(j.Err(), system.ErrCircuitSevered) {
-				t.Fatalf("err = %v, want ErrCircuitSevered", j.Err())
+			if !fired(j) || !errors.Is(j.err, system.ErrCircuitSevered) {
+				t.Fatalf("err = %v, want ErrCircuitSevered on the second event", j.err)
 			}
-			st := waitStats(t, s, func(st Stats) bool { return st.Failed == k.members })
-			assertFailedOnce(t, st, k, 1)
-			if st.Severed < 2 {
-				t.Fatalf("Severed = %d, want >= 2", st.Severed)
+			s := st.s.Stats()
+			assertFailedOnce(t, s, k, 1)
+			// A task counts once per event, a reset gang once per member.
+			if s.Severed != 2*k.members {
+				t.Fatalf("Severed = %d, want %d (two events)", s.Severed, 2*k.members)
 			}
 			for _, f := range fillers {
-				if err := s.EndService(f); err != nil {
+				if err := st.release(&f.job); err != nil {
 					t.Fatal(err)
 				}
 			}
-			assertTerminalIdentity(t, s.Stats())
+			assertTerminalIdentity(t, st.s.Stats())
 		})
 	}
 }
@@ -366,36 +345,31 @@ func TestTerminalAccountingSeverBudget(t *testing.T) {
 func TestTerminalAccountingCapacityDrop(t *testing.T) {
 	for _, k := range jobKinds {
 		t.Run(k.name, func(t *testing.T) {
-			s, fillers, _, j := blockedJob(t, Config{}, k)
+			st, fillers, _, j := blockedJob(t, Config{}, k)
 			// Failing the fillers' resources cannot sever (they are fully
 			// provisioned and keep their units) but drops usable capacity to
-			// 3 < 4: the job must be withdrawn.
+			// 3 < 4: the job must be withdrawn, within the fault's epoch.
 			var theirs []int
 			for _, f := range fillers {
 				theirs = append(theirs, f.Resources()[0])
 			}
-			if err := s.ApplyFaults(0, faultBatch(theirs, false)); err != nil {
+			if err := st.fault(faultBatch(theirs, false)...); err != nil {
 				t.Fatal(err)
 			}
-			select {
-			case <-j.Done():
-			case <-time.After(5 * time.Second):
-				t.Fatal("unsatisfiable job never withdrawn")
+			if !fired(j) || !errors.Is(j.err, system.ErrUnsatisfiable) {
+				t.Fatalf("err = %v, want ErrUnsatisfiable at the fault's epoch", j.err)
 			}
-			if !errors.Is(j.Err(), system.ErrUnsatisfiable) {
-				t.Fatalf("err = %v, want ErrUnsatisfiable", j.Err())
-			}
-			st := waitStats(t, s, func(st Stats) bool { return st.Failed == k.members })
-			assertFailedOnce(t, st, k, 1)
-			if st.Severed != 0 {
-				t.Fatalf("Severed = %d, want 0 (stats %+v)", st.Severed, st)
+			s := st.s.Stats()
+			assertFailedOnce(t, s, k, 1)
+			if s.Severed != 0 {
+				t.Fatalf("Severed = %d, want 0 (stats %+v)", s.Severed, s)
 			}
 			for _, f := range fillers {
-				if err := s.EndService(f); err != nil {
+				if err := st.release(&f.job); err != nil {
 					t.Fatal(err)
 				}
 			}
-			assertTerminalIdentity(t, s.Stats())
+			assertTerminalIdentity(t, st.s.Stats())
 		})
 	}
 }
@@ -436,7 +410,8 @@ func TestTerminalAccountingRestart(t *testing.T) {
 			if !errors.Is(d.Err(), ErrShardDown) {
 				t.Fatalf("err = %v, want ErrShardDown", d.Err())
 			}
-			st := waitStats(t, s, func(st Stats) bool { return st.Restarts == 1 && st.Failed == k.members })
+			// The restart is counted before its victims' Done fires.
+			st := s.Stats()
 			if st.Restarts != 1 {
 				t.Fatalf("Restarts = %d, want 1", st.Restarts)
 			}
@@ -461,27 +436,20 @@ func TestTerminalAccountingRestart(t *testing.T) {
 func TestTerminalAccountingShutdown(t *testing.T) {
 	for _, k := range jobKinds {
 		t.Run(k.name, func(t *testing.T) {
-			s, fillers, _, j := blockedJob(t, Config{}, k)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
+			st, fillers, _, j := blockedJob(t, Config{}, k)
+			st.shutdown()
+			if !fired(j) || j.err != ErrClosed {
+				t.Fatalf("err = %v, want ErrClosed", j.err)
 			}
-			select {
-			case <-j.Done():
-			case <-time.After(5 * time.Second):
-				t.Fatal("abandoned job never failed")
-			}
-			if !errors.Is(j.Err(), ErrClosed) {
-				t.Fatalf("err = %v, want ErrClosed", j.Err())
-			}
-			st := s.Stats()
-			assertFailedOnce(t, st, k, 1)
+			s := st.s.Stats()
+			assertFailedOnce(t, s, k, 1)
 			// The fillers hold grants that were never released: they are the
 			// only admitted tasks not accounted terminal.
-			if got := st.Submitted - (st.Serviced + st.Canceled + st.Failed); got != int64(len(fillers)) {
-				t.Fatalf("%d tasks unaccounted, want %d (stats %+v)", got, len(fillers), st)
+			if got := s.Submitted - (s.Serviced + s.Canceled + s.Failed); got != int64(len(fillers)) {
+				t.Fatalf("%d tasks unaccounted, want %d (stats %+v)", got, len(fillers), s)
 			}
-			if st.GangsSubmitted != st.GangsServiced+st.GangsCanceled+st.GangsFailed {
-				t.Fatalf("gang terminal identity broken: %+v", st)
+			if s.GangsSubmitted != s.GangsServiced+s.GangsCanceled+s.GangsFailed {
+				t.Fatalf("gang terminal identity broken: %+v", s)
 			}
 		})
 	}

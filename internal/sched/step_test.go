@@ -1,0 +1,293 @@
+package sched
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"rsin/internal/system"
+	"rsin/internal/topology"
+)
+
+// stepper drives shard 0 of a Scheduler built without its goroutines. A
+// test queues ops through the prelude the front door uses (ready) and runs
+// them as one epoch on its own goroutine — apply, deliver, cycle, deliver,
+// the shard goroutine's sequence — so when step returns every outcome of
+// the epoch is decided and delivered, and nothing waits on a clock. Before
+// each deliver it checks that the phase woke nobody itself, and as deliver
+// fires each Done that Stats already counts what the shard decided.
+type stepper struct {
+	t    testing.TB
+	s    *Scheduler
+	sh   *shard
+	ops  []op
+	live []*job // admitted jobs whose Done has not fired
+}
+
+func newStepper(t testing.TB, cfg Config) *stepper {
+	t.Helper()
+	s, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &stepper{t: t, s: s, sh: s.shards[0]}
+}
+
+// submit readies a task as SubmitCtx does and queues its opSubmit.
+func (st *stepper) submit(task system.Task) (*Handle, error) {
+	h := &Handle{}
+	if err := st.queue(op{kind: opSubmit, j: &h.job, one: [1]system.Task{task}}); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// gang readies a gang as SubmitGangCtx does and queues its opSubmit.
+func (st *stepper) gang(members ...system.Task) (*GangHandle, error) {
+	h := &GangHandle{}
+	if err := st.queue(op{kind: opSubmit, j: &h.job, members: members}); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+func (st *stepper) queue(o op) error {
+	if err := st.s.ready(context.Background(), 0, &o); err != nil {
+		return err
+	}
+	// A job whose context cannot end has no watch to stop: its stop hook
+	// probes the wake instead.
+	o.j.stop = st.woke
+	st.ops = append(st.ops, o)
+	st.live = append(st.live, o.j)
+	return nil
+}
+
+// end queues a release of j, the op EndService and EndGang send.
+func (st *stepper) end(j *job) {
+	j.ended.Add(1)
+	st.ops = append(st.ops, op{kind: opEnd, j: j})
+}
+
+// cancel queues the op a submission's context sends when it ends.
+func (st *stepper) cancel(j *job) {
+	st.ops = append(st.ops, op{kind: opCancel, j: j, cause: context.Canceled})
+}
+
+// faults queues one ApplyFaults batch; its reply arrives at the apply
+// phase's deliver.
+func (st *stepper) faults(fops ...system.FaultOp) <-chan error {
+	reply := make(chan error, 1)
+	st.ops = append(st.ops, op{kind: opFault, faults: fops, reply: reply})
+	return reply
+}
+
+// apply runs the queued ops' deciding phase and its delivery, and returns
+// the ops with their recorded outcomes.
+func (st *stepper) apply() []op {
+	ops := st.ops
+	st.ops = nil
+	st.s.apply(st.sh, ops)
+	st.deliver("apply", ops)
+	return ops
+}
+
+// cycle runs the epoch's scheduling phase and its delivery.
+func (st *stepper) cycle() {
+	st.s.cycle(st.sh)
+	st.deliver("cycle", nil)
+}
+
+// deliver runs the delivery point after a phase once quiet has held.
+func (st *stepper) deliver(phase string, ops []op) {
+	st.quiet(phase, ops)
+	st.s.deliver(st.sh, ops)
+	live := st.live[:0]
+	for _, j := range st.live {
+		if !fired(j) {
+			live = append(live, j)
+		}
+	}
+	clear(st.live[len(live):])
+	st.live = live
+}
+
+// step runs one whole epoch on the queued ops.
+func (st *stepper) step() []op {
+	ops := st.apply()
+	st.cycle()
+	return ops
+}
+
+// shutdown is run's drain once Close has closed the op queue.
+func (st *stepper) shutdown() {
+	st.s.finishTracked(st.sh, ErrClosed, resClosed)
+	st.s.deliver(st.sh, nil)
+}
+
+// quiet fails the test when a deciding phase fired a completion itself:
+// before deliver no Done has closed and no fault batch has its reply.
+func (st *stepper) quiet(phase string, ops []op) {
+	for _, j := range st.live {
+		if fired(j) {
+			st.t.Fatalf("%s closed a Done before deliver published", phase)
+		}
+	}
+	for _, o := range ops {
+		if o.kind == opFault && len(o.reply) > 0 {
+			st.t.Fatalf("%s replied to a fault batch before deliver published", phase)
+		}
+	}
+}
+
+// woke is deliver's call as it fires a stepped job's Done (just before it
+// closes the channel): at that moment Stats must already equal the shard's
+// running totals.
+func (st *stepper) woke() bool {
+	if s := st.s.Stats(); !reflect.DeepEqual(s, st.sh.tot) {
+		st.t.Fatalf("a Done fired before deliver published: Stats %+v, the shard's totals %+v", s, st.sh.tot)
+	}
+	return true
+}
+
+// fired reports whether j's Done has closed.
+func fired(j *job) bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// release ends j in an epoch of its own and returns the shard's answer.
+func (st *stepper) release(j *job) error {
+	st.t.Helper()
+	st.end(j)
+	ops := st.step()
+	return ops[len(ops)-1].err
+}
+
+// fault applies one batch in an epoch of its own and returns its reply.
+func (st *stepper) fault(fops ...system.FaultOp) error {
+	st.t.Helper()
+	reply := st.faults(fops...)
+	st.step()
+	return <-reply
+}
+
+// provision submits a task in an epoch of its own and requires its grant.
+func (st *stepper) provision(task system.Task) *Handle {
+	st.t.Helper()
+	h, err := st.submit(task)
+	if err != nil {
+		st.t.Fatal(err)
+	}
+	st.step()
+	if !fired(&h.job) || h.Err() != nil {
+		st.t.Fatalf("task %+v not provisioned in its epoch (err %v)", task, h.err)
+	}
+	return h
+}
+
+// TestDeliverIsTheOnlyWake is the delivery rule at the step: grants, a
+// release, a cancel, a sever-budget withdrawal and a restart each complete
+// inside a deciding phase, and none of them is visible to its client until
+// deliver has published the totals that count it. The stepper's own checks
+// (quiet, woke) fail the test if any phase fires early; here each
+// completion is also read back at its deliver.
+func TestDeliverIsTheOnlyWake(t *testing.T) {
+	trip := false
+	st := newStepper(t, Config{SeverRetries: 1, Shards: []system.Config{{
+		Net: topology.Omega(8),
+		FaultHook: func(point string) error {
+			if point == system.FaultCycle && trip {
+				trip = false
+				return errors.New("injected solver fault")
+			}
+			return nil
+		},
+	}}})
+	taken := map[int]bool{}
+	for p := 3; p < 8; p++ {
+		taken[st.provision(system.Task{Proc: p}).Resources()[0]] = true
+	}
+	a := st.provision(system.Task{Proc: 0})
+	taken[a.Resources()[0]] = true
+	var held []int // the two units b acquires
+	for r := 0; r < 8; r++ {
+		if !taken[r] {
+			held = append(held, r)
+		}
+	}
+	b, _ := st.submit(system.Task{Proc: 1, Need: 3}) // acquires two units, waits on a third
+	st.step()
+	c, _ := st.submit(system.Task{Proc: 2}) // queues behind b
+	st.step()
+	if fired(&b.job) || fired(&c.job) {
+		t.Fatalf("b or c resolved without a release: %v, %v", b.Err(), c.Err())
+	}
+	// One epoch: a's release, c's cancel, a fault event that severs b once
+	// and a second that severs it past its budget of 1.
+	st.end(&a.job)
+	st.cancel(&c.job)
+	st.faults(faultBatch(held[:1], false)...)
+	st.faults(faultBatch(held[:1], true)...)
+	st.faults(faultBatch(held[1:2], false)...)
+	st.faults(faultBatch(held[1:2], true)...)
+	ops := st.apply()
+	if ops[0].err != nil {
+		t.Fatalf("release: %v", ops[0].err)
+	}
+	if !fired(&c.job) || !fired(&b.job) {
+		t.Fatal("cancel or sever-budget withdrawal not delivered by the apply phase's deliver")
+	}
+	if s := st.s.Stats(); s.Serviced != 1 || s.Canceled != 1 || s.Failed != 1 || s.Severed != 2 {
+		t.Fatalf("stats at the apply deliver %+v, want 1 serviced, 1 canceled, 1 failed, 2 severed", s)
+	}
+	st.cycle()
+	// A restart inside the cycle phase fails d; Restarts is counted before
+	// d's Done fires.
+	d, _ := st.submit(system.Task{Proc: 3, Need: 2})
+	st.apply()
+	trip = true
+	st.cycle()
+	if !fired(&d.job) {
+		t.Fatal("restart victim not delivered")
+	}
+	if s := st.s.Stats(); s.Restarts != 1 || s.Failed != 2 {
+		t.Fatalf("stats at the restart's deliver %+v, want Restarts 1 and Failed 2", s)
+	}
+}
+
+// TestTwoReleasesInOneEpoch is the release contract at the step: two
+// release ops for one job in one epoch — which the front door cannot send,
+// since end queues racing calls behind one another — are applied in order.
+// The first succeeds and counts the job serviced; the second reaches the
+// System, which no longer knows the job, and counts nothing.
+func TestTwoReleasesInOneEpoch(t *testing.T) {
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			st := newStepper(t, Config{Shards: []system.Config{{Net: topology.Omega(8)}}})
+			j, err := k.queue(st, [3]int{0, 1, 2}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.step()
+			if !fired(j) || j.err != nil {
+				t.Fatalf("job not provisioned: %v", j.err)
+			}
+			st.end(j)
+			st.end(j)
+			ops := st.step()
+			if ops[0].err != nil || ops[1].err == nil {
+				t.Fatalf("releases answered %v, %v; want the first to succeed and the second refused", ops[0].err, ops[1].err)
+			}
+			s := st.s.Stats()
+			if s.Serviced != k.members || s.GangsServiced != k.gangs || s.Failed != 0 || s.Free != 8 {
+				t.Fatalf("stats %+v, want the job serviced once (%d members) and the pool whole", s, k.members)
+			}
+		})
+	}
+}
