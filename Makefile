@@ -64,12 +64,13 @@ deps:
 # bound-certified typed epoch on a warm planner allocates only the Mapping
 # it returns, a cycle under the banker with nothing to solve nothing (the
 # System reuses its CycleResult and its empty Mapping), a warm simplex
-# solve on a reused basis nothing, and a banker'd MinCost cycle stays
-# within its recorded bound; CI runs the same guards.
+# solve on a reused basis nothing, a banker'd MinCost cycle stays within
+# its recorded bound, and a fault batch makes one census and no copy of
+# it; CI runs the same guards.
 allocguard:
 	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree|TestRoundTripAllocs|TestTypedRoundTripAllocs' ./internal/sched ./internal/obs
 	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
-	$(GO) test -run 'TestBankerCycleAllocs|TestPricedCycleAllocs' ./internal/system
+	$(GO) test -run 'TestBankerCycleAllocs|TestPricedCycleAllocs|TestFaultBatchAllocs' ./internal/system
 
 # The TaskID packing (slot and generation in one int) must build where int
 # is 32 bits: a shift that only fits a 64-bit int fails here. CI runs the

@@ -6,9 +6,10 @@
 // scenarios at a reproducible instant instead of waiting for entropy.
 //
 // Hardware faults are not scripted here. A link, switchbox or resource
-// failure enters a System only through ApplyFault (in a service,
-// Scheduler.ApplyFaults, or rsinserve -linkfault), and that call's
-// returned list is the fault's one report.
+// failure enters a System only as a batch through ApplyFaults (in a
+// service, Scheduler.ApplyFaults, or rsinserve -linkfault), and that
+// call's return — the ops that changed the fabric, the severed tasks — is
+// the fault's one report.
 //
 // An Injector is safe for concurrent use: one instance may back every
 // shard of a scheduling service, its call counters shared service-wide.

@@ -38,7 +38,7 @@ func (s *Scheduler) apply(sh *shard, buf []op) {
 func (s *Scheduler) deliver(sh *shard, ops []op) {
 	sh.tot.Free = sh.sys.FreeResources()
 	sh.mu.Lock()
-	sh.stats, sh.usable = sh.tot, sh.census
+	sh.stats, sh.usable = sh.tot, sh.sys.UsableResources()
 	sh.mu.Unlock()
 	for _, j := range sh.fired {
 		if j.stop != nil {
@@ -130,44 +130,31 @@ func (s *Scheduler) applyCancel(sh *shard, o *op) {
 }
 
 // applyFault applies one correlated hardware event, an ApplyFaults batch,
-// and counts and charges it. The batch is all-or-nothing: every op is
-// checked before any is applied, and a refused batch changes nothing. An op
-// counts in LinkFaults or Repairs, and is traced, only if it changed the
-// fabric (moved its fault epoch): failing a failed component or repairing
-// a healthy one is no event. Every task the event cost a unit or reset
-// counts once in Severed and is traced as one "sever", however many units
-// it lost, and the retry budget is charged once per job: a task that lost
-// several units to the one event, or a gang that lost several members'
-// units, pays one retry.
+// and counts and charges it. The System checks the batch whole, so a
+// refused batch changes nothing, and reports the ops that changed the
+// fabric and the tasks the event cost a unit or reset. An op counts in
+// LinkFaults or Repairs, and is traced, only if it changed the fabric:
+// failing a failed component or repairing a healthy one is no event. Every
+// severed task counts once in Severed and is traced as one "sever",
+// however many units it lost, and the retry budget is charged once per
+// job: a task that lost several units to the one event, or a gang that
+// lost several members' units, pays one retry.
 func (s *Scheduler) applyFault(sh *shard, o *op) {
 	if o.err = sh.dead; o.err != nil {
 		return
 	}
-	for _, f := range o.faults {
-		if o.err = sh.sys.CheckFault(f); o.err != nil {
-			return
-		}
+	changed, severed, err := sh.sys.ApplyFaults(o.faults)
+	if o.err = err; err != nil {
+		return
 	}
-	var severed []system.TaskID
-	for _, f := range o.faults {
-		ep := sh.sys.FaultEpoch()
-		var affected []system.TaskID
-		if affected, o.err = sh.sys.ApplyFault(f); o.err != nil {
-			break
+	for _, f := range changed {
+		kind, n := evFault, &sh.tot.LinkFaults
+		if f.Repair {
+			kind, n = evRepair, &sh.tot.Repairs
 		}
-		severed = append(severed, affected...)
-		switch {
-		case sh.sys.FaultEpoch() == ep: // the component already stood so: no event
-		case f.Repair:
-			sh.tot.Repairs++
-			s.event(sh, evRepair, 0, int64(f.Index), f.Target.String())
-		default:
-			sh.tot.LinkFaults++
-			s.event(sh, evFault, 0, int64(f.Index), f.Target.String())
-		}
+		*n++
+		s.event(sh, kind, 0, int64(f.Index), f.Target.String())
 	}
-	slices.Sort(severed)
-	severed = slices.Compact(severed)
 	sh.tot.Severed += int64(len(severed))
 	for _, id := range severed {
 		s.event(sh, evSever, int64(id), 0, "")
@@ -183,7 +170,7 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 			}
 		}
 	}
-	if sh.dead == nil {
+	if len(changed) > 0 && sh.dead == nil {
 		s.refreshCapacity(sh)
 	}
 }
@@ -361,18 +348,16 @@ func (s *Scheduler) chargeSever(sh *shard, j *job) bool {
 	return s.withdraw(sh, j, failed, cause, int64(j.severs), resSeverBudget)
 }
 
-// refreshCapacity recomputes the shard's degraded-capacity census when
-// the fabric's fault epoch has moved, and withdraws tracked jobs whose
-// demand no longer fits the surviving capacity: they would otherwise wait
-// forever on resources the fabric has lost (a gang at the activation
-// gate, or churning resets against capacity it can never reassemble).
+// refreshCapacity takes the System's degraded-capacity census — at build,
+// after a fault batch that changed the fabric, and after a restart — and
+// withdraws tracked jobs whose demand no longer fits the surviving
+// capacity: they would otherwise wait forever on resources the fabric has
+// lost (a gang at the activation gate, or churning resets against
+// capacity it can never reassemble).
 func (s *Scheduler) refreshCapacity(sh *shard) {
-	ep := sh.sys.FaultEpoch()
-	if sh.census != nil && ep == sh.capEpoch {
-		return
-	}
-	sh.census, sh.capEpoch, sh.tot.Usable = sh.sys.UsableResources(), ep, 0
-	for _, c := range sh.census {
+	census := sh.sys.UsableResources()
+	sh.tot.Usable = 0
+	for _, c := range census {
 		sh.tot.Usable += c
 	}
 	for i := range sh.tracked {
@@ -380,7 +365,7 @@ func (s *Scheduler) refreshCapacity(sh *shard) {
 		if j == nil || sh.tracked[i].id != j.ids[0] {
 			continue
 		}
-		if err := j.demand.Shortfall(sh.census); err != nil {
+		if err := j.demand.Shortfall(census); err != nil {
 			cause := fmt.Errorf("sched: shard %d: surviving capacity: %w", sh.idx, err)
 			if !s.withdraw(sh, j, failed, cause, j.units(), resUnsat) {
 				return
@@ -408,8 +393,7 @@ func (s *Scheduler) failShard(sh *shard, cause error) {
 	sh.gen++
 	sh.tot.Restarts++
 	s.event(sh, evRestart, 0, int64(sh.gen), "")
-	// The rebuilt System starts from the pristine template: force the
-	// degraded-capacity census to recompute (its fault epoch restarted).
-	sh.census = nil
+	// The rebuilt System starts from the pristine template, and so does
+	// its census.
 	s.refreshCapacity(sh)
 }

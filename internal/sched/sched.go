@@ -131,7 +131,7 @@ type Config struct {
 	// grant-to-release, epoch solve and per-cycle wall time) and a
 	// ring-buffer trace of scheduling decisions. The service is the one
 	// recorder: a shard's System keeps no registry, and everything it
-	// reports (CycleResult, ApplyFault's severed list) is recorded here.
+	// reports (CycleResult, ApplyFaults' report) is recorded here.
 	// Nil — the default — disables observability with zero additional
 	// allocations on the hot path.
 	Obs *obs.Registry
@@ -318,17 +318,17 @@ type shard struct {
 	granted  []*job // jobs that received a unit this epoch: recordGrants' candidates
 	fired    []*job // jobs whose Done the next deliver closes
 	gen      int    // bumped by every supervisor restart
-	capEpoch uint64 // fault epoch the census was computed at (a nil census forces a recompute)
 
 	cycleCount int64 // cumulative cycles, stamps trace events
 
 	// tot is the shard's running totals, counted in place by the shard
-	// goroutine, and census its degraded-capacity census per resource type
-	// ({0: n} without configured types), recomputed on each fault epoch;
-	// stats and usable are the copies deliver last made of them under mu,
-	// which are all Stats and the admission check ever read.
+	// goroutine. stats is the copy of it deliver last made under mu, and
+	// usable the System's degraded-capacity census per resource type ({0:
+	// n} without configured types) as deliver last published it, a map the
+	// System replaces and never writes: they are all Stats and the
+	// admission check ever read.
 	tot    Stats
-	census map[int]int
+	_      [64]byte // keeps mu off tot's last cache line: every Submit locks mu while the shard goroutine counts into tot
 	mu     sync.Mutex
 	stats  Stats
 	usable map[int]int

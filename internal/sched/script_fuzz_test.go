@@ -28,7 +28,8 @@ import (
 // disjoint-path fault studies: a switch and the links on its ports, every
 // link between two stages, a whole stage of switches healed in two
 // halves, and a mix with bad ops to refuse — and the first shape again
-// under tasks that hold and wait on the units it severs.
+// under tasks that hold and wait on the units it severs; then batches
+// that name one component twice.
 func FuzzShardScript(f *testing.F) {
 	const (
 		link = 0
@@ -77,6 +78,18 @@ func FuzzShardScript(f *testing.F) {
 		boxAndPorts(0), boxAndPorts(repair), stage(res, 0, 4, 0), stage(res, 0, 4, repair),
 		stage(res, 0, 4, 0), stage(res, 0, 4, repair),
 		op(0, rel, 0), op(0, rel, 1), op(0, rel, 2), op(0, rel|end, 3), op(0, rel, 4), op(0, rel, 5), op(0, cancel|end, 0)))
+	// Batches that name a component twice, under the five holders and the
+	// waiting task of the seed above: one fails and repairs a link and
+	// three resources, another fails a link and a resource twice each, and
+	// each revokes a unit of the waiter's; then a batch repairs the link
+	// and fails it again. The counters must equal the model's transitions,
+	// op by op in batch order.
+	holders := cat(op(0, submit, 3-1), op(0, submit, 4-1), op(0, submit, 5-1), op(0, submit, 6-1), op(0, submit|end, 7-1),
+		op(0, submit|end, 24+1-1))
+	f.Add(cat(holders, op(link, 0, 12), op(res, 0, 0), op(res, 0, 1), op(res, 0, 7),
+		op(res, repair, 0), op(res, repair, 1), op(res, repair, 7), op(link, repair|end, 12)))
+	f.Add(cat(holders, op(link, 0, 16), op(link, 0, 16), op(res, 0, 1), op(res, end, 1),
+		op(link, repair, 16), op(link, 0, 16), op(res, repair|end, 1), op(link, repair|end, 16)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := newScript(t, Config{Shards: []system.Config{{Net: topology.Omega(8)}}})

@@ -8,91 +8,55 @@ import (
 	"rsin/internal/topology"
 )
 
-// Hardware fault operations. The paper's architecture assumes a perfect
-// fabric; these methods make component failure a first-class scheduling
-// input instead. Failing a component masks it from every scheduler (the
-// flow transformations, the token architecture, the heuristics all solve
-// on the surviving subgraph), severs any in-flight circuit that
-// traverses it — the lost unit is revoked from its task and re-queued —
-// and advances the network's fault epoch so layered services
-// (internal/sched) can recompute degraded capacity. Repair restores the
-// component; queued work then reacquires on the healed fabric in the
+// ApplyFaults applies one correlated hardware event, a batch of ops, and
+// is the one way a fault enters a System: the paper's architecture
+// assumes a perfect fabric, and a fault batch makes component failure a
+// scheduling input instead. A failed component is masked from every
+// scheduler (the flow transformations, the token architecture, the
+// heuristics all solve on the surviving subgraph); a repaired one
+// returns, and queued work reacquires on the healed fabric in the
 // ordinary scheduling cycles.
-
-// FailLink marks a link failed and severs the circuits crossing it. It
-// returns the IDs of tasks whose in-flight units were lost (each such
-// task is back at its queue head requesting the unit again; see settle).
-func (s *System) FailLink(id int) ([]TaskID, error) {
-	if err := s.net.FailLink(id); err != nil {
-		return nil, err
-	}
-	return s.settle(s.severBroken()), nil
-}
-
-// RepairLink clears a link fault.
-func (s *System) RepairLink(id int) error { return s.net.RepairLink(id) }
-
-// FailBox marks a switchbox failed — every link on its ports becomes
-// unusable — and severs the circuits crossing it.
-func (s *System) FailBox(id int) ([]TaskID, error) {
-	if err := s.net.FailBox(id); err != nil {
-		return nil, err
-	}
-	return s.settle(s.severBroken()), nil
-}
-
-// RepairBox clears a switchbox fault.
-func (s *System) RepairBox(id int) error { return s.net.RepairBox(id) }
-
-// FailResource marks a resource failed. A circuit transmitting to it is
-// severed; a unit of it held by a task still acquiring is revoked and
-// re-queued (the resource is gone, the task must obtain a surviving
-// one). A fully provisioned task keeps the unit — its acquisition
-// contract is already complete — and the fault takes effect when
-// EndService returns the resource, which then never re-enters the free
-// pool until repaired. A gang member's unit is safe only once the whole
-// gang holds its complete set.
-func (s *System) FailResource(r int) ([]TaskID, error) {
-	if err := s.flipResource(r, s.net.FailResource, -1); err != nil {
-		return nil, err
-	}
-	affected := s.severBroken()
-	if id := s.resHolder[r]; id != -1 {
-		if t := s.task(id); t != nil && !t.ent.provisioned() {
-			s.revokeUnit(t, r)
-			affected = append(affected, id)
+//
+// The batch is all-or-nothing: every op is checked first, so a bad op — an
+// unknown target or an index out of the fabric's range — refuses the
+// whole batch and changes nothing. The ops then apply in order, each with
+// its own consequences before the next runs (applyFault). ApplyFaults
+// returns the ops that changed the fabric — failing a failed component or
+// repairing a healthy one is no event — and the tasks the batch cost a
+// unit or whose gang it reset (settle), sorted, each once; both slices are
+// the System's own, valid until the next call. A batch that changed the
+// fabric replaces the census (UsableResources) with a new map.
+func (s *System) ApplyFaults(ops []FaultOp) (changed []FaultOp, severed []TaskID, err error) {
+	for _, op := range ops {
+		if err := s.checkFault(op); err != nil {
+			return nil, nil, err
 		}
 	}
-	return s.settle(affected), nil
-}
-
-// RepairResource clears a resource fault, returning the resource to the
-// free pool if no task holds it.
-func (s *System) RepairResource(r int) error {
-	return s.flipResource(r, s.net.RepairResource, +1)
-}
-
-// flipResource fails or repairs a resource in the topology and books it:
-// the ledger's free count follows an unheld resource's fault flag, and only
-// an effective transition — the topology's Fail/Repair are idempotent and
-// move the fault epoch exactly when they change state. A held resource is
-// in no free count; vacate decides when it returns.
-func (s *System) flipResource(r int, flip func(int) error, delta int) error {
-	ep := s.net.FaultEpoch()
-	if err := flip(r); err != nil {
-		return err
+	s.changed, s.severed = s.changed[:0], s.severed[:0]
+	for _, op := range ops {
+		if s.applyFault(op) {
+			s.changed = append(s.changed, op)
+		}
 	}
-	if s.net.FaultEpoch() != ep && s.resHolder[r] == -1 {
-		s.led.free[s.led.resTy[r]] += delta
+	slices.Sort(s.severed)
+	s.severed = slices.Compact(s.severed)
+	if len(s.changed) > 0 {
+		s.census = s.net.UsableByType(s.cfg.Types)
 	}
-	return nil
+	return s.changed, s.severed, nil
 }
 
-// CheckFault reports the error ApplyFault would return for op without
-// applying it: an unknown target or an index out of the fabric's range. A
-// caller applying a batch checks every op first, so a bad op rejects the
-// whole batch before any of it lands.
-func (s *System) CheckFault(op FaultOp) error {
+// ApplyFault is ApplyFaults on a batch of one op, returning its severed
+// list. It is kept for callers that drive a System one op at a time
+// (bench/'s direct drive).
+func (s *System) ApplyFault(op FaultOp) ([]TaskID, error) {
+	_, severed, err := s.ApplyFaults([]FaultOp{op})
+	return severed, err
+}
+
+// checkFault reports the error that refuses op's batch: an unknown target
+// or an index out of the fabric's range.
+func (s *System) checkFault(op FaultOp) error {
 	n := 0
 	switch op.Target {
 	case FaultTargetLink:
@@ -110,34 +74,66 @@ func (s *System) CheckFault(op FaultOp) error {
 	return nil
 }
 
-// ApplyFault dispatches one FaultOp to the matching Fail/Repair method
-// and returns the tasks whose units it severed or revoked, or whose gang
-// it reset (settle; nil for repairs). An op CheckFault refuses changes
-// nothing.
-func (s *System) ApplyFault(op FaultOp) ([]TaskID, error) {
-	if err := s.CheckFault(op); err != nil {
-		return nil, err
+// applyFault applies one checked op and reports whether it changed the
+// fabric; the topology's Fail/Repair are idempotent and move the fault
+// epoch exactly when they change state. A failed link or switchbox severs
+// the circuits crossing it. A failed resource severs a circuit
+// transmitting to it, and a unit of it held by a task still acquiring is
+// revoked and re-queued (the resource is gone, the task must obtain a
+// surviving one). A fully provisioned task keeps the unit — its
+// acquisition contract is already complete — and the fault takes effect
+// when EndService returns the resource, which then never re-enters the
+// free pool until repaired. A gang member's unit is safe only once the
+// whole gang holds its complete set. The tasks a failing op cost a unit
+// join s.severed, and settle resets their gangs before the next op runs.
+func (s *System) applyFault(op FaultOp) bool {
+	ep, i, n := s.net.FaultEpoch(), op.Index, s.net
+	// checkFault passed op, so the topology's own range check cannot fail.
+	switch {
+	case op.Target == FaultTargetLink && op.Repair:
+		_ = n.RepairLink(i)
+	case op.Target == FaultTargetLink:
+		_ = n.FailLink(i)
+	case op.Target == FaultTargetBox && op.Repair:
+		_ = n.RepairBox(i)
+	case op.Target == FaultTargetBox:
+		_ = n.FailBox(i)
+	case op.Repair:
+		_ = n.RepairResource(i)
+	default:
+		_ = n.FailResource(i)
 	}
-	switch op.Target {
-	case FaultTargetLink:
+	if n.FaultEpoch() == ep {
+		return false
+	}
+	res := op.Target == FaultTargetResource
+	if res && s.resHolder[i] == -1 {
+		// The ledger's free count follows an unheld resource's fault flag.
+		// A held resource is in no free count; vacate decides when it
+		// returns.
 		if op.Repair {
-			return nil, s.RepairLink(op.Index)
+			s.led.free[s.led.resTy[i]]++
+		} else {
+			s.led.free[s.led.resTy[i]]--
 		}
-		return s.FailLink(op.Index)
-	case FaultTargetBox:
-		if op.Repair {
-			return nil, s.RepairBox(op.Index)
-		}
-		return s.FailBox(op.Index)
 	}
 	if op.Repair {
-		return nil, s.RepairResource(op.Index)
+		return true
 	}
-	return s.FailResource(op.Index)
+	from := len(s.severed)
+	s.severBroken()
+	if res {
+		if t := s.task(s.resHolder[i]); t != nil && !t.ent.provisioned() {
+			s.revokeUnit(t, i)
+			s.severed = append(s.severed, t.id)
+		}
+	}
+	s.settle(from)
+	return true
 }
 
 // FaultEpoch reports the fabric's fault generation counter; it advances
-// on every effective Fail/Repair.
+// on every op that changes the fabric.
 func (s *System) FaultEpoch() uint64 { return s.net.FaultEpoch() }
 
 // OpenLinks reports the fabric's free-and-usable link words
@@ -150,27 +146,11 @@ func (s *System) OpenLinks() bitset.Bits { return s.net.OpenLinks() }
 // type (type 0 throughout when Config.Types is nil), how many resources
 // are neither failed nor stranded behind failed components — i.e.
 // structurally reachable from at least one processor on the surviving
-// fabric. With no active faults it equals the configured census.
-func (s *System) UsableResources() map[int]int {
-	src := s.usableResources()
-	out := make(map[int]int, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
-}
-
-// usableResources computes the census, cached per fault epoch (the
-// reachability sweep runs once per fault/repair, not once per Submit).
-func (s *System) usableResources() map[int]int {
-	ep := s.net.FaultEpoch()
-	if s.usableCacheOK && s.usableCacheEpoch == ep {
-		return s.usableCache
-	}
-	m := s.net.UsableByType(s.cfg.Types)
-	s.usableCache, s.usableCacheEpoch, s.usableCacheOK = m, ep, true
-	return m
-}
+// fabric. With no active faults it equals the configured census. The map
+// is the System's own and read-only: New computes it, and a batch that
+// changes the fabric replaces it with a new map rather than writing it,
+// so a caller may keep it, and hand it to other goroutines, for good.
+func (s *System) UsableResources() map[int]int { return s.census }
 
 // circuitUsable reports whether every link of an established circuit is
 // still usable (no component on its path has failed).
@@ -202,10 +182,9 @@ func (s *System) sever(t *taskState, c topology.Circuit) {
 // queue head with its remaining count restored — the next cycle re-requests
 // the lost unit on whatever capacity survives. It walks the tasks in slot
 // order, so which unit goes first is a function of the System's state.
-// Returns the affected task IDs, in slot order, once per unit (settle
-// sorts them).
-func (s *System) severBroken() []TaskID {
-	var affected []TaskID
+// Appends the affected task IDs to s.severed, in slot order, once per unit
+// (ApplyFaults sorts them).
+func (s *System) severBroken() {
 	for t := range s.tasks() {
 		kept := t.circuits[:0]
 		for _, c := range t.circuits {
@@ -215,11 +194,10 @@ func (s *System) severBroken() []TaskID {
 			}
 			s.sever(t, c)
 			s.revokeUnit(t, c.Res)
-			affected = append(affected, t.id)
+			s.severed = append(s.severed, t.id)
 		}
 		t.circuits = kept
 	}
-	return affected
 }
 
 // revokeUnit removes one held unit of resource r from a task and frees

@@ -81,22 +81,22 @@ func FuzzSubmitCycle(f *testing.F) {
 			case 4: // fail or repair a link
 				lid := int(b>>4) % len(net.Links)
 				if b&0x08 != 0 {
-					_ = s.RepairLink(lid)
-				} else if _, err := s.FailLink(lid); err != nil {
+					_ = s.repair(FaultTargetLink, lid)
+				} else if _, err := s.fail(FaultTargetLink, lid); err != nil {
 					t.Fatalf("fail link %d: %v", lid, err)
 				}
 			case 5: // fail or repair a switchbox
 				box := int(b>>4) % len(net.Boxes)
 				if b&0x08 != 0 {
-					_ = s.RepairBox(box)
-				} else if _, err := s.FailBox(box); err != nil {
+					_ = s.repair(FaultTargetBox, box)
+				} else if _, err := s.fail(FaultTargetBox, box); err != nil {
 					t.Fatalf("fail box %d: %v", box, err)
 				}
 			case 6: // fail or repair a resource
 				r := int(b>>4) % net.Ress
 				if b&0x08 != 0 {
-					_ = s.RepairResource(r)
-				} else if _, err := s.FailResource(r); err != nil {
+					_ = s.repair(FaultTargetResource, r)
+				} else if _, err := s.fail(FaultTargetResource, r); err != nil {
 					t.Fatalf("fail resource %d: %v", r, err)
 				}
 			case 7: // Cancel — or, with bit 6 set, Preempt — a fuzzer-chosen task
@@ -189,15 +189,15 @@ func FuzzGangSubmit(f *testing.F) {
 			case 5: // fail or repair a link
 				lid := int(b>>4) % len(net.Links)
 				if b&0x08 != 0 {
-					_ = s.RepairLink(lid)
-				} else if _, err := s.FailLink(lid); err != nil {
+					_ = s.repair(FaultTargetLink, lid)
+				} else if _, err := s.fail(FaultTargetLink, lid); err != nil {
 					t.Fatalf("fail link %d: %v", lid, err)
 				}
 			case 6: // fail or repair a resource
 				r := int(b>>4) % net.Ress
 				if b&0x08 != 0 {
-					_ = s.RepairResource(r)
-				} else if _, err := s.FailResource(r); err != nil {
+					_ = s.repair(FaultTargetResource, r)
+				} else if _, err := s.fail(FaultTargetResource, r); err != nil {
 					t.Fatalf("fail resource %d: %v", r, err)
 				}
 			case 7: // singleton traffic rides along: bits 6-7 pick submit, end or cancel
@@ -353,22 +353,22 @@ func FuzzTypedSubmit(f *testing.F) {
 			case 4: // fail or repair a link
 				lid := int(b>>4) % len(net.Links)
 				if b&0x08 != 0 {
-					_ = s.RepairLink(lid)
-				} else if _, err := s.FailLink(lid); err != nil {
+					_ = s.repair(FaultTargetLink, lid)
+				} else if _, err := s.fail(FaultTargetLink, lid); err != nil {
 					t.Fatalf("fail link %d: %v", lid, err)
 				}
 			case 5: // fail or repair a switchbox
 				box := int(b>>4) % len(net.Boxes)
 				if b&0x08 != 0 {
-					_ = s.RepairBox(box)
-				} else if _, err := s.FailBox(box); err != nil {
+					_ = s.repair(FaultTargetBox, box)
+				} else if _, err := s.fail(FaultTargetBox, box); err != nil {
 					t.Fatalf("fail box %d: %v", box, err)
 				}
 			case 6: // fail or repair a resource
 				r := int(b>>4) % net.Ress
 				if b&0x08 != 0 {
-					_ = s.RepairResource(r)
-				} else if _, err := s.FailResource(r); err != nil {
+					_ = s.repair(FaultTargetResource, r)
+				} else if _, err := s.fail(FaultTargetResource, r); err != nil {
 					t.Fatalf("fail resource %d: %v", r, err)
 				}
 			case 7: // Cancel, or scalar singleton traffic riding along

@@ -74,12 +74,11 @@ func (s *System) SubmitGang(members []Task) (GangID, []TaskID, error) {
 // it committed. Returns how many gangs activated.
 func (s *System) activateGangs(tr *trial) int {
 	activated := 0
-	usable := s.usableResources()
 	for i := 0; i < len(s.gangPending); {
 		e := s.gangPending[i]
 		// A gated gang holds nothing, so what it still needs is its whole
 		// demand — the admission predicate again, at this fault epoch.
-		if _, _, ok := e.demand.Fits(usable); !ok {
+		if _, _, ok := e.demand.Fits(s.census); !ok {
 			i++ // unsatisfiable at this fault epoch: skip, don't block
 			continue
 		}
@@ -107,19 +106,17 @@ func (s *System) GangProvisioned(gid GangID) bool {
 	return e != nil && e.provisioned()
 }
 
-// settle applies the atomic-sever rule (rule 4, DESIGN.md §18) after a
-// hardware fault: every gang that lost a unit through any of the affected
-// tasks is reset once (the reset gates it, which its other members see);
-// a task alone loses only the unit. Returns the affected tasks and the
-// reset members, sorted, each once.
-func (s *System) settle(affected []TaskID) []TaskID {
-	for _, id := range affected {
+// settle applies the atomic-sever rule (rule 4, DESIGN.md §18) after one
+// failing fault op: every gang that lost a unit through any of the tasks
+// the op appended to s.severed from index from on is reset once (the reset
+// gates it, which its other members see, and appends them to s.severed);
+// a task alone loses only the unit.
+func (s *System) settle(from int) {
+	for _, id := range s.severed[from:] {
 		if e := s.task(id).ent; len(e.members) > 1 && !e.atGate && !e.provisioned() {
-			affected = s.resetGang(e, affected)
+			s.severed = s.resetGang(e, s.severed)
 		}
 	}
-	slices.Sort(affected)
-	return slices.Compact(affected)
 }
 
 // resetGang is the atomic-sever half of the gang contract: tear down every

@@ -142,12 +142,12 @@ func runGangDifferential(t *testing.T, rng *rand.Rand, av Avoidance) {
 		// singleton must complete. Progress is bounded — if an iteration
 		// neither provisions nor releases anything, the system is wedged.
 		for l := range failedLinks {
-			if err := sys.RepairLink(l); err != nil {
+			if err := sys.repair(FaultTargetLink, l); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for r := range failedRes {
-			if err := sys.RepairResource(r); err != nil {
+			if err := sys.repair(FaultTargetResource, r); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,10 +2,24 @@ package system
 
 import (
 	"errors"
+	"maps"
+	"runtime"
+	"slices"
 	"testing"
 
 	"rsin/internal/topology"
 )
+
+// fail and repair are the tests' one-op fault calls: a batch of one
+// through ApplyFault, so through ApplyFaults like every fault.
+func (s *System) fail(target FaultTarget, i int) ([]TaskID, error) {
+	return s.ApplyFault(FaultOp{Target: target, Index: i})
+}
+
+func (s *System) repair(target FaultTarget, i int) error {
+	_, err := s.ApplyFault(FaultOp{Repair: true, Target: target, Index: i})
+	return err
+}
 
 // TestFailLinkSeversCircuit: failing a link under an in-flight circuit
 // revokes the delivered unit and re-queues the task. FailLink's list is
@@ -23,7 +37,7 @@ func TestFailLinkSeversCircuit(t *testing.T) {
 	clinks := s.task(id).circuits[0].Links
 	lid := clinks[len(clinks)-1]
 
-	severed, err := s.FailLink(lid)
+	severed, err := s.fail(FaultTargetLink, lid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +75,7 @@ func TestFailLinkSeversCircuit(t *testing.T) {
 	if err := s.EndService(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RepairLink(lid); err != nil {
+	if err := s.repair(FaultTargetLink, lid); err != nil {
 		t.Fatal(err)
 	}
 	if s.FreeResources() != 8 || s.net.HasFaults() {
@@ -80,7 +94,7 @@ func TestFailResourceRevokesAcquiring(t *testing.T) {
 	}
 	r0 := s.Holding(id)[0]
 
-	affected, err := s.FailResource(r0)
+	affected, err := s.fail(FaultTargetResource, r0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +137,7 @@ func TestFailResourceLatentForProvisioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	r0 := s.Holding(id)[0]
-	affected, err := s.FailResource(r0)
+	affected, err := s.fail(FaultTargetResource, r0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +166,7 @@ func TestFailResourceLatentForProvisioned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.RepairResource(r0); err != nil {
+	if err := s.repair(FaultTargetResource, r0); err != nil {
 		t.Fatal(err)
 	}
 	id3 := mustSubmit(t, s, Task{Proc: 0})
@@ -180,7 +194,7 @@ func TestFailBoxSeversAndMasks(t *testing.T) {
 	if !found {
 		t.Fatal("circuit crosses no box")
 	}
-	severed, err := s.FailBox(box)
+	severed, err := s.fail(FaultTargetBox, box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +211,7 @@ func TestFailBoxSeversAndMasks(t *testing.T) {
 			}
 		}
 	}
-	if err := s.RepairBox(box); err != nil {
+	if err := s.repair(FaultTargetBox, box); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,7 +222,7 @@ func TestFailBoxSeversAndMasks(t *testing.T) {
 func TestDegradedAdmission(t *testing.T) {
 	s, _ := New(Config{Net: topology.Omega(4)})
 	for r := 1; r < 4; r++ {
-		if _, err := s.FailResource(r); err != nil {
+		if _, err := s.fail(FaultTargetResource, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +232,7 @@ func TestDegradedAdmission(t *testing.T) {
 	if _, err := s.Submit(Task{Proc: 0, Need: 1}); err != nil {
 		t.Fatalf("Need=1 still satisfiable: %v", err)
 	}
-	if err := s.RepairResource(1); err != nil {
+	if err := s.repair(FaultTargetResource, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Submit(Task{Proc: 1, Need: 2}); err != nil {
@@ -232,10 +246,10 @@ func TestDegradedAdmission(t *testing.T) {
 // defer the second, not wedge.
 func TestBankersExcludesFaulted(t *testing.T) {
 	s, _ := New(Config{Net: topology.Omega(4), Avoidance: AvoidanceBankers})
-	if _, err := s.FailResource(2); err != nil {
+	if _, err := s.fail(FaultTargetResource, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.FailResource(3); err != nil {
+	if _, err := s.fail(FaultTargetResource, 3); err != nil {
 		t.Fatal(err)
 	}
 	a := mustSubmit(t, s, Task{Proc: 0, Need: 2})
@@ -258,5 +272,137 @@ func TestBankersExcludesFaulted(t *testing.T) {
 	}
 	if err := s.EndService(a); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApplyFaultsBatch pins a fault batch at the System, over a task
+// needing three units that holds one and transmits to a second: every op
+// is checked before any lands, so a bad last op changes nothing; the ops
+// apply in order, each with its own sever, so failing and repairing a link
+// in one batch still severs the circuit across it; only the ops that
+// changed the fabric are reported; a task that lost units to two ops is
+// listed once; and a census the batch replaced was never written.
+func TestApplyFaultsBatch(t *testing.T) {
+	fail := func(tg FaultTarget, i int) FaultOp { return FaultOp{Target: tg, Index: i} }
+	heal := func(tg FaultTarget, i int) FaultOp { return FaultOp{Repair: true, Target: tg, Index: i} }
+	// l is a link of the standing circuit, r the unit held without one.
+	rows := []struct {
+		name    string
+		ops     func(l, r int) []FaultOp
+		changed int // -1: the batch is refused
+		held    int // units the task holds after the batch
+	}{
+		{"bad last op", func(l, r int) []FaultOp {
+			return []FaultOp{fail(FaultTargetResource, r), fail(FaultTargetLink, l), fail(FaultTargetLink, 1<<20)}
+		}, -1, 2},
+		{"fail, fail", func(l, r int) []FaultOp { return []FaultOp{fail(FaultTargetLink, l), fail(FaultTargetLink, l)} }, 1, 1},
+		{"fail, repair", func(l, r int) []FaultOp { return []FaultOp{fail(FaultTargetLink, l), heal(FaultTargetLink, l)} }, 2, 1},
+		{"revoke and sever", func(l, r int) []FaultOp {
+			return []FaultOp{fail(FaultTargetResource, r), fail(FaultTargetLink, l)}
+		}, 2, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			s, _ := New(Config{Net: topology.Omega(8)})
+			id := mustSubmit(t, s, Task{Proc: 3, Need: 3})
+			cycle(t, s)
+			if err := s.EndTransmission(3); err != nil {
+				t.Fatal(err)
+			}
+			cycle(t, s)
+			if len(s.Holding(id)) != 2 || s.Transmitting(3) != id {
+				t.Fatalf("setup: holding %v, transmitting %d", s.Holding(id), s.Transmitting(3))
+			}
+			c := s.task(id).circuits[0]
+			l, r := c.Links[1], s.Holding(id)[0]
+			if r == c.Res {
+				r = s.Holding(id)[1]
+			}
+			ep, words, free := s.FaultEpoch(), slices.Clone(s.OpenLinks()), s.FreeResources()
+			census := s.UsableResources()
+			was := maps.Clone(census)
+
+			changed, severed, err := s.ApplyFaults(row.ops(l, r))
+			if !maps.Equal(census, was) {
+				t.Fatalf("the batch wrote the census it replaced: %v, was %v", census, was)
+			}
+			if err := ledgerMismatch(s); err != nil {
+				t.Fatal(err)
+			}
+			if row.changed < 0 {
+				if err == nil || changed != nil || severed != nil {
+					t.Fatalf("bad batch: changed %v, severed %v, err %v", changed, severed, err)
+				}
+				if s.FaultEpoch() != ep || !slices.Equal(s.OpenLinks(), words) || !maps.Equal(s.UsableResources(), was) ||
+					s.FreeResources() != free || s.Transmitting(3) != id || len(s.Holding(id)) != row.held {
+					t.Fatal("a refused batch changed the System")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(changed) != row.changed || s.FaultEpoch() != ep+uint64(row.changed) {
+				t.Fatalf("changed %v, fault epoch moved %d; want %d changed ops", changed, s.FaultEpoch()-ep, row.changed)
+			}
+			if !slices.Equal(severed, []TaskID{id}) || s.Transmitting(3) != -1 || len(s.Holding(id)) != row.held {
+				t.Fatalf("severed %v, transmitting %d, holding %v; want [%d] severed once, holding %d",
+					severed, s.Transmitting(3), s.Holding(id), id, row.held)
+			}
+		})
+	}
+}
+
+// Allocations of one fault batch on Omega-64 with a circuit standing,
+// census read included (TestFaultBatchAllocs). Each is one new census:
+// the map UsableByType builds (2 objects) and, on a faulted fabric, the
+// reachability sweep's scratch behind it (15).
+const (
+	failBatchAllocs   = 17
+	repairBatchAllocs = 2
+)
+
+// TestFaultBatchAllocs pins a fault batch's cost in allocations: a one-op
+// fail batch and a one-op repair batch, each followed by the census read
+// the service makes, on Omega-64 with a circuit standing. A changing batch
+// makes one new census and nothing else: UsableResources hands the map
+// over without a copy, and the batch's report lives in the System's
+// reused slices.
+func TestFaultBatchAllocs(t *testing.T) {
+	s, _ := New(Config{Net: topology.Omega(64)})
+	id := mustSubmit(t, s, Task{Proc: 0})
+	cycle(t, s)
+	c := s.task(id).circuits[0]
+	// A stage-1 link off the circuit: failing it severs nothing and
+	// strands no resource.
+	l := len(s.net.Links) / 2
+	for slices.Contains(c.Links, l) {
+		l++
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	batch := func(op FaultOp) uint64 {
+		runtime.ReadMemStats(&before)
+		severed, err := s.ApplyFault(op)
+		census := s.UsableResources()
+		runtime.ReadMemStats(&after)
+		if err != nil || len(severed) != 0 || census[0] != 64 || s.Transmitting(0) != id {
+			t.Fatalf("%+v: severed %v, census %v, err %v; the circuit must stand", op, severed, census, err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	fail, heal := FaultOp{Target: FaultTargetLink, Index: l}, FaultOp{Repair: true, Target: FaultTargetLink, Index: l}
+	batch(fail) // the fabric's first fault makes its fault flags
+	batch(heal)
+	const runs = 100
+	var failed, repaired uint64
+	for range runs {
+		failed += batch(fail)
+		repaired += batch(heal)
+	}
+	t.Logf("fail batch %.2f, repair batch %.2f objects", float64(failed)/runs, float64(repaired)/runs)
+	if failed != failBatchAllocs*runs || repaired != repairBatchAllocs*runs {
+		t.Errorf("a fail batch allocates %.2f objects, a repair batch %.2f; want %d and %d (one census each, no copy)",
+			float64(failed)/runs, float64(repaired)/runs, failBatchAllocs, repairBatchAllocs)
 	}
 }

@@ -190,7 +190,7 @@ type prediction struct {
 func predictCycle(s *System) prediction {
 	pr := prediction{requests: make([]*taskState, s.net.Procs)}
 	admitted := map[*entity]bool{}
-	usable := s.usableResources()
+	usable := s.census
 	for _, g := range s.gangPending {
 		if _, _, ok := g.demand.Fits(usable); !ok {
 			continue // unsatisfiable at this fault epoch: skipped in place
@@ -350,34 +350,14 @@ func (a audited) Preempt(id TaskID, r int) error {
 	return a.System.Preempt(id, r)
 }
 
-func (a audited) FailLink(id int) ([]TaskID, error) {
-	defer a.after("FailLink")
-	return a.System.FailLink(id)
+func (a audited) fail(target FaultTarget, i int) ([]TaskID, error) {
+	defer a.after("fail " + target.String())
+	return a.System.fail(target, i)
 }
 
-func (a audited) RepairLink(id int) error {
-	defer a.after("RepairLink")
-	return a.System.RepairLink(id)
-}
-
-func (a audited) FailBox(id int) ([]TaskID, error) {
-	defer a.after("FailBox")
-	return a.System.FailBox(id)
-}
-
-func (a audited) RepairBox(id int) error {
-	defer a.after("RepairBox")
-	return a.System.RepairBox(id)
-}
-
-func (a audited) FailResource(r int) ([]TaskID, error) {
-	defer a.after("FailResource")
-	return a.System.FailResource(r)
-}
-
-func (a audited) RepairResource(r int) error {
-	defer a.after("RepairResource")
-	return a.System.RepairResource(r)
+func (a audited) repair(target FaultTarget, i int) error {
+	defer a.after("repair " + target.String())
+	return a.System.repair(target, i)
 }
 
 // ledgerMismatch recomputes everything the ledger keeps from the state it

@@ -72,13 +72,13 @@ func TestLedgerUpdateSites(t *testing.T) {
 	t.Run("fail and repair of a free resource, twice each", func(t *testing.T) {
 		s := omega4(t, Config{})
 		for i := 0; i < 2; i++ { // the topology's Fail is idempotent: the second moves nothing
-			if _, err := s.FailResource(2); err != nil {
+			if _, err := s.fail(FaultTargetResource, 2); err != nil {
 				t.Fatal(err)
 			}
 			wantBooks(t, s, "after FailResource", books{free: []int{3}, unheld: 4})
 		}
 		for i := 0; i < 2; i++ {
-			if err := s.RepairResource(2); err != nil {
+			if err := s.repair(FaultTargetResource, 2); err != nil {
 				t.Fatal(err)
 			}
 			wantBooks(t, s, "after RepairResource", books{free: []int{4}, unheld: 4})
@@ -91,7 +91,7 @@ func TestLedgerUpdateSites(t *testing.T) {
 		grantRound(t, s)
 		r := s.Holding(id)[0]
 		// A provisioned holder keeps a failed unit; the fault is latent.
-		if severed, err := s.FailResource(r); err != nil || len(severed) != 0 {
+		if severed, err := s.fail(FaultTargetResource, r); err != nil || len(severed) != 0 {
 			t.Fatalf("FailResource under a provisioned holder: severed %v, err %v", severed, err)
 		}
 		wantBooks(t, s, "after the latent fault", books{free: []int{3}, unheld: 3, rows: 1})
@@ -99,7 +99,7 @@ func TestLedgerUpdateSites(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantBooks(t, s, "after EndService", books{free: []int{3}, unheld: 4}) // unheld again, not free
-		if err := s.RepairResource(r); err != nil {
+		if err := s.repair(FaultTargetResource, r); err != nil {
 			t.Fatal(err)
 		}
 		wantBooks(t, s, "after the repair", books{free: []int{4}, unheld: 4})
@@ -110,10 +110,10 @@ func TestLedgerUpdateSites(t *testing.T) {
 		id := submit(t, s, Task{Proc: 1})
 		grantRound(t, s)
 		r := s.Holding(id)[0]
-		if _, err := s.FailResource(r); err != nil {
+		if _, err := s.fail(FaultTargetResource, r); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RepairResource(r); err != nil {
+		if err := s.repair(FaultTargetResource, r); err != nil {
 			t.Fatal(err)
 		}
 		wantBooks(t, s, "healed while held", books{free: []int{3}, unheld: 3, rows: 1})
@@ -170,7 +170,7 @@ func TestLedgerUpdateSites(t *testing.T) {
 		// Losing one member's unit resets the whole gang: both units leave,
 		// the failed one to no free count, and the composite's row closes.
 		lost := s.Holding(ids[1])[0]
-		if _, err := s.FailResource(lost); err != nil {
+		if _, err := s.fail(FaultTargetResource, lost); err != nil {
 			t.Fatal(err)
 		}
 		if s.GangActive(gid) || s.PendingGangs() != 1 {
@@ -200,7 +200,7 @@ func TestLedgerUpdateSites(t *testing.T) {
 			t.Fatalf("want one unit of each type, the type-9 one second: holding %v", held)
 		}
 		wantBooks(t, s, "one of each type held", books{free: []int{1, 1}, unheld: 2, owed: 1, rows: 1})
-		if severed, err := s.FailResource(held[1]); err != nil || !slices.Equal(severed, []TaskID{id}) {
+		if severed, err := s.fail(FaultTargetResource, held[1]); err != nil || !slices.Equal(severed, []TaskID{id}) {
 			t.Fatalf("FailResource(%d): severed %v, err %v", held[1], severed, err)
 		}
 		// The type-9 column moves, the type-7 unit stays booked.
@@ -228,7 +228,7 @@ func TestLedgerUpdateSites(t *testing.T) {
 		}
 		grantRound(t, s)
 		wantBooks(t, s, "one unit per member", books{free: []int{2}, unheld: 2, owed: 2, rows: 1})
-		if _, err := s.FailResource(slices.Index(s.resHolder, -1)); err != nil {
+		if _, err := s.fail(FaultTargetResource, slices.Index(s.resHolder, -1)); err != nil {
 			t.Fatal(err)
 		}
 		if !s.GangActive(gid) || s.led.openTrial().safe() {
@@ -330,12 +330,12 @@ func TestTypedLedgerDifferentialTraces(t *testing.T) {
 			}
 			if rng.Float64() < 0.2 {
 				if r := rng.Intn(net.Ress); failed[r] {
-					if err := s.RepairResource(r); err != nil {
+					if err := s.repair(FaultTargetResource, r); err != nil {
 						t.Fatal(err)
 					}
 					delete(failed, r)
 				} else if len(failed) < 2 {
-					if _, err := s.FailResource(r); err != nil {
+					if _, err := s.fail(FaultTargetResource, r); err != nil {
 						t.Fatal(err)
 					}
 					failed[r] = true

@@ -218,7 +218,7 @@ func applyRandomFault(t *testing.T, rng *rand.Rand, sys audited, net *topology.N
 		// Resource fault or repair; keep at least one resource alive.
 		if len(failedRes) > 0 && rng.Float64() < 0.5 {
 			r := slices.Min(slices.Collect(maps.Keys(failedRes)))
-			if err := sys.RepairResource(r); err != nil {
+			if err := sys.repair(FaultTargetResource, r); err != nil {
 				t.Fatalf("repair resource %d: %v", r, err)
 			}
 			delete(failedRes, r)
@@ -231,7 +231,7 @@ func applyRandomFault(t *testing.T, rng *rand.Rand, sys audited, net *topology.N
 		if failedRes[r] {
 			return
 		}
-		if _, err := sys.FailResource(r); err != nil {
+		if _, err := sys.fail(FaultTargetResource, r); err != nil {
 			t.Fatalf("fail resource %d: %v", r, err)
 		}
 		failedRes[r] = true
@@ -239,7 +239,7 @@ func applyRandomFault(t *testing.T, rng *rand.Rand, sys audited, net *topology.N
 	}
 	if len(failedLinks) > 0 && rng.Float64() < 0.5 {
 		l := slices.Min(slices.Collect(maps.Keys(failedLinks)))
-		if err := sys.RepairLink(l); err != nil {
+		if err := sys.repair(FaultTargetLink, l); err != nil {
 			t.Fatalf("repair link %d: %v", l, err)
 		}
 		delete(failedLinks, l)
@@ -249,7 +249,7 @@ func applyRandomFault(t *testing.T, rng *rand.Rand, sys audited, net *topology.N
 	if failedLinks[l] {
 		return
 	}
-	if _, err := sys.FailLink(l); err != nil {
+	if _, err := sys.fail(FaultTargetLink, l); err != nil {
 		t.Fatalf("fail link %d: %v", l, err)
 	}
 	failedLinks[l] = true

@@ -194,12 +194,12 @@ func TestReusedTaskStateStartsClean(t *testing.T) {
 			gid, ids := gang(t, s)
 			cycleOnly(t, s)
 			link := s.task(ids[0]).circuits[0].Links[0]
-			severed, err := s.FailLink(link)
+			severed, err := s.fail(FaultTargetLink, link)
 			must(t, err)
 			if !slices.Contains(severed, ids[1]) || s.GangActive(gid) {
 				t.Fatalf("set-up: link %d severed %v and left the gang active=%v; want a reset of both members", link, severed, s.GangActive(gid))
 			}
-			must(t, s.RepairLink(link))
+			must(t, s.repair(FaultTargetLink, link))
 			cycleOnly(t, s)
 			must(t, s.CancelGang(gid))
 		}},

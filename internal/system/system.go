@@ -38,7 +38,7 @@ import (
 var ErrUnsatisfiable = errors.New("system: task demand can never be satisfied")
 
 // ErrCircuitSevered marks work lost to hardware faults. The System itself
-// never returns it: ApplyFault reports each severed unit in its returned
+// never returns it: ApplyFaults reports each severed task in its returned
 // list, and the unit is already re-queued on the surviving fabric. A
 // service wraps it when a task or gang has been severed more often than
 // its retry budget allows.
@@ -133,8 +133,8 @@ func (t FaultTarget) String() string {
 	return fmt.Sprintf("FaultTarget(%d)", int(t))
 }
 
-// FaultOp is one hardware event: the failure or repair of one component.
-// Apply it with System.ApplyFault.
+// FaultOp is the failure or repair of one component. Apply a batch of them,
+// one hardware event, with System.ApplyFaults.
 type FaultOp struct {
 	Repair bool
 	Target FaultTarget
@@ -341,7 +341,7 @@ func (s *System) alone(id TaskID) (*entity, error) {
 }
 
 // provisioned reports whether every member of an entity holds its full
-// set: FailResource's still-acquiring rule, and the immunity of Preempt
+// set: a resource fault's still-acquiring rule, and the immunity of Preempt
 // and of the sever reset.
 func (e *entity) provisioned() bool {
 	for _, t := range e.members {
@@ -409,10 +409,9 @@ type System struct {
 	gangPending []*entity
 	joined      int
 
-	// Degraded-capacity census cached per fault epoch.
-	usableCache      map[int]int
-	usableCacheEpoch uint64
-	usableCacheOK    bool
+	census  map[int]int // UsableResources: a fault batch replaces it, never writes it
+	changed []FaultOp   // ApplyFaults' report, reused across batches
+	severed []TaskID
 
 	planner core.Planner // warm solver state (whole-fabric arena, MinCost basis)
 	// solve is the epoch solver New resolved the configuration into, bound
@@ -462,6 +461,7 @@ func New(cfg Config) (*System, error) {
 		taskOf:       make([]*taskState, cfg.Net.Procs),
 		led:          newLedger(cfg.Net.Ress, cfg.Types),
 	}
+	s.census = s.net.UsableByType(cfg.Types)
 	for i := range s.resHolder {
 		s.resHolder[i] = -1
 	}
@@ -633,7 +633,7 @@ func (s *System) dequeue(t *taskState) {
 // must be refused now, or the banker defers the task forever and it wedges
 // its queue.
 func (s *System) admissible(d Demand) error {
-	if err := d.Shortfall(s.usableResources()); err != nil {
+	if err := d.Shortfall(s.census); err != nil {
 		return fmt.Errorf("system: %w", err)
 	}
 	return nil

@@ -327,7 +327,7 @@ func (pr *routeProbe) sweep(net *topology.Network, p int) {
 // CycleResult.Preempted; that is the one report.
 //
 // A fully-provisioned task (remaining 0) cannot be preempted: it is
-// computing on its complete resource set, mirroring FailResource's rule
+// computing on its complete resource set, mirroring a resource fault's rule
 // that provisioned holders keep their units. The caller — the cycle's
 // exchange planner, with Config.Preempt — decides *whether* preemption is
 // worth it (a strictly more urgent beneficiary); this primitive only

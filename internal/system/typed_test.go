@@ -53,7 +53,7 @@ func TestTypedNeedsUnsatisfiable(t *testing.T) {
 		t.Fatalf("over-census demand: err = %v, want ErrUnsatisfiable", err)
 	}
 	// Degraded: after losing a type-1 resource the usable census shrinks.
-	if _, err := s.FailResource(2); err != nil {
+	if _, err := s.fail(FaultTargetResource, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Submit(Task{Proc: 0, Needs: map[int]int{1: 4}}); !errors.Is(err, ErrUnsatisfiable) {
@@ -250,7 +250,7 @@ func TestTypedRevokeLockstep(t *testing.T) {
 	if len(held) != 1 || types[held[0]] != 0 {
 		t.Fatalf("first grant %v, want one type-0 unit", held)
 	}
-	affected, err := s.FailResource(held[0])
+	affected, err := s.fail(FaultTargetResource, held[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestGangActivationWedgeRegression(t *testing.T) {
 	}
 	// One type-1 resource fails before A ever activates: A's demand (2 of
 	// type 1) now exceeds the usable census (1) until repair.
-	if _, err := s.FailResource(0); err != nil {
+	if _, err := s.fail(FaultTargetResource, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Gang B wants only type-0 units, which are all healthy.
@@ -334,7 +334,7 @@ func TestGangActivationWedgeRegression(t *testing.T) {
 	}
 	// Repair restores the census; A activates on the next cycle, still
 	// holding its FIFO slot.
-	if err := s.RepairResource(0); err != nil {
+	if err := s.repair(FaultTargetResource, 0); err != nil {
 		t.Fatal(err)
 	}
 	r = cycle(t, s)

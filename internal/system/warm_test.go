@@ -38,12 +38,12 @@ func TestWarmSolveMatchesOracle(t *testing.T) {
 			for step := 0; step < 120; step++ {
 				switch rng.Intn(8) {
 				case 0:
-					_, _ = s.FailLink(rng.Intn(len(net.Links)))
+					_, _ = s.fail(FaultTargetLink, rng.Intn(len(net.Links)))
 				case 1:
-					_, _ = s.FailResource(rng.Intn(net.Ress))
+					_, _ = s.fail(FaultTargetResource, rng.Intn(net.Ress))
 				case 2, 3:
-					_ = s.RepairLink(rng.Intn(len(net.Links)))
-					_ = s.RepairResource(rng.Intn(net.Ress))
+					_ = s.repair(FaultTargetLink, rng.Intn(len(net.Links)))
+					_ = s.repair(FaultTargetResource, rng.Intn(net.Ress))
 				}
 				// New single-resource tasks on random processors. Random
 				// churn can legitimately fault every resource at once, in

@@ -71,9 +71,9 @@ type (
 	// scheduling cycles, transmission/service life cycle, multi-resource
 	// acquisition with deadlock avoidance. It is a state machine with no
 	// clock and no registry: what a caller counts is in its results. A
-	// hardware fault enters only through FailLink, FailBox, FailResource
-	// (or ApplyFault), and the severed tasks that call returns are its one
-	// report. A task alone is withdrawn like a gang, by CancelGang. A
+	// hardware fault enters only as a batch through ApplyFaults (ApplyFault
+	// is a batch of one), and the changed ops and severed tasks that call
+	// returns are its one report. A task alone is withdrawn like a gang, by CancelGang. A
 	// Scheduler with a registry times each cycle in the
 	// rsin_system_cycle_ms histogram. Its task IDs are opaque and not
 	// sequential: an ID packs a slot of the System's task table with the
