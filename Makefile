@@ -23,8 +23,14 @@ test:
 # stay race-clean. internal/core is the solver every shard runs; its
 # allocation guard is built only without -race (alloc_guard_test.go) and
 # runs under allocguard instead.
+#
+# The service has no goroutine of its own: callers run its epochs (flat
+# combining), so coalescing and liveness depend on how many of them run at
+# once. The stress test and the combining tests run again at GOMAXPROCS 1,
+# 2 and 4, their assertions unchanged.
 race:
 	$(GO) test -race -shuffle=on ./internal/sched ./internal/system ./internal/obs ./internal/server ./internal/core
+	$(GO) test -race -cpu 1,2,4 -count 5 -run 'TestStressBenes|TestPostedDuringEpochIsApplied|TestCloseDrainsCombiners|TestCombinerHandsOffTheTurn|TestCloseWaitsForHandedTurn' ./internal/sched
 
 # Warm-solver pivot ratchet plus the three-engine min-cost cross-check:
 # the warm network simplex must pivot strictly less than cold on the
@@ -58,19 +64,20 @@ deps:
 	fi
 
 # The instrumentation hot path must not allocate (disabled or enabled),
-# a service round trip allocates only what it hands back (plus its
-# cycles' Mappings) — singleton, three-type and gang alike: 4, 8 and 7
-# objects, the gang's demand summed once and its record a reused task's — a
-# bound-certified typed epoch on a warm planner allocates only the Mapping
-# it returns, a cycle under the banker with nothing to solve nothing (the
-# System reuses its CycleResult and its empty Mapping), a warm simplex
-# solve on a reused basis nothing, a banker'd MinCost cycle stays within
-# its recorded bound, and a fault batch makes one census and no copy of
-# it; CI runs the same guards.
+# a service round trip allocates only what it hands back — singleton,
+# three-type and gang alike: 2, 2 and 5 objects, the gang's demand summed
+# once and its record a reused task's — a bound-certified typed epoch on a
+# warm planner allocates nothing, and neither does a warm cycle under
+# MaxFlow, certified MinCost or typed (the System reuses its CycleResult
+# and the planner its Mapping), a cycle under the banker with nothing to
+# solve, or a warm simplex solve on a reused basis; a banker'd MinCost
+# cycle stays within its recorded bound, and a fault batch makes one
+# census and no copy of it (its reachability sweep runs on the network's
+# scratch); CI runs the same guards.
 allocguard:
 	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree|TestRoundTripAllocs|TestTypedRoundTripAllocs' ./internal/sched ./internal/obs
 	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
-	$(GO) test -run 'TestBankerCycleAllocs|TestPricedCycleAllocs|TestFaultBatchAllocs' ./internal/system
+	$(GO) test -run 'TestCycleAllocs|TestBankerCycleAllocs|TestPricedCycleAllocs|TestFaultBatchAllocs' ./internal/system
 
 # The TaskID packing (slot and generation in one int) must build where int
 # is 32 bits: a shift that only fits a 64-bit int fails here. CI runs the

@@ -89,15 +89,29 @@ type OpCounts = maxflow.Counters
 // Allocated reports the number of resources allocated.
 func (m *Mapping) Allocated() int { return len(m.Assigned) }
 
-// sizedMapping returns an empty mapping for reqs with room for exactly
-// granted assignments and the rest blocked, so a decode fills it without
-// growing either slice.
-func sizedMapping(reqs []Request, granted int) *Mapping {
-	m := &Mapping{Assigned: make([]Assignment, 0, granted)}
-	if n := len(reqs) - granted; n > 0 {
-		m.Blocked = make([]Request, 0, n)
+// mappingBuf is the Mapping a planner's decode fills in place and
+// returns: valid until the planner's next solve (see Planner).
+type mappingBuf struct {
+	m       Mapping
+	blocked []Request // Blocked's memory, kept while a mapping blocks nothing
+}
+
+// begin empties the mapping for a decode of reqs that grants granted of
+// them, with room for every request on either side, so the decode never
+// grows a slice and the planner's memory stops growing at its largest
+// epoch. Like a fresh mapping, Assigned is never nil and Blocked is nil
+// when nothing is blocked.
+func (b *mappingBuf) begin(reqs []Request, granted int) *Mapping {
+	assigned := slices.Grow(b.m.Assigned[:0], len(reqs))
+	if assigned == nil {
+		assigned = []Assignment{}
 	}
-	return m
+	b.m = Mapping{Assigned: assigned}
+	if len(reqs) > granted {
+		b.blocked = slices.Grow(b.blocked[:0], len(reqs))
+		b.m.Blocked = b.blocked
+	}
+	return &b.m
 }
 
 // Apply establishes every circuit of the mapping on the network. On error
@@ -483,9 +497,12 @@ func ScheduleMaxFlow(net *topology.Network, reqs []Request, avail []Avail) (*Map
 // scheduling shard its own.
 //
 // The warm methods (ScheduleIncremental, ScheduleMinCostIncremental and a
-// ScheduleHetero settled on the arena) decode each circuit into the
-// planner's path slot for its processor, and the Mapping's Circuit.Links
-// view that slot. The next grant to the same processor rewrites it. A
+// ScheduleHetero settled on the arena) decode into a Mapping the planner
+// owns, so a solve allocates nothing: the mapping, its Assigned and its
+// Blocked are valid until the planner's next solve, and a caller that
+// keeps any of them longer copies it. The same decode writes each circuit
+// into the planner's path slot for its processor, and the Mapping's
+// Circuit.Links view that slot. The next grant to the same processor rewrites it. A
 // mapping applied to the network it was solved on stays intact while its
 // circuits stand (a standing circuit's processor cannot be granted again).
 // A caller that solves without applying, or applies to another network (a

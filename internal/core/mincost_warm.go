@@ -41,7 +41,8 @@ type mcState struct {
 
 	consumed []int // per arc: stamp of the decode pass that used it
 	stamp    int
-	slots    pathSlots // per-processor link paths the decode writes circuits into
+	slots    pathSlots  // per-processor link paths the decode writes circuits into
+	out      mappingBuf // the Mapping decode fills and returns
 
 	// Per-solve lookups, valid where the entry's stamp equals syncs.
 	syncs      int
@@ -207,7 +208,7 @@ func (st *mcState) decode(reqs []Request) (*Mapping, error) {
 			granted++
 		}
 	}
-	m := sizedMapping(reqs, granted)
+	m := st.out.begin(reqs, granted)
 	st.stamp++
 	for i := range reqs {
 		req := reqs[i]

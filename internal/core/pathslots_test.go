@@ -65,7 +65,10 @@ func TestPathSlotsRewriteUnappliedMapping(t *testing.T) {
 			if err != nil || first.Allocated() != 1 {
 				t.Fatalf("first solve: %v, %d granted", err, first.Allocated())
 			}
-			kept := slices.Clone(first.Assigned[0].Circuit.Links)
+			// first is the planner's mapping, which the next solve refills:
+			// keep the first grant's links view itself, not the mapping.
+			stale := first.Assigned[0].Circuit.Links
+			kept := slices.Clone(stale)
 			second, err := sv.solve(&p, net, reqs, []Avail{{Res: 7}})
 			if err != nil || second.Allocated() != 1 {
 				t.Fatalf("second solve: %v, %d granted", err, second.Allocated())
@@ -73,7 +76,7 @@ func TestPathSlotsRewriteUnappliedMapping(t *testing.T) {
 			if sv.name == "typed" && !second.Solve.MultiFastPath {
 				t.Fatal("did not exercise: the typed epoch was not bound-certified")
 			}
-			stale, now := first.Assigned[0].Circuit.Links, second.Assigned[0].Circuit.Links
+			now := second.Assigned[0].Circuit.Links
 			if slices.Equal(kept, now) {
 				t.Fatalf("did not exercise: both grants took path %v", now)
 			}

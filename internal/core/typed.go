@@ -75,7 +75,8 @@ type typedState struct {
 	grants  []typedGrant
 	path    []int
 	fast    int
-	grantOf []int32 // processor -> 1 + index into grants, 0 = blocked
+	grantOf []int32    // processor -> 1 + index into grants, 0 = blocked
+	out     mappingBuf // the Mapping decode fills and returns
 
 	// The best sweep's circuits while later orders are tried.
 	keptGrants []typedGrant
@@ -475,7 +476,7 @@ func (st *typedState) decode(net *topology.Network, reqs []Request, avail []Avai
 	for i, g := range st.grants {
 		st.grantOf[g.proc] = int32(i + 1)
 	}
-	m = sizedMapping(reqs, len(st.grants))
+	m = st.out.begin(reqs, len(st.grants))
 	for _, req := range reqs {
 		p := req.Proc
 		if st.grantOf[p] == 0 {

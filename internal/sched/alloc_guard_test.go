@@ -1,5 +1,5 @@
 // The race detector's instrumentation allocates on its own schedule
-// across the shard goroutines, which makes global malloc counting flaky;
+// across the clients' goroutines, which makes global malloc counting flaky;
 // CI runs this guard in the plain (non-race) test job.
 //go:build !race
 
@@ -59,21 +59,20 @@ func TestDisabledObsAllocFree(t *testing.T) {
 // The round trip's recorded allocation ceilings. A singleton round trip
 // hands back its Handle with its Done channel: two objects per task. The
 // system task record, and the entity it carries, is a retired one reused,
-// and Resources is the grant the shard recorded in the handle. Every
-// granting cycle adds what it hands back, at most three: the Mapping and
-// its Assigned and Blocked slices (the CycleResult is the System's). One
-// client runs a whole cycle per round, which the lone bound counts in (no
-// Blocked slice: 2 + 2). Under 64 clients the number of cycles depends on
-// how full the batches are, so the batched guard takes the cycles' share
-// off the mean — four per cycle, one over what a cycle hands back, which
-// keeps the runtime's own odd allocation under 64 goroutines from making it
-// flaky — and bounds what is left per task. A task record made per
-// task, a copy of the held set, a channel made per EndService or a
-// per-circuit path slice adds at least one object per task and fails both.
+// Resources is the grant the shard recorded in the handle, and a cycle
+// allocates nothing: its result is the System's and its Mapping the
+// planner's, both reused. One client's round is exactly that (2). Under 64
+// clients the number of cycles depends on how full the batches are, so the
+// batched guard takes one object per cycle off the mean — one over what a
+// cycle hands back, which keeps the runtime's own odd allocation under 64
+// goroutines from making it flaky — and bounds what is left per task. A
+// task record made per task, a copy of the held set, a channel made per
+// EndService, a Mapping made per cycle or a per-circuit path slice adds at
+// least one object per task and fails both.
 const (
-	roundTripAllocsAlone   = 4
+	roundTripAllocsAlone   = 2
 	roundTripAllocsPerTask = 2
-	cycleAllocs            = 4
+	cycleAllocs            = 1
 )
 
 // TestRoundTripAllocs pins the allocations of Submit -> Done -> Resources
@@ -145,21 +144,20 @@ func TestRoundTripAllocs(t *testing.T) {
 }
 
 // The typed and gang round trips' recorded ceilings, for one client on a
-// shard that has served the same submission before. A three-type task is
-// its Handle and Done channel plus three granting cycles of two objects
-// each (the Mapping and its Assigned slice): its demand and grant fit the
-// handle's inline storage, and sorting its need vector allocates nothing.
-// A gang of three single-unit members is its GangHandle and Done channel,
-// the shard's copy of the member list, the member-ID list, the slice of
-// member grants, and one granting cycle of two objects: the summed demand,
-// which the System keeps as the gang's, and the grants' backing array fit
-// the handle's inline storage, and the gang itself lives in its first
-// member's reused task record. A demand sorted through reflection, a task
-// record made per member, a demand summed twice or a grant slice per
-// member fails them.
+// shard that has served the same submission before; their cycles allocate
+// nothing (see roundTripAllocsAlone). A three-type task is its Handle and
+// Done channel: its demand and grant fit the handle's inline storage, and
+// sorting its need vector allocates nothing. A gang of three single-unit
+// members is its GangHandle and Done channel, the shard's copy of the
+// member list, the member-ID list and the slice of member grants: the
+// summed demand, which the System keeps as the gang's, and the grants'
+// backing array fit the handle's inline storage, and the gang itself lives
+// in its first member's reused task record. A demand sorted through
+// reflection, a task record made per member, a demand summed twice, a
+// grant slice per member or a Mapping per cycle fails them.
 const (
-	typedRoundTripAllocs = 8
-	gangRoundTripAllocs  = 7
+	typedRoundTripAllocs = 2
+	gangRoundTripAllocs  = 5
 )
 
 // TestTypedRoundTripAllocs pins the allocations of the typed and gang

@@ -8,6 +8,15 @@ import (
 	"rsin/internal/system"
 )
 
+// epoch runs one epoch on buf: apply, deliver, cycle, deliver. The
+// combiner and Close run it holding the shard's epoch lock.
+func (s *Scheduler) epoch(sh *shard, buf []op) {
+	s.apply(sh, buf)
+	s.deliver(sh, buf)
+	s.cycle(sh)
+	s.deliver(sh, nil)
+}
+
 // apply is an epoch's first deciding phase: it applies the buffered ops in
 // order (a job's submit precedes its cancel; resources an op frees feed
 // this very epoch's solve). Like cycle it wakes nobody, only records for
@@ -49,13 +58,19 @@ func (s *Scheduler) deliver(sh *shard, ops []op) {
 	clear(sh.fired) // the list outlives the jobs; do not pin them
 	sh.fired = sh.fired[:0]
 	for i := range ops {
-		switch o := &ops[i]; o.kind {
-		case opEnd:
-			o.j.endErr = o.err
-			o.j.ended.Done()
-		case opFault:
-			o.reply <- o.err
-		}
+		answer(&ops[i], ops[i].err)
+	}
+}
+
+// answer wakes the caller an op blocks, with err: EndService's on its job,
+// ApplyFaults' on its reply channel. Other ops block nobody.
+func answer(o *op, err error) {
+	switch o.kind {
+	case opEnd:
+		o.j.endErr = err
+		o.j.ended.Done()
+	case opFault:
+		o.reply <- err
 	}
 }
 
@@ -116,7 +131,7 @@ func (s *Scheduler) applySubmit(sh *shard, o *op) {
 	// (deliver then stops the watch), the job is withdrawn whole. Watched
 	// only once tracked, the cancel always queues behind its submit.
 	if ctx := o.ctx; ctx.Done() != nil {
-		j.stop = context.AfterFunc(ctx, func() { _ = s.send(sh, op{kind: opCancel, j: j, cause: ctx.Err()}) })
+		j.stop = context.AfterFunc(ctx, func() { _ = s.post(sh, op{kind: opCancel, j: j, cause: ctx.Err()}) })
 	}
 }
 
@@ -305,8 +320,8 @@ func (s *Scheduler) finish(sh *shard, j *job, o outcome, err error, val int64, r
 	sh.fired = append(sh.fired, j)
 }
 
-// finishTracked finishes every tracked job with the same failure: the
-// supervisor's restart and the shutdown drain.
+// finishTracked finishes every tracked job with the same failure: a
+// restart and the shutdown drain.
 func (s *Scheduler) finishTracked(sh *shard, err error, result string) {
 	for i := range sh.tracked {
 		if e := sh.tracked[i]; e.j != nil && e.id == e.j.ids[0] {
@@ -317,7 +332,7 @@ func (s *Scheduler) finishTracked(sh *shard, err error, result string) {
 
 // withdraw pulls a tracked job out of the System and finishes it. A
 // tracked job the System cannot withdraw means the shard state is
-// suspect: the supervisor rebuilds it, and withdraw reports false (every
+// suspect: failShard rebuilds it, and withdraw reports false (every
 // tracked job is gone — a caller walking sh.tracked must stop).
 func (s *Scheduler) withdraw(sh *shard, j *job, o outcome, cause error, val int64, result string) bool {
 	if err := sh.sys.CancelGang(j.entity()); err != nil {
@@ -374,7 +389,7 @@ func (s *Scheduler) refreshCapacity(sh *shard) {
 	}
 }
 
-// failShard is the shard supervisor. The System reported an internal
+// failShard restarts the shard. The System reported an internal
 // fault, so its state is no longer trustworthy: contain it by failing
 // every tracked job with an ErrShardDown error, then rebuild the System
 // from a fresh state under a new generation and resume accepting work.

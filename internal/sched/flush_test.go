@@ -11,9 +11,10 @@ import (
 	"rsin/internal/workload"
 )
 
-// cycleGate is a system.Config.FaultHook that parks the shard goroutine at
-// the top of its next Cycle once armed — inside an epoch, with whatever
-// clients send meanwhile piling up in the shard's op queue.
+// cycleGate is a system.Config.FaultHook that parks the caller running the
+// shard's epoch at the top of its next Cycle once armed — inside the
+// epoch, holding the shard's epoch lock, with whatever clients post
+// meanwhile piling up in the shard's pending list.
 type cycleGate struct {
 	armed   atomic.Bool
 	parked  chan struct{}
@@ -25,7 +26,7 @@ func newCycleGate() *cycleGate {
 }
 
 // unpark is the test's cleanup, registered after newScheduler so that it
-// runs before the scheduler's Close waits on a parked shard.
+// runs before the scheduler's Close waits on a parked epoch.
 func (g *cycleGate) unpark() { close(g.release) }
 
 func (g *cycleGate) hook(point string) error {
@@ -47,8 +48,8 @@ func (g *cycleGate) waitParked(t *testing.T) {
 }
 
 // TestEpochTakesEverythingQueued pins the coalescing half of the flush
-// rule: whatever queued up behind a running epoch — up to the op queue's
-// capacity of 2×BatchSize — is served by the one epoch that follows it.
+// rule: whatever queued up behind a running epoch — up to the epoch cap of
+// 2×BatchSize — is served by the one epoch that follows it.
 func TestEpochTakesEverythingQueued(t *testing.T) {
 	const batch = 32 // the default
 	const k = 2 * batch
@@ -61,12 +62,27 @@ func TestEpochTakesEverythingQueued(t *testing.T) {
 	before := s.Stats().Epochs
 
 	g.armed.Store(true)
-	all := []*Handle{submit(t, s, system.Task{Proc: k})} // its epoch parks in the hook
+	// The first submit runs its own epoch, which parks in the hook: it
+	// returns only after the release, so it runs on a helper goroutine.
+	first := make(chan *Handle)
+	go func() {
+		h, err := s.Submit(0, system.Task{Proc: k})
+		if err != nil {
+			t.Error(err)
+		}
+		first <- h
+	}()
 	g.waitParked(t)
+	var all []*Handle
 	for p := 0; p < k; p++ {
 		all = append(all, submit(t, s, system.Task{Proc: p}))
 	}
 	g.release <- struct{}{}
+	h := <-first
+	if h == nil {
+		t.FailNow()
+	}
+	all = append(all, h)
 	for _, h := range all {
 		waitOK(t, h, "queued submit")
 	}

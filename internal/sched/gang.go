@@ -34,12 +34,12 @@ type GangSpec struct {
 	Label   string
 }
 
-// SubmitGang queues a gang on a shard and returns a handle immediately.
-// The gang joins the next scheduling epoch; its members are granted
-// all-or-nothing (wait on GangHandle.Done). Validation — member count,
-// distinct processors, per-member task checks, combined demand against
-// the shard's surviving capacity — runs here, before the gang consumes a
-// batch slot.
+// SubmitGang posts a gang to a shard and returns its handle. The gang
+// joins the next scheduling epoch, which, as with Submit, the call may run
+// itself; its members are granted all-or-nothing (wait on
+// GangHandle.Done). Validation — member count, distinct processors,
+// per-member task checks, combined demand against the shard's surviving
+// capacity — runs here, before the gang is posted.
 func (s *Scheduler) SubmitGang(shard int, spec GangSpec) (*GangHandle, error) {
 	return s.SubmitGangCtx(context.Background(), shard, spec)
 }

@@ -23,13 +23,14 @@ type job struct {
 	severs int             // sever events charged; bounded by Config.SeverRetries
 	done   chan struct{}
 	stop   func() bool // ends the context watch; deliver calls it as Done fires
-	res    [][]int     // per member; written by the shard goroutine before done closes
+	res    [][]int     // per member; written by the epoch before done closes
 	err    error       // terminal error; written before done closes
 
 	// The release's reply travels on the job, not on a channel made per
 	// call: end holds endMu across its send and wait, so racing calls queue
 	// behind one another, and deliver writes endErr before it marks ended
-	// done.
+	// done. A combiner handing the caller the turn answers the same way,
+	// with errTurn, and end re-arms ended before it puts its op back.
 	endMu  sync.Mutex
 	ended  sync.WaitGroup
 	endErr error
@@ -39,7 +40,7 @@ type job struct {
 	grantNano  int64 // provisioning wall-clock, for grant-to-release
 	// finished marks the job's terminal counters as recorded, so repeated
 	// releases against lost grants (shard restart, dead shard) cannot
-	// double-count Failed. Written only by the shard goroutine.
+	// double-count Failed. Written only by an epoch.
 	finished bool
 
 	// Inline backing for a singleton: it costs one struct and one channel,

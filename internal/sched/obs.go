@@ -16,7 +16,7 @@ const (
 	evService = "service" // EndService released the task's resources
 	evCancel  = "cancel"  // SubmitCtx withdrew the task
 	evFailed  = "failed"  // task terminated with an error; Result labels why
-	evRestart = "restart" // shard supervisor rebuilt a failed System
+	evRestart = "restart" // an epoch rebuilt a failed System
 	evFault   = "fault"   // hardware fault applied; Val = index, Result = link/box/res
 	evRepair  = "repair"  // hardware repair applied; Val = index, Result = link/box/res
 	evSever   = "sever"   // a fault event cost a task a unit or reset it (once per event); Task = task
@@ -30,7 +30,7 @@ const (
 	evGangFailed  = "gangfailed"  // gang terminated with an error; Result labels why
 	evGangSever   = "gangsever"   // atomic gang sever charged; Task = gang ID, Val = severs
 
-	resShardDown   = "shard-down"   // in-flight at a supervisor restart
+	resShardDown   = "shard-down"   // in-flight at a restart
 	resSeverBudget = "sever-budget" // units severed more than SeverRetries times
 	resUnsat       = "unsat"        // demand no longer fits surviving capacity
 	resClosed      = "closed"       // unprovisioned at scheduler shutdown
@@ -109,7 +109,7 @@ func (o *schedObs) observeGrant(j *job) {
 }
 
 // event records a trace event stamped with the shard's coordinates. Runs
-// on the shard goroutine (it reads sh.sys). No-op when tracing is
+// inside an epoch (it reads sh.sys). No-op when tracing is
 // disabled.
 func (s *Scheduler) event(sh *shard, kind string, task int64, val int64, result string) {
 	if s.o.trace == nil {

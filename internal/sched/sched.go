@@ -6,21 +6,30 @@
 //
 // The service removes both costs:
 //
-//   - Batched epochs. Client operations (Submit, EndService) queue per
-//     shard, and the shard flushes everything that was ready as one
-//     scheduling epoch as soon as its queue runs dry — there is no timer:
-//     like the §IV scheduler, a cycle starts when work is pending and the
-//     previous one is over. Under load operations pile up behind the
-//     running epoch, so batches fill by themselves. One epoch applies the
-//     ops, then runs the underlying System's Cycle — one flow solve
-//     covering every request in the batch — repeating only while grants
-//     are still being made (multi-resource tasks acquire one unit per
-//     cycle, §II). Each of the two phases only records what it completed;
-//     one delivery point after each publishes Stats, then wakes those
-//     clients, so whatever a client observes is already counted.
+//   - Batched epochs. Client operations (Submit, EndService, ApplyFaults,
+//     a cancellation) are posted to their shard, and the shard runs
+//     everything that was ready as one scheduling epoch — there is no
+//     timer: like the §IV scheduler, an epoch starts when work is pending
+//     and the previous one is over, so under load operations pile up
+//     behind the running epoch and batches fill by themselves. One epoch
+//     applies the ops, then runs the underlying System's Cycle — one flow
+//     solve covering every request in the batch — repeating only while
+//     grants are still being made (multi-resource tasks acquire one unit
+//     per cycle, §II). Each of the two phases only records what it
+//     completed; one delivery point after each publishes Stats, then
+//     wakes those clients, so whatever a client observes is already
+//     counted.
+//   - No monitor thread: flat combining (Hendler, Incze, Shavit &
+//     Tzafrir, SPAA 2010). A caller posts its op under a short lock and
+//     tries the shard's epoch lock; the winner runs epochs for every
+//     posted op, its own among them, and a loser waits only on its own
+//     completion. So a call may run other clients' epochs on its goroutine
+//     — but once it has spent maxTurn on them, it hands the turn to a
+//     caller blocked in EndService or ApplyFaults, if one has an op
+//     pending, and returns.
 //   - Sharding. The fabric is partitioned into disjoint sub-networks (one
-//     Clos plane, one resource type, one tenant...), each owned by its own
-//     shard goroutine with its own System, so independent shards schedule
+//     Clos plane, one resource type, one tenant...), each a shard with its
+//     own System and its own epoch lock, so independent shards schedule
 //     in parallel with zero shared state.
 //   - Warm solves. Each shard's System carries a core.Planner whose
 //     arenas persist between epochs. The max-flow arena keeps its
@@ -28,7 +37,8 @@
 //     starts empty. A MinCost epoch is certified max-flow first, on that
 //     arena, and warm-basis simplex otherwise: the simplex arena keeps the
 //     previous epoch's basis until a fault epoch forces a cold rebuild.
-//     Either way the per-epoch solve stays allocation-light.
+//     Either way the solve decodes into a Mapping the planner owns, so a
+//     warm cycle allocates nothing.
 //
 // Transmission is modeled as completing within the epoch that grants it
 // (the service calls EndTransmission on behalf of the client); the
@@ -38,9 +48,10 @@
 // # Failure semantics
 //
 // A shard whose System fails internally (a solver error, an
-// EndTransmission fault) is not poisoned: a supervisor fails every
-// in-flight handle with an error matching ErrShardDown, rebuilds the
-// shard's System from a fresh state and resumes accepting work.
+// EndTransmission fault) is not poisoned: the epoch that meets the fault
+// fails every in-flight handle with an error matching ErrShardDown,
+// rebuilds the shard's System from a fresh state, and the shard keeps
+// accepting work.
 // Stats.Restarts counts these recoveries. Resources granted before the
 // fault belong to the lost generation — EndService on such a handle also
 // reports ErrShardDown rather than corrupting the rebuilt state. Clients
@@ -69,7 +80,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"time"
 
 	"rsin/internal/core"
 	"rsin/internal/maxflow"
@@ -98,10 +111,9 @@ type Config struct {
 	// Shard i is addressed by the shard argument of Submit. At least one
 	// shard is required.
 	Shards []system.Config
-	// BatchSize sizes a shard's op queue, and with it the largest epoch:
-	// 2×BatchSize operations may wait while an epoch runs (beyond that,
-	// callers block in Submit/EndService), and the next epoch takes all of
-	// them. Default 32.
+	// BatchSize caps an epoch at 2×BatchSize posted operations; the next
+	// epoch takes the rest. A caller never blocks on a full queue, only on
+	// its own completion. Default 32.
 	BatchSize int
 	// SeverRetries bounds how many times a task's units may be severed
 	// by hardware faults (or preemption, with Preempt set) before its
@@ -299,13 +311,14 @@ func (s *Scheduler) collect(emit func(name string, gauge bool, v int64)) {
 	}
 }
 
-// shard owns one System. Only the shard's goroutine touches sys, tracked,
-// tot and dead; stats and usable are shared with Stats() and Submit callers.
+// shard owns one System. Only the holder of the epoch lock touches sys,
+// tracked, buf, tot, dead and the fields between them; pending, closed and
+// handed are kept under pmu, and stats and usable are shared with Stats()
+// and Submit callers under mu.
 type shard struct {
 	idx    int
 	sys    *system.System
-	sysCfg system.Config // prepared config (preemption threaded); supervisor rebuilds from it
-	ops    chan op
+	sysCfg system.Config // prepared config (preemption threaded); a restart rebuilds from it
 	// tracked indexes every job whose grant is not yet complete by the
 	// slot of each of its member task IDs (system.TaskID.Slot), so the
 	// fault path resolves a severed member to its job with one index. An
@@ -317,26 +330,39 @@ type shard struct {
 	ntracked int
 	granted  []*job // jobs that received a unit this epoch: recordGrants' candidates
 	fired    []*job // jobs whose Done the next deliver closes
-	gen      int    // bumped by every supervisor restart
+	gen      int    // bumped by every restart
+	buf      []op   // the running epoch's ops, taken from pending
+	lone     bool   // the last epoch ran a lone op at once; the next one yields first
 
 	cycleCount int64 // cumulative cycles, stamps trace events
 
-	// tot is the shard's running totals, counted in place by the shard
-	// goroutine. stats is the copy of it deliver last made under mu, and
-	// usable the System's degraded-capacity census per resource type ({0:
-	// n} without configured types) as deliver last published it, a map the
-	// System replaces and never writes: they are all Stats and the
-	// admission check ever read.
+	// tot is the shard's running totals, counted in place by the epochs,
+	// which run under the epoch lock. stats is the copy of it deliver last
+	// made under mu, and usable the System's degraded-capacity census per
+	// resource type ({0: n} without configured types) as deliver last
+	// published it, a map the System replaces and never writes: they are
+	// all Stats and the admission check ever read.
 	tot    Stats
-	_      [64]byte // keeps mu off tot's last cache line: every Submit locks mu while the shard goroutine counts into tot
+	_      [64]byte // keeps mu off tot's last cache line: every Submit locks mu while an epoch counts into tot
 	mu     sync.Mutex
 	stats  Stats
 	usable map[int]int
 
-	// dead is the last resort: it is set only when a supervisor restart
-	// itself fails (the shard config no longer builds a System); the
-	// shard then rejects all work.
+	// dead is the last resort: it is set only when a restart itself fails
+	// (the shard config no longer builds a System); the shard then rejects
+	// all work.
 	dead error
+
+	// pmu guards pending (posted ops no epoch has taken) and closed (set by
+	// Close; a post is then refused); the pad keeps them off dead's line, as
+	// every post locks pmu while an epoch runs. epochMu is the epoch lock,
+	// which the combiner holds while it runs epochs.
+	_       [64]byte
+	pmu     sync.Mutex
+	pending []op
+	closed  bool
+	handed  int // ops taken off pending to hand their callers the turn, not yet back
+	epochMu sync.Mutex
 }
 
 // trackedTask is one entry of shard.tracked: a member task and its job.
@@ -385,28 +411,11 @@ type Scheduler struct {
 	cfg    Config
 	shards []*shard
 	o      schedObs // resolved instruments; zero value when Obs is nil
-
-	mu     sync.RWMutex // guards closed vs. in-flight channel sends
-	closed bool
-	wg     sync.WaitGroup
 }
 
-// New validates the configuration, builds one System per shard and starts
-// the shard goroutines.
+// New validates the configuration and builds one System per shard. It
+// starts no goroutine: the callers run the epochs (see post).
 func New(cfg Config) (*Scheduler, error) {
-	s, err := build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go s.run(sh)
-	}
-	return s, nil
-}
-
-// build is New without starting the shard goroutines.
-func build(cfg Config) (*Scheduler, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("sched: at least one shard is required")
 	}
@@ -416,10 +425,7 @@ func build(cfg Config) (*Scheduler, error) {
 	if cfg.SeverRetries <= 0 {
 		cfg.SeverRetries = 3
 	}
-	s := &Scheduler{
-		cfg: cfg,
-		o:   newSchedObs(cfg.Obs),
-	}
+	s := &Scheduler{cfg: cfg, o: newSchedObs(cfg.Obs)}
 	for i, sc := range cfg.Shards {
 		// Thread preemption through the shard's system; system.New checks
 		// the result.
@@ -428,12 +434,7 @@ func build(cfg Config) (*Scheduler, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sched: shard %d: %w", i, err)
 		}
-		sh := &shard{
-			idx:    i,
-			sys:    sys,
-			sysCfg: sc,
-			ops:    make(chan op, 2*cfg.BatchSize), // a full batch queues while another flushes
-		}
+		sh := &shard{idx: i, sys: sys, sysCfg: sc}
 		s.refreshCapacity(sh)
 		s.deliver(sh, nil)
 		s.shards = append(s.shards, sh)
@@ -442,19 +443,22 @@ func build(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Submit queues a task on a shard and returns a handle immediately. The
-// task joins the next scheduling epoch; wait on Handle.Done for its
-// resources.
+// Submit posts a task to a shard and returns its handle; wait on
+// Handle.Done for its resources. The call may run the task's epoch itself
+// (for every op pending on the shard), and then Done has already fired;
+// it may run later epochs for other callers too: for about a millisecond,
+// and longer only while no caller blocked in EndService or ApplyFaults can
+// take them over.
 func (s *Scheduler) Submit(shard int, t system.Task) (*Handle, error) {
 	return s.SubmitCtx(context.Background(), shard, t)
 }
 
-// admit, every submission's front, readies the job's opSubmit and sends it.
+// admit, every submission's front, readies the job's opSubmit and posts it.
 func (s *Scheduler) admit(ctx context.Context, shard int, o op) error {
 	if err := s.ready(ctx, shard, &o); err != nil {
 		return err
 	}
-	return s.send(s.shards[shard], o)
+	return s.post(s.shards[shard], o)
 }
 
 // ready is admit's prelude. A context that has already ended refuses the
@@ -475,8 +479,8 @@ func (s *Scheduler) ready(ctx context.Context, shard int, o *op) error {
 		return fmt.Errorf("sched: shard %d out of range [0,%d)", shard, len(s.shards))
 	}
 	sh, j := s.shards[shard], o.j
-	// The System would refuse a malformed submission too, but only on the
-	// shard goroutine, after it took a batch slot.
+	// The System would refuse a malformed submission too, but only inside
+	// an epoch, after it took a batch slot.
 	if err := system.ValidateMembers(o.tasks(), sh.sysCfg.Net.Procs, sh.sysCfg.Net.Ress); err != nil {
 		s.o.rejected.Inc()
 		return fmt.Errorf("sched: shard %d: %w", shard, err)
@@ -504,7 +508,9 @@ func (s *Scheduler) ready(ctx context.Context, shard int, o *op) error {
 // the queue slot and any partially-acquired resources are released — and
 // the handle fails with an error matching ErrTaskCanceled. Cancellation
 // is best-effort against a racing grant: if Done closes with a nil Err,
-// the client owns the resources and must still call EndService.
+// the client owns the resources and must still call EndService. Like
+// Submit, the call may run epochs on its caller's goroutine, and so may
+// the cancellation, on the goroutine the context runs it on.
 func (s *Scheduler) SubmitCtx(ctx context.Context, shard int, t system.Task) (*Handle, error) {
 	h := &Handle{}
 	if err := s.admit(ctx, shard, op{kind: opSubmit, j: &h.job, one: [1]system.Task{t}}); err != nil {
@@ -515,8 +521,11 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, shard int, t system.Task) (*H
 
 // EndService releases every resource a finished task holds. It may only
 // be called after the handle's Done channel closed with a nil Err. It
-// returns once the shard has applied the release and counted it in Stats —
-// before that epoch's scheduling cycles, which the freed resources feed.
+// returns once the shard has applied the release and counted it in Stats;
+// a call that runs the release's epoch itself returns after that epoch's
+// cycles too, which the freed resources feed. While it waits, another
+// caller running epochs may hand it the turn: the call then runs epochs
+// for others, its own release among them.
 func (s *Scheduler) EndService(h *Handle) error {
 	if h == nil {
 		return fmt.Errorf("sched: nil handle")
@@ -536,12 +545,17 @@ func (s *Scheduler) end(j *job) error {
 	}
 	j.endMu.Lock()
 	defer j.endMu.Unlock()
+	sh := s.shards[j.shard]
 	j.ended.Add(1)
-	if err := s.send(s.shards[j.shard], op{kind: opEnd, j: j}); err != nil {
+	o := op{kind: opEnd, j: j}
+	if err := s.post(sh, o); err != nil {
 		j.ended.Done()
 		return err
 	}
-	j.ended.Wait()
+	for j.ended.Wait(); j.endErr == errTurn; j.ended.Wait() {
+		j.ended.Add(1)
+		s.resume(sh, o)
+	}
 	return j.endErr
 }
 
@@ -557,7 +571,9 @@ func (s *Scheduler) end(j *job) error {
 // fabric; failing a failed component or repairing a healthy one counts
 // nothing, so on a healed fabric the two are equal. The call blocks until
 // the shard has applied every operation and recomputed its degraded
-// capacity.
+// capacity. Like EndService it may run that epoch, and others, on its
+// caller's goroutine, and a FaultHook that blocks blocks whichever caller
+// runs the epoch.
 func (s *Scheduler) ApplyFaults(shard int, fops []system.FaultOp) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("sched: shard %d out of range [0,%d)", shard, len(s.shards))
@@ -565,24 +581,16 @@ func (s *Scheduler) ApplyFaults(shard int, fops []system.FaultOp) error {
 	if len(fops) == 0 {
 		return nil
 	}
-	reply := make(chan error, 1)
-	if err := s.send(s.shards[shard], op{kind: opFault, faults: fops, reply: reply}); err != nil {
+	sh := s.shards[shard]
+	o := op{kind: opFault, faults: fops, reply: make(chan error, 1)}
+	err := s.post(sh, o)
+	if err != nil {
 		return err
 	}
-	return <-reply
-}
-
-// send delivers an op to a shard unless the scheduler is closed. The read
-// lock spans the channel send so Close cannot close the channel between
-// the check and the send.
-func (s *Scheduler) send(sh *shard, o op) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
+	for err = <-o.reply; err == errTurn; err = <-o.reply {
+		s.resume(sh, o)
 	}
-	sh.ops <- o
-	return nil
+	return err
 }
 
 // Stats sums the per-shard counters.
@@ -612,65 +620,175 @@ func (s *Scheduler) Stats() Stats {
 	return tot
 }
 
-// Close stops accepting work, lets each shard finish the epochs of the ops
-// already queued and waits for the shard goroutines to exit. Tasks still
-// unprovisioned after that have their handles closed with ErrClosed. Close
-// is idempotent.
+// Close stops accepting work, waits for any epoch a caller is running,
+// runs the epochs of the ops already posted (one handed back to its caller
+// with the turn included) and closes the handles of tasks still
+// unprovisioned after them with ErrClosed. It is idempotent.
 func (s *Scheduler) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
 	for _, sh := range s.shards {
-		close(sh.ops)
+		sh.pmu.Lock()
+		closed := sh.closed
+		sh.closed = true
+		sh.pmu.Unlock()
+		if closed {
+			continue
+		}
+		sh.epochMu.Lock()
+		for {
+			for first := true; s.gather(sh, first); first = false {
+				s.epoch(sh, sh.buf)
+			}
+			// An op handed back to its caller (see combine) was posted
+			// before Close: let the caller put it back, and run it.
+			sh.pmu.Lock()
+			done := sh.handed == 0 && len(sh.pending) == 0
+			sh.pmu.Unlock()
+			if done {
+				break
+			}
+			sh.epochMu.Unlock()
+			runtime.Gosched()
+			sh.epochMu.Lock()
+		}
+		// Work the service could not provision is terminal — each member
+		// counts once in Stats.Failed.
+		s.finishTracked(sh, ErrClosed, resClosed)
+		s.deliver(sh, nil)
+		sh.epochMu.Unlock()
 	}
-	s.wg.Wait()
 	return nil
 }
 
-// run is the shard goroutine. An epoch is everything that was ready:
-// block for the first op, take all that is already queued, yield the
-// processor once so clients runnable right now can enqueue too, and flush
-// as soon as a yield brings nothing new. Nothing waits on a clock — a lone
-// op is served at once, and when the shard is the bottleneck ops pile up
-// behind the running flush and the next epoch takes them all, which keeps
-// the per-epoch work (cycles, their solves) amortized over a full queue. The yield is what lets a batch form at all on a saturated
-// scheduler: without it the shard outruns its clients and solves one op
-// per epoch. An idle shard blocks in the receive: blocked tracked work
-// alone never re-solves, because the System evolves only through ops and
-// every epoch already cycles to quiescence.
-func (s *Scheduler) run(sh *shard) {
-	defer s.wg.Done()
-	buf := make([]op, 0, cap(sh.ops))
-	for o := range sh.ops {
-		buf = append(buf, o)
-		for yielded := false; len(buf) < cap(buf); {
-			select {
-			case o, ok := <-sh.ops:
-				if ok {
-					buf, yielded = append(buf, o), false
-					continue
-				}
-			default:
-			}
-			if yielded {
-				break
-			}
-			runtime.Gosched()
-			yielded = true
-		}
-		s.apply(sh, buf)
-		s.deliver(sh, buf)
-		s.cycle(sh)
-		s.deliver(sh, nil)
-		buf = buf[:0]
+// maxTurn bounds the time a caller running epochs spends on other callers'
+// epochs before it hands the turn on (see combine). A hand-off puts a wake,
+// tens of microseconds, on the path of every pending op, so a turn must be
+// long beside it: at a millisecond it costs a few percent, and the short
+// epochs of a lightly loaded shard never reach it.
+const maxTurn = time.Millisecond
+
+// errTurn is the answer a combiner hands a blocked caller with the turn:
+// the caller puts its op back (resume) and combines. No call returns it.
+var errTurn = errors.New("sched: the caller's turn to run epochs")
+
+// post hands an op to its shard, unless Close has closed it, and combines.
+func (s *Scheduler) post(sh *shard, o op) error {
+	sh.pmu.Lock()
+	if sh.closed {
+		sh.pmu.Unlock()
+		return ErrClosed
 	}
-	// Closed and drained: every queued op has had its epoch. Work the
-	// service could not provision is terminal — each member counts once
-	// in Stats.Failed.
-	s.finishTracked(sh, ErrClosed, resClosed)
-	s.deliver(sh, nil)
+	sh.pending = append(sh.pending, o)
+	sh.pmu.Unlock()
+	s.combine(sh)
+	return nil
+}
+
+// resume is a blocked caller taking the turn a combiner handed it with its
+// op o: o goes back at the head of the pending list, ahead of the ops
+// posted after it, and the caller combines. Close waits for it.
+func (s *Scheduler) resume(sh *shard, o op) {
+	sh.pmu.Lock()
+	sh.pending = slices.Insert(sh.pending, 0, o)
+	sh.handed--
+	sh.pmu.Unlock()
+	s.combine(sh)
+}
+
+// combine is the flat combiner: the caller that wins the shard's epoch
+// lock runs epochs until no op is pending, and a loser returns at once to
+// wait on its own completion. The winner looks at the list once more after
+// unlocking, or an op posted by a loser just before would wait forever.
+// The winner's first epoch takes the oldest ops, its own among them
+// unless more than 2×BatchSize were posted ahead of it. After that it runs
+// other callers' epochs for at most maxTurn; then, if a caller blocked in
+// EndService or ApplyFaults has an op pending, the winner takes it off the
+// list, unlocks, hands that caller the turn (errTurn) and returns. A loop
+// of Submits has nobody to hand to, so a combiner among them runs on.
+func (s *Scheduler) combine(sh *shard) {
+	for sh.epochMu.TryLock() {
+		var others time.Time // when the first epoch for others began
+		for n := 0; s.gather(sh, n == 0); n++ {
+			if n == 1 {
+				others = time.Now()
+			}
+			s.epoch(sh, sh.buf)
+			if n == 0 || time.Since(others) < maxTurn {
+				continue
+			}
+			if o, ok := sh.blocked(); ok {
+				sh.epochMu.Unlock()
+				answer(&o, errTurn)
+				return
+			}
+		}
+		sh.epochMu.Unlock()
+		sh.pmu.Lock()
+		more := len(sh.pending) > 0
+		sh.pmu.Unlock()
+		if !more {
+			return
+		}
+	}
+}
+
+// blocked takes the oldest pending op whose caller blocks on it (a release
+// or a fault batch) off the list for a hand-off.
+func (sh *shard) blocked() (op, bool) {
+	sh.pmu.Lock()
+	defer sh.pmu.Unlock()
+	for i, o := range sh.pending {
+		if o.kind == opEnd || o.kind == opFault {
+			sh.pending = slices.Delete(sh.pending, i, i+1)
+			sh.handed++
+			return o, true
+		}
+	}
+	return op{}, false
+}
+
+// gather empties sh.buf, takes the next epoch's ops into it, at most
+// 2×BatchSize, and reports whether there are any. A lone op — the only one
+// pending, on a shard that tracks nothing, in the first epoch of this
+// combiner's turn — runs at once, so a lone client is paced by the solver.
+// Every other epoch yields first, so clients runnable now can post too, and
+// takes ops until a yield brings nothing new. The shard never runs two
+// lone epochs in a row: a client looping through its own ops inline would
+// never let another post.
+func (s *Scheduler) gather(sh *shard, first bool) bool {
+	clear(sh.buf) // the buffer outlives the ops; do not pin their jobs
+	sh.buf = sh.buf[:0]
+	room := 2 * s.cfg.BatchSize
+	if sh.take(room) == 0 {
+		return false
+	}
+	if first && len(sh.buf) == 1 && sh.ntracked == 0 && !sh.lone {
+		sh.lone = true
+		return true
+	}
+	sh.lone = false
+	for yielded := false; len(sh.buf) < room; {
+		if sh.take(room-len(sh.buf)) > 0 {
+			yielded = false
+			continue
+		}
+		if yielded {
+			break
+		}
+		runtime.Gosched()
+		yielded = true
+	}
+	return true
+}
+
+// take moves up to room pending ops, oldest first, onto sh.buf and returns
+// how many it moved.
+func (sh *shard) take(room int) int {
+	sh.pmu.Lock()
+	defer sh.pmu.Unlock()
+	n := min(room, len(sh.pending))
+	sh.buf = append(sh.buf, sh.pending[:n]...)
+	left := copy(sh.pending, sh.pending[n:])
+	clear(sh.pending[left:]) // the list outlives the ops; do not pin their jobs
+	sh.pending = sh.pending[:left]
+	return n
 }

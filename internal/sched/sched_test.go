@@ -44,7 +44,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	// Malformed priority classes and preference vectors are rejected with
 	// the typed system.ErrBadTask before shard dispatch: no handle, no
-	// batch slot, nothing for the shard goroutine to clean up.
+	// batch slot, nothing for an epoch to clean up.
 	for _, c := range []struct {
 		name string
 		task system.Task
@@ -83,8 +83,16 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestSingleTaskLifecycle drives one task end to end through the service.
+// The task's processor starts cut off from the fabric, so it cannot be
+// provisioned until the link is repaired: a Submit on an idle shard runs
+// its epoch itself, and would otherwise return with Done fired.
 func TestSingleTaskLifecycle(t *testing.T) {
-	s := newScheduler(t, Config{Shards: []system.Config{{Net: topology.Omega(8)}}})
+	net := topology.Omega(8)
+	s := newScheduler(t, Config{Shards: []system.Config{{Net: net}}})
+	cut := system.FaultOp{Target: system.FaultTargetLink, Index: net.ProcLink[3]}
+	if err := s.ApplyFaults(0, []system.FaultOp{cut}); err != nil {
+		t.Fatal(err)
+	}
 	h, err := s.Submit(0, system.Task{Proc: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +100,10 @@ func TestSingleTaskLifecycle(t *testing.T) {
 	// EndService before provisioning must be rejected.
 	if err := s.EndService(h); err == nil {
 		t.Fatal("premature EndService accepted")
+	}
+	cut.Repair = true
+	if err := s.ApplyFaults(0, []system.FaultOp{cut}); err != nil {
+		t.Fatal(err)
 	}
 	select {
 	case <-h.Done():

@@ -156,7 +156,10 @@ func (sc *script) live(state int) (jobs, members int) {
 	return jobs, members
 }
 
-// run runs the queued ops as one epoch and checks the invariants.
+// run runs the queued ops as one epoch and checks the invariants. It runs
+// the epoch's sequence phase by phase (the stepper's apply and cycle), not
+// through step, so at each deliver the stepper also checks that the phase
+// before it fired no Done and answered no fault batch.
 func (sc *script) run() {
 	t := sc.t
 	sc.epoch++

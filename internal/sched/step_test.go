@@ -10,28 +10,31 @@ import (
 	"rsin/internal/topology"
 )
 
-// stepper drives shard 0 of a Scheduler built without its goroutines. A
-// test queues ops through the prelude the front door uses (ready) and runs
-// them as one epoch on its own goroutine — apply, deliver, cycle, deliver,
-// the shard goroutine's sequence — so when step returns every outcome of
-// the epoch is decided and delivered, and nothing waits on a clock. Before
-// each deliver it checks that the phase woke nobody itself, and as deliver
-// fires each Done that Stats already counts what the shard decided.
+// stepper drives shard 0 of a Scheduler as its only caller. A test queues
+// ops through the prelude the front door uses (ready) and runs them with
+// epoch, the function the combiner runs — apply, deliver, cycle, deliver —
+// on its own goroutine, so when step returns every outcome of the epoch is
+// decided and delivered, and nothing waits on a clock. As deliver fires
+// each Done it checks that Stats already counts what the shard decided,
+// and after the epoch that no Done fired any other way. A test that looks
+// between the phases runs them one at a time (apply, cycle); before each
+// deliver they check that the phase woke nobody itself.
 type stepper struct {
 	t    testing.TB
 	s    *Scheduler
 	sh   *shard
 	ops  []op
-	live []*job // admitted jobs whose Done has not fired
+	live []*job        // admitted jobs whose Done has not fired
+	woke map[*job]bool // jobs whose Done deliver fired
 }
 
 func newStepper(t testing.TB, cfg Config) *stepper {
 	t.Helper()
-	s, err := build(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &stepper{t: t, s: s, sh: s.shards[0]}
+	return &stepper{t: t, s: s, sh: s.shards[0], woke: map[*job]bool{}}
 }
 
 // submit readies a task as SubmitCtx does and queues its opSubmit.
@@ -58,7 +61,8 @@ func (st *stepper) queue(o op) error {
 	}
 	// A job whose context cannot end has no watch to stop: its stop hook
 	// probes the wake instead.
-	o.j.stop = st.woke
+	j := o.j
+	j.stop = func() bool { return st.wake(j) }
 	st.ops = append(st.ops, o)
 	st.live = append(st.live, o.j)
 	return nil
@@ -103,27 +107,41 @@ func (st *stepper) cycle() {
 func (st *stepper) deliver(phase string, ops []op) {
 	st.quiet(phase, ops)
 	st.s.deliver(st.sh, ops)
+	st.settle()
+}
+
+// settle drops the jobs whose Done has fired from the live list, and
+// fails the test when one fired without deliver.
+func (st *stepper) settle() {
 	live := st.live[:0]
 	for _, j := range st.live {
-		if !fired(j) {
+		switch {
+		case !fired(j):
 			live = append(live, j)
+		case !st.woke[j]:
+			st.t.Fatalf("job %v: its Done fired without deliver", j.ids)
+		default:
+			delete(st.woke, j)
 		}
 	}
 	clear(st.live[len(live):])
 	st.live = live
 }
 
-// step runs one whole epoch on the queued ops.
+// step runs one whole epoch on the queued ops, as the combiner does.
 func (st *stepper) step() []op {
-	ops := st.apply()
-	st.cycle()
+	ops := st.ops
+	st.ops = nil
+	st.s.epoch(st.sh, ops)
+	st.settle()
 	return ops
 }
 
-// shutdown is run's drain once Close has closed the op queue.
+// shutdown closes the Scheduler: its drain finishes the stepped shard's
+// tracked jobs.
 func (st *stepper) shutdown() {
-	st.s.finishTracked(st.sh, ErrClosed, resClosed)
-	st.s.deliver(st.sh, nil)
+	st.s.Close()
+	st.settle()
 }
 
 // quiet fails the test when a deciding phase fired a completion itself:
@@ -141,13 +159,14 @@ func (st *stepper) quiet(phase string, ops []op) {
 	}
 }
 
-// woke is deliver's call as it fires a stepped job's Done (just before it
+// wake is deliver's call as it fires a stepped job's Done (just before it
 // closes the channel): at that moment Stats must already equal the shard's
 // running totals.
-func (st *stepper) woke() bool {
+func (st *stepper) wake(j *job) bool {
 	if s := st.s.Stats(); !reflect.DeepEqual(s, st.sh.tot) {
 		st.t.Fatalf("a Done fired before deliver published: Stats %+v, the shard's totals %+v", s, st.sh.tot)
 	}
+	st.woke[j] = true
 	return true
 }
 

@@ -10,7 +10,7 @@ import (
 
 // TestNewRejectsContradictoryConfig: a configuration no solver serves is
 // refused where the solver is chosen — by system.New, and so by sched.New
-// before any shard goroutine starts — instead of surfacing later as a
+// before any epoch runs — instead of surfacing later as a
 // wrong-type grant (a type-blind discipline on a typed fabric), as a shard
 // that restarts on every epoch (an unknown discipline), or as tier
 // exchanges no priced solve follows (Preempt off MinCost).

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Hardware fault model. A physical RSIN component — a link, a switchbox,
 // a resource — can fail in the field and later be repaired. Failed
@@ -205,27 +208,32 @@ func (n *Network) ForceRelease(c Circuit) {
 // A failed resource is never reachable. This is the basis of degraded
 // capacity: a healthy resource behind a dead switchbox contributes
 // nothing to the surviving fabric.
+//
+// The sweep runs on scratch the Network keeps, so it allocates only on
+// its first call: the slice returned is that scratch, valid until the
+// next call, and a caller that keeps it longer copies it.
 func (n *Network) ReachableResources() []bool {
-	reach := make([]bool, n.Ress)
-	seenBox := make([]bool, len(n.Boxes))
-	var queue []int // link IDs to traverse
+	sw := &n.sweep
+	sw.reach = slices.Grow(sw.reach[:0], n.Ress)[:n.Ress]
+	sw.seenBox = slices.Grow(sw.seenBox[:0], len(n.Boxes))[:len(n.Boxes)]
+	clear(sw.reach)
+	clear(sw.seenBox)
+	queue := sw.queue[:0] // link IDs to traverse, walked by index
 	for p := 0; p < n.Procs; p++ {
 		if lid := n.ProcLink[p]; lid != -1 && n.LinkUsable(lid) {
 			queue = append(queue, lid)
 		}
 	}
-	for len(queue) > 0 {
-		lid := queue[0]
-		queue = queue[1:]
-		to := n.Links[lid].To
+	for i := 0; i < len(queue); i++ {
+		to := n.Links[queue[i]].To
 		switch to.Kind {
 		case KindResource:
-			reach[to.Index] = true
+			sw.reach[to.Index] = true
 		case KindBox:
-			if seenBox[to.Index] {
+			if sw.seenBox[to.Index] {
 				continue
 			}
-			seenBox[to.Index] = true
+			sw.seenBox[to.Index] = true
 			for _, out := range n.Boxes[to.Index].Out {
 				if out != -1 && n.LinkUsable(out) {
 					queue = append(queue, out)
@@ -233,14 +241,21 @@ func (n *Network) ReachableResources() []bool {
 			}
 		}
 	}
+	sw.queue = queue
 	if n.resFault != nil {
 		for r, f := range n.resFault {
 			if f {
-				reach[r] = false
+				sw.reach[r] = false
 			}
 		}
 	}
-	return reach
+	return sw.reach
+}
+
+// reachSweep is ReachableResources' scratch, kept on the Network.
+type reachSweep struct {
+	reach, seenBox []bool
+	queue          []int
 }
 
 // UsableByType reports the degraded-capacity census per resource type:

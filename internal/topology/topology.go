@@ -121,6 +121,8 @@ type Network struct {
 	// are free and usable, unusable the links a fault masks.
 	open     bitset.Bits
 	unusable bitset.Bits
+
+	sweep reachSweep // ReachableResources' scratch; a Clone starts its own
 }
 
 // Builder assembles a Network. Wiring errors — duplicate links on the same

@@ -38,11 +38,15 @@ type (
 	Request = core.Request
 	// Avail describes one free resource.
 	Avail = core.Avail
-	// Mapping is the outcome of a scheduling cycle.
+	// Mapping is the outcome of a scheduling cycle. One a warm Planner
+	// method returns is the planner's own: the planner's next solve
+	// refills it whole (Assigned, Blocked, Cost, Solve), applied or not,
+	// so a caller that keeps any of it longer copies it (see Planner).
 	Mapping = core.Mapping
 	// Assignment binds one request to one resource through a circuit. From
-	// a warm Planner method its Circuit.Links may be rewritten by the
-	// planner's next solve unless the mapping was applied (see Planner).
+	// a warm Planner method it is valid until the planner's next solve; a
+	// copy's Circuit.Links stay intact while an applied circuit stands, and
+	// otherwise the next grant to the processor rewrites them (see Planner).
 	Assignment = core.Assignment
 	// Planner carries reusable scheduling state across epochs: one
 	// whole-fabric arena per network and one solver on it, whose structure
@@ -51,10 +55,12 @@ type (
 	// ScheduleHetero its typed case, and ScheduleMinCostIncremental tries
 	// each epoch there before its warm simplex basis (§13). The zero value
 	// is ready to use.
-	// Its warm methods' circuits view per-processor path slots that the
-	// next grant to the same processor rewrites: a caller that does not
-	// apply a mapping to the network it was solved on must copy the Links
-	// it keeps before the next solve (DESIGN.md §23).
+	// Its warm methods decode into a Mapping the planner owns, valid until
+	// its next solve, so a warm solve allocates nothing. Their circuits
+	// view per-processor path slots that the next grant to the same
+	// processor rewrites: a caller that does not apply a mapping to the
+	// network it was solved on must copy the Links it keeps before the
+	// next solve (DESIGN.md §23).
 	Planner = core.Planner
 	// SolveStats reports how a Mapping was solved (warm vs cold, arcs
 	// touched, fast-path grants, the typed solver's path).
@@ -94,7 +100,9 @@ type (
 	Avoidance = system.Avoidance
 	// Scheduler is the goroutine-safe batched scheduling service: client
 	// submissions are coalesced into epochs, each epoch costs one flow
-	// solve, and disjoint shards schedule in parallel. A hardware fault
+	// solve, and disjoint shards schedule in parallel. It has no goroutine
+	// of its own: whichever caller holds a shard's epoch lock runs the
+	// epoch for every op posted to it (flat combining). A hardware fault
 	// enters a shard only through ApplyFaults, a batch at a time (one op
 	// is a batch of one).
 	Scheduler = sched.Scheduler
@@ -184,8 +192,9 @@ var TierWeight = system.TierWeight
 // NewSystem constructs a System (see internal/system for the life cycle).
 var NewSystem = system.New
 
-// NewScheduler starts the concurrent batched scheduling service (see
-// internal/sched for semantics, failure semantics and sizing guidance).
+// NewScheduler builds the concurrent batched scheduling service; it
+// starts no goroutine (see internal/sched for semantics, failure semantics
+// and sizing guidance).
 var NewScheduler = sched.New
 
 // Typed failure-semantics errors (match with errors.Is).
@@ -194,8 +203,8 @@ var (
 	// and by handles abandoned at shutdown.
 	ErrSchedulerClosed = sched.ErrClosed
 	// ErrShardDown marks handles and EndService calls whose grants were
-	// lost when a shard's System failed and was rebuilt by the
-	// supervisor; the shard itself recovers and keeps accepting work.
+	// lost when a shard's System failed and was rebuilt; the shard itself
+	// recovers and keeps accepting work.
 	ErrShardDown = sched.ErrShardDown
 	// ErrTaskCanceled marks handles withdrawn by Scheduler.SubmitCtx
 	// context cancellation before provisioning completed.
