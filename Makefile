@@ -30,7 +30,7 @@ test:
 # 2 and 4, their assertions unchanged.
 race:
 	$(GO) test -race -shuffle=on ./internal/sched ./internal/system ./internal/obs ./internal/server ./internal/core
-	$(GO) test -race -cpu 1,2,4 -count 5 -run 'TestStressBenes|TestPostedDuringEpochIsApplied|TestCloseDrainsCombiners|TestCombinerHandsOffTheTurn|TestCloseWaitsForHandedTurn' ./internal/sched
+	$(GO) test -race -cpu 1,2,4 -count 5 -run 'TestStressBenes|TestPostedDuringEpochIsApplied|TestCloseDrainsCombiners|TestCombinerTurnIsBounded|TestCloseRacesSpentTurn' ./internal/sched
 
 # Warm-solver pivot ratchet plus the three-engine min-cost cross-check:
 # the warm network simplex must pivot strictly less than cold on the

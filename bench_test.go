@@ -450,11 +450,13 @@ func BenchmarkMicroFlowAlgorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedBatchedVsMutex contrasts the two ways to serve 64
-// concurrent clients on an Omega(64): a naive mutex around a single
-// System (one lock round-trip and one max-flow solve per task) versus the
-// batched-epoch scheduling service (one solve amortized over the batch).
-// The acceptance bar for the service is >= 2x the naive throughput.
+// BenchmarkSchedBatchedVsMutex contrasts two ways to serve 64 concurrent
+// clients on an Omega(64): a naive mutex around a single System (one lock
+// round-trip and one max-flow solve per task) versus the batched-epoch
+// scheduling service (one solve amortized over the batch). ns/op is the
+// wall time of one round trip, Submit to release, under each; nothing
+// checks a ratio between the two. EXPERIMENTS.md records the measured
+// figures, in which the batched service has read slower than the mutex.
 func BenchmarkSchedBatchedVsMutex(b *testing.B) {
 	const clients = 64
 	b.Run("mutex", func(b *testing.B) {

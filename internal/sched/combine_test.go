@@ -209,17 +209,17 @@ func TestCloseDrainsCombiners(t *testing.T) {
 	}
 }
 
-// TestCombinerHandsOffTheTurn pins the bound on a combiner's turn: once it
-// has run other callers' epochs for maxTurn, a caller running epochs hands
-// the turn to a caller blocked on a pending release or fault batch, and
-// returns. A submit's epoch parks while a second submit is posted; the
-// next epoch, the first for others, which takes it, parks for two maxTurns
-// while a release (or a fault batch) and a third submit are posted. The
-// gate is re-armed each time, so whoever runs the third epoch parks in it.
-// The first caller's Submit must return while that third epoch is parked —
-// run by the blocked caller it handed the turn to — and the blocked call
-// then returns its own answer.
-func TestCombinerHandsOffTheTurn(t *testing.T) {
+// TestCombinerTurnIsBounded pins the bound on a combiner's turn: once it
+// has run other callers' epochs for maxTurn with ops still pending, a
+// caller running epochs leaves them to a goroutine it starts, and returns.
+// A submit's epoch parks while a second submit is posted; the next epoch,
+// the first for others, which takes it, parks for two maxTurns while a
+// blocking call — a release, a fault batch, or a submit waited on through
+// Done — and a third submit are posted. The gate is re-armed each time, so
+// whoever runs the third epoch parks in it. The first caller's Submit must
+// return while that third epoch is parked, run by the helper it started,
+// and the blocking call then returns its own answer.
+func TestCombinerTurnIsBounded(t *testing.T) {
 	blockers := []struct {
 		name string
 		call func(s *Scheduler, held *Handle) error
@@ -228,27 +228,20 @@ func TestCombinerHandsOffTheTurn(t *testing.T) {
 		{"fault batch", func(s *Scheduler, _ *Handle) error {
 			return s.ApplyFaults(0, []system.FaultOp{{Target: system.FaultTargetResource, Index: 7}})
 		}},
+		{"submit", func(s *Scheduler, _ *Handle) error {
+			h, err := s.Submit(0, system.Task{Proc: 4})
+			if err != nil {
+				return err
+			}
+			<-h.Done()
+			return h.Err()
+		}},
 	}
 	for _, b := range blockers {
 		t.Run(b.name, func(t *testing.T) {
 			g := newCycleGate()
 			s := newScheduler(t, Config{Shards: []system.Config{{Net: topology.Omega(8), FaultHook: g.hook}}})
 			t.Cleanup(g.unpark)
-			sh := s.shards[0]
-			pending := func(n int) {
-				t.Helper()
-				for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
-					sh.pmu.Lock()
-					got := len(sh.pending)
-					sh.pmu.Unlock()
-					if got == n {
-						return
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("%d ops pending, want %d", got, n)
-					}
-				}
-			}
 			held := submit(t, s, system.Task{Proc: 0})
 			waitOK(t, held, "held task")
 
@@ -263,15 +256,15 @@ func TestCombinerHandsOffTheTurn(t *testing.T) {
 			}()
 			g.waitParked(t)
 			second := submit(t, s, system.Task{Proc: 2})
-			pending(1)
+			waitPending(t, s.shards[0], 1)
 			g.armed.Store(true)
 			g.release <- struct{}{}
 			g.waitParked(t)
 			blocked := make(chan error)
 			go func() { blocked <- b.call(s, held) }()
-			pending(1)
+			waitPending(t, s.shards[0], 1)
 			late := submit(t, s, system.Task{Proc: 3})
-			pending(2)
+			waitPending(t, s.shards[0], 2)
 			time.Sleep(2 * maxTurn) // the epoch for others outlasts the turn
 
 			g.armed.Store(true)
@@ -286,35 +279,45 @@ func TestCombinerHandsOffTheTurn(t *testing.T) {
 			waitOK(t, second, "task of the combiner's second epoch")
 			g.release <- struct{}{}
 			if err := <-blocked; err != nil {
-				t.Fatalf("the caller handed the turn: %v", err)
+				t.Fatalf("the blocked call: %v", err)
 			}
-			waitOK(t, late, "task posted behind the hand-off")
+			waitOK(t, late, "task posted behind the spent turn")
 		})
 	}
 }
 
-// TestCloseWaitsForHandedTurn: an op a combiner took off the pending list
-// to hand its caller the turn was posted before Close, so Close runs it
-// once the caller puts it back, and only then finishes. The test plays the
-// combiner (it takes the release off the list) and the caller (it puts the
-// release back while Close waits).
-func TestCloseWaitsForHandedTurn(t *testing.T) {
-	s, err := New(Config{Shards: []system.Config{{Net: topology.Omega(8)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCloseRacesSpentTurn: a turn that has spent maxTurn with ops pending
+// races Close. The combiner parks in its first epoch for others while a
+// third submit is posted and Close marks the shard closed; released, it
+// finds its turn spent and the submit pending, unlocks and starts a helper,
+// which races Close's drain for the epoch lock. Whichever wins, every op
+// posted before Close is applied by the time Close returns, and the helper,
+// if it runs after, finds nothing: Stats().Epochs does not move.
+func TestCloseRacesSpentTurn(t *testing.T) {
+	g := newCycleGate()
+	s := newScheduler(t, Config{Shards: []system.Config{{Net: topology.Omega(8), FaultHook: g.hook}}})
+	t.Cleanup(g.unpark)
 	sh := s.shards[0]
-	h := submit(t, s, system.Task{Proc: 0})
-	waitOK(t, h, "held task")
-	j := &h.job
-	j.ended.Add(1)
-	sh.pmu.Lock()
-	sh.pending = append(sh.pending, op{kind: opEnd, j: j})
-	sh.pmu.Unlock()
-	o, ok := sh.blocked()
-	if !ok {
-		t.Fatal("the pending release was not taken for a hand-off")
-	}
+
+	g.armed.Store(true)
+	combiner := make(chan *Handle)
+	go func() {
+		h, err := s.Submit(0, system.Task{Proc: 0})
+		if err != nil {
+			t.Error(err)
+		}
+		combiner <- h
+	}()
+	g.waitParked(t)
+	second := submit(t, s, system.Task{Proc: 1})
+	waitPending(t, sh, 1)
+	g.armed.Store(true)
+	g.release <- struct{}{}
+	g.waitParked(t)
+	late := submit(t, s, system.Task{Proc: 2})
+	waitPending(t, sh, 1)
+	time.Sleep(2 * maxTurn) // the epoch for others outlasts the turn
+
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
 	for stop := false; !stop; runtime.Gosched() {
@@ -322,18 +325,39 @@ func TestCloseWaitsForHandedTurn(t *testing.T) {
 		stop = sh.closed
 		sh.pmu.Unlock()
 	}
-	select {
-	case <-closed:
-		t.Fatal("Close returned while a handed-off release was out of the list")
-	case <-time.After(10 * time.Millisecond):
-	}
-	s.resume(sh, o)
+	g.release <- struct{}{}
+	first := <-combiner
 	<-closed
-	j.ended.Wait()
-	if j.endErr != nil {
-		t.Fatalf("the handed-off release: %v", j.endErr)
+	for _, h := range []*Handle{first, second, late} {
+		if h == nil {
+			t.FailNow()
+		}
+		if !fired(&h.job) || h.Err() != nil {
+			t.Fatalf("a task posted before Close: fired %v, err %v; want it provisioned before Close returned", fired(&h.job), h.Err())
+		}
 	}
-	if st := s.Stats(); st.Serviced != 1 || st.Free != 8 {
-		t.Fatalf("stats %+v: the release Close waited for was not applied", st)
+	st := s.Stats()
+	if st.Submitted != 3 || st.Granted != 3 {
+		t.Fatalf("stats %+v at Close, want 3 submitted and granted", st)
+	}
+	time.Sleep(10 * time.Millisecond) // room for a helper started late to run
+	if after := s.Stats().Epochs; after != st.Epochs {
+		t.Fatalf("epochs moved from %d to %d after Close returned", st.Epochs, after)
+	}
+}
+
+// waitPending waits until n ops are pending on sh.
+func waitPending(t *testing.T, sh *shard, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		sh.pmu.Lock()
+		got := len(sh.pending)
+		sh.pmu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d ops pending, want %d", got, n)
+		}
 	}
 }

@@ -58,19 +58,10 @@ func (s *Scheduler) deliver(sh *shard, ops []op) {
 	clear(sh.fired) // the list outlives the jobs; do not pin them
 	sh.fired = sh.fired[:0]
 	for i := range ops {
-		answer(&ops[i], ops[i].err)
-	}
-}
-
-// answer wakes the caller an op blocks, with err: EndService's on its job,
-// ApplyFaults' on its reply channel. Other ops block nobody.
-func answer(o *op, err error) {
-	switch o.kind {
-	case opEnd:
-		o.j.endErr = err
-		o.j.ended.Done()
-	case opFault:
-		o.reply <- err
+		if r := ops[i].reply; r != nil {
+			r.err = ops[i].err
+			r.wg.Done()
+		}
 	}
 }
 

@@ -26,14 +26,11 @@ type job struct {
 	res    [][]int     // per member; written by the epoch before done closes
 	err    error       // terminal error; written before done closes
 
-	// The release's reply travels on the job, not on a channel made per
-	// call: end holds endMu across its send and wait, so racing calls queue
-	// behind one another, and deliver writes endErr before it marks ended
-	// done. A combiner handing the caller the turn answers the same way,
-	// with errTurn, and end re-arms ended before it puts its op back.
-	endMu  sync.Mutex
-	ended  sync.WaitGroup
-	endErr error
+	// The release's reply travels on the job, not on one made per call:
+	// end holds endMu across its post and wait, so racing releases of one
+	// handle queue behind one another on the one reply.
+	endMu sync.Mutex
+	ended reply
 
 	// Observability bookkeeping, touched only when Config.Obs is set.
 	submitNano int64 // Submit wall-clock, for the submit-to-grant histograms
@@ -128,10 +125,23 @@ type op struct {
 	one     [1]system.Task   // opSubmit of a singleton: its task, inline (no slice to allocate)
 	members []system.Task    // opSubmit of a gang: the validated member tasks
 	ctx     context.Context  // opSubmit: watched for its end once the job is tracked
-	reply   chan error       // opFault: where deliver sends err (opEnd replies on its job)
+	reply   *reply           // opEnd, opFault: where deliver answers err (opEnd's is its job's)
 	err     error            // opEnd, opFault: the outcome, recorded by apply for deliver
 	cause   error            // opCancel: the context's Err at cancellation
 	faults  []system.FaultOp // opFault: one correlated hardware event (one sever charge)
+}
+
+// reply is where a blocked caller waits for its op's outcome: deliver
+// records err, then marks wg done. Every op whose caller blocks on it, a
+// release or a fault batch, carries one.
+type reply struct {
+	wg  sync.WaitGroup
+	err error
+}
+
+func (r *reply) wait() error {
+	r.wg.Wait()
+	return r.err
 }
 
 // tasks is an opSubmit's members: a gang's, or the singleton's one.

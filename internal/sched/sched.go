@@ -24,9 +24,8 @@
 //     tries the shard's epoch lock; the winner runs epochs for every
 //     posted op, its own among them, and a loser waits only on its own
 //     completion. So a call may run other clients' epochs on its goroutine
-//     — but once it has spent maxTurn on them, it hands the turn to a
-//     caller blocked in EndService or ApplyFaults, if one has an op
-//     pending, and returns.
+//     — but once it has spent maxTurn on them with ops still pending, it
+//     starts a goroutine to run the rest and returns.
 //   - Sharding. The fabric is partitioned into disjoint sub-networks (one
 //     Clos plane, one resource type, one tenant...), each a shard with its
 //     own System and its own epoch lock, so independent shards schedule
@@ -80,7 +79,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -312,9 +310,9 @@ func (s *Scheduler) collect(emit func(name string, gauge bool, v int64)) {
 }
 
 // shard owns one System. Only the holder of the epoch lock touches sys,
-// tracked, buf, tot, dead and the fields between them; pending, closed and
-// handed are kept under pmu, and stats and usable are shared with Stats()
-// and Submit callers under mu.
+// tracked, buf, tot, dead and the fields between them; pending and closed
+// are kept under pmu, and stats and usable are shared with Stats() and
+// Submit callers under mu.
 type shard struct {
 	idx    int
 	sys    *system.System
@@ -361,7 +359,6 @@ type shard struct {
 	pmu     sync.Mutex
 	pending []op
 	closed  bool
-	handed  int // ops taken off pending to hand their callers the turn, not yet back
 	epochMu sync.Mutex
 }
 
@@ -446,9 +443,8 @@ func New(cfg Config) (*Scheduler, error) {
 // Submit posts a task to a shard and returns its handle; wait on
 // Handle.Done for its resources. The call may run the task's epoch itself
 // (for every op pending on the shard), and then Done has already fired;
-// it may run later epochs for other callers too: for about a millisecond,
-// and longer only while no caller blocked in EndService or ApplyFaults can
-// take them over.
+// it may run later epochs for other callers too, for about a millisecond
+// (maxTurn).
 func (s *Scheduler) Submit(shard int, t system.Task) (*Handle, error) {
 	return s.SubmitCtx(context.Background(), shard, t)
 }
@@ -523,9 +519,8 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, shard int, t system.Task) (*H
 // be called after the handle's Done channel closed with a nil Err. It
 // returns once the shard has applied the release and counted it in Stats;
 // a call that runs the release's epoch itself returns after that epoch's
-// cycles too, which the freed resources feed. While it waits, another
-// caller running epochs may hand it the turn: the call then runs epochs
-// for others, its own release among them.
+// cycles too, which the freed resources feed, and it may run other
+// callers' epochs as Submit may.
 func (s *Scheduler) EndService(h *Handle) error {
 	if h == nil {
 		return fmt.Errorf("sched: nil handle")
@@ -545,18 +540,7 @@ func (s *Scheduler) end(j *job) error {
 	}
 	j.endMu.Lock()
 	defer j.endMu.Unlock()
-	sh := s.shards[j.shard]
-	j.ended.Add(1)
-	o := op{kind: opEnd, j: j}
-	if err := s.post(sh, o); err != nil {
-		j.ended.Done()
-		return err
-	}
-	for j.ended.Wait(); j.endErr == errTurn; j.ended.Wait() {
-		j.ended.Add(1)
-		s.resume(sh, o)
-	}
-	return j.endErr
+	return s.call(s.shards[j.shard], op{kind: opEnd, j: j, reply: &j.ended})
 }
 
 // ApplyFaults applies a batch of hardware operations to a shard as one
@@ -572,8 +556,8 @@ func (s *Scheduler) end(j *job) error {
 // nothing, so on a healed fabric the two are equal. The call blocks until
 // the shard has applied every operation and recomputed its degraded
 // capacity. Like EndService it may run that epoch, and others, on its
-// caller's goroutine, and a FaultHook that blocks blocks whichever caller
-// runs the epoch.
+// caller's goroutine, and a FaultHook that blocks blocks whichever
+// goroutine runs the epoch.
 func (s *Scheduler) ApplyFaults(shard int, fops []system.FaultOp) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("sched: shard %d out of range [0,%d)", shard, len(s.shards))
@@ -581,16 +565,7 @@ func (s *Scheduler) ApplyFaults(shard int, fops []system.FaultOp) error {
 	if len(fops) == 0 {
 		return nil
 	}
-	sh := s.shards[shard]
-	o := op{kind: opFault, faults: fops, reply: make(chan error, 1)}
-	err := s.post(sh, o)
-	if err != nil {
-		return err
-	}
-	for err = <-o.reply; err == errTurn; err = <-o.reply {
-		s.resume(sh, o)
-	}
-	return err
+	return s.call(s.shards[shard], op{kind: opFault, faults: fops, reply: &reply{}})
 }
 
 // Stats sums the per-shard counters.
@@ -621,9 +596,10 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Close stops accepting work, waits for any epoch a caller is running,
-// runs the epochs of the ops already posted (one handed back to its caller
-// with the turn included) and closes the handles of tasks still
-// unprovisioned after them with ErrClosed. It is idempotent.
+// runs the epochs of the ops already posted and closes the handles of
+// tasks still unprovisioned after them with ErrClosed. An op stays on the
+// pending list until an epoch takes it, so that drain applies every op
+// posted before Close. It is idempotent.
 func (s *Scheduler) Close() error {
 	for _, sh := range s.shards {
 		sh.pmu.Lock()
@@ -634,21 +610,8 @@ func (s *Scheduler) Close() error {
 			continue
 		}
 		sh.epochMu.Lock()
-		for {
-			for first := true; s.gather(sh, first); first = false {
-				s.epoch(sh, sh.buf)
-			}
-			// An op handed back to its caller (see combine) was posted
-			// before Close: let the caller put it back, and run it.
-			sh.pmu.Lock()
-			done := sh.handed == 0 && len(sh.pending) == 0
-			sh.pmu.Unlock()
-			if done {
-				break
-			}
-			sh.epochMu.Unlock()
-			runtime.Gosched()
-			sh.epochMu.Lock()
+		for first := true; s.gather(sh, first); first = false {
+			s.epoch(sh, sh.buf)
 		}
 		// Work the service could not provision is terminal — each member
 		// counts once in Stats.Failed.
@@ -660,15 +623,11 @@ func (s *Scheduler) Close() error {
 }
 
 // maxTurn bounds the time a caller running epochs spends on other callers'
-// epochs before it hands the turn on (see combine). A hand-off puts a wake,
-// tens of microseconds, on the path of every pending op, so a turn must be
-// long beside it: at a millisecond it costs a few percent, and the short
-// epochs of a lightly loaded shard never reach it.
+// epochs before it leaves the rest to a goroutine of their own (see
+// combine). Starting one puts a goroutine start and a wake on the path of
+// the ops pending, so a turn must be long beside them: at a millisecond
+// the short epochs of a lightly loaded shard never reach it.
 const maxTurn = time.Millisecond
-
-// errTurn is the answer a combiner hands a blocked caller with the turn:
-// the caller puts its op back (resume) and combines. No call returns it.
-var errTurn = errors.New("sched: the caller's turn to run epochs")
 
 // post hands an op to its shard, unless Close has closed it, and combines.
 func (s *Scheduler) post(sh *shard, o op) error {
@@ -683,15 +642,14 @@ func (s *Scheduler) post(sh *shard, o op) error {
 	return nil
 }
 
-// resume is a blocked caller taking the turn a combiner handed it with its
-// op o: o goes back at the head of the pending list, ahead of the ops
-// posted after it, and the caller combines. Close waits for it.
-func (s *Scheduler) resume(sh *shard, o op) {
-	sh.pmu.Lock()
-	sh.pending = slices.Insert(sh.pending, 0, o)
-	sh.handed--
-	sh.pmu.Unlock()
-	s.combine(sh)
+// call posts an op whose caller blocks on its reply, and waits for it.
+func (s *Scheduler) call(sh *shard, o op) error {
+	o.reply.wg.Add(1)
+	if err := s.post(sh, o); err != nil {
+		o.reply.wg.Done()
+		return err
+	}
+	return o.reply.wait()
 }
 
 // combine is the flat combiner: the caller that wins the shard's epoch
@@ -700,26 +658,23 @@ func (s *Scheduler) resume(sh *shard, o op) {
 // unlocking, or an op posted by a loser just before would wait forever.
 // The winner's first epoch takes the oldest ops, its own among them
 // unless more than 2×BatchSize were posted ahead of it. After that it runs
-// other callers' epochs for at most maxTurn; then, if a caller blocked in
-// EndService or ApplyFaults has an op pending, the winner takes it off the
-// list, unlocks, hands that caller the turn (errTurn) and returns. A loop
-// of Submits has nobody to hand to, so a combiner among them runs on.
+// other callers' epochs for at most maxTurn; a turn that spends it with
+// ops still pending unlocks, starts a goroutine that combines in its
+// place, and returns. That helper is a combiner like any other: if it
+// loses the lock it exits, since the holder looks at the list after
+// unlocking, so a spent turn leaves at most one helper behind. Nothing
+// waits for it: it exits once the list is empty, and one that gets the
+// lock after Close's drain finds the list empty.
 func (s *Scheduler) combine(sh *shard) {
 	for sh.epochMu.TryLock() {
 		var others time.Time // when the first epoch for others began
-		for n := 0; s.gather(sh, n == 0); n++ {
+		spent := false
+		for n := 0; !spent && s.gather(sh, n == 0); n++ {
 			if n == 1 {
 				others = time.Now()
 			}
 			s.epoch(sh, sh.buf)
-			if n == 0 || time.Since(others) < maxTurn {
-				continue
-			}
-			if o, ok := sh.blocked(); ok {
-				sh.epochMu.Unlock()
-				answer(&o, errTurn)
-				return
-			}
+			spent = n > 0 && time.Since(others) >= maxTurn
 		}
 		sh.epochMu.Unlock()
 		sh.pmu.Lock()
@@ -728,22 +683,11 @@ func (s *Scheduler) combine(sh *shard) {
 		if !more {
 			return
 		}
-	}
-}
-
-// blocked takes the oldest pending op whose caller blocks on it (a release
-// or a fault batch) off the list for a hand-off.
-func (sh *shard) blocked() (op, bool) {
-	sh.pmu.Lock()
-	defer sh.pmu.Unlock()
-	for i, o := range sh.pending {
-		if o.kind == opEnd || o.kind == opFault {
-			sh.pending = slices.Delete(sh.pending, i, i+1)
-			sh.handed++
-			return o, true
+		if spent {
+			go s.combine(sh)
+			return
 		}
 	}
-	return op{}, false
 }
 
 // gather empties sh.buf, takes the next epoch's ops into it, at most

@@ -141,7 +141,7 @@ func FuzzShardScript(f *testing.F) {
 			if batch != nil {
 				reply := sc.faults(batch...)
 				sc.run()
-				if err := <-reply; (err == nil) != valid {
+				if err := reply.wait(); (err == nil) != valid {
 					t.Fatalf("epoch %d: batch %+v answered %v, valid %v", sc.epoch, batch, err, valid)
 				}
 			}

@@ -70,8 +70,7 @@ func (st *stepper) queue(o op) error {
 
 // end queues a release of j, the op EndService and EndGang send.
 func (st *stepper) end(j *job) {
-	j.ended.Add(1)
-	st.ops = append(st.ops, op{kind: opEnd, j: j})
+	st.ops = append(st.ops, op{kind: opEnd, j: j, reply: armed(&j.ended)})
 }
 
 // cancel queues the op a submission's context sends when it ends.
@@ -79,12 +78,23 @@ func (st *stepper) cancel(j *job) {
 	st.ops = append(st.ops, op{kind: opCancel, j: j, cause: context.Canceled})
 }
 
-// faults queues one ApplyFaults batch; its reply arrives at the apply
+// faults queues one ApplyFaults batch; its reply is answered at the apply
 // phase's deliver.
-func (st *stepper) faults(fops ...system.FaultOp) <-chan error {
-	reply := make(chan error, 1)
-	st.ops = append(st.ops, op{kind: opFault, faults: fops, reply: reply})
-	return reply
+func (st *stepper) faults(fops ...system.FaultOp) *reply {
+	r := armed(&reply{})
+	st.ops = append(st.ops, op{kind: opFault, faults: fops, reply: r})
+	return r
+}
+
+// errUnanswered is what an armed reply reads until deliver answers it.
+var errUnanswered = errors.New("unanswered")
+
+// armed readies r for one answer, as call does, and marks it unanswered
+// so quiet can tell whether a phase answered it before deliver.
+func armed(r *reply) *reply {
+	r.wg.Add(1)
+	r.err = errUnanswered
+	return r
 }
 
 // apply runs the queued ops' deciding phase and its delivery, and returns
@@ -145,7 +155,7 @@ func (st *stepper) shutdown() {
 }
 
 // quiet fails the test when a deciding phase fired a completion itself:
-// before deliver no Done has closed and no fault batch has its reply.
+// before deliver no Done has closed and no reply has its answer.
 func (st *stepper) quiet(phase string, ops []op) {
 	for _, j := range st.live {
 		if fired(j) {
@@ -153,8 +163,8 @@ func (st *stepper) quiet(phase string, ops []op) {
 		}
 	}
 	for _, o := range ops {
-		if o.kind == opFault && len(o.reply) > 0 {
-			st.t.Fatalf("%s replied to a fault batch before deliver published", phase)
+		if o.reply != nil && o.reply.err != errUnanswered {
+			st.t.Fatalf("%s answered a release or a fault batch before deliver published", phase)
 		}
 	}
 }
@@ -191,9 +201,9 @@ func (st *stepper) release(j *job) error {
 // fault applies one batch in an epoch of its own and returns its reply.
 func (st *stepper) fault(fops ...system.FaultOp) error {
 	st.t.Helper()
-	reply := st.faults(fops...)
+	r := st.faults(fops...)
 	st.step()
-	return <-reply
+	return r.wait()
 }
 
 // provision submits a task in an epoch of its own and requires its grant.

@@ -425,6 +425,8 @@ type System struct {
 	res       CycleResult
 	noMapping core.Mapping
 
+	sum Demand // SubmitEntity's scratch: a gang's summed demand
+
 	// Cycle input scratch, reused across cycles.
 	reqs   []core.Request
 	avail  []core.Avail
@@ -567,7 +569,9 @@ func (s *System) Submit(t Task) (TaskID, error) {
 // member order. The first ID, as a GangID, addresses the entity. sum is
 // GangDemand(members), which the System keeps, unwritten, for the
 // entity's life; nil stands for the first member's own demand, the sum of
-// an entity of one.
+// an entity of one. Any other sum is refused with ErrBadTask: the banker
+// charges it and admission tests it, so a wrong one would overdraw the
+// entity's ledger row or queue work the fabric can never serve.
 func (s *System) SubmitEntity(members []Task, sum Demand, ids []TaskID) ([]TaskID, error) {
 	if err := ValidateMembers(members, s.net.Procs, s.net.Ress); err != nil {
 		return ids, fmt.Errorf("system: %w", err)
@@ -576,8 +580,17 @@ func (s *System) SubmitEntity(members []Task, sum Demand, ids []TaskID) ([]TaskI
 		return ids, err
 	}
 	head := s.newTaskState(members[0])
+	want := head.demand // a member's own demand is already sorted and summed
+	if len(members) > 1 {
+		s.sum = AppendGangDemand(s.sum[:0], members)
+		want = s.sum
+	}
 	if sum == nil {
 		sum = head.demand
+	}
+	if !slices.Equal(sum, want) {
+		s.retire(head)
+		return ids, fmt.Errorf("%w: demand %v is not the members' summed demand %v", ErrBadTask, sum, want)
 	}
 	if err := s.admissible(sum); err != nil {
 		s.retire(head)

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -48,6 +49,76 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := s.Submit(Task{Proc: 0, Need: 99}); err == nil {
 		t.Fatal("impossible need accepted")
+	}
+}
+
+// TestSubmitEntitySum: SubmitEntity keeps the caller's summed demand for
+// the entity's life, for the banker to charge and admission to test, so a
+// sum that is not the members' is refused with ErrBadTask and leaves the
+// System as it was. A sum smaller than the members' demand would leave the
+// entity's ledger row overdrawn once its units are granted, and one that
+// understates a demand no surviving resource set covers would queue work
+// the fabric can never serve. After every row the right sum is admitted
+// and the entity provisioned and released on the whole pool.
+func TestSubmitEntitySum(t *testing.T) {
+	gang := []Task{{Proc: 0, Need: 2}, {Proc: 1, Type: 0}}
+	rows := []struct {
+		name    string
+		members []Task
+		sum     Demand
+		ok      bool
+	}{
+		{"one member, its own demand", []Task{{Proc: 0, Need: 3}}, Demand{{0, 3}}, true},
+		{"one member, nil", []Task{{Proc: 0, Need: 3}}, nil, true},
+		{"one member, short", []Task{{Proc: 0, Need: 3}}, Demand{{0, 1}}, false},
+		{"one member, past the fabric", []Task{{Proc: 2, Need: 9}}, Demand{{0, 1}}, false},
+		{"gang, summed", gang, Demand{{0, 3}}, true},
+		{"gang, nil", gang, nil, false},
+		{"gang, one member's", gang, Demand{{0, 2}}, false},
+		{"gang, wrong type", gang, Demand{{1, 3}}, false},
+		{"gang, split entry", gang, Demand{{0, 2}, {0, 1}}, false},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			s, err := New(Config{Net: topology.Omega(8), Avoidance: AvoidanceBankers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := s.SubmitEntity(r.members, r.sum, nil)
+			switch {
+			case r.ok && err != nil:
+				t.Fatalf("the members' own sum refused: %v", err)
+			case !r.ok && !errors.Is(err, ErrBadTask):
+				t.Fatalf("sum %v for %+v: err %v, want ErrBadTask", r.sum, r.members, err)
+			case !r.ok:
+				if len(ids) != 0 || s.Pending() != 0 {
+					t.Fatalf("a refused sum left %d tasks pending (ids %v)", s.Pending(), ids)
+				}
+				if r.members[0].Need > s.net.Ress {
+					return
+				}
+				if ids, err = s.SubmitEntity(r.members, GangDemand(r.members), nil); err != nil {
+					t.Fatalf("the members' own sum after a refusal: %v", err)
+				}
+			}
+			gid := GangID(ids[0])
+			for i := 0; !s.GangProvisioned(gid); i++ {
+				if i == 10 {
+					t.Fatal("the entity was never provisioned")
+				}
+				for _, a := range cycle(t, s).Mapping.Assigned {
+					if err := s.EndTransmission(a.Req.Proc); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := s.EndGangService(gid); err != nil {
+				t.Fatal(err)
+			}
+			if s.FreeResources() != 8 || s.Pending() != 0 || !s.Quiescent() {
+				t.Fatalf("after the release: %d free, %d pending; want the pool whole", s.FreeResources(), s.Pending())
+			}
+		})
 	}
 }
 
