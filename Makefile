@@ -26,11 +26,13 @@ test:
 #
 # The service has no goroutine of its own: callers run its epochs (flat
 # combining), so coalescing and liveness depend on how many of them run at
-# once. The stress test and the combining tests run again at GOMAXPROCS 1,
-# 2 and 4, their assertions unchanged.
+# once. The stress test, the combining tests and the collective tests run
+# again at GOMAXPROCS 1, 2 and 4, their assertions unchanged: a collective
+# posts one member buffer uncopied and reuses one job from phase to phase,
+# which is what -race must hold.
 race:
 	$(GO) test -race -shuffle=on ./internal/sched ./internal/system ./internal/obs ./internal/server ./internal/core
-	$(GO) test -race -cpu 1,2,4 -count 5 -run 'TestStressBenes|TestPostedDuringEpochIsApplied|TestCloseDrainsCombiners|TestCombinerTurnIsBounded|TestCloseRacesSpentTurn' ./internal/sched
+	$(GO) test -race -cpu 1,2,4 -count 5 -run 'TestStressBenes|TestPostedDuringEpochIsApplied|TestCloseDrainsCombiners|TestCombinerTurnIsBounded|TestCloseRacesSpentTurn|TestRunCollective|TestRunCollectiveConcurrent|TestRunCollectiveErrors|TestRunCollectiveReusedHandle' ./internal/sched
 
 # Warm-solver pivot ratchet plus the three-engine min-cost cross-check:
 # the warm network simplex must pivot strictly less than cold on the
@@ -66,7 +68,9 @@ deps:
 # The instrumentation hot path must not allocate (disabled or enabled),
 # a service round trip allocates only what it hands back — singleton,
 # three-type and gang alike: 2, 2 and 5 objects, the gang's demand summed
-# once and its record a reused task's — a bound-certified typed epoch on a
+# once and its record a reused task's — a warm 4-rank ring allreduce
+# allocates its plan and one job once and only a Done channel per phase
+# (13 objects for 6 phases), a bound-certified typed epoch on a
 # warm planner allocates nothing, and neither does a warm cycle under
 # MaxFlow, certified MinCost or typed (the System reuses its CycleResult
 # and the planner its Mapping), a cycle under the banker with nothing to
@@ -75,7 +79,7 @@ deps:
 # census and no copy of it (its reachability sweep runs on the network's
 # scratch); CI runs the same guards.
 allocguard:
-	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree|TestRoundTripAllocs|TestTypedRoundTripAllocs' ./internal/sched ./internal/obs
+	$(GO) test -run 'TestDisabledObsAllocFree|TestNilInstruments|TestLiveInstrumentsAllocFree|TestRoundTripAllocs|TestTypedRoundTripAllocs|TestCollectiveAllocs' ./internal/sched ./internal/obs
 	$(GO) test -run 'TestTypedEpochAllocs' ./internal/core
 	$(GO) test -run 'TestCycleAllocs|TestBankerCycleAllocs|TestPricedCycleAllocs|TestFaultBatchAllocs' ./internal/system
 

@@ -58,34 +58,38 @@ type Phase []Transfer
 // chunks around the same ring. Correctness (every rank ends with every
 // chunk reduced for RingAllReduce; each chunk fully reduced somewhere for
 // RingReduceScatter) is pinned by simulation in the package tests.
+//
+// The plan is two allocations whatever its length: the phases share one
+// backing array of transfers, each capped at its own k, so an append to
+// one phase copies it instead of overwriting the next.
 func LowerCollective(pattern Collective, k int) ([]Phase, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("core: a collective needs at least 2 ranks, got %d", k)
 	}
-	var phases []Phase
-	// Reduce-scatter half: both patterns start with it.
-	for t := 0; t < k-1; t++ {
-		ph := make(Phase, k)
-		for r := 0; r < k; r++ {
-			ph[r] = Transfer{From: r, To: (r + 1) % k, Chunk: ((r-t)%k + k) % k}
-		}
-		phases = append(phases, ph)
-	}
-	if pattern == RingReduceScatter {
-		return phases, nil
-	}
-	if pattern != RingAllReduce {
+	n := k - 1 // the reduce-scatter half: both patterns start with it
+	switch pattern {
+	case RingReduceScatter:
+	case RingAllReduce:
+		n *= 2
+	default:
 		return nil, fmt.Errorf("core: unknown collective pattern %d", int(pattern))
 	}
-	// Allgather half: after the reduce-scatter phases rank r holds the
-	// fully reduced chunk (r+1) mod k; each phase rotates the reduced
-	// chunks one hop around the ring.
-	for t := 0; t < k-1; t++ {
-		ph := make(Phase, k)
-		for r := 0; r < k; r++ {
-			ph[r] = Transfer{From: r, To: (r + 1) % k, Chunk: ((r+1-t)%k + k) % k}
+	all := make([]Transfer, n*k)
+	phases := make([]Phase, n)
+	for t := range phases {
+		ph := Phase(all[t*k : (t+1)*k : (t+1)*k])
+		// Reduce-scatter step t ships chunk r-t. After that half rank r
+		// holds the fully reduced chunk (r+1) mod k, and allgather step
+		// a = t-(k-1) ships chunk r+1-a = r-(t-k): each phase rotates the
+		// reduced chunks one hop around the ring.
+		shift := t
+		if t >= k-1 {
+			shift = t - k
 		}
-		phases = append(phases, ph)
+		for r := range ph {
+			ph[r] = Transfer{From: r, To: (r + 1) % k, Chunk: ((r-shift)%k + k) % k}
+		}
+		phases[t] = ph
 	}
 	return phases, nil
 }

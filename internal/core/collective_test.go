@@ -107,6 +107,9 @@ func checkRingShape(t *testing.T, k int, phases []Phase) {
 		if len(ph) != k {
 			t.Fatalf("phase %d has %d transfers, want %d", pi, len(ph), k)
 		}
+		if cap(ph) != k {
+			t.Fatalf("phase %d has capacity %d: an append to it would overwrite the next phase", pi, cap(ph))
+		}
 		sent, recv := map[int]bool{}, map[int]bool{}
 		for _, tr := range ph {
 			if tr.To != (tr.From+1)%k {

@@ -6,10 +6,12 @@
 package sched
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
 
+	"rsin/internal/core"
 	"rsin/internal/obs"
 	"rsin/internal/system"
 	"rsin/internal/topology"
@@ -222,4 +224,34 @@ func TestTypedRoundTripAllocs(t *testing.T) {
 			t.Fatalf("a gang round trip allocates %.1f objects, bound %d", got, gangRoundTripAllocs)
 		}
 	})
+}
+
+// collectiveAllocs is the recorded ceiling of a warm 4-rank ring allreduce,
+// six phases, on one shard: per call the plan (its phase list and its one
+// backing array of transfers), the member buffer, the GangHandle, its
+// member-ID list, its slice of member grants and its summed demand, which
+// outgrow the handle's inline storage once; per phase only the Done
+// channel. A member slice, a copy of it, a handle or a demand per phase, or
+// a plan allocated phase by phase, adds at least six and fails it.
+const collectiveAllocs = 13
+
+// TestCollectiveAllocs pins the allocations of one RunCollective call, a
+// ring allreduce over four ranks, on a shard that has run the same
+// collective before.
+func TestCollectiveAllocs(t *testing.T) {
+	s := newScheduler(t, Config{BatchSize: 1, Shards: []system.Config{{Net: topology.Omega(8)}}})
+	spec := CollectiveSpec{Pattern: core.RingAllReduce, Procs: []int{0, 1, 2, 3}}
+	got := testing.AllocsPerRun(200, func() {
+		res, err := s.RunCollective(context.Background(), 0, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Phases != 6 {
+			t.Fatalf("ran %d phases, want 6", res.Phases)
+		}
+	})
+	t.Logf("%.1f allocations per 6-phase allreduce", got)
+	if got > collectiveAllocs {
+		t.Fatalf("a 6-phase allreduce allocates %.1f objects, bound %d", got, collectiveAllocs)
+	}
 }

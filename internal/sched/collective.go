@@ -51,6 +51,14 @@ type CollectiveResult struct {
 // the collective stops there with that phase's error; earlier phases have
 // already completed and released, and the failed phase holds nothing (the
 // gang contract).
+//
+// One member buffer and one job carry every phase, so a phase allocates
+// only its Done channel. The buffer is posted without a copy: the shard
+// copies the members into its System when it applies the submission, before
+// Done fires, and the buffer is rewritten only after that. The job is
+// reused (job.reuse) only once EndGang has released its phase, and only
+// while ctx has not ended: a phase whose context ended before its grant may
+// still have a cancel on its way to the shard, addressed to the job.
 func (s *Scheduler) RunCollective(ctx context.Context, shard int, spec CollectiveSpec) (CollectiveResult, error) {
 	var res CollectiveResult
 	k := len(spec.Procs)
@@ -62,8 +70,15 @@ func (s *Scheduler) RunCollective(ctx context.Context, shard int, spec Collectiv
 	if label == "" {
 		label = spec.Pattern.String()
 	}
+	members := make([]system.Task, k)
+	gh := &GangHandle{}
 	for pi, ph := range phases {
-		members := make([]system.Task, len(ph))
+		if pi > 0 {
+			if err := ctx.Err(); err != nil {
+				return res, fmt.Errorf("sched: %s phase %d/%d: %w: %w", label, pi, len(phases), ErrTaskCanceled, err)
+			}
+			gh.reuse()
+		}
 		for i, tr := range ph {
 			members[i] = system.Task{
 				Proc: spec.Procs[tr.From],
@@ -72,12 +87,10 @@ func (s *Scheduler) RunCollective(ctx context.Context, shard int, spec Collectiv
 				Tier: spec.Tier,
 			}
 		}
-		gang := GangSpec{Members: members}
 		if s.o.trace != nil {
-			gang.Label = fmt.Sprintf("%s/p%d", label, pi) // read by the trace alone
+			gh.label = fmt.Sprintf("%s/p%d", label, pi) // read by the trace alone
 		}
-		gh, err := s.SubmitGangCtx(ctx, shard, gang)
-		if err != nil {
+		if err := s.admit(ctx, shard, op{kind: opSubmit, j: &gh.job, members: members}); err != nil {
 			return res, fmt.Errorf("sched: %s phase %d/%d: %w", label, pi, len(phases), err)
 		}
 		<-gh.Done()

@@ -102,7 +102,7 @@ func (s *Scheduler) applySubmit(sh *shard, o *op) {
 	err := sh.dead
 	if err == nil {
 		// The System keeps the demand the job summed as its entity's.
-		if j.ids, err = sh.sys.SubmitEntity(o.tasks(), j.demand, j.id1[:0]); err != nil {
+		if j.ids, err = sh.sys.SubmitEntity(o.tasks(), j.demand, storage(j.ids, j.id1[:0])); err != nil {
 			// Admission raced a capacity drop; the job never entered the
 			// system, so it counts as rejected, not failed.
 			s.o.rejected.Inc()
@@ -184,6 +184,9 @@ func (s *Scheduler) applyFault(sh *shard, o *op) {
 // addCycle folds one scheduling cycle's result into the counters.
 func (st *Stats) addCycle(r *system.CycleResult) {
 	st.Cycles++
+	if len(r.Mapping.Blocked) > 0 {
+		st.BlockedCycles++
+	}
 	st.Granted += int64(r.Granted)
 	st.Deferred += int64(r.Deferred)
 	st.GangsActivated += int64(r.GangsActivated)
@@ -274,14 +277,16 @@ func (s *Scheduler) recordGrants(sh *shard) {
 		}
 		// One backing array for every member's grant, each slice capped at
 		// its own length so an append to one cannot overwrite the next; a
-		// singleton's, and a small gang's, is the job's inline storage.
-		held := slices.Grow(j.heldIn[:0], j.demand.Total())
-		j.res = slices.Grow(j.res1[:0], len(j.ids))
+		// singleton's, and a small gang's, is the job's inline storage, and a
+		// reused job's is what its earlier grant left.
+		held := slices.Grow(storage(j.held, j.heldIn[:0]), j.demand.Total())
+		j.res = slices.Grow(storage(j.res, j.res1[:0]), len(j.ids))
 		for _, m := range j.ids {
 			at := len(held)
 			held = sh.sys.AppendHolding(held, m)
 			j.res = append(j.res, held[at:len(held):len(held)])
 		}
+		j.held = held
 		if s.o.enabled {
 			s.o.observeGrant(j)
 		}

@@ -24,6 +24,7 @@ type job struct {
 	done   chan struct{}
 	stop   func() bool // ends the context watch; deliver calls it as Done fires
 	res    [][]int     // per member; written by the epoch before done closes
+	held   []int       // the one backing array res's slices share
 	err    error       // terminal error; written before done closes
 
 	// The release's reply travels on the job, not on one made per call:
@@ -58,6 +59,30 @@ const (
 	inlineUnits = 4
 )
 
+// storage is where a job's ids, demand or grant is written: what the job
+// kept from an earlier submission (reuse), emptied, or else its inline
+// array.
+func storage[T any](kept, inline []T) []T {
+	if cap(kept) > 0 {
+		return kept[:0]
+	}
+	return inline
+}
+
+// reuse readies a released job for its next submission, and only
+// RunCollective reuses one, between phases. Every field starts from zero —
+// the sever budget, the terminal marks, the label and the release's reply
+// among them — while the ids, demand and grant storage keep their
+// capacity, so the next phase grows into them instead of allocating. It is
+// valid once EndGang has returned nil for a submission whose context had
+// not ended: the release retired the entity and its demand in the System,
+// so no shard list, trace event or System record refers to the job, and
+// the context watch was stopped before it could post a cancel addressed to
+// it.
+func (j *job) reuse() {
+	*j = job{ids: j.ids[:0], demand: j.demand[:0], res: j.res[:0], held: j.held[:0]}
+}
+
 // Done is closed once every member is fully provisioned (or the job has
 // failed — check Err). There is no intermediate state: before Done fires
 // no grant is visible, after it either all members hold their complete
@@ -71,7 +96,7 @@ func (j *job) Err() error { return j.err }
 // which the System keeps as the entity's — and its most urgent member's
 // tier: a job is as urgent as that.
 func (j *job) describe(members []system.Task) {
-	j.demand, j.tier = system.AppendGangDemand(j.demandIn[:0], members), members[0].Tier
+	j.demand, j.tier = system.AppendGangDemand(storage(j.demand, j.demandIn[:0]), members), members[0].Tier
 	for _, m := range members[1:] {
 		j.tier = min(j.tier, m.Tier)
 	}

@@ -59,9 +59,11 @@ func promValue(t *testing.T, text, name string) int64 {
 // projection (captured from that commit), less the sixteen rsin_system_*
 // counters the System kept beside the Stats series they duplicated (the
 // System records into no registry; DESIGN.md §11 maps each to the series
-// that carries its fact): dashboards key on these, so a rename or a
-// dropped series must fail here, not in production.
+// that carries its fact), plus the counters added since
+// (rsin_sched_blocked_cycles_total): dashboards key on these, so a rename
+// or a dropped series must fail here, not in production.
 var goldenMetricNames = []string{
+	"rsin_sched_blocked_cycles_total",
 	"rsin_sched_canceled_total",
 	"rsin_sched_cycles_total",
 	"rsin_sched_deferred_total",

@@ -173,6 +173,10 @@ type Stats struct {
 	Canceled  int64 // tasks withdrawn by SubmitCtx context cancellation
 	Failed    int64 // tasks terminated by the service with a non-cancel error
 	Restarts  int64 // shard recoveries from internal System failures
+	// BlockedCycles counts the cycles whose mapping left at least one
+	// request ungranted, under any discipline: the cycles in which the
+	// solve, not the supply of requests, decided who waits.
+	BlockedCycles int64
 
 	// Hardware fault counters.
 	LinkFaults int64 // component failures that changed the fabric (links, boxes, resources)
@@ -249,6 +253,7 @@ var statsTable = []struct {
 	{"rsin_sched_serviced_total", false, func(st *Stats) any { return &st.Serviced }},
 	{"rsin_sched_epochs_total", false, func(st *Stats) any { return &st.Epochs }},
 	{"rsin_sched_cycles_total", false, func(st *Stats) any { return &st.Cycles }},
+	{"rsin_sched_blocked_cycles_total", false, func(st *Stats) any { return &st.BlockedCycles }},
 	{"rsin_sched_deferred_total", false, func(st *Stats) any { return &st.Deferred }},
 	{"rsin_sched_canceled_total", false, func(st *Stats) any { return &st.Canceled }},
 	{"rsin_sched_failed_total", false, func(st *Stats) any { return &st.Failed }},

@@ -454,3 +454,74 @@ func TestTerminalAccountingShutdown(t *testing.T) {
 		})
 	}
 }
+
+// TestBlockedCycles pins Stats.BlockedCycles, the cycles whose mapping left
+// a request ungranted, on stepped MinCost decks on an Omega-8. Six
+// provisioned blockers leave two free units, and five tasks then request
+// at once: a cycle grants two of them and blocks the rest, and the cycles
+// that follow, until releases free enough units, count too. A deck that
+// asks, each epoch, for no more than the free units counts none, though it
+// runs a cycle every epoch.
+func TestBlockedCycles(t *testing.T) {
+	shard := func() Config {
+		return Config{Shards: []system.Config{{Net: topology.Omega(8), Discipline: system.MinCost}}}
+	}
+	t.Run("more requesters than units", func(t *testing.T) {
+		st := newStepper(t, shard())
+		var blockers []*Handle
+		for p := 0; p < 6; p++ {
+			blockers = append(blockers, st.provision(system.Task{Proc: p}))
+		}
+		if n := st.s.Stats().BlockedCycles; n != 0 {
+			t.Fatalf("provisioning into a free fabric counted %d blocked cycles", n)
+		}
+		var waiting []*Handle
+		for p := 0; p < 5; p++ {
+			h, err := st.submit(system.Task{Proc: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waiting = append(waiting, h)
+		}
+		st.step()
+		s := st.s.Stats()
+		if s.BlockedCycles == 0 || s.BlockedCycles > s.Cycles {
+			t.Fatalf("five requesters on two free units: %d blocked cycles of %d, want at least one and at most all", s.BlockedCycles, s.Cycles)
+		}
+		for _, b := range blockers {
+			if err := st.release(&b.job); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, h := range waiting {
+			if !fired(&h.job) || h.Err() != nil {
+				t.Fatalf("a waiting task was not provisioned once the blockers left: %v", h.Err())
+			}
+		}
+	})
+	t.Run("always fits", func(t *testing.T) {
+		st := newStepper(t, shard())
+		for round := 0; round < 20; round++ {
+			var hs []*Handle
+			for p := 0; p < 1+round%4; p++ {
+				h, err := st.submit(system.Task{Proc: (round + 2*p) % 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hs = append(hs, h)
+			}
+			st.step()
+			for _, h := range hs {
+				if !fired(&h.job) || h.Err() != nil {
+					t.Fatalf("round %d: a task on a free fabric was not provisioned in its epoch: %v", round, h.Err())
+				}
+				if err := st.release(&h.job); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if s := st.s.Stats(); s.Cycles == 0 || s.BlockedCycles != 0 {
+			t.Fatalf("a deck that always fits: %d blocked cycles of %d, want 0 of at least one", s.BlockedCycles, s.Cycles)
+		}
+	})
+}

@@ -273,6 +273,7 @@ var (
 	TokenSchedule = token.Schedule
 	// LowerCollective lowers a collective pattern over k ranks into its
 	// phase sequence (who ships which chunk to whom between barriers);
-	// Scheduler.RunCollective executes the phases as gangs.
+	// Scheduler.RunCollective executes the phases as gangs. The phases
+	// share one backing array, each capped at its own k transfers.
 	LowerCollective = core.LowerCollective
 )
